@@ -4,5 +4,4 @@ largest operator systems over a polyhedral cone."""
 
 __version__ = "0.1.0"
 
-from . import _kernels as kernels  # noqa: F401
 from .linalg import HermitianMatrix, SIGMA_X, SIGMA_Y, SIGMA_Z  # noqa: F401

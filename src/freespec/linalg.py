@@ -120,9 +120,6 @@ def eigh(a) -> EigenDecomposition:
     """
     h = as_hermitian(a)
     w, v = _kernels.eigh_kernel(h.mat)
-    order = np.argsort(w, kind="stable")
-    w = np.asarray(w, dtype=float)[order]
-    v = np.asarray(v, dtype=np.complex128)[:, order]
     v = _normalize_phases(v)
     w.flags.writeable = False
     v.flags.writeable = False

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import _kernels, linalg, sdp
 from .cones import PolyhedralCone
@@ -408,11 +407,21 @@ def lambda1_block(m, n) -> float:
     return linalg.max_eigenvalue(HermitianMatrix(hn.mat @ hn.mat - hm.mat))
 
 
+# Bisection stops once the bracket is this tight relative to the size of
+# (M, N), ||N||^2 + ||M||_F, which bounds |value|; never below the rounding
+# margin, where splitting can no longer tighten it.
+LAMBDA2_REL_TOL = 1e-12
+_LAMBDA2_MAX_ROUNDS = 200
+
+
 @dataclass(frozen=True)
 class Lambda2Result:
+    """``value`` is the quartic at the unit vector ``argmax``, so it is
+    attained; ``upper`` is a certified bound on the maximum."""
+
     value: float
+    upper: float
     argmax: np.ndarray
-    lower_bound_only: bool
 
 
 def _quartic(mmat: np.ndarray, nmat: np.ndarray, v: np.ndarray) -> float:
@@ -421,86 +430,78 @@ def _quartic(mmat: np.ndarray, nmat: np.ndarray, v: np.ndarray) -> float:
     return qn * qn - qm
 
 
-def _bloch_params(h: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            (h[0, 0].real + h[1, 1].real) / 2.0,
-            (h[0, 0].real - h[1, 1].real) / 2.0,
-            h[0, 1].real,
-            -h[0, 1].imag,
-        ]
-    )
+def _chord_bounds(a, b, ga, gb) -> np.ndarray:
+    """max over t in [a, b] of chord_g(t) - t^2, per interval."""
+    slope = (gb - ga) / (b - a)
+    t = np.clip(slope / 2.0, a, b)
+    return ga + slope * (t - a) - t * t
 
 
-def lambda2_products(
-    m,
-    n,
-    *,
-    theta_points: int = 1001,
-    phi_points: int = 4000,
-    refine: bool = True,
-    restarts: int = 200,
-    seed: int = 0,
-) -> Lambda2Result:
-    """Global maximum of (v*Nv)^2 - v*Mv over unit vectors v.
+def lambda2_products(m, n) -> Lambda2Result:
+    """Maximum of (v*Nv)^2 - v*Mv over unit vectors v, with a certified bracket.
 
-    For 2 x 2 inputs this is a dense two-parameter grid scan (default step
-    pi/2000 in each angle) followed by local ascent refinement, exact up to
-    the grid resolution.  For size >= 3 a multistart projected-gradient
-    search runs instead and the returned value is a certified lower bound
-    only (the problem is nonconvex).
+    Since x^2 = max_t (2tx - t^2), the maximum equals max f(t) over
+    t in [lambda_min N, lambda_max N], where f(t) = g(t) - t^2 and
+    g(t) = lambda_max(2tN - M) is convex.  On an interval the chord of g
+    lies above g, so chord - t^2, a concave quadratic, bounds f there in
+    closed form.  Intervals whose bound beats the best f found so far are
+    bisected, with one batched eigvalsh (`_kernels.quartic_grid_scan`) per
+    round.  Every top eigenvector v of 2tN - M has quartic
+    (v*Nv - t)^2 + f(t) >= f(t), and the fixed point t <- v*Nv never
+    lowers it.  ``upper`` is the bracket's top widened by the eigvalsh
+    backward error.
     """
     hm, hn = as_hermitian(m), as_hermitian(n)
     if hm.dim != hn.dim:
         raise ValueError("matrices must have the same size")
-    s = hm.dim
+    mmat, nmat = hm.mat, hn.mat
 
-    if s == 2:
-        qm = _bloch_params(hm.mat)
-        qn = _bloch_params(hn.mat)
-        val, theta, phi = _kernels.quartic_grid_scan(qn, qm, theta_points, phi_points)
+    def top_vector(t: float) -> np.ndarray:
+        return _kernels.eigh_kernel(2.0 * t * nmat - mmat)[1][:, -1]
 
-        def vec(t, p):
-            return np.array([math.cos(t), math.sin(t) * complex(math.cos(p), math.sin(p))])
+    n_eigs = np.linalg.eigvalsh(nmat)
+    lo, hi = float(n_eigs[0]), float(n_eigs[-1])
+    if lo == hi:
+        # N = lo*I: f(lo) is the maximum and any top eigenvector attains it
+        v = top_vector(lo)
+        value = _quartic(mmat, nmat, v)
+        return Lambda2Result(value=value, upper=value, argmax=v)
 
-        best_v = vec(theta, phi)
-        if refine:
-            neg = lambda x: -_quartic(hm.mat, hn.mat, vec(x[0], x[1]))
-            res = scipy.optimize.minimize(
-                neg,
-                np.array([theta, phi]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-            )
-            if -res.fun > val:
-                val = float(-res.fun)
-                best_v = vec(res.x[0], res.x[1])
-        return Lambda2Result(value=float(val), argmax=best_v, lower_bound_only=False)
+    # ||2tN - M|| <= 2*scale on the interval, and eigvalsh errs by a small
+    # multiple of dim*eps times that
+    scale = max(abs(lo), abs(hi)) ** 2 + float(np.linalg.norm(mmat))
+    margin = 12.0 * hm.dim * np.finfo(float).eps * scale
+    tol = max(LAMBDA2_REL_TOL * scale, margin)
+    t = np.array([lo, hi])
+    gt = _kernels.quartic_grid_scan(mmat, nmat, t)
+    ft = gt - t * t
+    lower, best_t = float(ft.max()), float(t[ft.argmax()])
+    a, b, ga, gb = t[:1], t[1:], gt[:1], gt[1:]
+    for _ in range(_LAMBDA2_MAX_ROUNDS):
+        bounds = _chord_bounds(a, b, ga, gb)
+        top = max(float(bounds.max()), lower)
+        if top - lower <= tol:
+            break
+        live = bounds > lower
+        a, b, ga, gb = a[live], b[live], ga[live], gb[live]
+        mid = (a + b) / 2.0
+        gm = _kernels.quartic_grid_scan(mmat, nmat, mid)
+        fm = gm - mid * mid
+        k = int(fm.argmax())
+        if fm[k] > lower:
+            lower, best_t = float(fm[k]), float(mid[k])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
 
-    rng = np.random.default_rng(seed)
-    starts = []
-    for mat in (hn.mat, hn.mat @ hn.mat - hm.mat):
-        dec = linalg.eigh(mat)
-        starts.extend(dec.eigenvectors.T)
-    while len(starts) < restarts:
-        v = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        starts.append(v / np.linalg.norm(v))
-
-    def neg_real(x):
-        v = x[:s] + 1j * x[s:]
-        nv = np.linalg.norm(v)
-        return -_quartic(hm.mat, hn.mat, v / nv)
-
-    best_val = -math.inf
-    best_v = None
-    for v0 in starts[: max(restarts, len(starts))]:
-        x0 = np.concatenate([np.real(v0), np.imag(v0)])
-        res = scipy.optimize.minimize(neg_real, x0, method="BFGS", options={"maxiter": 120})
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            v = res.x[:s] + 1j * res.x[s:]
-            best_v = v / np.linalg.norm(v)
-    return Lambda2Result(value=best_val, argmax=best_v, lower_bound_only=True)
+    v = top_vector(best_t)
+    value = _quartic(mmat, nmat, v)
+    for _ in range(_LAMBDA2_MAX_ROUNDS):
+        w = top_vector(float(np.real(v.conj() @ nmat @ v)))
+        q = _quartic(mmat, nmat, w)
+        if q <= value:
+            break
+        v, value = w, q
+    return Lambda2Result(value=value, upper=top + margin, argmax=v)
 
 
 def common_eigenvector_residual(m, n, v: np.ndarray) -> tuple[float, float]:

@@ -304,14 +304,13 @@ def _conflict_outcome(p: SdpProblem, form: _RealForm) -> Optional[SdpOutcome]:
 
 
 def _eigh_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a real symmetric block, solved as a complex Hermitian one.
+
+    The real LAPACK solver rounds differently, and on badly scaled
+    membership queries that alone turns some Member verdicts into Unknown.
+    """
     w, v = _kernels.eigh_kernel(a.astype(np.complex128))
-    v = np.asarray(v)
-    if np.iscomplexobj(v) and v.imag.any():
-        # both kernel backends keep exactly-real input exactly real; this
-        # path only guards against a backend that does not
-        w, v = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(np.asarray(w, dtype=float))
-    return np.asarray(w, dtype=float)[order], np.asarray(v).real[:, order]
+    return w, v.real
 
 
 @dataclass

@@ -142,7 +142,7 @@ def test_criterion_5_positivity_thresholds():
                 m = linalg.random_hermitian(rng, 2)
                 n = linalg.random_hermitian(rng, 2)
             l1 = lambda1_block(m, n)
-            l2 = lambda2_products(m, n, theta_points=101, phi_points=200)
+            l2 = lambda2_products(m, n)
             assert l2.value <= l1 + 1e-9
             if abs(l1 - l2.value) < 1e-6:
                 near_equal += 1

@@ -128,6 +128,16 @@ class TestComei:
         assert "lambda1 = 2.0" in out
         assert "lambda2 = 1.25" in out
 
+    def test_json_bracket(self, capsys, fixtures):
+        code, out, _ = run(
+            capsys, "comei", "--M", str(fixtures / "sx.json"), "--N", str(fixtures / "sz.json"),
+            "--output", "json",
+        )
+        assert code == EXIT_OK
+        result = json.loads(out)["result"]
+        assert "lower_bound_only" not in result
+        assert result["lambda2_upper"] >= result["lambda2"]
+
 
 class TestScalingBound:
     def test_square(self, capsys):

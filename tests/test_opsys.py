@@ -271,6 +271,11 @@ class TestLambda1:
             assert lambda1_block(m, n) == pytest.approx(hi, abs=1e-6)
 
 
+def random_unit_vectors(rng, s, count):
+    v = rng.standard_normal((count, s)) + 1j * rng.standard_normal((count, s))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 class TestLambda2:
     def test_zero_sigma_z(self):
         res = lambda2_products(np.zeros((2, 2)), SIGMA_Z)
@@ -282,7 +287,7 @@ class TestLambda2:
     def test_sigma_pair_five_fourths(self):
         res = lambda2_products(SIGMA_X, SIGMA_Z)
         assert res.value == pytest.approx(1.25, abs=1e-9)
-        assert not res.lower_bound_only
+        assert res.upper - res.value <= 1e-9
 
     def test_grid_oracle_agreement(self):
         # the quartic evaluated directly at the returned argmax matches
@@ -305,7 +310,7 @@ class TestLambda2:
                 m = linalg.random_hermitian(rng, 2)
                 n = linalg.random_hermitian(rng, 2)
             lam1 = lambda1_block(m, n)
-            res = lambda2_products(m, n, theta_points=101, phi_points=200)
+            res = lambda2_products(m, n)
             assert res.value <= lam1 + 1e-9
             if abs(res.value - lam1) < 1e-6:
                 near_equal += 1
@@ -313,7 +318,7 @@ class TestLambda2:
                 assert rm < 1e-4 and rn < 1e-4
         assert near_equal >= 50  # the commuting subsample must show up
 
-    def test_inequality_3x3_lower_bound(self):
+    def test_inequality_3x3_certified_bracket(self):
         rng = np.random.default_rng(57)
         for k in range(1000):
             if k % 10 == 0:
@@ -323,13 +328,72 @@ class TestLambda2:
             else:
                 m = linalg.random_hermitian(rng, 3)
                 n = linalg.random_hermitian(rng, 3)
-            res = lambda2_products(m, n, restarts=3, seed=1)
+            res = lambda2_products(m, n)
             lam1 = lambda1_block(m, n)
-            assert res.lower_bound_only
+            assert 0.0 <= res.upper - res.value <= 1e-9 * max(1.0, abs(res.value))
             assert res.value <= lam1 + 1e-9
             if abs(res.value - lam1) < 1e-6:
                 rm, rn = common_eigenvector_residual(m, n, res.argmax)
                 assert rm < 1e-4 and rn < 1e-4
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 8])
+    def test_value_attained_and_bracket_tight(self, s):
+        rng = np.random.default_rng(58 + s)
+        for _ in range(50):
+            m = linalg.random_hermitian(rng, s)
+            n = linalg.random_hermitian(rng, s)
+            res = lambda2_products(m, n)
+            assert np.linalg.norm(res.argmax) == pytest.approx(1.0, abs=1e-12)
+            assert res.value == opsys._quartic(m.mat, n.mat, res.argmax)
+            assert 0.0 <= res.upper - res.value <= 1e-9 * max(1.0, abs(res.value))
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_upper_dominates_random_vectors(self, s):
+        rng = np.random.default_rng(59 + s)
+        for _ in range(5):
+            m = linalg.random_hermitian(rng, s)
+            n = linalg.random_hermitian(rng, s)
+            v = random_unit_vectors(rng, s, 10_000)
+            qn = np.einsum("ki,ij,kj->k", v.conj(), n.mat, v).real
+            qm = np.einsum("ki,ij,kj->k", v.conj(), m.mat, v).real
+            assert (qn * qn - qm).max() <= lambda2_products(m, n).upper
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_unitary_invariance(self, s):
+        rng = np.random.default_rng(60 + s)
+        for _ in range(20):
+            m = linalg.random_hermitian(rng, s)
+            n = linalg.random_hermitian(rng, s)
+            u = sampling.random_unitary(rng, s)
+            res = lambda2_products(m, n)
+            conj = lambda2_products(u.conj().T @ m.mat @ u, u.conj().T @ n.mat @ u)
+            scale = 1e-9 * max(1.0, abs(res.value))
+            assert conj.value == pytest.approx(res.value, abs=scale)
+            assert conj.upper == pytest.approx(res.upper, abs=scale)
+
+    @pytest.mark.parametrize("c", [1e-4, 1.0, 1e4])
+    def test_scaling_covariance(self, c):
+        # (v*(cN)v)^2 - v*(c^2 M)v = c^2 ((v*Nv)^2 - v*Mv)
+        rng = np.random.default_rng(61)
+        for s in (2, 3, 5):
+            m = linalg.random_hermitian(rng, s)
+            n = linalg.random_hermitian(rng, s)
+            res = lambda2_products(m, n)
+            scaled = lambda2_products(c * c * m.mat, c * n.mat)
+            tol = 1e-9 * c * c * max(1.0, abs(res.value))
+            assert scaled.value == pytest.approx(c * c * res.value, abs=tol)
+            assert scaled.upper == pytest.approx(c * c * res.upper, abs=tol)
+
+    def test_single_point_interval_is_exact(self):
+        rng = np.random.default_rng(62)
+        res = lambda2_products([[0.5]], [[-2.0]])
+        assert res.value == res.upper == 3.5
+        for s in (2, 3, 5):
+            m = linalg.random_hermitian(rng, s)
+            res = lambda2_products(m, 0.7 * np.eye(s))
+            assert res.upper == res.value
+            # N = alpha*I: the maximum is alpha^2 - lambda_min(M)
+            assert res.value == pytest.approx(0.49 - linalg.eigvalsh(m)[0], abs=1e-12)
 
 
 class TestCompressionDemo:
