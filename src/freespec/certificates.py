@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .cones import PolyhedralCone, cone_from_json, cone_to_json
+from .cones import PolyhedralCone, SimplexCone, cone_from_json, cone_to_json, section_of
 from .containment import (
     RelaxationCertificate,
     RelaxationFarkas,
@@ -266,8 +266,6 @@ def _check_essential_boundary(doc) -> CertificateCheck:
 
 
 def _check_sandwich(doc) -> CertificateCheck:
-    from .cones import SimplexCone, section_of
-
     cone = cone_from_json(doc["cone"])
     nu = float(doc["nu"])
     h_normal = np.asarray(doc["h_normal"], dtype=float)

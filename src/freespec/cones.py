@@ -354,37 +354,16 @@ def is_centrally_symmetric(cone: PolyhedralCone, h_normal, tol: float = GEOM_TOL
     return True
 
 
-def _simplex_volume(points: np.ndarray) -> float:
-    diffs = points[1:] - points[0]
-    return abs(float(np.linalg.det(diffs))) / math.factorial(len(points) - 1)
+def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
+    """Volumes of a stack of simplices, pts[k] holding d points in R^(d-1)."""
+    diffs = pts[:, 1:] - pts[:, :1]
+    return np.abs(np.linalg.det(diffs)) / math.factorial(pts.shape[1] - 1)
 
 
-def _simplex_facets(points: np.ndarray, tol: float = 1e-12):
-    """Facet system {w_j . y <= c_j} of a nondegenerate simplex."""
-    k = len(points)  # == dim + 1
-    rows = []
-    for omit in range(k):
-        face = np.delete(points, omit, axis=0)
-        base = face[0]
-        span = face[1:] - base
-        n = _null_vector_affine(span, points.shape[1])
-        if n is None:
-            return None
-        c = float(n @ base)
-        if n @ points[omit] > c:  # orient inward
-            n, c = -n, -c
-        rows.append((n, c))
-    return rows
-
-
-def _null_vector_affine(span: np.ndarray, d: int) -> Optional[np.ndarray]:
-    if span.size == 0:
-        return np.ones(d) if d == 1 else None
-    _, sv, vt = np.linalg.svd(span, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
-    if rank != d - 1:
-        return None
-    return vt[-1]
+def _subsets(n: int, d: int) -> np.ndarray:
+    """All d-subsets of range(n), one per row, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), d))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -405,32 +384,29 @@ def max_volume_inscribed_simplex(cone: PolyhedralCone, h_normal) -> MaxVolumeSim
     """
     sec = section_of(cone, h_normal)
     verts = sec.vertices
-    d = cone.dim
-    best = None
-    for subset in itertools.combinations(range(len(verts)), d):
-        vol = _simplex_volume(verts[list(subset)])
-        if best is None or vol > best[1] + 1e-15:
-            best = (subset, vol)
-    subset, vol = best
-    if vol <= GEOM_TOL:
+    subsets = _subsets(len(verts), cone.dim)
+    vols = _simplex_volumes(verts[subsets])
+    k = int(np.argmax(vols >= vols.max() - 1e-15))  # first maximum up to rounding
+    if vols[k] <= GEOM_TOL:
         raise ValueError("section vertices are affinely degenerate")
-    pts = verts[list(subset)]
+    pts = verts[subsets[k]]
     bary = pts.mean(axis=0)
     rays = np.array([sec.to_ambient(y) for y in pts])
     simplex = SimplexCone(rays, sec.to_ambient(bary))
     return MaxVolumeSimplex(
         simplex=simplex,
-        vertex_indices=tuple(subset),
-        volume=vol,
+        vertex_indices=tuple(int(i) for i in subsets[k]),
+        volume=float(vols[k]),
         section_barycenter=bary,
         barycenter=sec.to_ambient(bary),
     )
 
 
-def _sandwich_candidates(sec: Section) -> list[np.ndarray]:
-    """Candidate simplex vertex pools: section vertices, facet barycenters,
-    pairwise midpoints and the centre.  Soundness comes from the two-sided
-    certificate, so the pool only affects completeness of the search."""
+def _sandwich_candidates(sec: Section) -> np.ndarray:
+    """Candidate simplex vertex pool: section vertices, facet barycenters,
+    pairwise midpoints and the centre.  Every pool point is a convex
+    combination of section vertices, so every pool simplex lies in C; the
+    pool only affects how large a factor the search can certify."""
     verts = sec.vertices
     pool = [v for v in verts]
     k = sec.facet_rows.shape[0]
@@ -443,50 +419,70 @@ def _sandwich_candidates(sec: Section) -> list[np.ndarray]:
     for i, j in itertools.combinations(range(len(verts)), 2):
         pool.append((verts[i] + verts[j]) / 2.0)
     pool.append(verts.mean(axis=0))
-    return [np.asarray(p) for p in _dedupe_rows(pool, tol=1e-9)]
+    return _dedupe_rows(pool, tol=1e-9)
+
+
+def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
+    """nu*(S) and the volume of each simplex S spanned by pts[k].
+
+    With G the inverse of the matrix with rows [p_i, 1], a section point y
+    has barycentric coordinates [y, 1] @ G in S.  Scaling a section vertex
+    z by nu moves them from c = G[-1] (those of u) to c + nu * z @ G[:-1],
+    so facet i of S holds nu*C up to nu = c_i / max_z(-z @ G[:-1, i]).
+    nu*(S) is the smallest of these, capped at 1, and 0 when u is not in S
+    or S is degenerate.
+    """
+    vols = _simplex_volumes(pts)
+    nus = np.zeros(len(pts))
+    ok = vols > GEOM_TOL
+    live = pts[ok]
+    g = np.linalg.inv(np.concatenate([live, np.ones(live.shape[:2] + (1,))], axis=2))
+    c = g[:, -1, :]
+    push = np.max(-(verts @ g[:, :-1, :]), axis=1)
+    nus[ok] = np.min(c / np.maximum(push, c), axis=1)
+    nus = np.clip(nus, 0.0, 1.0)
+    # only S = C (a simplex cone) reaches 1; do not let rounding hide it
+    nus[nus >= 1.0 - 1e-12] = 1.0
+    return nus, vols
+
+
+def best_sandwich_simplex(
+    cone: PolyhedralCone, h_normal
+) -> tuple[float, Optional[SimplexCone]]:
+    """The pool simplex S ⊆ C admitting the largest factor nu*(S) with
+    nu*C ⊆ S (sections about u), and that factor.
+
+    Every d-subset of the candidate pool is scored in closed form by
+    _sandwich_factors, in batches that bound the memory; ties in nu* go to
+    the larger simplex.  Returns (0.0, None) when no pool simplex contains
+    u in its interior.
+    """
+    sec = section_of(cone, h_normal)
+    pool = _sandwich_candidates(sec)
+    subsets = _subsets(len(pool), cone.dim)
+    batches = np.array_split(subsets, 1 + len(subsets) // 8192)
+    scored = [_sandwich_factors(pool[b], sec.vertices) for b in batches]
+    nus, vols = map(np.concatenate, zip(*scored))
+    best = float(nus.max())
+    if best <= 0.0:
+        return 0.0, None
+    k = int(np.argmax(np.where(nus >= best - 1e-12, vols, 0.0)))
+    rays = np.array([sec.to_ambient(y) for y in pool[subsets[k]]])
+    return float(nus[k]), SimplexCone(rays, cone.unit)
 
 
 def find_sandwich_simplex(
     cone: PolyhedralCone, nu: float, h_normal
 ) -> Optional[SimplexCone]:
-    """Search for a simplex cone S with nu*C ⊆ S ⊆ C (sections about u).
+    """A simplex cone S with nu*C ⊆ S ⊆ C (sections about u), or None.
 
-    Candidates are simplices on a pool of section points (vertices, facet
-    barycenters, midpoints, centre), tried in order of decreasing volume;
-    each returned simplex passes the two-sided facet-evaluation certificate.
-    Returns None when the search fails at this nu.
+    Returns best_sandwich_simplex's simplex when its factor reaches nu; the
+    slack of 1e-9 absorbs rounding only.
     """
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
-    sec = section_of(cone, h_normal)
-    d = cone.dim
-    inner = nu * sec.vertices
-    scale = 1.0 + float(np.max(np.abs(sec.vertices)))
-    tol = 1e-9 * scale
-
-    pool = _sandwich_candidates(sec)
-    cands = []
-    for subset in itertools.combinations(range(len(pool)), d):
-        pts = np.array([pool[i] for i in subset])
-        vol = _simplex_volume(pts)
-        if vol > GEOM_TOL:
-            cands.append((vol, pts))
-    cands.sort(key=lambda t: -t[0])
-
-    for _, pts in cands:
-        # S ⊆ C: simplex vertices satisfy the section facets
-        if not all(sec.contains(pt, tol=tol) for pt in pts):
-            continue
-        rows = _simplex_facets(pts)
-        if rows is None:
-            continue
-        # nu*C ⊆ S: scaled vertices satisfy the simplex facets
-        if all(
-            float(w @ z) <= c + tol for z in inner for (w, c) in rows
-        ):
-            rays = np.array([sec.to_ambient(y) for y in pts])
-            return SimplexCone(rays, cone.unit)
-    return None
+    best_nu, simplex = best_sandwich_simplex(cone, h_normal)
+    return simplex if best_nu >= nu - 1e-9 else None
 
 
 # --------------------------------------------------------------------------

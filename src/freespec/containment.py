@@ -24,10 +24,12 @@ from . import linalg, sdp
 from .cones import (
     PolyhedralCone,
     SimplexCone,
-    find_sandwich_simplex,
+    best_sandwich_simplex,
     is_centrally_symmetric,
     is_simplex,
+    rays_equal,
     section_of,
+    square_cone,
 )
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .opsys import (
@@ -253,8 +255,6 @@ def free_witness_square(alpha: float) -> FreeWitness:
     if not (0.0 < alpha < math.pi / 2.0):
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
     a = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
-    from .cones import square_cone
-
     src_margin = max_membership(square_cone(), a).margin
     tgt_margin = membership(elliptic_cone_pencil(alpha), a).margin
     return FreeWitness(
@@ -282,8 +282,6 @@ def _angular_order(cone: PolyhedralCone) -> list[int]:
 def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
     """Linear map L in GL_3 carrying the square cone's rays onto the rays of
     a quadrilateral cone (projective transform of the section squares)."""
-    from .cones import square_cone
-
     if src.dim != 3 or src.n_generators != 4:
         return None
     sq = square_cone()
@@ -326,8 +324,6 @@ def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
 def square_type_witness(src: PolyhedralCone) -> Optional[MatrixTuple]:
     """Push the square's level-2 witness through a projective map onto a
     quadrilateral source cone; None when the source is not of that type."""
-    from .cones import rays_equal, square_cone
-
     base = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
     sq = square_cone()
     if (
@@ -489,7 +485,6 @@ class ScalingReport:
 def scaling_bound(
     cone: PolyhedralCone,
     h_normal,
-    resolution: float = 1e-3,
     verify_samples: int = 0,
     seed: int = 0,
 ) -> ScalingReport:
@@ -499,35 +494,17 @@ def scaling_bound(
     nu_general = 1/(d+1) holds for a suitable unit (the barycenter of a
     maximum-volume inscribed simplex); nu_symmetric = 1/(d-1) holds when
     the section is centrally symmetric about the unit.  certified_nu is the
-    largest factor (bisection at the given resolution) for which an explicit
-    sandwich simplex certifies the inclusion; it is sound but may fall short
-    of the theoretical bounds, which can instead be spot-checked by level-2
-    sampling through scaled_max_in_min when the unit is e_d.
+    exact best factor nu with nu*C ⊆ S ⊆ C over the sandwich-simplex
+    candidate pool (best_sandwich_simplex, in closed form: no bisection and
+    no resolution), and certificate is that simplex S.  It is 1 for a
+    simplex cone, sound, and may fall short of the theoretical bounds,
+    which can instead be spot-checked by level-2 sampling through
+    scaled_max_in_min when the unit is e_d.
     """
     d = cone.dim
     nu_general = 1.0 / (d + 1)
     nu_symmetric = 1.0 / (d - 1) if is_centrally_symmetric(cone, h_normal) else None
-
-    if is_simplex(cone):
-        cert = find_sandwich_simplex(cone, 1.0, h_normal)
-        report_nu = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        cert = None
-        report_nu = 0.0
-        # establish a working lower bound first
-        for probe in (0.5, 1.0 / 3.0, 0.25, 0.1):
-            c = find_sandwich_simplex(cone, probe, h_normal)
-            if c is not None:
-                lo, cert, report_nu = probe, c, probe
-                break
-        while hi - lo > resolution:
-            mid = (lo + hi) / 2.0
-            c = find_sandwich_simplex(cone, mid, h_normal)
-            if c is not None:
-                lo, cert, report_nu = mid, c, mid
-            else:
-                hi = mid
+    report_nu, cert = best_sandwich_simplex(cone, h_normal)
     sampling = None
     if verify_samples > 0:
         sampling = _sampling_verification(cone, nu_general, nu_symmetric, verify_samples, seed)

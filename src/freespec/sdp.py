@@ -440,7 +440,6 @@ def _ipm(
 
         # Nesterov-Todd scaling per block
         gs, gis, lams = [], [], []
-        ok = True
         for bq, n in enumerate(sizes):
             wx, ux = _eigh_sym(x[bq])
             if wx[0] <= 0:
@@ -457,8 +456,6 @@ def _ipm(
             gs.append(g)
             gis.append(gi)
             lams.append(np.sqrt(wt))
-        if not ok:
-            break
 
         wmats = [g @ g.T for g in gs]
         try:

@@ -212,6 +212,31 @@ class TestMaxVolumeSimplex:
         assert best == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, abs=1e-12)
         assert tuple(sorted(res.vertex_indices)) in ((0, 2, 4), (1, 3, 5))
 
+    @pytest.mark.parametrize(
+        "verts, volume",
+        [
+            # regular octahedron: a tetrahedron on four of its vertices
+            (np.vstack([np.eye(3), -np.eye(3)]), 1.0 / 3.0),
+            # cube: a regular tetrahedron on alternate corners
+            (np.array(list(itertools.product((-1.0, 1.0), repeat=3))), 8.0 / 3.0),
+        ],
+    )
+    def test_three_dimensional_sections(self, verts, volume):
+        # brute-force oracle over all vertex 4-subsets of a d = 4 cone
+        gens = np.column_stack([verts, np.ones(len(verts))])
+        cone = PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 0.0, 1.0]))
+        h4 = [0.0, 0.0, 0.0, 1.0]
+        res = max_volume_inscribed_simplex(cone, h4)
+        sec = section_of(cone, h4)
+        best = 0.0
+        for subset in itertools.combinations(range(len(verts)), 4):
+            pts = sec.vertices[list(subset)]
+            best = max(best, abs(np.linalg.det(pts[1:] - pts[0])) / 6.0)
+        assert res.volume == pytest.approx(best, abs=1e-12)
+        assert best == pytest.approx(volume, abs=1e-12)
+        pts = sec.vertices[list(res.vertex_indices)]
+        assert abs(np.linalg.det(pts[1:] - pts[0])) / 6.0 == pytest.approx(best, abs=1e-12)
+
 
 class TestSandwichSimplex:
     def test_square_one_third(self):
@@ -239,6 +264,29 @@ class TestSandwichSimplex:
                 s = find_sandwich_simplex(cone, nu, H)
                 if s is not None:
                     self._check_certificate(cone, nu, s)
+
+    @pytest.mark.parametrize("make", [square_cone, pentagon_cone, hexagon_cone])
+    def test_best_factor_matches_triangle_loop(self, make):
+        # reference: every pool triangle, its edges' half-planes by hand
+        cone = make()
+        sec = section_of(cone, H)
+        pool = cones._sandwich_candidates(sec)
+        best = 0.0
+        for tri in itertools.combinations(pool, 3):
+            if abs(np.linalg.det(np.array([tri[1] - tri[0], tri[2] - tri[0]]))) <= 1e-9:
+                continue
+            nu = 1.0
+            for a, b, o in ((tri[0], tri[1], tri[2]), (tri[1], tri[2], tri[0]),
+                            (tri[2], tri[0], tri[1])):
+                n = np.array([a[1] - b[1], b[0] - a[0]])
+                n = n if n @ (o - a) > 0 else -n
+                for z in sec.vertices:  # n.(nu*z - a) >= 0
+                    if n @ z < 0:
+                        nu = min(nu, max(0.0, -(n @ a)) / -(n @ z))
+            best = max(best, nu)
+        got, simplex = cones.best_sandwich_simplex(cone, H)
+        assert got == pytest.approx(best, abs=1e-12)
+        self._check_certificate(cone, got, simplex)
 
     @staticmethod
     def _check_certificate(cone, nu, simplex):

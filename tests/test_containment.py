@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import cones, containment, linalg, sampling
+from freespec import certificates, cones, containment, linalg, sampling
 from freespec.containment import (
     RelaxationStatus,
     ball_pencil,
@@ -20,7 +20,7 @@ from freespec.containment import (
     scaling_bound,
     square_type_witness,
 )
-from freespec.cones import PolyhedralCone, square_cone
+from freespec.cones import PolyhedralCone, find_sandwich_simplex, square_cone
 from freespec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from freespec.opsys import MinMembershipStatus, max_membership
 from freespec.pencil import (
@@ -376,6 +376,34 @@ class TestScalingBound:
         rep = scaling_bound(square_cone(), [0, 0, 1], verify_samples=5, seed=7)
         assert rep.sampling["nu_symmetric"]["members"] == 5
         assert rep.sampling["nu_general"]["members"] == 5
+
+    @staticmethod
+    def _polygon(k, rotation=0.0):
+        ang = rotation + 2.0 * math.pi * np.arange(k) / k
+        gens = np.column_stack([np.cos(ang), np.sin(ang), np.ones(k)])
+        return PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "k, nu", [(4, 1.0 / 3.0), (5, (math.sqrt(5.0) - 1.0) / 4.0), (6, 0.5)]
+    )
+    def test_exact_factor(self, k, nu):
+        # the best pool factor exactly, not a bisection's lower estimate
+        cone = square_cone() if k == 4 else self._polygon(k)
+        rep = scaling_bound(cone, [0, 0, 1])
+        assert rep.certified_nu == pytest.approx(nu, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_certificate_and_optimality(self, k):
+        rotation = float(np.random.default_rng(100 + k).uniform(0.0, 2.0 * math.pi))
+        cone = self._polygon(k, rotation)
+        normal = cone.facets.mean(axis=0)
+        rep = scaling_bound(cone, normal)
+        doc = certificates.sandwich_cert(cone, rep.certified_nu, normal, rep.certificate)
+        check = certificates.verify_certificate(doc)
+        assert check.ok and check.residual <= 1e-12
+        nu = rep.certified_nu
+        assert find_sandwich_simplex(cone, nu, normal) is not None
+        assert find_sandwich_simplex(cone, min(1.0, nu + 1e-6), normal) is None
 
 
 class TestEntangledExample:
