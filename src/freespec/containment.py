@@ -166,43 +166,96 @@ def apply_kraus(kraus, x) -> HermitianMatrix:
     return HermitianMatrix(acc)
 
 
-def relaxation(
-    src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8, dump_to=None
-) -> RelaxationResult:
-    """Matricial strengthening of the inclusion problem.
+def _kraus_certificate(
+    src: LinearPencil, tgt: LinearPencil, choi: HermitianMatrix
+) -> RelaxationCertificate:
+    kraus = kraus_from_choi(choi, src.r, tgt.r)
+    residual = 0.0
+    for i in range(src.d):
+        img = apply_kraus(kraus, src.matrices[i].mat)
+        residual = max(residual, float(np.max(np.abs(img.mat - tgt.matrices[i].mat))))
+    return RelaxationCertificate(choi=choi, kraus=kraus, residual=residual)
 
-    Searches for a completely positive map with sum_j V_j* M_i V_j = N_i
-    as a feasibility SDP in the Choi variable J >= 0 of size r*t with
-    d * t^2 real constraints; feasibility is equivalent to inclusion of the
-    free spectrahedra at every level.  An Infeasible outcome carries a
-    verified dual witness.
+
+def _relaxation_farkas(
+    src: LinearPencil, tgt: LinearPencil, ymats: list[HermitianMatrix]
+) -> RelaxationFarkas:
+    big = sum(np.kron(src.matrices[i].mat.T, ymats[i].mat) for i in range(src.d))
+    lam_max = linalg.max_eigenvalue(HermitianMatrix(big))
+    gap = float(sum(linalg.trace_inner(tgt.matrices[i], ymats[i]) for i in range(src.d)))
+    return RelaxationFarkas(y_matrices=tuple(ymats), gap=gap, lambda_max=float(lam_max))
+
+
+def _simplex_facets(src: LinearPencil) -> Optional[np.ndarray]:
+    """F with M_i = diag(F[:, i]) when the source is the diagonal pencil of a
+    simplex cone (diagonal, r = d, F invertible); None otherwise."""
+    if src.r != src.d:
+        return None
+    mats = np.array([m.mat for m in src.matrices])
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    if np.count_nonzero(mats) != np.count_nonzero(diag):
+        return None
+    f = diag.T.real
+    if np.linalg.matrix_rank(f) < src.d:
+        return None
+    return f
+
+
+def _simplex_relaxation(
+    src: LinearPencil, tgt: LinearPencil, facets: np.ndarray, tol: float
+) -> Optional[RelaxationResult]:
+    """Closed-form relaxation from a simplex source, or None to defer to the SDP.
+
+    A map with Phi(M_i) = N_i must send E_jj to Q_j = sum_i F^(-1)[i,j] N_i,
+    the target at generator j up to a positive factor, so it exists iff
+    every Q_j is PSD, with Choi matrix blockdiag(Q_j).  For a negative
+    lambda_min(Q_j) with eigenvector v, Y_i = -F^(-1)[i,j] vv* / |v*Q_j v|
+    has gap 1 and sum_i M_i^T (x) Y_i <= 0.  The band
+    |lambda_min| <= tol * max_j ||Q_j||_2, and any certificate the checker
+    would reject, is left to the SDP.
     """
-    if src.d != tgt.d:
-        raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
-    problem = _choi_problem(src, tgt)
-    if dump_to is not None:
-        sdp.dump_problem(problem, dump_to)
+    finv = np.linalg.inv(facets)
+    q = np.tensordot(finv.T, np.array([m.mat for m in tgt.matrices]), axes=1)
+    lam, vecs = np.linalg.eigh(q)
+    band = tol * float(np.abs(lam).max())
+    lo = lam[:, 0]
+    if lo.min() > band:
+        r, t = src.r, tgt.r
+        choi = np.einsum("jk,jxy->jxky", np.eye(r), q).reshape(r * t, r * t)
+        cert = _kraus_certificate(src, tgt, HermitianMatrix(choi))
+        if cert.residual <= CERT_RESIDUAL_TOL:
+            return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
+    elif lo.min() < -band:
+        j = int(lo.argmin())
+        v = vecs[j, :, 0]
+        vv = np.outer(v, v.conj()) / abs(lo[j])
+        ymats = [HermitianMatrix(-finv[i, j] * vv) for i in range(src.d)]
+        farkas = _relaxation_farkas(src, tgt, ymats)
+        if farkas.gap > 0 and farkas.lambda_max <= sdp.FARKAS_TOL * farkas.gap:
+            return RelaxationResult(status=RelaxationStatus.INFEASIBLE, farkas=farkas)
+    return None
+
+
+def _sdp_relaxation(
+    src: LinearPencil,
+    tgt: LinearPencil,
+    tol: float = 1e-8,
+    problem: Optional[sdp.SdpProblem] = None,
+) -> RelaxationResult:
+    """The Choi-matrix SDP, for any source pencil."""
+    if problem is None:
+        problem = _choi_problem(src, tgt)
     outcome = sdp.solve(problem, tol=tol)
-    r, t = src.r, tgt.r
     if outcome.status is sdp.SdpStatus.FEASIBLE:
-        choi = outcome.primal[0]
-        kraus = kraus_from_choi(choi, r, t)
-        residual = 0.0
-        for i in range(src.d):
-            img = apply_kraus(kraus, src.matrices[i].mat)
-            residual = max(
-                residual, float(np.max(np.abs(img.mat - tgt.matrices[i].mat)))
-            )
-        if residual > CERT_RESIDUAL_TOL:
+        cert = _kraus_certificate(src, tgt, outcome.primal[0])
+        if cert.residual > CERT_RESIDUAL_TOL:
             return RelaxationResult(
                 status=RelaxationStatus.UNKNOWN,
-                message=f"Kraus reconstruction residual {residual:.3e} too large",
+                message=f"Kraus reconstruction residual {cert.residual:.3e} too large",
             )
-        return RelaxationResult(
-            status=RelaxationStatus.FEASIBLE,
-            certificate=RelaxationCertificate(choi=choi, kraus=kraus, residual=residual),
-        )
+        return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
     if outcome.status is sdp.SdpStatus.INFEASIBLE:
+        t = tgt.r
         basis_t = linalg.hermitian_basis(t)
         per = len(basis_t)
         y = outcome.dual_certificate.y
@@ -212,20 +265,37 @@ def relaxation(
             for beta, f in enumerate(basis_t):
                 acc += y[i * per + beta] * f
             ymats.append(HermitianMatrix(acc))
-        big = sum(
-            np.kron(src.matrices[i].mat.T, ymats[i].mat) for i in range(src.d)
-        )
-        lam_max = linalg.max_eigenvalue(HermitianMatrix(big))
-        gap = float(
-            sum(linalg.trace_inner(tgt.matrices[i], ymats[i]) for i in range(src.d))
-        )
         return RelaxationResult(
-            status=RelaxationStatus.INFEASIBLE,
-            farkas=RelaxationFarkas(
-                y_matrices=tuple(ymats), gap=gap, lambda_max=float(lam_max)
-            ),
+            status=RelaxationStatus.INFEASIBLE, farkas=_relaxation_farkas(src, tgt, ymats)
         )
     return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=outcome.message)
+
+
+def relaxation(
+    src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8, dump_to=None
+) -> RelaxationResult:
+    """Matricial strengthening of the inclusion problem.
+
+    Searches for a completely positive map with sum_j V_j* M_i V_j = N_i
+    as a feasibility SDP in the Choi variable J >= 0 of size r*t with
+    d * t^2 real constraints; feasibility is equivalent to inclusion of the
+    free spectrahedra at every level.  An Infeasible outcome carries a
+    verified dual witness.  The diagonal pencil of a simplex cone is decided
+    in closed form outside a tolerance band; ``dump_to`` always receives
+    the SDP.
+    """
+    if src.d != tgt.d:
+        raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
+    problem = None
+    if dump_to is not None:
+        problem = _choi_problem(src, tgt)
+        sdp.dump_problem(problem, dump_to)
+    facets = _simplex_facets(src)
+    if facets is not None:
+        res = _simplex_relaxation(src, tgt, facets, tol)
+        if res is not None:
+            return res
+    return _sdp_relaxation(src, tgt, tol=tol, problem=problem)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,9 @@ The smallest-system test is a semidefinite feasibility problem over the
 generator weights; its infeasibility certificate converts into a separating
 functional phi(B) = sum_i tr(conj(N_i) B_i) that is nonnegative on the
 system and strictly negative on the query, which in turn yields a separating
-linear pencil by the Effros-Winkler construction.
+linear pencil by the Effros-Winkler construction.  Over a simplex cone the
+generator matrix is invertible, the weights are unique and the test needs
+no SDP: A is a member iff every P_k = sum_i G^(-1)[i,k] A_i is PSD.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, linalg, sdp
-from .cones import PolyhedralCone
+from .cones import PolyhedralCone, is_simplex
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, as_hermitian
 from .pencil import (
     LinearPencil,
@@ -39,6 +41,10 @@ from .pencil import (
 
 SEPARATOR_SHIFT = 1e-8
 STRICTNESS_EPS = 1e-6
+# The certificate checker's acceptance limit (certificates.ACCEPT_RESIDUAL):
+# a Member certificate's max(-lambda_min, reconstruction error) and a
+# separator's negativity on the generators must stay below it.
+ACCEPT_RESIDUAL = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -152,19 +158,10 @@ def _positivity_shift_functional(cone: PolyhedralCone) -> np.ndarray:
     return f / float(f @ cone.unit)
 
 
-def _separator_from_farkas(
-    cone: PolyhedralCone, a: MatrixTuple, cert: sdp.FarkasCertificate
-) -> SeparationFunctional:
-    s = a.level
-    d = cone.dim
-    basis = linalg.hermitian_basis(s)
-    per = len(basis)
-    mats = []
-    for i in range(d):
-        acc = np.zeros((s, s), dtype=np.complex128)
-        for alpha, e in enumerate(basis):
-            acc += cert.y[i * per + alpha] * e
-        mats.append(-np.conj(acc))
+def _shifted_separator(cone: PolyhedralCone, mats) -> SeparationFunctional:
+    """The functional with matrices N_i, shifted by SEPARATOR_SHIFT times a
+    cone-positive functional when sum_i u_i N_i is not positive definite."""
+    s = mats[0].shape[0]
     margin = linalg.min_eigenvalue(
         HermitianMatrix(sum(u * n for u, n in zip(cone.unit, mats)))
     )
@@ -179,6 +176,135 @@ def _separator_from_farkas(
     )
 
 
+def _separator_from_farkas(
+    cone: PolyhedralCone, a: MatrixTuple, cert: sdp.FarkasCertificate
+) -> SeparationFunctional:
+    s = a.level
+    basis = linalg.hermitian_basis(s)
+    per = len(basis)
+    mats = []
+    for i in range(cone.dim):
+        acc = np.zeros((s, s), dtype=np.complex128)
+        for alpha, e in enumerate(basis):
+            acc += cert.y[i * per + alpha] * e
+        mats.append(-np.conj(acc))
+    return _shifted_separator(cone, mats)
+
+
+def _stacked(a: MatrixTuple) -> np.ndarray:
+    return np.array([e.mat for e in a.entries])
+
+
+def _project_weights(
+    gens_pinv_t: np.ndarray, gens: np.ndarray, a: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Weights p moved onto the affine set sum_k c_k (x) P_k = A.
+
+    With R the reconstruction error, the correction pinv(G^T) R is the
+    smallest in Frobenius norm; ``gens_pinv_t`` is pinv(G^T).  For a simplex
+    cone and p = 0 this is the unique solution P = G^(-T) A.
+    """
+    r = a - np.tensordot(gens.T, p, axes=1)
+    q = p + np.tensordot(gens_pinv_t, r, axes=1)
+    return (q + q.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _weights_residual(gens: np.ndarray, a: np.ndarray, p: np.ndarray) -> float:
+    """max(-lambda_min, reconstruction error): the certificate checker's residual."""
+    recon = float(np.max(np.abs(np.tensordot(gens.T, p, axes=1) - a)))
+    return max(recon, -float(np.linalg.eigvalsh(p)[:, 0].min()), 0.0)
+
+
+def _member(weights, residual: float) -> MinMembershipResult:
+    return MinMembershipResult(
+        status=MinMembershipStatus.MEMBER,
+        certificate=MinMembershipCertificate(
+            weights=tuple(HermitianMatrix(w) for w in weights), residual=residual
+        ),
+    )
+
+
+def _separates(cone: PolyhedralCone, a: MatrixTuple, sep: SeparationFunctional) -> bool:
+    """The certificate checker's acceptance test for a separator."""
+    n = np.array([m.mat for m in sep.matrices])
+    on_gens = np.tensordot(cone.generators, n, axes=1)
+    worst = -float(np.linalg.eigvalsh(on_gens)[:, 0].min())
+    return worst < ACCEPT_RESIDUAL and sep.margin > 0 and sep.evaluate(a) < -1e-7
+
+
+def _simplex_min_membership(
+    cone: PolyhedralCone, a: MatrixTuple, tol: float
+) -> Optional[MinMembershipResult]:
+    """Closed-form decision over a simplex cone, or None to defer to the SDP.
+
+    The unique weights P_k are PSD or not; with sigma = max_k ||P_k||_2 the
+    band |lambda_min| <= tol * sigma (weights with a zero eigenvalue, up to
+    rounding) is left to the SDP, as is any answer whose certificate would
+    not pass the checker.  The separator for a negative lambda_min(P_j) with
+    eigenvector v is N_i = G^(-1)[i,j] conj(vv*) / |v*P_j v|: it vanishes on
+    c_k (x) Q for k != j, is v*Qv/|v*P_j v| >= 0 on c_j (x) Q and -1 at A.
+    """
+    gens = cone.generators
+    gens_pinv_t = np.linalg.pinv(gens.T)
+    stack = _stacked(a)
+    p = _project_weights(gens_pinv_t, gens, stack, np.zeros_like(stack))
+    lam, vecs = np.linalg.eigh(p)
+    band = tol * float(np.abs(lam).max())
+    lo = lam[:, 0]
+    if lo.min() > band:
+        residual = _weights_residual(gens, stack, p)
+        if residual <= ACCEPT_RESIDUAL:
+            return _member(p, residual)
+    elif lo.min() < -band:
+        j = int(lo.argmin())
+        v = vecs[j, :, 0]
+        vv = np.outer(v.conj(), v) / abs(lo[j])
+        sep = _shifted_separator(cone, [gens_pinv_t[j, i] * vv for i in range(cone.dim)])
+        if _separates(cone, a, sep):
+            return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=sep)
+    return None
+
+
+def _sdp_min_membership(
+    cone: PolyhedralCone,
+    a: MatrixTuple,
+    tol: float = 1e-8,
+    max_iter: int = sdp.DEFAULT_MAX_ITER,
+    problem: Optional[sdp.SdpProblem] = None,
+) -> MinMembershipResult:
+    """The generator-weight SDP, for any cone.
+
+    The solver's weights and their projection onto the affine set are both
+    candidates, and the one with the smaller checker residual is kept.  The
+    solver's weights are an interior point, so their residual is their
+    reconstruction error and the choice never loses a Member verdict.
+    """
+    if problem is None:
+        problem = _min_membership_problem(cone, a)
+    outcome = sdp.solve(problem, tol=tol, max_iter=max_iter)
+    if outcome.status in (sdp.SdpStatus.FEASIBLE, sdp.SdpStatus.OPTIMAL):
+        gens = cone.generators
+        stack = _stacked(a)
+        raw = np.array([w.mat for w in outcome.primal])
+        candidates = (raw, _project_weights(np.linalg.pinv(gens.T), gens, stack, raw))
+        residuals = [_weights_residual(gens, stack, w) for w in candidates]
+        best = int(np.argmin(residuals))
+        if residuals[best] > ACCEPT_RESIDUAL:
+            return MinMembershipResult(
+                status=MinMembershipStatus.UNKNOWN,
+                message=f"weight reconstruction residual {residuals[best]:.3e} too large",
+            )
+        return _member(candidates[best], residuals[best])
+    if outcome.status is sdp.SdpStatus.INFEASIBLE:
+        sep = _separator_from_farkas(cone, a, outcome.dual_certificate)
+        return MinMembershipResult(
+            status=MinMembershipStatus.NOT_MEMBER, separator=sep
+        )
+    return MinMembershipResult(
+        status=MinMembershipStatus.UNKNOWN, message=outcome.message
+    )
+
+
 def min_membership(
     cone: PolyhedralCone,
     a: MatrixTuple,
@@ -190,40 +316,22 @@ def min_membership(
 
     Decides feasibility of A = sum_k c_k (x) P_k over PSD weights P_k on
     the generators c_k.  A Member outcome carries the weights; a NotMember
-    outcome carries a separating functional built from the infeasibility
-    certificate, nonnegative on the system and negative on the query.
+    outcome carries a separating functional, nonnegative on the system and
+    negative on the query.  A simplex cone is decided in closed form, except
+    in the band |lambda_min(P_k)| <= tol * max_k ||P_k|| where the SDP
+    decides; ``dump_to`` always receives the SDP.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    problem = _min_membership_problem(cone, a)
+    problem = None
     if dump_to is not None:
+        problem = _min_membership_problem(cone, a)
         sdp.dump_problem(problem, dump_to)
-    outcome = sdp.solve(problem, tol=tol, max_iter=max_iter)
-    if outcome.status in (sdp.SdpStatus.FEASIBLE, sdp.SdpStatus.OPTIMAL):
-        weights = outcome.primal
-        residual = 0.0
-        for i in range(cone.dim):
-            acc = sum(
-                cone.generators[k, i] * weights[k].mat for k in range(cone.n_generators)
-            )
-            residual = max(residual, float(np.max(np.abs(acc - a.entries[i].mat))))
-        if residual > 1e-6:
-            return MinMembershipResult(
-                status=MinMembershipStatus.UNKNOWN,
-                message=f"weight reconstruction residual {residual:.3e} too large",
-            )
-        return MinMembershipResult(
-            status=MinMembershipStatus.MEMBER,
-            certificate=MinMembershipCertificate(weights=weights, residual=residual),
-        )
-    if outcome.status is sdp.SdpStatus.INFEASIBLE:
-        sep = _separator_from_farkas(cone, a, outcome.dual_certificate)
-        return MinMembershipResult(
-            status=MinMembershipStatus.NOT_MEMBER, separator=sep
-        )
-    return MinMembershipResult(
-        status=MinMembershipStatus.UNKNOWN, message=outcome.message
-    )
+    if is_simplex(cone):
+        res = _simplex_min_membership(cone, a, tol)
+        if res is not None:
+            return res
+    return _sdp_min_membership(cone, a, tol=tol, max_iter=max_iter, problem=problem)
 
 
 def circular_min_membership(a: MatrixTuple, tol: float = 1e-8) -> MembershipResult:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from freespec import cli, cones, linalg, pencil
+from freespec import cli, cones, linalg, opsys, pencil, sampling, sdp
+from freespec.containment import _choi_problem
 from freespec.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, parse_expression
 from freespec.linalg import SIGMA_X, SIGMA_Z
 
@@ -293,3 +294,40 @@ class TestOtherCommands:
         p = sdp.load_problem(dump)
         assert p.blocks == (8,)  # Choi variable of size r*t = 4*2
         assert len(p.constraints) == 12  # d * t^2
+
+    def test_dump_sdp_on_simplex(self, capsys, tmp_path):
+        # the closed form decides a simplex, and the dump is still the SDP
+        rng = np.random.default_rng(9)
+        cone = sampling.random_simplex_cone(rng, 3)
+        query = sampling.random_min_member(rng, cone, 2)
+        src, tgt = pencil.diagonal_pencil(cone), sampling.random_target_for_simplex(rng, cone, 2)
+        cones.save_cone(cone, tmp_path / "simplex.json")
+        pencil.save_tuple(query, tmp_path / "query.json")
+        pencil.save_pencil(src, tmp_path / "src.json")
+        pencil.save_pencil(tgt, tmp_path / "tgt.json")
+        runs = (
+            ("min-membership", "--cone", "simplex.json", "--tuple", "query.json"),
+            ("relaxation", "--src", "src.json", "--tgt", "tgt.json"),
+        )
+        # built from the files, as the CLI reads them back
+        expected = (
+            opsys._min_membership_problem(
+                cones.load_cone(tmp_path / "simplex.json"),
+                pencil.load_tuple(tmp_path / "query.json"),
+            ),
+            _choi_problem(
+                pencil.load_pencil(tmp_path / "src.json"),
+                pencil.load_pencil(tmp_path / "tgt.json"),
+            ),
+        )
+        for argv, problem in zip(runs, expected):
+            dump, ref = tmp_path / f"{argv[0]}.sdpa", tmp_path / f"{argv[0]}-ref.sdpa"
+            argv = [a if not a.endswith(".json") else str(tmp_path / a) for a in argv]
+            code, out, _ = run(capsys, *argv, "--dump-sdp", str(dump), "--output", "json")
+            assert code == EXIT_OK
+            assert json.loads(out)["result"]["status"] in ("Member", "Feasible")
+            loaded = sdp.load_problem(dump)
+            assert loaded.blocks == problem.blocks
+            assert len(loaded.constraints) == len(problem.constraints)
+            sdp.dump_problem(problem, ref)
+            assert dump.read_bytes() == ref.read_bytes()

@@ -21,10 +21,11 @@ from freespec.containment import (
     square_type_witness,
 )
 from freespec.cones import PolyhedralCone, find_sandwich_simplex, square_cone
-from freespec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from freespec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianMatrix
 from freespec.opsys import MinMembershipStatus, max_membership
 from freespec.pencil import (
     Classification,
+    LinearPencil,
     MatrixTuple,
     circular_cone_pencil,
     diagonal_pencil,
@@ -123,6 +124,88 @@ class TestRelaxation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             relaxation(circular_cone_pencil(), ball_pencil())
+
+
+def _target_from_values(cone, values):
+    """Pencil whose value at generator k is a positive multiple of values[k],
+    normalised at the unit (sum_k theta_k values[k] must be PD)."""
+    theta = sampling.simplex_weights(cone)
+    ti = linalg.inv_sqrt_pd(HermitianMatrix(sum(th * q for th, q in zip(theta, values))))
+    qhat = [ti @ q @ ti for q in values]
+    lam = np.linalg.inv(cone.generators.T)
+    mats = [sum(lam[k, i] * qhat[k] for k in range(cone.dim)) for i in range(cone.dim)]
+    return LinearPencil(mats, cone.unit)
+
+
+def _indefinite_target(rng, cone, t):
+    theta = sampling.simplex_weights(cone)
+    hs = [linalg.random_hermitian(rng, t).mat for _ in range(cone.dim)]
+    total = sum(th * h for th, h in zip(theta, hs))
+    shift = (1.0 + np.linalg.norm(total, 2)) / theta.sum()
+    return _target_from_values(cone, [h + shift * np.eye(t) for h in hs])
+
+
+def _relaxation_certificate_ok(src, tgt, res):
+    if res.status is RelaxationStatus.FEASIBLE:
+        doc = certificates.relaxation_feasible_cert(src, tgt, res.certificate)
+    else:
+        doc = certificates.relaxation_infeasible_cert(src, tgt, res.farkas)
+    return certificates.verify_certificate(doc).ok
+
+
+class TestSimplexRelaxation:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_agrees_with_sdp(self, d):
+        rng = np.random.default_rng(70 + d)
+        definitive = (RelaxationStatus.FEASIBLE, RelaxationStatus.INFEASIBLE)
+        infeasible = 0
+        for t in range(2, 7):
+            cone = sampling.random_simplex_cone(rng, d)
+            src = diagonal_pencil(cone)
+            included = sampling.random_target_for_simplex(rng, cone, t)
+            for tgt in (included, _indefinite_target(rng, cone, t)):
+                fast = relaxation(src, tgt)
+                ref = containment._sdp_relaxation(src, tgt)
+                assert fast.status in definitive
+                assert _relaxation_certificate_ok(src, tgt, fast)
+                if ref.status in definitive:
+                    assert fast.status is ref.status, f"t={t}"
+                    assert _relaxation_certificate_ok(src, tgt, ref)
+                if tgt is included:
+                    assert fast.status is RelaxationStatus.FEASIBLE
+                infeasible += fast.status is RelaxationStatus.INFEASIBLE
+        assert infeasible > 0
+
+    def test_clear_instances_skip_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(75)
+        cone = sampling.random_simplex_cone(rng, 3)
+        src = diagonal_pencil(cone)
+        tgt = sampling.random_target_for_simplex(rng, cone, 3)
+        assert relaxation(src, tgt).status is RelaxationStatus.FEASIBLE
+        assert check_inclusion(cone, tgt).relaxation.status is RelaxationStatus.FEASIBLE
+        values = [linalg.random_psd(rng, 3).mat + np.eye(3) for _ in range(3)]
+        values[1] = np.diag([-0.05, 1.0, 1.0])
+        bad = _target_from_values(cone, values)
+        res = relaxation(src, bad)
+        assert res.status is RelaxationStatus.INFEASIBLE
+        assert res.farkas.gap == pytest.approx(1.0, abs=1e-9)
+        assert _relaxation_certificate_ok(src, bad, res)
+        assert solve_calls == []
+
+    def test_singular_value_reaches_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(76)
+        cone = sampling.random_simplex_cone(rng, 3)
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        values = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2).mat for _ in range(2)]
+        src, tgt = diagonal_pencil(cone), _target_from_values(cone, values)
+        res = relaxation(src, tgt)
+        assert len(solve_calls) == 1
+        assert res.status is containment._sdp_relaxation(src, tgt).status
+
+    def test_non_simplex_source_uses_the_sdp(self, solve_calls):
+        res = relaxation(diagonal_pencil(square_cone()), elliptic_cone_pencil(math.pi / 4))
+        assert res.status is RelaxationStatus.INFEASIBLE
+        assert len(solve_calls) == 1
 
 
 class TestFreeWitness:

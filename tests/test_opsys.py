@@ -1,11 +1,12 @@
 """Operator-system oracles: membership, witnesses, separation, thresholds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from freespec import cones, linalg, opsys, sampling
+from freespec import certificates, cones, linalg, opsys, sampling, sdp
 from freespec.linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from freespec.opsys import (
     EssentialBoundaryStatus,
@@ -124,6 +125,119 @@ class TestSimplexCollapse:
             assert agrees, f"disagreement at margin {mx.margin}"
             checked += 1
         assert checked == 500
+
+
+def _rescaled(a, factor):
+    return MatrixTuple(tuple(HermitianMatrix(factor * e.mat) for e in a.entries))
+
+
+def _certificate_ok(cone, a, res):
+    if res.status is MinMembershipStatus.MEMBER:
+        doc = certificates.min_member_cert(cone, a, res.certificate)
+    else:
+        doc = certificates.separator_cert(cone, a, res.separator)
+    return certificates.verify_certificate(doc).ok
+
+
+class TestSimplexClosedForm:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_agrees_with_sdp(self, d, s):
+        rng = np.random.default_rng(100 * d + s)
+        definitive = (MinMembershipStatus.MEMBER, MinMembershipStatus.NOT_MEMBER)
+        for _ in range(2):
+            cone = sampling.random_simplex_cone(rng, d)
+            member = sampling.random_min_member(rng, cone, s)
+            query = MatrixTuple(tuple(linalg.random_hermitian(rng, s) for _ in range(d)))
+            for base in (member, query):
+                for k in range(-6, 7):
+                    a = _rescaled(base, 10.0**k)
+                    fast = min_membership(cone, a)
+                    ref = opsys._sdp_min_membership(cone, a)
+                    assert fast.status in definitive
+                    assert _certificate_ok(cone, a, fast)
+                    if ref.status in definitive:
+                        assert fast.status is ref.status, f"scale 1e{k}"
+                        assert _certificate_ok(cone, a, ref)
+                    if base is member:
+                        assert fast.status is MinMembershipStatus.MEMBER
+
+    def test_clear_instances_skip_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(55)
+        cone = sampling.random_simplex_cone(rng, 3)
+        member = sampling.random_min_member(rng, cone, 2)
+        assert min_membership(cone, member).status is MinMembershipStatus.MEMBER
+        outside = _rescaled(member, -1.0)
+        res = min_membership(cone, outside)
+        assert res.status is MinMembershipStatus.NOT_MEMBER
+        assert res.separator.evaluate(outside) == pytest.approx(-1.0, abs=1e-6)
+        assert _certificate_ok(cone, outside, res)
+        assert solve_calls == []
+
+    def test_zero_eigenvalue_reaches_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(56)
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        rank_one = sampling.random_simplex_cone(rng, 3)
+        weights = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2).mat for _ in range(2)]
+        cases = [
+            # orthant: the weights are the entries, so lambda_min is exactly 0
+            (
+                cones.PolyhedralCone.from_generators(np.eye(3), unit=np.ones(3)),
+                MatrixTuple.of(np.diag([1.0, 0.0]), np.eye(2), np.eye(2)),
+            ),
+            (
+                rank_one,
+                MatrixTuple(
+                    tuple(
+                        HermitianMatrix(sum(g[i] * p for g, p in zip(rank_one.generators, weights)))
+                        for i in range(3)
+                    )
+                ),
+            ),
+        ]
+        for cone, a in cases:
+            before = len(solve_calls)
+            res = min_membership(cone, a)
+            assert len(solve_calls) == before + 1
+            assert res.status is opsys._sdp_min_membership(cone, a).status
+
+    def test_non_simplex_uses_the_sdp(self, solve_calls):
+        res = min_membership(cones.square_cone(), pauli_witness(math.pi / 4).tuple)
+        assert res.status is MinMembershipStatus.MEMBER
+        assert len(solve_calls) == 1
+
+
+class TestWeightProjection:
+    def test_perturbed_solver_weights_are_projected(self, monkeypatch):
+        # solver weights 2e-6 off the affine set: a reconstruction error of
+        # 2e-6, over the 1e-6 limit, unless the weights are projected back
+        sq = cones.square_cone()
+        a = sampling.random_min_member(np.random.default_rng(58), sq, 2)
+        real = sdp.solve
+
+        def perturbed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shifted = (HermitianMatrix(out.primal[0].mat + 2e-6 * np.eye(2)),)
+            return dataclasses.replace(out, primal=shifted + out.primal[1:])
+
+        monkeypatch.setattr(sdp, "solve", perturbed)
+        res = min_membership(sq, a)
+        assert res.status is MinMembershipStatus.MEMBER
+        assert res.certificate.residual < 1e-9
+        assert _certificate_ok(sq, a, res)
+
+    def test_projection_lands_on_the_affine_set(self):
+        rng = np.random.default_rng(57)
+        sq = cones.square_cone()
+        a = sampling.random_min_member(rng, sq, 3)
+        stack = np.array([e.mat for e in a.entries])
+        p = np.array([linalg.random_psd(rng, 3).mat for _ in range(sq.n_generators)])
+        q = opsys._project_weights(np.linalg.pinv(sq.generators.T), sq.generators, stack, p)
+        recon = np.tensordot(sq.generators.T, q, axes=1)
+        assert np.max(np.abs(recon - stack)) < 1e-12
+        # projecting again changes nothing
+        q2 = opsys._project_weights(np.linalg.pinv(sq.generators.T), sq.generators, stack, q)
+        assert np.max(np.abs(q2 - q)) < 1e-12
 
 
 class TestPauliWitness:
