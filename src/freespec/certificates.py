@@ -4,7 +4,8 @@ Every certificate-producing operation can emit a self-contained JSON
 document (matrices in the shared literal format); `verify_certificate`
 re-checks the claimed properties using only eigenvalue computations and
 returns the worst residual.  A certificate is accepted when the residual
-is below 1e-6.
+is below `opsys.ACCEPT_RESIDUAL` (1e-6); the producers test their answers
+against the same limits before emitting them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sdp
 from .cones import PolyhedralCone, SimplexCone, cone_from_json, cone_to_json, section_of
 from .containment import (
     RelaxationCertificate,
@@ -21,7 +22,12 @@ from .containment import (
     apply_kraus,
 )
 from .linalg import HermitianMatrix, matrix_from_json, matrix_to_json
-from .opsys import MinMembershipCertificate, SeparationFunctional
+from .opsys import (
+    ACCEPT_RESIDUAL,
+    SEPARATOR_PHI_LIMIT,
+    MinMembershipCertificate,
+    SeparationFunctional,
+)
 from .pencil import (
     LinearPencil,
     MatrixTuple,
@@ -31,7 +37,6 @@ from .pencil import (
     tuple_to_json,
 )
 
-ACCEPT_RESIDUAL = 1e-6
 SCHEMA_VERSION = 1
 
 
@@ -183,7 +188,7 @@ def _check_relaxation_infeasible(doc) -> CertificateCheck:
     gap = float(sum(linalg.trace_inner(tgt.matrices[i], ymats[i]) for i in range(tgt.d)))
     big = sum(np.kron(src.matrices[i].mat.T, ymats[i].mat) for i in range(src.d))
     lam = linalg.max_eigenvalue(HermitianMatrix(big))
-    ok = gap > 0 and lam <= 1e-7 * gap
+    ok = gap > 0 and lam <= sdp.FARKAS_TOL * gap
     residual = max(0.0, lam) / gap if gap > 0 else float("inf")
     return CertificateCheck(
         kind="relaxation_infeasible",
@@ -226,7 +231,7 @@ def _check_separator(doc) -> CertificateCheck:
     phi_query = float(
         sum(np.real(np.trace(np.conj(n.mat) @ e.mat)) for n, e in zip(nmats, query.entries))
     )
-    ok = worst < ACCEPT_RESIDUAL and margin > 0 and phi_query < -1e-7
+    ok = worst < ACCEPT_RESIDUAL and margin > 0 and phi_query < -SEPARATOR_PHI_LIMIT
     return CertificateCheck(
         kind="min_membership_separator",
         ok=ok,

@@ -33,6 +33,7 @@ from .cones import (
 )
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .opsys import (
+    ACCEPT_RESIDUAL,
     MinMembershipStatus,
     max_membership,
     min_membership,
@@ -48,7 +49,6 @@ from .pencil import (
 )
 
 KRAUS_EIG_CUTOFF = 1e-9
-CERT_RESIDUAL_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def _simplex_relaxation(
         r, t = src.r, tgt.r
         choi = np.einsum("jk,jxy->jxky", np.eye(r), q).reshape(r * t, r * t)
         cert = _kraus_certificate(src, tgt, HermitianMatrix(choi))
-        if cert.residual <= CERT_RESIDUAL_TOL:
+        if cert.residual < ACCEPT_RESIDUAL:
             return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
     elif lo.min() < -band:
         j = int(lo.argmin())
@@ -248,7 +248,7 @@ def _sdp_relaxation(
     outcome = sdp.solve(problem, tol=tol)
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         cert = _kraus_certificate(src, tgt, outcome.primal[0])
-        if cert.residual > CERT_RESIDUAL_TOL:
+        if cert.residual >= ACCEPT_RESIDUAL:
             return RelaxationResult(
                 status=RelaxationStatus.UNKNOWN,
                 message=f"Kraus reconstruction residual {cert.residual:.3e} too large",

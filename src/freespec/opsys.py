@@ -41,10 +41,14 @@ from .pencil import (
 
 SEPARATOR_SHIFT = 1e-8
 STRICTNESS_EPS = 1e-6
-# The certificate checker's acceptance limit (certificates.ACCEPT_RESIDUAL):
-# a Member certificate's max(-lambda_min, reconstruction error) and a
-# separator's negativity on the generators must stay below it.
+# The certificate checker's limits, used by `certificates` and by every
+# producer that tests its own answer first.  A residual (a Member
+# certificate's max(-lambda_min, reconstruction error), a separator's
+# negativity on the generators, a Kraus reconstruction error) must stay
+# strictly below ACCEPT_RESIDUAL, and a separator must take a value below
+# -SEPARATOR_PHI_LIMIT at the query.
 ACCEPT_RESIDUAL = 1e-6
+SEPARATOR_PHI_LIMIT = 1e-7
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +233,11 @@ def _separates(cone: PolyhedralCone, a: MatrixTuple, sep: SeparationFunctional) 
     n = np.array([m.mat for m in sep.matrices])
     on_gens = np.tensordot(cone.generators, n, axes=1)
     worst = -float(np.linalg.eigvalsh(on_gens)[:, 0].min())
-    return worst < ACCEPT_RESIDUAL and sep.margin > 0 and sep.evaluate(a) < -1e-7
+    return (
+        worst < ACCEPT_RESIDUAL
+        and sep.margin > 0
+        and sep.evaluate(a) < -SEPARATOR_PHI_LIMIT
+    )
 
 
 def _simplex_min_membership(
@@ -253,7 +261,7 @@ def _simplex_min_membership(
     lo = lam[:, 0]
     if lo.min() > band:
         residual = _weights_residual(gens, stack, p)
-        if residual <= ACCEPT_RESIDUAL:
+        if residual < ACCEPT_RESIDUAL:
             return _member(p, residual)
     elif lo.min() < -band:
         j = int(lo.argmin())
@@ -289,7 +297,7 @@ def _sdp_min_membership(
         candidates = (raw, _project_weights(np.linalg.pinv(gens.T), gens, stack, raw))
         residuals = [_weights_residual(gens, stack, w) for w in candidates]
         best = int(np.argmin(residuals))
-        if residuals[best] > ACCEPT_RESIDUAL:
+        if residuals[best] >= ACCEPT_RESIDUAL:
             return MinMembershipResult(
                 status=MinMembershipStatus.UNKNOWN,
                 message=f"weight reconstruction residual {residuals[best]:.3e} too large",

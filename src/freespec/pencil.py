@@ -77,7 +77,9 @@ class LinearPencil:
     """d Hermitian r x r matrices with order unit normalisation.
 
     A unit drift up to 1e-8 is corrected by congruence with T^(-1/2) where
-    T = sum_i u_i M_i; larger drift is rejected.  Linear dependence of the
+    T = sum_i u_i M_i; larger drift is rejected.  A drift within the
+    rounding level of that sum is left alone, so a pencil rebuilt from its
+    own matrices (a JSON round trip) is unchanged.  Linear dependence of the
     matrices is reported as a warning (the level-1 cone is then not
     salient), not an error.
     """
@@ -97,7 +99,11 @@ class LinearPencil:
             raise ValueError(
                 f"order unit violated: ||sum_i u_i M_i - I|| = {drift:.3e}"
             )
-        if drift > 0.0:
+        rounding = (
+            8 * (len(mats) + r) * np.finfo(float).eps
+            * float(np.max(sum(abs(ui) * np.abs(m.mat) for ui, m in zip(u, mats))))
+        )
+        if drift > rounding:
             ti = linalg.inv_sqrt_pd(HermitianMatrix(t))
             mats = [HermitianMatrix(ti @ m.mat @ ti) for m in mats]
 

@@ -6,11 +6,11 @@ Primal form:
     subject to <A_i, X> = b_i   for i = 1..m,
                X = diag(X_1, ..., X_B)  with each block Hermitian PSD,
 
-where <A, X> = tr(X* A) summed over blocks.  Complex Hermitian blocks are
-embedded into real symmetric blocks of doubled size internally; the public
-interface stays complex.  The engine is an infeasible-start primal-dual
-interior-point method with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector; the dense Schur complement is solved by Cholesky.
+where <A, X> = tr(X* A) summed over blocks.  The engine is an
+infeasible-start primal-dual interior-point method with Nesterov-Todd
+scaling and a Mehrotra predictor-corrector, working on the complex
+Hermitian blocks as given; the dense Schur complement is solved by
+Cholesky.
 
 Feasibility problems are run through a phase-I reformulation: minimise t
 subject to X + t*I >= 0 (plus a generous trace safeguard), declaring
@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,108 +143,54 @@ class SdpVerifyReport:
 
 
 # --------------------------------------------------------------------------
-# Real embedding
+# Working form and constraint preprocessing (row scaling + rank reduction)
 # --------------------------------------------------------------------------
 
 
-def _embed(h: np.ndarray) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]] real symmetric embedding of a Hermitian matrix."""
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _block_is_real(p: SdpProblem, b: int) -> bool:
-    rows = [con.coeffs[b] for con in p.constraints]
-    if p.objective is not None:
-        rows.append(p.objective[b])
-    for c in rows:
-        if c is not None and np.max(np.abs(c.mat.imag), initial=0.0) > 0.0:
-            return False
-    return True
-
-
 @dataclass
-class _RealForm:
-    sizes: list[int]              # real block sizes
-    embedded: list[bool]          # per original block: complex embedding used
-    amats: list[list[Optional[np.ndarray]]]  # [constraint][block]
+class _Form:
+    """The problem as the interior-point core sees it: complex coefficient
+    arrays, rows scaled to unit norm, linearly dependent rows dropped."""
+
+    sizes: list[int]
+    amats: list[list[Optional[np.ndarray]]]  # [kept constraint][block]
     b: np.ndarray
     cblocks: list[Optional[np.ndarray]]
-    # preprocessing bookkeeping
-    kept: list[int] = field(default_factory=list)     # kept constraint indices
-    row_scale: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    kept: list[int]          # kept constraint indices
+    row_scale: np.ndarray
     # multipliers (original indexing) witnessing an inconsistent dependent
     # row: sum_i y_i A_i = 0 with y.b != 0
     conflict_y: Optional[np.ndarray] = None
 
 
-def _realize(p: SdpProblem) -> _RealForm:
-    embedded = [not _block_is_real(p, b) for b in range(len(p.blocks))]
-    sizes = [2 * n if emb else n for n, emb in zip(p.blocks, embedded)]
-
-    def conv(c: Optional[HermitianMatrix], b: int) -> Optional[np.ndarray]:
-        if c is None:
-            return None
-        # scaled by 1/2 so that real inner products equal complex ones
-        return _embed(c.mat) / 2.0 if embedded[b] else c.mat.real.copy()
-
-    amats = [
-        [conv(con.coeffs[b], b) for b in range(len(p.blocks))] for con in p.constraints
-    ]
-    b_vec = np.array([con.rhs for con in p.constraints], dtype=float)
-    cblocks = [None] * len(p.blocks)
-    if p.objective is not None:
-        cblocks = [conv(p.objective[b], b) for b in range(len(p.blocks))]
-    return _RealForm(sizes=sizes, embedded=embedded, amats=amats, b=b_vec, cblocks=cblocks)
-
-
-def _recover_block(x: np.ndarray, embedded: bool) -> HermitianMatrix:
-    if not embedded:
-        return HermitianMatrix((x + x.T) / 2.0)
-    n = x.shape[0] // 2
-    re = (x[:n, :n] + x[n:, n:]) / 2.0
-    im = (x[n:, :n] - x[:n, n:]) / 2.0
-    re = (re + re.T) / 2.0
-    im = (im - im.T) / 2.0
-    return HermitianMatrix(re + 1j * im)
-
-
-# --------------------------------------------------------------------------
-# Constraint preprocessing (row scaling + Gram rank reduction)
-# --------------------------------------------------------------------------
-
-
-def _svec_dim(n: int) -> int:
-    return n * (n + 1) // 2
-
-
 def _svec(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    idx = np.triu_indices(n, k=1)
-    return np.concatenate([np.diag(m), math.sqrt(2.0) * m[idx]])
+    """Real isometric vectorisation of a Hermitian matrix: the diagonal,
+    then sqrt(2) Re and sqrt(2) Im of the strict upper triangle."""
+    idx = np.triu_indices(m.shape[0], k=1)
+    upper = math.sqrt(2.0) * m[idx]
+    return np.concatenate([m.diagonal().real, upper.real, upper.imag])
 
 
-def _preprocess(form: _RealForm, consistency_tol: float = 1e-7) -> _RealForm:
-    m = len(form.amats)
-    dim = sum(_svec_dim(n) for n in form.sizes)
-    rows = np.zeros((m, dim))
-    for i, amat in enumerate(form.amats):
+def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7) -> _Form:
+    m = len(p.constraints)
+    if m == 0:
+        raise ValueError("problem has no constraints")
+    sizes = list(p.blocks)
+    rows = np.zeros((m, sum(n * n for n in sizes)))
+    for i, con in enumerate(p.constraints):
         off = 0
-        for b, n in enumerate(form.sizes):
-            w = _svec_dim(n)
-            if amat[b] is not None:
-                rows[i, off : off + w] = _svec(amat[b])
-            off += w
+        for c, n in zip(con.coeffs, sizes):
+            if c is not None:
+                rows[i, off : off + n * n] = _svec(c.mat)
+            off += n * n
 
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
     rows = rows / scale[:, None]
-    b = form.b / scale
+    b = np.array([con.rhs for con in p.constraints], dtype=float) / scale
 
     # rank-revealing QR on the transposed row matrix
     from scipy.linalg import qr
 
-    if m == 0:
-        raise ValueError("problem has no constraints")
     _, r, piv = qr(rows.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0]))) if diag.size else 0
@@ -268,20 +214,24 @@ def _preprocess(form: _RealForm, consistency_tol: float = 1e-7) -> _RealForm:
                 y = -y
             conflict_y = y / scale  # back to original row scaling
 
-    out = _RealForm(
-        sizes=form.sizes,
-        embedded=form.embedded,
-        amats=[[None if A is None else A / scale[i] for A in form.amats[i]] for i in kept],
+    cblocks = [None] * len(sizes)
+    if p.objective is not None:
+        cblocks = [None if c is None else c.mat for c in p.objective]
+    return _Form(
+        sizes=sizes,
+        amats=[
+            [None if c is None else c.mat / scale[i] for c in p.constraints[i].coeffs]
+            for i in kept
+        ],
         b=b[kept].copy(),
-        cblocks=form.cblocks,
+        cblocks=cblocks,
         kept=kept,
         row_scale=scale,
         conflict_y=conflict_y,
     )
-    return out
 
 
-def _conflict_outcome(p: SdpProblem, form: _RealForm) -> Optional[SdpOutcome]:
+def _conflict_outcome(p: SdpProblem, form: _Form) -> Optional[SdpOutcome]:
     """Infeasible outcome from inconsistent dependent rows, when present.
 
     The multiplier vector satisfies sum_i y_i A_i = 0 with y.b != 0, which
@@ -299,18 +249,8 @@ def _conflict_outcome(p: SdpProblem, form: _RealForm) -> Optional[SdpOutcome]:
 
 
 # --------------------------------------------------------------------------
-# Interior-point core (real symmetric blocks)
+# Interior-point core (complex Hermitian blocks)
 # --------------------------------------------------------------------------
-
-
-def _eigh_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a real symmetric block, solved as a complex Hermitian one.
-
-    The real LAPACK solver rounds differently, and on badly scaled
-    membership queries that alone turns some Member verdicts into Unknown.
-    """
-    w, v = _kernels.eigh_kernel(a.astype(np.complex128))
-    return w, v.real
 
 
 @dataclass
@@ -324,6 +264,14 @@ class _IpmResult:
     primal_obj: float
     message: str = ""
     stop_label: str = ""
+
+
+def _flat(t: np.ndarray) -> np.ndarray:
+    """A complex matrix (or a stack of them) as a real row of (Re, Im)
+    pairs: the real dot product of two rows is Re tr(A B*), which is
+    tr(A B) when B is Hermitian."""
+    t = np.ascontiguousarray(t)
+    return t.reshape(t.shape[:-2] + (t.shape[-1] ** 2,)).view(np.float64)
 
 
 class _BlockData:
@@ -342,6 +290,7 @@ class _BlockData:
                 self.tens.append(np.stack([amats[i][b] for i in ids]))
             else:
                 self.tens.append(np.zeros((0, n, n)))
+        self.flat = [_flat(t) for t in self.tens]
         self.c = [
             np.zeros((n, n)) if cb is None else cb for n, cb in zip(sizes, cblocks)
         ]
@@ -349,11 +298,11 @@ class _BlockData:
         self.total_dim = sum(sizes)
 
     def apply(self, xblocks) -> np.ndarray:
+        """Re tr(A_i X), summed over blocks."""
         out = np.zeros(self.m)
         for b in range(self.nblocks):
             if len(self.idx[b]):
-                k = self.tens[b].shape[0]
-                out[self.idx[b]] += self.tens[b].reshape(k, -1) @ xblocks[b].ravel()
+                out[self.idx[b]] += self.flat[b] @ _flat(xblocks[b])
         return out
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
@@ -366,25 +315,28 @@ class _BlockData:
         return out
 
     def schur(self, wblocks) -> np.ndarray:
+        """Re tr(A_i W A_j W), summed over blocks."""
         m = np.zeros((self.m, self.m))
         for b in range(self.nblocks):
             ids = self.idx[b]
             if not len(ids):
                 continue
             w = wblocks[b]
-            k = self.tens[b].shape[0]
-            waw = np.einsum("ab,kbc,cd->kad", w, self.tens[b], w, optimize=True)
-            m[np.ix_(ids, ids)] += self.tens[b].reshape(k, -1) @ waw.reshape(k, -1).T
+            m[np.ix_(ids, ids)] += self.flat[b] @ _flat(w @ self.tens[b] @ w).T
         return (m + m.T) / 2.0
 
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
+
+
 def _inner(xs, ys) -> float:
-    return float(sum(np.sum(x * y) for x, y in zip(xs, ys)))
+    return float(sum(np.vdot(y, x).real for x, y in zip(xs, ys)))
 
 
 def _step_to_boundary(hmat: np.ndarray) -> float:
     """Max alpha with I + alpha*H >= 0."""
-    w, _ = _eigh_sym(hmat)
+    w, _ = _kernels.eigh_kernel(hmat)
     lam_min = w[0]
     if lam_min >= -1e-14:
         return np.inf
@@ -403,8 +355,8 @@ def _ipm(
     eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
     eta_d = max(1.0, math.sqrt(ndim), norm_c)
 
-    x = [eta_p * np.eye(n) for n in sizes]
-    s = [eta_d * np.eye(n) for n in sizes]
+    x = [eta_p * np.eye(n, dtype=np.complex128) for n in sizes]
+    s = [eta_d * np.eye(n, dtype=np.complex128) for n in sizes]
     y = np.zeros(m)
 
     best = None
@@ -441,23 +393,21 @@ def _ipm(
         # Nesterov-Todd scaling per block
         gs, gis, lams = [], [], []
         for bq, n in enumerate(sizes):
-            wx, ux = _eigh_sym(x[bq])
+            wx, ux = _kernels.eigh_kernel(x[bq])
             if wx[0] <= 0:
                 wx = np.maximum(wx, 1e-14 * max(1.0, wx[-1]))
-            xh = (ux * np.sqrt(wx)) @ ux.T
-            xhi = (ux / np.sqrt(wx)) @ ux.T
-            t = xh @ s[bq] @ xh
-            t = (t + t.T) / 2.0
-            wt, ut = _eigh_sym(t)
+            xh = (ux * np.sqrt(wx)) @ ux.conj().T
+            xhi = (ux / np.sqrt(wx)) @ ux.conj().T
+            wt, ut = _kernels.eigh_kernel(_herm(xh @ s[bq] @ xh))
             if wt[0] <= 0:
                 wt = np.maximum(wt, 1e-14 * max(1.0, wt[-1]))
             g = (xh @ ut) * wt**-0.25
-            gi = (wt[:, None] ** 0.25) * (ut.T @ xhi)
+            gi = (wt[:, None] ** 0.25) * (ut.conj().T @ xhi)
             gs.append(g)
             gis.append(gi)
             lams.append(np.sqrt(wt))
 
-        wmats = [g @ g.T for g in gs]
+        wmats = [g @ g.conj().T for g in gs]
         try:
             schur = data.schur(wmats)
             jitter = 1e-13 * max(1.0, float(np.max(np.diag(schur))))
@@ -483,9 +433,7 @@ def _ipm(
             atdy = data.adjoint(dy)
             ds = [rd[bq] - atdy[bq] for bq in range(data.nblocks)]
             dx = [rc[bq] - wmats[bq] @ ds[bq] @ wmats[bq] for bq in range(data.nblocks)]
-            dx = [(d + d.T) / 2.0 for d in dx]
-            ds = [(d + d.T) / 2.0 for d in ds]
-            return dx, dy, ds
+            return [_herm(d) for d in dx], dy, [_herm(d) for d in ds]
 
         def steplen(dx, ds):
             ap = ad = np.inf
@@ -493,8 +441,8 @@ def _ipm(
             for bq in range(data.nblocks):
                 lam = lams[bq]
                 root = np.sqrt(np.outer(lam, lam))
-                dxs = gis[bq] @ dx[bq] @ gis[bq].T
-                dss = gs[bq].T @ ds[bq] @ gs[bq]
+                dxs = gis[bq] @ dx[bq] @ gis[bq].conj().T
+                dss = gs[bq].conj().T @ ds[bq] @ gs[bq]
                 dxs_list.append(dxs)
                 dss_list.append(dss)
                 ap = min(ap, _step_to_boundary(dxs / root))
@@ -527,8 +475,7 @@ def _ipm(
                 - (dxs_a[bq] @ dss_a[bq] + dss_a[bq] @ dxs_a[bq]) / 2.0
             )
             u = 2.0 * tmat / np.add.outer(lam, lam)
-            rcb = gs[bq] @ u @ gs[bq].T
-            rc.append((rcb + rcb.T) / 2.0)
+            rc.append(_herm(gs[bq] @ u @ gs[bq].conj().T))
 
         dx, dy, ds = solve_dirs(rc)
         ap, ad, _, _ = steplen(dx, ds)
@@ -565,13 +512,7 @@ def _ipm(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
-
-
-def _expand_y(form: _RealForm, y_reduced: np.ndarray, m_total: int) -> np.ndarray:
+def _expand_y(form: _Form, y_reduced: np.ndarray, m_total: int) -> np.ndarray:
     """Map multipliers of the kept, scaled rows back to original indexing."""
     y = np.zeros(m_total)
     for pos, i in enumerate(form.kept):
@@ -605,34 +546,24 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
     return FarkasCertificate(y=yv, gap=1.0, lambda_max=float(lam_max))
 
 
-def solve(p: SdpProblem, opts: SolveOptions | None = None, **kw) -> SdpOutcome:
-    """Solve a feasibility or linear-objective SDP.
-
-    Keyword arguments ``max_iter`` and ``tol`` override ``opts``.
-    """
-    if opts is None:
-        opts = SolveOptions()
-    if kw:
-        opts = SolveOptions(
-            max_iter=int(kw.get("max_iter", opts.max_iter)),
-            tol=float(kw.get("tol", opts.tol)),
-        )
+def solve(
+    p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> SdpOutcome:
+    """Solve a feasibility or linear-objective SDP."""
     if p.objective is None:
-        return _solve_feasibility(p, opts)
-    return _solve_optimization(p, opts)
+        return _solve_feasibility(p, tol, max_iter)
+    return _solve_optimization(p, tol, max_iter)
 
 
-def _solve_optimization(p: SdpProblem, opts: SolveOptions) -> SdpOutcome:
-    form = _preprocess(_realize(p))
+def _solve_optimization(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
+    form = _preprocess(p)
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
     data = _BlockData(form.sizes, form.amats, form.cblocks)
-    res = _ipm(data, form.b, opts.tol, opts.max_iter)
+    res = _ipm(data, form.b, tol, max_iter)
     if res.converged:
-        primal = tuple(
-            _recover_block(xb, form.embedded[b]) for b, xb in enumerate(res.x)
-        )
+        primal = tuple(HermitianMatrix(xb) for xb in res.x)
         y = _expand_y(form, res.y, len(p.constraints))
         obj = _objective_value(p, primal)
         return SdpOutcome(
@@ -667,8 +598,8 @@ def _residual_ok(p: SdpProblem, primal, tol: float) -> bool:
     return True
 
 
-def _solve_feasibility(p: SdpProblem, opts: SolveOptions) -> SdpOutcome:
-    form = _preprocess(_realize(p))
+def _solve_feasibility(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
+    form = _preprocess(p)
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
@@ -683,11 +614,9 @@ def _solve_feasibility(p: SdpProblem, opts: SolveOptions) -> SdpOutcome:
     b1 = []
     for i in range(m):
         tau = float(
-            sum(np.trace(a) for a in form.amats[i] if a is not None)
+            sum(np.trace(a).real for a in form.amats[i] if a is not None)
         )
-        row = [a.copy() if a is not None else None for a in form.amats[i]]
-        row += [np.array([[-tau]])]
-        amats1.append(row)
+        amats1.append(form.amats[i] + [np.array([[-tau]], dtype=np.complex128)])
         b1.append(form.b[i] - tau)
     cblocks1 = [None] * nb + [np.array([[1.0]])]
 
@@ -696,11 +625,10 @@ def _solve_feasibility(p: SdpProblem, opts: SolveOptions) -> SdpOutcome:
     found: dict = {}
 
     def checker(x, y, s):
-        t = float(x[nb][0, 0]) - 1.0
-        if t < 0.5 * opts.tol:
-            xblocks = [x[b] - t * np.eye(form.sizes[b]) for b in range(nb)]
+        t = float(x[nb][0, 0].real) - 1.0
+        if t < 0.5 * tol:
             primal = tuple(
-                _recover_block(xb, form.embedded[b]) for b, xb in enumerate(xblocks)
+                HermitianMatrix(x[b] - t * np.eye(n)) for b, n in enumerate(form.sizes)
             )
             if _residual_ok(p, primal, 1e-8):
                 found["primal"] = primal
@@ -713,7 +641,7 @@ def _solve_feasibility(p: SdpProblem, opts: SolveOptions) -> SdpOutcome:
         return ""
 
     data = _BlockData(sizes1, amats1, cblocks1)
-    res = _ipm(data, np.array(b1), min(opts.tol * 1e-2, 1e-9), opts.max_iter, check=checker)
+    res = _ipm(data, np.array(b1), min(tol * 1e-2, 1e-9), max_iter, check=checker)
 
     if res.stop_label == "feasible":
         return SdpOutcome(
@@ -733,11 +661,10 @@ def _solve_feasibility(p: SdpProblem, opts: SolveOptions) -> SdpOutcome:
             message=f"phase-I: {res.message}",
         )
 
-    t_star = float(res.x[nb][0, 0]) - 1.0
-    if t_star < opts.tol:
-        xblocks = [res.x[b] - t_star * np.eye(form.sizes[b]) for b in range(nb)]
+    t_star = float(res.x[nb][0, 0].real) - 1.0
+    if t_star < tol:
         primal = tuple(
-            _recover_block(xb, form.embedded[b]) for b, xb in enumerate(xblocks)
+            HermitianMatrix(res.x[b] - t_star * np.eye(n)) for b, n in enumerate(form.sizes)
         )
         return SdpOutcome(
             status=SdpStatus.FEASIBLE, primal=primal, iterations=res.iterations

@@ -331,3 +331,21 @@ class TestOtherCommands:
             assert len(loaded.constraints) == len(problem.constraints)
             sdp.dump_problem(problem, ref)
             assert dump.read_bytes() == ref.read_bytes()
+
+    def test_dump_sdp_of_reloaded_target_matches_in_memory(self, capsys, tmp_path):
+        # saving and reloading a target must not change a single matrix entry
+        rng = np.random.default_rng(10)
+        for k in range(4):
+            cone = sampling.random_simplex_cone(rng, 2 + k % 3)
+            src = pencil.diagonal_pencil(cone)
+            tgt = sampling.random_target_for_simplex(rng, cone, 2 + k)
+            pencil.save_pencil(src, tmp_path / "src.json")
+            pencil.save_pencil(tgt, tmp_path / "tgt.json")
+            dump, ref = tmp_path / "cli.sdpa", tmp_path / "ref.sdpa"
+            code, _, _ = run(
+                capsys, "relaxation", "--src", str(tmp_path / "src.json"),
+                "--tgt", str(tmp_path / "tgt.json"), "--dump-sdp", str(dump),
+            )
+            assert code == EXIT_OK
+            sdp.dump_problem(_choi_problem(src, tgt), ref)
+            assert dump.read_bytes() == ref.read_bytes()

@@ -230,6 +230,26 @@ class TestJsonFormats:
             assert np.array_equal(a.mat, b.mat)
         assert np.array_equal(p.unit, q.unit)
 
+    # commuting targets with t < d reload as dependent pencils, which warn
+    @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+    def test_round_trip_bit_exact_for_random_pencils(self):
+        # a pencil rebuilt from its own matrices is not renormalised again
+        from freespec import sampling
+
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            cone = sampling.random_simplex_cone(rng, int(rng.integers(2, 5)))
+            t = int(rng.integers(2, 7))
+            for p in (
+                sampling.random_target_for_simplex(rng, cone, t),
+                sampling.random_commuting_target(rng, cone, t),
+                sampling.random_commuting_target(rng, cones.square_cone(), t),
+                diagonal_pencil(cone),
+            ):
+                q = pencil.pencil_from_json(pencil.pencil_to_json(p))
+                for a, b in zip(p.matrices, q.matrices):
+                    assert np.array_equal(a.mat, b.mat)
+
     def test_tuple_round_trip(self):
         a = sz_sx_i()
         b = pencil.tuple_from_json(pencil.tuple_to_json(a))

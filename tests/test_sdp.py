@@ -145,6 +145,47 @@ class TestComplexEmbedding:
             )
 
 
+class TestNativeHermitianBlocks:
+    """The core works on each Hermitian block at its own size: no
+    eigendecomposition is larger than the largest block."""
+
+    @pytest.fixture()
+    def eigh_shapes(self, monkeypatch):
+        from freespec import _kernels
+
+        shapes = []
+        real = _kernels.eigh_kernel
+
+        def recording(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(_kernels, "eigh_kernel", recording)
+        return shapes
+
+    def test_complex_single_block(self, eigh_shapes):
+        rng = np.random.default_rng(16)
+        n = 3
+        amats = [linalg.random_hermitian(rng, n) for _ in range(4)]
+        assert any(np.abs(a.mat.imag).max() > 0.1 for a in amats)
+        x0 = linalg.random_psd(rng, n)
+        p = feasibility([n], [((a,), linalg.trace_inner(x0, a)) for a in amats])
+        out = sdp.solve(p)
+        assert out.status is sdp.SdpStatus.FEASIBLE
+        assert eigh_shapes
+        assert max(max(shape) for shape in eigh_shapes) <= n
+
+    def test_min_membership_on_square(self, eigh_shapes, solve_calls):
+        from freespec import cones, opsys, sampling
+
+        rng = np.random.default_rng(17)
+        query = sampling.random_min_member(rng, cones.square_cone(), 3)
+        res = opsys.min_membership(cones.square_cone(), query)
+        assert res.status is opsys.MinMembershipStatus.MEMBER
+        assert len(solve_calls) == 1
+        assert max(max(shape) for shape in eigh_shapes) <= 3
+
+
 class TestInconsistentConstraints:
     def test_conflicting_dependent_rows_infeasible_with_certificate(self):
         # duplicated row with different rhs: linear inconsistency doubles as
