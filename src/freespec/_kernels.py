@@ -10,7 +10,8 @@ def backend_name() -> str:
 
 
 def eigh_kernel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix."""
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian
+    matrix, or of each matrix of a (k, n, n) stack."""
     return np.linalg.eigh(a)
 
 

@@ -133,16 +133,15 @@ class RelaxationResult:
 
 
 def _choi_problem(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
+    """Rows tr(F_beta N_i) = tr((M_i^T (x) F_beta) J), one per variable i
+    and Hermitian basis element F_beta; the one block is the Choi matrix J."""
     r, t = src.r, tgt.r
-    basis_t = linalg.hermitian_basis(t)
-    constraints = []
-    for i in range(src.d):
-        mt = src.matrices[i].mat.T.copy()
-        for f in basis_t:
-            coeff = HermitianMatrix(np.kron(mt, f))
-            rhs = float(np.real(np.trace(f @ tgt.matrices[i].mat)))
-            constraints.append(((coeff,), rhs))
-    return sdp.SdpProblem.make([r * t], constraints)
+    basis = linalg.hermitian_basis(t)
+    mt = np.array([m.mat.T for m in src.matrices])
+    coeffs = mt[:, None, :, None, :, None] * basis[None, :, None, :, None, :]
+    tgt_stack = np.array([m.mat for m in tgt.matrices])
+    rhs = np.einsum("bij,dji->db", basis, tgt_stack).real.ravel()
+    return sdp.SdpProblem((r * t,), (coeffs.reshape(-1, r * t, r * t),), rhs)
 
 
 def kraus_from_choi(choi: HermitianMatrix, r: int, t: int) -> tuple[np.ndarray, ...]:
@@ -255,16 +254,9 @@ def _sdp_relaxation(
             )
         return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
     if outcome.status is sdp.SdpStatus.INFEASIBLE:
-        t = tgt.r
-        basis_t = linalg.hermitian_basis(t)
-        per = len(basis_t)
-        y = outcome.dual_certificate.y
-        ymats = []
-        for i in range(src.d):
-            acc = np.zeros((t, t), dtype=np.complex128)
-            for beta, f in enumerate(basis_t):
-                acc += y[i * per + beta] * f
-            ymats.append(HermitianMatrix(acc))
+        y = outcome.dual_certificate.y.reshape(src.d, -1)
+        ymats = np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1)
+        ymats = [HermitianMatrix(ym) for ym in ymats]
         return RelaxationResult(
             status=RelaxationStatus.INFEASIBLE, farkas=_relaxation_farkas(src, tgt, ymats)
         )

@@ -95,21 +95,14 @@ class EigenDecomposition:
 
 def _normalize_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant entry is real positive."""
-    v = v.copy()
-    n = v.shape[0]
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        mags = np.abs(col)
-        thresh = 1e-10 * (mags.max() or 1.0)
-        k = 0
-        for i in range(n):
-            if mags[i] > thresh:
-                k = i
-                break
-        pivot = col[k]
-        if abs(pivot) > 0:
-            v[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return v
+    mags = np.abs(v)
+    colmax = mags.max(axis=0)
+    thresh = 1e-10 * np.where(colmax > 0, colmax, 1.0)
+    first = np.argmax(mags > thresh, axis=0)
+    pivot = v[first, np.arange(v.shape[1])]
+    size = np.abs(pivot)
+    phase = np.where(size > 0, pivot.conjugate() / np.where(size > 0, size, 1.0), 1.0)
+    return v * phase
 
 
 def eigh(a) -> EigenDecomposition:
@@ -180,28 +173,21 @@ def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
     return (u / np.sqrt(dec.eigenvalues)) @ u.conj().T
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real basis of the n x n Hermitian matrices, fixed order.
+def hermitian_basis(n: int) -> np.ndarray:
+    """Real basis of the n x n Hermitian matrices, as an (n^2, n, n) stack.
 
     Diagonal units E_jj first, then for each pair j < k the real part unit
     E_jk + E_kj and the imaginary part unit i(E_jk - E_kj).  The traces
     against a Hermitian P are, respectively, P_jj, 2*Re(P_jk), 2*Im(P_jk).
     """
-    out = []
-    for j in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[j, j] = 1.0
-        out.append(e)
-    for j in range(n):
-        for k in range(j + 1, n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[j, k] = 1.0
-            e[k, j] = 1.0
-            out.append(e)
-            g = np.zeros((n, n), dtype=np.complex128)
-            g[j, k] = 1.0j
-            g[k, j] = -1.0j
-            out.append(g)
+    out = np.zeros((n * n, n, n), dtype=np.complex128)
+    diag = np.arange(n)
+    out[diag, diag, diag] = 1.0
+    j, k = np.triu_indices(n, k=1)
+    re = n + 2 * np.arange(len(j))
+    out[re, j, k] = out[re, k, j] = 1.0
+    out[re + 1, j, k] = 1.0j
+    out[re + 1, k, j] = -1.0j
     return out
 
 

@@ -136,24 +136,15 @@ class MinMembershipResult:
     message: str = ""
 
 
-def _min_membership_problem(
-    cone: PolyhedralCone, a: MatrixTuple, eps: float = 0.0
-) -> sdp.SdpProblem:
-    m = cone.n_generators
+def _min_membership_problem(cone: PolyhedralCone, a: MatrixTuple) -> sdp.SdpProblem:
+    """Rows tr(E_alpha A_i) = sum_k c_k[i] tr(E_alpha P_k), one per
+    coordinate i and Hermitian basis element E_alpha; block k is P_k."""
     s = a.level
-    d = cone.dim
     basis = linalg.hermitian_basis(s)
-    blocks = [s] * m
-    constraints = []
-    for i in range(d):
-        for e in basis:
-            coeffs = tuple(
-                HermitianMatrix(cone.generators[k, i] * e) if cone.generators[k, i] != 0.0 else None
-                for k in range(m)
-            )
-            rhs = float(np.real(np.trace(e @ a.entries[i].mat)))
-            constraints.append((coeffs, rhs))
-    return sdp.SdpProblem.make(blocks, constraints)
+    gens = cone.generators
+    coeffs = np.multiply.outer(gens, basis).reshape(len(gens), -1, s, s)
+    rhs = np.einsum("aij,dji->da", basis, _stacked(a)).real.ravel()
+    return sdp.SdpProblem((s,) * len(gens), tuple(coeffs), rhs)
 
 
 def _positivity_shift_functional(cone: PolyhedralCone) -> np.ndarray:
@@ -183,16 +174,9 @@ def _shifted_separator(cone: PolyhedralCone, mats) -> SeparationFunctional:
 def _separator_from_farkas(
     cone: PolyhedralCone, a: MatrixTuple, cert: sdp.FarkasCertificate
 ) -> SeparationFunctional:
-    s = a.level
-    basis = linalg.hermitian_basis(s)
-    per = len(basis)
-    mats = []
-    for i in range(cone.dim):
-        acc = np.zeros((s, s), dtype=np.complex128)
-        for alpha, e in enumerate(basis):
-            acc += cert.y[i * per + alpha] * e
-        mats.append(-np.conj(acc))
-    return _shifted_separator(cone, mats)
+    y = cert.y.reshape(cone.dim, -1)
+    mats = np.tensordot(y, linalg.hermitian_basis(a.level), axes=1)
+    return _shifted_separator(cone, -np.conj(mats))
 
 
 def _stacked(a: MatrixTuple) -> np.ndarray:
@@ -437,33 +421,27 @@ def essential_boundary_square(
     if eps * s >= 1.0:
         raise ValueError("strictness eps too large for the trace normalisation")
 
+    # rows: P_1 + P_2 = P_3 + P_4 = 2 (Z_0 + eps I) coordinatewise in the
+    # Hermitian basis, tr Z_0 = 1 - eps s, and tr(A_k P_k) = 0
     basis = linalg.hermitian_basis(s)
-    blocks = [s] * 5
-    constraints = []
-    eye = np.eye(s)
-    for pair, (i1, i2) in (("D", (0, 1)), ("S", (2, 3))):
-        for e in basis:
-            coeffs = [None] * 5
-            coeffs[i1] = HermitianMatrix(e)
-            coeffs[i2] = HermitianMatrix(e)
-            coeffs[4] = HermitianMatrix(-2.0 * e)
-            rhs = 2.0 * eps * float(np.real(np.trace(e)))
-            constraints.append((tuple(coeffs), rhs))
-    coeffs = [None] * 5
-    coeffs[4] = HermitianMatrix(eye)
-    constraints.append((tuple(coeffs), 1.0 - eps * s))
+    nb = len(basis)
+    coeffs = np.zeros((5, 2 * nb + 5, s, s), dtype=np.complex128)
+    for pair, (i1, i2) in enumerate(((0, 1), (2, 3))):
+        rows = slice(pair * nb, (pair + 1) * nb)
+        coeffs[i1, rows] = coeffs[i2, rows] = basis
+        coeffs[4, rows] = -2.0 * basis
+    coeffs[4, 2 * nb] = np.eye(s)
     for k in range(4):
-        coeffs = [None] * 5
-        coeffs[k] = comps[k]
-        constraints.append((tuple(coeffs), 0.0))
-
-    problem = sdp.SdpProblem.make(blocks, constraints)
+        coeffs[k, 2 * nb + 1 + k] = comps[k].mat
+    pair_rhs = 2.0 * eps * np.trace(basis, axis1=1, axis2=2).real
+    rhs = np.concatenate([pair_rhs, pair_rhs, [1.0 - eps * s], np.zeros(4)])
+    problem = sdp.SdpProblem((s,) * 5, tuple(coeffs), rhs)
     if dump_to is not None:
         sdp.dump_problem(problem, dump_to)
     outcome = sdp.solve(problem, tol=tol)
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         p1, p2, p3, p4, z0 = (blk.mat for blk in outcome.primal)
-        m3 = z0 + eps * eye
+        m3 = z0 + eps * np.eye(s)
         dmat = (p1 - p2) / 2.0
         smat = (p3 - p4) / 2.0
         m1 = (smat + dmat) / 2.0

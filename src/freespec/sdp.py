@@ -6,11 +6,17 @@ Primal form:
     subject to <A_i, X> = b_i   for i = 1..m,
                X = diag(X_1, ..., X_B)  with each block Hermitian PSD,
 
-where <A, X> = tr(X* A) summed over blocks.  The engine is an
-infeasible-start primal-dual interior-point method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector, working on the complex
-Hermitian blocks as given; the dense Schur complement is solved by
-Cholesky.
+where <A, X> = tr(X* A) summed over blocks.  A problem stores its
+coefficients block by block: one (m, n_k, n_k) stack of the rows'
+coefficients on block k, zero where a row does not touch that block.
+
+The engine is an infeasible-start primal-dual interior-point method with
+Nesterov-Todd scaling and a Mehrotra predictor-corrector, working on the
+complex Hermitian blocks as given.  Blocks of equal size form one group,
+held as an (m, k, n, n) tensor with the iterates as (k, n, n) stacks, and
+each step of an iteration (the scaling eigendecompositions, the Schur
+complement, step lengths, corrector and update) runs once per group; the
+dense Schur complement is solved by Cholesky.
 
 Feasibility problems are run through a phase-I reformulation: minimise t
 subject to X + t*I >= 0 (plus a generous trace safeguard), declaring
@@ -29,13 +35,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-
-logger = logging.getLogger("freespec.sdp")
+from scipy.linalg import cho_factor, cho_solve, qr
 
 from . import _kernels
 from . import linalg
-from .linalg import HermitianMatrix, as_hermitian
+from .linalg import HERMITIAN_CONSTRUCTION_TOL, HermitianMatrix
+
+logger = logging.getLogger("freespec.sdp")
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -53,57 +59,106 @@ class InconsistentConstraintsError(ValueError):
     """Linearly dependent constraint rows with conflicting right-hand sides."""
 
 
-@dataclass(frozen=True)
-class SdpConstraint:
-    """One linear equality tr(sum_b C_b X_b) = rhs.
+def _flat(t: np.ndarray) -> np.ndarray:
+    """A complex matrix (or a stack of them) as a real row of (Re, Im)
+    pairs: the real dot product of two rows is Re tr(A B*), which is
+    tr(A B) when B is Hermitian."""
+    t = np.ascontiguousarray(t)
+    return t.reshape(t.shape[:-2] + (t.shape[-1] ** 2,)).view(np.float64)
 
-    ``coeffs`` has one entry per block; ``None`` marks a zero block.
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian_stack(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only, symmetrised copy of a stack of Hermitian matrices.
+
+    Each matrix is held to the rule of ``HermitianMatrix``: asymmetry at
+    most 1e-12 relative to 1 + its Frobenius norm.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != shape:
+        raise ValueError(f"{what}: shape {x.shape}, expected {shape}")
+    xh = _ct(x)
+    flat = _flat(x)
+    scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    drift = np.abs(x - xh).max(axis=(-2, -1))
+    if np.any(drift > HERMITIAN_CONSTRUCTION_TOL * scale):
+        raise ValueError(f"{what}: not Hermitian (asymmetry {float(np.max(drift)):.3e})")
+    out = x + xh
+    out /= 2.0
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SdpProblem:
+    """Equality rows <A_i, X> = b_i over Hermitian PSD blocks.
+
+    ``a[k]`` is the read-only complex (m, n_k, n_k) stack of the rows'
+    coefficients on block k, zero where a row does not touch the block;
+    ``b`` holds the m right-hand sides and ``c``, when given, the objective
+    block by block.  Each stack is checked Hermitian and symmetrised once,
+    at construction.
     """
 
-    coeffs: tuple[Optional[HermitianMatrix], ...]
-    rhs: float
-
-
-@dataclass(frozen=True)
-class SdpProblem:
     blocks: tuple[int, ...]
-    constraints: tuple[SdpConstraint, ...]
-    objective: Optional[tuple[Optional[HermitianMatrix], ...]] = None
+    a: tuple[np.ndarray, ...]
+    b: np.ndarray
+    c: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
-        for n in self.blocks:
-            if n < 1:
-                raise ValueError("block dimensions must be positive")
-        for k, con in enumerate(self.constraints):
-            self._check_blockrow(con.coeffs, f"constraint {k}")
-        if self.objective is not None:
-            self._check_blockrow(self.objective, "objective")
-
-    def _check_blockrow(self, coeffs, what: str) -> None:
-        if len(coeffs) != len(self.blocks):
-            raise ValueError(f"{what}: expected {len(self.blocks)} coefficient blocks")
-        for b, c in enumerate(coeffs):
-            if c is not None and c.dim != self.blocks[b]:
-                raise ValueError(
-                    f"{what}: block {b} has dim {c.dim}, expected {self.blocks[b]}"
-                )
+        blocks = tuple(int(n) for n in self.blocks)
+        if any(n < 1 for n in blocks):
+            raise ValueError("block dimensions must be positive")
+        if len(self.a) != len(blocks):
+            raise ValueError(f"expected {len(blocks)} coefficient stacks, got {len(self.a)}")
+        b = np.array(self.b, dtype=float)
+        if b.ndim != 1:
+            raise ValueError("right-hand sides must form a vector")
+        b.flags.writeable = False
+        a = tuple(
+            _hermitian_stack(ak, (len(b), n, n), f"block {k} coefficients")
+            for k, (ak, n) in enumerate(zip(self.a, blocks))
+        )
+        c = self.c
+        if c is not None:
+            if len(c) != len(blocks):
+                raise ValueError(f"expected {len(blocks)} objective blocks, got {len(c)}")
+            c = tuple(
+                _hermitian_stack(ck, (n, n), f"objective block {k}")
+                for k, (ck, n) in enumerate(zip(c, blocks))
+            )
+        for name, value in (("blocks", blocks), ("a", a), ("b", b), ("c", c)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def make(blocks: Sequence[int], constraints, objective=None) -> "SdpProblem":
-        """Convenience constructor accepting raw arrays for coefficients."""
+        """A problem from rows ``(coeffs, rhs)``, with one array-like per
+        block in ``coeffs`` (and in ``objective``) and None for a zero block."""
         blocks = tuple(int(n) for n in blocks)
+        rows = list(constraints)
+        a = [np.zeros((len(rows), n, n), dtype=np.complex128) for n in blocks]
+        for i, (coeffs, _) in enumerate(rows):
+            for k, coeff in enumerate(_row(blocks, coeffs, f"constraint {i}")):
+                a[k][i] = coeff
+        c = None if objective is None else _row(blocks, objective, "objective")
+        return SdpProblem(blocks, tuple(a), [float(rhs) for _, rhs in rows], c)
 
-        def conv_row(row):
-            out = []
-            for c in row:
-                out.append(None if c is None else as_hermitian(c))
-            return tuple(out)
 
-        cons = tuple(
-            SdpConstraint(coeffs=conv_row(row), rhs=float(rhs)) for row, rhs in constraints
-        )
-        obj = None if objective is None else conv_row(objective)
-        return SdpProblem(blocks=blocks, constraints=cons, objective=obj)
+def _row(blocks: tuple[int, ...], coeffs, what: str) -> tuple[np.ndarray, ...]:
+    """One coefficient per block as an array, None read as a zero block."""
+    if len(coeffs) != len(blocks):
+        raise ValueError(f"{what}: expected {len(blocks)} coefficient blocks")
+    out = []
+    for k, (coeff, n) in enumerate(zip(coeffs, blocks)):
+        arr = np.zeros((n, n)) if coeff is None else np.asarray(coeff, dtype=np.complex128)
+        if arr.shape != (n, n):
+            raise ValueError(f"{what}: block {k} has dim {arr.shape}, expected {n}")
+        out.append(arr)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -149,55 +204,45 @@ class SdpVerifyReport:
 
 @dataclass
 class _Form:
-    """The problem as the interior-point core sees it: complex coefficient
-    arrays, rows scaled to unit norm, linearly dependent rows dropped."""
+    """The problem as the interior-point core sees it: rows scaled to unit
+    norm, linearly dependent rows dropped."""
 
-    sizes: list[int]
-    amats: list[list[Optional[np.ndarray]]]  # [kept constraint][block]
+    a: list[np.ndarray]      # per block, the kept rows' coefficients
     b: np.ndarray
-    cblocks: list[Optional[np.ndarray]]
-    kept: list[int]          # kept constraint indices
+    kept: np.ndarray         # kept constraint indices, ascending
     row_scale: np.ndarray
     # multipliers (original indexing) witnessing an inconsistent dependent
     # row: sum_i y_i A_i = 0 with y.b != 0
     conflict_y: Optional[np.ndarray] = None
 
 
-def _svec(m: np.ndarray) -> np.ndarray:
-    """Real isometric vectorisation of a Hermitian matrix: the diagonal,
-    then sqrt(2) Re and sqrt(2) Im of the strict upper triangle."""
-    idx = np.triu_indices(m.shape[0], k=1)
-    upper = math.sqrt(2.0) * m[idx]
-    return np.concatenate([m.diagonal().real, upper.real, upper.imag])
+def _svec(a: np.ndarray) -> np.ndarray:
+    """Real isometric vectorisation of each Hermitian matrix of a stack:
+    the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
+    triangle."""
+    j, k = np.triu_indices(a.shape[-1], k=1)
+    upper = math.sqrt(2.0) * a[..., j, k]
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
 def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7) -> _Form:
-    m = len(p.constraints)
+    m = len(p.b)
     if m == 0:
         raise ValueError("problem has no constraints")
-    sizes = list(p.blocks)
-    rows = np.zeros((m, sum(n * n for n in sizes)))
-    for i, con in enumerate(p.constraints):
-        off = 0
-        for c, n in zip(con.coeffs, sizes):
-            if c is not None:
-                rows[i, off : off + n * n] = _svec(c.mat)
-            off += n * n
-
+    rows = np.concatenate([_svec(ak) for ak in p.a], axis=1)
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
     rows = rows / scale[:, None]
-    b = np.array([con.rhs for con in p.constraints], dtype=float) / scale
+    b = p.b / scale
 
     # rank-revealing QR on the transposed row matrix
-    from scipy.linalg import qr
-
     _, r, piv = qr(rows.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0]))) if diag.size else 0
-    kept = sorted(piv[:rank].tolist())
-    dropped = [i for i in range(m) if i not in set(kept)]
+    kept = np.sort(piv[:rank])
+    dropped = np.setdiff1d(np.arange(m), kept)
     conflict_y = None
-    if dropped:
+    if dropped.size:
         combo, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
         pred = combo.T @ b[kept]
         gaps = np.abs(pred - b[dropped])
@@ -208,27 +253,17 @@ def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7) -> _Form:
             j = int(np.argmax(gaps))
             y = np.zeros(m)
             y[dropped[j]] = -1.0
-            for pos, i in enumerate(kept):
-                y[i] += combo[pos, j]
+            y[kept] += combo[:, j]
             if float(y @ b) < 0.0:
                 y = -y
             conflict_y = y / scale  # back to original row scaling
 
-    cblocks = [None] * len(sizes)
-    if p.objective is not None:
-        cblocks = [None if c is None else c.mat for c in p.objective]
-    return _Form(
-        sizes=sizes,
-        amats=[
-            [None if c is None else c.mat / scale[i] for c in p.constraints[i].coeffs]
-            for i in kept
-        ],
-        b=b[kept].copy(),
-        cblocks=cblocks,
-        kept=kept,
-        row_scale=scale,
-        conflict_y=conflict_y,
-    )
+    a = []
+    for ak in p.a:
+        scaled = ak[kept]
+        scaled /= scale[kept, None, None]
+        a.append(scaled)
+    return _Form(a=a, b=b[kept], kept=kept, row_scale=scale, conflict_y=conflict_y)
 
 
 def _conflict_outcome(p: SdpProblem, form: _Form) -> Optional[SdpOutcome]:
@@ -249,95 +284,101 @@ def _conflict_outcome(p: SdpProblem, form: _Form) -> Optional[SdpOutcome]:
 
 
 # --------------------------------------------------------------------------
-# Interior-point core (complex Hermitian blocks)
+# Interior-point core (complex Hermitian blocks, one pass per size group)
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class _IpmResult:
     converged: bool
-    x: list[np.ndarray]
+    x: list[np.ndarray]      # per block
     y: np.ndarray
-    s: list[np.ndarray]
     iterations: int
-    mu: float
-    primal_obj: float
     message: str = ""
     stop_label: str = ""
 
 
-def _flat(t: np.ndarray) -> np.ndarray:
-    """A complex matrix (or a stack of them) as a real row of (Re, Im)
-    pairs: the real dot product of two rows is Re tr(A B*), which is
-    tr(A B) when B is Hermitian."""
-    t = np.ascontiguousarray(t)
-    return t.reshape(t.shape[:-2] + (t.shape[-1] ** 2,)).view(np.float64)
-
-
 class _BlockData:
-    """Per-block stacked constraint tensors for fast A(.) / A*(.) / Schur."""
+    """Constraint stacks grouped by block size for A(.), A*(.) and Schur.
 
-    def __init__(self, sizes: list[int], amats, cblocks):
-        self.sizes = sizes
+    Group g holds its k blocks of size n as one (m, k, n, n) tensor, and
+    the iterates of the group as one (k, n, n) stack.
+    """
+
+    def __init__(self, a: list[np.ndarray], c: list[np.ndarray]):
+        sizes = [ak.shape[-1] for ak in a]
         self.nblocks = len(sizes)
-        self.m = len(amats)
-        self.idx: list[np.ndarray] = []
-        self.tens: list[np.ndarray] = []
-        for b, n in enumerate(sizes):
-            ids = [i for i in range(self.m) if amats[i][b] is not None]
-            self.idx.append(np.array(ids, dtype=int))
-            if ids:
-                self.tens.append(np.stack([amats[i][b] for i in ids]))
-            else:
-                self.tens.append(np.zeros((0, n, n)))
-        self.flat = [_flat(t) for t in self.tens]
-        self.c = [
-            np.zeros((n, n)) if cb is None else cb for n, cb in zip(sizes, cblocks)
-        ]
-        self.norm_c = max((np.linalg.norm(cb) for cb in self.c), default=0.0)
+        self.m = a[0].shape[0]
         self.total_dim = sum(sizes)
+        self.groups = [
+            [k for k, nk in enumerate(sizes) if nk == n] for n in dict.fromkeys(sizes)
+        ]
+        # a lone block is taken as a view: no copy of a large Choi stack
+        self.tens = [
+            a[g[0]][:, None] if len(g) == 1 else np.stack([a[k] for k in g], axis=1)
+            for g in self.groups
+        ]
+        self.flat = [_flat(t).reshape(self.m, -1) for t in self.tens]
+        self.c = [np.stack([c[k] for k in g]) for g in self.groups]
+        self.norm_c = max(float(np.linalg.norm(ck)) for ck in c)
 
-    def apply(self, xblocks) -> np.ndarray:
-        """Re tr(A_i X), summed over blocks."""
-        out = np.zeros(self.m)
-        for b in range(self.nblocks):
-            if len(self.idx[b]):
-                out[self.idx[b]] += self.flat[b] @ _flat(xblocks[b])
+    def split(self, stacks) -> list[np.ndarray]:
+        out = [None] * self.nblocks
+        for g, stack in zip(self.groups, stacks):
+            for j, k in enumerate(g):
+                out[k] = stack[j]
         return out
+
+    def apply(self, x) -> np.ndarray:
+        """Re tr(A_i X), summed over blocks."""
+        return sum(f @ _flat(xg).ravel() for f, xg in zip(self.flat, x))
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for b, n in enumerate(self.sizes):
-            if len(self.idx[b]):
-                out.append(np.tensordot(y[self.idx[b]], self.tens[b], axes=1))
-            else:
-                out.append(np.zeros((n, n)))
-        return out
+        return [np.tensordot(y, t, axes=1) for t in self.tens]
 
-    def schur(self, wblocks) -> np.ndarray:
+    def schur(self, w) -> np.ndarray:
         """Re tr(A_i W A_j W), summed over blocks."""
-        m = np.zeros((self.m, self.m))
-        for b in range(self.nblocks):
-            ids = self.idx[b]
-            if not len(ids):
-                continue
-            w = wblocks[b]
-            m[np.ix_(ids, ids)] += self.flat[b] @ _flat(w @ self.tens[b] @ w).T
-        return (m + m.T) / 2.0
+        out = sum(
+            f @ _flat(wg @ t @ wg).reshape(self.m, -1).T
+            for f, t, wg in zip(self.flat, self.tens, w)
+        )
+        return (out + out.T) / 2.0
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    return (a + _ct(a)) / 2.0
 
 
 def _inner(xs, ys) -> float:
     return float(sum(np.vdot(y, x).real for x, y in zip(xs, ys)))
 
 
-def _step_to_boundary(hmat: np.ndarray) -> float:
-    """Max alpha with I + alpha*H >= 0."""
-    w, _ = _kernels.eigh_kernel(hmat)
-    lam_min = w[0]
+def _floored(w: np.ndarray) -> np.ndarray:
+    """Eigenvalue rows of a stack; a row whose smallest value is not
+    positive is floored at 1e-14 * max(1, its largest)."""
+    lost = w[:, 0] <= 0
+    if lost.any():
+        w[lost] = np.maximum(w[lost], 1e-14 * np.maximum(1.0, w[lost, -1:]))
+    return w
+
+
+def _nt_scaling(x: np.ndarray, s: np.ndarray):
+    """Nesterov-Todd scaling of a stack of blocks: G and G^-1 with
+    W = G G* and G* S G = G^-1 X G^-* = diag(lam)."""
+    wx, ux = _kernels.eigh_kernel(x)
+    wx = np.sqrt(_floored(wx))[:, None, :]
+    xh = (ux * wx) @ _ct(ux)
+    xhi = (ux / wx) @ _ct(ux)
+    wt, ut = _kernels.eigh_kernel(_herm(xh @ s @ xh))
+    wt = _floored(wt)
+    g = (xh @ ut) * wt[:, None, :] ** -0.25
+    gi = wt[:, :, None] ** 0.25 * (_ct(ut) @ xhi)
+    return g, gi, np.sqrt(wt)
+
+
+def _step_to_boundary(h: np.ndarray) -> float:
+    """Max alpha with I + alpha*H >= 0 for every H of a stack."""
+    lam_min = float(_kernels.eigh_kernel(h)[0][:, 0].min())
     if lam_min >= -1e-14:
         return np.inf
     return 1.0 / (-lam_min)
@@ -346,7 +387,6 @@ def _step_to_boundary(hmat: np.ndarray) -> float:
 def _ipm(
     data: _BlockData, b: np.ndarray, tol: float, max_iter: int, check=None
 ) -> _IpmResult:
-    sizes = data.sizes
     ndim = data.total_dim
     m = data.m
 
@@ -355,8 +395,12 @@ def _ipm(
     eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
     eta_d = max(1.0, math.sqrt(ndim), norm_c)
 
-    x = [eta_p * np.eye(n, dtype=np.complex128) for n in sizes]
-    s = [eta_d * np.eye(n, dtype=np.complex128) for n in sizes]
+    units = [
+        np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape[1:])
+        for t in data.tens
+    ]
+    x = [eta_p * u for u in units]
+    s = [eta_d * u for u in units]
     y = np.zeros(m)
 
     best = None
@@ -367,13 +411,13 @@ def _ipm(
     for it in range(1, max_iter + 1):
         rp = b - data.apply(x)
         aty = data.adjoint(y)
-        rd = [data.c[bq] - s[bq] - aty[bq] for bq in range(data.nblocks)]
+        rd = [cg - sg - ag for cg, sg, ag in zip(data.c, s, aty)]
         mu = _inner(x, s) / ndim
         pobj = _inner(data.c, x)
         dobj = float(b @ y)
 
         ep = float(np.max(np.abs(rp), initial=0.0)) / norm_b
-        ed = max((np.linalg.norm(r) for r in rd), default=0.0) / norm_c
+        ed = max(float(np.linalg.norm(r, axis=(-2, -1)).max()) for r in rd) / norm_c
         eg = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         compl = mu * ndim / (1.0 + abs(pobj) + abs(dobj))
         logger.debug(
@@ -381,33 +425,16 @@ def _ipm(
         )
 
         if ep <= tol and ed <= tol and min(eg, compl) <= tol:
-            return _IpmResult(True, x, y, s, it - 1, mu, pobj)
+            return _IpmResult(True, data.split(x), y, it - 1)
 
         if check is not None:
-            label = check(x, y, s)
+            label = check(data.split(x), y)
             if label:
-                return _IpmResult(
-                    False, x, y, s, it - 1, mu, pobj, stop_label=label
-                )
+                return _IpmResult(False, data.split(x), y, it - 1, stop_label=label)
 
-        # Nesterov-Todd scaling per block
-        gs, gis, lams = [], [], []
-        for bq, n in enumerate(sizes):
-            wx, ux = _kernels.eigh_kernel(x[bq])
-            if wx[0] <= 0:
-                wx = np.maximum(wx, 1e-14 * max(1.0, wx[-1]))
-            xh = (ux * np.sqrt(wx)) @ ux.conj().T
-            xhi = (ux / np.sqrt(wx)) @ ux.conj().T
-            wt, ut = _kernels.eigh_kernel(_herm(xh @ s[bq] @ xh))
-            if wt[0] <= 0:
-                wt = np.maximum(wt, 1e-14 * max(1.0, wt[-1]))
-            g = (xh @ ut) * wt**-0.25
-            gi = (wt[:, None] ** 0.25) * (ut.conj().T @ xhi)
-            gs.append(g)
-            gis.append(gi)
-            lams.append(np.sqrt(wt))
-
-        wmats = [g @ g.conj().T for g in gs]
+        gs, gis, lams = zip(*(_nt_scaling(xg, sg) for xg, sg in zip(x, s)))
+        roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
+        wmats = [g @ _ct(g) for g in gs]
         try:
             schur = data.schur(wmats)
             jitter = 1e-13 * max(1.0, float(np.max(np.diag(schur))))
@@ -424,41 +451,32 @@ def _ipm(
             msg = "Schur assembly failed"
             break
 
-        wrdw = [wmats[bq] @ rd[bq] @ wmats[bq] for bq in range(data.nblocks)]
+        wrdw = [w @ r @ w for w, r in zip(wmats, rd)]
 
         def solve_dirs(rc):
             rhs = rp - data.apply(rc) + data.apply(wrdw)
             dy = cho_solve(cf, rhs)
             dy = dy + cho_solve(cf, rhs - schur @ dy)  # one refinement pass
-            atdy = data.adjoint(dy)
-            ds = [rd[bq] - atdy[bq] for bq in range(data.nblocks)]
-            dx = [rc[bq] - wmats[bq] @ ds[bq] @ wmats[bq] for bq in range(data.nblocks)]
+            ds = [r - a for r, a in zip(rd, data.adjoint(dy))]
+            dx = [c - w @ d @ w for c, w, d in zip(rc, wmats, ds)]
             return [_herm(d) for d in dx], dy, [_herm(d) for d in ds]
 
         def steplen(dx, ds):
-            ap = ad = np.inf
-            dxs_list, dss_list = [], []
-            for bq in range(data.nblocks):
-                lam = lams[bq]
-                root = np.sqrt(np.outer(lam, lam))
-                dxs = gis[bq] @ dx[bq] @ gis[bq].conj().T
-                dss = gs[bq].conj().T @ ds[bq] @ gs[bq]
-                dxs_list.append(dxs)
-                dss_list.append(dss)
-                ap = min(ap, _step_to_boundary(dxs / root))
-                ad = min(ad, _step_to_boundary(dss / root))
-            return ap, ad, dxs_list, dss_list
+            dxs = [gi @ d @ _ct(gi) for gi, d in zip(gis, dx)]
+            dss = [_ct(g) @ d @ g for g, d in zip(gs, ds)]
+            ap = min(_step_to_boundary(d / root) for d, root in zip(dxs, roots))
+            ad = min(_step_to_boundary(d / root) for d, root in zip(dss, roots))
+            return ap, ad, dxs, dss
 
         # predictor
-        rc_aff = [-xb for xb in x]
-        dxa, dya, dsa = solve_dirs(rc_aff)
+        dxa, dya, dsa = solve_dirs([-xg for xg in x])
         ap_a, ad_a, dxs_a, dss_a = steplen(dxa, dsa)
         ap_a = min(1.0, 0.99 * ap_a)
         ad_a = min(1.0, 0.99 * ad_a)
         mu_aff = (
             _inner(
-                [x[bq] + ap_a * dxa[bq] for bq in range(data.nblocks)],
-                [s[bq] + ad_a * dsa[bq] for bq in range(data.nblocks)],
+                [xg + ap_a * d for xg, d in zip(x, dxa)],
+                [sg + ad_a * d for sg, d in zip(s, dsa)],
             )
             / ndim
         )
@@ -467,15 +485,15 @@ def _ipm(
 
         # corrector
         rc = []
-        for bq in range(data.nblocks):
-            lam = lams[bq]
+        for g, lam, dxs, dss in zip(gs, lams, dxs_a, dss_a):
+            eye = np.eye(lam.shape[-1])
             tmat = (
-                sigma * mu * np.eye(len(lam))
-                - np.diag(lam**2)
-                - (dxs_a[bq] @ dss_a[bq] + dss_a[bq] @ dxs_a[bq]) / 2.0
+                sigma * mu * eye
+                - lam[:, :, None] ** 2 * eye
+                - (dxs @ dss + dss @ dxs) / 2.0
             )
-            u = 2.0 * tmat / np.add.outer(lam, lam)
-            rc.append(_herm(gs[bq] @ u @ gs[bq].conj().T))
+            u = 2.0 * tmat / (lam[:, :, None] + lam[:, None, :])
+            rc.append(_herm(g @ u @ _ct(g)))
 
         dx, dy, ds = solve_dirs(rc)
         ap, ad, _, _ = steplen(dx, ds)
@@ -487,9 +505,9 @@ def _ipm(
             msg = "step lengths vanished"
             break
 
-        x = [x[bq] + ap * dx[bq] for bq in range(data.nblocks)]
+        x = [xg + ap * d for xg, d in zip(x, dx)]
         y = y + ad * dy
-        s = [s[bq] + ad * ds[bq] for bq in range(data.nblocks)]
+        s = [sg + ad * d for sg, d in zip(s, ds)]
 
         if mu > 0.9 * prev_mu and ep < 1e-12 and ed < 1e-12:
             stall += 1
@@ -499,12 +517,12 @@ def _ipm(
         else:
             stall = 0
         prev_mu = mu
-        best = (x, y, s, it, mu, pobj)
+        best = (x, y, it)
 
     if best is None:
-        best = (x, y, s, 0, np.inf, 0.0)
-    x, y, s, it, mu, pobj = best
-    return _IpmResult(False, x, y, s, it, mu, pobj, message=msg)
+        best = (x, y, 0)
+    x, y, it = best
+    return _IpmResult(False, data.split(x), y, it, message=msg)
 
 
 # --------------------------------------------------------------------------
@@ -515,30 +533,25 @@ def _ipm(
 def _expand_y(form: _Form, y_reduced: np.ndarray, m_total: int) -> np.ndarray:
     """Map multipliers of the kept, scaled rows back to original indexing."""
     y = np.zeros(m_total)
-    for pos, i in enumerate(form.kept):
-        y[i] = y_reduced[pos] / form.row_scale[i]
+    y[form.kept] = y_reduced / form.row_scale[form.kept]
     return y
 
 
+def _row_values(p: SdpProblem, primal) -> np.ndarray:
+    """<A_i, X> for every row i, summed over blocks."""
+    return sum(_flat(ak) @ _flat(xb.mat) for ak, xb in zip(p.a, primal))
+
+
 def _sum_y_a(p: SdpProblem, y: np.ndarray) -> list[HermitianMatrix]:
-    out = []
-    for b, n in enumerate(p.blocks):
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for i, con in enumerate(p.constraints):
-            if con.coeffs[b] is not None and y[i] != 0.0:
-                acc += y[i] * con.coeffs[b].mat
-        out.append(HermitianMatrix(acc))
-    return out
+    return [HermitianMatrix(np.tensordot(y, ak, axes=1)) for ak in p.a]
 
 
 def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
-    gap = float(sum(y[i] * con.rhs for i, con in enumerate(p.constraints)))
+    gap = float(y @ p.b)
     if gap <= 0.0:
         return None
     y = y / gap
-    lam_max = max(
-        linalg.max_eigenvalue(h) for h in _sum_y_a(p, y)
-    )
+    lam_max = max(linalg.max_eigenvalue(h) for h in _sum_y_a(p, y))
     if lam_max > FARKAS_TOL:
         return None
     yv = np.asarray(y, dtype=float)
@@ -550,7 +563,7 @@ def solve(
     p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SdpOutcome:
     """Solve a feasibility or linear-objective SDP."""
-    if p.objective is None:
+    if p.c is None:
         return _solve_feasibility(p, tol, max_iter)
     return _solve_optimization(p, tol, max_iter)
 
@@ -560,17 +573,14 @@ def _solve_optimization(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
-    data = _BlockData(form.sizes, form.amats, form.cblocks)
-    res = _ipm(data, form.b, tol, max_iter)
+    res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter)
     if res.converged:
         primal = tuple(HermitianMatrix(xb) for xb in res.x)
-        y = _expand_y(form, res.y, len(p.constraints))
-        obj = _objective_value(p, primal)
         return SdpOutcome(
             status=SdpStatus.OPTIMAL,
             primal=primal,
-            objective_value=obj,
-            y=y,
+            objective_value=_objective_value(p, primal),
+            y=_expand_y(form, res.y, len(p.b)),
             iterations=res.iterations,
         )
     return SdpOutcome(
@@ -579,23 +589,17 @@ def _solve_optimization(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
 
 
 def _objective_value(p: SdpProblem, primal) -> float:
-    total = 0.0
-    for b, c in enumerate(p.objective):
-        if c is not None:
-            total += linalg.trace_inner(primal[b], c)
-    return float(total)
+    return float(sum(_flat(ck) @ _flat(xb.mat) for ck, xb in zip(p.c, primal)))
 
 
 def _residual_ok(p: SdpProblem, primal, tol: float) -> bool:
-    for con in p.constraints:
-        val = sum(
-            linalg.trace_inner(primal[b], c)
-            for b, c in enumerate(con.coeffs)
-            if c is not None
-        )
-        if abs(val - con.rhs) > tol * (1.0 + abs(con.rhs)):
-            return False
-    return True
+    gaps = np.abs(_row_values(p, primal) - p.b)
+    return not np.any(gaps > tol * (1.0 + np.abs(p.b)))
+
+
+def _shifted_primal(blocks, t: float) -> tuple[HermitianMatrix, ...]:
+    """The phase-I blocks Z minus the shift: X = Z - t*I."""
+    return tuple(HermitianMatrix(xb - t * np.eye(xb.shape[0])) for xb in blocks)
 
 
 def _solve_feasibility(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
@@ -603,45 +607,35 @@ def _solve_feasibility(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
-    nb = len(form.sizes)
-    m = len(form.amats)
+    nb = len(p.blocks)
+    m = len(form.b)
 
     # phase-I: variables (Z, w) with X = Z - (w - 1) * I and w >= 0;
     # minimising w drives the shift t = w - 1 down to -min_eig of the most
     # interior solution, floored at t = -1.
-    sizes1 = form.sizes + [1]
-    amats1 = []
-    b1 = []
-    for i in range(m):
-        tau = float(
-            sum(np.trace(a).real for a in form.amats[i] if a is not None)
-        )
-        amats1.append(form.amats[i] + [np.array([[-tau]], dtype=np.complex128)])
-        b1.append(form.b[i] - tau)
-    cblocks1 = [None] * nb + [np.array([[1.0]])]
+    tau = sum(np.trace(ak, axis1=1, axis2=2).real for ak in form.a)
+    a1 = form.a + [(-tau).astype(np.complex128)[:, None, None]]
+    c1 = [np.zeros((n, n)) for n in p.blocks] + [np.ones((1, 1))]
 
     # Stop as soon as either side is certifiable: a strictly positive shift
     # with verified constraint residuals, or a verified Farkas certificate.
     found: dict = {}
 
-    def checker(x, y, s):
+    def checker(x, y):
         t = float(x[nb][0, 0].real) - 1.0
         if t < 0.5 * tol:
-            primal = tuple(
-                HermitianMatrix(x[b] - t * np.eye(n)) for b, n in enumerate(form.sizes)
-            )
+            primal = _shifted_primal(x[:nb], t)
             if _residual_ok(p, primal, 1e-8):
                 found["primal"] = primal
                 return "feasible"
-        y_full = _expand_y(form, y[:m], len(p.constraints))
-        cert = _farkas_from_y(p, y_full)
+        cert = _farkas_from_y(p, _expand_y(form, y[:m], len(p.b)))
         if cert is not None and cert.lambda_max <= 0.1 * FARKAS_TOL:
             found["cert"] = cert
             return "infeasible"
         return ""
 
-    data = _BlockData(sizes1, amats1, cblocks1)
-    res = _ipm(data, np.array(b1), min(tol * 1e-2, 1e-9), max_iter, check=checker)
+    data = _BlockData(a1, c1)
+    res = _ipm(data, form.b - tau, min(tol * 1e-2, 1e-9), max_iter, check=checker)
 
     if res.stop_label == "feasible":
         return SdpOutcome(
@@ -663,15 +657,13 @@ def _solve_feasibility(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
 
     t_star = float(res.x[nb][0, 0].real) - 1.0
     if t_star < tol:
-        primal = tuple(
-            HermitianMatrix(res.x[b] - t_star * np.eye(n)) for b, n in enumerate(form.sizes)
-        )
         return SdpOutcome(
-            status=SdpStatus.FEASIBLE, primal=primal, iterations=res.iterations
+            status=SdpStatus.FEASIBLE,
+            primal=_shifted_primal(res.x[:nb], t_star),
+            iterations=res.iterations,
         )
 
-    y = _expand_y(form, res.y[:m], len(p.constraints))
-    cert = _farkas_from_y(p, y)
+    cert = _farkas_from_y(p, _expand_y(form, res.y[:m], len(p.b)))
     if cert is None:
         return SdpOutcome(
             status=SdpStatus.NUMERICAL_FAILURE,
@@ -686,19 +678,14 @@ def _solve_feasibility(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
 
 
 def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
-    """Independent re-check of an outcome using only the linalg module."""
+    """Independent re-check of an outcome against the problem data, with
+    eigenvalues from the linalg module."""
     if outcome.status in (SdpStatus.FEASIBLE, SdpStatus.OPTIMAL):
         if outcome.primal is None:
             return SdpVerifyReport(ok=False, max_residual=np.inf, notes="missing primal")
         psd_margin = min(linalg.min_eigenvalue(xb) for xb in outcome.primal)
-        max_res = 0.0
-        for con in p.constraints:
-            val = sum(
-                linalg.trace_inner(outcome.primal[b], c)
-                for b, c in enumerate(con.coeffs)
-                if c is not None
-            )
-            max_res = max(max_res, abs(val - con.rhs))
+        gaps = np.abs(_row_values(p, outcome.primal) - p.b)
+        max_res = float(np.max(gaps, initial=0.0))
         scale = 1.0 + max(xb.norm() for xb in outcome.primal)
         ok = psd_margin >= -1e-7 * scale and max_res <= 1e-6
         return SdpVerifyReport(
@@ -712,7 +699,7 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
         cert = outcome.dual_certificate
         if cert is None:
             return SdpVerifyReport(ok=False, max_residual=np.inf, notes="missing certificate")
-        gap = float(sum(cert.y[i] * con.rhs for i, con in enumerate(p.constraints)))
+        gap = float(cert.y @ p.b)
         lam_max = max(linalg.max_eigenvalue(h) for h in _sum_y_a(p, cert.y))
         ok = gap > 0.0 and lam_max <= FARKAS_TOL * gap
         return SdpVerifyReport(
@@ -737,36 +724,29 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
 #     <matno> <blk> <i> <j> <re> <im>     one line per upper-triangle entry
 #
 # matno 0 is the objective, 1..m the constraints; indices are 1-based and
-# only entries with i <= j appear.
+# only nonzero entries with i <= j appear.
 
 
 def dump_problem(p: SdpProblem, path) -> None:
     lines = ["* freespec SDP dump (complex SDPA-sparse-like format)"]
-    lines.append(str(len(p.constraints)))
+    lines.append(str(len(p.b)))
     lines.append(str(len(p.blocks)))
     lines.append(" ".join(str(n) for n in p.blocks))
-    lines.append(" ".join(repr(float(c.rhs)) for c in p.constraints))
+    lines.append(" ".join(repr(float(v)) for v in p.b))
 
-    def emit(matno, coeffs):
-        out = []
-        for bno, c in enumerate(coeffs):
-            if c is None:
-                continue
-            mat = c.mat
-            for i in range(mat.shape[0]):
-                for j in range(i, mat.shape[1]):
-                    v = mat[i, j]
-                    if v != 0:
-                        out.append(
-                            f"{matno} {bno + 1} {i + 1} {j + 1} "
-                            f"{float(v.real)!r} {float(v.imag)!r}"
-                        )
-        return out
+    def emit(matno, mats):
+        for bno, mat in enumerate(mats):
+            for i, j in zip(*np.nonzero(np.triu(mat))):
+                v = mat[i, j]
+                lines.append(
+                    f"{matno} {bno + 1} {i + 1} {j + 1} "
+                    f"{float(v.real)!r} {float(v.imag)!r}"
+                )
 
-    if p.objective is not None:
-        lines.extend(emit(0, p.objective))
-    for k, con in enumerate(p.constraints):
-        lines.extend(emit(k + 1, con.coeffs))
+    if p.c is not None:
+        emit(0, p.c)
+    for k in range(len(p.b)):
+        emit(k + 1, [ak[k] for ak in p.a])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -782,29 +762,16 @@ def load_problem(path) -> SdpProblem:
     rhs = [float(t) for t in raw[3].split()]
     if len(rhs) != m:
         raise ValueError("rhs length mismatch in dump")
-    mats: dict[tuple[int, int], np.ndarray] = {}
+    a = [np.zeros((m, n, n), dtype=np.complex128) for n in blocks]
+    c = [np.zeros((n, n), dtype=np.complex128) for n in blocks]
     has_obj = False
     for ln in raw[4:]:
         toks = ln.split()
         matno, blk, i, j = (int(t) for t in toks[:4])
-        re, im = float(toks[4]), float(toks[5])
-        if matno == 0:
-            has_obj = True
-        key = (matno, blk - 1)
-        if key not in mats:
-            n = blocks[blk - 1]
-            mats[key] = np.zeros((n, n), dtype=np.complex128)
-        v = complex(re, im)
-        mats[key][i - 1, j - 1] += v
+        v = complex(float(toks[4]), float(toks[5]))
+        has_obj = has_obj or matno == 0
+        mat = c[blk - 1] if matno == 0 else a[blk - 1][matno - 1]
+        mat[i - 1, j - 1] += v
         if i != j:
-            mats[key][j - 1, i - 1] += v.conjugate()
-
-    def row(matno):
-        return tuple(
-            HermitianMatrix(mats[(matno, b)]) if (matno, b) in mats else None
-            for b in range(nblocks)
-        )
-
-    objective = row(0) if has_obj else None
-    cons = tuple(SdpConstraint(coeffs=row(k + 1), rhs=rhs[k]) for k in range(m))
-    return SdpProblem(blocks=blocks, constraints=cons, objective=objective)
+            mat[j - 1, i - 1] += v.conjugate()
+    return SdpProblem(blocks, tuple(a), rhs, tuple(c) if has_obj else None)

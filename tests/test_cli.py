@@ -1,5 +1,6 @@
 """CLI behaviour: parsing, exit codes, JSON output, certificate round trips."""
 
+import hashlib
 import json
 import math
 
@@ -293,7 +294,7 @@ class TestOtherCommands:
 
         p = sdp.load_problem(dump)
         assert p.blocks == (8,)  # Choi variable of size r*t = 4*2
-        assert len(p.constraints) == 12  # d * t^2
+        assert len(p.b) == 12  # d * t^2
 
     def test_dump_sdp_on_simplex(self, capsys, tmp_path):
         # the closed form decides a simplex, and the dump is still the SDP
@@ -328,7 +329,7 @@ class TestOtherCommands:
             assert json.loads(out)["result"]["status"] in ("Member", "Feasible")
             loaded = sdp.load_problem(dump)
             assert loaded.blocks == problem.blocks
-            assert len(loaded.constraints) == len(problem.constraints)
+            assert len(loaded.b) == len(problem.b)
             sdp.dump_problem(problem, ref)
             assert dump.read_bytes() == ref.read_bytes()
 
@@ -349,3 +350,44 @@ class TestOtherCommands:
             assert code == EXIT_OK
             sdp.dump_problem(_choi_problem(src, tgt), ref)
             assert dump.read_bytes() == ref.read_bytes()
+
+
+class TestDumpFormatPinned:
+    """The --dump-sdp bytes of four fixed commands, as SHA-256 digests.
+
+    Any change to how problems are built, stored or written shows here,
+    so the digests only change with a deliberate change of the format.
+    """
+
+    DIGESTS = {
+        "min-membership": (
+            "6591f1db0b734c94ced8039176c13ef9"
+            "4ec6b05fb7ae1121832eb70485fee813"
+        ),
+        "relaxation": (
+            "4cb3846dc07a1d9911af04efab0f96fd"
+            "e2bf58db67d497f18ac2f78c41ea2fdc"
+        ),
+        "check-inclusion": (
+            "4cb3846dc07a1d9911af04efab0f96fd"
+            "e2bf58db67d497f18ac2f78c41ea2fdc"
+        ),
+        "essential-boundary": (
+            "64862091deab9e44a16cd5d101cbbaf8"
+            "cdec77a78122834fa6bfd9f0d1f5031f"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_digest(self, capsys, tmp_path, fixtures, command):
+        argv = {
+            "min-membership": (
+                "--cone", "square", "--tuple", str(fixtures / "szsxi.json"),
+            ),
+            "relaxation": ("--src", "square-diag", "--tgt", "calpha", "--alpha", "pi/4"),
+            "check-inclusion": ("--src", "square", "--tgt", "calpha", "--alpha", "pi/4"),
+            "essential-boundary": ("--components", str(fixtures / "comps.json")),
+        }[command]
+        dump = tmp_path / f"{command}.sdpa"
+        run(capsys, command, *argv, "--dump-sdp", str(dump))
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DIGESTS[command]

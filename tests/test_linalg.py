@@ -71,9 +71,13 @@ class TestEigh:
 
     def test_phase_normalization(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = eigh(linalg.random_hermitian(rng, 5)).eigenvectors
-            for j in range(5):
+        inputs = [linalg.random_hermitian(rng, 5) for _ in range(20)]
+        # eigenvectors of the sigma_x block have exactly zero leading entries
+        inputs.append(np.block([[np.diag([1.0, 2.0]), np.zeros((2, 2))],
+                                [np.zeros((2, 2)), SIGMA_X.mat]]))
+        for a in inputs:
+            v = eigh(a).eigenvectors
+            for j in range(v.shape[1]):
                 col = v[:, j]
                 k = np.argmax(np.abs(col) > 1e-10 * np.abs(col).max())
                 assert col[k].imag == pytest.approx(0.0, abs=1e-12)
