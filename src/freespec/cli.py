@@ -488,7 +488,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tgt", required=True,
                     help="pencil JSON file or builtin: calpha/elliptic, circular, square-diag")
     sp.add_argument("--alpha", help="angle expression for the calpha target, e.g. pi/4")
-    sp.add_argument("--dump-sdp", help="write the Choi feasibility SDP to this path")
+    sp.add_argument("--dump-sdp", help="write the relaxation's feasibility SDP to this path")
 
     sp = add("relaxation", _cmd_relaxation, help="matricial relaxation between two pencils")
     sp.add_argument("--src", required=True)

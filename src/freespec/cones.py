@@ -219,14 +219,6 @@ def is_simplex(cone: PolyhedralCone) -> bool:
     return np.linalg.matrix_rank(cone.generators, tol=1e-10) == cone.dim
 
 
-def as_simplex(cone: PolyhedralCone) -> SimplexCone:
-    if isinstance(cone, SimplexCone):
-        return cone
-    if not is_simplex(cone):
-        raise ConeConstructionError("cone is not a simplex")
-    return SimplexCone(cone.generators, cone.unit, facets=cone.facets)
-
-
 def square_cone() -> PolyhedralCone:
     """The cone over the square: generators (+-1, -+1, 1), unit (0, 0, 1).
 

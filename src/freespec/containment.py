@@ -5,7 +5,13 @@ pencil lies inside that of a target pencil.  Its matricial strengthening
 asks for Kraus operators V_j with sum_j V_j* M_i V_j = N_i, a semidefinite
 feasibility problem in the Choi matrix of the connecting map; feasibility
 is equivalent to inclusion of the free spectrahedra at every matrix level.
-For a simplex source the strengthening is tight; for non-simplex polyhedral
+For a diagonal source M_i = diag(F[:, i]), such as the facet realization of
+a polyhedral cone, the map is fixed by its PSD values Q_k = Phi(E_kk), so
+the strengthening is smallest-system membership of the target over the
+cone spanned by the rows of F, decided by `opsys.generator_weights` with r
+blocks of size t instead of one Choi block of size r*t; other sources
+solve the Choi SDP.  For a simplex source F is invertible, the decision
+is in closed form and the strengthening is tight; for non-simplex polyhedral
 sources it can fail even when scalar inclusion holds, and explicit level-2
 witnesses certify the gap.  Scaled-cone inclusion bounds quantify how much
 the source must shrink before the strengthening becomes a relaxation.
@@ -20,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, sdp
+from . import _kernels, linalg, sdp
 from .cones import (
     PolyhedralCone,
     SimplexCone,
@@ -35,6 +41,8 @@ from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .opsys import (
     ACCEPT_RESIDUAL,
     MinMembershipStatus,
+    _min_membership_problem,
+    generator_weights,
     max_membership,
     min_membership,
 )
@@ -74,16 +82,9 @@ def scalar_inclusion(
     """
     if src.dim != tgt.d:
         raise ValueError(f"cone dimension {src.dim} != pencil variables {tgt.d}")
-    margins = []
-    worst = None
-    for g in src.generators:
-        m = linalg.min_eigenvalue(
-            HermitianMatrix(sum(gi * mi.mat for gi, mi in zip(g, tgt.matrices)))
-        )
-        margins.append(m)
-        if worst is None or m < margins[worst]:
-            worst = len(margins) - 1
-    margins = np.array(margins)
+    stack = np.array([m.mat for m in tgt.matrices])
+    margins = np.linalg.eigvalsh(np.tensordot(src.generators, stack, axes=1))[:, 0]
+    worst = int(np.argmin(margins))
     if margins[worst] < -tol:
         return ScalarInclusionResult(
             holds=False,
@@ -95,7 +96,7 @@ def scalar_inclusion(
 
 
 # --------------------------------------------------------------------------
-# Matricial relaxation via the Choi matrix
+# Matricial relaxation: generator weights for diagonal sources, else Choi
 # --------------------------------------------------------------------------
 
 
@@ -148,15 +149,30 @@ def kraus_from_choi(choi: HermitianMatrix, r: int, t: int) -> tuple[np.ndarray, 
     """Kraus operators V_j in M_{r,t} from the spectral decomposition.
 
     Eigenvalues below cutoff * tr(J) are dropped; the map acts as
-    X -> sum_j V_j* X V_j.
+    X -> sum_j V_j* X V_j.  A J whose off-diagonal t x t blocks vanish is
+    decomposed block by block: the eigenvector w of block k is e_k (x) w.
     """
-    dec = linalg.eigh(choi)
-    cutoff = KRAUS_EIG_CUTOFF * max(float(np.sum(dec.eigenvalues)), 1e-30)
-    ops = []
-    for lam, w in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if lam > cutoff:
-            ops.append(math.sqrt(lam) * np.conj(w.reshape(r, t)))
-    return tuple(ops)
+    blocks = _blocks_of(choi.mat, r, t)
+    lam, w = _kernels.eigh_kernel(blocks)
+    vecs = np.einsum("kl,kxn->knlx", np.eye(len(blocks)), w).reshape(-1, r, t)
+    lam = lam.ravel()
+    cutoff = KRAUS_EIG_CUTOFF * max(float(np.sum(lam)), 1e-30)
+    keep = lam > cutoff
+    return tuple(np.sqrt(lam[keep])[:, None, None] * np.conj(vecs[keep]))
+
+
+def _blocks_of(j: np.ndarray, r: int, t: int) -> np.ndarray:
+    """The diagonal t x t blocks of J when the others vanish, else J alone."""
+    blocks = _diagonal_blocks(j, r, t)
+    return j[None] if blocks is None else blocks
+
+
+def _diagonal_blocks(j: np.ndarray, r: int, t: int) -> Optional[np.ndarray]:
+    """The (..., r, t, t) diagonal blocks of (a stack of) rt x rt matrices
+    whose off-diagonal t x t blocks are exactly zero, or None."""
+    full = j.reshape(j.shape[:-2] + (r, t, r, t))
+    blocks = np.einsum("...kxky->...kxy", full)
+    return blocks if np.count_nonzero(full) == np.count_nonzero(blocks) else None
 
 
 def apply_kraus(kraus, x) -> HermitianMatrix:
@@ -169,10 +185,10 @@ def _kraus_certificate(
     src: LinearPencil, tgt: LinearPencil, choi: HermitianMatrix
 ) -> RelaxationCertificate:
     kraus = kraus_from_choi(choi, src.r, tgt.r)
-    residual = 0.0
-    for i in range(src.d):
-        img = apply_kraus(kraus, src.matrices[i].mat)
-        residual = max(residual, float(np.max(np.abs(img.mat - tgt.matrices[i].mat))))
+    residual = max(
+        float(np.max(np.abs(apply_kraus(kraus, m.mat).mat - n.mat)))
+        for m, n in zip(src.matrices, tgt.matrices)
+    )
     return RelaxationCertificate(choi=choi, kraus=kraus, residual=residual)
 
 
@@ -180,59 +196,30 @@ def _relaxation_farkas(
     src: LinearPencil, tgt: LinearPencil, ymats: list[HermitianMatrix]
 ) -> RelaxationFarkas:
     big = sum(np.kron(src.matrices[i].mat.T, ymats[i].mat) for i in range(src.d))
-    lam_max = linalg.max_eigenvalue(HermitianMatrix(big))
+    lam_max = _kernels.eigh_kernel(_blocks_of(big, src.r, tgt.r))[0][:, -1].max()
     gap = float(sum(linalg.trace_inner(tgt.matrices[i], ymats[i]) for i in range(src.d)))
     return RelaxationFarkas(y_matrices=tuple(ymats), gap=gap, lambda_max=float(lam_max))
 
 
-def _simplex_facets(src: LinearPencil) -> Optional[np.ndarray]:
-    """F with M_i = diag(F[:, i]) when the source is the diagonal pencil of a
-    simplex cone (diagonal, r = d, F invertible); None otherwise."""
-    if src.r != src.d:
-        return None
-    mats = np.array([m.mat for m in src.matrices])
-    diag = np.diagonal(mats, axis1=1, axis2=2)
-    if np.count_nonzero(mats) != np.count_nonzero(diag):
-        return None
-    f = diag.T.real
-    if np.linalg.matrix_rank(f) < src.d:
-        return None
-    return f
-
-
-def _simplex_relaxation(
-    src: LinearPencil, tgt: LinearPencil, facets: np.ndarray, tol: float
-) -> Optional[RelaxationResult]:
-    """Closed-form relaxation from a simplex source, or None to defer to the SDP.
-
-    A map with Phi(M_i) = N_i must send E_jj to Q_j = sum_i F^(-1)[i,j] N_i,
-    the target at generator j up to a positive factor, so it exists iff
-    every Q_j is PSD, with Choi matrix blockdiag(Q_j).  For a negative
-    lambda_min(Q_j) with eigenvector v, Y_i = -F^(-1)[i,j] vv* / |v*Q_j v|
-    has gap 1 and sum_i M_i^T (x) Y_i <= 0.  The band
-    |lambda_min| <= tol * max_j ||Q_j||_2, and any certificate the checker
-    would reject, is left to the SDP.
-    """
-    finv = np.linalg.inv(facets)
-    q = np.tensordot(finv.T, np.array([m.mat for m in tgt.matrices]), axes=1)
-    lam, vecs = np.linalg.eigh(q)
-    band = tol * float(np.abs(lam).max())
-    lo = lam[:, 0]
-    if lo.min() > band:
-        r, t = src.r, tgt.r
-        choi = np.einsum("jk,jxy->jxky", np.eye(r), q).reshape(r * t, r * t)
-        cert = _kraus_certificate(src, tgt, HermitianMatrix(choi))
-        if cert.residual < ACCEPT_RESIDUAL:
-            return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
-    elif lo.min() < -band:
-        j = int(lo.argmin())
-        v = vecs[j, :, 0]
-        vv = np.outer(v, v.conj()) / abs(lo[j])
-        ymats = [HermitianMatrix(-finv[i, j] * vv) for i in range(src.d)]
-        farkas = _relaxation_farkas(src, tgt, ymats)
-        if farkas.gap > 0 and farkas.lambda_max <= sdp.FARKAS_TOL * farkas.gap:
-            return RelaxationResult(status=RelaxationStatus.INFEASIBLE, farkas=farkas)
-    return None
+def _relaxation_result(
+    src: LinearPencil, tgt: LinearPencil, choi=None, ymats=None, message: str = ""
+) -> RelaxationResult:
+    """Feasible with the Kraus form of ``choi``, Infeasible with the Farkas
+    matrices ``ymats``, or Unknown with ``message``."""
+    if choi is not None:
+        cert = _kraus_certificate(src, tgt, choi)
+        if cert.residual >= ACCEPT_RESIDUAL:
+            return RelaxationResult(
+                status=RelaxationStatus.UNKNOWN,
+                message=f"Kraus reconstruction residual {cert.residual:.3e} too large",
+            )
+        return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
+    if ymats is not None:
+        ymats = [HermitianMatrix(y) for y in ymats]
+        return RelaxationResult(
+            status=RelaxationStatus.INFEASIBLE, farkas=_relaxation_farkas(src, tgt, ymats)
+        )
+    return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
 
 
 def _sdp_relaxation(
@@ -245,22 +232,20 @@ def _sdp_relaxation(
     if problem is None:
         problem = _choi_problem(src, tgt)
     outcome = sdp.solve(problem, tol=tol)
+    choi = ymats = None
     if outcome.status is sdp.SdpStatus.FEASIBLE:
-        cert = _kraus_certificate(src, tgt, outcome.primal[0])
-        if cert.residual >= ACCEPT_RESIDUAL:
-            return RelaxationResult(
-                status=RelaxationStatus.UNKNOWN,
-                message=f"Kraus reconstruction residual {cert.residual:.3e} too large",
-            )
-        return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
-    if outcome.status is sdp.SdpStatus.INFEASIBLE:
+        choi = outcome.primal[0]
+    elif outcome.status is sdp.SdpStatus.INFEASIBLE:
         y = outcome.dual_certificate.y.reshape(src.d, -1)
         ymats = np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1)
-        ymats = [HermitianMatrix(ym) for ym in ymats]
-        return RelaxationResult(
-            status=RelaxationStatus.INFEASIBLE, farkas=_relaxation_farkas(src, tgt, ymats)
-        )
-    return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=outcome.message)
+    return _relaxation_result(src, tgt, choi, ymats, outcome.message)
+
+
+def _diagonal_facets(src: LinearPencil) -> Optional[np.ndarray]:
+    """F with M_i = diag(F[:, i]) when every source matrix is exactly
+    diagonal; None otherwise."""
+    diag = _diagonal_blocks(np.array([m.mat for m in src.matrices]), src.r, 1)
+    return None if diag is None else diag[..., 0, 0].T.real
 
 
 def relaxation(
@@ -268,26 +253,37 @@ def relaxation(
 ) -> RelaxationResult:
     """Matricial strengthening of the inclusion problem.
 
-    Searches for a completely positive map with sum_j V_j* M_i V_j = N_i
-    as a feasibility SDP in the Choi variable J >= 0 of size r*t with
-    d * t^2 real constraints; feasibility is equivalent to inclusion of the
-    free spectrahedra at every level.  An Infeasible outcome carries a
-    verified dual witness.  The diagonal pencil of a simplex cone is decided
-    in closed form outside a tolerance band; ``dump_to`` always receives
-    the SDP.
+    Searches for a completely positive map with sum_j V_j* M_i V_j = N_i;
+    feasibility is equivalent to inclusion of the free spectrahedra at
+    every level.  For a diagonal source M_i = diag(F[:, i]) the map is
+    fixed by the PSD values Q_k = Phi(E_kk), so it exists iff
+    N_i = sum_k F[k,i] Q_k: smallest-system membership of the target over
+    the cone spanned by the rows of F, decided by `opsys.generator_weights`
+    (in closed form for invertible F, i.e. a simplex source) with Choi
+    matrix blockdiag(Q_k).  Any other source is decided by the SDP in the
+    Choi variable J >= 0 of size r*t with d * t^2 real constraints.  An
+    Infeasible outcome carries a verified dual witness; ``dump_to``
+    receives the SDP of the path taken.
     """
     if src.d != tgt.d:
         raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
+    facets = _diagonal_facets(src)
+    stack = np.array([m.mat for m in tgt.matrices])
     problem = None
-    if dump_to is not None:
+    if facets is None:
         problem = _choi_problem(src, tgt)
+    elif dump_to is not None:
+        problem = _min_membership_problem(facets, stack)
+    if dump_to is not None:
         sdp.dump_problem(problem, dump_to)
-    facets = _simplex_facets(src)
-    if facets is not None:
-        res = _simplex_relaxation(src, tgt, facets, tol)
-        if res is not None:
-            return res
-    return _sdp_relaxation(src, tgt, tol=tol, problem=problem)
+    if facets is None:
+        return _sdp_relaxation(src, tgt, tol=tol, problem=problem)
+    dec = generator_weights(facets, stack, tol=tol, problem=problem)
+    choi = None
+    if dec.weights is not None:
+        choi = np.einsum("jk,jxy->jxky", np.eye(src.r), dec.weights)
+        choi = HermitianMatrix(choi.reshape(src.r * tgt.r, -1))
+    return _relaxation_result(src, tgt, choi, dec.farkas, dec.message)
 
 
 # --------------------------------------------------------------------------

@@ -154,14 +154,6 @@ def trace_inner(a, b) -> float:
     return float(np.real(np.trace(hb.mat.conj().T @ ha.mat)))
 
 
-def sqrt_psd(a, floor: float = 0.0) -> np.ndarray:
-    """Hermitian square root, eigenvalues clipped below at ``floor``."""
-    dec = eigh(a)
-    w = np.clip(dec.eigenvalues, floor, None)
-    u = dec.eigenvectors
-    return (u * np.sqrt(w)) @ u.conj().T
-
-
 def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
     """Inverse Hermitian square root; requires positive definiteness."""
     dec = eigh(a)

@@ -10,12 +10,14 @@ operator systems extend C to matrix levels:
   the c_k among the generators of C and P_k PSD.
 
 The smallest-system test is a semidefinite feasibility problem over the
-generator weights; its infeasibility certificate converts into a separating
-functional phi(B) = sum_i tr(conj(N_i) B_i) that is nonnegative on the
-system and strictly negative on the query, which in turn yields a separating
-linear pencil by the Effros-Winkler construction.  Over a simplex cone the
-generator matrix is invertible, the weights are unique and the test needs
-no SDP: A is a member iff every P_k = sum_i G^(-1)[i,k] A_i is PSD.
+generator weights (`generator_weights`, which also decides the matricial
+relaxation from a diagonal source); its infeasibility certificate converts
+into a separating functional phi(B) = sum_i tr(conj(N_i) B_i) that is
+nonnegative on the system and strictly negative on the query, which in turn
+yields a separating linear pencil by the Effros-Winkler construction.  Over
+a simplex cone the generator matrix is invertible, the weights are unique
+and the test needs no SDP: A is a member iff every
+P_k = sum_i G^(-1)[i,k] A_i is PSD.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, linalg, sdp
-from .cones import PolyhedralCone, is_simplex
+from .cones import PolyhedralCone
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, as_hermitian
 from .pencil import (
     LinearPencil,
@@ -66,14 +68,9 @@ def max_membership(
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    worst = None
-    margin = math.inf
-    for k in range(cone.n_facets):
-        f = sum(cone.facets[k, i] * a.entries[i].mat for i in range(a.d))
-        m = linalg.min_eigenvalue(HermitianMatrix(f))
-        if m < margin:
-            margin = m
-            worst = k
+    mins = np.linalg.eigvalsh(np.tensordot(cone.facets, _stacked(a), axes=1))[:, 0]
+    worst = int(np.argmin(mins))
+    margin = float(mins[worst])
     return MembershipResult(
         classification=classify_margin(margin, tol), margin=margin, worst_facet=worst
     )
@@ -136,14 +133,14 @@ class MinMembershipResult:
     message: str = ""
 
 
-def _min_membership_problem(cone: PolyhedralCone, a: MatrixTuple) -> sdp.SdpProblem:
+def _min_membership_problem(gens: np.ndarray, stack: np.ndarray) -> sdp.SdpProblem:
     """Rows tr(E_alpha A_i) = sum_k c_k[i] tr(E_alpha P_k), one per
-    coordinate i and Hermitian basis element E_alpha; block k is P_k."""
-    s = a.level
+    coordinate i and Hermitian basis element E_alpha; block k is P_k.
+    ``gens`` holds the generators c_k as rows and ``stack`` the A_i."""
+    s = stack.shape[-1]
     basis = linalg.hermitian_basis(s)
-    gens = cone.generators
     coeffs = np.multiply.outer(gens, basis).reshape(len(gens), -1, s, s)
-    rhs = np.einsum("aij,dji->da", basis, _stacked(a)).real.ravel()
+    rhs = np.einsum("aij,dji->da", basis, stack).real.ravel()
     return sdp.SdpProblem((s,) * len(gens), tuple(coeffs), rhs)
 
 
@@ -171,14 +168,6 @@ def _shifted_separator(cone: PolyhedralCone, mats) -> SeparationFunctional:
     )
 
 
-def _separator_from_farkas(
-    cone: PolyhedralCone, a: MatrixTuple, cert: sdp.FarkasCertificate
-) -> SeparationFunctional:
-    y = cert.y.reshape(cone.dim, -1)
-    mats = np.tensordot(y, linalg.hermitian_basis(a.level), axes=1)
-    return _shifted_separator(cone, -np.conj(mats))
-
-
 def _stacked(a: MatrixTuple) -> np.ndarray:
     return np.array([e.mat for e in a.entries])
 
@@ -189,8 +178,8 @@ def _project_weights(
     """Weights p moved onto the affine set sum_k c_k (x) P_k = A.
 
     With R the reconstruction error, the correction pinv(G^T) R is the
-    smallest in Frobenius norm; ``gens_pinv_t`` is pinv(G^T).  For a simplex
-    cone and p = 0 this is the unique solution P = G^(-T) A.
+    smallest in Frobenius norm; ``gens_pinv_t`` is pinv(G^T).  For an
+    invertible G and p = 0 this is the unique solution P = G^(-T) A.
     """
     r = a - np.tensordot(gens.T, p, axes=1)
     q = p + np.tensordot(gens_pinv_t, r, axes=1)
@@ -203,13 +192,92 @@ def _weights_residual(gens: np.ndarray, a: np.ndarray, p: np.ndarray) -> float:
     return max(recon, -float(np.linalg.eigvalsh(p)[:, 0].min()), 0.0)
 
 
-def _member(weights, residual: float) -> MinMembershipResult:
-    return MinMembershipResult(
-        status=MinMembershipStatus.MEMBER,
-        certificate=MinMembershipCertificate(
-            weights=tuple(HermitianMatrix(w) for w in weights), residual=residual
-        ),
-    )
+@dataclass(frozen=True)
+class GeneratorWeights:
+    """PSD ``weights`` P_k, an (m, s, s) stack, with their checker
+    ``residual``; or Farkas matrices ``farkas`` Y_i, a (d, s, s) stack with
+    sum_i c_k[i] Y_i <= 0 for every k and sum_i <Y_i, A_i> = 1; or neither,
+    with a ``message``."""
+
+    weights: Optional[np.ndarray] = None
+    residual: float = 0.0
+    farkas: Optional[np.ndarray] = None
+    message: str = ""
+
+
+def _sdp_weights(
+    gens: np.ndarray,
+    stack: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int = sdp.DEFAULT_MAX_ITER,
+    problem: Optional[sdp.SdpProblem] = None,
+) -> GeneratorWeights:
+    """The generator-weight SDP, for any generator array.
+
+    The solver's weights and their projection onto the affine set are both
+    candidates, and the one with the smaller checker residual is kept.  The
+    solver's weights are an interior point, so their residual is their
+    reconstruction error and the choice never loses a feasible verdict.
+    """
+    if problem is None:
+        problem = _min_membership_problem(gens, stack)
+    outcome = sdp.solve(problem, tol=tol, max_iter=max_iter)
+    if outcome.status in (sdp.SdpStatus.FEASIBLE, sdp.SdpStatus.OPTIMAL):
+        raw = np.array([w.mat for w in outcome.primal])
+        candidates = (raw, _project_weights(np.linalg.pinv(gens.T), gens, stack, raw))
+        residuals = [_weights_residual(gens, stack, w) for w in candidates]
+        best = int(np.argmin(residuals))
+        if residuals[best] >= ACCEPT_RESIDUAL:
+            return GeneratorWeights(
+                message=f"weight reconstruction residual {residuals[best]:.3e} too large"
+            )
+        return GeneratorWeights(weights=candidates[best], residual=residuals[best])
+    if outcome.status is sdp.SdpStatus.INFEASIBLE:
+        y = outcome.dual_certificate.y.reshape(gens.shape[1], -1)
+        basis = linalg.hermitian_basis(stack.shape[-1])
+        return GeneratorWeights(farkas=np.tensordot(y, basis, axes=1))
+    return GeneratorWeights(message=outcome.message)
+
+
+def generator_weights(
+    gens: np.ndarray,
+    stack: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int = sdp.DEFAULT_MAX_ITER,
+    problem: Optional[sdp.SdpProblem] = None,
+    accept=lambda y: True,
+) -> GeneratorWeights:
+    """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
+    c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
+
+    A square ``gens`` of full rank gives unique weights, PSD or not.  With
+    sigma = max_k ||P_k||_2 the band |lambda_min| <= tol * sigma (weights
+    with a zero eigenvalue, up to rounding) is left to the SDP, as is an
+    answer that fails its check or the caller's ``accept``.  For a negative
+    lambda_min(P_j) with eigenvector v, Y_i = -G^(-1)[i,j] vv* / |v*P_j v|:
+    sum_i c_k[i] Y_i is 0 for k != j and -vv*/|v*P_j v| for k = j, and
+    sum_i <Y_i, A_i> = 1.  Any other ``gens`` goes to the SDP (``problem``,
+    when given).
+    """
+    m, d = gens.shape
+    if m == d and np.linalg.matrix_rank(gens) == d:
+        gens_pinv_t = np.linalg.pinv(gens.T)
+        p = _project_weights(gens_pinv_t, gens, stack, np.zeros_like(stack))
+        lam, vecs = np.linalg.eigh(p)
+        band = tol * float(np.abs(lam).max())
+        lo = lam[:, 0]
+        if lo.min() > band:
+            residual = _weights_residual(gens, stack, p)
+            if residual < ACCEPT_RESIDUAL:
+                return GeneratorWeights(weights=p, residual=residual)
+        elif lo.min() < -band:
+            j = int(lo.argmin())
+            v = vecs[j, :, 0]
+            y = np.multiply.outer(-gens_pinv_t[j], np.outer(v, v.conj()) / abs(lo[j]))
+            on_gens = np.linalg.eigvalsh(np.tensordot(gens, y, axes=1))[:, -1].max()
+            if on_gens <= sdp.FARKAS_TOL and accept(y):
+                return GeneratorWeights(farkas=y)
+    return _sdp_weights(gens, stack, tol=tol, max_iter=max_iter, problem=problem)
 
 
 def _separates(cone: PolyhedralCone, a: MatrixTuple, sep: SeparationFunctional) -> bool:
@@ -224,77 +292,28 @@ def _separates(cone: PolyhedralCone, a: MatrixTuple, sep: SeparationFunctional) 
     )
 
 
-def _simplex_min_membership(
-    cone: PolyhedralCone, a: MatrixTuple, tol: float
-) -> Optional[MinMembershipResult]:
-    """Closed-form decision over a simplex cone, or None to defer to the SDP.
-
-    The unique weights P_k are PSD or not; with sigma = max_k ||P_k||_2 the
-    band |lambda_min| <= tol * sigma (weights with a zero eigenvalue, up to
-    rounding) is left to the SDP, as is any answer whose certificate would
-    not pass the checker.  The separator for a negative lambda_min(P_j) with
-    eigenvector v is N_i = G^(-1)[i,j] conj(vv*) / |v*P_j v|: it vanishes on
-    c_k (x) Q for k != j, is v*Qv/|v*P_j v| >= 0 on c_j (x) Q and -1 at A.
-    """
-    gens = cone.generators
-    gens_pinv_t = np.linalg.pinv(gens.T)
-    stack = _stacked(a)
-    p = _project_weights(gens_pinv_t, gens, stack, np.zeros_like(stack))
-    lam, vecs = np.linalg.eigh(p)
-    band = tol * float(np.abs(lam).max())
-    lo = lam[:, 0]
-    if lo.min() > band:
-        residual = _weights_residual(gens, stack, p)
-        if residual < ACCEPT_RESIDUAL:
-            return _member(p, residual)
-    elif lo.min() < -band:
-        j = int(lo.argmin())
-        v = vecs[j, :, 0]
-        vv = np.outer(v.conj(), v) / abs(lo[j])
-        sep = _shifted_separator(cone, [gens_pinv_t[j, i] * vv for i in range(cone.dim)])
+def _membership_result(
+    cone: PolyhedralCone, a: MatrixTuple, dec: GeneratorWeights
+) -> MinMembershipResult:
+    """Member with the weights, or NotMember with the separator
+    N = -conj(Y) when the checker would accept it; otherwise Unknown."""
+    if dec.weights is not None:
+        weights = tuple(HermitianMatrix(w) for w in dec.weights)
+        return MinMembershipResult(
+            status=MinMembershipStatus.MEMBER,
+            certificate=MinMembershipCertificate(weights=weights, residual=dec.residual),
+        )
+    if dec.farkas is not None:
+        sep = _shifted_separator(cone, -np.conj(dec.farkas))
         if _separates(cone, a, sep):
             return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=sep)
-    return None
+        dec = GeneratorWeights(message="separator rejected by its check")
+    return MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=dec.message)
 
 
-def _sdp_min_membership(
-    cone: PolyhedralCone,
-    a: MatrixTuple,
-    tol: float = 1e-8,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
-    problem: Optional[sdp.SdpProblem] = None,
-) -> MinMembershipResult:
-    """The generator-weight SDP, for any cone.
-
-    The solver's weights and their projection onto the affine set are both
-    candidates, and the one with the smaller checker residual is kept.  The
-    solver's weights are an interior point, so their residual is their
-    reconstruction error and the choice never loses a Member verdict.
-    """
-    if problem is None:
-        problem = _min_membership_problem(cone, a)
-    outcome = sdp.solve(problem, tol=tol, max_iter=max_iter)
-    if outcome.status in (sdp.SdpStatus.FEASIBLE, sdp.SdpStatus.OPTIMAL):
-        gens = cone.generators
-        stack = _stacked(a)
-        raw = np.array([w.mat for w in outcome.primal])
-        candidates = (raw, _project_weights(np.linalg.pinv(gens.T), gens, stack, raw))
-        residuals = [_weights_residual(gens, stack, w) for w in candidates]
-        best = int(np.argmin(residuals))
-        if residuals[best] >= ACCEPT_RESIDUAL:
-            return MinMembershipResult(
-                status=MinMembershipStatus.UNKNOWN,
-                message=f"weight reconstruction residual {residuals[best]:.3e} too large",
-            )
-        return _member(candidates[best], residuals[best])
-    if outcome.status is sdp.SdpStatus.INFEASIBLE:
-        sep = _separator_from_farkas(cone, a, outcome.dual_certificate)
-        return MinMembershipResult(
-            status=MinMembershipStatus.NOT_MEMBER, separator=sep
-        )
-    return MinMembershipResult(
-        status=MinMembershipStatus.UNKNOWN, message=outcome.message
-    )
+def _sdp_min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
+    """The generator-weight SDP alone, with no closed form."""
+    return _membership_result(cone, a, _sdp_weights(cone.generators, _stacked(a)))
 
 
 def min_membership(
@@ -307,23 +326,23 @@ def min_membership(
     """Membership of a tuple in the smallest system of a polyhedral cone.
 
     Decides feasibility of A = sum_k c_k (x) P_k over PSD weights P_k on
-    the generators c_k.  A Member outcome carries the weights; a NotMember
-    outcome carries a separating functional, nonnegative on the system and
-    negative on the query.  A simplex cone is decided in closed form, except
-    in the band |lambda_min(P_k)| <= tol * max_k ||P_k|| where the SDP
-    decides; ``dump_to`` always receives the SDP.
+    the generators c_k (`generator_weights`: in closed form for a simplex
+    cone, outside a tolerance band).  A Member outcome carries the weights;
+    a NotMember outcome carries a separating functional, nonnegative on the
+    system and negative on the query.  ``dump_to`` always receives the SDP.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
+    gens, stack = cone.generators, _stacked(a)
     problem = None
     if dump_to is not None:
-        problem = _min_membership_problem(cone, a)
+        problem = _min_membership_problem(gens, stack)
         sdp.dump_problem(problem, dump_to)
-    if is_simplex(cone):
-        res = _simplex_min_membership(cone, a, tol)
-        if res is not None:
-            return res
-    return _sdp_min_membership(cone, a, tol=tol, max_iter=max_iter, problem=problem)
+    dec = generator_weights(
+        gens, stack, tol=tol, max_iter=max_iter, problem=problem,
+        accept=lambda y: _separates(cone, a, _shifted_separator(cone, -np.conj(y))),
+    )
+    return _membership_result(cone, a, dec)
 
 
 def circular_min_membership(a: MatrixTuple, tol: float = 1e-8) -> MembershipResult:

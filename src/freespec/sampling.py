@@ -92,9 +92,3 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def conjugated_tuple(a: MatrixTuple, u: np.ndarray) -> MatrixTuple:
-    return MatrixTuple(
-        tuple(HermitianMatrix(u.conj().T @ e.mat @ u) for e in a.entries)
-    )

@@ -265,6 +265,15 @@ class TestCertificateRoundTrips:
         assert "INVALID" in out2
 
 
+def _stacked(mats):
+    return np.array([m.mat for m in mats])
+
+
+def _facets(diagonal):
+    """F with M_i = diag(F[:, i]) for a diagonal pencil."""
+    return np.diagonal(_stacked(diagonal.matrices), axis1=1, axis2=2).T.real
+
+
 class TestOtherCommands:
     def test_max_membership(self, capsys, fixtures):
         code, out, _ = run(
@@ -293,11 +302,24 @@ class TestOtherCommands:
         from freespec import sdp
 
         p = sdp.load_problem(dump)
-        assert p.blocks == (8,)  # Choi variable of size r*t = 4*2
+        assert p.blocks == (2,) * 4  # one weight of size t = 2 per facet
         assert len(p.b) == 12  # d * t^2
 
+    def test_dump_sdp_of_non_diagonal_source_is_the_choi_problem(self, capsys, tmp_path):
+        dump, ref = tmp_path / "cli.sdpa", tmp_path / "ref.sdpa"
+        code, _, _ = run(
+            capsys, "relaxation", "--src", "calpha", "--tgt", "calpha",
+            "--alpha", "pi/3", "--dump-sdp", str(dump),
+        )
+        assert code == EXIT_OK
+        tgt = pencil.elliptic_cone_pencil(math.pi / 3)
+        sdp.dump_problem(_choi_problem(tgt, tgt), ref)
+        assert sdp.load_problem(dump).blocks == (4,)  # Choi variable of size r*t = 2*2
+        assert dump.read_bytes() == ref.read_bytes()
+
     def test_dump_sdp_on_simplex(self, capsys, tmp_path):
-        # the closed form decides a simplex, and the dump is still the SDP
+        # the closed form decides a simplex, and the dump is still the
+        # generator-weight SDP, over the generators or the source's facets
         rng = np.random.default_rng(9)
         cone = sampling.random_simplex_cone(rng, 3)
         query = sampling.random_min_member(rng, cone, 2)
@@ -313,12 +335,12 @@ class TestOtherCommands:
         # built from the files, as the CLI reads them back
         expected = (
             opsys._min_membership_problem(
-                cones.load_cone(tmp_path / "simplex.json"),
-                pencil.load_tuple(tmp_path / "query.json"),
+                cones.load_cone(tmp_path / "simplex.json").generators,
+                _stacked(pencil.load_tuple(tmp_path / "query.json").entries),
             ),
-            _choi_problem(
-                pencil.load_pencil(tmp_path / "src.json"),
-                pencil.load_pencil(tmp_path / "tgt.json"),
+            opsys._min_membership_problem(
+                _facets(pencil.load_pencil(tmp_path / "src.json")),
+                _stacked(pencil.load_pencil(tmp_path / "tgt.json").matrices),
             ),
         )
         for argv, problem in zip(runs, expected):
@@ -348,7 +370,8 @@ class TestOtherCommands:
                 "--tgt", str(tmp_path / "tgt.json"), "--dump-sdp", str(dump),
             )
             assert code == EXIT_OK
-            sdp.dump_problem(_choi_problem(src, tgt), ref)
+            problem = opsys._min_membership_problem(_facets(src), _stacked(tgt.matrices))
+            sdp.dump_problem(problem, ref)
             assert dump.read_bytes() == ref.read_bytes()
 
 
@@ -365,12 +388,12 @@ class TestDumpFormatPinned:
             "4ec6b05fb7ae1121832eb70485fee813"
         ),
         "relaxation": (
-            "4cb3846dc07a1d9911af04efab0f96fd"
-            "e2bf58db67d497f18ac2f78c41ea2fdc"
+            "1a59e61c7208c4a7235fc8f7b435c4a2"
+            "0ad5bf405f67e7b25f862ebd1c02f3e7"
         ),
         "check-inclusion": (
-            "4cb3846dc07a1d9911af04efab0f96fd"
-            "e2bf58db67d497f18ac2f78c41ea2fdc"
+            "1a59e61c7208c4a7235fc8f7b435c4a2"
+            "0ad5bf405f67e7b25f862ebd1c02f3e7"
         ),
         "essential-boundary": (
             "64862091deab9e44a16cd5d101cbbaf8"

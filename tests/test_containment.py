@@ -20,7 +20,7 @@ from freespec.containment import (
     scaling_bound,
     square_type_witness,
 )
-from freespec.cones import PolyhedralCone, find_sandwich_simplex, square_cone
+from freespec.cones import PolyhedralCone, find_sandwich_simplex, is_simplex, square_cone
 from freespec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianMatrix
 from freespec.opsys import MinMembershipStatus, max_membership
 from freespec.pencil import (
@@ -59,6 +59,22 @@ class TestScalarInclusion:
         res = scalar_inclusion(sq, diagonal_pencil(sq))
         assert res.holds
         assert np.max(np.abs(res.margins)) < 1e-12
+
+    def test_matches_per_generator_loop(self):
+        # reference: one eigendecomposition per generator, first minimum wins
+        rng = np.random.default_rng(63)
+        for k in (4, 6, 8):
+            cone = _regular_polygon(k)
+            for tgt in (elliptic_cone_pencil(0.7), _random_target(rng, cone, 3, spread=0.5)):
+                ref = [
+                    linalg.min_eigenvalue(sum(g[i] * tgt.matrices[i].mat for i in range(3)))
+                    for g in cone.generators
+                ]
+                res = scalar_inclusion(cone, tgt)
+                assert np.allclose(res.margins, ref, rtol=0, atol=1e-12)
+                assert res.holds is (min(ref) >= -1e-8)
+                if not res.holds:
+                    assert res.witness_ray == pytest.approx(cone.generators[np.argmin(ref)])
 
 
 class TestRelaxation:
@@ -206,6 +222,133 @@ class TestSimplexRelaxation:
         res = relaxation(diagonal_pencil(square_cone()), elliptic_cone_pencil(math.pi / 4))
         assert res.status is RelaxationStatus.INFEASIBLE
         assert len(solve_calls) == 1
+
+
+def _regular_polygon(k, rotation=0.3):
+    ang = rotation + 2 * math.pi * np.arange(k) / k
+    gens = np.column_stack([np.cos(ang), np.sin(ang), np.ones(k)])
+    return PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 1.0]))
+
+
+def _conjugated(p, u):
+    return LinearPencil([u.conj().T @ m.mat @ u for m in p.matrices], p.unit)
+
+
+def _rescaled_pencil(p, factor):
+    """factor * N with the unit divided by factor, so it stays normalised."""
+    return LinearPencil([factor * m.mat for m in p.matrices], p.unit / factor)
+
+
+def _random_target(rng, cone, t, spread):
+    """u/|u|^2 (x) I plus random Hermitian matrices with sum_i u_i H_i = 0: a
+    target that contains the cone or not, depending on the spread."""
+    w = cone.unit / float(cone.unit @ cone.unit)
+    hs = np.array([linalg.random_hermitian(rng, t, spread).mat for _ in range(cone.dim)])
+    hs -= np.multiply.outer(w, np.tensordot(cone.unit, hs, axes=1))
+    return LinearPencil(list(np.multiply.outer(w, np.eye(t)) + hs), cone.unit)
+
+
+def _diagonal_targets(rng, cone):
+    """(t, target) pairs: included, commuting, commuting conjugated by a
+    random unitary, elliptic or indefinite, and random Hermitian targets,
+    every third one rescaled by a power of ten; t runs over 2..6."""
+    out = []
+    for j in range(8):
+        t = 2 + j % 5
+        kind = j % 4
+        if kind == 0:
+            if is_simplex(cone):
+                tgt = sampling.random_target_for_simplex(rng, cone, t)
+            else:
+                tgt = sampling.random_commuting_target(rng, cone, t)
+        elif kind == 1:
+            tgt = sampling.random_commuting_target(rng, cone, t)
+            if j % 8 == 5:
+                tgt = _conjugated(tgt, sampling.random_unitary(rng, t))
+        elif kind == 2:
+            if is_simplex(cone):
+                tgt = _indefinite_target(rng, cone, t)
+            else:
+                tgt = elliptic_cone_pencil(float(rng.uniform(0.2, 1.3)))
+        else:
+            tgt = _random_target(rng, cone, t, spread=0.4 if j < 4 else 0.05)
+        if j % 3 == 2:
+            tgt = _rescaled_pencil(tgt, 10.0 ** int(rng.integers(-3, 4)))
+        out.append(tgt)
+    return out
+
+
+def _diagonal_sources():
+    rng = np.random.default_rng(80)
+    simplices = [sampling.random_simplex_cone(rng, d) for d in (2, 3, 4)]
+    polygons = [_regular_polygon(k) for k in range(4, 9)]
+    return simplices + polygons
+
+
+# commuting targets with t < d have dependent matrices, which pencils report
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestDiagonalRelaxation:
+    """A diagonal source is decided as smallest-system membership of the
+    target over the facet cone; the Choi SDP is the reference."""
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_agrees_with_choi(self, index):
+        cone = _diagonal_sources()[index]
+        rng = np.random.default_rng(90 + index)
+        src = diagonal_pencil(cone)
+        definitive = (RelaxationStatus.FEASIBLE, RelaxationStatus.INFEASIBLE)
+        statuses = set()
+        for tgt in _diagonal_targets(rng, cone):
+            if tgt.d != cone.dim:
+                continue
+            res = relaxation(src, tgt)
+            ref = containment._sdp_relaxation(src, tgt)
+            assert res.status in definitive, res.message
+            assert _relaxation_certificate_ok(src, tgt, res)
+            if ref.status in definitive:
+                assert res.status is ref.status, f"t={tgt.r}"
+            statuses.add(res.status)
+        assert statuses == set(definitive)
+
+    @pytest.mark.parametrize("index", [1, 4, 7])
+    def test_unitary_conjugated_source_agrees(self, index):
+        # U* M U is not diagonal, so it takes the Choi path
+        cone = _diagonal_sources()[index]
+        rng = np.random.default_rng(100 + index)
+        src = diagonal_pencil(cone)
+        for tgt in _diagonal_targets(rng, cone)[:4]:
+            rotated = _conjugated(src, sampling.random_unitary(rng, src.r))
+            assert containment._diagonal_facets(rotated) is None
+            res = relaxation(rotated, tgt)
+            assert res.status is relaxation(src, tgt).status
+            assert _relaxation_certificate_ok(rotated, tgt, res)
+
+    def test_no_choi_block_on_a_diagonal_source(self, monkeypatch):
+        from freespec import _kernels
+
+        shapes = []
+        real = _kernels.eigh_kernel
+
+        def recording(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        def forbidden(*args):
+            raise AssertionError("Choi problem built for a diagonal source")
+
+        monkeypatch.setattr(_kernels, "eigh_kernel", recording)
+        monkeypatch.setattr(containment, "_choi_problem", forbidden)
+        rng = np.random.default_rng(81)
+        octagon = _regular_polygon(8)
+        src = diagonal_pencil(octagon)
+        feasible = sampling.random_commuting_target(rng, octagon, 6)
+        infeasible = _random_target(rng, octagon, 6, spread=2.0)
+        for tgt, status in ((feasible, RelaxationStatus.FEASIBLE),
+                            (infeasible, RelaxationStatus.INFEASIBLE)):
+            shapes.clear()
+            assert relaxation(src, tgt).status is status
+            assert shapes
+            assert max(shape[-1] for shape in shapes) <= 6
 
 
 class TestFreeWitness:

@@ -49,6 +49,20 @@ class TestMaxMembership:
             assert res.classification is Classification.INSIDE
             assert res.margin == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_per_facet_loop(self):
+        # reference: one eigendecomposition per facet, first minimum wins
+        rng = np.random.default_rng(59)
+        for cone in (cones.square_cone(), sampling.random_simplex_cone(rng, 4)):
+            for s in (1, 2, 3):
+                a = MatrixTuple(tuple(linalg.random_hermitian(rng, s) for _ in range(cone.dim)))
+                ref = [
+                    linalg.min_eigenvalue(sum(f[i] * a.entries[i].mat for i in range(cone.dim)))
+                    for f in cone.facets
+                ]
+                res = max_membership(cone, a)
+                assert res.margin == pytest.approx(min(ref), abs=1e-12)
+                assert res.worst_facet == int(np.argmin(ref))
+
 
 class TestMinMembership:
     def test_orthant_psd_tuple(self):
