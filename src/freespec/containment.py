@@ -268,16 +268,16 @@ def relaxation(
     if src.d != tgt.d:
         raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
     facets = _diagonal_facets(src)
-    stack = np.array([m.mat for m in tgt.matrices])
-    problem = None
     if facets is None:
         problem = _choi_problem(src, tgt)
-    elif dump_to is not None:
-        problem = _min_membership_problem(facets, stack)
-    if dump_to is not None:
-        sdp.dump_problem(problem, dump_to)
-    if facets is None:
+        if dump_to is not None:
+            sdp.dump_problem(problem, dump_to)
         return _sdp_relaxation(src, tgt, tol=tol, problem=problem)
+    stack = np.array([m.mat for m in tgt.matrices])
+    problem = None
+    if dump_to is not None:
+        problem = _min_membership_problem(facets, stack)
+        sdp.dump_problem(problem, dump_to)
     dec = generator_weights(facets, stack, tol=tol, problem=problem)
     choi = None
     if dec.weights is not None:

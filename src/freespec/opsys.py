@@ -307,7 +307,9 @@ def _membership_result(
         sep = _shifted_separator(cone, -np.conj(dec.farkas))
         if _separates(cone, a, sep):
             return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=sep)
-        dec = GeneratorWeights(message="separator rejected by its check")
+        return MinMembershipResult(
+            status=MinMembershipStatus.UNKNOWN, message="separator rejected by its check"
+        )
     return MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=dec.message)
 
 
