@@ -21,7 +21,7 @@ from .containment import (
     RelaxationFarkas,
     apply_kraus,
 )
-from .linalg import HermitianMatrix, matrix_from_json, matrix_to_json
+from .linalg import HermitianMatrix, complex_from_pairs, matrix_from_json, matrix_to_json
 from .opsys import (
     ACCEPT_RESIDUAL,
     SEPARATOR_PHI_LIMIT,
@@ -53,16 +53,15 @@ def _complex_mats_to_json(mats) -> list:
 
 
 def _kraus_to_json(kraus) -> list:
-    return [
-        [[[float(x.real), float(x.imag)] for x in row] for row in v] for v in kraus
-    ]
+    k = np.asarray(kraus, dtype=np.complex128)
+    return np.stack([k.real, k.imag], -1).tolist()
 
 
 def _kraus_from_json(obj) -> tuple[np.ndarray, ...]:
-    out = []
-    for v in obj:
-        out.append(np.array([[complex(e[0], e[1]) for e in row] for row in v]))
-    return tuple(out)
+    stacked = complex_from_pairs(obj, 3)
+    if stacked is not None:
+        return tuple(stacked)
+    return tuple(np.array([[complex(e[0], e[1]) for e in row] for row in v]) for v in obj)
 
 
 # -- constructors ------------------------------------------------------------

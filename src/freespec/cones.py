@@ -352,6 +352,11 @@ def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(diffs)) / math.factorial(pts.shape[1] - 1)
 
 
+# d-subsets scored per batch by the closed-form subset searches (here and in
+# `opsys`), which bounds their memory
+SUBSET_BATCH = 8192
+
+
 def _subsets(n: int, d: int) -> np.ndarray:
     """All d-subsets of range(n), one per row, in lexicographic order."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), d))
@@ -452,7 +457,7 @@ def best_sandwich_simplex(
     sec = section_of(cone, h_normal)
     pool = _sandwich_candidates(sec)
     subsets = _subsets(len(pool), cone.dim)
-    batches = np.array_split(subsets, 1 + len(subsets) // 8192)
+    batches = np.array_split(subsets, 1 + len(subsets) // SUBSET_BATCH)
     scored = [_sandwich_factors(pool[b], sec.vertices) for b in batches]
     nus, vols = map(np.concatenate, zip(*scored))
     best = float(nus.max())

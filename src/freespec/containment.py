@@ -11,10 +11,13 @@ the strengthening is smallest-system membership of the target over the
 cone spanned by the rows of F, decided by `opsys.generator_weights` with r
 blocks of size t instead of one Choi block of size r*t; other sources
 solve the Choi SDP.  For a simplex source F is invertible, the decision
-is in closed form and the strengthening is tight; for non-simplex polyhedral
-sources it can fail even when scalar inclusion holds, and explicit level-2
-witnesses certify the gap.  Scaled-cone inclusion bounds quantify how much
-the source must shrink before the strengthening becomes a relaxation.
+is in closed form and the strengthening is tight.  For a commuting target it
+is tight too, and decided in closed form per joint eigenvector: the target
+spectrahedron is then a polyhedron.  For non-simplex polyhedral sources and
+other targets it can fail even when scalar inclusion holds, and explicit
+level-2 witnesses certify the gap.  Scaled-cone inclusion bounds quantify
+how much the source must shrink before the strengthening becomes a
+relaxation.
 """
 
 from __future__ import annotations
@@ -176,9 +179,12 @@ def _diagonal_blocks(j: np.ndarray, r: int, t: int) -> Optional[np.ndarray]:
 
 
 def apply_kraus(kraus, x) -> HermitianMatrix:
-    x = np.asarray(x, dtype=np.complex128)
-    acc = sum(v.conj().T @ x @ v for v in kraus)
-    return HermitianMatrix(acc)
+    """sum_j V_j* X V_j, as one product K* (X V_j stacked) over the Kraus
+    operators stacked into the (n*r, t) matrix K."""
+    v = np.asarray(kraus, dtype=np.complex128)
+    xv = np.asarray(x, dtype=np.complex128) @ v
+    t = v.shape[-1]
+    return HermitianMatrix(v.reshape(-1, t).conj().T @ xv.reshape(-1, t))
 
 
 def _kraus_certificate(
@@ -259,9 +265,10 @@ def relaxation(
     fixed by the PSD values Q_k = Phi(E_kk), so it exists iff
     N_i = sum_k F[k,i] Q_k: smallest-system membership of the target over
     the cone spanned by the rows of F, decided by `opsys.generator_weights`
-    (in closed form for invertible F, i.e. a simplex source) with Choi
-    matrix blockdiag(Q_k).  Any other source is decided by the SDP in the
-    Choi variable J >= 0 of size r*t with d * t^2 real constraints.  An
+    (in closed form for invertible F, i.e. a simplex source, and for a
+    commuting target) with Choi matrix blockdiag(Q_k).  Any other source
+    is decided by the SDP in the Choi variable J >= 0 of size r*t with
+    d * t^2 real constraints.  An
     Infeasible outcome carries a verified dual witness; ``dump_to``
     receives the SDP of the path taken.
     """
@@ -468,22 +475,16 @@ def commuting_target_tightness(
 ) -> CommutingTargetReport:
     """For pairwise commuting targets containing the cone at scalar level,
     the relaxation must be feasible (the target spectrahedron is then a
-    polyhedron, realized diagonally).  Raises on non-commuting targets."""
-    max_comm = 0.0
-    for i in range(tgt.d):
-        for j in range(i + 1, tgt.d):
-            a, b = tgt.matrices[i].mat, tgt.matrices[j].mat
-            max_comm = max(max_comm, float(np.linalg.norm(a @ b - b @ a)))
+    polyhedron, realized diagonally).  Raises on non-commuting targets.
+    ``max_offdiagonal`` is measured in `linalg.joint_eigenbasis`, the basis
+    in which `opsys.generator_weights` decides commuting targets."""
+    stack = np.array([m.mat for m in tgt.matrices])
+    prods = stack @ stack[:, None]
+    comm = np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
+    max_comm = float(comm.max())
     if max_comm >= 1e-9:
         raise ValueError(f"target matrices do not commute (||[N_i,N_j]|| = {max_comm:.3e})")
-    rng = np.random.default_rng(2)
-    w = rng.standard_normal(tgt.d)
-    combo = HermitianMatrix(sum(wi * m.mat for wi, m in zip(w, tgt.matrices)))
-    u = linalg.eigh(combo).eigenvectors
-    max_off = 0.0
-    for m in tgt.matrices:
-        dd = u.conj().T @ m.mat @ u
-        max_off = max(max_off, float(np.max(np.abs(dd - np.diag(np.diag(dd))))))
+    max_off = linalg.joint_eigenbasis(stack)[2]
     scal = scalar_inclusion(src, tgt, tol=tol)
     relax = relaxation(diagonal_pencil(src), tgt, tol=tol)
     return CommutingTargetReport(

@@ -165,6 +165,28 @@ def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
     return (u / np.sqrt(dec.eigenvalues)) @ u.conj().T
 
 
+_GOLDEN = (5.0**0.5 - 1.0) / 2.0
+
+
+def joint_eigenbasis(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvectors U of one fixed combination sum_i mu_i A_i of a (d, s, s)
+    Hermitian stack, the pinched values ell[j, i] = u_j* A_i u_j and the
+    largest off-diagonal modulus of the U* A_i U.
+
+    The weights mu_i = 1 + frac(i * golden ratio) are fixed and generic, so
+    for a commuting stack distinct joint eigenvalue vectors ell_j get
+    distinct eigenvalues, U is a joint eigenbasis and the off-diagonal part
+    is rounding; no U makes it small for a stack that does not commute.
+    """
+    mu = [1.0 + (i * _GOLDEN) % 1.0 for i in range(1, len(stack) + 1)]
+    _, u = _kernels.eigh_kernel(np.einsum("i,ixy->xy", mu, stack))
+    rot = u.conj().T @ stack @ u
+    ell = np.diagonal(rot, axis1=1, axis2=2).real.T.copy()
+    diag = np.arange(rot.shape[-1])
+    rot[:, diag, diag] = 0.0
+    return u, ell, float(np.abs(rot).max())
+
+
 def hermitian_basis(n: int) -> np.ndarray:
     """Real basis of the n x n Hermitian matrices, as an (n^2, n, n) stack.
 
@@ -201,12 +223,39 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> Hermitia
 
 def matrix_to_json(a) -> list:
     m = as_hermitian(a).mat
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def complex_from_pairs(obj, ndim: int):
+    """The complex array of a nested list with [re, im] pairs innermost, or
+    None when ``obj`` is not an ``ndim``-dimensional array of finite pairs;
+    the caller then parses entry by entry, which names the bad entry."""
+    try:
+        pairs = np.array(obj, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+        return None
+    return pairs.view(np.complex128)[..., 0]
 
 
 def matrix_from_json(obj) -> HermitianMatrix:
     if not isinstance(obj, list) or not obj:
         raise ValueError("matrix literal must be a non-empty array of rows")
+    a = complex_from_pairs(obj, 2)
+    if a is None or a.shape[1] != len(obj):
+        a = _matrix_from_rows(obj)
+    diag = a.diagonal()
+    if diag.imag.any():
+        bad = np.abs(diag.imag) > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.abs(diag))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"entry ({i},{i}): not Hermitian (non-real diagonal)")
+    return HermitianMatrix(a)
+
+
+def _matrix_from_rows(obj) -> np.ndarray:
+    """The entry-by-entry parse, which names the first malformed entry."""
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):
@@ -217,8 +266,4 @@ def matrix_from_json(obj) -> HermitianMatrix:
                 raise ValueError(f"entry ({i},{j}): expected [re, im]")
             vals.append(complex(float(ent[0]), float(ent[1])))
         rows.append(vals)
-    a = np.array(rows, dtype=np.complex128)
-    for i in range(a.shape[0]):
-        if abs(a[i, i].imag) > HERMITIAN_CONSTRUCTION_TOL * (1.0 + abs(a[i, i])):
-            raise ValueError(f"entry ({i},{i}): not Hermitian (non-real diagonal)")
-    return HermitianMatrix(a)
+    return np.array(rows, dtype=np.complex128)

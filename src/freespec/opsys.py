@@ -17,7 +17,10 @@ nonnegative on the system and strictly negative on the query, which in turn
 yields a separating linear pencil by the Effros-Winkler construction.  Over
 a simplex cone the generator matrix is invertible, the weights are unique
 and the test needs no SDP: A is a member iff every
-P_k = sum_i G^(-1)[i,k] A_i is PSD.
+P_k = sum_i G^(-1)[i,k] A_i is PSD.  A commuting tuple needs none either:
+pinched onto a joint eigenbasis u_j it is diagonal, and it is a member iff
+every joint eigenvalue vector ell_j lies in the cone, one linear program per
+eigenvector, solved in closed form over the d-subsets of the generators.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, linalg, sdp
-from .cones import PolyhedralCone
+from .cones import SUBSET_BATCH, PolyhedralCone, _subsets
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, as_hermitian
 from .pencil import (
     LinearPencil,
@@ -239,6 +242,108 @@ def _sdp_weights(
     return GeneratorWeights(message=outcome.message)
 
 
+def _farkas_ok(gens: np.ndarray, y: np.ndarray, accept) -> bool:
+    """sum_i c_k[i] Y_i <= FARKAS_TOL for every generator, and ``accept``."""
+    on_gens = np.linalg.eigvalsh(np.tensordot(gens, y, axes=1))[:, -1].max()
+    return on_gens <= sdp.FARKAS_TOL and accept(y)
+
+
+def _simplex_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
+    """The unique weights of a square ``gens`` of full rank, or their
+    Farkas matrices; None inside the band or when the answer fails."""
+    gens_pinv_t = np.linalg.pinv(gens.T)
+    p = _project_weights(gens_pinv_t, gens, stack, np.zeros_like(stack))
+    lam, vecs = np.linalg.eigh(p)
+    band = tol * float(np.abs(lam).max())
+    lo = lam[:, 0]
+    if lo.min() > band:
+        residual = _weights_residual(gens, stack, p)
+        if residual < ACCEPT_RESIDUAL:
+            return GeneratorWeights(weights=p, residual=residual)
+    elif lo.min() < -band:
+        j = int(lo.argmin())
+        v = vecs[j, :, 0]
+        y = np.multiply.outer(-gens_pinv_t[j], np.outer(v, v.conj()) / abs(lo[j]))
+        if _farkas_ok(gens, y, accept):
+            return GeneratorWeights(farkas=y)
+    return None
+
+
+def _cone_lp(gens: np.ndarray, points: np.ndarray):
+    """Each row ell_j of ``points`` against the cone spanned by the rows of
+    ``gens`` (m x d), over every invertible d-subset S of the generators.
+
+    The weights of ell_j on S are w = ell_j G_S^(-1), and ell_j lies in the
+    cone iff some S gives w >= 0 (Caratheodory).  Returns ``low``, the
+    largest smallest weight over S for each point; ``weights`` (s, m), the
+    weights on that S, zero elsewhere; and ``normals`` (s, d), for each
+    point the shortest y = G_S^(-1) e_q / w_q over w_q < 0 with
+    gens @ y <= FARKAS_TOL, so that ell_j . y = 1 (NaN where none passes).
+    """
+    m, d = gens.shape
+    s = len(points)
+    rows = np.arange(s)
+    low = np.full(s, -np.inf)
+    best = np.zeros((s, d), dtype=np.intp)
+    best_w = np.zeros((s, d))
+    length = np.full(s, np.inf)
+    normals = np.full((s, d), np.nan)
+    subsets = _subsets(m, d)
+    for sub in np.array_split(subsets, 1 + len(subsets) // SUBSET_BATCH):
+        g = gens[sub]
+        hadamard = np.prod(np.linalg.norm(g, axis=2), axis=1)
+        live = np.abs(np.linalg.det(g)) > 1e-12 * hadamard
+        if not live.any():
+            continue
+        sub, ginv = sub[live], np.linalg.inv(g[live])
+        w = np.einsum("ji,bik->jbk", points, ginv)
+        mins = w.min(axis=2)
+        at = mins.argmax(axis=1)
+        up = mins[rows, at] > low
+        low[up], best[up], best_w[up] = mins[rows, at][up], sub[at[up]], w[rows, at][up]
+        # column q as a normal: max_k c_k . y = min_k (gens @ G_S^(-1))[k, q] / w_q
+        floor = (gens @ ginv).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (w < 0) & (floor / w <= sdp.FARKAS_TOL)
+            size = np.where(ok, np.linalg.norm(ginv, axis=1) / np.abs(w), np.inf)
+        size = size.reshape(s, -1)
+        at = size.argmin(axis=1)
+        up = size[rows, at] < length
+        b, q = np.divmod(at[up], d)
+        length[up] = size[rows, at][up]
+        normals[up] = ginv[b, :, q] / w[up, b, q][:, None]
+    weights = np.zeros((s, m))
+    weights[rows[:, None], best] = best_w
+    return low, weights, normals
+
+
+def _commuting_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
+    """Weights or Farkas matrices for a commuting stack, or None.
+
+    In a joint eigenbasis u_j the A_i are diagonal with values ell_j, and
+    A = sum_k c_k (x) P_k with P_k = sum_j W[j,k] u_j u_j* whenever
+    ell_j = sum_k W[j,k] c_k with W >= 0: one cone-membership LP per
+    eigenvector (`_cone_lp`).  If ell_j is outside the cone, with normal y
+    (c_k . y <= 0, ell_j . y = 1), then Y_i = y_i u_j u_j*.
+    """
+    u, ell, offdiagonal = linalg.joint_eigenbasis(stack)
+    if offdiagonal > tol * float(np.abs(stack).max()):
+        return None
+    low, w, normals = _cone_lp(gens, ell)
+    band = tol * float(np.abs(w).max())
+    if low.min() >= -band:
+        p = np.einsum("xj,jk,yj->kxy", u, np.maximum(w, 0.0), u.conj())
+        residual = _weights_residual(gens, stack, p)
+        if residual < ACCEPT_RESIDUAL:
+            return GeneratorWeights(weights=p, residual=residual)
+        return None
+    j = int(low.argmin())
+    if np.isnan(normals[j, 0]):
+        return None
+    y = np.multiply.outer(normals[j], np.outer(u[:, j], u[:, j].conj()))
+    return GeneratorWeights(farkas=y) if _farkas_ok(gens, y, accept) else None
+
+
 def generator_weights(
     gens: np.ndarray,
     stack: np.ndarray,
@@ -250,34 +355,30 @@ def generator_weights(
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
     c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
 
-    A square ``gens`` of full rank gives unique weights, PSD or not.  With
+    Two cases are decided in closed form.  A square ``gens`` of full rank
+    gives unique weights, PSD or not (`_simplex_weights`): with
     sigma = max_k ||P_k||_2 the band |lambda_min| <= tol * sigma (weights
-    with a zero eigenvalue, up to rounding) is left to the SDP, as is an
-    answer that fails its check or the caller's ``accept``.  For a negative
-    lambda_min(P_j) with eigenvector v, Y_i = -G^(-1)[i,j] vv* / |v*P_j v|:
-    sum_i c_k[i] Y_i is 0 for k != j and -vv*/|v*P_j v| for k = j, and
-    sum_i <Y_i, A_i> = 1.  Any other ``gens`` goes to the SDP (``problem``,
-    when given).
+    with a zero eigenvalue, up to rounding) is left to the SDP.  For a
+    negative lambda_min(P_j) with eigenvector v,
+    Y_i = -G^(-1)[i,j] vv* / |v*P_j v|: sum_i c_k[i] Y_i is 0 for k != j and
+    -vv*/|v*P_j v| for k = j, and sum_i <Y_i, A_i> = 1.  For m > d, a stack
+    that commutes (every U* A_i U diagonal within tol * max|A| in the basis
+    of `linalg.joint_eigenbasis`) is decided per joint eigenvector
+    (`_commuting_weights`): weights when every eigenvector's best smallest
+    weight is at least -tol * max|W| (clipped at 0), else Farkas matrices
+    from the worst eigenvector's separating normal.  Answers that fail
+    their check or the caller's ``accept`` go to the SDP (``problem``, when
+    given), as does every other input.
     """
     m, d = gens.shape
+    dec = None
     if m == d and np.linalg.matrix_rank(gens) == d:
-        gens_pinv_t = np.linalg.pinv(gens.T)
-        p = _project_weights(gens_pinv_t, gens, stack, np.zeros_like(stack))
-        lam, vecs = np.linalg.eigh(p)
-        band = tol * float(np.abs(lam).max())
-        lo = lam[:, 0]
-        if lo.min() > band:
-            residual = _weights_residual(gens, stack, p)
-            if residual < ACCEPT_RESIDUAL:
-                return GeneratorWeights(weights=p, residual=residual)
-        elif lo.min() < -band:
-            j = int(lo.argmin())
-            v = vecs[j, :, 0]
-            y = np.multiply.outer(-gens_pinv_t[j], np.outer(v, v.conj()) / abs(lo[j]))
-            on_gens = np.linalg.eigvalsh(np.tensordot(gens, y, axes=1))[:, -1].max()
-            if on_gens <= sdp.FARKAS_TOL and accept(y):
-                return GeneratorWeights(farkas=y)
-    return _sdp_weights(gens, stack, tol=tol, max_iter=max_iter, problem=problem)
+        dec = _simplex_weights(gens, stack, tol, accept)
+    elif m > d:
+        dec = _commuting_weights(gens, stack, tol, accept)
+    if dec is None:
+        dec = _sdp_weights(gens, stack, tol=tol, max_iter=max_iter, problem=problem)
+    return dec
 
 
 def _separates(cone: PolyhedralCone, a: MatrixTuple, sep: SeparationFunctional) -> bool:

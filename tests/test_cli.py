@@ -375,6 +375,27 @@ class TestOtherCommands:
             assert dump.read_bytes() == ref.read_bytes()
 
 
+    def test_commuting_target_is_decided_without_the_sdp(
+        self, capsys, tmp_path, solve_calls
+    ):
+        # square-diag commutes: decided per joint eigenvector, and the dump
+        # is still the generator-weight SDP over the square's facets
+        dump, ref = tmp_path / "cli.sdpa", tmp_path / "ref.sdpa"
+        code, out, _ = run(
+            capsys, "check-inclusion", "--src", "square", "--tgt", "square-diag",
+            "--dump-sdp", str(dump), "--output", "json",
+        )
+        assert code == EXIT_OK
+        assert solve_calls == []
+        tgt = pencil.diagonal_pencil(cones.square_cone())
+        sdp.dump_problem(opsys._min_membership_problem(_facets(tgt), _stacked(tgt.matrices)), ref)
+        assert dump.read_bytes() == ref.read_bytes()
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        code, text, _ = run(capsys, "verify", str(path))
+        assert code == EXIT_OK, text
+
+
 class TestDumpFormatPinned:
     """The --dump-sdp bytes of four fixed commands, as SHA-256 digests.
 

@@ -349,6 +349,76 @@ class TestDiagonalRelaxation:
             assert max(shape[-1] for shape in shapes) <= 6
 
 
+def _facet_target(cone, rows):
+    """The diagonal pencil of the chosen facet rows, unital at the cone's unit."""
+    f = cone.facets[rows] / (cone.facets[rows] @ cone.unit)[:, None]
+    return LinearPencil([np.diag(col) for col in f.T], cone.unit)
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestCommutingRelaxation:
+    """A commuting target over a diagonal k-gon source is decided per joint
+    eigenvector with no SDP; the Choi SDP is the reference."""
+
+    @pytest.mark.parametrize("k", [4, 6, 7])
+    def test_agrees_with_choi_and_skips_the_sdp(self, k, solve_calls):
+        rng = np.random.default_rng(120 + k)
+        cone = _regular_polygon(k)
+        src = diagonal_pencil(cone)
+        definitive = (RelaxationStatus.FEASIBLE, RelaxationStatus.INFEASIBLE)
+        rotated = _regular_polygon(k, 0.3 + math.pi / k)
+        cases = (
+            (sampling.random_commuting_target(rng, cone, 3), RelaxationStatus.FEASIBLE),
+            # facet rows lie on rays of the facet cone: zero weights
+            (_facet_target(cone, [0, 2]), RelaxationStatus.FEASIBLE),
+            # built for the polygon rotated by half a step
+            (sampling.random_commuting_target(rng, rotated, 3), None),
+            (_facet_target(rotated, [0, 1, 2]), RelaxationStatus.INFEASIBLE),
+        )
+        statuses = set()
+        for base, want in cases:
+            for u in (None, sampling.random_unitary(rng, base.r)):
+                for e in (-6, 0, 6):
+                    tgt = base if u is None else _conjugated(base, u)
+                    tgt = _rescaled_pencil(tgt, 10.0**e)
+                    before = len(solve_calls)
+                    res = relaxation(src, tgt)
+                    assert len(solve_calls) == before, f"scale 1e{e}"
+                    assert res.status in definitive
+                    assert want is None or res.status is want, f"scale 1e{e}"
+                    assert _relaxation_certificate_ok(src, tgt, res)
+                    # at 1e6 the Choi SDP can call a boundary target
+                    # Infeasible with a Farkas witness the checker rejects
+                    ref = containment._sdp_relaxation(src, tgt)
+                    if ref.status in definitive and _relaxation_certificate_ok(src, tgt, ref):
+                        assert res.status is ref.status, f"scale 1e{e}"
+                    statuses.add(res.status)
+        assert statuses == set(definitive)
+
+    def test_off_diagonal_perturbation_reaches_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(130)
+        cone = _regular_polygon(5)
+        tgt = _conjugated(sampling.random_commuting_target(rng, cone, 3),
+                          sampling.random_unitary(rng, 3))
+        # the unit is e_3, so bumping N_1 and N_2 keeps the pencil unital
+        bumps = [1e-4 * linalg.random_hermitian(rng, 3).mat for _ in range(2)] + [0.0]
+        bumped = LinearPencil([m.mat + b for m, b in zip(tgt.matrices, bumps)], tgt.unit)
+        src = diagonal_pencil(cone)
+        res = relaxation(src, bumped)
+        assert len(solve_calls) == 1
+        assert res.status is containment._sdp_relaxation(src, bumped).status
+
+    def test_tightness_report_uses_the_joint_eigenbasis(self):
+        rng = np.random.default_rng(131)
+        sq = square_cone()
+        tgt = _conjugated(sampling.random_commuting_target(rng, sq, 4),
+                          sampling.random_unitary(rng, 4))
+        rep = commuting_target_tightness(sq, tgt)
+        assert rep.max_commutator < 1e-12
+        assert rep.max_offdiagonal < 1e-12
+        assert rep.relaxation.status is RelaxationStatus.FEASIBLE
+
+
 class TestFreeWitness:
     def test_margins(self):
         for alpha, expect in (

@@ -1,11 +1,12 @@
 """Hermitian kernel operations: construction, eigh, psd tests, kron, inner."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from freespec import linalg
+from freespec import certificates, linalg
 from freespec.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -206,3 +207,77 @@ class TestMatrixJson:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             linalg.matrix_from_json([[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+
+
+def _old_matrix_to_json(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def _old_matrix_from_json(obj):
+    a = np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in obj])
+    return HermitianMatrix(a)
+
+
+def _signed_zero_matrix(rng, n):
+    """A Hermitian matrix with -0.0 and +0.0 parts, tiny and huge entries."""
+    a = linalg.random_hermitian(rng, n).mat * 10.0 ** rng.integers(-150, 150, (n, n))
+    a = np.array((a + a.conj().T) / 2.0)
+    a[0, 0] = complex(-0.0, 0.0)
+    if n > 1:
+        a[0, 1], a[1, 0] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        a[1, 1] = 3
+    return a
+
+
+class TestJsonLiteralsVectorised:
+    """The array encoders and decoders against the entry-by-entry ones."""
+
+    def test_encoder_bytes_equal_the_comprehension(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 6):
+            m = HermitianMatrix(_signed_zero_matrix(rng, n)).mat
+            new = json.dumps(linalg.matrix_to_json(m))
+            assert new == json.dumps(_old_matrix_to_json(m))
+        assert "-0.0" in new
+
+    def test_kraus_encoder_bytes_equal_the_comprehension(self):
+        rng = np.random.default_rng(12)
+        kraus = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        kraus[0, 0, 0] = complex(-0.0, -0.0)
+        kraus[1, 2, 1] = complex(0.0, -0.0)
+        old = [[[[float(x.real), float(x.imag)] for x in row] for row in v] for v in kraus]
+        for given in (tuple(kraus), ()):
+            want = old if len(given) else []
+            assert json.dumps(certificates._kraus_to_json(given)) == json.dumps(want)
+        assert "-0.0" in json.dumps(old)
+
+    def test_decoders_equal_the_entry_parse_bitwise(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 4):
+            doc = _old_matrix_to_json(_signed_zero_matrix(rng, n))
+            got = linalg.matrix_from_json(doc).mat
+            want = _old_matrix_from_json(doc).mat
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        kraus = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        kraus[0, 1, 2] = complex(-0.0, -0.0)
+        doc = certificates._kraus_to_json(tuple(kraus))
+        got = certificates._kraus_from_json(doc)
+        assert len(got) == 3
+        for g, k in zip(got, kraus):
+            assert g.dtype == np.complex128 and g.tobytes() == k.tobytes()
+        assert certificates._kraus_from_json([]) == ()
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], r"row 1: expected 2 entries"),
+            ([[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]], r"entry \(0,1\): expected \[re, im\]"),
+            ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.5]]],
+             r"entry \(1,1\): not Hermitian \(non-real diagonal\)"),
+            ([[[1.0, 0.0, 2.0]]], r"entry \(0,0\): expected \[re, im\]"),
+            ([], r"non-empty array of rows"),
+        ],
+    )
+    def test_malformed_literals_keep_their_messages(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.matrix_from_json(doc)

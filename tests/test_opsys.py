@@ -221,6 +221,132 @@ class TestSimplexClosedForm:
         assert len(solve_calls) == 1
 
 
+def _polygon(k, rotation=0.3):
+    ang = rotation + 2 * math.pi * np.arange(k) / k
+    gens = np.column_stack([np.cos(ang), np.sin(ang), np.ones(k)])
+    return cones.PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 1.0]))
+
+
+def _cube():
+    gens = np.array([[x, y, z, 1.0] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    return cones.PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+def _commuting_tuple(ell, u=None):
+    """A_i = U* diag(ell[:, i]) U: joint eigenvalue vectors ell_j, the rows."""
+    u = np.eye(len(ell)) if u is None else u
+    return MatrixTuple.of(*(u.conj().T @ np.diag(col) @ u for col in ell.T))
+
+
+def _inside_rows(rng, cone, s):
+    return rng.random((s, cone.n_generators)) @ cone.generators
+
+
+def _outside_rows(rng, cone, s):
+    """Rows of a polygon rotated by half a step: its vertices lie outside."""
+    k = cone.n_generators
+    rows = _inside_rows(rng, cone, s)
+    rows[0] = _polygon(k, 0.3 + math.pi / k).generators[int(rng.integers(k))]
+    return rows
+
+
+class TestCommutingStacks:
+    """Commuting tuples over non-simplex cones are decided per joint
+    eigenvector, in closed form; the SDP is the reference."""
+
+    @pytest.mark.parametrize("k", [4, 5, 8])
+    def test_agrees_with_sdp(self, k, solve_calls):
+        rng = np.random.default_rng(200 + k)
+        cone = _polygon(k)
+        definitive = (MinMembershipStatus.MEMBER, MinMembershipStatus.NOT_MEMBER)
+        s = 2 + k % 2
+        for rows, want in ((_inside_rows(rng, cone, s), MinMembershipStatus.MEMBER),
+                           (_outside_rows(rng, cone, s), MinMembershipStatus.NOT_MEMBER)):
+            for u in (None, sampling.random_unitary(rng, s)):
+                base = _commuting_tuple(rows, u)
+                for e in range(-6, 7):
+                    a = _rescaled(base, 10.0**e)
+                    before = len(solve_calls)
+                    fast = min_membership(cone, a)
+                    assert len(solve_calls) == before, f"scale 1e{e}"
+                    assert fast.status is want, f"scale 1e{e}"
+                    assert _certificate_ok(cone, a, fast)
+                    ref = opsys._sdp_min_membership(cone, a)
+                    if ref.status in definitive:
+                        assert fast.status is ref.status, f"scale 1e{e}"
+
+    def test_cube_cone_with_singular_subsets(self, solve_calls):
+        # four cube vertices on a face are linearly dependent: those
+        # 4-subsets are skipped, and the rest still decide every point
+        rng = np.random.default_rng(210)
+        cube = _cube()
+        statuses = set()
+        for _ in range(12):
+            rows = rng.standard_normal((3, 4)) * 0.6
+            rows[:, -1] = 1.0
+            a = _commuting_tuple(rows, sampling.random_unitary(rng, 3))
+            fast = min_membership(cube, a)
+            assert _certificate_ok(cube, a, fast)
+            inside = bool(np.all(np.abs(rows[:, :3]) <= 1.0))
+            assert (fast.status is MinMembershipStatus.MEMBER) == inside
+            statuses.add(fast.status)
+        assert solve_calls == []
+        assert len(statuses) == 2
+
+    def test_subsets_in_several_batches(self, solve_calls):
+        # C(40, 3) = 9880 subsets: more than one batch of SUBSET_BATCH
+        rng = np.random.default_rng(214)
+        cone = _polygon(40)
+        assert math.comb(40, 3) > cones.SUBSET_BATCH
+        for rows, want in ((_inside_rows(rng, cone, 3), MinMembershipStatus.MEMBER),
+                           (_outside_rows(rng, cone, 3), MinMembershipStatus.NOT_MEMBER)):
+            a = _commuting_tuple(rows, sampling.random_unitary(rng, 3))
+            res = min_membership(cone, a)
+            assert res.status is want
+            assert _certificate_ok(cone, a, res)
+        assert solve_calls == []
+
+    def test_clear_instances_skip_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(211)
+        sq = cones.square_cone()
+        member = _commuting_tuple(_inside_rows(rng, sq, 3), sampling.random_unitary(rng, 3))
+        assert min_membership(sq, member).status is MinMembershipStatus.MEMBER
+        outside = _rescaled(member, -1.0)
+        res = min_membership(sq, outside)
+        assert res.status is MinMembershipStatus.NOT_MEMBER
+        assert res.separator.evaluate(outside) == pytest.approx(-1.0, abs=1e-6)
+        assert _certificate_ok(sq, outside, res)
+        # one point on a ray of the cone: a zero weight, still no SDP
+        ray = _commuting_tuple(np.vstack([sq.generators[:1], _inside_rows(rng, sq, 1)]))
+        assert min_membership(sq, ray).status is MinMembershipStatus.MEMBER
+        assert solve_calls == []
+
+    def test_off_diagonal_perturbation_reaches_the_sdp(self, solve_calls):
+        rng = np.random.default_rng(212)
+        cone = _polygon(6)
+        a = _commuting_tuple(_inside_rows(rng, cone, 3), sampling.random_unitary(rng, 3))
+        bumped = MatrixTuple(
+            tuple(HermitianMatrix(e.mat + 1e-4 * linalg.random_hermitian(rng, 3).mat)
+                  for e in a.entries)
+        )
+        res = min_membership(cone, bumped)
+        assert len(solve_calls) == 1
+        assert res.status is opsys._sdp_min_membership(cone, bumped).status
+
+    def test_joint_eigenbasis(self):
+        rng = np.random.default_rng(213)
+        rows = rng.standard_normal((4, 3))
+        u = sampling.random_unitary(rng, 4)
+        stack = np.array([e.mat for e in _commuting_tuple(rows, u).entries])
+        basis, ell, off = linalg.joint_eigenbasis(stack)
+        assert off < 1e-12
+        order = np.lexsort(ell.T)
+        assert np.allclose(ell[order], rows[np.lexsort(rows.T)], atol=1e-12)
+        assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
+        # sigma_z and sigma_x share no eigenbasis
+        assert linalg.joint_eigenbasis(np.array([SIGMA_Z.mat, SIGMA_X.mat]))[2] > 0.1
+
+
 class TestWeightProjection:
     def test_perturbed_solver_weights_are_projected(self, monkeypatch):
         # solver weights 2e-6 off the affine set: a reconstruction error of
