@@ -21,7 +21,7 @@ from .containment import (
     RelaxationFarkas,
     apply_kraus,
 )
-from .linalg import HermitianMatrix, complex_from_pairs, matrix_from_json, matrix_to_json
+from .linalg import HermitianMatrix, matrix_from_json, matrix_to_json
 from .opsys import (
     ACCEPT_RESIDUAL,
     SEPARATOR_PHI_LIMIT,
@@ -58,10 +58,15 @@ def _kraus_to_json(kraus) -> list:
 
 
 def _kraus_from_json(obj) -> tuple[np.ndarray, ...]:
-    stacked = complex_from_pairs(obj, 3)
-    if stacked is not None:
-        return tuple(stacked)
-    return tuple(np.array([[complex(e[0], e[1]) for e in row] for row in v]) for v in obj)
+    if obj == []:
+        return ()
+    try:
+        pairs = np.array(obj, dtype=float)
+    except (TypeError, ValueError):
+        pairs = np.zeros(0)
+    if pairs.ndim != 4 or pairs.shape[-1] != 2:
+        raise ValueError("kraus: expected a list of equal-shape matrices of [re, im] pairs")
+    return tuple(pairs.view(np.complex128)[..., 0])
 
 
 # -- constructors ------------------------------------------------------------

@@ -20,7 +20,8 @@ and the test needs no SDP: A is a member iff every
 P_k = sum_i G^(-1)[i,k] A_i is PSD.  A commuting tuple needs none either:
 pinched onto a joint eigenbasis u_j it is diagonal, and it is a member iff
 every joint eigenvalue vector ell_j lies in the cone, one linear program per
-eigenvector, solved in closed form over the d-subsets of the generators.
+eigenvector, solved in closed form over the d-subsets of the generators
+when there are at most `cones.SUBSET_BATCH` of them.
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ def _simplex_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
 
 def _cone_lp(gens: np.ndarray, points: np.ndarray):
     """Each row ell_j of ``points`` against the cone spanned by the rows of
-    ``gens`` (m x d), over every invertible d-subset S of the generators.
+    ``gens`` (m x d), over every invertible d-subset S of the generators,
+    all in one batch (the caller keeps C(m, d) <= SUBSET_BATCH).
 
     The weights of ell_j on S are w = ell_j G_S^(-1), and ell_j lies in the
     cone iff some S gives w >= 0 (Caratheodory).  Returns ``low``, the
@@ -279,42 +281,32 @@ def _cone_lp(gens: np.ndarray, points: np.ndarray):
     weights on that S, zero elsewhere; and ``normals`` (s, d), for each
     point the shortest y = G_S^(-1) e_q / w_q over w_q < 0 with
     gens @ y <= FARKAS_TOL, so that ell_j . y = 1 (NaN where none passes).
+    None when every d-subset is singular.
     """
     m, d = gens.shape
     s = len(points)
     rows = np.arange(s)
-    low = np.full(s, -np.inf)
-    best = np.zeros((s, d), dtype=np.intp)
-    best_w = np.zeros((s, d))
-    length = np.full(s, np.inf)
-    normals = np.full((s, d), np.nan)
-    subsets = _subsets(m, d)
-    for sub in np.array_split(subsets, 1 + len(subsets) // SUBSET_BATCH):
-        g = gens[sub]
-        hadamard = np.prod(np.linalg.norm(g, axis=2), axis=1)
-        live = np.abs(np.linalg.det(g)) > 1e-12 * hadamard
-        if not live.any():
-            continue
-        sub, ginv = sub[live], np.linalg.inv(g[live])
-        w = np.einsum("ji,bik->jbk", points, ginv)
-        mins = w.min(axis=2)
-        at = mins.argmax(axis=1)
-        up = mins[rows, at] > low
-        low[up], best[up], best_w[up] = mins[rows, at][up], sub[at[up]], w[rows, at][up]
-        # column q as a normal: max_k c_k . y = min_k (gens @ G_S^(-1))[k, q] / w_q
-        floor = (gens @ ginv).min(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (w < 0) & (floor / w <= sdp.FARKAS_TOL)
-            size = np.where(ok, np.linalg.norm(ginv, axis=1) / np.abs(w), np.inf)
-        size = size.reshape(s, -1)
-        at = size.argmin(axis=1)
-        up = size[rows, at] < length
-        b, q = np.divmod(at[up], d)
-        length[up] = size[rows, at][up]
-        normals[up] = ginv[b, :, q] / w[up, b, q][:, None]
+    sub = _subsets(m, d)
+    g = gens[sub]
+    hadamard = np.prod(np.linalg.norm(g, axis=2), axis=1)
+    live = np.abs(np.linalg.det(g)) > 1e-12 * hadamard
+    if not live.any():
+        return None
+    sub, ginv = sub[live], np.linalg.inv(g[live])
+    w = np.einsum("ji,bik->jbk", points, ginv)
+    mins = w.min(axis=2)
+    at = mins.argmax(axis=1)
     weights = np.zeros((s, m))
-    weights[rows[:, None], best] = best_w
-    return low, weights, normals
+    weights[rows[:, None], sub[at]] = w[rows, at]
+    # column q as a normal: max_k c_k . y = min_k (gens @ G_S^(-1))[k, q] / w_q
+    floor = (gens @ ginv).min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (w < 0) & (floor / w <= sdp.FARKAS_TOL)
+        size = np.where(ok, np.linalg.norm(ginv, axis=1) / np.abs(w), np.inf).reshape(s, -1)
+        b, q = np.divmod(size.argmin(axis=1), d)
+        normals = ginv[b, :, q] / w[rows, b, q][:, None]
+    normals[~ok[rows, b, q]] = np.nan
+    return mins[rows, at], weights, normals
 
 
 def _commuting_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
@@ -329,7 +321,10 @@ def _commuting_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
     u, ell, offdiagonal = linalg.joint_eigenbasis(stack)
     if offdiagonal > tol * float(np.abs(stack).max()):
         return None
-    low, w, normals = _cone_lp(gens, ell)
+    scored = _cone_lp(gens, ell)
+    if scored is None:
+        return None
+    low, w, normals = scored
     band = tol * float(np.abs(w).max())
     if low.min() >= -band:
         p = np.einsum("xj,jk,yj->kxy", u, np.maximum(w, 0.0), u.conj())
@@ -361,8 +356,8 @@ def generator_weights(
     with a zero eigenvalue, up to rounding) is left to the SDP.  For a
     negative lambda_min(P_j) with eigenvector v,
     Y_i = -G^(-1)[i,j] vv* / |v*P_j v|: sum_i c_k[i] Y_i is 0 for k != j and
-    -vv*/|v*P_j v| for k = j, and sum_i <Y_i, A_i> = 1.  For m > d, a stack
-    that commutes (every U* A_i U diagonal within tol * max|A| in the basis
+    -vv*/|v*P_j v| for k = j, and sum_i <Y_i, A_i> = 1.  For m > d with at
+    most SUBSET_BATCH d-subsets of generators, a stack that commutes (every U* A_i U diagonal within tol * max|A| in the basis
     of `linalg.joint_eigenbasis`) is decided per joint eigenvector
     (`_commuting_weights`): weights when every eigenvector's best smallest
     weight is at least -tol * max|W| (clipped at 0), else Farkas matrices
@@ -374,7 +369,7 @@ def generator_weights(
     dec = None
     if m == d and np.linalg.matrix_rank(gens) == d:
         dec = _simplex_weights(gens, stack, tol, accept)
-    elif m > d:
+    elif m > d and math.comb(m, d) <= SUBSET_BATCH:
         dec = _commuting_weights(gens, stack, tol, accept)
     if dec is None:
         dec = _sdp_weights(gens, stack, tol=tol, max_iter=max_iter, problem=problem)

@@ -281,3 +281,15 @@ class TestJsonLiteralsVectorised:
     def test_malformed_literals_keep_their_messages(self, doc, message):
         with pytest.raises(ValueError, match=message):
             linalg.matrix_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]],  # two shapes
+            [[[[1.0, 0.0, 2.0]]]],  # a triple, not [re, im]
+            [[[1.0, 0.0]]],  # one matrix, not a list of them
+        ],
+    )
+    def test_malformed_kraus_lists_raise(self, doc):
+        with pytest.raises(ValueError, match="kraus"):
+            certificates._kraus_from_json(doc)

@@ -293,18 +293,19 @@ class TestCommutingStacks:
         assert solve_calls == []
         assert len(statuses) == 2
 
-    def test_subsets_in_several_batches(self, solve_calls):
-        # C(40, 3) = 9880 subsets: more than one batch of SUBSET_BATCH
+    def test_too_many_subsets_reach_the_sdp(self, solve_calls):
+        # C(40, 3) = 9880 d-subsets, over SUBSET_BATCH: one SDP call each
         rng = np.random.default_rng(214)
         cone = _polygon(40)
         assert math.comb(40, 3) > cones.SUBSET_BATCH
         for rows, want in ((_inside_rows(rng, cone, 3), MinMembershipStatus.MEMBER),
                            (_outside_rows(rng, cone, 3), MinMembershipStatus.NOT_MEMBER)):
             a = _commuting_tuple(rows, sampling.random_unitary(rng, 3))
+            before = len(solve_calls)
             res = min_membership(cone, a)
+            assert len(solve_calls) == before + 1
             assert res.status is want
             assert _certificate_ok(cone, a, res)
-        assert solve_calls == []
 
     def test_clear_instances_skip_the_sdp(self, solve_calls):
         rng = np.random.default_rng(211)
