@@ -1,33 +1,28 @@
-"""Serializable certificates and their independent re-validation.
+"""Serializable certificates and the one acceptance test of each kind.
 
 Every certificate-producing operation can emit a self-contained JSON
-document (matrices in the shared literal format); `verify_certificate`
-re-checks the claimed properties using only eigenvalue computations and
-returns the worst residual.  A certificate is accepted when the residual
-is below `opsys.ACCEPT_RESIDUAL` (1e-6); the producers test their answers
-against the same limits before emitting them.
+document (matrices in the shared literal format).  Acceptance lives here
+only: one ``check_<kind>`` function per kind, on numpy arrays.  The
+producers (`opsys.generator_weights`, `opsys.essential_boundary_square`,
+`containment.relaxation`) run it on the arrays they emit and answer
+Unknown when it fails; `verify_certificate` parses a document, checks its
+shapes and runs it on the parsed arrays, which a JSON round trip restores
+exactly, so both see the same residual.  A residual must stay below
+``ACCEPT_RESIDUAL``; a separator also needs a positive margin and
+phi(A) < -``SEPARATOR_PHI_LIMIT``, and a Farkas certificate
+lambda_max <= ``sdp.FARKAS_TOL`` * gap.  Only the last limit is relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg, sdp
 from .cones import PolyhedralCone, SimplexCone, cone_from_json, cone_to_json, section_of
-from .containment import (
-    RelaxationCertificate,
-    RelaxationFarkas,
-    apply_kraus,
-)
-from .linalg import HermitianMatrix, matrix_from_json, matrix_to_json
-from .opsys import (
-    ACCEPT_RESIDUAL,
-    SEPARATOR_PHI_LIMIT,
-    MinMembershipCertificate,
-    SeparationFunctional,
-)
+from .linalg import matrix_from_json, matrix_to_json
 from .pencil import (
     LinearPencil,
     MatrixTuple,
@@ -37,7 +32,13 @@ from .pencil import (
     tuple_to_json,
 )
 
+if TYPE_CHECKING:
+    from .containment import RelaxationCertificate, RelaxationFarkas
+    from .opsys import MinMembershipCertificate, SeparationFunctional
+
 SCHEMA_VERSION = 1
+ACCEPT_RESIDUAL = 1e-6
+SEPARATOR_PHI_LIMIT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -48,251 +49,288 @@ class CertificateCheck:
     details: dict
 
 
-def _complex_mats_to_json(mats) -> list:
-    return [matrix_to_json(m) for m in mats]
-
-
 def _kraus_to_json(kraus) -> list:
     k = np.asarray(kraus, dtype=np.complex128)
     return np.stack([k.real, k.imag], -1).tolist()
 
 
 def _kraus_from_json(obj) -> tuple[np.ndarray, ...]:
-    if obj == []:
-        return ()
-    try:
-        pairs = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        pairs = np.zeros(0)
-    if pairs.ndim != 4 or pairs.shape[-1] != 2:
+    kraus = () if obj == [] else linalg.complex_from_pairs(obj, 3)
+    if kraus is None:
         raise ValueError("kraus: expected a list of equal-shape matrices of [re, im] pairs")
-    return tuple(pairs.view(np.complex128)[..., 0])
+    return tuple(kraus)
 
 
 # -- constructors ------------------------------------------------------------
 
 
+def _document(kind: str, **fields) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def relaxation_feasible_cert(
     src: LinearPencil, tgt: LinearPencil, cert: RelaxationCertificate
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "relaxation_feasible",
-        "src": pencil_to_json(src),
-        "tgt": pencil_to_json(tgt),
-        "choi": matrix_to_json(cert.choi),
-        "kraus": _kraus_to_json(cert.kraus),
-    }
+    return _document(
+        "relaxation_feasible", src=pencil_to_json(src), tgt=pencil_to_json(tgt),
+        choi=matrix_to_json(cert.choi), kraus=_kraus_to_json(cert.kraus),
+    )
 
 
 def relaxation_infeasible_cert(
     src: LinearPencil, tgt: LinearPencil, farkas: RelaxationFarkas
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "relaxation_infeasible",
-        "src": pencil_to_json(src),
-        "tgt": pencil_to_json(tgt),
-        "y_matrices": _complex_mats_to_json(farkas.y_matrices),
-    }
+    return _document(
+        "relaxation_infeasible", src=pencil_to_json(src), tgt=pencil_to_json(tgt),
+        y_matrices=[matrix_to_json(m) for m in farkas.y_matrices],
+    )
 
 
 def min_member_cert(
     cone: PolyhedralCone, query: MatrixTuple, cert: MinMembershipCertificate
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "min_membership_member",
-        "cone": cone_to_json(cone),
-        "query": tuple_to_json(query),
-        "weights": _complex_mats_to_json(cert.weights),
-    }
+    return _document(
+        "min_membership_member", cone=cone_to_json(cone), query=tuple_to_json(query),
+        weights=[matrix_to_json(m) for m in cert.weights],
+    )
 
 
 def separator_cert(
     cone: PolyhedralCone, query: MatrixTuple, sep: SeparationFunctional
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "min_membership_separator",
-        "cone": cone_to_json(cone),
-        "query": tuple_to_json(query),
-        "n_matrices": _complex_mats_to_json(sep.matrices),
-        "margin": sep.margin,
-    }
+    return _document(
+        "min_membership_separator", cone=cone_to_json(cone), query=tuple_to_json(query),
+        n_matrices=[matrix_to_json(m) for m in sep.matrices], margin=sep.margin,
+    )
 
 
 def essential_boundary_cert(
     components, functional: SeparationFunctional, eps: float
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "essential_boundary",
-        "components": _complex_mats_to_json(components),
-        "n_matrices": _complex_mats_to_json(functional.matrices),
-        "eps": eps,
-    }
+    return _document(
+        "essential_boundary", components=[matrix_to_json(m) for m in components],
+        n_matrices=[matrix_to_json(m) for m in functional.matrices], eps=eps,
+    )
 
 
 def sandwich_cert(cone: PolyhedralCone, nu: float, h_normal, simplex) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "scaling_sandwich",
-        "cone": cone_to_json(cone),
-        "nu": nu,
-        "h_normal": list(map(float, h_normal)),
-        "simplex_generators": np.asarray(simplex.generators).tolist(),
-    }
+    return _document(
+        "scaling_sandwich", cone=cone_to_json(cone), nu=nu,
+        h_normal=list(map(float, h_normal)),
+        simplex_generators=np.asarray(simplex.generators).tolist(),
+    )
 
 
-# -- validation --------------------------------------------------------------
+# -- acceptance tests, on arrays ---------------------------------------------
+#
+# Matrices come as (k, n, n) complex stacks: a tuple A_i, weights P_k,
+# separator matrices N_i, pencil matrices M_i (source) and N_i (target).
+
+
+def apply_kraus(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j V_j* X_i V_j for each X_i of the (d, r, r) stack ``x``, as one
+    product K* (X_i V_j stacked) over the (n, r, t) Kraus operators stacked
+    into the (n*r, t) matrix K."""
+    t = kraus.shape[-1]
+    xv = x[:, None] @ kraus
+    return kraus.reshape(-1, t).conj().T @ xv.reshape(len(x), -1, t)
+
+
+def phi(n: np.ndarray, stack: np.ndarray) -> float:
+    """phi(B) = sum_i Re tr(conj(N_i) B_i), the separator's functional."""
+    return float(np.einsum("ixy,iyx->", n.conj(), stack).real)
+
+
+def _eigvalsh(j: np.ndarray, r: int, t: int) -> np.ndarray:
+    """Eigenvalues of an rt x rt matrix, from its diagonal t x t blocks when
+    the others vanish."""
+    blocks = linalg.diagonal_blocks(j, r, t)
+    return np.linalg.eigvalsh(j if blocks is None else blocks)
+
+
+def check_min_member(gens: np.ndarray, stack: np.ndarray, weights: np.ndarray) -> CertificateCheck:
+    """PSD weights P_k with sum_k c_k[i] P_k = A_i, for the generators c_k
+    as the rows of ``gens``: residual max(-lambda_min(P_k), reconstruction
+    error), at least 0."""
+    recon = float(np.max(np.abs(np.tensordot(gens.T, weights, axes=1) - stack)))
+    residual = max(recon, -float(np.linalg.eigvalsh(weights)[:, 0].min()), 0.0)
+    return CertificateCheck("min_membership_member", residual < ACCEPT_RESIDUAL, residual, {})
+
+
+def check_separator(
+    gens: np.ndarray, unit: np.ndarray, stack: np.ndarray, n: np.ndarray
+) -> CertificateCheck:
+    """phi(B) = sum_i Re tr(conj(N_i) B_i) nonnegative on the system
+    (sum_i c_k[i] N_i >= 0 for every generator, up to the residual), with
+    a positive margin lambda_min(sum_i u_i N_i) and phi(A) below
+    -SEPARATOR_PHI_LIMIT."""
+    lows = np.linalg.eigvalsh(np.tensordot(np.vstack([gens, unit]), n, axes=1))[:, 0]
+    worst, margin = max(0.0, -float(lows[:-1].min())), float(lows[-1])
+    phi_query = phi(n, stack)
+    ok = worst < ACCEPT_RESIDUAL and margin > 0 and phi_query < -SEPARATOR_PHI_LIMIT
+    details = {"margin": margin, "phi_query": phi_query}
+    return CertificateCheck("min_membership_separator", ok, worst, details)
+
+
+def check_relaxation_feasible(
+    src: np.ndarray, tgt: np.ndarray, choi: np.ndarray, kraus
+) -> CertificateCheck:
+    """A PSD Choi matrix, and Kraus operators V_j with
+    sum_j V_j* M_i V_j = N_i: residual max(-lambda_min(J), reconstruction
+    error), at least 0."""
+    r, t = src.shape[-1], tgt.shape[-1]
+    psd_margin = float(_eigvalsh(choi, r, t).min())
+    v = np.asarray(kraus, dtype=np.complex128).reshape(-1, r, t)
+    recon = float(np.max(np.abs(apply_kraus(v, src) - tgt)))
+    residual = max(0.0, -psd_margin, recon)
+    details = {"choi_min_eig": psd_margin, "kraus_count": len(v)}
+    return CertificateCheck("relaxation_feasible", residual < ACCEPT_RESIDUAL, residual, details)
+
+
+def check_relaxation_infeasible(
+    src: np.ndarray, tgt: np.ndarray, y: np.ndarray
+) -> CertificateCheck:
+    """Farkas matrices Y_i with gap = sum_i <Y_i, N_i> > 0 and
+    lambda_max(sum_i M_i^T (x) Y_i) <= FARKAS_TOL * gap; the residual is
+    max(lambda_max, 0) / gap."""
+    r, t = src.shape[-1], tgt.shape[-1]
+    gap = float(np.einsum("ixy,ixy->", y.conj(), tgt).real)
+    big = np.einsum("iba,ixy->axby", src, y).reshape(r * t, r * t)
+    lam = float(_eigvalsh(big, r, t).max())
+    ok = gap > 0 and lam <= sdp.FARKAS_TOL * gap
+    residual = max(0.0, lam) / gap if gap > 0 else float("inf")
+    return CertificateCheck("relaxation_infeasible", ok, residual, {"gap": gap, "lambda_max": lam})
+
+
+def check_essential_boundary(comps: np.ndarray, n: np.ndarray, eps: float) -> CertificateCheck:
+    """Hermitian M_i = conj(N_i) with M_3 >= eps*I (up to the residual),
+    tr M_3 = 1, P = (M_3 + D, M_3 - D, M_3 + S, M_3 - S) >= 0 for
+    D = M_1 - M_2 and S = M_1 + M_2, and each P_k orthogonal to the
+    component A_k."""
+    m1, m2, m3 = np.conj(n)
+    dmat, smat = m1 - m2, m1 + m2
+    p = np.array([m3 + dmat, m3 - dmat, m3 + smat, m3 - smat])
+    lows = np.linalg.eigvalsh(np.concatenate([p, m3[None]]))[:, 0]
+    orth = np.abs(np.einsum("kxy,kyx->k", p, comps).real)
+    trace_err = abs(float(np.trace(m3).real) - 1.0)
+    residual = max(0.0, -float(lows[:4].min()), trace_err, float(orth.max()))
+    margin = float(lows[4])
+    ok = residual < ACCEPT_RESIDUAL and margin >= eps - ACCEPT_RESIDUAL
+    details = {"margin": margin, "orthogonality": orth.tolist()}
+    return CertificateCheck("essential_boundary", ok, residual, details)
+
+
+def check_scaling_sandwich(
+    cone: PolyhedralCone, nu: float, h_normal: np.ndarray, simplex: SimplexCone
+) -> CertificateCheck:
+    """A simplex S with nu*C ⊆ S ⊆ C on the sections about the unit: every
+    vertex of one section satisfies every facet row of the other."""
+    sec, sec_s = section_of(cone, h_normal), section_of(simplex, h_normal)
+    inside = 1.0 + sec_s.vertices @ sec.facet_rows.T
+    around = 1.0 + (nu * sec.vertices) @ sec_s.facet_rows.T
+    residual = max(0.0, -float(inside.min()), -float(around.min()))
+    return CertificateCheck("scaling_sandwich", residual < ACCEPT_RESIDUAL, residual, {"nu": nu})
+
+
+# -- validation of documents -------------------------------------------------
 
 
 def verify_certificate(doc: dict) -> CertificateCheck:
+    """Parse a certificate document, check its shapes and run the
+    acceptance test of its kind; a malformed document raises a ValueError
+    that names the field."""
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
     if "certificate" in doc and "kind" not in doc:
         doc = doc["certificate"]
     kind = doc.get("kind")
     handlers = {
-        "relaxation_feasible": _check_relaxation_feasible,
-        "relaxation_infeasible": _check_relaxation_infeasible,
-        "min_membership_member": _check_min_member,
-        "min_membership_separator": _check_separator,
-        "essential_boundary": _check_essential_boundary,
-        "scaling_sandwich": _check_sandwich,
+        "relaxation_feasible": _verify_relaxation_feasible,
+        "relaxation_infeasible": _verify_relaxation_infeasible,
+        "min_membership_member": _verify_min_member,
+        "min_membership_separator": _verify_separator,
+        "essential_boundary": _verify_essential_boundary,
+        "scaling_sandwich": _verify_sandwich,
     }
     if kind not in handlers:
         raise ValueError(f"unknown certificate kind {kind!r}")
     return handlers[kind](doc)
 
 
-def _check_relaxation_feasible(doc) -> CertificateCheck:
-    src = pencil_from_json(doc["src"])
-    tgt = pencil_from_json(doc["tgt"])
-    choi = matrix_from_json(doc["choi"])
-    kraus = _kraus_from_json(doc["kraus"])
-    psd_margin = linalg.min_eigenvalue(choi)
-    residual = max(0.0, -psd_margin)
-    for i in range(src.d):
-        img = apply_kraus(kraus, src.matrices[i].mat)
-        residual = max(residual, float(np.max(np.abs(img.mat - tgt.matrices[i].mat))))
-    return CertificateCheck(
-        kind="relaxation_feasible",
-        ok=residual < ACCEPT_RESIDUAL,
-        residual=residual,
-        details={"choi_min_eig": psd_margin, "kraus_count": len(kraus)},
-    )
+def _parsed(doc: dict, name: str, parse=lambda v: v):
+    """``parse(doc[name])``, with the field named in its error."""
+    if name not in doc:
+        raise ValueError(f"certificate missing field {name!r}")
+    try:
+        return parse(doc[name])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _check_relaxation_infeasible(doc) -> CertificateCheck:
-    src = pencil_from_json(doc["src"])
-    tgt = pencil_from_json(doc["tgt"])
-    ymats = [matrix_from_json(m) for m in doc["y_matrices"]]
-    gap = float(sum(linalg.trace_inner(tgt.matrices[i], ymats[i]) for i in range(tgt.d)))
-    big = sum(np.kron(src.matrices[i].mat.T, ymats[i].mat) for i in range(src.d))
-    lam = linalg.max_eigenvalue(HermitianMatrix(big))
-    ok = gap > 0 and lam <= sdp.FARKAS_TOL * gap
-    residual = max(0.0, lam) / gap if gap > 0 else float("inf")
-    return CertificateCheck(
-        kind="relaxation_infeasible",
-        ok=ok,
-        residual=residual,
-        details={"gap": gap, "lambda_max": lam},
-    )
+def _stack(mats, count: int, size=None) -> np.ndarray:
+    """The (count, size, size) stack of a list of matrix literals; with no
+    ``size``, the size of the first."""
+    if not isinstance(mats, list) or len(mats) != count:
+        raise ValueError(f"expected a list of {count} matrices")
+    stack = [matrix_from_json(m).mat for m in mats]
+    size = size or len(stack[0])
+    if any(len(m) != size for m in stack):
+        raise ValueError(f"expected {size} x {size} matrices")
+    return np.array(stack)
 
 
-def _check_min_member(doc) -> CertificateCheck:
-    cone = cone_from_json(doc["cone"])
-    query = tuple_from_json(doc["query"])
-    weights = [matrix_from_json(m) for m in doc["weights"]]
-    if len(weights) != cone.n_generators:
-        raise ValueError("weight count does not match generators")
-    residual = max(0.0, -min(linalg.min_eigenvalue(w) for w in weights))
-    for i in range(cone.dim):
-        acc = sum(cone.generators[k, i] * weights[k].mat for k in range(len(weights)))
-        residual = max(residual, float(np.max(np.abs(acc - query.entries[i].mat))))
-    return CertificateCheck(
-        kind="min_membership_member",
-        ok=residual < ACCEPT_RESIDUAL,
-        residual=residual,
-        details={},
-    )
+def _cone_and_query(doc: dict) -> tuple[PolyhedralCone, np.ndarray]:
+    cone = _parsed(doc, "cone", cone_from_json)
+    query = _parsed(doc, "query", tuple_from_json)
+    if query.d != cone.dim:
+        raise ValueError(f"query: {query.d} entries for a cone of dimension {cone.dim}")
+    return cone, linalg.stacked(query.entries)
 
 
-def _check_separator(doc) -> CertificateCheck:
-    cone = cone_from_json(doc["cone"])
-    query = tuple_from_json(doc["query"])
-    nmats = [matrix_from_json(m) for m in doc["n_matrices"]]
-    # nonnegativity on the system: sum_i c_i N_i >= 0 for every generator
-    worst = 0.0
-    for g in cone.generators:
-        acc = sum(gi * n.mat for gi, n in zip(g, nmats))
-        worst = max(worst, -linalg.min_eigenvalue(HermitianMatrix(acc)))
-    margin = linalg.min_eigenvalue(
-        HermitianMatrix(sum(u * n.mat for u, n in zip(cone.unit, nmats)))
-    )
-    phi_query = float(
-        sum(np.real(np.trace(np.conj(n.mat) @ e.mat)) for n, e in zip(nmats, query.entries))
-    )
-    ok = worst < ACCEPT_RESIDUAL and margin > 0 and phi_query < -SEPARATOR_PHI_LIMIT
-    return CertificateCheck(
-        kind="min_membership_separator",
-        ok=ok,
-        residual=worst,
-        details={"margin": margin, "phi_query": phi_query},
-    )
+def _pencils(doc: dict) -> tuple[np.ndarray, np.ndarray]:
+    src = _parsed(doc, "src", pencil_from_json)
+    tgt = _parsed(doc, "tgt", pencil_from_json)
+    if tgt.d != src.d:
+        raise ValueError(f"tgt: {tgt.d} matrices for a source with {src.d}")
+    return linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
 
 
-def _check_essential_boundary(doc) -> CertificateCheck:
-    comps = [matrix_from_json(m) for m in doc["components"]]
-    nmats = [matrix_from_json(m) for m in doc["n_matrices"]]
-    eps = float(doc["eps"])
-    # stored with the conjugation convention; recover M_i = conj(N_i)
-    m1, m2, m3 = (np.conj(n.mat) for n in nmats)
-    dmat = m1 - m2
-    smat = m1 + m2
-    residual = 0.0
-    for sign in (1.0, -1.0):
-        residual = max(residual, -linalg.min_eigenvalue(HermitianMatrix(m3 + sign * dmat)))
-        residual = max(residual, -linalg.min_eigenvalue(HermitianMatrix(m3 + sign * smat)))
-    residual = max(residual, abs(float(np.real(np.trace(m3))) - 1.0))
-    orth = [
-        abs(float(np.real(np.trace((m3 + dmat) @ comps[0].mat)))),
-        abs(float(np.real(np.trace((m3 - dmat) @ comps[1].mat)))),
-        abs(float(np.real(np.trace((m3 + smat) @ comps[2].mat)))),
-        abs(float(np.real(np.trace((m3 - smat) @ comps[3].mat)))),
-    ]
-    residual = max(residual, max(orth))
-    margin = linalg.min_eigenvalue(HermitianMatrix(m3))
-    ok = residual < ACCEPT_RESIDUAL and margin >= eps - ACCEPT_RESIDUAL
-    return CertificateCheck(
-        kind="essential_boundary",
-        ok=ok,
-        residual=residual,
-        details={"margin": margin, "orthogonality": orth},
-    )
+def _verify_relaxation_feasible(doc) -> CertificateCheck:
+    src, tgt = _pencils(doc)
+    r, t = src.shape[-1], tgt.shape[-1]
+    choi = _parsed(doc, "choi", lambda m: _stack([m], 1, r * t)[0])
+    kraus = _kraus_from_json(_parsed(doc, "kraus"))
+    if kraus and kraus[0].shape != (r, t):
+        raise ValueError(f"kraus: expected {r} x {t} operators, got {kraus[0].shape}")
+    return check_relaxation_feasible(src, tgt, choi, kraus)
 
 
-def _check_sandwich(doc) -> CertificateCheck:
-    cone = cone_from_json(doc["cone"])
-    nu = float(doc["nu"])
-    h_normal = np.asarray(doc["h_normal"], dtype=float)
-    simplex = SimplexCone(np.asarray(doc["simplex_generators"], dtype=float), cone.unit)
-    sec = section_of(cone, h_normal)
-    sec_s = section_of(simplex, h_normal)
-    residual = 0.0
-    # simplex inside the cone
-    for v in sec_s.vertices:
-        vals = 1.0 + sec.facet_rows @ v
-        residual = max(residual, -float(vals.min()))
-    # scaled cone inside the simplex
-    for v in nu * sec.vertices:
-        vals = 1.0 + sec_s.facet_rows @ v
-        residual = max(residual, -float(vals.min()))
-    return CertificateCheck(
-        kind="scaling_sandwich",
-        ok=residual < ACCEPT_RESIDUAL,
-        residual=residual,
-        details={"nu": nu},
-    )
+def _verify_relaxation_infeasible(doc) -> CertificateCheck:
+    src, tgt = _pencils(doc)
+    y = _parsed(doc, "y_matrices", lambda v: _stack(v, len(tgt), tgt.shape[-1]))
+    return check_relaxation_infeasible(src, tgt, y)
+
+
+def _verify_min_member(doc) -> CertificateCheck:
+    cone, query = _cone_and_query(doc)
+    weights = _parsed(doc, "weights", lambda v: _stack(v, cone.n_generators, query.shape[-1]))
+    return check_min_member(cone.generators, query, weights)
+
+
+def _verify_separator(doc) -> CertificateCheck:
+    cone, query = _cone_and_query(doc)
+    n = _parsed(doc, "n_matrices", lambda v: _stack(v, cone.dim, query.shape[-1]))
+    return check_separator(cone.generators, cone.unit, query, n)
+
+
+def _verify_essential_boundary(doc) -> CertificateCheck:
+    comps = _parsed(doc, "components", lambda v: _stack(v, 4))
+    n = _parsed(doc, "n_matrices", lambda v: _stack(v, 3, comps.shape[-1]))
+    return check_essential_boundary(comps, n, float(_parsed(doc, "eps")))
+
+
+def _verify_sandwich(doc) -> CertificateCheck:
+    cone = _parsed(doc, "cone", cone_from_json)
+    h_normal = np.asarray(_parsed(doc, "h_normal"), dtype=float)
+    simplex = _parsed(doc, "simplex_generators", lambda g: SimplexCone(g, cone.unit))
+    return check_scaling_sandwich(cone, float(_parsed(doc, "nu")), h_normal, simplex)

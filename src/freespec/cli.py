@@ -244,6 +244,18 @@ def _json_safe(value):
 # -- subcommand implementations ------------------------------------------------
 
 
+def _report_relaxation(rep: Report, src, tgt, rel) -> None:
+    """The certificate and its summary line, or the Unknown exit code."""
+    if rel.status is containment.RelaxationStatus.FEASIBLE:
+        rep.put("certificate", certificates.relaxation_feasible_cert(src, tgt, rel.certificate))
+        rep.say(f"  Kraus rank {len(rel.certificate.kraus)}, residual {rel.certificate.residual:.3e}")
+    elif rel.status is containment.RelaxationStatus.INFEASIBLE:
+        rep.put("certificate", certificates.relaxation_infeasible_cert(src, tgt, rel.farkas))
+        rep.say(f"  Farkas gap {rel.farkas.gap:.6f}, lambda_max {rel.farkas.lambda_max:.3e}")
+    else:
+        rep.exit_code = EXIT_UNKNOWN
+
+
 def _cmd_check_inclusion(args, rep: Report) -> None:
     src = load_cone_arg(args.src)
     alpha = parse_expression(args.alpha) if args.alpha else None
@@ -261,16 +273,7 @@ def _cmd_check_inclusion(args, rep: Report) -> None:
     if not scal.holds:
         rep.say(f"  violating ray {scal.witness_ray} margin {scal.witness_margin:.6e}")
     rep.say(f"matricial relaxation: {rel.status.value}")
-    if rel.status is containment.RelaxationStatus.FEASIBLE:
-        rep.put("certificate", certificates.relaxation_feasible_cert(
-            containment.diagonal_pencil(src), tgt, rel.certificate))
-        rep.say(f"  Kraus rank {len(rel.certificate.kraus)}, residual {rel.certificate.residual:.3e}")
-    elif rel.status is containment.RelaxationStatus.INFEASIBLE:
-        rep.put("certificate", certificates.relaxation_infeasible_cert(
-            containment.diagonal_pencil(src), tgt, rel.farkas))
-        rep.say(f"  Farkas gap {rel.farkas.gap:.6f}, lambda_max {rel.farkas.lambda_max:.3e}")
-    else:
-        rep.exit_code = EXIT_UNKNOWN
+    _report_relaxation(rep, containment.diagonal_pencil(src), tgt, rel)
     if verdict.free_witness is not None:
         fw = verdict.free_witness
         rep.put("free_witness", {
@@ -289,14 +292,8 @@ def _cmd_relaxation(args, rep: Report) -> None:
     rel = containment.relaxation(src, tgt, tol=args.tol, dump_to=args.dump_sdp)
     rep.put("status", rel.status.value)
     rep.say(f"relaxation: {rel.status.value}")
-    if rel.status is containment.RelaxationStatus.FEASIBLE:
-        rep.put("certificate", certificates.relaxation_feasible_cert(src, tgt, rel.certificate))
-        rep.say(f"  Kraus rank {len(rel.certificate.kraus)}, residual {rel.certificate.residual:.3e}")
-    elif rel.status is containment.RelaxationStatus.INFEASIBLE:
-        rep.put("certificate", certificates.relaxation_infeasible_cert(src, tgt, rel.farkas))
-        rep.say(f"  Farkas gap {rel.farkas.gap:.6f}, lambda_max {rel.farkas.lambda_max:.3e}")
-    else:
-        rep.exit_code = EXIT_UNKNOWN
+    _report_relaxation(rep, src, tgt, rel)
+    if rep.exit_code == EXIT_UNKNOWN:
         rep.say(f"  {rel.message}")
 
 
@@ -445,10 +442,7 @@ def _cmd_verify(args, rep: Report) -> None:
     doc = _load_json(args.certificate)
     if "result" in doc and "certificate" in doc.get("result", {}):
         doc = doc["result"]["certificate"]
-    try:
-        check = certificates.verify_certificate(doc)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    check = certificates.verify_certificate(doc)
     rep.put("kind", check.kind)
     rep.put("ok", check.ok)
     rep.put("residual", check.residual)
@@ -545,10 +539,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         rep = Report(config)
         args.fn(args, rep)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, cones.ConeConstructionError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(rep.render())

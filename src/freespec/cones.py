@@ -185,10 +185,6 @@ class PolyhedralCone:
     def n_facets(self) -> int:
         return self.facets.shape[0]
 
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.facets @ x >= -tol * (1.0 + np.max(np.abs(x)))))
-
     def facet_values(self, x) -> np.ndarray:
         return self.facets @ np.asarray(x, dtype=float)
 
@@ -278,9 +274,6 @@ class Section:
     def to_ambient(self, y) -> np.ndarray:
         return self.cone.unit + self.basis @ np.asarray(y, dtype=float)
 
-    def to_coords(self, x) -> np.ndarray:
-        return self.basis.T @ (np.asarray(x, dtype=float) - self.cone.unit)
-
     def contains(self, y, tol: float = GEOM_TOL) -> bool:
         vals = 1.0 + self.facet_rows @ np.asarray(y, dtype=float)
         return bool(np.all(vals >= -tol))
@@ -352,8 +345,9 @@ def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(diffs)) / math.factorial(pts.shape[1] - 1)
 
 
-# d-subsets scored per batch by the closed-form subset searches (here and in
-# `opsys`), which bounds their memory
+# d-subsets scored per batch by `best_sandwich_simplex`, which bounds its
+# memory; `opsys` decides a commuting stack in closed form only when all the
+# d-subsets of its generators fit in one batch, and solves the SDP otherwise
 SUBSET_BATCH = 8192
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels, linalg, sdp
+from . import _kernels, certificates, linalg, sdp
 from .cones import (
     PolyhedralCone,
     SimplexCone,
@@ -42,7 +42,6 @@ from .cones import (
 )
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .opsys import (
-    ACCEPT_RESIDUAL,
     MinMembershipStatus,
     _min_membership_problem,
     generator_weights,
@@ -85,7 +84,7 @@ def scalar_inclusion(
     """
     if src.dim != tgt.d:
         raise ValueError(f"cone dimension {src.dim} != pencil variables {tgt.d}")
-    stack = np.array([m.mat for m in tgt.matrices])
+    stack = linalg.stacked(tgt.matrices)
     margins = np.linalg.eigvalsh(np.tensordot(src.generators, stack, axes=1))[:, 0]
     worst = int(np.argmin(margins))
     if margins[worst] < -tol:
@@ -143,7 +142,7 @@ def _choi_problem(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
     basis = linalg.hermitian_basis(t)
     mt = np.array([m.mat.T for m in src.matrices])
     coeffs = mt[:, None, :, None, :, None] * basis[None, :, None, :, None, :]
-    tgt_stack = np.array([m.mat for m in tgt.matrices])
+    tgt_stack = linalg.stacked(tgt.matrices)
     rhs = np.einsum("bij,dji->db", basis, tgt_stack).real.ravel()
     return sdp.SdpProblem((r * t,), (coeffs.reshape(-1, r * t, r * t),), rhs)
 
@@ -155,7 +154,8 @@ def kraus_from_choi(choi: HermitianMatrix, r: int, t: int) -> tuple[np.ndarray, 
     X -> sum_j V_j* X V_j.  A J whose off-diagonal t x t blocks vanish is
     decomposed block by block: the eigenvector w of block k is e_k (x) w.
     """
-    blocks = _blocks_of(choi.mat, r, t)
+    blocks = linalg.diagonal_blocks(choi.mat, r, t)
+    blocks = choi.mat[None] if blocks is None else blocks
     lam, w = _kernels.eigh_kernel(blocks)
     vecs = np.einsum("kl,kxn->knlx", np.eye(len(blocks)), w).reshape(-1, r, t)
     lam = lam.ravel()
@@ -164,67 +164,41 @@ def kraus_from_choi(choi: HermitianMatrix, r: int, t: int) -> tuple[np.ndarray, 
     return tuple(np.sqrt(lam[keep])[:, None, None] * np.conj(vecs[keep]))
 
 
-def _blocks_of(j: np.ndarray, r: int, t: int) -> np.ndarray:
-    """The diagonal t x t blocks of J when the others vanish, else J alone."""
-    blocks = _diagonal_blocks(j, r, t)
-    return j[None] if blocks is None else blocks
-
-
-def _diagonal_blocks(j: np.ndarray, r: int, t: int) -> Optional[np.ndarray]:
-    """The (..., r, t, t) diagonal blocks of (a stack of) rt x rt matrices
-    whose off-diagonal t x t blocks are exactly zero, or None."""
-    full = j.reshape(j.shape[:-2] + (r, t, r, t))
-    blocks = np.einsum("...kxky->...kxy", full)
-    return blocks if np.count_nonzero(full) == np.count_nonzero(blocks) else None
-
-
-def apply_kraus(kraus, x) -> HermitianMatrix:
-    """sum_j V_j* X V_j, as one product K* (X V_j stacked) over the Kraus
-    operators stacked into the (n*r, t) matrix K."""
-    v = np.asarray(kraus, dtype=np.complex128)
-    xv = np.asarray(x, dtype=np.complex128) @ v
-    t = v.shape[-1]
-    return HermitianMatrix(v.reshape(-1, t).conj().T @ xv.reshape(-1, t))
-
-
-def _kraus_certificate(
-    src: LinearPencil, tgt: LinearPencil, choi: HermitianMatrix
-) -> RelaxationCertificate:
-    kraus = kraus_from_choi(choi, src.r, tgt.r)
-    residual = max(
-        float(np.max(np.abs(apply_kraus(kraus, m.mat).mat - n.mat)))
-        for m, n in zip(src.matrices, tgt.matrices)
-    )
-    return RelaxationCertificate(choi=choi, kraus=kraus, residual=residual)
-
-
 def _relaxation_farkas(
-    src: LinearPencil, tgt: LinearPencil, ymats: list[HermitianMatrix]
-) -> RelaxationFarkas:
-    big = sum(np.kron(src.matrices[i].mat.T, ymats[i].mat) for i in range(src.d))
-    lam_max = _kernels.eigh_kernel(_blocks_of(big, src.r, tgt.r))[0][:, -1].max()
-    gap = float(sum(linalg.trace_inner(tgt.matrices[i], ymats[i]) for i in range(src.d)))
-    return RelaxationFarkas(y_matrices=tuple(ymats), gap=gap, lambda_max=float(lam_max))
+    src: np.ndarray, tgt: np.ndarray, y: np.ndarray
+) -> Optional[RelaxationFarkas]:
+    """The Farkas certificate of matrices ``y`` for the stacked source and
+    target, or None when it fails `certificates.check_relaxation_infeasible`."""
+    y = linalg.hermitian_part(y)
+    check = certificates.check_relaxation_infeasible(src, tgt, y)
+    if not check.ok:
+        return None
+    return RelaxationFarkas(
+        y_matrices=tuple(HermitianMatrix(m) for m in y),
+        gap=check.details["gap"],
+        lambda_max=check.details["lambda_max"],
+    )
 
 
 def _relaxation_result(
-    src: LinearPencil, tgt: LinearPencil, choi=None, ymats=None, message: str = ""
+    src: LinearPencil, tgt: LinearPencil, choi=None, farkas=None, message: str = ""
 ) -> RelaxationResult:
-    """Feasible with the Kraus form of ``choi``, Infeasible with the Farkas
-    matrices ``ymats``, or Unknown with ``message``."""
+    """Feasible with the Kraus form of ``choi`` when it passes
+    `certificates.check_relaxation_feasible`, Infeasible with the checked
+    ``farkas``, or Unknown with ``message``."""
     if choi is not None:
-        cert = _kraus_certificate(src, tgt, choi)
-        if cert.residual >= ACCEPT_RESIDUAL:
+        kraus = kraus_from_choi(choi, src.r, tgt.r)
+        src_stack, tgt_stack = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
+        check = certificates.check_relaxation_feasible(src_stack, tgt_stack, choi.mat, kraus)
+        if not check.ok:
             return RelaxationResult(
                 status=RelaxationStatus.UNKNOWN,
-                message=f"Kraus reconstruction residual {cert.residual:.3e} too large",
+                message=f"Kraus certificate residual {check.residual:.3e} too large",
             )
+        cert = RelaxationCertificate(choi=choi, kraus=kraus, residual=check.residual)
         return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
-    if ymats is not None:
-        ymats = [HermitianMatrix(y) for y in ymats]
-        return RelaxationResult(
-            status=RelaxationStatus.INFEASIBLE, farkas=_relaxation_farkas(src, tgt, ymats)
-        )
+    if farkas is not None:
+        return RelaxationResult(status=RelaxationStatus.INFEASIBLE, farkas=farkas)
     return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
 
 
@@ -238,19 +212,23 @@ def _sdp_relaxation(
     if problem is None:
         problem = _choi_problem(src, tgt)
     outcome = sdp.solve(problem, tol=tol)
-    choi = ymats = None
+    choi = farkas = None
+    message = outcome.message
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         choi = outcome.primal[0]
     elif outcome.status is sdp.SdpStatus.INFEASIBLE:
         y = outcome.dual_certificate.y.reshape(src.d, -1)
         ymats = np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1)
-    return _relaxation_result(src, tgt, choi, ymats, outcome.message)
+        stacks = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
+        farkas = _relaxation_farkas(*stacks, ymats)
+        message = "Farkas certificate rejected by its check"
+    return _relaxation_result(src, tgt, choi, farkas, message)
 
 
 def _diagonal_facets(src: LinearPencil) -> Optional[np.ndarray]:
     """F with M_i = diag(F[:, i]) when every source matrix is exactly
     diagonal; None otherwise."""
-    diag = _diagonal_blocks(np.array([m.mat for m in src.matrices]), src.r, 1)
+    diag = linalg.diagonal_blocks(linalg.stacked(src.matrices), src.r, 1)
     return None if diag is None else diag[..., 0, 0].T.real
 
 
@@ -268,9 +246,8 @@ def relaxation(
     (in closed form for invertible F, i.e. a simplex source, and for a
     commuting target) with Choi matrix blockdiag(Q_k).  Any other source
     is decided by the SDP in the Choi variable J >= 0 of size r*t with
-    d * t^2 real constraints.  An
-    Infeasible outcome carries a verified dual witness; ``dump_to``
-    receives the SDP of the path taken.
+    d * t^2 real constraints.  Either answer has passed the check of
+    `freespec verify`; ``dump_to`` receives the SDP of the path taken.
     """
     if src.d != tgt.d:
         raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
@@ -280,12 +257,15 @@ def relaxation(
         if dump_to is not None:
             sdp.dump_problem(problem, dump_to)
         return _sdp_relaxation(src, tgt, tol=tol, problem=problem)
-    stack = np.array([m.mat for m in tgt.matrices])
+    src_stack, stack = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
     problem = None
     if dump_to is not None:
         problem = _min_membership_problem(facets, stack)
         sdp.dump_problem(problem, dump_to)
-    dec = generator_weights(facets, stack, tol=tol, problem=problem)
+    dec = generator_weights(
+        facets, stack, lambda y: _relaxation_farkas(src_stack, stack, y),
+        tol=tol, problem=problem,
+    )
     choi = None
     if dec.weights is not None:
         choi = np.einsum("jk,jxy->jxky", np.eye(src.r), dec.weights)
@@ -478,7 +458,7 @@ def commuting_target_tightness(
     polyhedron, realized diagonally).  Raises on non-commuting targets.
     ``max_offdiagonal`` is measured in `linalg.joint_eigenbasis`, the basis
     in which `opsys.generator_weights` decides commuting targets."""
-    stack = np.array([m.mat for m in tgt.matrices])
+    stack = linalg.stacked(tgt.matrices)
     prods = stack @ stack[:, None]
     comm = np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
     max_comm = float(comm.max())

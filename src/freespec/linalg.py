@@ -9,6 +9,7 @@ treated as immutable, and tolerances are relative, scaled by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -163,6 +164,25 @@ def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
         )
     u = dec.eigenvectors
     return (u / np.sqrt(dec.eigenvalues)) @ u.conj().T
+
+
+def stacked(mats) -> np.ndarray:
+    """The (k, n, n) array of a sequence of HermitianMatrix."""
+    return np.array([m.mat for m in mats])
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a matrix or of each matrix of a stack; exactly
+    Hermitian, so `HermitianMatrix` stores it unchanged."""
+    return (a + np.swapaxes(a, -1, -2).conj()) / 2.0
+
+
+def diagonal_blocks(j: np.ndarray, r: int, t: int) -> Optional[np.ndarray]:
+    """The (..., r, t, t) diagonal blocks of (a stack of) rt x rt matrices
+    whose off-diagonal t x t blocks are exactly zero, or None."""
+    full = j.reshape(j.shape[:-2] + (r, t, r, t))
+    blocks = np.einsum("...kxky->...kxy", full)
+    return blocks if np.count_nonzero(full) == np.count_nonzero(blocks) else None
 
 
 _GOLDEN = (5.0**0.5 - 1.0) / 2.0

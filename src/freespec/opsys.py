@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, linalg, sdp
+from . import _kernels, certificates, linalg, sdp
 from .cones import SUBSET_BATCH, PolyhedralCone, _subsets
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, as_hermitian
 from .pencil import (
@@ -47,14 +47,6 @@ from .pencil import (
 
 SEPARATOR_SHIFT = 1e-8
 STRICTNESS_EPS = 1e-6
-# The certificate checker's limits, used by `certificates` and by every
-# producer that tests its own answer first.  A residual (a Member
-# certificate's max(-lambda_min, reconstruction error), a separator's
-# negativity on the generators, a Kraus reconstruction error) must stay
-# strictly below ACCEPT_RESIDUAL, and a separator must take a value below
-# -SEPARATOR_PHI_LIMIT at the query.
-ACCEPT_RESIDUAL = 1e-6
-SEPARATOR_PHI_LIMIT = 1e-7
 
 
 # --------------------------------------------------------------------------
@@ -72,7 +64,7 @@ def max_membership(
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    mins = np.linalg.eigvalsh(np.tensordot(cone.facets, _stacked(a), axes=1))[:, 0]
+    mins = np.linalg.eigvalsh(np.tensordot(cone.facets, linalg.stacked(a.entries), axes=1))[:, 0]
     worst = int(np.argmin(mins))
     margin = float(mins[worst])
     return MembershipResult(
@@ -110,23 +102,11 @@ class SeparationFunctional:
     matrices: tuple[HermitianMatrix, ...]
     margin: float
 
-    @property
-    def d(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def level(self) -> int:
-        return self.matrices[0].dim
-
     def evaluate(self, b: MatrixTuple) -> float:
-        if b.d != self.d or b.level != self.level:
+        n, a = linalg.stacked(self.matrices), linalg.stacked(b.entries)
+        if n.shape != a.shape:
             raise ValueError("tuple shape does not match the functional")
-        return float(
-            sum(
-                np.real(np.trace(np.conj(n.mat) @ e.mat))
-                for n, e in zip(self.matrices, b.entries)
-            )
-        )
+        return certificates.phi(n, a)
 
 
 @dataclass(frozen=True)
@@ -148,32 +128,30 @@ def _min_membership_problem(gens: np.ndarray, stack: np.ndarray) -> sdp.SdpProbl
     return sdp.SdpProblem((s,) * len(gens), tuple(coeffs), rhs)
 
 
-def _positivity_shift_functional(cone: PolyhedralCone) -> np.ndarray:
-    """A functional strictly positive on the cone, normalised at the unit."""
-    f = cone.facets.mean(axis=0)
-    return f / float(f @ cone.unit)
-
-
-def _shifted_separator(cone: PolyhedralCone, mats) -> SeparationFunctional:
-    """The functional with matrices N_i, shifted by SEPARATOR_SHIFT times a
-    cone-positive functional when sum_i u_i N_i is not positive definite."""
-    s = mats[0].shape[0]
-    margin = linalg.min_eigenvalue(
-        HermitianMatrix(sum(u * n for u, n in zip(cone.unit, mats)))
-    )
-    if margin < SEPARATOR_SHIFT:
-        shift = _positivity_shift_functional(cone)
-        mats = [n + SEPARATOR_SHIFT * shift[i] * np.eye(s) for i, n in enumerate(mats)]
-        margin = linalg.min_eigenvalue(
-            HermitianMatrix(sum(u * n for u, n in zip(cone.unit, mats)))
-        )
+def _separator(
+    cone: PolyhedralCone, stack: np.ndarray, y: np.ndarray
+) -> Optional[SeparationFunctional]:
+    """The separator N = -conj(Y) of Farkas matrices Y, plus SEPARATOR_SHIFT
+    times the facet mean (normalised at the unit, so strictly positive on
+    the cone) when sum_i u_i N_i is not positive definite.  None unless Y
+    refutes A over the generators (the relaxation check from the diagonal
+    source diag(c_k)) and N passes `certificates.check_separator`."""
+    gens, unit = cone.generators, cone.unit
+    diagonal = np.einsum("ki,kl->ikl", gens, np.eye(len(gens)))
+    if not certificates.check_relaxation_infeasible(diagonal, stack, y).ok:
+        return None
+    n = linalg.hermitian_part(-np.conj(y))
+    check = certificates.check_separator(gens, unit, stack, n)
+    if check.details["margin"] < SEPARATOR_SHIFT:
+        f = cone.facets.mean(axis=0)
+        shift = SEPARATOR_SHIFT * (f / float(f @ unit))
+        n = n + shift[:, None, None] * np.eye(n.shape[-1])
+        check = certificates.check_separator(gens, unit, stack, n)
+    if not check.ok:
+        return None
     return SeparationFunctional(
-        matrices=tuple(HermitianMatrix(n) for n in mats), margin=float(margin)
+        matrices=tuple(HermitianMatrix(m) for m in n), margin=check.details["margin"]
     )
-
-
-def _stacked(a: MatrixTuple) -> np.ndarray:
-    return np.array([e.mat for e in a.entries])
 
 
 def _project_weights(
@@ -187,31 +165,39 @@ def _project_weights(
     """
     r = a - np.tensordot(gens.T, p, axes=1)
     q = p + np.tensordot(gens_pinv_t, r, axes=1)
-    return (q + q.conj().transpose(0, 2, 1)) / 2.0
-
-
-def _weights_residual(gens: np.ndarray, a: np.ndarray, p: np.ndarray) -> float:
-    """max(-lambda_min, reconstruction error): the certificate checker's residual."""
-    recon = float(np.max(np.abs(np.tensordot(gens.T, p, axes=1) - a)))
-    return max(recon, -float(np.linalg.eigvalsh(p)[:, 0].min()), 0.0)
+    return linalg.hermitian_part(q)
 
 
 @dataclass(frozen=True)
 class GeneratorWeights:
-    """PSD ``weights`` P_k, an (m, s, s) stack, with their checker
-    ``residual``; or Farkas matrices ``farkas`` Y_i, a (d, s, s) stack with
-    sum_i c_k[i] Y_i <= 0 for every k and sum_i <Y_i, A_i> = 1; or neither,
-    with a ``message``."""
+    """PSD ``weights`` P_k, an (m, s, s) stack, with the ``residual`` of
+    `certificates.check_min_member`; or ``farkas``, the certificate the
+    caller's ``certify`` made of Farkas matrices Y_i (a (d, s, s) stack
+    with sum_i c_k[i] Y_i <= 0 for every k and sum_i <Y_i, A_i> = 1); or
+    neither, with a ``message``."""
 
     weights: Optional[np.ndarray] = None
     residual: float = 0.0
-    farkas: Optional[np.ndarray] = None
+    farkas: object = None
     message: str = ""
+
+
+def _checked_weights(gens, stack, p) -> Optional[GeneratorWeights]:
+    """The weights ``p`` when they pass `certificates.check_min_member`."""
+    check = certificates.check_min_member(gens, stack, p)
+    return GeneratorWeights(weights=p, residual=check.residual) if check.ok else None
+
+
+def _refutation(certify, y) -> Optional[GeneratorWeights]:
+    """What ``certify`` makes of the Farkas matrices ``y``, unless None."""
+    farkas = certify(y)
+    return None if farkas is None else GeneratorWeights(farkas=farkas)
 
 
 def _sdp_weights(
     gens: np.ndarray,
     stack: np.ndarray,
+    certify,
     tol: float = 1e-8,
     max_iter: int = sdp.DEFAULT_MAX_ITER,
     problem: Optional[sdp.SdpProblem] = None,
@@ -227,29 +213,25 @@ def _sdp_weights(
         problem = _min_membership_problem(gens, stack)
     outcome = sdp.solve(problem, tol=tol, max_iter=max_iter)
     if outcome.status in (sdp.SdpStatus.FEASIBLE, sdp.SdpStatus.OPTIMAL):
-        raw = np.array([w.mat for w in outcome.primal])
+        raw = linalg.stacked(outcome.primal)
         candidates = (raw, _project_weights(np.linalg.pinv(gens.T), gens, stack, raw))
-        residuals = [_weights_residual(gens, stack, w) for w in candidates]
-        best = int(np.argmin(residuals))
-        if residuals[best] >= ACCEPT_RESIDUAL:
+        checks = [certificates.check_min_member(gens, stack, w) for w in candidates]
+        best = int(np.argmin([c.residual for c in checks]))
+        if not checks[best].ok:
             return GeneratorWeights(
-                message=f"weight reconstruction residual {residuals[best]:.3e} too large"
+                message=f"weight reconstruction residual {checks[best].residual:.3e} too large"
             )
-        return GeneratorWeights(weights=candidates[best], residual=residuals[best])
+        return GeneratorWeights(weights=candidates[best], residual=checks[best].residual)
     if outcome.status is sdp.SdpStatus.INFEASIBLE:
         y = outcome.dual_certificate.y.reshape(gens.shape[1], -1)
         basis = linalg.hermitian_basis(stack.shape[-1])
-        return GeneratorWeights(farkas=np.tensordot(y, basis, axes=1))
+        return _refutation(certify, np.tensordot(y, basis, axes=1)) or GeneratorWeights(
+            message="Farkas certificate rejected by its check"
+        )
     return GeneratorWeights(message=outcome.message)
 
 
-def _farkas_ok(gens: np.ndarray, y: np.ndarray, accept) -> bool:
-    """sum_i c_k[i] Y_i <= FARKAS_TOL for every generator, and ``accept``."""
-    on_gens = np.linalg.eigvalsh(np.tensordot(gens, y, axes=1))[:, -1].max()
-    return on_gens <= sdp.FARKAS_TOL and accept(y)
-
-
-def _simplex_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
+def _simplex_weights(gens, stack, tol, certify) -> Optional[GeneratorWeights]:
     """The unique weights of a square ``gens`` of full rank, or their
     Farkas matrices; None inside the band or when the answer fails."""
     gens_pinv_t = np.linalg.pinv(gens.T)
@@ -258,15 +240,12 @@ def _simplex_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
     band = tol * float(np.abs(lam).max())
     lo = lam[:, 0]
     if lo.min() > band:
-        residual = _weights_residual(gens, stack, p)
-        if residual < ACCEPT_RESIDUAL:
-            return GeneratorWeights(weights=p, residual=residual)
-    elif lo.min() < -band:
+        return _checked_weights(gens, stack, p)
+    if lo.min() < -band:
         j = int(lo.argmin())
         v = vecs[j, :, 0]
         y = np.multiply.outer(-gens_pinv_t[j], np.outer(v, v.conj()) / abs(lo[j]))
-        if _farkas_ok(gens, y, accept):
-            return GeneratorWeights(farkas=y)
+        return _refutation(certify, y)
     return None
 
 
@@ -309,7 +288,7 @@ def _cone_lp(gens: np.ndarray, points: np.ndarray):
     return mins[rows, at], weights, normals
 
 
-def _commuting_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
+def _commuting_weights(gens, stack, tol, certify) -> Optional[GeneratorWeights]:
     """Weights or Farkas matrices for a commuting stack, or None.
 
     In a joint eigenbasis u_j the A_i are diagonal with values ell_j, and
@@ -328,27 +307,29 @@ def _commuting_weights(gens, stack, tol, accept) -> Optional[GeneratorWeights]:
     band = tol * float(np.abs(w).max())
     if low.min() >= -band:
         p = np.einsum("xj,jk,yj->kxy", u, np.maximum(w, 0.0), u.conj())
-        residual = _weights_residual(gens, stack, p)
-        if residual < ACCEPT_RESIDUAL:
-            return GeneratorWeights(weights=p, residual=residual)
-        return None
+        return _checked_weights(gens, stack, linalg.hermitian_part(p))
     j = int(low.argmin())
     if np.isnan(normals[j, 0]):
         return None
     y = np.multiply.outer(normals[j], np.outer(u[:, j], u[:, j].conj()))
-    return GeneratorWeights(farkas=y) if _farkas_ok(gens, y, accept) else None
+    return _refutation(certify, y)
 
 
 def generator_weights(
     gens: np.ndarray,
     stack: np.ndarray,
+    certify,
     tol: float = 1e-8,
     max_iter: int = sdp.DEFAULT_MAX_ITER,
     problem: Optional[sdp.SdpProblem] = None,
-    accept=lambda y: True,
 ) -> GeneratorWeights:
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
     c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
+
+    Every answer passes its certificate check first: weights
+    `certificates.check_min_member`, Farkas matrices Y the caller's
+    ``certify``, which returns the caller's certificate made of Y, or None
+    when that fails its check.
 
     Two cases are decided in closed form.  A square ``gens`` of full rank
     gives unique weights, PSD or not (`_simplex_weights`): with
@@ -357,42 +338,29 @@ def generator_weights(
     negative lambda_min(P_j) with eigenvector v,
     Y_i = -G^(-1)[i,j] vv* / |v*P_j v|: sum_i c_k[i] Y_i is 0 for k != j and
     -vv*/|v*P_j v| for k = j, and sum_i <Y_i, A_i> = 1.  For m > d with at
-    most SUBSET_BATCH d-subsets of generators, a stack that commutes (every U* A_i U diagonal within tol * max|A| in the basis
-    of `linalg.joint_eigenbasis`) is decided per joint eigenvector
+    most SUBSET_BATCH d-subsets of generators, a stack that commutes (every
+    U* A_i U diagonal within tol * max|A| in the basis of
+    `linalg.joint_eigenbasis`) is decided per joint eigenvector
     (`_commuting_weights`): weights when every eigenvector's best smallest
     weight is at least -tol * max|W| (clipped at 0), else Farkas matrices
-    from the worst eigenvector's separating normal.  Answers that fail
-    their check or the caller's ``accept`` go to the SDP (``problem``, when
-    given), as does every other input.
+    from the worst eigenvector's separating normal.  Closed-form answers
+    that fail their check go to the SDP (``problem``, when given), as does
+    every other input; an SDP answer that fails is Unknown.
     """
     m, d = gens.shape
     dec = None
     if m == d and np.linalg.matrix_rank(gens) == d:
-        dec = _simplex_weights(gens, stack, tol, accept)
+        dec = _simplex_weights(gens, stack, tol, certify)
     elif m > d and math.comb(m, d) <= SUBSET_BATCH:
-        dec = _commuting_weights(gens, stack, tol, accept)
+        dec = _commuting_weights(gens, stack, tol, certify)
     if dec is None:
-        dec = _sdp_weights(gens, stack, tol=tol, max_iter=max_iter, problem=problem)
+        dec = _sdp_weights(gens, stack, certify, tol=tol, max_iter=max_iter, problem=problem)
     return dec
 
 
-def _separates(cone: PolyhedralCone, a: MatrixTuple, sep: SeparationFunctional) -> bool:
-    """The certificate checker's acceptance test for a separator."""
-    n = np.array([m.mat for m in sep.matrices])
-    on_gens = np.tensordot(cone.generators, n, axes=1)
-    worst = -float(np.linalg.eigvalsh(on_gens)[:, 0].min())
-    return (
-        worst < ACCEPT_RESIDUAL
-        and sep.margin > 0
-        and sep.evaluate(a) < -SEPARATOR_PHI_LIMIT
-    )
-
-
-def _membership_result(
-    cone: PolyhedralCone, a: MatrixTuple, dec: GeneratorWeights
-) -> MinMembershipResult:
-    """Member with the weights, or NotMember with the separator
-    N = -conj(Y) when the checker would accept it; otherwise Unknown."""
+def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
+    """Member with the weights, NotMember with the separator that
+    `_separator` made of the Farkas matrices, or Unknown."""
     if dec.weights is not None:
         weights = tuple(HermitianMatrix(w) for w in dec.weights)
         return MinMembershipResult(
@@ -400,18 +368,16 @@ def _membership_result(
             certificate=MinMembershipCertificate(weights=weights, residual=dec.residual),
         )
     if dec.farkas is not None:
-        sep = _shifted_separator(cone, -np.conj(dec.farkas))
-        if _separates(cone, a, sep):
-            return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=sep)
-        return MinMembershipResult(
-            status=MinMembershipStatus.UNKNOWN, message="separator rejected by its check"
-        )
+        return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=dec.farkas)
     return MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=dec.message)
 
 
 def _sdp_min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
     """The generator-weight SDP alone, with no closed form."""
-    return _membership_result(cone, a, _sdp_weights(cone.generators, _stacked(a)))
+    stack = linalg.stacked(a.entries)
+    return _membership_result(
+        _sdp_weights(cone.generators, stack, lambda y: _separator(cone, stack, y))
+    )
 
 
 def min_membership(
@@ -424,23 +390,25 @@ def min_membership(
     """Membership of a tuple in the smallest system of a polyhedral cone.
 
     Decides feasibility of A = sum_k c_k (x) P_k over PSD weights P_k on
-    the generators c_k (`generator_weights`: in closed form for a simplex
-    cone, outside a tolerance band).  A Member outcome carries the weights;
-    a NotMember outcome carries a separating functional, nonnegative on the
-    system and negative on the query.  ``dump_to`` always receives the SDP.
+    the generators c_k (`generator_weights`: in closed form, outside a
+    tolerance band, for a simplex cone and, per joint eigenvector, for a
+    commuting tuple; by the SDP otherwise).  A Member outcome carries the
+    weights; a NotMember outcome carries a separating functional,
+    nonnegative on the system and negative on the query.  Both have passed
+    the check of `freespec verify`.  ``dump_to`` always receives the SDP.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    gens, stack = cone.generators, _stacked(a)
+    gens, stack = cone.generators, linalg.stacked(a.entries)
     problem = None
     if dump_to is not None:
         problem = _min_membership_problem(gens, stack)
         sdp.dump_problem(problem, dump_to)
     dec = generator_weights(
-        gens, stack, tol=tol, max_iter=max_iter, problem=problem,
-        accept=lambda y: _separates(cone, a, _shifted_separator(cone, -np.conj(y))),
+        gens, stack, lambda y: _separator(cone, stack, y),
+        tol=tol, max_iter=max_iter, problem=problem,
     )
-    return _membership_result(cone, a, dec)
+    return _membership_result(dec)
 
 
 def circular_min_membership(a: MatrixTuple, tol: float = 1e-8) -> MembershipResult:
@@ -522,7 +490,8 @@ def essential_boundary_square(
     Like any numerical feasibility test this decides up to the solver
     tolerance: component configurations whose exact system is infeasible
     but lies within ~1e-8 of a feasible one can classify either way.
-    The No answer is always backed by a verified infeasibility certificate.
+    The No answer is always backed by a verified infeasibility certificate,
+    and an InEssentialBoundary functional passes its certificate check.
     """
     if len(components) != 4:
         raise ValueError("expected exactly four components")
@@ -563,11 +532,17 @@ def essential_boundary_square(
         smat = (p3 - p4) / 2.0
         m1 = (smat + dmat) / 2.0
         m2 = (smat - dmat) / 2.0
-        mats = tuple(HermitianMatrix(np.conj(m)) for m in (m1, m2, m3))
-        margin = linalg.min_eigenvalue(HermitianMatrix(m3))
+        n = linalg.hermitian_part(np.conj([m1, m2, m3]))
+        check = certificates.check_essential_boundary(linalg.stacked(comps), n, eps)
+        if not check.ok:
+            return EssentialBoundaryResult(
+                status=EssentialBoundaryStatus.UNKNOWN,
+                message=f"certificate rejected by its check (residual {check.residual:.3e})",
+            )
+        mats = tuple(HermitianMatrix(m) for m in n)
         return EssentialBoundaryResult(
             status=EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY,
-            functional=SeparationFunctional(matrices=mats, margin=float(margin)),
+            functional=SeparationFunctional(matrices=mats, margin=check.details["margin"]),
         )
     if outcome.status is sdp.SdpStatus.INFEASIBLE:
         return EssentialBoundaryResult(status=EssentialBoundaryStatus.NO)
@@ -592,7 +567,7 @@ def effros_winkler_separation(
     any tuple with phi(A) < 0 lies strictly outside at its level.
     """
     u = np.asarray(u, dtype=float)
-    if len(u) != phi.d:
+    if len(u) != len(phi.matrices):
         raise ValueError("unit length does not match the functional")
     t = sum(ui * n.mat for ui, n in zip(u, phi.matrices))
     t = HermitianMatrix(t)

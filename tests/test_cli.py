@@ -265,6 +265,75 @@ class TestCertificateRoundTrips:
         assert "INVALID" in out2
 
 
+class TestVerifyShapes:
+    """A certificate whose fields disagree in count or size is an input
+    error that names the field, never a traceback or a truncated check."""
+
+    def _certificate(self, capsys, fixtures, *argv):
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == EXIT_OK
+        return json.loads(out)["result"]["certificate"]
+
+    def _rejects(self, capsys, tmp_path, cert, field):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and field in err, err
+        assert "Traceback" not in out + err
+
+    def test_member_query_shorter_than_the_cone(self, capsys, tmp_path, fixtures):
+        pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
+        cert = self._certificate(
+            capsys, fixtures, "min-membership", "--cone", "square", "--tuple",
+            str(fixtures / "pw.json"),
+        )
+        cert["query"]["entries"].pop()
+        cert["query"]["d"] -= 1
+        self._rejects(capsys, tmp_path, cert, "query")
+
+    def test_member_weight_of_the_wrong_size(self, capsys, tmp_path, fixtures):
+        pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
+        cert = self._certificate(
+            capsys, fixtures, "min-membership", "--cone", "square", "--tuple",
+            str(fixtures / "pw.json"),
+        )
+        cert["weights"][1] = linalg.matrix_to_json(np.eye(3))
+        self._rejects(capsys, tmp_path, cert, "weights")
+
+    def test_separator_with_a_missing_matrix(self, capsys, tmp_path, fixtures):
+        cert = self._certificate(
+            capsys, fixtures, "min-membership", "--cone", "square", "--tuple",
+            str(fixtures / "szsxi.json"),
+        )
+        cert["n_matrices"].pop()
+        self._rejects(capsys, tmp_path, cert, "n_matrices")
+
+    def test_relaxation_farkas_with_a_missing_matrix(self, capsys, tmp_path, fixtures):
+        cert = self._certificate(
+            capsys, fixtures, "relaxation", "--src", "square-diag", "--tgt", "calpha",
+            "--alpha", "pi/4",
+        )
+        cert["y_matrices"].pop()
+        self._rejects(capsys, tmp_path, cert, "y_matrices")
+
+    def test_relaxation_kraus_of_the_wrong_shape(self, capsys, tmp_path, fixtures):
+        cert = self._certificate(
+            capsys, fixtures, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
+        )
+        cert["kraus"] = [[row[:1] for row in v] for v in cert["kraus"]]
+        self._rejects(capsys, tmp_path, cert, "kraus")
+
+    def test_relaxation_target_with_fewer_variables(self, capsys, tmp_path, fixtures):
+        cert = self._certificate(
+            capsys, fixtures, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
+        )
+        cert["tgt"]["matrices"].pop()
+        cert["tgt"]["unit"].pop()
+        cert["tgt"]["d"] -= 1
+        self._rejects(capsys, tmp_path, cert, "tgt")
+
+
 def _stacked(mats):
     return np.array([m.mat for m in mats])
 
