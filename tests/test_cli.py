@@ -269,7 +269,7 @@ class TestVerifyShapes:
     """A certificate whose fields disagree in count or size is an input
     error that names the field, never a traceback or a truncated check."""
 
-    def _certificate(self, capsys, fixtures, *argv):
+    def _certificate(self, capsys, *argv):
         code, out, _ = run(capsys, *argv, "--output", "json")
         assert code == EXIT_OK
         return json.loads(out)["result"]["certificate"]
@@ -285,53 +285,54 @@ class TestVerifyShapes:
     def test_member_query_shorter_than_the_cone(self, capsys, tmp_path, fixtures):
         pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
         cert = self._certificate(
-            capsys, fixtures, "min-membership", "--cone", "square", "--tuple",
+            capsys, "min-membership", "--cone", "square", "--tuple",
             str(fixtures / "pw.json"),
         )
         cert["query"]["entries"].pop()
         cert["query"]["d"] -= 1
-        self._rejects(capsys, tmp_path, cert, "query")
+        self._rejects(capsys, tmp_path, cert, "query: 2 entries")
 
     def test_member_weight_of_the_wrong_size(self, capsys, tmp_path, fixtures):
         pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
         cert = self._certificate(
-            capsys, fixtures, "min-membership", "--cone", "square", "--tuple",
+            capsys, "min-membership", "--cone", "square", "--tuple",
             str(fixtures / "pw.json"),
         )
         cert["weights"][1] = linalg.matrix_to_json(np.eye(3))
-        self._rejects(capsys, tmp_path, cert, "weights")
+        self._rejects(capsys, tmp_path, cert, "weights: expected 2 x 2")
 
     def test_separator_with_a_missing_matrix(self, capsys, tmp_path, fixtures):
         cert = self._certificate(
-            capsys, fixtures, "min-membership", "--cone", "square", "--tuple",
+            capsys, "min-membership", "--cone", "square", "--tuple",
             str(fixtures / "szsxi.json"),
         )
         cert["n_matrices"].pop()
-        self._rejects(capsys, tmp_path, cert, "n_matrices")
+        self._rejects(capsys, tmp_path, cert, "n_matrices: expected a list of 3")
 
     def test_relaxation_farkas_with_a_missing_matrix(self, capsys, tmp_path, fixtures):
         cert = self._certificate(
-            capsys, fixtures, "relaxation", "--src", "square-diag", "--tgt", "calpha",
+            capsys, "relaxation", "--src", "square-diag", "--tgt", "calpha",
             "--alpha", "pi/4",
         )
         cert["y_matrices"].pop()
-        self._rejects(capsys, tmp_path, cert, "y_matrices")
+        self._rejects(capsys, tmp_path, cert, "y_matrices: expected a list of 3")
 
     def test_relaxation_kraus_of_the_wrong_shape(self, capsys, tmp_path, fixtures):
         cert = self._certificate(
-            capsys, fixtures, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
+            capsys, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
         )
         cert["kraus"] = [[row[:1] for row in v] for v in cert["kraus"]]
-        self._rejects(capsys, tmp_path, cert, "kraus")
+        self._rejects(capsys, tmp_path, cert, "kraus: expected 4 x 4")
 
     def test_relaxation_target_with_fewer_variables(self, capsys, tmp_path, fixtures):
         cert = self._certificate(
-            capsys, fixtures, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
+            capsys, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
         )
-        cert["tgt"]["matrices"].pop()
-        cert["tgt"]["unit"].pop()
+        # without its first variable the target is still unital
+        cert["tgt"]["matrices"].pop(0)
+        cert["tgt"]["unit"].pop(0)
         cert["tgt"]["d"] -= 1
-        self._rejects(capsys, tmp_path, cert, "tgt")
+        self._rejects(capsys, tmp_path, cert, "tgt: 2 matrices")
 
 
 def _stacked(mats):
