@@ -482,7 +482,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--tgt", required=True,
                     help="pencil JSON file or builtin: calpha/elliptic, circular, square-diag")
     sp.add_argument("--alpha", help="angle expression for the calpha target, e.g. pi/4")
-    sp.add_argument("--dump-sdp", help="write the relaxation's feasibility SDP to this path")
+    sp.add_argument("--dump-sdp", help="write the relaxation's SDP to this path (the margin "
+                    "SDP for a diagonal source, the Choi feasibility SDP otherwise)")
 
     sp = add("relaxation", _cmd_relaxation, help="matricial relaxation between two pencils")
     sp.add_argument("--src", required=True)

@@ -8,10 +8,12 @@ is equivalent to inclusion of the free spectrahedra at every matrix level.
 For a diagonal source M_i = diag(F[:, i]), such as the facet realization of
 a polyhedral cone, the map is fixed by its PSD values Q_k = Phi(E_kk), so
 the strengthening is smallest-system membership of the target over the
-cone spanned by the rows of F, decided by `opsys.generator_weights` with r
-blocks of size t instead of one Choi block of size r*t; other sources
-solve the Choi SDP.  For a simplex source F is invertible, the decision
-is in closed form and the strengthening is tight.  For a commuting target it
+cone spanned by the rows of F, decided by `opsys.generator_weights` (the
+margin SDP, with r blocks of size t instead of one Choi block of size r*t,
+and no phase-I); other sources solve the Choi feasibility SDP.  For a
+simplex source F is invertible, the decision is in closed form and the
+strengthening is tight; when rank F < d, a target with a part outside the
+range of F^T is refuted by that part alone.  For a commuting target it
 is tight too, and decided in closed form per joint eigenvector: the target
 spectrahedron is then a polyhedron.  For non-simplex polyhedral sources and
 other targets it can fail even when scalar inclusion holds, and explicit
@@ -43,7 +45,6 @@ from .cones import (
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .opsys import (
     MinMembershipStatus,
-    _min_membership_problem,
     generator_weights,
     max_membership,
     min_membership,
@@ -203,14 +204,12 @@ def _relaxation_result(
 
 
 def _sdp_relaxation(
-    src: LinearPencil,
-    tgt: LinearPencil,
-    tol: float = 1e-8,
-    problem: Optional[sdp.SdpProblem] = None,
+    src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8, dump_to=None
 ) -> RelaxationResult:
     """The Choi-matrix SDP, for any source pencil."""
-    if problem is None:
-        problem = _choi_problem(src, tgt)
+    problem = _choi_problem(src, tgt)
+    if dump_to is not None:
+        sdp.dump_problem(problem, dump_to)
     outcome = sdp.solve(problem, tol=tol)
     choi = farkas = None
     message = outcome.message
@@ -243,28 +242,22 @@ def relaxation(
     fixed by the PSD values Q_k = Phi(E_kk), so it exists iff
     N_i = sum_k F[k,i] Q_k: smallest-system membership of the target over
     the cone spanned by the rows of F, decided by `opsys.generator_weights`
-    (in closed form for invertible F, i.e. a simplex source, and for a
-    commuting target) with Choi matrix blockdiag(Q_k).  Any other source
-    is decided by the SDP in the Choi variable J >= 0 of size r*t with
-    d * t^2 real constraints.  Either answer has passed the check of
-    `freespec verify`; ``dump_to`` receives the SDP of the path taken.
+    (in closed form for F of full row rank, e.g. a simplex source, and for
+    a commuting target; by the margin SDP otherwise) with Choi matrix
+    blockdiag(Q_k).  Any other source is decided by the feasibility SDP in
+    the Choi variable J >= 0 of size r*t with d * t^2 real constraints.
+    Either answer has passed the check of `freespec verify`; ``dump_to``
+    receives the SDP of the path taken.
     """
     if src.d != tgt.d:
         raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
     facets = _diagonal_facets(src)
     if facets is None:
-        problem = _choi_problem(src, tgt)
-        if dump_to is not None:
-            sdp.dump_problem(problem, dump_to)
-        return _sdp_relaxation(src, tgt, tol=tol, problem=problem)
+        return _sdp_relaxation(src, tgt, tol=tol, dump_to=dump_to)
     src_stack, stack = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
-    problem = None
-    if dump_to is not None:
-        problem = _min_membership_problem(facets, stack)
-        sdp.dump_problem(problem, dump_to)
     dec = generator_weights(
         facets, stack, lambda y: _relaxation_farkas(src_stack, stack, y),
-        tol=tol, problem=problem,
+        tol=tol, dump_to=dump_to,
     )
     choi = None
     if dec.weights is not None:

@@ -9,19 +9,22 @@ operator systems extend C to matrix levels:
 * the smallest one: A belongs at level s iff A = sum_k c_k (x) P_k with
   the c_k among the generators of C and P_k PSD.
 
-The smallest-system test is a semidefinite feasibility problem over the
-generator weights (`generator_weights`, which also decides the matricial
-relaxation from a diagonal source); its infeasibility certificate converts
-into a separating functional phi(B) = sum_i tr(conj(N_i) B_i) that is
-nonnegative on the system and strictly negative on the query, which in turn
-yields a separating linear pencil by the Effros-Winkler construction.  Over
-a simplex cone the generator matrix is invertible, the weights are unique
-and the test needs no SDP: A is a member iff every
-P_k = sum_i G^(-1)[i,k] A_i is PSD.  A commuting tuple needs none either:
-pinched onto a joint eigenbasis u_j it is diagonal, and it is a member iff
-every joint eigenvalue vector ell_j lies in the cone, one linear program per
-eigenvector, solved in closed form over the d-subsets of the generators
-when there are at most `cones.SUBSET_BATCH` of them.
+The smallest-system test is one decision over the generator weights
+(`generator_weights`, which also decides the matricial relaxation from a
+diagonal source): every solution of A = sum_k c_k (x) P_k is the min-norm
+one P0 plus a free part in ker G^T, and A is a member iff the margin
+max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) is nonnegative, an SDP
+with an objective and no phase-I.  Its refutation converts into a
+separating functional phi(B) = sum_i tr(conj(N_i) B_i) that is nonnegative
+on the system and strictly negative on the query, which in turn yields a
+separating linear pencil by the Effros-Winkler construction.  Over a
+simplex cone there is no free part, the weights are unique and the test
+needs no SDP: A is a member iff every P_k = sum_i G^(-1)[i,k] A_i is PSD.
+A commuting tuple needs none either: pinched onto a joint eigenbasis u_j it
+is diagonal, and it is a member iff every joint eigenvalue vector ell_j
+lies in the cone, one linear program per eigenvector, solved in closed form
+over the d-subsets of the generators when there are at most
+`cones.SUBSET_BATCH` of them.
 """
 
 from __future__ import annotations
@@ -117,17 +120,6 @@ class MinMembershipResult:
     message: str = ""
 
 
-def _min_membership_problem(gens: np.ndarray, stack: np.ndarray) -> sdp.SdpProblem:
-    """Rows tr(E_alpha A_i) = sum_k c_k[i] tr(E_alpha P_k), one per
-    coordinate i and Hermitian basis element E_alpha; block k is P_k.
-    ``gens`` holds the generators c_k as rows and ``stack`` the A_i."""
-    s = stack.shape[-1]
-    basis = linalg.hermitian_basis(s)
-    coeffs = np.multiply.outer(gens, basis).reshape(len(gens), -1, s, s)
-    rhs = np.einsum("aij,dji->da", basis, stack).real.ravel()
-    return sdp.SdpProblem((s,) * len(gens), tuple(coeffs), rhs)
-
-
 def _separator(
     cone: PolyhedralCone, stack: np.ndarray, y: np.ndarray
 ) -> Optional[SeparationFunctional]:
@@ -152,20 +144,6 @@ def _separator(
     return SeparationFunctional(
         matrices=tuple(HermitianMatrix(m) for m in n), margin=check.details["margin"]
     )
-
-
-def _project_weights(
-    gens_pinv_t: np.ndarray, gens: np.ndarray, a: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Weights p moved onto the affine set sum_k c_k (x) P_k = A.
-
-    With R the reconstruction error, the correction pinv(G^T) R is the
-    smallest in Frobenius norm; ``gens_pinv_t`` is pinv(G^T).  For an
-    invertible G and p = 0 this is the unique solution P = G^(-T) A.
-    """
-    r = a - np.tensordot(gens.T, p, axes=1)
-    q = p + np.tensordot(gens_pinv_t, r, axes=1)
-    return linalg.hermitian_part(q)
 
 
 @dataclass(frozen=True)
@@ -194,59 +172,85 @@ def _refutation(certify, y) -> Optional[GeneratorWeights]:
     return None if farkas is None else GeneratorWeights(farkas=farkas)
 
 
-def _sdp_weights(
-    gens: np.ndarray,
-    stack: np.ndarray,
-    certify,
-    tol: float = 1e-8,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
-    problem: Optional[sdp.SdpProblem] = None,
-) -> GeneratorWeights:
-    """The generator-weight SDP, for any generator array.
+def _affine_split(gens: np.ndarray, stack: np.ndarray):
+    """The weights with sum_k c_k (x) P_k = A / scale, from one SVD of G
+    (``gens``, m x d): P0 + sum_j K[k,j] Z_j over Hermitian Z_j, with the
+    min-norm weights P0 = pinv(G^T) A / scale and K an orthonormal basis
+    (m x f) of ker G^T.  Returns (scale, pinv(G^T), K, P0) with
+    scale = max|A| (1 for A = 0)."""
+    m, d = gens.shape
+    u, sv, vt = np.linalg.svd(gens)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * max(m, d) * np.finfo(float).eps))
+    pinv_t = (u[:, :rank] / sv[:rank]) @ vt[:rank]
+    scale = float(np.abs(stack).max()) or 1.0
+    return scale, pinv_t, u[:, rank:], np.tensordot(pinv_t, stack / scale, axes=1)
 
-    The solver's weights and their projection onto the affine set are both
-    candidates, and the one with the smaller checker residual is kept.  The
-    solver's weights are an interior point, so their residual is their
-    reconstruction error and the choice never loses a feasible verdict.
-    """
-    if problem is None:
-        problem = _min_membership_problem(gens, stack)
-    outcome = sdp.solve(problem, tol=tol, max_iter=max_iter)
-    if outcome.status in (sdp.SdpStatus.FEASIBLE, sdp.SdpStatus.OPTIMAL):
-        raw = linalg.stacked(outcome.primal)
-        candidates = (raw, _project_weights(np.linalg.pinv(gens.T), gens, stack, raw))
-        checks = [certificates.check_min_member(gens, stack, w) for w in candidates]
-        best = int(np.argmin([c.residual for c in checks]))
-        if not checks[best].ok:
-            return GeneratorWeights(
-                message=f"weight reconstruction residual {checks[best].residual:.3e} too large"
+
+def _margin_problem(p0: np.ndarray, kernel: np.ndarray) -> sdp.SdpProblem:
+    """Minimise sum_k tr(P0_k X_k) over PSD blocks X_k subject to
+    sum_k tr X_k = 1 and sum_k K[k,j] tr(E_alpha X_k) = 0 for every column
+    j of ``kernel`` and Hermitian basis element E_alpha.  Its dual
+    maximises the margin lambda over P0_k + sum_j K[k,j] Z_j >= lambda I,
+    with y = (lambda, -Z in the basis); both sides are strictly feasible."""
+    m, s = len(p0), p0.shape[-1]
+    free = np.multiply.outer(kernel, linalg.hermitian_basis(s)).reshape(m, -1, s, s)
+    coeffs = np.concatenate([np.broadcast_to(np.eye(s), (m, 1, s, s)), free], axis=1)
+    rhs = np.r_[1.0, np.zeros(free.shape[1])]
+    return sdp.SdpProblem((s,) * m, tuple(coeffs), rhs, tuple(p0))
+
+
+def _margin_weights(gens, stack, certify, tol, max_iter) -> GeneratorWeights:
+    """The margin decision of `generator_weights`."""
+    scale, pinv_t, kernel, p0 = _affine_split(gens, stack)
+    if len(gens) - kernel.shape[1] < gens.shape[1]:
+        r = stack / scale - np.tensordot(gens.T, p0, axes=1)
+        if np.abs(r).max() > tol:
+            return _refutation(certify, r / np.vdot(r, stack).real) or GeneratorWeights(
+                message="unreachable part: Farkas certificate rejected by its check"
             )
-        return GeneratorWeights(weights=candidates[best], residual=checks[best].residual)
-    if outcome.status is sdp.SdpStatus.INFEASIBLE:
-        y = outcome.dual_certificate.y.reshape(gens.shape[1], -1)
-        basis = linalg.hermitian_basis(stack.shape[-1])
-        return _refutation(certify, np.tensordot(y, basis, axes=1)) or GeneratorWeights(
-            message="Farkas certificate rejected by its check"
-        )
-    return GeneratorWeights(message=outcome.message)
-
-
-def _simplex_weights(gens, stack, tol, certify) -> Optional[GeneratorWeights]:
-    """The unique weights of a square ``gens`` of full rank, or their
-    Farkas matrices; None inside the band or when the answer fails."""
-    gens_pinv_t = np.linalg.pinv(gens.T)
-    p = _project_weights(gens_pinv_t, gens, stack, np.zeros_like(stack))
-    lam, vecs = np.linalg.eigh(p)
+    lam, vecs = np.linalg.eigh(p0)
     band = tol * float(np.abs(lam).max())
-    lo = lam[:, 0]
-    if lo.min() > band:
-        return _checked_weights(gens, stack, p)
-    if lo.min() < -band:
-        j = int(lo.argmin())
-        v = vecs[j, :, 0]
-        y = np.multiply.outer(-gens_pinv_t[j], np.outer(v, v.conj()) / abs(lo[j]))
-        return _refutation(certify, y)
-    return None
+
+    def member(w, lam):
+        """Weights ``w`` with eigenvalues ``lam``, outside the band."""
+        if lam[:, 0].min() < -tol * np.abs(lam).max():
+            return None
+        return _checked_weights(gens, stack, scale * w)
+
+    def refute(x):
+        """Y = -N / |<N, A>| from primal blocks X, outside the band."""
+        n = np.tensordot(pinv_t.T, x, axes=1)
+        phi = np.vdot(n, stack).real
+        if phi >= -band * scale * np.trace(x, axis1=1, axis2=2).real.sum():
+            return None
+        return _refutation(certify, -n / abs(phi))
+
+    dec = member(p0, lam)
+    if dec is not None:
+        return dec
+    if kernel.shape[1] == 0:
+        j = int(lam[:, 0].argmin())
+        x = np.zeros_like(p0)
+        x[j] = np.outer(vecs[j, :, 0], vecs[j, :, 0].conj())
+        return refute(x) or GeneratorWeights(message="closed form: no certificate passed")
+
+    basis = linalg.hermitian_basis(p0.shape[-1])
+    found = []
+
+    def check(x, y):
+        z = np.tensordot(y[1:].reshape(kernel.shape[1], -1), basis, axes=1)
+        w = p0 - np.tensordot(kernel, z, axes=1)
+        dec = member(w, np.linalg.eigvalsh(w)) or refute(np.asarray(x))
+        if dec is not None:
+            found.append(dec)
+        return "certified" if found else ""
+
+    outcome = sdp.solve(_margin_problem(p0, kernel), tol=tol, max_iter=max_iter, check=check)
+    if outcome.status is sdp.SdpStatus.OPTIMAL:
+        check([b.mat for b in outcome.primal], outcome.y)
+    return found[0] if found else GeneratorWeights(
+        message=f"margin SDP: {outcome.message or 'no certificate passed'}"
+    )
 
 
 def _cone_lp(gens: np.ndarray, points: np.ndarray):
@@ -321,7 +325,7 @@ def generator_weights(
     certify,
     tol: float = 1e-8,
     max_iter: int = sdp.DEFAULT_MAX_ITER,
-    problem: Optional[sdp.SdpProblem] = None,
+    dump_to=None,
 ) -> GeneratorWeights:
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
     c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
@@ -329,33 +333,33 @@ def generator_weights(
     Every answer passes its certificate check first: weights
     `certificates.check_min_member`, Farkas matrices Y the caller's
     ``certify``, which returns the caller's certificate made of Y, or None
-    when that fails its check.
+    when that fails its check.  An answer that fails is Unknown.
 
-    Two cases are decided in closed form.  A square ``gens`` of full rank
-    gives unique weights, PSD or not (`_simplex_weights`): with
-    sigma = max_k ||P_k||_2 the band |lambda_min| <= tol * sigma (weights
-    with a zero eigenvalue, up to rounding) is left to the SDP.  For a
-    negative lambda_min(P_j) with eigenvector v,
-    Y_i = -G^(-1)[i,j] vv* / |v*P_j v|: sum_i c_k[i] Y_i is 0 for k != j and
-    -vv*/|v*P_j v| for k = j, and sum_i <Y_i, A_i> = 1.  For m > d with at
-    most SUBSET_BATCH d-subsets of generators, a stack that commutes (every
-    U* A_i U diagonal within tol * max|A| in the basis of
-    `linalg.joint_eigenbasis`) is decided per joint eigenvector
-    (`_commuting_weights`): weights when every eigenvector's best smallest
-    weight is at least -tol * max|W| (clipped at 0), else Farkas matrices
-    from the worst eigenvector's separating normal.  Closed-form answers
-    that fail their check go to the SDP (``problem``, when given), as does
-    every other input; an SDP answer that fails is Unknown.
+    For m > d with at most SUBSET_BATCH d-subsets of generators, a stack
+    that commutes (every U* A_i U diagonal within tol * max|A| in the basis
+    of `linalg.joint_eigenbasis`) is decided per joint eigenvector
+    (`_commuting_weights`).  Everything else is decided by the sign of the
+    margin max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) over the affine
+    set of weights (`_affine_split`, A normalised by max|A|).  A part
+    R = A - G^T P0 that no weights reach is refuted by Y = R / <R, A>.
+    Weights with lambda_min >= -tol * max|lambda| (P0 itself, or the dual
+    iterates P0 + KZ of `_margin_problem`) are a Member.  PSD primal blocks
+    X with phi = sum_k tr(P0_k X_k) < -tol * max|lambda(P0)| tr X refute A
+    by Y = -N / |<N, A>| with N = pinv(G) X, since sum_i c_k[i] N_i = X_k.
+    With no free part (G of full row rank, e.g. a simplex) X = vv* on the
+    worst block of P0 decides in closed form; otherwise the SDP stops at
+    the first iterate that certifies.  ``dump_to`` always receives the
+    margin SDP.
     """
     m, d = gens.shape
-    dec = None
-    if m == d and np.linalg.matrix_rank(gens) == d:
-        dec = _simplex_weights(gens, stack, tol, certify)
-    elif m > d and math.comb(m, d) <= SUBSET_BATCH:
+    if dump_to is not None:
+        _, _, kernel, p0 = _affine_split(gens, stack)
+        sdp.dump_problem(_margin_problem(p0, kernel), dump_to)
+    if m > d and math.comb(m, d) <= SUBSET_BATCH:
         dec = _commuting_weights(gens, stack, tol, certify)
-    if dec is None:
-        dec = _sdp_weights(gens, stack, certify, tol=tol, max_iter=max_iter, problem=problem)
-    return dec
+        if dec is not None:
+            return dec
+    return _margin_weights(gens, stack, certify, tol, max_iter)
 
 
 def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
@@ -372,14 +376,6 @@ def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
     return MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=dec.message)
 
 
-def _sdp_min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
-    """The generator-weight SDP alone, with no closed form."""
-    stack = linalg.stacked(a.entries)
-    return _membership_result(
-        _sdp_weights(cone.generators, stack, lambda y: _separator(cone, stack, y))
-    )
-
-
 def min_membership(
     cone: PolyhedralCone,
     a: MatrixTuple,
@@ -389,24 +385,20 @@ def min_membership(
 ) -> MinMembershipResult:
     """Membership of a tuple in the smallest system of a polyhedral cone.
 
-    Decides feasibility of A = sum_k c_k (x) P_k over PSD weights P_k on
-    the generators c_k (`generator_weights`: in closed form, outside a
-    tolerance band, for a simplex cone and, per joint eigenvector, for a
-    commuting tuple; by the SDP otherwise).  A Member outcome carries the
+    Decides A = sum_k c_k (x) P_k over PSD weights P_k on the generators
+    c_k (`generator_weights`: in closed form for a simplex cone, for PSD
+    min-norm weights and, per joint eigenvector, for a commuting tuple; by
+    the margin SDP otherwise).  A Member outcome carries the
     weights; a NotMember outcome carries a separating functional,
     nonnegative on the system and negative on the query.  Both have passed
-    the check of `freespec verify`.  ``dump_to`` always receives the SDP.
+    the check of `freespec verify`.  ``dump_to`` receives the margin SDP.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    gens, stack = cone.generators, linalg.stacked(a.entries)
-    problem = None
-    if dump_to is not None:
-        problem = _min_membership_problem(gens, stack)
-        sdp.dump_problem(problem, dump_to)
+    stack = linalg.stacked(a.entries)
     dec = generator_weights(
-        gens, stack, lambda y: _separator(cone, stack, y),
-        tol=tol, max_iter=max_iter, problem=problem,
+        cone.generators, stack, lambda y: _separator(cone, stack, y),
+        tol=tol, max_iter=max_iter, dump_to=dump_to,
     )
     return _membership_result(dec)
 

@@ -24,6 +24,9 @@ Feasible iff the optimal t falls below tolerance.  Infeasible is declared
 only when the phase-I dual multipliers verify as a Farkas certificate:
 sum_i y_i A_i negative semidefinite (to a strict tolerance) together with
 b.y > 0; without a verified certificate the status is NumericalFailure.
+Its callers are the Choi-matrix relaxation of a non-diagonal source,
+`opsys.essential_boundary_square` and problems loaded from a dump; the
+generator-weight decision solves an objective problem, with a ``check``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from scipy.linalg import cho_factor, cho_solve, qr
 
 from . import _kernels
 from . import linalg
-from .linalg import HERMITIAN_CONSTRUCTION_TOL, HermitianMatrix
+from .linalg import HERMITIAN_CONSTRUCTION_TOL, HermitianMatrix, hermitian_part
 
 logger = logging.getLogger("freespec.sdp")
 
@@ -52,6 +55,7 @@ class SdpStatus(enum.Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE = "Infeasible"
     OPTIMAL = "Optimal"
+    STOPPED = "Stopped"
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
@@ -345,10 +349,6 @@ class _BlockData:
         return (out + out.T) / 2.0
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + _ct(a)) / 2.0
-
-
 def _inner(xs, ys) -> float:
     return float(sum(np.vdot(y, x).real for x, y in zip(xs, ys)))
 
@@ -369,7 +369,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     wx = np.sqrt(_floored(wx))[:, None, :]
     xh = (ux * wx) @ _ct(ux)
     xhi = (ux / wx) @ _ct(ux)
-    wt, ut = _kernels.eigh_kernel(_herm(xh @ s @ xh))
+    wt, ut = _kernels.eigh_kernel(hermitian_part(xh @ s @ xh))
     wt = _floored(wt)
     g = (xh @ ut) * wt[:, None, :] ** -0.25
     gi = wt[:, :, None] ** 0.25 * (_ct(ut) @ xhi)
@@ -459,7 +459,7 @@ def _ipm(
             dy = dy + cho_solve(cf, rhs - schur @ dy)  # one refinement pass
             ds = [r - a for r, a in zip(rd, data.adjoint(dy))]
             dx = [c - w @ d @ w for c, w, d in zip(rc, wmats, ds)]
-            return [_herm(d) for d in dx], dy, [_herm(d) for d in ds]
+            return [hermitian_part(d) for d in dx], dy, [hermitian_part(d) for d in ds]
 
         def steplen(dx, ds):
             dxs = [gi @ d @ _ct(gi) for gi, d in zip(gis, dx)]
@@ -493,7 +493,7 @@ def _ipm(
                 - (dxs @ dss + dss @ dxs) / 2.0
             )
             u = 2.0 * tmat / (lam[:, :, None] + lam[:, None, :])
-            rc.append(_herm(g @ u @ _ct(g)))
+            rc.append(hermitian_part(g @ u @ _ct(g)))
 
         dx, dy, ds = solve_dirs(rc)
         ap, ad, _, _ = steplen(dx, ds)
@@ -560,20 +560,30 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
 
 
 def solve(
-    p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+    p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, check=None
 ) -> SdpOutcome:
-    """Solve a feasibility or linear-objective SDP."""
+    """Solve a feasibility or linear-objective SDP.
+
+    ``check``, for an objective problem only, sees every iterate (the list
+    of primal blocks, and y in the problem's row order); a non-empty label
+    from it stops the solve with status STOPPED and the label as message.
+    """
     if p.c is None:
         return _solve_feasibility(p, tol, max_iter)
-    return _solve_optimization(p, tol, max_iter)
+    return _solve_optimization(p, tol, max_iter, check)
 
 
-def _solve_optimization(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
+def _solve_optimization(p: SdpProblem, tol: float, max_iter: int, check=None) -> SdpOutcome:
     form = _preprocess(p)
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
-    res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter)
+    hook = None if check is None else (lambda x, y: check(x, _expand_y(form, y, len(p.b))))
+    res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter, check=hook)
+    if res.stop_label:
+        return SdpOutcome(
+            status=SdpStatus.STOPPED, iterations=res.iterations, message=res.stop_label
+        )
     if res.converged:
         primal = tuple(HermitianMatrix(xb) for xb in res.x)
         return SdpOutcome(

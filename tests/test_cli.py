@@ -344,6 +344,12 @@ def _facets(diagonal):
     return np.diagonal(_stacked(diagonal.matrices), axis1=1, axis2=2).T.real
 
 
+def _margin_problem(gens, stack):
+    """The margin SDP that `opsys.generator_weights` dumps."""
+    _, _, kernel, p0 = opsys._affine_split(gens, stack)
+    return opsys._margin_problem(p0, kernel)
+
+
 class TestOtherCommands:
     def test_max_membership(self, capsys, fixtures):
         code, out, _ = run(
@@ -373,7 +379,8 @@ class TestOtherCommands:
 
         p = sdp.load_problem(dump)
         assert p.blocks == (2,) * 4  # one weight of size t = 2 per facet
-        assert len(p.b) == 12  # d * t^2
+        assert len(p.b) == 5  # the trace row, then t^2 per direction of ker F^T
+        assert p.c is not None  # the margin objective sum_k tr(P0_k X_k)
 
     def test_dump_sdp_of_non_diagonal_source_is_the_choi_problem(self, capsys, tmp_path):
         dump, ref = tmp_path / "cli.sdpa", tmp_path / "ref.sdpa"
@@ -389,7 +396,7 @@ class TestOtherCommands:
 
     def test_dump_sdp_on_simplex(self, capsys, tmp_path):
         # the closed form decides a simplex, and the dump is still the
-        # generator-weight SDP, over the generators or the source's facets
+        # margin SDP, over the generators or the source's facets
         rng = np.random.default_rng(9)
         cone = sampling.random_simplex_cone(rng, 3)
         query = sampling.random_min_member(rng, cone, 2)
@@ -404,11 +411,11 @@ class TestOtherCommands:
         )
         # built from the files, as the CLI reads them back
         expected = (
-            opsys._min_membership_problem(
+            _margin_problem(
                 cones.load_cone(tmp_path / "simplex.json").generators,
                 _stacked(pencil.load_tuple(tmp_path / "query.json").entries),
             ),
-            opsys._min_membership_problem(
+            _margin_problem(
                 _facets(pencil.load_pencil(tmp_path / "src.json")),
                 _stacked(pencil.load_pencil(tmp_path / "tgt.json").matrices),
             ),
@@ -440,7 +447,7 @@ class TestOtherCommands:
                 "--tgt", str(tmp_path / "tgt.json"), "--dump-sdp", str(dump),
             )
             assert code == EXIT_OK
-            problem = opsys._min_membership_problem(_facets(src), _stacked(tgt.matrices))
+            problem = _margin_problem(_facets(src), _stacked(tgt.matrices))
             sdp.dump_problem(problem, ref)
             assert dump.read_bytes() == ref.read_bytes()
 
@@ -449,7 +456,7 @@ class TestOtherCommands:
         self, capsys, tmp_path, solve_calls
     ):
         # square-diag commutes: decided per joint eigenvector, and the dump
-        # is still the generator-weight SDP over the square's facets
+        # is still the margin SDP over the square's facets
         dump, ref = tmp_path / "cli.sdpa", tmp_path / "ref.sdpa"
         code, out, _ = run(
             capsys, "check-inclusion", "--src", "square", "--tgt", "square-diag",
@@ -458,7 +465,7 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert solve_calls == []
         tgt = pencil.diagonal_pencil(cones.square_cone())
-        sdp.dump_problem(opsys._min_membership_problem(_facets(tgt), _stacked(tgt.matrices)), ref)
+        sdp.dump_problem(_margin_problem(_facets(tgt), _stacked(tgt.matrices)), ref)
         assert dump.read_bytes() == ref.read_bytes()
         path = tmp_path / "cert.json"
         path.write_text(out)
@@ -466,25 +473,38 @@ class TestOtherCommands:
         assert code == EXIT_OK, text
 
 
+def _rounded(path) -> bytes:
+    """The numbers of a dumped problem, loaded and rounded to 12 decimals."""
+    p = sdp.load_problem(path)
+    parts = [np.array(p.blocks, dtype=float), p.b, *p.a, *(p.c or ())]
+    return b"".join(
+        (np.round(part, 12) + 0.0).tobytes() for x in parts for part in (np.real(x), np.imag(x))
+    )
+
+
 class TestDumpFormatPinned:
-    """The --dump-sdp bytes of four fixed commands, as SHA-256 digests.
+    """The --dump-sdp output of four fixed commands, as SHA-256 digests.
 
     Any change to how problems are built, stored or written shows here,
     so the digests only change with a deliberate change of the format.
+    The essential-boundary problem is exact, and its digest is of the
+    bytes.  The margin SDP's data come from an SVD, whose last bits depend
+    on the BLAS kernel a machine selects, so its digests are of the loaded
+    numbers rounded to 12 decimals (`_rounded`).
     """
 
     DIGESTS = {
         "min-membership": (
-            "6591f1db0b734c94ced8039176c13ef9"
-            "4ec6b05fb7ae1121832eb70485fee813"
+            "c0e98dfc6318604ccdf14a79c842787f"
+            "2d143b12bc2a22d427973a29e56815f0"
         ),
         "relaxation": (
-            "1a59e61c7208c4a7235fc8f7b435c4a2"
-            "0ad5bf405f67e7b25f862ebd1c02f3e7"
+            "309e61e5ec0261737258eaae64401ab8"
+            "2b0a69fc7f4038024530a2b489e486f7"
         ),
         "check-inclusion": (
-            "1a59e61c7208c4a7235fc8f7b435c4a2"
-            "0ad5bf405f67e7b25f862ebd1c02f3e7"
+            "309e61e5ec0261737258eaae64401ab8"
+            "2b0a69fc7f4038024530a2b489e486f7"
         ),
         "essential-boundary": (
             "64862091deab9e44a16cd5d101cbbaf8"
@@ -504,4 +524,5 @@ class TestDumpFormatPinned:
         }[command]
         dump = tmp_path / f"{command}.sdpa"
         run(capsys, command, *argv, "--dump-sdp", str(dump))
-        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DIGESTS[command]
+        data = dump.read_bytes() if command == "essential-boundary" else _rounded(dump)
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[command]

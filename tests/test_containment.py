@@ -208,20 +208,46 @@ class TestSimplexRelaxation:
         assert _relaxation_certificate_ok(src, bad, res)
         assert solve_calls == []
 
-    def test_singular_value_reaches_the_sdp(self, solve_calls):
+    def test_singular_value_is_decided_in_closed_form(self, solve_calls):
         rng = np.random.default_rng(76)
         cone = sampling.random_simplex_cone(rng, 3)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         values = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2).mat for _ in range(2)]
         src, tgt = diagonal_pencil(cone), _target_from_values(cone, values)
         res = relaxation(src, tgt)
-        assert len(solve_calls) == 1
+        assert solve_calls == []
+        assert res.status is RelaxationStatus.FEASIBLE
+        assert _relaxation_certificate_ok(src, tgt, res)
         assert res.status is containment._sdp_relaxation(src, tgt).status
 
     def test_non_simplex_source_uses_the_sdp(self, solve_calls):
         res = relaxation(diagonal_pencil(square_cone()), elliptic_cone_pencil(math.pi / 4))
         assert res.status is RelaxationStatus.INFEASIBLE
         assert len(solve_calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestRankDeficientDiagonalSource:
+    """Facets F of rank 2 < d = 3: no weights reach a target slot outside
+    the range of F^T, and that part alone refutes it."""
+
+    @staticmethod
+    def _pencil(third):
+        mats = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag(third)]
+        return LinearPencil(mats, np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("third, want", [
+        ([0.5, 0.5], RelaxationStatus.FEASIBLE),
+        ([0.2, 0.5], RelaxationStatus.INFEASIBLE),
+    ], ids=["itself", "unreachable"])
+    def test_against_the_source(self, third, want):
+        src, tgt = self._pencil([0.5, 0.5]), self._pencil(third)
+        res = relaxation(src, tgt)
+        assert res.status is want
+        assert _relaxation_certificate_ok(src, tgt, res)
+        assert containment._sdp_relaxation(src, tgt).status is want
+        if want is RelaxationStatus.INFEASIBLE:
+            assert res.farkas.gap == pytest.approx(1.0, abs=1e-12)
 
 
 def _regular_polygon(k, rotation=0.3):
@@ -397,16 +423,20 @@ class TestCommutingRelaxation:
         assert statuses == set(definitive)
 
     def test_off_diagonal_perturbation_reaches_the_sdp(self, solve_calls):
+        # an infeasible target: a feasible one with PSD min-norm weights
+        # needs no SDP
         rng = np.random.default_rng(130)
         cone = _regular_polygon(5)
-        tgt = _conjugated(sampling.random_commuting_target(rng, cone, 3),
-                          sampling.random_unitary(rng, 3))
+        rotated = _regular_polygon(5, 0.3 + math.pi / 5)
+        tgt = _conjugated(_facet_target(rotated, [0, 1, 2]), sampling.random_unitary(rng, 3))
         # the unit is e_3, so bumping N_1 and N_2 keeps the pencil unital
         bumps = [1e-4 * linalg.random_hermitian(rng, 3).mat for _ in range(2)] + [0.0]
         bumped = LinearPencil([m.mat + b for m, b in zip(tgt.matrices, bumps)], tgt.unit)
         src = diagonal_pencil(cone)
         res = relaxation(src, bumped)
         assert len(solve_calls) == 1
+        assert res.status is RelaxationStatus.INFEASIBLE
+        assert _relaxation_certificate_ok(src, bumped, res)
         assert res.status is containment._sdp_relaxation(src, bumped).status
 
     def test_tightness_report_uses_the_joint_eigenbasis(self):

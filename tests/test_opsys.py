@@ -1,12 +1,11 @@
 """Operator-system oracles: membership, witnesses, separation, thresholds."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from freespec import certificates, cones, linalg, opsys, sampling, sdp
+from freespec import certificates, cones, containment, linalg, opsys, sampling, sdp
 from freespec.linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from freespec.opsys import (
     EssentialBoundaryStatus,
@@ -21,7 +20,13 @@ from freespec.opsys import (
     min_membership,
     pauli_witness,
 )
-from freespec.pencil import Classification, MatrixTuple, elliptic_cone_pencil, membership
+from freespec.pencil import (
+    Classification,
+    MatrixTuple,
+    diagonal_pencil,
+    elliptic_cone_pencil,
+    membership,
+)
 
 
 def sz_sx_i():
@@ -153,6 +158,22 @@ def _certificate_ok(cone, a, res):
     return certificates.verify_certificate(doc).ok
 
 
+def _reference_status(cone, a):
+    """The verdict of the feasibility SDP sum_k c_k[i] P_k = A_i, one row
+    per coordinate i and Hermitian basis element, solved by phase-I: a
+    reference independent of the margin decision."""
+    stack = np.array([e.mat for e in a.entries])
+    s, m = stack.shape[-1], cone.n_generators
+    basis = linalg.hermitian_basis(s)
+    coeffs = np.multiply.outer(cone.generators, basis).reshape(m, -1, s, s)
+    rhs = np.einsum("aij,dji->da", basis, stack).real.ravel()
+    outcome = sdp.solve(sdp.SdpProblem((s,) * m, tuple(coeffs), rhs))
+    return {
+        sdp.SdpStatus.FEASIBLE: MinMembershipStatus.MEMBER,
+        sdp.SdpStatus.INFEASIBLE: MinMembershipStatus.NOT_MEMBER,
+    }.get(outcome.status, MinMembershipStatus.UNKNOWN)
+
+
 class TestSimplexClosedForm:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("s", [2, 3])
@@ -164,15 +185,14 @@ class TestSimplexClosedForm:
             member = sampling.random_min_member(rng, cone, s)
             query = MatrixTuple(tuple(linalg.random_hermitian(rng, s) for _ in range(d)))
             for base in (member, query):
+                ref = _reference_status(cone, base)
                 for k in range(-6, 7):
                     a = _rescaled(base, 10.0**k)
                     fast = min_membership(cone, a)
-                    ref = opsys._sdp_min_membership(cone, a)
                     assert fast.status in definitive
                     assert _certificate_ok(cone, a, fast)
-                    if ref.status in definitive:
-                        assert fast.status is ref.status, f"scale 1e{k}"
-                        assert _certificate_ok(cone, a, ref)
+                    if ref in definitive:
+                        assert fast.status is ref, f"scale 1e{k}"
                     if base is member:
                         assert fast.status is MinMembershipStatus.MEMBER
 
@@ -188,7 +208,7 @@ class TestSimplexClosedForm:
         assert _certificate_ok(cone, outside, res)
         assert solve_calls == []
 
-    def test_zero_eigenvalue_reaches_the_sdp(self, solve_calls):
+    def test_zero_eigenvalue_is_decided_in_closed_form(self, solve_calls):
         rng = np.random.default_rng(56)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         rank_one = sampling.random_simplex_cone(rng, 3)
@@ -210,15 +230,41 @@ class TestSimplexClosedForm:
             ),
         ]
         for cone, a in cases:
-            before = len(solve_calls)
             res = min_membership(cone, a)
-            assert len(solve_calls) == before + 1
-            assert res.status is opsys._sdp_min_membership(cone, a).status
+            assert res.status is MinMembershipStatus.MEMBER
+            assert _certificate_ok(cone, a, res)
+        assert solve_calls == []
 
     def test_non_simplex_uses_the_sdp(self, solve_calls):
-        res = min_membership(cones.square_cone(), pauli_witness(math.pi / 4).tuple)
-        assert res.status is MinMembershipStatus.MEMBER
+        sq = cones.square_cone()
+        # the min-norm weights of the Pauli witness are PSD: no SDP
+        witness = pauli_witness(math.pi / 4).tuple
+        assert min_membership(sq, witness).status is MinMembershipStatus.MEMBER
+        assert solve_calls == []
+        res = min_membership(sq, sz_sx_i())
+        assert res.status is MinMembershipStatus.NOT_MEMBER
+        assert _certificate_ok(sq, sz_sx_i(), res)
         assert len(solve_calls) == 1
+
+
+class TestNoPhaseOne:
+    def test_membership_and_diagonal_relaxations_skip_phase_one(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("phase-I reached")
+
+        monkeypatch.setattr(sdp, "_solve_feasibility", forbidden)
+        rng = np.random.default_rng(59)
+        sq = cones.square_cone()
+        for cone in (sq, _polygon(6), sampling.random_simplex_cone(rng, 3)):
+            for a in (sampling.random_min_member(rng, cone, 3), sz_sx_i()):
+                for k in (-6, 0, 6):
+                    res = min_membership(cone, _rescaled(a, 10.0**k))
+                    assert res.status is not MinMembershipStatus.UNKNOWN, res.message
+        statuses = {
+            containment.relaxation(diagonal_pencil(src), elliptic_cone_pencil(alpha)).status
+            for src in (sq, _polygon(5)) for alpha in (0.4, math.pi / 4)
+        }
+        assert statuses == {containment.RelaxationStatus.INFEASIBLE}
 
 
 def _polygon(k, rotation=0.3):
@@ -264,6 +310,9 @@ class TestCommutingStacks:
                            (_outside_rows(rng, cone, s), MinMembershipStatus.NOT_MEMBER)):
             for u in (None, sampling.random_unitary(rng, s)):
                 base = _commuting_tuple(rows, u)
+                ref = _reference_status(cone, base)
+                if ref in definitive:
+                    assert ref is want
                 for e in range(-6, 7):
                     a = _rescaled(base, 10.0**e)
                     before = len(solve_calls)
@@ -271,9 +320,6 @@ class TestCommutingStacks:
                     assert len(solve_calls) == before, f"scale 1e{e}"
                     assert fast.status is want, f"scale 1e{e}"
                     assert _certificate_ok(cone, a, fast)
-                    ref = opsys._sdp_min_membership(cone, a)
-                    if ref.status in definitive:
-                        assert fast.status is ref.status, f"scale 1e{e}"
 
     def test_cube_cone_with_singular_subsets(self, solve_calls):
         # four cube vertices on a face are linearly dependent: those
@@ -293,17 +339,20 @@ class TestCommutingStacks:
         assert solve_calls == []
         assert len(statuses) == 2
 
-    def test_too_many_subsets_reach_the_sdp(self, solve_calls):
-        # C(40, 3) = 9880 d-subsets, over SUBSET_BATCH: one SDP call each
+    def test_too_many_subsets_skip_the_closed_form(self, monkeypatch):
+        # C(40, 3) = 9880 d-subsets, over SUBSET_BATCH: the margin decides,
+        # by the SDP unless the min-norm weights are PSD
+        def forbidden(*args):
+            raise AssertionError("commuting closed form tried")
+
+        monkeypatch.setattr(opsys, "_commuting_weights", forbidden)
         rng = np.random.default_rng(214)
         cone = _polygon(40)
         assert math.comb(40, 3) > cones.SUBSET_BATCH
         for rows, want in ((_inside_rows(rng, cone, 3), MinMembershipStatus.MEMBER),
                            (_outside_rows(rng, cone, 3), MinMembershipStatus.NOT_MEMBER)):
             a = _commuting_tuple(rows, sampling.random_unitary(rng, 3))
-            before = len(solve_calls)
             res = min_membership(cone, a)
-            assert len(solve_calls) == before + 1
             assert res.status is want
             assert _certificate_ok(cone, a, res)
 
@@ -323,16 +372,19 @@ class TestCommutingStacks:
         assert solve_calls == []
 
     def test_off_diagonal_perturbation_reaches_the_sdp(self, solve_calls):
+        # an outside tuple: a member with PSD min-norm weights needs no SDP
         rng = np.random.default_rng(212)
         cone = _polygon(6)
-        a = _commuting_tuple(_inside_rows(rng, cone, 3), sampling.random_unitary(rng, 3))
+        a = _commuting_tuple(_outside_rows(rng, cone, 3), sampling.random_unitary(rng, 3))
         bumped = MatrixTuple(
             tuple(HermitianMatrix(e.mat + 1e-4 * linalg.random_hermitian(rng, 3).mat)
                   for e in a.entries)
         )
         res = min_membership(cone, bumped)
         assert len(solve_calls) == 1
-        assert res.status is opsys._sdp_min_membership(cone, bumped).status
+        assert res.status is MinMembershipStatus.NOT_MEMBER
+        assert res.status is _reference_status(cone, bumped)
+        assert _certificate_ok(cone, bumped, res)
 
     def test_joint_eigenbasis(self):
         rng = np.random.default_rng(213)
@@ -348,37 +400,44 @@ class TestCommutingStacks:
         assert linalg.joint_eigenbasis(np.array([SIGMA_Z.mat, SIGMA_X.mat]))[2] > 0.1
 
 
-class TestWeightProjection:
-    def test_perturbed_solver_weights_are_projected(self, monkeypatch):
-        # solver weights 2e-6 off the affine set: a reconstruction error of
-        # 2e-6, over the 1e-6 limit, unless the weights are projected back
+class TestMemberWeights:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_weights_reconstruct_the_tuple(self, scale, solve_calls):
+        # simplex, commuting and margin-SDP weights alike satisfy
+        # sum_k c_k P_k = A to rounding
+        rng = np.random.default_rng(58)
         sq = cones.square_cone()
-        a = sampling.random_min_member(np.random.default_rng(58), sq, 2)
-        real = sdp.solve
+        cases = [(sampling.random_simplex_cone(rng, 3), 2), (sq, 2), (sq, 3), (_polygon(7), 3)]
+        for cone, s in cases:
+            a = _rescaled(sampling.random_min_member(rng, cone, s), scale)
+            res = min_membership(cone, a)
+            assert res.status is MinMembershipStatus.MEMBER
+            weights = np.array([w.mat for w in res.certificate.weights])
+            recon = np.tensordot(cone.generators.T, weights, axes=1)
+            stack = np.array([e.mat for e in a.entries])
+            assert np.max(np.abs(recon - stack)) <= 1e-13 * np.max(np.abs(stack))
+        assert solve_calls, "no instance reached the margin SDP"
 
-        def perturbed(*args, **kwargs):
-            out = real(*args, **kwargs)
-            shifted = (HermitianMatrix(out.primal[0].mat + 2e-6 * np.eye(2)),)
-            return dataclasses.replace(out, primal=shifted + out.primal[1:])
 
-        monkeypatch.setattr(sdp, "solve", perturbed)
-        res = min_membership(sq, a)
-        assert res.status is MinMembershipStatus.MEMBER
-        assert res.certificate.residual < 1e-9
-        assert _certificate_ok(sq, a, res)
+class TestScaleInvariance:
+    """Verdicts of `min_membership` are invariant under positive scaling of
+    the tuple, from 1e-6 to 1e6, and every certificate verifies."""
 
-    def test_projection_lands_on_the_affine_set(self):
-        rng = np.random.default_rng(57)
-        sq = cones.square_cone()
-        a = sampling.random_min_member(rng, sq, 3)
-        stack = np.array([e.mat for e in a.entries])
-        p = np.array([linalg.random_psd(rng, 3).mat for _ in range(sq.n_generators)])
-        q = opsys._project_weights(np.linalg.pinv(sq.generators.T), sq.generators, stack, p)
-        recon = np.tensordot(sq.generators.T, q, axes=1)
-        assert np.max(np.abs(recon - stack)) < 1e-12
-        # projecting again changes nothing
-        q2 = opsys._project_weights(np.linalg.pinv(sq.generators.T), sq.generators, stack, q)
-        assert np.max(np.abs(q2 - q)) < 1e-12
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_verdict_is_scale_invariant(self, k, s):
+        rng = np.random.default_rng(300 + 10 * k + s)
+        cone = cones.square_cone() if k == 4 else _polygon(k, 0.0)
+        bases = [sampling.random_min_member(rng, cone, s) for _ in range(2)]
+        bases += [containment.random_max_tuple(cone, s, rng) for _ in range(2)]
+        for base in bases:
+            want = min_membership(cone, base).status
+            assert want is not MinMembershipStatus.UNKNOWN
+            for e in range(-6, 7):
+                a = _rescaled(base, 10.0**e)
+                res = min_membership(cone, a)
+                assert res.status is want, f"scale 1e{e}: {res.message}"
+                assert _certificate_ok(cone, a, res), f"scale 1e{e}"
 
 
 class TestPauliWitness:
