@@ -10,7 +10,9 @@ shapes and runs it on the parsed arrays, which a JSON round trip restores
 exactly, so both see the same residual.  A residual must stay below
 ``ACCEPT_RESIDUAL``; a separator also needs a positive margin and
 phi(A) < -``SEPARATOR_PHI_LIMIT``, and a Farkas certificate
-lambda_max <= ``sdp.FARKAS_TOL`` * gap.  Only the last limit is relative.
+lambda_max <= ``sdp.FARKAS_TOL`` * gap with a gap above
+``FARKAS_GAP_LIMIT`` times the size of its terms.  Only the last two
+limits are relative.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 ACCEPT_RESIDUAL = 1e-6
 SEPARATOR_PHI_LIMIT = 1e-7
+FARKAS_GAP_LIMIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,14 +193,16 @@ def check_relaxation_feasible(
 def check_relaxation_infeasible(
     src: np.ndarray, tgt: np.ndarray, y: np.ndarray
 ) -> CertificateCheck:
-    """Farkas matrices Y_i with gap = sum_i <Y_i, N_i> > 0 and
-    lambda_max(sum_i M_i^T (x) Y_i) <= FARKAS_TOL * gap; the residual is
-    max(lambda_max, 0) / gap."""
+    """Farkas matrices Y_i with gap = sum_i <Y_i, N_i> above
+    FARKAS_GAP_LIMIT * sum_i |Y_i|_F |N_i|_F, so that it is not
+    cancellation, and lambda_max(sum_i M_i^T (x) Y_i) <= FARKAS_TOL * gap;
+    the residual is max(lambda_max, 0) / gap."""
     r, t = src.shape[-1], tgt.shape[-1]
     gap = float(np.einsum("ixy,ixy->", y.conj(), tgt).real)
+    size = float(np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(tgt, axis=(1, 2)))
     big = np.einsum("iba,ixy->axby", src, y).reshape(r * t, r * t)
     lam = float(_eigvalsh(big, r, t).max())
-    ok = gap > 0 and lam <= sdp.FARKAS_TOL * gap
+    ok = gap > FARKAS_GAP_LIMIT * size and lam <= sdp.FARKAS_TOL * gap
     residual = max(0.0, lam) / gap if gap > 0 else float("inf")
     return CertificateCheck("relaxation_infeasible", ok, residual, {"gap": gap, "lambda_max": lam})
 

@@ -196,16 +196,12 @@ class PolyhedralCone:
 
 
 class SimplexCone(PolyhedralCone):
-    """Cone with exactly d linearly independent extreme rays.
-
-    ``cond`` reports the condition number of the generator matrix.
-    """
+    """Cone with exactly d linearly independent extreme rays."""
 
     def __init__(self, generators, unit, facets=None):
         super().__init__(generators, unit, facets=facets)
         if self.n_generators != self.dim:
             raise ConeConstructionError("simplex cone must have exactly d generators")
-        self.cond = float(np.linalg.cond(self.generators))
 
 
 def is_simplex(cone: PolyhedralCone) -> bool:
@@ -273,10 +269,6 @@ class Section:
 
     def to_ambient(self, y) -> np.ndarray:
         return self.cone.unit + self.basis @ np.asarray(y, dtype=float)
-
-    def contains(self, y, tol: float = GEOM_TOL) -> bool:
-        vals = 1.0 + self.facet_rows @ np.asarray(y, dtype=float)
-        return bool(np.all(vals >= -tol))
 
 
 def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:

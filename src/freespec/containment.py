@@ -9,8 +9,8 @@ For a diagonal source M_i = diag(F[:, i]), such as the facet realization of
 a polyhedral cone, the map is fixed by its PSD values Q_k = Phi(E_kk), so
 the strengthening is smallest-system membership of the target over the
 cone spanned by the rows of F, decided by `opsys.generator_weights` (the
-margin SDP, with r blocks of size t instead of one Choi block of size r*t,
-and no phase-I); other sources solve the Choi feasibility SDP.  For a
+margin SDP, with r blocks of size t instead of one Choi block of size
+r*t); other sources solve the Choi feasibility SDP.  For a
 simplex source F is invertible, the decision is in closed form and the
 strengthening is tight; when rank F < d, a target with a part outside the
 range of F^T is refuted by that part alone.  For a commuting target it

@@ -14,12 +14,13 @@ The smallest-system test is one decision over the generator weights
 diagonal source): every solution of A = sum_k c_k (x) P_k is the min-norm
 one P0 plus a free part in ker G^T, and A is a member iff the margin
 max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) is nonnegative, an SDP
-with an objective and no phase-I.  Its refutation converts into a
-separating functional phi(B) = sum_i tr(conj(N_i) B_i) that is nonnegative
-on the system and strictly negative on the query, which in turn yields a
-separating linear pencil by the Effros-Winkler construction.  Over a
-simplex cone there is no free part, the weights are unique and the test
-needs no SDP: A is a member iff every P_k = sum_i G^(-1)[i,k] A_i is PSD.
+with an objective, strictly feasible on both sides.  Its refutation
+converts into a separating functional phi(B) = sum_i tr(conj(N_i) B_i)
+that is nonnegative on the system and strictly negative on the query,
+which in turn yields a separating linear pencil by the Effros-Winkler
+construction.  Over a simplex cone there is no free part, the weights are
+unique and the test needs no SDP: A is a member iff every
+P_k = sum_i G^(-1)[i,k] A_i is PSD.
 A commuting tuple needs none either: pinched onto a joint eigenbasis u_j it
 is diagonal, and it is a member iff every joint eigenvalue vector ell_j
 lies in the cone, one linear program per eigenvector, solved in closed form
@@ -123,20 +124,22 @@ class MinMembershipResult:
 def _separator(
     cone: PolyhedralCone, stack: np.ndarray, y: np.ndarray
 ) -> Optional[SeparationFunctional]:
-    """The separator N = -conj(Y) of Farkas matrices Y, plus SEPARATOR_SHIFT
-    times the facet mean (normalised at the unit, so strictly positive on
-    the cone) when sum_i u_i N_i is not positive definite.  None unless Y
-    refutes A over the generators (the relaxation check from the diagonal
-    source diag(c_k)) and N passes `certificates.check_separator`."""
+    """The separator N = -conj(Y) of Farkas matrices Y, plus
+    SEPARATOR_SHIFT * max|N| times the facet mean (normalised at the unit,
+    so strictly positive on the cone) when the margin lambda_min of
+    sum_i u_i N_i is below that.  None unless Y refutes A over the
+    generators (the relaxation check from the diagonal source diag(c_k))
+    and N passes `certificates.check_separator`."""
     gens, unit = cone.generators, cone.unit
     diagonal = np.einsum("ki,kl->ikl", gens, np.eye(len(gens)))
     if not certificates.check_relaxation_infeasible(diagonal, stack, y).ok:
         return None
     n = linalg.hermitian_part(-np.conj(y))
     check = certificates.check_separator(gens, unit, stack, n)
-    if check.details["margin"] < SEPARATOR_SHIFT:
+    tiny = SEPARATOR_SHIFT * float(np.abs(n).max())
+    if check.details["margin"] < tiny:
         f = cone.facets.mean(axis=0)
-        shift = SEPARATOR_SHIFT * (f / float(f @ unit))
+        shift = tiny * (f / float(f @ unit))
         n = n + shift[:, None, None] * np.eye(n.shape[-1])
         check = certificates.check_separator(gens, unit, stack, n)
     if not check.ok:
@@ -199,7 +202,7 @@ def _margin_problem(p0: np.ndarray, kernel: np.ndarray) -> sdp.SdpProblem:
     return sdp.SdpProblem((s,) * m, tuple(coeffs), rhs, tuple(p0))
 
 
-def _margin_weights(gens, stack, certify, tol, max_iter) -> GeneratorWeights:
+def _margin_weights(gens, stack, certify, tol) -> GeneratorWeights:
     """The margin decision of `generator_weights`."""
     scale, pinv_t, kernel, p0 = _affine_split(gens, stack)
     if len(gens) - kernel.shape[1] < gens.shape[1]:
@@ -245,7 +248,7 @@ def _margin_weights(gens, stack, certify, tol, max_iter) -> GeneratorWeights:
             found.append(dec)
         return "certified" if found else ""
 
-    outcome = sdp.solve(_margin_problem(p0, kernel), tol=tol, max_iter=max_iter, check=check)
+    outcome = sdp.solve(_margin_problem(p0, kernel), tol=tol, check=check)
     if outcome.status is sdp.SdpStatus.OPTIMAL:
         check([b.mat for b in outcome.primal], outcome.y)
     return found[0] if found else GeneratorWeights(
@@ -324,7 +327,6 @@ def generator_weights(
     stack: np.ndarray,
     certify,
     tol: float = 1e-8,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
     dump_to=None,
 ) -> GeneratorWeights:
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
@@ -359,7 +361,7 @@ def generator_weights(
         dec = _commuting_weights(gens, stack, tol, certify)
         if dec is not None:
             return dec
-    return _margin_weights(gens, stack, certify, tol, max_iter)
+    return _margin_weights(gens, stack, certify, tol)
 
 
 def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
@@ -381,7 +383,6 @@ def min_membership(
     a: MatrixTuple,
     tol: float = 1e-8,
     dump_to=None,
-    max_iter: int = sdp.DEFAULT_MAX_ITER,
 ) -> MinMembershipResult:
     """Membership of a tuple in the smallest system of a polyhedral cone.
 
@@ -398,7 +399,7 @@ def min_membership(
     stack = linalg.stacked(a.entries)
     dec = generator_weights(
         cone.generators, stack, lambda y: _separator(cone, stack, y),
-        tol=tol, max_iter=max_iter, dump_to=dump_to,
+        tol=tol, dump_to=dump_to,
     )
     return _membership_result(dec)
 

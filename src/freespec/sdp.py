@@ -18,15 +18,16 @@ each step of an iteration (the scaling eigendecompositions, the Schur
 complement, step lengths, corrector and update) runs once per group; the
 dense Schur complement is solved by Cholesky.
 
-Feasibility problems are run through a phase-I reformulation: minimise t
-subject to X + t*I >= 0 (plus a generous trace safeguard), declaring
-Feasible iff the optimal t falls below tolerance.  Infeasible is declared
-only when the phase-I dual multipliers verify as a Farkas certificate:
-sum_i y_i A_i negative semidefinite (to a strict tolerance) together with
-b.y > 0; without a verified certificate the status is NumericalFailure.
-Its callers are the Choi-matrix relaxation of a non-diagonal source,
-`opsys.essential_boundary_square` and problems loaded from a dump; the
-generator-weight decision solves an objective problem, with a ``check``.
+A feasibility problem is the objective problem with C = 0, on the rows
+scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
+is checked: X projected onto A(X) = b is Feasible when it is PSD up to
+tol times its largest eigenvalue, and y is Infeasible when it verifies as
+a Farkas certificate: sum_i y_i A_i negative semidefinite (to a strict
+tolerance) together with b.y > 0.  Without either the status is
+NumericalFailure.  Its callers are the Choi-matrix relaxation of a
+non-diagonal source, `opsys.essential_boundary_square` and problems
+loaded from a dump; the generator-weight decision solves an objective
+problem, with a ``check``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -568,16 +569,18 @@ def solve(
     of primal blocks, and y in the problem's row order); a non-empty label
     from it stops the solve with status STOPPED and the label as message.
     """
-    if p.c is None:
-        return _solve_feasibility(p, tol, max_iter)
-    return _solve_optimization(p, tol, max_iter, check)
-
-
-def _solve_optimization(p: SdpProblem, tol: float, max_iter: int, check=None) -> SdpOutcome:
     form = _preprocess(p)
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
+    if p.c is None:
+        return _solve_feasibility(p, form, tol, max_iter)
+    return _solve_optimization(p, form, tol, max_iter, check)
+
+
+def _solve_optimization(
+    p: SdpProblem, form: _Form, tol: float, max_iter: int, check=None
+) -> SdpOutcome:
     hook = None if check is None else (lambda x, y: check(x, _expand_y(form, y, len(p.b))))
     res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter, check=hook)
     if res.stop_label:
@@ -602,88 +605,49 @@ def _objective_value(p: SdpProblem, primal) -> float:
     return float(sum(_flat(ck) @ _flat(xb.mat) for ck, xb in zip(p.c, primal)))
 
 
-def _residual_ok(p: SdpProblem, primal, tol: float) -> bool:
-    gaps = np.abs(_row_values(p, primal) - p.b)
-    return not np.any(gaps > tol * (1.0 + np.abs(p.b)))
+def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) -> SdpOutcome:
+    """The objective problem with C = 0 on the rows scaled to max|b| = 1.
 
+    The infeasible-start iterates are strictly PD and tend to a
+    relative-interior feasible point when there is one, while y tends to a
+    Farkas ray when there is none.  Each iterate X, projected twice onto
+    A(X) = b through one Cholesky factor of the Gram matrix A A*, is
+    Feasible when lambda_min >= -tol * max|lambda| over the blocks; y is
+    Infeasible when its Farkas certificate has lambda_max <=
+    0.1 * FARKAS_TOL.  The converged iterate is checked once more; without
+    an answer the status is NumericalFailure.
+    """
+    scale = float(np.abs(form.b).max()) or 1.0
+    b = form.b / scale
+    flat = [_flat(ak).reshape(len(b), -1) for ak in form.a]
+    gram = cho_factor(sum(f @ f.T for f in flat))
+    found = []
 
-def _shifted_primal(blocks, t: float) -> tuple[HermitianMatrix, ...]:
-    """The phase-I blocks Z minus the shift: X = Z - t*I."""
-    return tuple(HermitianMatrix(xb - t * np.eye(xb.shape[0])) for xb in blocks)
-
-
-def _solve_feasibility(p: SdpProblem, tol: float, max_iter: int) -> SdpOutcome:
-    form = _preprocess(p)
-    conflict = _conflict_outcome(p, form)
-    if conflict is not None:
-        return conflict
-    nb = len(p.blocks)
-    m = len(form.b)
-
-    # phase-I: variables (Z, w) with X = Z - (w - 1) * I and w >= 0;
-    # minimising w drives the shift t = w - 1 down to -min_eig of the most
-    # interior solution, floored at t = -1.
-    tau = sum(np.trace(ak, axis1=1, axis2=2).real for ak in form.a)
-    a1 = form.a + [(-tau).astype(np.complex128)[:, None, None]]
-    c1 = [np.zeros((n, n)) for n in p.blocks] + [np.ones((1, 1))]
-
-    # Stop as soon as either side is certifiable: a strictly positive shift
-    # with verified constraint residuals, or a verified Farkas certificate.
-    found: dict = {}
-
-    def checker(x, y):
-        t = float(x[nb][0, 0].real) - 1.0
-        if t < 0.5 * tol:
-            primal = _shifted_primal(x[:nb], t)
-            if _residual_ok(p, primal, 1e-8):
-                found["primal"] = primal
-                return "feasible"
-        cert = _farkas_from_y(p, _expand_y(form, y[:m], len(p.b)))
+    def check(x, y):
+        for _ in range(2):
+            z = cho_solve(gram, b - sum(f @ _flat(xk).ravel() for f, xk in zip(flat, x)))
+            x = [xk + np.tensordot(z, ak, axes=1) for xk, ak in zip(x, form.a)]
+        lam = [_kernels.eigh_kernel(xk)[0] for xk in x]
+        if min(w[0] for w in lam) >= -tol * max(np.abs(w).max() for w in lam):
+            primal = tuple(HermitianMatrix(scale * xk) for xk in x)
+            found.append(SdpOutcome(status=SdpStatus.FEASIBLE, primal=primal))
+            return "feasible"
+        cert = _farkas_from_y(p, _expand_y(form, y, len(p.b)))
         if cert is not None and cert.lambda_max <= 0.1 * FARKAS_TOL:
-            found["cert"] = cert
+            found.append(SdpOutcome(status=SdpStatus.INFEASIBLE, dual_certificate=cert))
             return "infeasible"
         return ""
 
-    data = _BlockData(a1, c1)
-    res = _ipm(data, form.b - tau, min(tol * 1e-2, 1e-9), max_iter, check=checker)
-
-    if res.stop_label == "feasible":
-        return SdpOutcome(
-            status=SdpStatus.FEASIBLE, primal=found["primal"], iterations=res.iterations
-        )
-    if res.stop_label == "infeasible":
-        return SdpOutcome(
-            status=SdpStatus.INFEASIBLE,
-            dual_certificate=found["cert"],
-            iterations=res.iterations,
-        )
-
-    if not res.converged:
-        return SdpOutcome(
-            status=SdpStatus.NUMERICAL_FAILURE,
-            iterations=res.iterations,
-            message=f"phase-I: {res.message}",
-        )
-
-    t_star = float(res.x[nb][0, 0].real) - 1.0
-    if t_star < tol:
-        return SdpOutcome(
-            status=SdpStatus.FEASIBLE,
-            primal=_shifted_primal(res.x[:nb], t_star),
-            iterations=res.iterations,
-        )
-
-    cert = _farkas_from_y(p, _expand_y(form, res.y[:m], len(p.b)))
-    if cert is None:
-        return SdpOutcome(
-            status=SdpStatus.NUMERICAL_FAILURE,
-            iterations=res.iterations,
-            message="phase-I optimum positive but Farkas certificate did not verify",
-        )
+    zeros = [np.zeros((n, n)) for n in p.blocks]
+    res = _ipm(_BlockData(form.a, zeros), b, tol, max_iter, check=check)
+    if res.converged:
+        check(res.x, res.y)
+    if found:
+        return replace(found[0], iterations=res.iterations)
     return SdpOutcome(
-        status=SdpStatus.INFEASIBLE,
-        dual_certificate=cert,
+        status=SdpStatus.NUMERICAL_FAILURE,
         iterations=res.iterations,
+        message=res.message or "converged with no certificate",
     )
 
 

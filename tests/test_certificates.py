@@ -9,6 +9,7 @@ the producer saw.
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from freespec import certificates, cones, linalg, sampling
 from freespec.containment import RelaxationStatus, relaxation
 from freespec.linalg import HermitianMatrix
 from freespec.opsys import MinMembershipStatus, min_membership
-from freespec.pencil import LinearPencil, MatrixTuple, diagonal_pencil
+from freespec.pencil import LinearPencil, MatrixTuple, diagonal_pencil, pencil_from_json
 
 
 def _round_trip(doc):
@@ -65,6 +66,21 @@ def test_choi_path_infeasible_answers_pass_verify():
                     assert check.ok and check.residual == res.certificate.residual
                     definitive += 1
     assert definitive > 0
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+def test_cancelled_farkas_gap_is_rejected():
+    # a Choi-SDP answer for the 5-gon facet target rows (1, 3) at 1e6, which
+    # is feasible by construction: the Farkas matrices have size ~1e9 and
+    # their gap sum_i <Y_i, N_i> = 1 is 6e-17 of sum_i |Y_i| |N_i|
+    path = pathlib.Path(__file__).parent / "data" / "cancelled_relaxation_farkas.json"
+    doc = json.loads(path.read_text())
+    check = certificates.verify_certificate(doc)
+    assert not check.ok
+    y = np.array([linalg.matrix_from_json(m).mat for m in doc["y_matrices"]])
+    n = linalg.stacked(pencil_from_json(doc["tgt"]).matrices)
+    size = np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(n, axis=(1, 2))
+    assert 0 < check.details["gap"] < certificates.FARKAS_GAP_LIMIT * size
 
 
 def _rescaled(a, factor):

@@ -450,6 +450,31 @@ class TestCommutingRelaxation:
         assert rep.relaxation.status is RelaxationStatus.FEASIBLE
 
 
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestChoiScaleInvariance:
+    """The Choi-matrix relaxation of a non-diagonal source gives the verdict
+    of scale 1 for targets rescaled from 1e-8 to 1e8, and every
+    certificate verifies."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_verdict_is_scale_invariant(self, k):
+        rng = np.random.default_rng(140 + k)
+        cone = _regular_polygon(k)
+        src = diagonal_pencil(cone)
+        rotated = _conjugated(src, sampling.random_unitary(rng, src.r))
+        assert containment._diagonal_facets(rotated) is None
+        targets = [sampling.random_commuting_target(rng, cone, t) for t in (2, 3)]
+        targets.append(elliptic_cone_pencil(0.7))
+        for base in targets:
+            want = relaxation(rotated, base).status
+            assert want is not RelaxationStatus.UNKNOWN
+            for e in range(-8, 9, 2):
+                tgt = _rescaled_pencil(base, 10.0**e)
+                res = relaxation(rotated, tgt)
+                assert res.status is want, f"t={tgt.r} scale 1e{e}: {res.message}"
+                assert _relaxation_certificate_ok(rotated, tgt, res), f"scale 1e{e}"
+
+
 class TestFreeWitness:
     def test_margins(self):
         for alpha, expect in (

@@ -160,8 +160,8 @@ def _certificate_ok(cone, a, res):
 
 def _reference_status(cone, a):
     """The verdict of the feasibility SDP sum_k c_k[i] P_k = A_i, one row
-    per coordinate i and Hermitian basis element, solved by phase-I: a
-    reference independent of the margin decision."""
+    per coordinate i and Hermitian basis element, solved with a zero
+    objective: a reference independent of the margin decision."""
     stack = np.array([e.mat for e in a.entries])
     s, m = stack.shape[-1], cone.n_generators
     basis = linalg.hermitian_basis(s)
@@ -421,7 +421,7 @@ class TestMemberWeights:
 
 class TestScaleInvariance:
     """Verdicts of `min_membership` are invariant under positive scaling of
-    the tuple, from 1e-6 to 1e6, and every certificate verifies."""
+    the tuple, from 1e-8 to 1e8, and every certificate verifies."""
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("s", [2, 3])
@@ -433,7 +433,7 @@ class TestScaleInvariance:
         for base in bases:
             want = min_membership(cone, base).status
             assert want is not MinMembershipStatus.UNKNOWN
-            for e in range(-6, 7):
+            for e in range(-8, 9):
                 a = _rescaled(base, 10.0**e)
                 res = min_membership(cone, a)
                 assert res.status is want, f"scale 1e{e}: {res.message}"
@@ -483,6 +483,24 @@ class TestEssentialBoundary:
     def test_zero_inputs_error(self):
         with pytest.raises(ValueError, match="nonzero"):
             essential_boundary_square([np.zeros((2, 2))] * 4)
+
+    def test_verdict_is_scale_invariant(self):
+        # rank-one Pauli components are in the essential boundary, random
+        # full-rank PSD components are not; every scale gives the verdict
+        # of scale 1 and every functional verifies
+        rng = np.random.default_rng(61)
+        cases = [pauli_witness(a).components for a in np.linspace(0.1, 1.4, 8)]
+        cases += [[linalg.random_psd(rng, s) for _ in range(4)] for s in (2, 3)]
+        for comps in cases:
+            want = essential_boundary_square(comps).status
+            assert want is not EssentialBoundaryStatus.UNKNOWN
+            for e in range(-8, 9, 2):
+                scaled = [HermitianMatrix(10.0**e * c.mat) for c in comps]
+                res = essential_boundary_square(scaled)
+                assert res.status is want, f"scale 1e{e}: {res.message}"
+                if res.status is EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY:
+                    doc = certificates.essential_boundary_cert(scaled, res.functional, 1e-6)
+                    assert certificates.verify_certificate(doc).ok, f"scale 1e{e}"
 
     def test_functional_kills_element(self):
         # phi vanishes on the witness: sum_k tr(A_k * (M3 +- D/S)) = 0
