@@ -257,7 +257,7 @@ def relaxation(
     src_stack, stack = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
     dec = generator_weights(
         facets, stack, lambda y: _relaxation_farkas(src_stack, stack, y),
-        tol=tol, dump_to=dump_to,
+        src.unit, tol=tol, dump_to=dump_to,
     )
     choi = None
     if dec.weights is not None:

@@ -14,7 +14,7 @@ The smallest-system test is one decision over the generator weights
 diagonal source): every solution of A = sum_k c_k (x) P_k is the min-norm
 one P0 plus a free part in ker G^T, and A is a member iff the margin
 max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) is nonnegative, an SDP
-with an objective, strictly feasible on both sides.  Its refutation
+with an objective, solved from an exactly feasible start.  Its refutation
 converts into a separating functional phi(B) = sum_i tr(conj(N_i) B_i)
 that is nonnegative on the system and strictly negative on the query,
 which in turn yields a separating linear pencil by the Effros-Winkler
@@ -175,38 +175,47 @@ def _refutation(certify, y) -> Optional[GeneratorWeights]:
     return None if farkas is None else GeneratorWeights(farkas=farkas)
 
 
-def _affine_split(gens: np.ndarray, stack: np.ndarray):
+def _affine_split(gens: np.ndarray, stack: np.ndarray, h: np.ndarray):
     """The weights with sum_k c_k (x) P_k = A / scale, from one SVD of G
     (``gens``, m x d): P0 + sum_j K[k,j] Z_j over Hermitian Z_j, with the
     min-norm weights P0 = pinv(G^T) A / scale and K an orthonormal basis
-    (m x f) of ker G^T.  Returns (scale, pinv(G^T), K, P0) with
-    scale = max|A| (1 for A = 0)."""
+    (m x f) of ker G^T.  Returns (rows, scale, pinv(G^T), K, P0) with
+    scale = max|A| (1 for A = 0).  Where rows = G h > 0 is not constant to
+    START_TOL, G is first rescaled to c_k / rows_k (else rows = 1), so that
+    K^T 1 = 0."""
     m, d = gens.shape
-    u, sv, vt = np.linalg.svd(gens)
+    rows = gens @ h
+    rows = rows if np.ptp(rows) > sdp.START_TOL * rows.max() else np.ones(m)
+    u, sv, vt = np.linalg.svd(gens / rows[:, None])
     rank = int(np.sum(sv > sv.max(initial=0.0) * max(m, d) * np.finfo(float).eps))
     pinv_t = (u[:, :rank] / sv[:rank]) @ vt[:rank]
     scale = float(np.abs(stack).max()) or 1.0
-    return scale, pinv_t, u[:, rank:], np.tensordot(pinv_t, stack / scale, axes=1)
+    return rows, scale, pinv_t, u[:, rank:], np.tensordot(pinv_t, stack / scale, axes=1)
 
 
-def _margin_problem(p0: np.ndarray, kernel: np.ndarray) -> sdp.SdpProblem:
+def _margin_problem(p0: np.ndarray, kernel: np.ndarray):
     """Minimise sum_k tr(P0_k X_k) over PSD blocks X_k subject to
     sum_k tr X_k = 1 and sum_k K[k,j] tr(E_alpha X_k) = 0 for every column
     j of ``kernel`` and Hermitian basis element E_alpha.  Its dual
     maximises the margin lambda over P0_k + sum_j K[k,j] Z_j >= lambda I,
-    with y = (lambda, -Z in the basis); both sides are strictly feasible."""
+    with y = (lambda, -Z in the basis).  Returns the problem, its rows
+    independent and exactly Hermitian, and its start X_k = I / (m s),
+    y = (lambda_min(P0) - 1, 0, ..., 0): S_k = P0_k - y_0 I >= I, and
+    A(X) = b once K^T 1 = 0."""
     m, s = len(p0), p0.shape[-1]
     free = np.multiply.outer(kernel, linalg.hermitian_basis(s)).reshape(m, -1, s, s)
     coeffs = np.concatenate([np.broadcast_to(np.eye(s), (m, 1, s, s)), free], axis=1)
-    rhs = np.r_[1.0, np.zeros(free.shape[1])]
-    return sdp.SdpProblem((s,) * m, tuple(coeffs), rhs, tuple(p0))
+    c = linalg.hermitian_part(p0)
+    y = np.r_[np.linalg.eigvalsh(c)[:, 0].min() - 1.0, np.zeros(free.shape[1])]
+    problem = sdp.SdpProblem._unchecked((s,) * m, coeffs, np.r_[1.0, np.zeros(len(y) - 1)], c)
+    return problem, (np.broadcast_to(np.eye(s) / (m * s), (m, s, s)), y)
 
 
-def _margin_weights(gens, stack, certify, tol) -> GeneratorWeights:
-    """The margin decision of `generator_weights`."""
-    scale, pinv_t, kernel, p0 = _affine_split(gens, stack)
+def _margin_weights(gens, stack, certify, tol, split) -> GeneratorWeights:
+    """The margin decision of `generator_weights` on an `_affine_split`."""
+    rows, scale, pinv_t, kernel, p0 = split
     if len(gens) - kernel.shape[1] < gens.shape[1]:
-        r = stack / scale - np.tensordot(gens.T, p0, axes=1)
+        r = stack / scale - np.tensordot((gens / rows[:, None]).T, p0, axes=1)
         if np.abs(r).max() > tol:
             return _refutation(certify, r / np.vdot(r, stack).real) or GeneratorWeights(
                 message="unreachable part: Farkas certificate rejected by its check"
@@ -214,11 +223,9 @@ def _margin_weights(gens, stack, certify, tol) -> GeneratorWeights:
     lam, vecs = np.linalg.eigh(p0)
     band = tol * float(np.abs(lam).max())
 
-    def member(w, lam):
-        """Weights ``w`` with eigenvalues ``lam``, outside the band."""
-        if lam[:, 0].min() < -tol * np.abs(lam).max():
-            return None
-        return _checked_weights(gens, stack, scale * w)
+    def member(w):
+        """The weights of G for the split's weights ``w``, if they pass."""
+        return _checked_weights(gens, stack, scale * w / rows[:, None, None])
 
     def refute(x):
         """Y = -N / |<N, A>| from primal blocks X, outside the band."""
@@ -228,7 +235,7 @@ def _margin_weights(gens, stack, certify, tol) -> GeneratorWeights:
             return None
         return _refutation(certify, -n / abs(phi))
 
-    dec = member(p0, lam)
+    dec = member(p0) if lam[:, 0].min() >= -band else None
     if dec is not None:
         return dec
     if kernel.shape[1] == 0:
@@ -241,16 +248,20 @@ def _margin_weights(gens, stack, certify, tol) -> GeneratorWeights:
     found = []
 
     def check(x, y):
-        z = np.tensordot(y[1:].reshape(kernel.shape[1], -1), basis, axes=1)
-        w = p0 - np.tensordot(kernel, z, axes=1)
-        dec = member(w, np.linalg.eigvalsh(w)) or refute(np.asarray(x))
+        """With both sides feasible, y_0 <= margin <= sum_k tr(P0_k X_k):
+        an answer is built and checked once either bound leaves the band."""
+        x, dec = np.asarray(x), None
+        if y[0] >= -band:
+            z = np.tensordot(y[1:].reshape(kernel.shape[1], -1), basis, axes=1)
+            dec = member(p0 - np.tensordot(kernel, z, axes=1))
+        elif np.vdot(p0, x).real < -band * np.trace(x, axis1=1, axis2=2).real.sum():
+            dec = refute(x)
         if dec is not None:
             found.append(dec)
         return "certified" if found else ""
 
-    outcome = sdp.solve(_margin_problem(p0, kernel), tol=tol, check=check)
-    if outcome.status is sdp.SdpStatus.OPTIMAL:
-        check([b.mat for b in outcome.primal], outcome.y)
+    problem, start = _margin_problem(p0, kernel)
+    outcome = sdp.solve(problem, tol=tol, check=check, start=start)
     return found[0] if found else GeneratorWeights(
         message=f"margin SDP: {outcome.message or 'no certificate passed'}"
     )
@@ -326,6 +337,7 @@ def generator_weights(
     gens: np.ndarray,
     stack: np.ndarray,
     certify,
+    h: np.ndarray,
     tol: float = 1e-8,
     dump_to=None,
 ) -> GeneratorWeights:
@@ -342,26 +354,28 @@ def generator_weights(
     of `linalg.joint_eigenbasis`) is decided per joint eigenvector
     (`_commuting_weights`).  Everything else is decided by the sign of the
     margin max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) over the affine
-    set of weights (`_affine_split`, A normalised by max|A|).  A part
-    R = A - G^T P0 that no weights reach is refuted by Y = R / <R, A>.
-    Weights with lambda_min >= -tol * max|lambda| (P0 itself, or the dual
-    iterates P0 + KZ of `_margin_problem`) are a Member.  PSD primal blocks
-    X with phi = sum_k tr(P0_k X_k) < -tol * max|lambda(P0)| tr X refute A
-    by Y = -N / |<N, A>| with N = pinv(G) X, since sum_i c_k[i] N_i = X_k.
-    With no free part (G of full row rank, e.g. a simplex) X = vv* on the
-    worst block of P0 decides in closed form; otherwise the SDP stops at
-    the first iterate that certifies.  ``dump_to`` always receives the
-    margin SDP.
+    set of weights (`_affine_split`, A normalised by max|A|, on the rows
+    c_k / (c_k . h) when G h > 0 is not constant).  A part R = A - G^T P0
+    that no weights reach is refuted by Y = R / <R, A>.  P0 with
+    lambda_min >= -band = -tol * max|lambda(P0)| is a Member.  With no
+    free part (G of full row rank, e.g. a simplex) X = vv* on the worst
+    block of P0 decides in closed form.  Otherwise `_margin_problem` runs
+    from its exactly feasible start, and each iterate is judged on two
+    scalars: y_0 >= -band offers the dual weights P0 + KZ >= y_0 I as a
+    Member, and sum_k tr(P0_k X_k) < -band tr X refutes A by
+    Y = -N / |<N, A>| with N = pinv(G) X, since sum_i c_k[i] N_i = X_k.
+    The SDP stops at the first answer that passes its check.  ``dump_to``
+    always receives the margin SDP that is solved.
     """
     m, d = gens.shape
-    if dump_to is not None:
-        _, _, kernel, p0 = _affine_split(gens, stack)
-        sdp.dump_problem(_margin_problem(p0, kernel), dump_to)
+    split = None if dump_to is None else _affine_split(gens, stack, h)
+    if split is not None:
+        sdp.dump_problem(_margin_problem(split[4], split[3])[0], dump_to)
     if m > d and math.comb(m, d) <= SUBSET_BATCH:
         dec = _commuting_weights(gens, stack, tol, certify)
         if dec is not None:
             return dec
-    return _margin_weights(gens, stack, certify, tol)
+    return _margin_weights(gens, stack, certify, tol, split or _affine_split(gens, stack, h))
 
 
 def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
@@ -399,7 +413,7 @@ def min_membership(
     stack = linalg.stacked(a.entries)
     dec = generator_weights(
         cone.generators, stack, lambda y: _separator(cone, stack, y),
-        tol=tol, dump_to=dump_to,
+        cone.facets.sum(axis=0), tol=tol, dump_to=dump_to,
     )
     return _membership_result(dec)
 

@@ -10,13 +10,19 @@ where <A, X> = tr(X* A) summed over blocks.  A problem stores its
 coefficients block by block: one (m, n_k, n_k) stack of the rows'
 coefficients on block k, zero where a row does not touch that block.
 
-The engine is an infeasible-start primal-dual interior-point method with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector, working on the
-complex Hermitian blocks as given.  Blocks of equal size form one group,
-held as an (m, k, n, n) tensor with the iterates as (k, n, n) stacks, and
-each step of an iteration (the scaling eigendecompositions, the Schur
-complement, step lengths, corrector and update) runs once per group; the
-dense Schur complement is solved by Cholesky.
+The engine is a primal-dual interior-point method with Nesterov-Todd
+scaling and a Mehrotra predictor-corrector, working on the complex
+Hermitian blocks as given.  It starts infeasible, from multiples of I,
+on the rows as `_preprocess` leaves them (scaled, dependent ones
+dropped).  An objective problem with independent rows may instead come
+with an exactly feasible, strictly interior start (the margin SDP of
+`opsys.generator_weights`): it is checked once, the rows are taken as
+given, and every iterate stays feasible on both sides.  Blocks of equal
+size form one group, held as an (m, k, n, n) tensor with the iterates as
+(k, n, n) stacks, and each step of an iteration (the scaling
+eigendecompositions, the Schur complement, step lengths, corrector and
+update) runs once per group; the dense Schur complement is solved by
+Cholesky.
 
 A feasibility problem is the objective problem with C = 0, on the rows
 scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
@@ -26,8 +32,7 @@ a Farkas certificate: sum_i y_i A_i negative semidefinite (to a strict
 tolerance) together with b.y > 0.  Without either the status is
 NumericalFailure.  Its callers are the Choi-matrix relaxation of a
 non-diagonal source, `opsys.essential_boundary_square` and problems
-loaded from a dump; the generator-weight decision solves an objective
-problem, with a ``check``.
+loaded from a dump.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ logger = logging.getLogger("freespec.sdp")
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 FARKAS_TOL = 1e-7
+START_TOL = 1e-12
 
 
 class SdpStatus(enum.Enum):
@@ -138,6 +144,16 @@ class SdpProblem:
             )
         for name, value in (("blocks", blocks), ("a", a), ("b", b), ("c", c)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, blocks, a, b, c) -> "SdpProblem":
+        """The problem of a builder whose stacks are exactly Hermitian by
+        construction, as given: no check, no copy; made read-only."""
+        p = object.__new__(cls)
+        p.__dict__.update(blocks=tuple(blocks), a=tuple(a), b=np.asarray(b, float), c=tuple(c))
+        for arr in (p.b, *p.a, *p.c):
+            arr.flags.writeable = False
+        return p
 
     @staticmethod
     def make(blocks: Sequence[int], constraints, objective=None) -> "SdpProblem":
@@ -386,23 +402,31 @@ def _step_to_boundary(h: np.ndarray) -> float:
 
 
 def _ipm(
-    data: _BlockData, b: np.ndarray, tol: float, max_iter: int, check=None
+    data: _BlockData, b: np.ndarray, tol: float, max_iter: int, check=None, start=None
 ) -> _IpmResult:
     ndim = data.total_dim
     m = data.m
 
     norm_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     norm_c = max(1.0, data.norm_c)
-    eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
-    eta_d = max(1.0, math.sqrt(ndim), norm_c)
-
-    units = [
-        np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape[1:])
-        for t in data.tens
-    ]
-    x = [eta_p * u for u in units]
-    s = [eta_d * u for u in units]
-    y = np.zeros(m)
+    if start is not None:  # checked once: one `apply`, one eigvalsh per size group
+        x = [np.stack([start[0][k] for k in g]).astype(np.complex128) for g in data.groups]
+        y = np.array(start[1], dtype=float)
+        s = [cg - ag for cg, ag in zip(data.c, data.adjoint(y))]
+        gap = float(np.abs(b - data.apply(x)).max()) / norm_b
+        low = min(np.linalg.eigvalsh(np.concatenate(xs))[:, 0].min() for xs in zip(x, s))
+        if gap > START_TOL or not low > 0:
+            raise ValueError(f"start not feasible and interior: gap {gap:.2e}, min eig {low:.2e}")
+    else:
+        eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
+        eta_d = max(1.0, math.sqrt(ndim), norm_c)
+        units = [
+            np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape[1:])
+            for t in data.tens
+        ]
+        x = [eta_p * u for u in units]
+        s = [eta_d * u for u in units]
+        y = np.zeros(m)
 
     best = None
     stall = 0
@@ -425,13 +449,13 @@ def _ipm(
             "iter %3d  mu=%9.2e  ep=%9.2e  ed=%9.2e  eg=%9.2e", it, mu, ep, ed, eg
         )
 
-        if ep <= tol and ed <= tol and min(eg, compl) <= tol:
-            return _IpmResult(True, data.split(x), y, it - 1)
-
         if check is not None:
             label = check(data.split(x), y)
             if label:
                 return _IpmResult(False, data.split(x), y, it - 1, stop_label=label)
+
+        if ep <= tol and ed <= tol and min(eg, compl) <= tol:
+            return _IpmResult(True, data.split(x), y, it - 1)
 
         gs, gis, lams = zip(*(_nt_scaling(xg, sg) for xg, sg in zip(x, s)))
         roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
@@ -561,28 +585,37 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
 
 
 def solve(
-    p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, check=None
+    p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, check=None,
+    start=None,
 ) -> SdpOutcome:
     """Solve a feasibility or linear-objective SDP.
 
     ``check``, for an objective problem only, sees every iterate (the list
     of primal blocks, and y in the problem's row order); a non-empty label
     from it stops the solve with status STOPPED and the label as message.
+
+    ``start``, for an objective problem with independent rows, is a
+    strictly interior point (X, y) with A(X) = b to START_TOL and
+    C - A*(y) > 0 (ValueError otherwise).  The rows are then taken as
+    given, not preprocessed, and every iterate is feasible on both sides.
     """
-    form = _preprocess(p)
+    if start is not None and p.c is None:
+        raise ValueError("a start is for a problem with an objective")
+    m = len(p.b)
+    form = _preprocess(p) if start is None else _Form(list(p.a), p.b, np.arange(m), np.ones(m))
     conflict = _conflict_outcome(p, form)
     if conflict is not None:
         return conflict
     if p.c is None:
         return _solve_feasibility(p, form, tol, max_iter)
-    return _solve_optimization(p, form, tol, max_iter, check)
+    return _solve_optimization(p, form, tol, max_iter, check, start)
 
 
 def _solve_optimization(
-    p: SdpProblem, form: _Form, tol: float, max_iter: int, check=None
+    p: SdpProblem, form: _Form, tol: float, max_iter: int, check=None, start=None
 ) -> SdpOutcome:
     hook = None if check is None else (lambda x, y: check(x, _expand_y(form, y, len(p.b))))
-    res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter, check=hook)
+    res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter, hook, start)
     if res.stop_label:
         return SdpOutcome(
             status=SdpStatus.STOPPED, iterations=res.iterations, message=res.stop_label
@@ -610,12 +643,11 @@ def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) ->
 
     The infeasible-start iterates are strictly PD and tend to a
     relative-interior feasible point when there is one, while y tends to a
-    Farkas ray when there is none.  Each iterate X, projected twice onto
-    A(X) = b through one Cholesky factor of the Gram matrix A A*, is
-    Feasible when lambda_min >= -tol * max|lambda| over the blocks; y is
-    Infeasible when its Farkas certificate has lambda_max <=
-    0.1 * FARKAS_TOL.  The converged iterate is checked once more; without
-    an answer the status is NumericalFailure.
+    Farkas ray when there is none.  Each iterate, the converged one too: X,
+    projected twice onto A(X) = b through one Cholesky factor of the Gram
+    matrix A A*, is Feasible when lambda_min >= -tol * max|lambda| over the
+    blocks; y is Infeasible when its Farkas certificate has lambda_max <=
+    0.1 * FARKAS_TOL.  Without an answer the status is NumericalFailure.
     """
     scale = float(np.abs(form.b).max()) or 1.0
     b = form.b / scale
@@ -640,8 +672,6 @@ def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) ->
 
     zeros = [np.zeros((n, n)) for n in p.blocks]
     res = _ipm(_BlockData(form.a, zeros), b, tol, max_iter, check=check)
-    if res.converged:
-        check(res.x, res.y)
     if found:
         return replace(found[0], iterations=res.iterations)
     return SdpOutcome(

@@ -344,10 +344,10 @@ def _facets(diagonal):
     return np.diagonal(_stacked(diagonal.matrices), axis1=1, axis2=2).T.real
 
 
-def _margin_problem(gens, stack):
+def _margin_problem(gens, stack, h):
     """The margin SDP that `opsys.generator_weights` dumps."""
-    _, _, kernel, p0 = opsys._affine_split(gens, stack)
-    return opsys._margin_problem(p0, kernel)
+    _, _, _, kernel, p0 = opsys._affine_split(gens, stack, h)
+    return opsys._margin_problem(p0, kernel)[0]
 
 
 class TestOtherCommands:
@@ -410,14 +410,18 @@ class TestOtherCommands:
             ("relaxation", "--src", "src.json", "--tgt", "tgt.json"),
         )
         # built from the files, as the CLI reads them back
+        loaded_cone = cones.load_cone(tmp_path / "simplex.json")
+        loaded_src = pencil.load_pencil(tmp_path / "src.json")
         expected = (
             _margin_problem(
-                cones.load_cone(tmp_path / "simplex.json").generators,
+                loaded_cone.generators,
                 _stacked(pencil.load_tuple(tmp_path / "query.json").entries),
+                loaded_cone.facets.sum(axis=0),
             ),
             _margin_problem(
-                _facets(pencil.load_pencil(tmp_path / "src.json")),
+                _facets(loaded_src),
                 _stacked(pencil.load_pencil(tmp_path / "tgt.json").matrices),
+                loaded_src.unit,
             ),
         )
         for argv, problem in zip(runs, expected):
@@ -447,7 +451,7 @@ class TestOtherCommands:
                 "--tgt", str(tmp_path / "tgt.json"), "--dump-sdp", str(dump),
             )
             assert code == EXIT_OK
-            problem = _margin_problem(_facets(src), _stacked(tgt.matrices))
+            problem = _margin_problem(_facets(src), _stacked(tgt.matrices), src.unit)
             sdp.dump_problem(problem, ref)
             assert dump.read_bytes() == ref.read_bytes()
 
@@ -465,7 +469,7 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert solve_calls == []
         tgt = pencil.diagonal_pencil(cones.square_cone())
-        sdp.dump_problem(_margin_problem(_facets(tgt), _stacked(tgt.matrices)), ref)
+        sdp.dump_problem(_margin_problem(_facets(tgt), _stacked(tgt.matrices), tgt.unit), ref)
         assert dump.read_bytes() == ref.read_bytes()
         path = tmp_path / "cert.json"
         path.write_text(out)

@@ -375,6 +375,33 @@ class TestDiagonalRelaxation:
             assert max(shape[-1] for shape in shapes) <= 6
 
 
+def _cube():
+    gens = np.array([[x, y, z, 1.0] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    return PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+class TestMarginStartOnDiagonalSources:
+    """The margin SDP of a diagonal-source relaxation, over the source's
+    facet rows F with h = the source's unit (F u = 1, so never rescaled),
+    starts exactly feasible and strictly interior."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8, "cube"])
+    def test_start_is_exact_and_interior(self, k, exact_margin_start):
+        cone = _cube() if k == "cube" else _regular_polygon(k)
+        rng = np.random.default_rng(440 + cone.n_facets)
+        src = diagonal_pencil(cone)
+        facets = containment._diagonal_facets(src)
+        targets = [_random_target(rng, cone, t, spread) for t in (2, 3) for spread in (0.05, 2.0)]
+        if cone.dim == 3:
+            targets += [elliptic_cone_pencil(0.4), elliptic_cone_pencil(1.2)]
+        for tgt in targets:
+            rows = exact_margin_start(facets, linalg.stacked(tgt.matrices), src.unit)
+            assert np.all(rows == 1.0)
+            res = relaxation(src, tgt)
+            assert res.status is not RelaxationStatus.UNKNOWN, res.message
+            assert _relaxation_certificate_ok(src, tgt, res)
+
+
 def _facet_target(cone, rows):
     """The diagonal pencil of the chosen facet rows, unital at the cone's unit."""
     f = cone.facets[rows] / (cone.facets[rows] @ cone.unit)[:, None]

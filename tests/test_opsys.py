@@ -440,6 +440,98 @@ class TestScaleInvariance:
                 assert _certificate_ok(cone, a, res), f"scale 1e{e}"
 
 
+def _scaled_and_reordered(cone, rng):
+    """The cone with its generators permuted and scaled by positive factors."""
+    k = cone.n_generators
+    gens = cone.generators[rng.permutation(k)] * rng.uniform(0.2, 5.0, k)[:, None]
+    return cones.PolyhedralCone.from_generators(gens, unit=cone.unit)
+
+
+class TestMarginStart:
+    """The margin SDP starts exactly feasible and strictly interior; a cone
+    whose G h is not constant is decided on rescaled rows."""
+
+    CONES = {"square": cones.square_cone, "cube": _cube}
+    CONES.update({f"{k}-gon": (lambda k=k: _polygon(k)) for k in range(5, 9)})
+
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_start_is_exact_and_interior(self, name, exact_margin_start):
+        cone = self.CONES[name]()
+        rng = np.random.default_rng(400 + cone.n_generators)
+        for s in (2, 3):
+            for a in (sampling.random_min_member(rng, cone, s),
+                      containment.random_max_tuple(cone, s, rng)):
+                stack = np.array([e.mat for e in a.entries])
+                rows = exact_margin_start(cone.generators, stack, cone.facets.sum(axis=0))
+                assert np.all(rows == 1.0)  # G h is constant: the rows as given
+
+    def test_inexact_start_is_rejected(self):
+        rng = np.random.default_rng(405)
+        cone = _polygon(6)
+        stack = np.array([e.mat for e in containment.random_max_tuple(cone, 2, rng).entries])
+        split = opsys._affine_split(cone.generators, stack, cone.facets.sum(axis=0))
+        kernel, p0 = split[3:]
+        problem, (x, y) = opsys._margin_problem(p0, kernel)
+        with pytest.raises(ValueError, match="not feasible"):
+            sdp.solve(problem, start=(1.01 * x, y))
+        with pytest.raises(ValueError, match="not feasible"):
+            sdp.solve(problem, start=(x, y + np.r_[2.0, np.zeros(len(y) - 1)]))
+
+    @pytest.mark.parametrize("k", [5, 6, 8])
+    def test_scaled_and_reordered_generators(self, k, exact_margin_start, solve_calls):
+        rng = np.random.default_rng(410 + k)
+        base = _polygon(k)
+        cone = _scaled_and_reordered(base, rng)
+        for s in (2, 3):
+            for a in (sampling.random_min_member(rng, base, s),
+                      containment.random_max_tuple(base, s, rng)):
+                stack = np.array([e.mat for e in a.entries])
+                rows = exact_margin_start(cone.generators, stack, cone.facets.sum(axis=0))
+                assert np.ptp(rows) > 0  # the rescale branch
+                res = min_membership(cone, a)
+                assert res.status is min_membership(base, a).status
+                assert res.status is not MinMembershipStatus.UNKNOWN, res.message
+                assert _certificate_ok(cone, a, res)
+        assert solve_calls, "no instance reached the margin SDP"
+
+    def test_dump_is_the_problem_solved(self, tmp_path, solve_calls):
+        rng = np.random.default_rng(420)
+        cone = _scaled_and_reordered(_polygon(7), rng)
+        for _ in range(10):
+            a = containment.random_max_tuple(_polygon(7), 3, rng)
+            min_membership(cone, a, dump_to=tmp_path / "dump.sdpa")
+            if solve_calls:
+                break
+        assert len(solve_calls) == 1
+        sdp.dump_problem(solve_calls[0][0], tmp_path / "solved.sdpa")
+        assert (tmp_path / "dump.sdpa").read_bytes() == (tmp_path / "solved.sdpa").read_bytes()
+
+
+class TestMarginNewtonSteps:
+    def test_mean_steps_per_margin_solve(self, monkeypatch):
+        # the step count is deterministic; an infeasible start takes about
+        # 4.5 steps per solve on this set
+        steps = []
+        real = sdp.solve
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            steps.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(sdp, "solve", recording)
+        rng = np.random.default_rng(430)
+        for cone in (cones.square_cone(), _polygon(5), _polygon(6), _polygon(7), _polygon(8)):
+            for s in (2, 3):
+                for _ in range(3):
+                    min_membership(cone, sampling.random_min_member(rng, cone, s))
+                    min_membership(cone, containment.random_max_tuple(cone, s, rng))
+            for alpha in (0.4, 0.8, 1.2):
+                containment.relaxation(diagonal_pencil(cone), elliptic_cone_pencil(alpha))
+        assert len(steps) >= 30
+        assert np.mean(steps) <= 3.0, np.mean(steps)
+
+
 class TestPauliWitness:
     def test_alpha_quarter_formula(self):
         w = pauli_witness(math.pi / 4)
