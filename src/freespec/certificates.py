@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg, sdp
 from .cones import PolyhedralCone, SimplexCone, cone_from_json, cone_to_json, section_of
-from .linalg import matrix_from_json, matrix_to_json
+from .linalg import matrix_to_json, stack_from_json
 from .pencil import (
     LinearPencil,
     MatrixTuple,
@@ -52,11 +52,6 @@ class CertificateCheck:
     details: dict
 
 
-def _kraus_to_json(kraus) -> list:
-    k = np.asarray(kraus, dtype=np.complex128)
-    return np.stack([k.real, k.imag], -1).tolist()
-
-
 def _kraus_from_json(obj) -> tuple[np.ndarray, ...]:
     kraus = () if obj == [] else linalg.complex_from_pairs(obj, 3)
     if kraus is None:
@@ -76,7 +71,7 @@ def relaxation_feasible_cert(
 ) -> dict:
     return _document(
         "relaxation_feasible", src=pencil_to_json(src), tgt=pencil_to_json(tgt),
-        choi=matrix_to_json(cert.choi), kraus=_kraus_to_json(cert.kraus),
+        choi=matrix_to_json(cert.choi), kraus=matrix_to_json(cert.kraus),
     )
 
 
@@ -85,7 +80,7 @@ def relaxation_infeasible_cert(
 ) -> dict:
     return _document(
         "relaxation_infeasible", src=pencil_to_json(src), tgt=pencil_to_json(tgt),
-        y_matrices=[matrix_to_json(m) for m in farkas.y_matrices],
+        y_matrices=matrix_to_json(farkas.y_matrices),
     )
 
 
@@ -94,7 +89,7 @@ def min_member_cert(
 ) -> dict:
     return _document(
         "min_membership_member", cone=cone_to_json(cone), query=tuple_to_json(query),
-        weights=[matrix_to_json(m) for m in cert.weights],
+        weights=matrix_to_json(cert.weights),
     )
 
 
@@ -103,7 +98,7 @@ def separator_cert(
 ) -> dict:
     return _document(
         "min_membership_separator", cone=cone_to_json(cone), query=tuple_to_json(query),
-        n_matrices=[matrix_to_json(m) for m in sep.matrices], margin=sep.margin,
+        n_matrices=matrix_to_json(sep.matrices), margin=sep.margin,
     )
 
 
@@ -111,8 +106,8 @@ def essential_boundary_cert(
     components, functional: SeparationFunctional, eps: float
 ) -> dict:
     return _document(
-        "essential_boundary", components=[matrix_to_json(m) for m in components],
-        n_matrices=[matrix_to_json(m) for m in functional.matrices], eps=eps,
+        "essential_boundary", components=matrix_to_json(components),
+        n_matrices=matrix_to_json(functional.matrices), eps=eps,
     )
 
 
@@ -277,11 +272,7 @@ def _stack(mats, count: int, size=None) -> np.ndarray:
     ``size``, the size of the first."""
     if not isinstance(mats, list) or len(mats) != count:
         raise ValueError(f"expected a list of {count} matrices")
-    stack = [matrix_from_json(m).mat for m in mats]
-    size = size or len(stack[0])
-    if any(len(m) != size for m in stack):
-        raise ValueError(f"expected {size} x {size} matrices")
-    return np.array(stack)
+    return stack_from_json(mats, size)
 
 
 def _cone_and_query(doc: dict) -> tuple[PolyhedralCone, np.ndarray]:
@@ -289,7 +280,7 @@ def _cone_and_query(doc: dict) -> tuple[PolyhedralCone, np.ndarray]:
     query = _parsed(doc, "query", tuple_from_json)
     if query.d != cone.dim:
         raise ValueError(f"query: {query.d} entries for a cone of dimension {cone.dim}")
-    return cone, linalg.stacked(query.entries)
+    return cone, query.stack
 
 
 def _pencils(doc: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +288,7 @@ def _pencils(doc: dict) -> tuple[np.ndarray, np.ndarray]:
     tgt = _parsed(doc, "tgt", pencil_from_json)
     if tgt.d != src.d:
         raise ValueError(f"tgt: {tgt.d} matrices for a source with {src.d}")
-    return linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
+    return src.stack, tgt.stack
 
 
 def _verify_relaxation_feasible(doc) -> CertificateCheck:

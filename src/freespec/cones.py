@@ -1,8 +1,11 @@
 """Salient polyhedral cones in R^d with generator and facet descriptions.
 
 Cones are stored with both descriptions; constructors accept either and
-complete the other by exhaustive enumeration over (d-1)-subsets, which is
-entirely adequate at the scales handled here (d <= 6, <= 16 generators).
+complete the other from the null vectors of every (d-1)-subset of the
+given rows, all found by one batched SVD (`_subsets`), which is entirely
+adequate at the scales handled here (d <= 6, <= 16 generators).  The
+checks that every facet is supported and every generator is extreme are
+likewise one stacked rank each, over the rows masked by the tight set.
 Facet functionals are normalised so that ell(u) = 1 for the order unit u.
 """
 
@@ -23,22 +26,31 @@ class ConeConstructionError(ValueError):
     """Degenerate or inconsistent cone data."""
 
 
-def _null_vector(rows: np.ndarray) -> Optional[np.ndarray]:
-    """Unit vector spanning the null space of `rows` if it is 1-dimensional."""
+def _supporting_normals(rows: np.ndarray) -> np.ndarray:
+    """For every (d-1)-subset of ``rows`` (m x d) of rank d-1, in
+    lexicographic order, the unit vector spanning its null space, turned to
+    be nonnegative on every row up to GEOM_TOL * max(1, max|rows|); a null
+    vector that takes both signs on the rows is dropped."""
     d = rows.shape[1]
-    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > GEOM_TOL * max(1.0, sv[0] if len(sv) else 1.0)))
-    if rank != d - 1:
-        return None
-    return vt[-1]
+    _, sv, vt = np.linalg.svd(rows[_subsets(len(rows), d - 1)], full_matrices=True)
+    top = np.maximum(1.0, sv[:, :1]) if d > 1 else 1.0
+    n = vt[np.sum(sv > GEOM_TOL * top, axis=1) == d - 1, -1]
+    vals = n @ rows.T
+    tol = GEOM_TOL * max(1.0, float(np.max(np.abs(rows))))
+    side = np.where(vals.min(axis=1) >= -tol, 1.0, np.where(vals.max(axis=1) <= tol, -1.0, 0.0))
+    return n[side != 0] * side[side != 0, None]
 
 
-def _dedupe_rows(rows: list[np.ndarray], tol: float = 1e-8) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for r in rows:
-        if not any(np.max(np.abs(r - q)) <= tol for q in out):
-            out.append(r)
-    return np.array(out)
+def _dedupe_rows(rows: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """The rows not within ``tol`` (max-abs) of an earlier row."""
+    close = np.abs(rows[:, None] - rows[None]).max(axis=2) <= tol
+    return rows[~np.triu(close, 1).any(axis=0)]
+
+
+def _tight_rank(rows: np.ndarray, tight: np.ndarray) -> np.ndarray:
+    """rank(rows[tight[j]]) for each mask row j, as the rank of ``rows``
+    with the other rows zeroed."""
+    return np.linalg.matrix_rank(rows * tight[:, :, None], tol=1e-10)
 
 
 class PolyhedralCone:
@@ -51,7 +63,7 @@ class PolyhedralCone:
         unit: the order unit u (interior point).
     """
 
-    def __init__(self, generators, unit, facets=None, _validate: bool = True):
+    def __init__(self, generators, unit, facets=None):
         g = np.atleast_2d(np.asarray(generators, dtype=float))
         u = np.asarray(unit, dtype=float)
         d = g.shape[1]
@@ -62,9 +74,11 @@ class PolyhedralCone:
         if np.linalg.matrix_rank(g, tol=1e-10) < d:
             raise ConeConstructionError("generators do not span R^d")
         norm_g = g / np.linalg.norm(g, axis=1)[:, None]
-        for i, j in itertools.combinations(range(len(norm_g)), 2):
-            if np.max(np.abs(norm_g[i] - norm_g[j])) <= 1e-9:
-                raise ConeConstructionError(f"generators {i} and {j} are repeated rays")
+        repeated = np.abs(norm_g[:, None] - norm_g[None]).max(axis=2) <= 1e-9
+        pairs = np.argwhere(np.triu(repeated, 1))
+        if len(pairs):
+            i, j = pairs[0]
+            raise ConeConstructionError(f"generators {i} and {j} are repeated rays")
 
         if facets is None:
             f = self._facets_from_generators(g, u)
@@ -81,27 +95,14 @@ class PolyhedralCone:
         self.unit = u
         for a in (self.generators, self.facets, self.unit):
             a.flags.writeable = False
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def _facets_from_generators(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-        m, d = g.shape
-        scale = max(1.0, float(np.max(np.abs(g))))
-        cands = []
-        for subset in itertools.combinations(range(m), d - 1):
-            n = _null_vector(g[list(subset)])
-            if n is None:
-                continue
-            vals = g @ n
-            lo, hi = float(vals.min()), float(vals.max())
-            if lo >= -GEOM_TOL * scale:
-                cands.append(n)
-            elif hi <= GEOM_TOL * scale:
-                cands.append(-n)
-        if not cands:
+        cands = _supporting_normals(g)
+        if not len(cands):
             raise ConeConstructionError("no facets found; cone is degenerate")
         cands = _dedupe_rows(cands)
         fu = cands @ u
@@ -122,39 +123,24 @@ class PolyhedralCone:
     def from_facets(cls, facets, unit) -> "PolyhedralCone":
         f = np.atleast_2d(np.asarray(facets, dtype=float))
         u = np.asarray(unit, dtype=float)
-        k, d = f.shape
+        d = f.shape[1]
         fu = f @ u
         if np.any(fu <= GEOM_TOL):
             raise ConeConstructionError("unit is not strictly interior to the facet system")
         f = f / fu[:, None]
-        scale = max(1.0, float(np.max(np.abs(f))))
-        rays = []
-        for subset in itertools.combinations(range(k), d - 1):
-            r = _null_vector(f[list(subset)])
-            if r is None:
-                continue
-            vals = f @ r
-            if np.all(vals >= -GEOM_TOL * scale):
-                rays.append(r)
-            elif np.all(-vals >= -GEOM_TOL * scale):
-                rays.append(-r)
-        if not rays:
+        rays = _supporting_normals(f)
+        if not len(rays):
             raise ConeConstructionError("no extreme rays found; facet system degenerate")
-        rays = [r for r in rays if np.linalg.norm(r) > GEOM_TOL]
-        rays = [r / np.linalg.norm(r) for r in rays]
+        norms = np.sqrt(np.vecdot(rays, rays))
+        rays = rays[norms > GEOM_TOL] / norms[norms > GEOM_TOL, None]
         # keep only extreme rays: tight facets must have rank d-1
-        kept = []
-        for r in rays:
-            tight = f[np.abs(f @ r) <= 1e-8]
-            if len(tight) >= d - 1 and np.linalg.matrix_rank(tight, tol=1e-10) == d - 1:
-                kept.append(r)
-        rays = _dedupe_rows(kept)
-        return cls(rays, u, facets=f)
+        extreme = _tight_rank(f, np.abs(rays @ f.T) <= 1e-8) == d - 1
+        return cls(_dedupe_rows(rays[extreme]), u, facets=f)
 
     # -- validation ----------------------------------------------------------
 
     def _validate(self) -> None:
-        g, f, u, d = self.generators, self.facets, self.unit, self.dim
+        g, f, d = self.generators, self.facets, self.dim
         scale = max(1.0, float(np.max(np.abs(g))))
         vals = g @ f.T  # (m, k)
         if float(vals.min()) < -1e-8 * scale:
@@ -163,17 +149,15 @@ class PolyhedralCone:
             )
         if np.linalg.matrix_rank(f, tol=1e-10) < d:
             raise ConeConstructionError("cone is not salient (facets do not span)")
-        for g_i, v in zip(g, vals):
-            if np.all(v <= 1e-8 * scale):
-                raise ConeConstructionError("cone is not salient (contains a line)")
-        for j in range(f.shape[0]):
-            tight = g[np.abs(vals[:, j]) <= 1e-7 * scale]
-            if len(tight) < d - 1 or np.linalg.matrix_rank(tight, tol=1e-10) < d - 1:
-                raise ConeConstructionError(f"facet {j} is not supported by d-1 generators")
-        for i in range(g.shape[0]):
-            tight = f[np.abs(vals[i]) <= 1e-7 * scale]
-            if len(tight) < d - 1 or np.linalg.matrix_rank(tight, tol=1e-10) < d - 1:
-                raise ConeConstructionError(f"generator {i} is not an extreme ray")
+        if np.all(vals <= 1e-8 * scale, axis=1).any():
+            raise ConeConstructionError("cone is not salient (contains a line)")
+        tight = np.abs(vals) <= 1e-7 * scale
+        bad = np.flatnonzero(_tight_rank(g, tight.T) < d - 1)
+        if len(bad):
+            raise ConeConstructionError(f"facet {bad[0]} is not supported by d-1 generators")
+        bad = np.flatnonzero(_tight_rank(f, tight) < d - 1)
+        if len(bad):
+            raise ConeConstructionError(f"generator {bad[0]} is not an extreme ray")
 
     # -- queries ---------------------------------------------------------------
 
@@ -205,10 +189,9 @@ class SimplexCone(PolyhedralCone):
 
 
 def is_simplex(cone: PolyhedralCone) -> bool:
-    """True iff the cone has d linearly independent generators."""
-    if cone.n_generators != cone.dim:
-        return False
-    return np.linalg.matrix_rank(cone.generators, tol=1e-10) == cone.dim
+    """True iff the cone has d linearly independent generators (every
+    cone's generators span R^d)."""
+    return cone.n_generators == cone.dim
 
 
 def square_cone() -> PolyhedralCone:
@@ -325,10 +308,8 @@ def is_centrally_symmetric(cone: PolyhedralCone, h_normal, tol: float = GEOM_TOL
     sec = section_of(cone, h_normal)
     v = sec.vertices
     scale = 1.0 + float(np.max(np.abs(v)))
-    for r in v:
-        if not any(np.max(np.abs(r + q)) <= tol * scale for q in v):
-            return False
-    return True
+    mirrored = np.abs(v[:, None] + v[None]).max(axis=2) <= tol * scale
+    return bool(mirrored.any(axis=1).all())
 
 
 def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
@@ -346,7 +327,7 @@ SUBSET_BATCH = 8192
 def _subsets(n: int, d: int) -> np.ndarray:
     """All d-subsets of range(n), one per row, in lexicographic order."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), d))
-    return np.fromiter(flat, dtype=np.intp).reshape(-1, d)
+    return np.fromiter(flat, dtype=np.intp).reshape(math.comb(n, d), d)
 
 
 @dataclass(frozen=True)
@@ -391,18 +372,15 @@ def _sandwich_candidates(sec: Section) -> np.ndarray:
     combination of section vertices, so every pool simplex lies in C; the
     pool only affects how large a factor the search can certify."""
     verts = sec.vertices
-    pool = [v for v in verts]
-    k = sec.facet_rows.shape[0]
+    pool = [verts]
     scale = 1.0 + float(np.max(np.abs(verts)))
-    for j in range(k):
-        vals = 1.0 + verts @ sec.facet_rows[j]
-        tight = verts[np.abs(vals) <= 1e-8 * scale]
+    for row in sec.facet_rows:
+        tight = verts[np.abs(1.0 + verts @ row) <= 1e-8 * scale]
         if len(tight):
-            pool.append(tight.mean(axis=0))
-    for i, j in itertools.combinations(range(len(verts)), 2):
-        pool.append((verts[i] + verts[j]) / 2.0)
-    pool.append(verts.mean(axis=0))
-    return _dedupe_rows(pool, tol=1e-9)
+            pool.append(tight.mean(axis=0, keepdims=True))
+    pairs = _subsets(len(verts), 2)
+    pool += [(verts[pairs[:, 0]] + verts[pairs[:, 1]]) / 2.0, verts.mean(axis=0, keepdims=True)]
+    return _dedupe_rows(np.concatenate(pool), tol=1e-9)
 
 
 def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
@@ -490,6 +468,8 @@ def cone_from_json(obj: dict) -> PolyhedralCone:
         if key not in obj:
             raise ValueError(f"cone document missing field {key!r}")
     d = int(obj["d"])
+    if d < 1:
+        raise ValueError("d must be at least 1")
     unit = np.asarray(obj["unit"], dtype=float)
     gens = np.asarray(obj["generators"], dtype=float)
     if unit.shape != (d,):

@@ -85,8 +85,7 @@ def scalar_inclusion(
     """
     if src.dim != tgt.d:
         raise ValueError(f"cone dimension {src.dim} != pencil variables {tgt.d}")
-    stack = linalg.stacked(tgt.matrices)
-    margins = np.linalg.eigvalsh(np.tensordot(src.generators, stack, axes=1))[:, 0]
+    margins = np.linalg.eigvalsh(np.tensordot(src.generators, tgt.stack, axes=1))[:, 0]
     worst = int(np.argmin(margins))
     if margins[worst] < -tol:
         return ScalarInclusionResult(
@@ -111,9 +110,10 @@ class RelaxationStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class RelaxationCertificate:
-    """Choi matrix and Kraus operators of a map carrying M_i to N_i."""
+    """Choi matrix (read-only) and Kraus operators of a map carrying M_i
+    to N_i."""
 
-    choi: HermitianMatrix
+    choi: np.ndarray
     kraus: tuple[np.ndarray, ...]
     residual: float
 
@@ -121,9 +121,10 @@ class RelaxationCertificate:
 @dataclass(frozen=True)
 class RelaxationFarkas:
     """Dual witness: Hermitian Y_i with sum_i M_i^T (x) Y_i <= 0 and
-    sum_i <Y_i, N_i> = 1, ruling out any completely positive connecting map."""
+    sum_i <Y_i, N_i> = 1, ruling out any completely positive connecting map;
+    ``y_matrices`` is the read-only (d, t, t) stack of the Y_i."""
 
-    y_matrices: tuple[HermitianMatrix, ...]
+    y_matrices: np.ndarray
     gap: float
     lambda_max: float
 
@@ -141,22 +142,22 @@ def _choi_problem(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
     and Hermitian basis element F_beta; the one block is the Choi matrix J."""
     r, t = src.r, tgt.r
     basis = linalg.hermitian_basis(t)
-    mt = np.array([m.mat.T for m in src.matrices])
+    mt = np.swapaxes(src.stack, 1, 2)
     coeffs = mt[:, None, :, None, :, None] * basis[None, :, None, :, None, :]
-    tgt_stack = linalg.stacked(tgt.matrices)
-    rhs = np.einsum("bij,dji->db", basis, tgt_stack).real.ravel()
+    rhs = np.einsum("bij,dji->db", basis, tgt.stack).real.ravel()
     return sdp.SdpProblem((r * t,), (coeffs.reshape(-1, r * t, r * t),), rhs)
 
 
-def kraus_from_choi(choi: HermitianMatrix, r: int, t: int) -> tuple[np.ndarray, ...]:
+def kraus_from_choi(choi, r: int, t: int) -> tuple[np.ndarray, ...]:
     """Kraus operators V_j in M_{r,t} from the spectral decomposition.
 
     Eigenvalues below cutoff * tr(J) are dropped; the map acts as
     X -> sum_j V_j* X V_j.  A J whose off-diagonal t x t blocks vanish is
     decomposed block by block: the eigenvector w of block k is e_k (x) w.
     """
-    blocks = linalg.diagonal_blocks(choi.mat, r, t)
-    blocks = choi.mat[None] if blocks is None else blocks
+    choi = np.asarray(choi)
+    blocks = linalg.diagonal_blocks(choi, r, t)
+    blocks = choi[None] if blocks is None else blocks
     lam, w = _kernels.eigh_kernel(blocks)
     vecs = np.einsum("kl,kxn->knlx", np.eye(len(blocks)), w).reshape(-1, r, t)
     lam = lam.ravel()
@@ -174,8 +175,9 @@ def _relaxation_farkas(
     check = certificates.check_relaxation_infeasible(src, tgt, y)
     if not check.ok:
         return None
+    y.flags.writeable = False
     return RelaxationFarkas(
-        y_matrices=tuple(HermitianMatrix(m) for m in y),
+        y_matrices=y,
         gap=check.details["gap"],
         lambda_max=check.details["lambda_max"],
     )
@@ -189,8 +191,7 @@ def _relaxation_result(
     ``farkas``, or Unknown with ``message``."""
     if choi is not None:
         kraus = kraus_from_choi(choi, src.r, tgt.r)
-        src_stack, tgt_stack = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
-        check = certificates.check_relaxation_feasible(src_stack, tgt_stack, choi.mat, kraus)
+        check = certificates.check_relaxation_feasible(src.stack, tgt.stack, choi, kraus)
         if not check.ok:
             return RelaxationResult(
                 status=RelaxationStatus.UNKNOWN,
@@ -218,8 +219,7 @@ def _sdp_relaxation(
     elif outcome.status is sdp.SdpStatus.INFEASIBLE:
         y = outcome.dual_certificate.y.reshape(src.d, -1)
         ymats = np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1)
-        stacks = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
-        farkas = _relaxation_farkas(*stacks, ymats)
+        farkas = _relaxation_farkas(src.stack, tgt.stack, ymats)
         message = "Farkas certificate rejected by its check"
     return _relaxation_result(src, tgt, choi, farkas, message)
 
@@ -227,7 +227,7 @@ def _sdp_relaxation(
 def _diagonal_facets(src: LinearPencil) -> Optional[np.ndarray]:
     """F with M_i = diag(F[:, i]) when every source matrix is exactly
     diagonal; None otherwise."""
-    diag = linalg.diagonal_blocks(linalg.stacked(src.matrices), src.r, 1)
+    diag = linalg.diagonal_blocks(src.stack, src.r, 1)
     return None if diag is None else diag[..., 0, 0].T.real
 
 
@@ -254,15 +254,15 @@ def relaxation(
     facets = _diagonal_facets(src)
     if facets is None:
         return _sdp_relaxation(src, tgt, tol=tol, dump_to=dump_to)
-    src_stack, stack = linalg.stacked(src.matrices), linalg.stacked(tgt.matrices)
     dec = generator_weights(
-        facets, stack, lambda y: _relaxation_farkas(src_stack, stack, y),
+        facets, tgt.stack, lambda y: _relaxation_farkas(src.stack, tgt.stack, y),
         src.unit, tol=tol, dump_to=dump_to,
     )
     choi = None
     if dec.weights is not None:
         choi = np.einsum("jk,jxy->jxky", np.eye(src.r), dec.weights)
-        choi = HermitianMatrix(choi.reshape(src.r * tgt.r, -1))
+        choi = linalg.hermitian_part(choi.reshape(src.r * tgt.r, -1))
+        choi.flags.writeable = False
     return _relaxation_result(src, tgt, choi, dec.farkas, dec.message)
 
 
@@ -451,7 +451,7 @@ def commuting_target_tightness(
     polyhedron, realized diagonally).  Raises on non-commuting targets.
     ``max_offdiagonal`` is measured in `linalg.joint_eigenbasis`, the basis
     in which `opsys.generator_weights` decides commuting targets."""
-    stack = linalg.stacked(tgt.matrices)
+    stack = tgt.stack
     prods = stack @ stack[:, None]
     comm = np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
     max_comm = float(comm.max())
@@ -476,9 +476,7 @@ def commuting_target_tightness(
 def scaled_tuple(a: MatrixTuple, nu: float) -> MatrixTuple:
     """(nu*A_1, ..., nu*A_{d-1}, A_d): scaling about the unit e_d along the
     coordinate hyperplane spanned by e_1..e_{d-1}."""
-    entries = [HermitianMatrix(nu * e.mat) for e in a.entries[:-1]]
-    entries.append(a.entries[-1])
-    return MatrixTuple(tuple(entries))
+    return MatrixTuple(np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
 
 
 def scaled_max_in_min(
@@ -566,14 +564,13 @@ def random_max_tuple(
     t_req = 0.0
     for k in range(cone.n_facets):
         f = sum(cone.facets[k, i] * head[i].mat for i in range(d - 1))
-        lam = linalg.min_eigenvalue(HermitianMatrix(f))
+        lam = linalg.min_eigenvalue(f)
         coef = cone.facets[k, -1]
         if coef <= 1e-12:
             raise ValueError("facet does not involve the unit coordinate")
         t_req = max(t_req, -lam / coef)
     t = t_req + 0.05 * float(rng.random())
-    entries = head + [HermitianMatrix(t * np.eye(s))]
-    return MatrixTuple(tuple(entries))
+    return MatrixTuple(head + [t * np.eye(s)])
 
 
 def _sampling_verification(cone, nu_general, nu_symmetric, samples, seed) -> dict:
@@ -613,7 +610,7 @@ def partial_transpose(x, dims: tuple[int, int] = (2, 2), subsystem: int = 1) -> 
 @dataclass(frozen=True)
 class EntangledExampleReport:
     x: HermitianMatrix
-    blocks: tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix, HermitianMatrix]
+    blocks: np.ndarray  # read-only (4, 2, 2) stack
     identity_residual: float
     pt_min_eig: float
     pt_min_eig_normalized: float
@@ -642,16 +639,7 @@ def entangled_example() -> EntangledExampleReport:
     eigenvalue, so X is entangled (the 2x2 partial-transpose test is exact)
     and no such realization exists.
     """
-    x = HermitianMatrix(
-        np.array(
-            [
-                [1.0, 0.0, 0.0, 1.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    x = HermitianMatrix(np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]))
     xm = x.mat
     a_blk = xm[:2, :2]
     b_blk = xm[:2, 2:]
@@ -675,7 +663,7 @@ def entangled_example() -> EntangledExampleReport:
     )
     return EntangledExampleReport(
         x=x,
-        blocks=tuple(tup.entries),
+        blocks=tup.stack,
         identity_residual=identity_residual,
         pt_min_eig=pt_min,
         pt_min_eig_normalized=pt_min_norm,

@@ -4,6 +4,13 @@ Everything downstream (pencils, cones, membership oracles, the SDP solver)
 works with values from this module.  All operations are pure, inputs are
 treated as immutable, and tolerances are relative, scaled by
 ``1 + ||A||_F`` unless stated otherwise.
+
+One rule makes a value Hermitian, `hermitian`: asymmetry at most 1e-12
+relative to 1 + ||A_k||_F for each matrix A_k of a matrix or a stack, then
+(A + A*)/2, read-only.  `HermitianMatrix` holds one matrix checked by it;
+the tuple and pencil types of `pencil`, `sdp.SdpProblem` and the
+certificate parser check their (k, n, n) stacks with it once, and the
+library passes the checked arrays on without wrapping them again.
 """
 
 from __future__ import annotations
@@ -19,27 +26,43 @@ HERMITIAN_CONSTRUCTION_TOL = 1e-12
 PSD_DEFAULT_TOL = 1e-8
 
 
+def hermitian(x, ndim: int = 2, what: Optional[str] = None) -> np.ndarray:
+    """The read-only (A + A*)/2 of a Hermitian matrix (``ndim`` 2) or of
+    each matrix of a stack (``ndim`` 3), after checking that each A_k has
+    asymmetry at most 1e-12 (1 + ||A_k||_F).  A HermitianMatrix passes
+    through; ``what`` names the value in the errors."""
+    if isinstance(x, HermitianMatrix) and ndim == 2:
+        return x.mat
+    a = np.asarray(x, dtype=np.complex128)
+    head = "" if what is None else f"{what}: "
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{head}expected a square matrix, got shape {a.shape}")
+    ah = np.swapaxes(a, -1, -2).conj()
+    asym = np.abs(a - ah)
+    # 1 + ||A_k||_F >= 1, so only an asymmetry above the bare tolerance can fail
+    if asym.max(initial=0.0) > HERMITIAN_CONSTRUCTION_TOL:
+        drift = asym.max(axis=(-2, -1))
+        if np.any(drift > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))):
+            head = head or "matrix is "
+            raise ValueError(f"{head}not Hermitian (asymmetry {float(drift.max()):.3e})")
+    out = a + ah
+    out /= 2.0
+    out.flags.writeable = False
+    return out
+
+
 class HermitianMatrix:
     """A square complex matrix equal to its conjugate transpose.
 
-    Hermiticity is checked at construction within a relative tolerance of
-    1e-12, then enforced exactly by symmetrising ``(A + A*)/2``.  The
-    stored array is read-only.
+    Hermiticity is checked at construction by `hermitian` (relative
+    tolerance 1e-12), then enforced exactly by symmetrising ``(A + A*)/2``.
+    The stored array is read-only.
     """
 
     __slots__ = ("_mat",)
 
     def __init__(self, entries) -> None:
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = 1.0 + float(np.linalg.norm(a))
-        drift = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-        if drift > HERMITIAN_CONSTRUCTION_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian (asymmetry {drift:.3e})")
-        m = (a + a.conj().T) / 2.0
-        m.flags.writeable = False
-        self._mat = m
+        self._mat = hermitian(entries)
 
     @property
     def dim(self) -> int:
@@ -68,13 +91,6 @@ class HermitianMatrix:
     @classmethod
     def zeros(cls, n: int) -> "HermitianMatrix":
         return cls(np.zeros((n, n)))
-
-
-def as_hermitian(a) -> HermitianMatrix:
-    """Coerce an array-like (or pass through a HermitianMatrix)."""
-    if isinstance(a, HermitianMatrix):
-        return a
-    return HermitianMatrix(a)
 
 
 SIGMA_X = HermitianMatrix([[0, 1], [1, 0]])
@@ -112,8 +128,7 @@ def eigh(a) -> EigenDecomposition:
     Ordering is deterministic: eigenvalues ascending, each eigenvector
     phase-normalised so that its first nonzero component is real positive.
     """
-    h = as_hermitian(a)
-    w, v = _kernels.eigh_kernel(h.mat)
+    w, v = _kernels.eigh_kernel(hermitian(a))
     v = _normalize_phases(v)
     w.flags.writeable = False
     v.flags.writeable = False
@@ -137,22 +152,21 @@ def is_psd(a, tol: float = PSD_DEFAULT_TOL) -> bool:
     """True iff min eig >= -tol * (1 + ||A||_F)."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    h = as_hermitian(a)
-    return min_eigenvalue(h) >= -tol * (1.0 + h.norm())
+    h = hermitian(a)
+    return min_eigenvalue(h) >= -tol * (1.0 + float(np.linalg.norm(h)))
 
 
 def kron(a, b) -> HermitianMatrix:
     """Kronecker product, A-index major block order."""
-    ha, hb = as_hermitian(a), as_hermitian(b)
-    return HermitianMatrix(np.kron(ha.mat, hb.mat))
+    return HermitianMatrix(np.kron(hermitian(a), hermitian(b)))
 
 
 def trace_inner(a, b) -> float:
     """Real inner product <A, B> = tr(B* A) of Hermitian matrices."""
-    ha, hb = as_hermitian(a), as_hermitian(b)
-    if ha.dim != hb.dim:
-        raise ValueError(f"dimension mismatch: {ha.dim} vs {hb.dim}")
-    return float(np.real(np.trace(hb.mat.conj().T @ ha.mat)))
+    ha, hb = hermitian(a), hermitian(b)
+    if len(ha) != len(hb):
+        raise ValueError(f"dimension mismatch: {len(ha)} vs {len(hb)}")
+    return float(np.real(np.trace(hb.conj().T @ ha)))
 
 
 def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
@@ -166,14 +180,9 @@ def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
     return (u / np.sqrt(dec.eigenvalues)) @ u.conj().T
 
 
-def stacked(mats) -> np.ndarray:
-    """The (k, n, n) array of a sequence of HermitianMatrix."""
-    return np.array([m.mat for m in mats])
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2 of a matrix or of each matrix of a stack; exactly
-    Hermitian, so `HermitianMatrix` stores it unchanged."""
+    Hermitian, so `hermitian` returns it unchanged."""
     return (a + np.swapaxes(a, -1, -2).conj()) / 2.0
 
 
@@ -242,7 +251,9 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> Hermitia
 
 
 def matrix_to_json(a) -> list:
-    m = as_hermitian(a).mat
+    """The literal of a Hermitian matrix, or the list of literals of each
+    matrix of a (k, n, n) stack."""
+    m = np.asarray(a, dtype=np.complex128)
     return np.stack([m.real, m.imag], -1).tolist()
 
 
@@ -259,19 +270,45 @@ def complex_from_pairs(obj, ndim: int):
     return pairs.view(np.complex128)[..., 0]
 
 
+def _nonreal_diagonal(a: np.ndarray) -> np.ndarray:
+    """The diagonal entries of a matrix (or stack) whose imaginary part
+    exceeds 1e-12 (1 + |a_ii|)."""
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    return np.abs(diag.imag) > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.abs(diag))
+
+
 def matrix_from_json(obj) -> HermitianMatrix:
     if not isinstance(obj, list) or not obj:
         raise ValueError("matrix literal must be a non-empty array of rows")
     a = complex_from_pairs(obj, 2)
     if a is None or a.shape[1] != len(obj):
         a = _matrix_from_rows(obj)
-    diag = a.diagonal()
-    if diag.imag.any():
-        bad = np.abs(diag.imag) > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.abs(diag))
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"entry ({i},{i}): not Hermitian (non-real diagonal)")
+    bad = _nonreal_diagonal(a)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"entry ({i},{i}): not Hermitian (non-real diagonal)")
     return HermitianMatrix(a)
+
+
+def stack_from_json(obj, size: Optional[int] = None) -> np.ndarray:
+    """The checked (k, n, n) stack of a list of k matrix literals, parsed in
+    one go.  Only when that fails are the literals parsed one by one, which
+    names a bad literal as `matrix_from_json` does; literals of a size
+    other than ``size`` (by default the first's) are an error."""
+    if not isinstance(obj, list):
+        raise ValueError("expected a list of matrices")
+    a = complex_from_pairs(obj, 3) if obj else np.zeros((0, size or 0, size or 0))
+    if a is not None and a.shape[-1] == a.shape[-2] == (size or a.shape[-1]):
+        if not _nonreal_diagonal(a).any():
+            try:
+                return hermitian(a, 3)
+            except ValueError:
+                pass
+    mats = [matrix_from_json(m).mat for m in obj]
+    n = size or len(mats[0])
+    if any(len(m) != n for m in mats):
+        raise ValueError(f"expected {n} x {n} matrices")
+    return hermitian(mats, 3)
 
 
 def _matrix_from_rows(obj) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels, certificates, linalg, sdp
 from .cones import SUBSET_BATCH, PolyhedralCone, _subsets
-from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, as_hermitian
+from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .pencil import (
     LinearPencil,
     MatrixTuple,
@@ -68,7 +68,7 @@ def max_membership(
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    mins = np.linalg.eigvalsh(np.tensordot(cone.facets, linalg.stacked(a.entries), axes=1))[:, 0]
+    mins = np.linalg.eigvalsh(np.tensordot(cone.facets, a.stack, axes=1))[:, 0]
     worst = int(np.argmin(mins))
     margin = float(mins[worst])
     return MembershipResult(
@@ -89,9 +89,10 @@ class MinMembershipStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class MinMembershipCertificate:
-    """PSD weights P_k with sum_k c_k (x) P_k equal to the queried tuple."""
+    """PSD weights P_k, a read-only (m, s, s) stack, with
+    sum_k c_k (x) P_k equal to the queried tuple."""
 
-    weights: tuple[HermitianMatrix, ...]
+    weights: np.ndarray
     residual: float
 
 
@@ -99,18 +100,19 @@ class MinMembershipCertificate:
 class SeparationFunctional:
     """phi(B) = sum_i Re tr(conj(N_i) B_i) with strictness margin.
 
-    The margin is the smallest eigenvalue of sum_i u_i N_i; a positive
-    margin makes phi strictly positive on every u (x) vv*.
+    ``matrices`` is the read-only (d, s, s) stack of the N_i.  The margin
+    is the smallest eigenvalue of sum_i u_i N_i; a positive margin makes phi
+    strictly positive on every u (x) vv*.
     """
 
-    matrices: tuple[HermitianMatrix, ...]
+    matrices: np.ndarray
     margin: float
 
     def evaluate(self, b: MatrixTuple) -> float:
-        n, a = linalg.stacked(self.matrices), linalg.stacked(b.entries)
-        if n.shape != a.shape:
+        n = np.asarray(self.matrices)
+        if n.shape != b.stack.shape:
             raise ValueError("tuple shape does not match the functional")
-        return certificates.phi(n, a)
+        return certificates.phi(n, b.stack)
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,8 @@ def _separator(
         check = certificates.check_separator(gens, unit, stack, n)
     if not check.ok:
         return None
-    return SeparationFunctional(
-        matrices=tuple(HermitianMatrix(m) for m in n), margin=check.details["margin"]
-    )
+    n.flags.writeable = False
+    return SeparationFunctional(matrices=n, margin=check.details["margin"])
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,10 @@ class GeneratorWeights:
 
 
 def _checked_weights(gens, stack, p) -> Optional[GeneratorWeights]:
-    """The weights ``p`` when they pass `certificates.check_min_member`."""
+    """The weights ``p``, made exactly Hermitian and read-only, when they
+    pass `certificates.check_min_member`."""
+    p = linalg.hermitian_part(p)
+    p.flags.writeable = False
     check = certificates.check_min_member(gens, stack, p)
     return GeneratorWeights(weights=p, residual=check.residual) if check.ok else None
 
@@ -382,10 +386,9 @@ def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
     """Member with the weights, NotMember with the separator that
     `_separator` made of the Farkas matrices, or Unknown."""
     if dec.weights is not None:
-        weights = tuple(HermitianMatrix(w) for w in dec.weights)
         return MinMembershipResult(
             status=MinMembershipStatus.MEMBER,
-            certificate=MinMembershipCertificate(weights=weights, residual=dec.residual),
+            certificate=MinMembershipCertificate(weights=dec.weights, residual=dec.residual),
         )
     if dec.farkas is not None:
         return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=dec.farkas)
@@ -410,7 +413,7 @@ def min_membership(
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    stack = linalg.stacked(a.entries)
+    stack = a.stack
     dec = generator_weights(
         cone.generators, stack, lambda y: _separator(cone, stack, y),
         cone.facets.sum(axis=0), tol=tol, dump_to=dump_to,
@@ -502,15 +505,16 @@ def essential_boundary_square(
     """
     if len(components) != 4:
         raise ValueError("expected exactly four components")
-    comps = [as_hermitian(c) for c in components]
-    s = comps[0].dim
+    comps = [linalg.hermitian(c) for c in components]
+    s = len(comps[0])
     for k, c in enumerate(comps):
-        if c.dim != s:
-            raise ValueError(f"component {k} has size {c.dim}, expected {s}")
-        if c.norm() <= 1e-12:
+        if len(c) != s:
+            raise ValueError(f"component {k} has size {len(c)}, expected {s}")
+        if np.linalg.norm(c) <= 1e-12:
             raise ValueError(f"component {k} is zero; inputs must be nonzero")
         if not linalg.is_psd(c, tol=1e-9):
             raise ValueError(f"component {k} is not positive semidefinite")
+    comps = np.array(comps)
     if eps * s >= 1.0:
         raise ValueError("strictness eps too large for the trace normalisation")
 
@@ -525,7 +529,7 @@ def essential_boundary_square(
         coeffs[4, rows] = -2.0 * basis
     coeffs[4, 2 * nb] = np.eye(s)
     for k in range(4):
-        coeffs[k, 2 * nb + 1 + k] = comps[k].mat
+        coeffs[k, 2 * nb + 1 + k] = comps[k]
     pair_rhs = 2.0 * eps * np.trace(basis, axis1=1, axis2=2).real
     rhs = np.concatenate([pair_rhs, pair_rhs, [1.0 - eps * s], np.zeros(4)])
     problem = sdp.SdpProblem((s,) * 5, tuple(coeffs), rhs)
@@ -533,23 +537,23 @@ def essential_boundary_square(
         sdp.dump_problem(problem, dump_to)
     outcome = sdp.solve(problem, tol=tol)
     if outcome.status is sdp.SdpStatus.FEASIBLE:
-        p1, p2, p3, p4, z0 = (blk.mat for blk in outcome.primal)
+        p1, p2, p3, p4, z0 = outcome.primal
         m3 = z0 + eps * np.eye(s)
         dmat = (p1 - p2) / 2.0
         smat = (p3 - p4) / 2.0
         m1 = (smat + dmat) / 2.0
         m2 = (smat - dmat) / 2.0
         n = linalg.hermitian_part(np.conj([m1, m2, m3]))
-        check = certificates.check_essential_boundary(linalg.stacked(comps), n, eps)
+        check = certificates.check_essential_boundary(comps, n, eps)
         if not check.ok:
             return EssentialBoundaryResult(
                 status=EssentialBoundaryStatus.UNKNOWN,
                 message=f"certificate rejected by its check (residual {check.residual:.3e})",
             )
-        mats = tuple(HermitianMatrix(m) for m in n)
+        n.flags.writeable = False
         return EssentialBoundaryResult(
             status=EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY,
-            functional=SeparationFunctional(matrices=mats, margin=check.details["margin"]),
+            functional=SeparationFunctional(matrices=n, margin=check.details["margin"]),
         )
     if outcome.status is sdp.SdpStatus.INFEASIBLE:
         return EssentialBoundaryResult(status=EssentialBoundaryStatus.NO)
@@ -574,17 +578,16 @@ def effros_winkler_separation(
     any tuple with phi(A) < 0 lies strictly outside at its level.
     """
     u = np.asarray(u, dtype=float)
-    if len(u) != len(phi.matrices):
+    n = np.asarray(phi.matrices)
+    if len(u) != len(n):
         raise ValueError("unit length does not match the functional")
-    t = sum(ui * n.mat for ui, n in zip(u, phi.matrices))
-    t = HermitianMatrix(t)
+    t = sum(ui * m for ui, m in zip(u, n))
     if linalg.min_eigenvalue(t) <= tol:
         raise ValueError(
             "functional is not strictly positive at the unit (sum u_i N_i not PD)"
         )
     ti = linalg.inv_sqrt_pd(t)
-    mats = [HermitianMatrix(ti @ n.mat @ ti) for n in phi.matrices]
-    return LinearPencil(mats, u)
+    return LinearPencil(ti @ n @ ti, u)
 
 
 # --------------------------------------------------------------------------
@@ -594,10 +597,10 @@ def effros_winkler_separation(
 
 def lambda1_block(m, n) -> float:
     """Smallest lam with [[M + lam*I, N], [N, I]] >= 0, as max_v (v*N^2v - v*Mv)."""
-    hm, hn = as_hermitian(m), as_hermitian(n)
-    if hm.dim != hn.dim:
+    hm, hn = linalg.hermitian(m), linalg.hermitian(n)
+    if hm.shape != hn.shape:
         raise ValueError("matrices must have the same size")
-    return linalg.max_eigenvalue(HermitianMatrix(hn.mat @ hn.mat - hm.mat))
+    return linalg.max_eigenvalue(hn @ hn - hm)
 
 
 # Bisection stops once the bracket is this tight relative to the size of
@@ -644,10 +647,9 @@ def lambda2_products(m, n) -> Lambda2Result:
     lowers it.  ``upper`` is the bracket's top widened by the eigvalsh
     backward error.
     """
-    hm, hn = as_hermitian(m), as_hermitian(n)
-    if hm.dim != hn.dim:
+    mmat, nmat = linalg.hermitian(m), linalg.hermitian(n)
+    if mmat.shape != nmat.shape:
         raise ValueError("matrices must have the same size")
-    mmat, nmat = hm.mat, hn.mat
 
     def top_vector(t: float) -> np.ndarray:
         return _kernels.eigh_kernel(2.0 * t * nmat - mmat)[1][:, -1]
@@ -663,7 +665,7 @@ def lambda2_products(m, n) -> Lambda2Result:
     # ||2tN - M|| <= 2*scale on the interval, and eigvalsh errs by a small
     # multiple of dim*eps times that
     scale = max(abs(lo), abs(hi)) ** 2 + float(np.linalg.norm(mmat))
-    margin = 12.0 * hm.dim * np.finfo(float).eps * scale
+    margin = 12.0 * len(mmat) * np.finfo(float).eps * scale
     tol = max(LAMBDA2_REL_TOL * scale, margin)
     t = np.array([lo, hi])
     gt = _kernels.quartic_grid_scan(mmat, nmat, t)
@@ -699,11 +701,11 @@ def lambda2_products(m, n) -> Lambda2Result:
 
 def common_eigenvector_residual(m, n, v: np.ndarray) -> tuple[float, float]:
     """Residuals ||Mv - (v*Mv)v|| and ||Nv - (v*Nv)v|| for a unit vector."""
-    hm, hn = as_hermitian(m), as_hermitian(n)
+    hm, hn = linalg.hermitian(m), linalg.hermitian(n)
     v = np.asarray(v, dtype=np.complex128)
     v = v / np.linalg.norm(v)
-    rm = hm.mat @ v - (v.conj() @ hm.mat @ v) * v
-    rn = hn.mat @ v - (v.conj() @ hn.mat @ v) * v
+    rm = hm @ v - (v.conj() @ hm @ v) * v
+    rn = hn @ v - (v.conj() @ hn @ v) * v
     return float(np.linalg.norm(rm)), float(np.linalg.norm(rn))
 
 

@@ -4,6 +4,12 @@ A pencil is a tuple (M_1, ..., M_d) of Hermitian r x r matrices together
 with an order unit u satisfying sum_i u_i M_i = I_r.  Its level-s
 spectrahedron consists of the Hermitian tuples A with
 sum_i M_i (x) A_i >= 0, where (x) is the Kronecker product.
+
+`MatrixTuple` and `LinearPencil` hold their matrices as one read-only
+(d, n, n) ``stack``, built from any array-like (a tuple of HermitianMatrix,
+a list of arrays or one array) and checked once by `linalg.hermitian`; the
+library reads the stacks only.  ``entries`` and ``matrices`` derive tuples
+of HermitianMatrix from them for callers that want one matrix at a time.
 """
 
 from __future__ import annotations
@@ -18,63 +24,69 @@ import numpy as np
 
 from . import linalg
 from .cones import PolyhedralCone
-from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, as_hermitian
+from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 
 UNIT_DRIFT_TOL = 1e-8
 BOUNDARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+def _stack(x, name: str, empty: str) -> np.ndarray:
+    """The checked read-only (d, n, n) stack of ``x``; d = 0 raises ``empty``."""
+    a = np.asarray(x, dtype=np.complex128)
+    if a.shape[:1] == (0,):
+        raise ValueError(empty)
+    return linalg.hermitian(a, 3, name)
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class MatrixTuple:
-    """A level-s point: d Hermitian matrices of common size s."""
+    """A level-s point: d Hermitian matrices of common size s, held as the
+    read-only (d, s, s) ``stack``."""
 
-    entries: tuple[HermitianMatrix, ...]
+    stack: np.ndarray
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("matrix tuple needs at least one entry")
-        s = self.entries[0].dim
-        for k, e in enumerate(self.entries):
-            if e.dim != s:
-                raise ValueError(f"entry {k} has size {e.dim}, expected {s}")
+    def __init__(self, entries):
+        stack = _stack(entries, "entries", "matrix tuple needs at least one entry")
+        object.__setattr__(self, "stack", stack)
+
+    @property
+    def entries(self) -> tuple[HermitianMatrix, ...]:
+        return tuple(map(HermitianMatrix, self.stack))
 
     @property
     def d(self) -> int:
-        return len(self.entries)
+        return len(self.stack)
 
     @property
     def level(self) -> int:
-        return self.entries[0].dim
+        return self.stack.shape[-1]
+
+    def __repr__(self) -> str:
+        return f"MatrixTuple(d={self.d}, s={self.level})"
 
     @staticmethod
     def of(*entries) -> "MatrixTuple":
-        return MatrixTuple(tuple(as_hermitian(e) for e in entries))
+        return MatrixTuple(entries)
 
     @staticmethod
     def from_vector(x) -> "MatrixTuple":
         """Embed a scalar point of R^d as a level-1 tuple."""
-        x = np.asarray(x, dtype=float)
-        return MatrixTuple(tuple(HermitianMatrix([[v]]) for v in x))
+        return MatrixTuple(np.asarray(x, dtype=float)[:, None, None])
 
     @staticmethod
     def unit_tuple(u, s: int) -> "MatrixTuple":
         """The tuple u (x) I_s."""
-        u = np.asarray(u, dtype=float)
-        eye = np.eye(s)
-        return MatrixTuple(tuple(HermitianMatrix(v * eye) for v in u))
+        return MatrixTuple(np.asarray(u, dtype=float)[:, None, None] * np.eye(s))
 
     def scaled_by(self, matrix: np.ndarray) -> "MatrixTuple":
         """Apply a linear coordinate change L: entries B_i = sum_j L_ij A_j."""
         l = np.asarray(matrix, dtype=float)
-        out = []
-        for i in range(l.shape[0]):
-            acc = sum(l[i, j] * self.entries[j].mat for j in range(self.d))
-            out.append(HermitianMatrix(acc))
-        return MatrixTuple(tuple(out))
+        return MatrixTuple([sum(c * a for c, a in zip(row, self.stack)) for row in l])
 
 
 class LinearPencil:
-    """d Hermitian r x r matrices with order unit normalisation.
+    """d Hermitian r x r matrices with order unit normalisation, held as the
+    read-only (d, r, r) ``stack``.
 
     A unit drift up to 1e-8 is corrected by congruence with T^(-1/2) where
     T = sum_i u_i M_i; larger drift is rejected.  A drift within the
@@ -85,58 +97,59 @@ class LinearPencil:
     """
 
     def __init__(self, matrices, unit):
-        mats = [as_hermitian(m) for m in matrices]
+        stack = _stack(matrices, "matrices", "matrices: a pencil needs at least one matrix")
         u = np.asarray(unit, dtype=float)
-        if len(mats) != len(u):
+        if len(stack) != len(u):
             raise ValueError("unit length must match the number of matrices")
-        r = mats[0].dim
-        for k, m in enumerate(mats):
-            if m.dim != r:
-                raise ValueError(f"matrix {k} has size {m.dim}, expected {r}")
-        t = sum(ui * m.mat for ui, m in zip(u, mats))
+        d, r = stack.shape[:2]
+        # summed in this order, T decides bit for bit whether T^(-1/2) applies
+        t = sum(ui * m for ui, m in zip(u, stack))
         drift = float(np.max(np.abs(t - np.eye(r))))
         if drift > UNIT_DRIFT_TOL:
             raise ValueError(
                 f"order unit violated: ||sum_i u_i M_i - I|| = {drift:.3e}"
             )
-        rounding = (
-            8 * (len(mats) + r) * np.finfo(float).eps
-            * float(np.max(sum(abs(ui) * np.abs(m.mat) for ui, m in zip(u, mats))))
-        )
-        if drift > rounding:
-            ti = linalg.inv_sqrt_pd(HermitianMatrix(t))
-            mats = [HermitianMatrix(ti @ m.mat @ ti) for m in mats]
+        size = np.abs(u) @ np.abs(stack).reshape(d, -1)
+        if drift > 8 * (d + r) * np.finfo(float).eps * float(size.max()):
+            ti = linalg.inv_sqrt_pd(t)
+            stack = linalg.hermitian(ti @ stack @ ti, 3)
 
-        vecs = np.array([m.mat.ravel() for m in mats])
-        stacked = np.concatenate([vecs.real, vecs.imag], axis=1)
-        if np.linalg.matrix_rank(stacked, tol=1e-10) < len(mats):
+        # the rank over R of the matrices as vectors of (Re, Im) pairs
+        if np.linalg.matrix_rank(stack.reshape(d, -1).view(np.float64), tol=1e-10) < d:
             warnings.warn(
                 "pencil matrices are linearly dependent; the level-1 cone is not salient",
                 stacklevel=2,
             )
 
-        self.matrices = tuple(mats)
+        self.stack = stack
         self.unit = u
         self.unit.flags.writeable = False
 
     @property
+    def matrices(self) -> tuple[HermitianMatrix, ...]:
+        return tuple(map(HermitianMatrix, self.stack))
+
+    @property
     def d(self) -> int:
-        return len(self.matrices)
+        return len(self.stack)
 
     @property
     def r(self) -> int:
-        return self.matrices[0].dim
+        return self.stack.shape[-1]
 
     def __repr__(self) -> str:
         return f"LinearPencil(d={self.d}, r={self.r})"
 
 
-def evaluate(p: LinearPencil, a: MatrixTuple) -> HermitianMatrix:
-    """sum_i M_i (x) A_i, a Hermitian matrix of size r * s."""
+def _pencil_sum(p: LinearPencil, a: MatrixTuple) -> np.ndarray:
     if p.d != a.d:
         raise ValueError(f"pencil has {p.d} variables, tuple has {a.d}")
-    acc = sum(np.kron(m.mat, e.mat) for m, e in zip(p.matrices, a.entries))
-    return HermitianMatrix(acc)
+    return sum(np.kron(m, e) for m, e in zip(p.stack, a.stack))
+
+
+def evaluate(p: LinearPencil, a: MatrixTuple) -> HermitianMatrix:
+    """sum_i M_i (x) A_i, a Hermitian matrix of size r * s."""
+    return HermitianMatrix(_pencil_sum(p, a))
 
 
 class Classification(enum.Enum):
@@ -170,7 +183,7 @@ def membership(p: LinearPencil, a: MatrixTuple, tol: float = BOUNDARY_TOL) -> Me
     The margin is the smallest eigenvalue of the pencil evaluation; the
     boundary band is an absolute tolerance on it.
     """
-    margin = linalg.min_eigenvalue(evaluate(p, a))
+    margin = linalg.min_eigenvalue(_pencil_sum(p, a))
     return MembershipResult(classification=classify_margin(margin, tol), margin=margin)
 
 
@@ -181,9 +194,10 @@ def diagonal_pencil(cone: PolyhedralCone) -> LinearPencil:
     M_i = diag(ell_1(e_i), ..., ell_k(e_i)); level-s membership of the
     resulting pencil is exactly facet-wise positivity (ell_k (x) id)(A) >= 0.
     """
-    f = cone.facets
-    mats = [np.diag(f[:, i]) for i in range(cone.dim)]
-    return LinearPencil(mats, cone.unit)
+    k = cone.n_facets
+    stack = np.zeros((cone.dim, k, k))
+    stack[:, np.arange(k), np.arange(k)] = cone.facets.T
+    return LinearPencil(stack, cone.unit)
 
 
 def elliptic_cone_pencil(alpha: float) -> LinearPencil:
@@ -227,7 +241,7 @@ def pencil_to_json(p: LinearPencil) -> dict:
         "d": p.d,
         "r": p.r,
         "unit": p.unit.tolist(),
-        "matrices": [linalg.matrix_to_json(m) for m in p.matrices],
+        "matrices": linalg.matrix_to_json(p.stack),
     }
 
 
@@ -237,20 +251,19 @@ def pencil_from_json(obj: dict) -> LinearPencil:
     for key in ("d", "r", "unit", "matrices"):
         if key not in obj:
             raise ValueError(f"pencil document missing field {key!r}")
-    mats = [linalg.matrix_from_json(m) for m in obj["matrices"]]
-    if len(mats) != int(obj["d"]):
+    stack = linalg.stack_from_json(obj["matrices"])
+    if len(stack) != int(obj["d"]):
         raise ValueError("matrix count does not match d")
-    for m in mats:
-        if m.dim != int(obj["r"]):
-            raise ValueError("matrix size does not match r")
-    return LinearPencil(mats, np.asarray(obj["unit"], dtype=float))
+    if len(stack) and stack.shape[-1] != int(obj["r"]):
+        raise ValueError("matrix size does not match r")
+    return LinearPencil(stack, np.asarray(obj["unit"], dtype=float))
 
 
 def tuple_to_json(a: MatrixTuple) -> dict:
     return {
         "d": a.d,
         "s": a.level,
-        "entries": [linalg.matrix_to_json(m) for m in a.entries],
+        "entries": linalg.matrix_to_json(a.stack),
     }
 
 
@@ -260,13 +273,12 @@ def tuple_from_json(obj: dict) -> MatrixTuple:
     for key in ("d", "s", "entries"):
         if key not in obj:
             raise ValueError(f"tuple document missing field {key!r}")
-    entries = [linalg.matrix_from_json(m) for m in obj["entries"]]
-    if len(entries) != int(obj["d"]):
+    stack = linalg.stack_from_json(obj["entries"])
+    if len(stack) != int(obj["d"]):
         raise ValueError("entry count does not match d")
-    for m in entries:
-        if m.dim != int(obj["s"]):
-            raise ValueError("entry size does not match s")
-    return MatrixTuple(tuple(entries))
+    if len(stack) and stack.shape[-1] != int(obj["s"]):
+        raise ValueError("entry size does not match s")
+    return MatrixTuple(stack)
 
 
 def load_pencil(path) -> LinearPencil:

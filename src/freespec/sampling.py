@@ -8,7 +8,6 @@ import numpy as np
 
 from . import linalg
 from .cones import PolyhedralCone, SimplexCone
-from .linalg import HermitianMatrix
 from .pencil import LinearPencil, MatrixTuple
 
 
@@ -45,7 +44,7 @@ def random_target_for_simplex(
     theta = simplex_weights(cone)
     qs = [linalg.random_psd(rng, t).mat + floor * np.eye(t) for _ in range(d)]
     total = sum(th * q for th, q in zip(theta, qs))
-    ti = linalg.inv_sqrt_pd(HermitianMatrix(total))
+    ti = linalg.inv_sqrt_pd(total)
     qhat = [ti @ q @ ti for q in qs]
     lam = np.linalg.inv(cone.generators.T)  # column i: barycentric coords of e_i
     mats = []
@@ -63,7 +62,7 @@ def random_min_member(
         p = linalg.random_psd(rng, s, scale).mat
         for i in range(cone.dim):
             entries[i] += g[i] * p
-    return MatrixTuple(tuple(HermitianMatrix(e) for e in entries))
+    return MatrixTuple(entries)
 
 
 def random_commuting_target(

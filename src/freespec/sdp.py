@@ -48,7 +48,7 @@ from scipy.linalg import cho_factor, cho_solve, qr
 
 from . import _kernels
 from . import linalg
-from .linalg import HERMITIAN_CONSTRUCTION_TOL, HermitianMatrix, hermitian_part
+from .linalg import hermitian_part
 
 logger = logging.getLogger("freespec.sdp")
 
@@ -83,25 +83,13 @@ def _ct(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _hermitian_stack(x, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A read-only, symmetrised copy of a stack of Hermitian matrices.
-
-    Each matrix is held to the rule of ``HermitianMatrix``: asymmetry at
-    most 1e-12 relative to 1 + its Frobenius norm.
-    """
+def _shaped(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``x`` of the given shape, checked and symmetrised by
+    `linalg.hermitian`."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != shape:
         raise ValueError(f"{what}: shape {x.shape}, expected {shape}")
-    xh = _ct(x)
-    flat = _flat(x)
-    scale = 1.0 + np.sqrt(np.einsum("...i,...i->...", flat, flat))
-    drift = np.abs(x - xh).max(axis=(-2, -1))
-    if np.any(drift > HERMITIAN_CONSTRUCTION_TOL * scale):
-        raise ValueError(f"{what}: not Hermitian (asymmetry {float(np.max(drift)):.3e})")
-    out = x + xh
-    out /= 2.0
-    out.flags.writeable = False
-    return out
+    return linalg.hermitian(x, len(shape), what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +119,7 @@ class SdpProblem:
             raise ValueError("right-hand sides must form a vector")
         b.flags.writeable = False
         a = tuple(
-            _hermitian_stack(ak, (len(b), n, n), f"block {k} coefficients")
+            _shaped(ak, (len(b), n, n), f"block {k} coefficients")
             for k, (ak, n) in enumerate(zip(self.a, blocks))
         )
         c = self.c
@@ -139,7 +127,7 @@ class SdpProblem:
             if len(c) != len(blocks):
                 raise ValueError(f"expected {len(blocks)} objective blocks, got {len(c)}")
             c = tuple(
-                _hermitian_stack(ck, (n, n), f"objective block {k}")
+                _shaped(ck, (n, n), f"objective block {k}")
                 for k, (ck, n) in enumerate(zip(c, blocks))
             )
         for name, value in (("blocks", blocks), ("a", a), ("b", b), ("c", c)):
@@ -199,7 +187,7 @@ class FarkasCertificate:
 @dataclass(frozen=True)
 class SdpOutcome:
     status: SdpStatus
-    primal: Optional[tuple[HermitianMatrix, ...]] = None
+    primal: Optional[tuple[np.ndarray, ...]] = None  # read-only Hermitian blocks
     dual_certificate: Optional[FarkasCertificate] = None
     objective_value: Optional[float] = None
     y: Optional[np.ndarray] = None
@@ -564,11 +552,11 @@ def _expand_y(form: _Form, y_reduced: np.ndarray, m_total: int) -> np.ndarray:
 
 def _row_values(p: SdpProblem, primal) -> np.ndarray:
     """<A_i, X> for every row i, summed over blocks."""
-    return sum(_flat(ak) @ _flat(xb.mat) for ak, xb in zip(p.a, primal))
+    return sum(_flat(ak) @ _flat(np.asarray(xb)) for ak, xb in zip(p.a, primal))
 
 
-def _sum_y_a(p: SdpProblem, y: np.ndarray) -> list[HermitianMatrix]:
-    return [HermitianMatrix(np.tensordot(y, ak, axes=1)) for ak in p.a]
+def _sum_y_a(p: SdpProblem, y: np.ndarray) -> list[np.ndarray]:
+    return [np.tensordot(y, ak, axes=1) for ak in p.a]
 
 
 def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
@@ -621,7 +609,7 @@ def _solve_optimization(
             status=SdpStatus.STOPPED, iterations=res.iterations, message=res.stop_label
         )
     if res.converged:
-        primal = tuple(HermitianMatrix(xb) for xb in res.x)
+        primal = tuple(linalg.hermitian(xb) for xb in res.x)
         return SdpOutcome(
             status=SdpStatus.OPTIMAL,
             primal=primal,
@@ -635,7 +623,7 @@ def _solve_optimization(
 
 
 def _objective_value(p: SdpProblem, primal) -> float:
-    return float(sum(_flat(ck) @ _flat(xb.mat) for ck, xb in zip(p.c, primal)))
+    return float(sum(_flat(ck) @ _flat(xb) for ck, xb in zip(p.c, primal)))
 
 
 def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) -> SdpOutcome:
@@ -661,7 +649,7 @@ def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) ->
             x = [xk + np.tensordot(z, ak, axes=1) for xk, ak in zip(x, form.a)]
         lam = [_kernels.eigh_kernel(xk)[0] for xk in x]
         if min(w[0] for w in lam) >= -tol * max(np.abs(w).max() for w in lam):
-            primal = tuple(HermitianMatrix(scale * xk) for xk in x)
+            primal = tuple(linalg.hermitian(scale * xk) for xk in x)
             found.append(SdpOutcome(status=SdpStatus.FEASIBLE, primal=primal))
             return "feasible"
         cert = _farkas_from_y(p, _expand_y(form, y, len(p.b)))
@@ -690,7 +678,7 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
         psd_margin = min(linalg.min_eigenvalue(xb) for xb in outcome.primal)
         gaps = np.abs(_row_values(p, outcome.primal) - p.b)
         max_res = float(np.max(gaps, initial=0.0))
-        scale = 1.0 + max(xb.norm() for xb in outcome.primal)
+        scale = 1.0 + max(float(np.linalg.norm(xb)) for xb in outcome.primal)
         ok = psd_margin >= -1e-7 * scale and max_res <= 1e-6
         return SdpVerifyReport(
             ok=ok,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freespec import opsys, sdp
+from freespec import linalg, opsys, sdp
 
 
 @pytest.fixture()
@@ -17,6 +17,20 @@ def solve_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sdp, "solve", counting)
+    return calls
+
+
+@pytest.fixture()
+def hermitian_calls(monkeypatch):
+    """Count constructions of linalg.HermitianMatrix: the arguments given."""
+    calls = []
+    real = linalg.HermitianMatrix.__init__
+
+    def counting(self, entries):
+        calls.append(entries)
+        real(self, entries)
+
+    monkeypatch.setattr(linalg.HermitianMatrix, "__init__", counting)
     return calls
 
 

@@ -78,7 +78,7 @@ def test_cancelled_farkas_gap_is_rejected():
     check = certificates.verify_certificate(doc)
     assert not check.ok
     y = np.array([linalg.matrix_from_json(m).mat for m in doc["y_matrices"]])
-    n = linalg.stacked(pencil_from_json(doc["tgt"]).matrices)
+    n = pencil_from_json(doc["tgt"]).stack
     size = np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(n, axis=(1, 2))
     assert 0 < check.details["gap"] < certificates.FARKAS_GAP_LIMIT * size
 
@@ -125,3 +125,61 @@ def test_apply_kraus_matches_the_sum():
     x = np.array([linalg.random_hermitian(rng, 4).mat for _ in range(2)])
     want = [sum(v.conj().T @ xi @ v for v in kraus) for xi in x]
     assert np.allclose(certificates.apply_kraus(kraus, x), want, atol=1e-12)
+
+
+class TestValidateOnce:
+    """The arrays a check accepted travel on as they are: deciding, building
+    the certificate and verifying it construct no HermitianMatrix."""
+
+    def test_min_membership_round_trip(self, hermitian_calls):
+        from freespec.linalg import SIGMA_X, SIGMA_Z
+
+        rng = np.random.default_rng(5)
+        cases = []
+        for cone in (cones.square_cone(), _regular_polygon(5)):
+            cases.append((cone, sampling.random_min_member(rng, cone, 2), MinMembershipStatus.MEMBER))
+            cases.append((cone, MatrixTuple.of(SIGMA_Z, SIGMA_X, -np.eye(2)),
+                          MinMembershipStatus.NOT_MEMBER))
+        hermitian_calls.clear()
+        for cone, a, status in cases:
+            res = min_membership(cone, a)
+            assert res.status is status
+            if status is MinMembershipStatus.MEMBER:
+                doc = certificates.min_member_cert(cone, a, res.certificate)
+            else:
+                doc = certificates.separator_cert(cone, a, res.separator)
+            assert certificates.verify_certificate(doc).ok
+        assert hermitian_calls == []
+
+    @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+    def test_inclusion_round_trip(self, hermitian_calls):
+        from freespec.containment import check_inclusion
+        from freespec.pencil import elliptic_cone_pencil
+
+        rng = np.random.default_rng(6)
+        pentagon = _regular_polygon(5)
+        cases = [
+            (pentagon, sampling.random_commuting_target(rng, pentagon, 3), RelaxationStatus.FEASIBLE),
+            (pentagon, elliptic_cone_pencil(1.0), RelaxationStatus.INFEASIBLE),
+            (cones.square_cone(), elliptic_cone_pencil(0.6), RelaxationStatus.INFEASIBLE),
+        ]
+        hermitian_calls.clear()
+        for src, tgt, status in cases:
+            rel = check_inclusion(src, tgt).relaxation
+            assert rel.status is status
+            if status is RelaxationStatus.FEASIBLE:
+                doc = certificates.relaxation_feasible_cert(diagonal_pencil(src), tgt, rel.certificate)
+            else:
+                doc = certificates.relaxation_infeasible_cert(diagonal_pencil(src), tgt, rel.farkas)
+            assert certificates.verify_certificate(doc).ok
+        assert hermitian_calls == []
+
+    def test_results_are_read_only_arrays(self):
+        from freespec.linalg import SIGMA_X, SIGMA_Z
+
+        rng = np.random.default_rng(7)
+        square = cones.square_cone()
+        member = min_membership(square, sampling.random_min_member(rng, square, 2))
+        outside = min_membership(square, MatrixTuple.of(SIGMA_Z, SIGMA_X, -np.eye(2)))
+        for arr in (member.certificate.weights, outside.separator.matrices):
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable

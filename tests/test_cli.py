@@ -334,6 +334,31 @@ class TestVerifyShapes:
         cert["tgt"]["d"] -= 1
         self._rejects(capsys, tmp_path, cert, "tgt: 2 matrices")
 
+    EMPTY_PENCIL = {"d": 0, "r": 1, "unit": [], "matrices": []}
+
+    def test_relaxation_with_an_empty_source(self, capsys, tmp_path, fixtures):
+        cert = self._certificate(
+            capsys, "relaxation", "--src", "square-diag", "--tgt", "square-diag",
+        )
+        cert["src"] = self.EMPTY_PENCIL
+        self._rejects(capsys, tmp_path, cert, "src: matrices: a pencil needs at least one matrix")
+
+    def test_relaxation_command_with_an_empty_source(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(self.EMPTY_PENCIL))
+        code, out, err = run(capsys, "relaxation", "--src", str(path), "--tgt", "square-diag")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "matrices: a pencil needs at least one matrix" in err
+        assert "Traceback" not in out + err
+
+    def test_member_cone_of_dimension_zero(self, capsys, tmp_path, fixtures):
+        cert = self._certificate(
+            capsys, "min-membership", "--cone", "square", "--tuple",
+            str(fixtures / "szsxi.json"),
+        )
+        cert["cone"] = {"d": 0, "unit": [], "generators": [[]]}
+        self._rejects(capsys, tmp_path, cert, "cone: d must be at least 1")
+
 
 def _stacked(mats):
     return np.array([m.mat for m in mats])

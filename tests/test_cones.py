@@ -318,3 +318,125 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             cone_from_json({"d": 3, "unit": [0, 0, 1]})
+
+
+# -- the per-subset enumeration, kept as the reference for the batched one ----
+
+
+def _reference_null_vector(rows):
+    d = rows.shape[1]
+    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(sv > cones.GEOM_TOL * max(1.0, sv[0] if len(sv) else 1.0)))
+    return vt[-1] if rank == d - 1 else None
+
+
+def _reference_dedupe(rows, tol=1e-8):
+    out = []
+    for r in rows:
+        if not any(np.max(np.abs(r - q)) <= tol for q in out):
+            out.append(r)
+    return np.array(out)
+
+
+def _reference_facets(g, u):
+    m, d = g.shape
+    scale = max(1.0, float(np.max(np.abs(g))))
+    cands = []
+    for subset in itertools.combinations(range(m), d - 1):
+        n = _reference_null_vector(g[list(subset)])
+        if n is None:
+            continue
+        vals = g @ n
+        if float(vals.min()) >= -cones.GEOM_TOL * scale:
+            cands.append(n)
+        elif float(vals.max()) <= cones.GEOM_TOL * scale:
+            cands.append(-n)
+    cands = _reference_dedupe(cands)
+    cands = cands * np.sign(cands @ u)[:, None]
+    return cands / (cands @ u)[:, None]
+
+
+def _reference_rays(f, u):
+    k, d = f.shape
+    f = f / (f @ u)[:, None]
+    scale = max(1.0, float(np.max(np.abs(f))))
+    rays = []
+    for subset in itertools.combinations(range(k), d - 1):
+        r = _reference_null_vector(f[list(subset)])
+        if r is None:
+            continue
+        vals = f @ r
+        if np.all(vals >= -cones.GEOM_TOL * scale):
+            rays.append(r)
+        elif np.all(-vals >= -cones.GEOM_TOL * scale):
+            rays.append(-r)
+    rays = [r / np.linalg.norm(r) for r in rays if np.linalg.norm(r) > cones.GEOM_TOL]
+    kept = []
+    for r in rays:
+        tight = f[np.abs(f @ r) <= 1e-8]
+        if len(tight) >= d - 1 and np.linalg.matrix_rank(tight, tol=1e-10) == d - 1:
+            kept.append(r)
+    return _reference_dedupe(kept)
+
+
+def _polygon(k, rotation):
+    ang = rotation + 2 * math.pi * np.arange(k) / k
+    return np.column_stack([np.cos(ang), np.sin(ang), np.ones(k)])
+
+
+class TestBatchedEnumeration:
+    """Facets and rays from the batched SVDs, bit for bit those of the
+    per-subset loop."""
+
+    def test_facets_of_polygons_and_simplices(self):
+        rng = np.random.default_rng(61)
+        cases = [(_polygon(k, rng.uniform(0, 2 * math.pi)), np.array([0.0, 0.0, 1.0]))
+                 for k in range(3, 17) for _ in range(3)]
+        for d in range(2, 7):
+            for _ in range(6):
+                g = np.eye(d) + 0.35 * rng.standard_normal((d, d))
+                cases.append((g, (g / np.linalg.norm(g, axis=1)[:, None]).sum(axis=0)))
+        built = 0
+        for g, u in cases:
+            try:
+                cone = PolyhedralCone.from_generators(g, unit=u)
+            except ConeConstructionError:
+                continue
+            built += 1
+            assert cone.facets.tobytes() == _reference_facets(g, u).tobytes()
+        assert built >= 60
+
+    def test_rays_of_the_cube_and_scaled_cones(self):
+        cube = np.vstack([np.eye(4)[3] + np.eye(4)[:3], np.eye(4)[3] - np.eye(4)[:3]])
+        unit = np.eye(4)[3]
+        cases = [(cube, unit)]
+        for base in (square_cone(), pentagon_cone(), hexagon_cone()):
+            for nu in (0.3, 0.5, 0.9):
+                sc = scaled_cone(base, nu, H)
+                cases.append((sc.facets, sc.unit))
+        for f, u in cases:
+            cone = PolyhedralCone.from_facets(f, u)
+            assert cone.generators.tobytes() == _reference_rays(f, u).tobytes()
+        assert len(PolyhedralCone.from_facets(cube, unit).generators) == 8
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: PolyhedralCone(square_cone().generators, square_cone().unit,
+                                    facets=square_cone().facets[:3]),
+             "generator 0 is not an extreme ray"),
+            (lambda: PolyhedralCone(square_cone().generators, square_cone().unit,
+                                    facets=np.vstack([square_cone().facets, [[0.3, 0.2, 1.0]]])),
+             "facet 4 is not supported by d-1 generators"),
+            (lambda: PolyhedralCone(np.eye(2), np.array([1.0, -0.5])),
+             "generator violates a facet by 2.000e+00"),
+            (lambda: PolyhedralCone.from_generators(
+                np.array([[1.0, 0, 1], [2.0, 0, 2], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]),
+                unit=np.array([0.0, 0.0, 1.0])),
+             "generators 0 and 1 are repeated rays"),
+        ],
+    )
+    def test_rejections_name_the_first_offender(self, make, message):
+        with pytest.raises(ConeConstructionError) as err:
+            make()
+        assert str(err.value) == message

@@ -395,7 +395,7 @@ class TestMarginStartOnDiagonalSources:
         if cone.dim == 3:
             targets += [elliptic_cone_pencil(0.4), elliptic_cone_pencil(1.2)]
         for tgt in targets:
-            rows = exact_margin_start(facets, linalg.stacked(tgt.matrices), src.unit)
+            rows = exact_margin_start(facets, tgt.stack, src.unit)
             assert np.all(rows == 1.0)
             res = relaxation(src, tgt)
             assert res.status is not RelaxationStatus.UNKNOWN, res.message
@@ -606,7 +606,7 @@ class TestPentagonNonTightness:
         assert rel.status is RelaxationStatus.INFEASIBLE
         fk = rel.farkas
         big = sum(
-            np.kron(diagonal_pencil(pent).matrices[i].mat.T, fk.y_matrices[i].mat)
+            np.kron(diagonal_pencil(pent).stack[i].T, fk.y_matrices[i])
             for i in range(3)
         )
         assert np.linalg.eigvalsh(big).max() <= 1e-7
@@ -790,10 +790,10 @@ class TestEntangledExample:
 
     def test_blocks_are_paulis(self):
         rep = entangled_example()
-        assert np.array_equal(rep.blocks[0].mat, SIGMA_Z.mat)
-        assert np.array_equal(rep.blocks[1].mat, SIGMA_X.mat)
-        assert np.array_equal(rep.blocks[2].mat, SIGMA_Y.mat)
-        assert np.array_equal(rep.blocks[3].mat, np.eye(2))
+        assert np.array_equal(rep.blocks[0], SIGMA_Z.mat)
+        assert np.array_equal(rep.blocks[1], SIGMA_X.mat)
+        assert np.array_equal(rep.blocks[2], SIGMA_Y.mat)
+        assert np.array_equal(rep.blocks[3], np.eye(2))
 
     def test_partial_transpose_eigenvalue(self):
         rep = entangled_example()

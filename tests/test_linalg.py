@@ -248,7 +248,7 @@ class TestJsonLiteralsVectorised:
         old = [[[[float(x.real), float(x.imag)] for x in row] for row in v] for v in kraus]
         for given in (tuple(kraus), ()):
             want = old if len(given) else []
-            assert json.dumps(certificates._kraus_to_json(given)) == json.dumps(want)
+            assert json.dumps(linalg.matrix_to_json(given)) == json.dumps(want)
         assert "-0.0" in json.dumps(old)
 
     def test_decoders_equal_the_entry_parse_bitwise(self):
@@ -260,7 +260,7 @@ class TestJsonLiteralsVectorised:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         kraus = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
         kraus[0, 1, 2] = complex(-0.0, -0.0)
-        doc = certificates._kraus_to_json(tuple(kraus))
+        doc = linalg.matrix_to_json(tuple(kraus))
         got = certificates._kraus_from_json(doc)
         assert len(got) == 3
         for g, k in zip(got, kraus):

@@ -412,8 +412,7 @@ class TestMemberWeights:
             a = _rescaled(sampling.random_min_member(rng, cone, s), scale)
             res = min_membership(cone, a)
             assert res.status is MinMembershipStatus.MEMBER
-            weights = np.array([w.mat for w in res.certificate.weights])
-            recon = np.tensordot(cone.generators.T, weights, axes=1)
+            recon = np.tensordot(cone.generators.T, res.certificate.weights, axes=1)
             stack = np.array([e.mat for e in a.entries])
             assert np.max(np.abs(recon - stack)) <= 1e-13 * np.max(np.abs(stack))
         assert solve_calls, "no instance reached the margin SDP"

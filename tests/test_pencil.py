@@ -261,3 +261,40 @@ class TestJsonFormats:
         doc["unit"] = [0.0, 0.5, 1.0]
         with pytest.raises(ValueError, match="order unit"):
             pencil.pencil_from_json(doc)
+
+
+class TestStacks:
+    @staticmethod
+    def _nearly_hermitian(rng, d, s):
+        """d matrices within the construction tolerance of Hermitian, with
+        signed zeros, the last one exactly I_s."""
+        a = rng.standard_normal((d, s, s)) + 1j * rng.standard_normal((d, s, s))
+        a = a + np.conj(np.swapaxes(a, 1, 2)) + 1e-14 * rng.standard_normal((d, s, s))
+        a[0, 0, 0] = complex(-0.0, 0.0)
+        a[0, 0, 1], a[0, 1, 0] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        a[-1] = np.eye(s)
+        return a
+
+    def test_every_array_like_gives_the_same_stack(self):
+        rng = np.random.default_rng(51)
+        for d, s in ((1, 2), (3, 2), (4, 3)):
+            raw = self._nearly_hermitian(rng, d, s)
+            # the one-matrix rule (A + A*)/2, applied matrix by matrix
+            want = np.array([(m + m.conj().T) / 2.0 for m in raw])
+            unit = np.eye(d)[-1]
+            for given in (tuple(HermitianMatrix(m) for m in raw), list(raw), raw):
+                for value in (MatrixTuple(given), LinearPencil(given, unit)):
+                    assert not value.stack.flags.writeable
+                    assert value.stack.tobytes() == want.tobytes()
+
+    def test_derived_matrices_match_the_stack(self):
+        p = elliptic_cone_pencil(0.4)
+        a = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
+        for value, mats in ((p, p.matrices), (a, a.entries)):
+            assert all(isinstance(m, HermitianMatrix) for m in mats)
+            assert np.array_equal(np.array([m.mat for m in mats]), value.stack)
+
+    @pytest.mark.parametrize("make", [MatrixTuple, lambda x: LinearPencil(x, [])])
+    def test_empty_is_rejected(self, make):
+        with pytest.raises(ValueError, match="at least one"):
+            make([])

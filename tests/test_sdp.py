@@ -39,7 +39,7 @@ class TestSolveExamples:
         p = feasibility([2], [((np.eye(2),), 1.0), ((SIGMA_Z,), 0.0)])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
-        x = out.primal[0].mat
+        x = out.primal[0]
         assert np.trace(x).real == pytest.approx(1.0, abs=1e-7)
         assert abs(np.trace(SIGMA_Z.mat @ x)) < 1e-7
         # the maximally mixed point is among valid answers
