@@ -239,10 +239,10 @@ def verify_certificate(doc: dict) -> CertificateCheck:
     """Parse a certificate document, check its shapes and run the
     acceptance test of its kind; a malformed document raises a ValueError
     that names the field."""
+    if isinstance(doc, dict) and "certificate" in doc and "kind" not in doc:
+        doc = doc["certificate"]
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
-    if "certificate" in doc and "kind" not in doc:
-        doc = doc["certificate"]
     kind = doc.get("kind")
     handlers = {
         "relaxation_feasible": _verify_relaxation_feasible,

@@ -90,6 +90,8 @@ def parse_expression(text: str) -> float:
             rhs = factor()
             if op == "*":
                 val *= rhs
+            elif rhs == 0.0:
+                raise CliError(f"division by zero in expression {text!r}")
             else:
                 val /= rhs
         return val
@@ -256,11 +258,20 @@ def _report_relaxation(rep: Report, src, tgt, rel) -> None:
         rep.exit_code = EXIT_UNKNOWN
 
 
+def _dump(args, build, *inputs) -> None:
+    """With ``--dump-sdp``, the SDP that ``build`` makes of the inputs,
+    written before the decision runs."""
+    if args.dump_sdp:
+        sdp.dump_problem(build(*inputs), args.dump_sdp)
+
+
 def _cmd_check_inclusion(args, rep: Report) -> None:
     src = load_cone_arg(args.src)
     alpha = parse_expression(args.alpha) if args.alpha else None
     tgt = load_pencil_arg(args.tgt, alpha)
-    verdict = containment.check_inclusion(src, tgt, tol=args.tol, dump_to=args.dump_sdp)
+    diag = containment.diagonal_pencil(src)
+    _dump(args, containment.relaxation_sdp, diag, tgt)
+    verdict = containment.check_inclusion(src, tgt, tol=args.tol)
     scal = verdict.scalar
     rel = verdict.relaxation
     rep.put("scalar", {
@@ -273,7 +284,7 @@ def _cmd_check_inclusion(args, rep: Report) -> None:
     if not scal.holds:
         rep.say(f"  violating ray {scal.witness_ray} margin {scal.witness_margin:.6e}")
     rep.say(f"matricial relaxation: {rel.status.value}")
-    _report_relaxation(rep, containment.diagonal_pencil(src), tgt, rel)
+    _report_relaxation(rep, diag, tgt, rel)
     if verdict.free_witness is not None:
         fw = verdict.free_witness
         rep.put("free_witness", {
@@ -289,7 +300,8 @@ def _cmd_relaxation(args, rep: Report) -> None:
     alpha = parse_expression(args.alpha) if args.alpha else None
     src = load_pencil_arg(args.src, alpha)
     tgt = load_pencil_arg(args.tgt, alpha)
-    rel = containment.relaxation(src, tgt, tol=args.tol, dump_to=args.dump_sdp)
+    _dump(args, containment.relaxation_sdp, src, tgt)
+    rel = containment.relaxation(src, tgt, tol=args.tol)
     rep.put("status", rel.status.value)
     rep.say(f"relaxation: {rel.status.value}")
     _report_relaxation(rep, src, tgt, rel)
@@ -300,7 +312,8 @@ def _cmd_relaxation(args, rep: Report) -> None:
 def _cmd_min_membership(args, rep: Report) -> None:
     cone = load_cone_arg(args.cone)
     query = load_tuple_arg(args.tuple)
-    res = opsys.min_membership(cone, query, tol=args.tol, dump_to=args.dump_sdp)
+    _dump(args, opsys.margin_sdp, cone.generators, query.stack, cone.facets.sum(axis=0))
+    res = opsys.min_membership(cone, query, tol=args.tol)
     rep.put("status", res.status.value)
     rep.say(f"smallest-system membership: {res.status.value}")
     if res.status is opsys.MinMembershipStatus.MEMBER:
@@ -335,9 +348,8 @@ def _cmd_essential_boundary(args, rep: Report) -> None:
     if not (isinstance(doc, list) and len(doc) == 4):
         raise CliError(f"{args.components}: expected a JSON array of four matrices")
     comps = [linalg.matrix_from_json(m) for m in doc]
-    res = opsys.essential_boundary_square(
-        comps, eps=args.epsilon, tol=args.tol, dump_to=args.dump_sdp
-    )
+    _dump(args, opsys.essential_boundary_sdp, comps, args.epsilon)
+    res = opsys.essential_boundary_square(comps, eps=args.epsilon, tol=args.tol)
     rep.put("status", res.status.value)
     rep.say(f"essential boundary: {res.status.value}")
     if res.status is opsys.EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY:
@@ -440,8 +452,9 @@ def _cmd_entangled_demo(args, rep: Report) -> None:
 
 def _cmd_verify(args, rep: Report) -> None:
     doc = _load_json(args.certificate)
-    if "result" in doc and "certificate" in doc.get("result", {}):
-        doc = doc["result"]["certificate"]
+    result = doc.get("result") if isinstance(doc, dict) else None
+    if isinstance(result, dict) and "certificate" in result:
+        doc = result["certificate"]
     check = certificates.verify_certificate(doc)
     rep.put("kind", check.kind)
     rep.put("ok", check.ok)
@@ -482,8 +495,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--tgt", required=True,
                     help="pencil JSON file or builtin: calpha/elliptic, circular, square-diag")
     sp.add_argument("--alpha", help="angle expression for the calpha target, e.g. pi/4")
-    sp.add_argument("--dump-sdp", help="write the relaxation's SDP to this path (the margin "
-                    "SDP for a diagonal source, the Choi feasibility SDP otherwise)")
+    sp.add_argument("--dump-sdp", help="write the relaxation's SDP, the margin SDP over the "
+                    "source's facets, to this path")
 
     sp = add("relaxation", _cmd_relaxation, help="matricial relaxation between two pencils")
     sp.add_argument("--src", required=True)

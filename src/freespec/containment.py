@@ -46,6 +46,7 @@ from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from .opsys import (
     MinMembershipStatus,
     generator_weights,
+    margin_sdp,
     max_membership,
     min_membership,
 )
@@ -204,14 +205,9 @@ def _relaxation_result(
     return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
 
 
-def _sdp_relaxation(
-    src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8, dump_to=None
-) -> RelaxationResult:
+def _sdp_relaxation(src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8) -> RelaxationResult:
     """The Choi-matrix SDP, for any source pencil."""
-    problem = _choi_problem(src, tgt)
-    if dump_to is not None:
-        sdp.dump_problem(problem, dump_to)
-    outcome = sdp.solve(problem, tol=tol)
+    outcome = sdp.solve(_choi_problem(src, tgt), tol=tol)
     choi = farkas = None
     message = outcome.message
     if outcome.status is sdp.SdpStatus.FEASIBLE:
@@ -231,9 +227,23 @@ def _diagonal_facets(src: LinearPencil) -> Optional[np.ndarray]:
     return None if diag is None else diag[..., 0, 0].T.real
 
 
-def relaxation(
-    src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8, dump_to=None
-) -> RelaxationResult:
+def _same_variables(src: LinearPencil, tgt: LinearPencil) -> None:
+    if src.d != tgt.d:
+        raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
+
+
+def relaxation_sdp(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
+    """The SDP of `relaxation`'s path: the margin SDP of
+    `opsys.margin_sdp` over the facets of a diagonal source, the Choi SDP
+    otherwise."""
+    _same_variables(src, tgt)
+    facets = _diagonal_facets(src)
+    if facets is None:
+        return _choi_problem(src, tgt)
+    return margin_sdp(facets, tgt.stack, src.unit)
+
+
+def relaxation(src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8) -> RelaxationResult:
     """Matricial strengthening of the inclusion problem.
 
     Searches for a completely positive map with sum_j V_j* M_i V_j = N_i;
@@ -246,17 +256,16 @@ def relaxation(
     a commuting target; by the margin SDP otherwise) with Choi matrix
     blockdiag(Q_k).  Any other source is decided by the feasibility SDP in
     the Choi variable J >= 0 of size r*t with d * t^2 real constraints.
-    Either answer has passed the check of `freespec verify`; ``dump_to``
-    receives the SDP of the path taken.
+    Either answer has passed the check of `freespec verify`;
+    `relaxation_sdp` builds the SDP of the path taken.
     """
-    if src.d != tgt.d:
-        raise ValueError(f"pencils have different variable counts {src.d} != {tgt.d}")
+    _same_variables(src, tgt)
     facets = _diagonal_facets(src)
     if facets is None:
-        return _sdp_relaxation(src, tgt, tol=tol, dump_to=dump_to)
+        return _sdp_relaxation(src, tgt, tol=tol)
     dec = generator_weights(
         facets, tgt.stack, lambda y: _relaxation_farkas(src.stack, tgt.stack, y),
-        src.unit, tol=tol, dump_to=dump_to,
+        src.unit, tol=tol,
     )
     choi = None
     if dec.weights is not None:
@@ -407,14 +416,12 @@ class InclusionVerdict:
             raise VerdictConsistencyError("free witness exists despite feasible relaxation")
 
 
-def check_inclusion(
-    src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8, dump_to=None
-) -> InclusionVerdict:
+def check_inclusion(src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8) -> InclusionVerdict:
     """Scalar inclusion, then the matricial relaxation on the source's
     diagonal realization, then a constructive level-2 witness when the
     source is of square type and the witness verifiably escapes the target."""
     scal = scalar_inclusion(src, tgt, tol=tol)
-    relax = relaxation(diagonal_pencil(src), tgt, tol=tol, dump_to=dump_to)
+    relax = relaxation(diagonal_pencil(src), tgt, tol=tol)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
         cand = square_type_witness(src)

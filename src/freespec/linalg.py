@@ -136,16 +136,18 @@ def eigh(a) -> EigenDecomposition:
 
 
 def eigvalsh(a) -> np.ndarray:
-    return eigh(a).eigenvalues
+    """Ascending eigenvalues of a Hermitian matrix: the LAPACK call of
+    `eigh`, without the phase normalisation of its eigenvectors."""
+    return _kernels.eigh_kernel(hermitian(a))[0]
 
 
 def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(eigh(a).eigenvalues[0])
+    return float(eigvalsh(a)[0])
 
 
 def max_eigenvalue(a) -> float:
-    return float(eigh(a).eigenvalues[-1])
+    return float(eigvalsh(a)[-1])
 
 
 def is_psd(a, tol: float = PSD_DEFAULT_TOL) -> bool:

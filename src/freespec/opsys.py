@@ -215,6 +215,15 @@ def _margin_problem(p0: np.ndarray, kernel: np.ndarray):
     return problem, (np.broadcast_to(np.eye(s) / (m * s), (m, s, s)), y)
 
 
+def margin_sdp(gens: np.ndarray, stack: np.ndarray, h: np.ndarray) -> sdp.SdpProblem:
+    """The margin SDP of `generator_weights` on these arguments, which is
+    what it solves when no closed form decides."""
+    if len(stack) != gens.shape[1]:
+        raise ValueError(f"generators have dimension {gens.shape[1]}, the stack has {len(stack)}")
+    _, _, _, kernel, p0 = _affine_split(gens, stack, h)
+    return _margin_problem(p0, kernel)[0]
+
+
 def _margin_weights(gens, stack, certify, tol, split) -> GeneratorWeights:
     """The margin decision of `generator_weights` on an `_affine_split`."""
     rows, scale, pinv_t, kernel, p0 = split
@@ -249,24 +258,21 @@ def _margin_weights(gens, stack, certify, tol, split) -> GeneratorWeights:
         return refute(x) or GeneratorWeights(message="closed form: no certificate passed")
 
     basis = linalg.hermitian_basis(p0.shape[-1])
-    found = []
 
     def check(x, y):
         """With both sides feasible, y_0 <= margin <= sum_k tr(P0_k X_k):
         an answer is built and checked once either bound leaves the band."""
-        x, dec = np.asarray(x), None
+        x = np.asarray(x)
         if y[0] >= -band:
             z = np.tensordot(y[1:].reshape(kernel.shape[1], -1), basis, axes=1)
-            dec = member(p0 - np.tensordot(kernel, z, axes=1))
-        elif np.vdot(p0, x).real < -band * np.trace(x, axis1=1, axis2=2).real.sum():
-            dec = refute(x)
-        if dec is not None:
-            found.append(dec)
-        return "certified" if found else ""
+            return member(p0 - np.tensordot(kernel, z, axes=1))
+        if np.vdot(p0, x).real < -band * np.trace(x, axis1=1, axis2=2).real.sum():
+            return refute(x)
+        return None
 
     problem, start = _margin_problem(p0, kernel)
     outcome = sdp.solve(problem, tol=tol, check=check, start=start)
-    return found[0] if found else GeneratorWeights(
+    return outcome.answer or GeneratorWeights(
         message=f"margin SDP: {outcome.message or 'no certificate passed'}"
     )
 
@@ -343,7 +349,6 @@ def generator_weights(
     certify,
     h: np.ndarray,
     tol: float = 1e-8,
-    dump_to=None,
 ) -> GeneratorWeights:
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
     c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
@@ -368,18 +373,15 @@ def generator_weights(
     scalars: y_0 >= -band offers the dual weights P0 + KZ >= y_0 I as a
     Member, and sum_k tr(P0_k X_k) < -band tr X refutes A by
     Y = -N / |<N, A>| with N = pinv(G) X, since sum_i c_k[i] N_i = X_k.
-    The SDP stops at the first answer that passes its check.  ``dump_to``
-    always receives the margin SDP that is solved.
+    The SDP stops at the first answer that passes its check; `margin_sdp`
+    builds it on its own.
     """
     m, d = gens.shape
-    split = None if dump_to is None else _affine_split(gens, stack, h)
-    if split is not None:
-        sdp.dump_problem(_margin_problem(split[4], split[3])[0], dump_to)
     if m > d and math.comb(m, d) <= SUBSET_BATCH:
         dec = _commuting_weights(gens, stack, tol, certify)
         if dec is not None:
             return dec
-    return _margin_weights(gens, stack, certify, tol, split or _affine_split(gens, stack, h))
+    return _margin_weights(gens, stack, certify, tol, _affine_split(gens, stack, h))
 
 
 def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
@@ -399,7 +401,6 @@ def min_membership(
     cone: PolyhedralCone,
     a: MatrixTuple,
     tol: float = 1e-8,
-    dump_to=None,
 ) -> MinMembershipResult:
     """Membership of a tuple in the smallest system of a polyhedral cone.
 
@@ -409,14 +410,14 @@ def min_membership(
     the margin SDP otherwise).  A Member outcome carries the
     weights; a NotMember outcome carries a separating functional,
     nonnegative on the system and negative on the query.  Both have passed
-    the check of `freespec verify`.  ``dump_to`` receives the margin SDP.
+    the check of `freespec verify`.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
     stack = a.stack
     dec = generator_weights(
         cone.generators, stack, lambda y: _separator(cone, stack, y),
-        cone.facets.sum(axis=0), tol=tol, dump_to=dump_to,
+        cone.facets.sum(axis=0), tol=tol,
     )
     return _membership_result(dec)
 
@@ -485,7 +486,6 @@ def essential_boundary_square(
     components: Sequence,
     eps: float = STRICTNESS_EPS,
     tol: float = 1e-8,
-    dump_to=None,
 ) -> EssentialBoundaryResult:
     """Essential-boundary test for sum_k v_k (x) A_k over the square cone.
 
@@ -503,6 +503,37 @@ def essential_boundary_square(
     The No answer is always backed by a verified infeasibility certificate,
     and an InEssentialBoundary functional passes its certificate check.
     """
+    outcome = sdp.solve(essential_boundary_sdp(components, eps), tol=tol)
+    if outcome.status is sdp.SdpStatus.FEASIBLE:
+        p1, p2, p3, p4, z0 = outcome.primal
+        m3 = z0 + eps * np.eye(len(z0))
+        dmat = (p1 - p2) / 2.0
+        smat = (p3 - p4) / 2.0
+        m1 = (smat + dmat) / 2.0
+        m2 = (smat - dmat) / 2.0
+        n = linalg.hermitian_part(np.conj([m1, m2, m3]))
+        comps = np.array([linalg.hermitian(c) for c in components])
+        check = certificates.check_essential_boundary(comps, n, eps)
+        if not check.ok:
+            return EssentialBoundaryResult(
+                status=EssentialBoundaryStatus.UNKNOWN,
+                message=f"certificate rejected by its check (residual {check.residual:.3e})",
+            )
+        n.flags.writeable = False
+        return EssentialBoundaryResult(
+            status=EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY,
+            functional=SeparationFunctional(matrices=n, margin=check.details["margin"]),
+        )
+    if outcome.status is sdp.SdpStatus.INFEASIBLE:
+        return EssentialBoundaryResult(status=EssentialBoundaryStatus.NO)
+    return EssentialBoundaryResult(
+        status=EssentialBoundaryStatus.UNKNOWN, message=outcome.message
+    )
+
+
+def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) -> sdp.SdpProblem:
+    """The feasibility SDP of `essential_boundary_square`, in the blocks
+    P_1..P_4 and Z_0, after the checks of its four nonzero PSD components."""
     if len(components) != 4:
         raise ValueError("expected exactly four components")
     comps = [linalg.hermitian(c) for c in components]
@@ -532,34 +563,7 @@ def essential_boundary_square(
         coeffs[k, 2 * nb + 1 + k] = comps[k]
     pair_rhs = 2.0 * eps * np.trace(basis, axis1=1, axis2=2).real
     rhs = np.concatenate([pair_rhs, pair_rhs, [1.0 - eps * s], np.zeros(4)])
-    problem = sdp.SdpProblem((s,) * 5, tuple(coeffs), rhs)
-    if dump_to is not None:
-        sdp.dump_problem(problem, dump_to)
-    outcome = sdp.solve(problem, tol=tol)
-    if outcome.status is sdp.SdpStatus.FEASIBLE:
-        p1, p2, p3, p4, z0 = outcome.primal
-        m3 = z0 + eps * np.eye(s)
-        dmat = (p1 - p2) / 2.0
-        smat = (p3 - p4) / 2.0
-        m1 = (smat + dmat) / 2.0
-        m2 = (smat - dmat) / 2.0
-        n = linalg.hermitian_part(np.conj([m1, m2, m3]))
-        check = certificates.check_essential_boundary(comps, n, eps)
-        if not check.ok:
-            return EssentialBoundaryResult(
-                status=EssentialBoundaryStatus.UNKNOWN,
-                message=f"certificate rejected by its check (residual {check.residual:.3e})",
-            )
-        n.flags.writeable = False
-        return EssentialBoundaryResult(
-            status=EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY,
-            functional=SeparationFunctional(matrices=n, margin=check.details["margin"]),
-        )
-    if outcome.status is sdp.SdpStatus.INFEASIBLE:
-        return EssentialBoundaryResult(status=EssentialBoundaryStatus.NO)
-    return EssentialBoundaryResult(
-        status=EssentialBoundaryStatus.UNKNOWN, message=outcome.message
-    )
+    return sdp.SdpProblem((s,) * 5, tuple(coeffs), rhs)
 
 
 # --------------------------------------------------------------------------

@@ -8,21 +8,26 @@ Primal form:
 
 where <A, X> = tr(X* A) summed over blocks.  A problem stores its
 coefficients block by block: one (m, n_k, n_k) stack of the rows'
-coefficients on block k, zero where a row does not touch that block.
+coefficients on block k, zero where a row does not touch that block.  At
+construction it also groups its blocks of equal size: a group of k blocks
+of size n holds their rows as one (m, k, n, n) tensor and their objective
+as one (k, n, n) stack, zero for a feasibility problem.  The problem's one
+A(X), A*(y) and Schur complement work on these groups, with X and y as
+one (k, n, n) stack per group.
 
 The engine is a primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector, working on the complex
-Hermitian blocks as given.  It starts infeasible, from multiples of I,
-on the rows as `_preprocess` leaves them (scaled, dependent ones
-dropped).  An objective problem with independent rows may instead come
-with an exactly feasible, strictly interior start (the margin SDP of
-`opsys.generator_weights`): it is checked once, the rows are taken as
-given, and every iterate stays feasible on both sides.  Blocks of equal
-size form one group, held as an (m, k, n, n) tensor with the iterates as
-(k, n, n) stacks, and each step of an iteration (the scaling
+Hermitian blocks as given, for at most MAX_ITER iterations.  It starts
+infeasible, from multiples of I, on the problem `_preprocess` reduces
+(rows scaled, dependent ones dropped).  An objective problem with
+independent rows may instead come with an exactly feasible, strictly
+interior start (the margin SDP of `opsys.generator_weights`): it is
+checked once, the problem is solved as given, and every iterate stays
+feasible on both sides.  Each step of an iteration (the scaling
 eigendecompositions, the Schur complement, step lengths, corrector and
-update) runs once per group; the dense Schur complement is solved by
-Cholesky.
+update) runs once per size group; the dense Schur complement is solved by
+Cholesky.  A caller's check sees every iterate, and the first answer it
+gives stops the solve with status STOPPED and that answer.
 
 A feasibility problem is the objective problem with C = 0, on the rows
 scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
@@ -40,7 +45,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,7 +58,7 @@ from .linalg import hermitian_part
 logger = logging.getLogger("freespec.sdp")
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
+MAX_ITER = 100
 FARKAS_TOL = 1e-7
 START_TOL = 1e-12
 
@@ -92,6 +97,11 @@ def _shaped(x, shape: tuple[int, ...], what: str) -> np.ndarray:
     return linalg.hermitian(x, len(shape), what)
 
 
+def _inner(xs, ys) -> float:
+    """<X, Y> = Re tr(Y* X), summed over stacks."""
+    return float(sum(np.vdot(y, x).real for x, y in zip(xs, ys)))
+
+
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
     """Equality rows <A_i, X> = b_i over Hermitian PSD blocks.
@@ -100,7 +110,7 @@ class SdpProblem:
     coefficients on block k, zero where a row does not touch the block;
     ``b`` holds the m right-hand sides and ``c``, when given, the objective
     block by block.  Each stack is checked Hermitian and symmetrised once,
-    at construction.
+    at construction, and the blocks are then grouped by size (`_group`).
     """
 
     blocks: tuple[int, ...]
@@ -132,16 +142,63 @@ class SdpProblem:
             )
         for name, value in (("blocks", blocks), ("a", a), ("b", b), ("c", c)):
             object.__setattr__(self, name, value)
+        self._group()
 
     @classmethod
     def _unchecked(cls, blocks, a, b, c) -> "SdpProblem":
         """The problem of a builder whose stacks are exactly Hermitian by
         construction, as given: no check, no copy; made read-only."""
         p = object.__new__(cls)
-        p.__dict__.update(blocks=tuple(blocks), a=tuple(a), b=np.asarray(b, float), c=tuple(c))
-        for arr in (p.b, *p.a, *p.c):
+        p.__dict__.update(
+            blocks=tuple(blocks), a=tuple(a), b=np.asarray(b, float),
+            c=None if c is None else tuple(c),
+        )
+        for arr in (p.b, *p.a, *(p.c or ())):
             arr.flags.writeable = False
+        p._group()
         return p
+
+    def _group(self) -> None:
+        """The blocks of each size as one group: ``groups`` their indices,
+        ``tens`` their rows as an (m, k, n, n) tensor, ``flat`` the same as
+        real (m, 2 k n^2) rows and ``cg`` the (k, n, n) objective."""
+        sizes, m = self.blocks, len(self.b)
+        groups = [[k for k, n in enumerate(sizes) if n == size] for size in dict.fromkeys(sizes)]
+        # a lone block is taken as a view: no copy of a large Choi stack
+        tens = [
+            self.a[g[0]][:, None] if len(g) == 1 else np.stack([self.a[k] for k in g], axis=1)
+            for g in groups
+        ]
+        c = self.c or [np.zeros((n, n), dtype=np.complex128) for n in sizes]
+        self.__dict__.update(
+            groups=groups, tens=tens, cg=[np.stack([c[k] for k in g]) for g in groups],
+            flat=[_flat(t).reshape(m, 2 * math.prod(t.shape[1:])) for t in tens],
+        )
+
+    def _stacks(self, blocks) -> list[np.ndarray]:
+        """Matrices given block by block, as one stack per group."""
+        return [np.stack([blocks[k] for k in g]) for g in self.groups]
+
+    def _split(self, stacks) -> list[np.ndarray]:
+        """One stack per group, as a list of matrices in block order."""
+        out = {k: stack[j] for g, stack in zip(self.groups, stacks) for j, k in enumerate(g)}
+        return [out[k] for k in range(len(self.blocks))]
+
+    def _apply(self, x) -> np.ndarray:
+        """A(X): Re tr(A_i X), summed over blocks."""
+        return sum(f @ _flat(xg).ravel() for f, xg in zip(self.flat, x))
+
+    def _adjoint(self, y: np.ndarray) -> list[np.ndarray]:
+        """A*(y) = sum_i y_i A_i."""
+        return [np.tensordot(y, t, axes=1) for t in self.tens]
+
+    def _schur(self, w) -> np.ndarray:
+        """Re tr(A_i W A_j W), summed over blocks."""
+        m = len(self.b)
+        out = sum(
+            f @ _flat(wg @ t @ wg).reshape(m, -1).T for f, t, wg in zip(self.flat, self.tens, w)
+        )
+        return (out + out.T) / 2.0
 
     @staticmethod
     def make(blocks: Sequence[int], constraints, objective=None) -> "SdpProblem":
@@ -193,6 +250,7 @@ class SdpOutcome:
     y: Optional[np.ndarray] = None
     iterations: int = 0
     message: str = ""
+    answer: object = None  # the check's answer, with status STOPPED
 
 
 @dataclass(frozen=True)
@@ -207,22 +265,8 @@ class SdpVerifyReport:
 
 
 # --------------------------------------------------------------------------
-# Working form and constraint preprocessing (row scaling + rank reduction)
+# Constraint preprocessing (row scaling + rank reduction)
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class _Form:
-    """The problem as the interior-point core sees it: rows scaled to unit
-    norm, linearly dependent rows dropped."""
-
-    a: list[np.ndarray]      # per block, the kept rows' coefficients
-    b: np.ndarray
-    kept: np.ndarray         # kept constraint indices, ascending
-    row_scale: np.ndarray
-    # multipliers (original indexing) witnessing an inconsistent dependent
-    # row: sum_i y_i A_i = 0 with y.b != 0
-    conflict_y: Optional[np.ndarray] = None
 
 
 def _svec(a: np.ndarray) -> np.ndarray:
@@ -235,7 +279,10 @@ def _svec(a: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
-def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7) -> _Form:
+def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7):
+    """The problem on its independent rows scaled to unit norm (a scaled
+    row stays exactly Hermitian, so it is built unchecked), its row map
+    ``(kept, scale)`` and the y of an inconsistent dependent row or None."""
     m = len(p.b)
     if m == 0:
         raise ValueError("problem has no constraints")
@@ -257,8 +304,6 @@ def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7) -> _Form:
         gaps = np.abs(pred - b[dropped])
         bad = gaps > consistency_tol * (1.0 + np.abs(b[dropped]))
         if np.any(bad):
-            # the conflicting combination is itself a Farkas certificate:
-            # sum_i y_i A_i = 0 with y.b != 0
             j = int(np.argmax(gaps))
             y = np.zeros(m)
             y[dropped[j]] = -1.0
@@ -267,29 +312,20 @@ def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7) -> _Form:
                 y = -y
             conflict_y = y / scale  # back to original row scaling
 
-    a = []
-    for ak in p.a:
-        scaled = ak[kept]
-        scaled /= scale[kept, None, None]
-        a.append(scaled)
-    return _Form(a=a, b=b[kept], kept=kept, row_scale=scale, conflict_y=conflict_y)
+    a = [ak[kept] / scale[kept, None, None] for ak in p.a]
+    q = SdpProblem._unchecked(p.blocks, a, b[kept], p.c)
+    return q, (kept, scale[kept]), conflict_y
 
 
-def _conflict_outcome(p: SdpProblem, form: _Form) -> Optional[SdpOutcome]:
-    """Infeasible outcome from inconsistent dependent rows, when present.
-
-    The multiplier vector satisfies sum_i y_i A_i = 0 with y.b != 0, which
-    is a Farkas certificate; if it does not verify (pathological numerics)
-    an InconsistentConstraintsError is raised instead.
-    """
-    if form.conflict_y is None:
-        return None
-    cert = _farkas_from_y(p, form.conflict_y.copy())
-    if cert is None:
-        raise InconsistentConstraintsError(
-            "dependent constraint rows have conflicting right-hand sides"
-        )
-    return SdpOutcome(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
+def _expand_y(rows, y: np.ndarray, m: int) -> np.ndarray:
+    """Multipliers of the reduced rows in the problem's row order; y
+    itself for the identity map ``rows`` None."""
+    if rows is None:
+        return y
+    kept, scale = rows
+    out = np.zeros(m)
+    out[kept] = y / scale
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -299,63 +335,14 @@ def _conflict_outcome(p: SdpProblem, form: _Form) -> Optional[SdpOutcome]:
 
 @dataclass
 class _IpmResult:
-    converged: bool
-    x: list[np.ndarray]      # per block
+    """The last iterate, one stack per size group, and why it stopped:
+    the check's ``answer``, a failure ``message`` or neither (converged)."""
+
+    x: list[np.ndarray]
     y: np.ndarray
     iterations: int
     message: str = ""
-    stop_label: str = ""
-
-
-class _BlockData:
-    """Constraint stacks grouped by block size for A(.), A*(.) and Schur.
-
-    Group g holds its k blocks of size n as one (m, k, n, n) tensor, and
-    the iterates of the group as one (k, n, n) stack.
-    """
-
-    def __init__(self, a: list[np.ndarray], c: list[np.ndarray]):
-        sizes = [ak.shape[-1] for ak in a]
-        self.nblocks = len(sizes)
-        self.m = a[0].shape[0]
-        self.total_dim = sum(sizes)
-        self.groups = [
-            [k for k, nk in enumerate(sizes) if nk == n] for n in dict.fromkeys(sizes)
-        ]
-        # a lone block is taken as a view: no copy of a large Choi stack
-        self.tens = [
-            a[g[0]][:, None] if len(g) == 1 else np.stack([a[k] for k in g], axis=1)
-            for g in self.groups
-        ]
-        self.flat = [_flat(t).reshape(self.m, -1) for t in self.tens]
-        self.c = [np.stack([c[k] for k in g]) for g in self.groups]
-        self.norm_c = max(float(np.linalg.norm(ck)) for ck in c)
-
-    def split(self, stacks) -> list[np.ndarray]:
-        out = [None] * self.nblocks
-        for g, stack in zip(self.groups, stacks):
-            for j, k in enumerate(g):
-                out[k] = stack[j]
-        return out
-
-    def apply(self, x) -> np.ndarray:
-        """Re tr(A_i X), summed over blocks."""
-        return sum(f @ _flat(xg).ravel() for f, xg in zip(self.flat, x))
-
-    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        return [np.tensordot(y, t, axes=1) for t in self.tens]
-
-    def schur(self, w) -> np.ndarray:
-        """Re tr(A_i W A_j W), summed over blocks."""
-        out = sum(
-            f @ _flat(wg @ t @ wg).reshape(self.m, -1).T
-            for f, t, wg in zip(self.flat, self.tens, w)
-        )
-        return (out + out.T) / 2.0
-
-
-def _inner(xs, ys) -> float:
-    return float(sum(np.vdot(y, x).real for x, y in zip(xs, ys)))
+    answer: object = None
 
 
 def _floored(w: np.ndarray) -> np.ndarray:
@@ -389,19 +376,21 @@ def _step_to_boundary(h: np.ndarray) -> float:
     return 1.0 / (-lam_min)
 
 
-def _ipm(
-    data: _BlockData, b: np.ndarray, tol: float, max_iter: int, check=None, start=None
-) -> _IpmResult:
-    ndim = data.total_dim
-    m = data.m
+def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
+    """Iterate on ``q`` until ``check(x, y)`` gives an answer other than
+    None, the iterate converges or a failure stops it; ``iterations``
+    counts the completed iterations."""
+    ndim = sum(q.blocks)
+    m = len(q.b)
+    b = q.b
 
     norm_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    norm_c = max(1.0, data.norm_c)
-    if start is not None:  # checked once: one `apply`, one eigvalsh per size group
-        x = [np.stack([start[0][k] for k in g]).astype(np.complex128) for g in data.groups]
+    norm_c = max([1.0] + [float(np.linalg.norm(ck)) for ck in q.c or ()])
+    if start is not None:  # checked once: one A(X), one eigvalsh per size group
+        x = [xs.astype(np.complex128) for xs in q._stacks(start[0])]
         y = np.array(start[1], dtype=float)
-        s = [cg - ag for cg, ag in zip(data.c, data.adjoint(y))]
-        gap = float(np.abs(b - data.apply(x)).max()) / norm_b
+        s = [cg - ag for cg, ag in zip(q.cg, q._adjoint(y))]
+        gap = float(np.abs(b - q._apply(x)).max()) / norm_b
         low = min(np.linalg.eigvalsh(np.concatenate(xs))[:, 0].min() for xs in zip(x, s))
         if gap > START_TOL or not low > 0:
             raise ValueError(f"start not feasible and interior: gap {gap:.2e}, min eig {low:.2e}")
@@ -410,23 +399,22 @@ def _ipm(
         eta_d = max(1.0, math.sqrt(ndim), norm_c)
         units = [
             np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape[1:])
-            for t in data.tens
+            for t in q.tens
         ]
         x = [eta_p * u for u in units]
         s = [eta_d * u for u in units]
         y = np.zeros(m)
 
-    best = None
     stall = 0
     prev_mu = np.inf
     msg = "max iterations reached"
 
-    for it in range(1, max_iter + 1):
-        rp = b - data.apply(x)
-        aty = data.adjoint(y)
-        rd = [cg - sg - ag for cg, sg, ag in zip(data.c, s, aty)]
+    for done in range(MAX_ITER):
+        rp = b - q._apply(x)
+        aty = q._adjoint(y)
+        rd = [cg - sg - ag for cg, sg, ag in zip(q.cg, s, aty)]
         mu = _inner(x, s) / ndim
-        pobj = _inner(data.c, x)
+        pobj = _inner(q.cg, x)
         dobj = float(b @ y)
 
         ep = float(np.max(np.abs(rp), initial=0.0)) / norm_b
@@ -434,43 +422,44 @@ def _ipm(
         eg = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         compl = mu * ndim / (1.0 + abs(pobj) + abs(dobj))
         logger.debug(
-            "iter %3d  mu=%9.2e  ep=%9.2e  ed=%9.2e  eg=%9.2e", it, mu, ep, ed, eg
+            "iter %3d  mu=%9.2e  ep=%9.2e  ed=%9.2e  eg=%9.2e", done + 1, mu, ep, ed, eg
         )
+        if not math.isfinite(mu + ep + ed):
+            msg = "iterates diverged"
+            break
 
         if check is not None:
-            label = check(data.split(x), y)
-            if label:
-                return _IpmResult(False, data.split(x), y, it - 1, stop_label=label)
+            answer = check(x, y)
+            if answer is not None:
+                return _IpmResult(x, y, done, answer=answer)
 
         if ep <= tol and ed <= tol and min(eg, compl) <= tol:
-            return _IpmResult(True, data.split(x), y, it - 1)
+            return _IpmResult(x, y, done)
 
         gs, gis, lams = zip(*(_nt_scaling(xg, sg) for xg, sg in zip(x, s)))
         roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
         wmats = [g @ _ct(g) for g in gs]
-        try:
-            schur = data.schur(wmats)
-            jitter = 1e-13 * max(1.0, float(np.max(np.diag(schur))))
-            for _ in range(12):
-                try:
-                    cf = cho_factor(schur + jitter * np.eye(m), lower=True)
-                    break
-                except np.linalg.LinAlgError:
-                    jitter *= 100.0
-            else:
-                msg = "Schur factorisation failed"
+        schur = q._schur(wmats)
+        awrdw = q._apply([w @ r @ w for w, r in zip(wmats, rd)])
+        if not (np.isfinite(schur).all() and np.isfinite(awrdw).all()):
+            msg = "iterates diverged"
+            break
+        jitter = 1e-13 * max(1.0, float(np.max(np.diag(schur))))
+        for _ in range(12):
+            try:
+                cf = cho_factor(schur + jitter * np.eye(m), lower=True)
                 break
-        except np.linalg.LinAlgError:
-            msg = "Schur assembly failed"
+            except np.linalg.LinAlgError:
+                jitter *= 100.0
+        else:
+            msg = "Schur factorisation failed"
             break
 
-        wrdw = [w @ r @ w for w, r in zip(wmats, rd)]
-
         def solve_dirs(rc):
-            rhs = rp - data.apply(rc) + data.apply(wrdw)
+            rhs = rp - q._apply(rc) + awrdw
             dy = cho_solve(cf, rhs)
             dy = dy + cho_solve(cf, rhs - schur @ dy)  # one refinement pass
-            ds = [r - a for r, a in zip(rd, data.adjoint(dy))]
+            ds = [r - a for r, a in zip(rd, q._adjoint(dy))]
             dx = [c - w @ d @ w for c, w, d in zip(rc, wmats, ds)]
             return [hermitian_part(d) for d in dx], dy, [hermitian_part(d) for d in ds]
 
@@ -486,25 +475,16 @@ def _ipm(
         ap_a, ad_a, dxs_a, dss_a = steplen(dxa, dsa)
         ap_a = min(1.0, 0.99 * ap_a)
         ad_a = min(1.0, 0.99 * ad_a)
-        mu_aff = (
-            _inner(
-                [xg + ap_a * d for xg, d in zip(x, dxa)],
-                [sg + ad_a * d for sg, d in zip(s, dsa)],
-            )
-            / ndim
-        )
-        mu_aff = max(mu_aff, 0.0)
+        xa = [xg + ap_a * d for xg, d in zip(x, dxa)]
+        sa = [sg + ad_a * d for sg, d in zip(s, dsa)]
+        mu_aff = max(_inner(xa, sa) / ndim, 0.0)
         sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
 
         # corrector
         rc = []
         for g, lam, dxs, dss in zip(gs, lams, dxs_a, dss_a):
             eye = np.eye(lam.shape[-1])
-            tmat = (
-                sigma * mu * eye
-                - lam[:, :, None] ** 2 * eye
-                - (dxs @ dss + dss @ dxs) / 2.0
-            )
+            tmat = sigma * mu * eye - lam[:, :, None] ** 2 * eye - (dxs @ dss + dss @ dxs) / 2.0
             u = 2.0 * tmat / (lam[:, :, None] + lam[:, None, :])
             rc.append(hermitian_part(g @ u @ _ct(g)))
 
@@ -530,12 +510,9 @@ def _ipm(
         else:
             stall = 0
         prev_mu = mu
-        best = (x, y, it)
-
-    if best is None:
-        best = (x, y, 0)
-    x, y, it = best
-    return _IpmResult(False, data.split(x), y, it, message=msg)
+    else:
+        done = MAX_ITER
+    return _IpmResult(x, y, done, message=msg)
 
 
 # --------------------------------------------------------------------------
@@ -543,20 +520,9 @@ def _ipm(
 # --------------------------------------------------------------------------
 
 
-def _expand_y(form: _Form, y_reduced: np.ndarray, m_total: int) -> np.ndarray:
-    """Map multipliers of the kept, scaled rows back to original indexing."""
-    y = np.zeros(m_total)
-    y[form.kept] = y_reduced / form.row_scale[form.kept]
-    return y
-
-
-def _row_values(p: SdpProblem, primal) -> np.ndarray:
-    """<A_i, X> for every row i, summed over blocks."""
-    return sum(_flat(ak) @ _flat(np.asarray(xb)) for ak, xb in zip(p.a, primal))
-
-
-def _sum_y_a(p: SdpProblem, y: np.ndarray) -> list[np.ndarray]:
-    return [np.tensordot(y, ak, axes=1) for ak in p.a]
+def _lambda_max(p: SdpProblem, y: np.ndarray) -> float:
+    """lambda_max(sum_i y_i A_i) over the blocks."""
+    return max(float(_kernels.eigh_kernel(h)[0][:, -1].max()) for h in p._adjoint(y))
 
 
 def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
@@ -564,57 +530,62 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
     if gap <= 0.0:
         return None
     y = y / gap
-    lam_max = max(linalg.max_eigenvalue(h) for h in _sum_y_a(p, y))
+    lam_max = _lambda_max(p, y)
     if lam_max > FARKAS_TOL:
         return None
     yv = np.asarray(y, dtype=float)
     yv.flags.writeable = False
-    return FarkasCertificate(y=yv, gap=1.0, lambda_max=float(lam_max))
+    return FarkasCertificate(y=yv, gap=1.0, lambda_max=lam_max)
 
 
-def solve(
-    p: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, check=None,
-    start=None,
-) -> SdpOutcome:
+def solve(p: SdpProblem, tol: float = DEFAULT_TOL, check=None, start=None) -> SdpOutcome:
     """Solve a feasibility or linear-objective SDP.
 
     ``check``, for an objective problem only, sees every iterate (the list
-    of primal blocks, and y in the problem's row order); a non-empty label
-    from it stops the solve with status STOPPED and the label as message.
+    of primal blocks, and y in the problem's row order); the first answer
+    other than None that it returns stops the solve with status STOPPED
+    and that answer in ``answer``.
 
     ``start``, for an objective problem with independent rows, is a
     strictly interior point (X, y) with A(X) = b to START_TOL and
-    C - A*(y) > 0 (ValueError otherwise).  The rows are then taken as
+    C - A*(y) > 0 (ValueError otherwise).  The problem is then solved as
     given, not preprocessed, and every iterate is feasible on both sides.
     """
-    if start is not None and p.c is None:
-        raise ValueError("a start is for a problem with an objective")
-    m = len(p.b)
-    form = _preprocess(p) if start is None else _Form(list(p.a), p.b, np.arange(m), np.ones(m))
-    conflict = _conflict_outcome(p, form)
-    if conflict is not None:
-        return conflict
+    if start is not None:
+        if p.c is None:
+            raise ValueError("a start is for a problem with an objective")
+        return _solve_optimization(p, p, None, tol, check, start)
+    q, rows, conflict_y = _preprocess(p)
+    if conflict_y is not None:
+        # sum_i y_i A_i = 0 with y.b > 0: a Farkas certificate, unless the
+        # numerics are pathological
+        cert = _farkas_from_y(p, conflict_y)
+        if cert is None:
+            raise InconsistentConstraintsError(
+                "dependent constraint rows have conflicting right-hand sides"
+            )
+        return SdpOutcome(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
     if p.c is None:
-        return _solve_feasibility(p, form, tol, max_iter)
-    return _solve_optimization(p, form, tol, max_iter, check, start)
+        return _solve_feasibility(p, q, rows, tol)
+    return _solve_optimization(p, q, rows, tol, check)
 
 
 def _solve_optimization(
-    p: SdpProblem, form: _Form, tol: float, max_iter: int, check=None, start=None
+    p: SdpProblem, q: SdpProblem, rows, tol: float, check=None, start=None
 ) -> SdpOutcome:
-    hook = None if check is None else (lambda x, y: check(x, _expand_y(form, y, len(p.b))))
-    res = _ipm(_BlockData(form.a, list(p.c)), form.b, tol, max_iter, hook, start)
-    if res.stop_label:
-        return SdpOutcome(
-            status=SdpStatus.STOPPED, iterations=res.iterations, message=res.stop_label
-        )
-    if res.converged:
-        primal = tuple(linalg.hermitian(xb) for xb in res.x)
+    """``q``, reduced from ``p`` with the row map ``rows``, by the IPM."""
+    hook = None if check is None else (
+        lambda x, y: check(q._split(x), _expand_y(rows, y, len(p.b)))
+    )
+    res = _ipm(q, tol, hook, start)
+    if res.answer is not None:
+        return SdpOutcome(status=SdpStatus.STOPPED, iterations=res.iterations, answer=res.answer)
+    if not res.message:
         return SdpOutcome(
             status=SdpStatus.OPTIMAL,
-            primal=primal,
-            objective_value=_objective_value(p, primal),
-            y=_expand_y(form, res.y, len(p.b)),
+            primal=tuple(linalg.hermitian(xb) for xb in q._split(res.x)),
+            objective_value=_inner(q.cg, res.x),
+            y=_expand_y(rows, res.y, len(p.b)),
             iterations=res.iterations,
         )
     return SdpOutcome(
@@ -622,12 +593,9 @@ def _solve_optimization(
     )
 
 
-def _objective_value(p: SdpProblem, primal) -> float:
-    return float(sum(_flat(ck) @ _flat(xb) for ck, xb in zip(p.c, primal)))
-
-
-def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) -> SdpOutcome:
-    """The objective problem with C = 0 on the rows scaled to max|b| = 1.
+def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOutcome:
+    """The objective problem with C = 0 on the rows of ``q`` (reduced from
+    ``p`` with the row map ``rows``) scaled to max|b| = 1.
 
     The infeasible-start iterates are strictly PD and tend to a
     relative-interior feasible point when there is one, while y tends to a
@@ -637,31 +605,26 @@ def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) ->
     blocks; y is Infeasible when its Farkas certificate has lambda_max <=
     0.1 * FARKAS_TOL.  Without an answer the status is NumericalFailure.
     """
-    scale = float(np.abs(form.b).max()) or 1.0
-    b = form.b / scale
-    flat = [_flat(ak).reshape(len(b), -1) for ak in form.a]
-    gram = cho_factor(sum(f @ f.T for f in flat))
-    found = []
+    scale = float(np.abs(q.b).max()) or 1.0
+    q = SdpProblem._unchecked(q.blocks, q.a, q.b / scale, None)
+    gram = cho_factor(sum(f @ f.T for f in q.flat))
 
     def check(x, y):
         for _ in range(2):
-            z = cho_solve(gram, b - sum(f @ _flat(xk).ravel() for f, xk in zip(flat, x)))
-            x = [xk + np.tensordot(z, ak, axes=1) for xk, ak in zip(x, form.a)]
-        lam = [_kernels.eigh_kernel(xk)[0] for xk in x]
-        if min(w[0] for w in lam) >= -tol * max(np.abs(w).max() for w in lam):
-            primal = tuple(linalg.hermitian(scale * xk) for xk in x)
-            found.append(SdpOutcome(status=SdpStatus.FEASIBLE, primal=primal))
-            return "feasible"
-        cert = _farkas_from_y(p, _expand_y(form, y, len(p.b)))
+            z = cho_solve(gram, q.b - q._apply(x))
+            x = [xg + az for xg, az in zip(x, q._adjoint(z))]
+        lam = [_kernels.eigh_kernel(xg)[0] for xg in x]
+        if min(w[:, 0].min() for w in lam) >= -tol * max(np.abs(w).max() for w in lam):
+            primal = tuple(linalg.hermitian(scale * xb) for xb in q._split(x))
+            return dict(status=SdpStatus.FEASIBLE, primal=primal)
+        cert = _farkas_from_y(p, _expand_y(rows, y, len(p.b)))
         if cert is not None and cert.lambda_max <= 0.1 * FARKAS_TOL:
-            found.append(SdpOutcome(status=SdpStatus.INFEASIBLE, dual_certificate=cert))
-            return "infeasible"
-        return ""
+            return dict(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
+        return None
 
-    zeros = [np.zeros((n, n)) for n in p.blocks]
-    res = _ipm(_BlockData(form.a, zeros), b, tol, max_iter, check=check)
-    if found:
-        return replace(found[0], iterations=res.iterations)
+    res = _ipm(q, tol, check)
+    if res.answer is not None:
+        return SdpOutcome(**res.answer, iterations=res.iterations)
     return SdpOutcome(
         status=SdpStatus.NUMERICAL_FAILURE,
         iterations=res.iterations,
@@ -671,12 +634,13 @@ def _solve_feasibility(p: SdpProblem, form: _Form, tol: float, max_iter: int) ->
 
 def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
     """Independent re-check of an outcome against the problem data, with
-    eigenvalues from the linalg module."""
+    eigenvalues from the LAPACK call of `_kernels.eigh_kernel`."""
     if outcome.status in (SdpStatus.FEASIBLE, SdpStatus.OPTIMAL):
-        if outcome.primal is None:
-            return SdpVerifyReport(ok=False, max_residual=np.inf, notes="missing primal")
-        psd_margin = min(linalg.min_eigenvalue(xb) for xb in outcome.primal)
-        gaps = np.abs(_row_values(p, outcome.primal) - p.b)
+        if outcome.primal is None or len(outcome.primal) != len(p.blocks):
+            return SdpVerifyReport(ok=False, max_residual=np.inf, notes="primal blocks missing")
+        x = [linalg.hermitian(xs, 3, "primal") for xs in p._stacks(outcome.primal)]
+        psd_margin = min(float(_kernels.eigh_kernel(xs)[0][:, 0].min()) for xs in x)
+        gaps = np.abs(p._apply(x) - p.b)
         max_res = float(np.max(gaps, initial=0.0))
         scale = 1.0 + max(float(np.linalg.norm(xb)) for xb in outcome.primal)
         ok = psd_margin >= -1e-7 * scale and max_res <= 1e-6
@@ -692,7 +656,7 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
         if cert is None:
             return SdpVerifyReport(ok=False, max_residual=np.inf, notes="missing certificate")
         gap = float(cert.y @ p.b)
-        lam_max = max(linalg.max_eigenvalue(h) for h in _sum_y_a(p, cert.y))
+        lam_max = _lambda_max(p, cert.y)
         ok = gap > 0.0 and lam_max <= FARKAS_TOL * gap
         return SdpVerifyReport(
             ok=ok,

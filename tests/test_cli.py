@@ -165,6 +165,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "malformed JSON" in err
 
+    def test_division_by_zero_in_alpha(self, capsys):
+        code, _, err = run(
+            capsys, "check-inclusion", "--src", "square", "--tgt", "calpha", "--alpha", "1/0"
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "division by zero" in err
+
+    @pytest.mark.parametrize(
+        "doc", [{"result": 5}, {"certificate": 5}, {"result": {"certificate": 5}}]
+    )
+    def test_verify_certificate_that_is_not_an_object(self, capsys, tmp_path, doc):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+
 
 class TestSeedReproducibility:
     def test_byte_identical_json(self, capsys):

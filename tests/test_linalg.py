@@ -112,6 +112,17 @@ class TestMinEigenvalue:
             lhs = min_eigenvalue(HermitianMatrix(a.mat + b.mat))
             assert lhs >= min_eigenvalue(a) + min_eigenvalue(b) - 1e-9
 
+    def test_eigenvalue_helpers_keep_the_bits_of_eigh(self):
+        # the helpers skip eigh's eigenvector phases, not its LAPACK call
+        rng = np.random.default_rng(4)
+        for n in range(1, 7):
+            for _ in range(20):
+                a = linalg.random_hermitian(rng, n)
+                ref = eigh(a).eigenvalues
+                assert np.array_equal(linalg.eigvalsh(a), ref)
+                assert min_eigenvalue(a) == ref[0]
+                assert linalg.max_eigenvalue(a.mat) == ref[-1]
+
 
 class TestIsPsd:
     def test_identity(self):

@@ -498,10 +498,12 @@ class TestMarginStart:
         cone = _scaled_and_reordered(_polygon(7), rng)
         for _ in range(10):
             a = containment.random_max_tuple(_polygon(7), 3, rng)
-            min_membership(cone, a, dump_to=tmp_path / "dump.sdpa")
+            min_membership(cone, a)
             if solve_calls:
                 break
         assert len(solve_calls) == 1
+        problem = opsys.margin_sdp(cone.generators, a.stack, cone.facets.sum(axis=0))
+        sdp.dump_problem(problem, tmp_path / "dump.sdpa")
         sdp.dump_problem(solve_calls[0][0], tmp_path / "solved.sdpa")
         assert (tmp_path / "dump.sdpa").read_bytes() == (tmp_path / "solved.sdpa").read_bytes()
 

@@ -72,6 +72,15 @@ class TestVerify:
         assert not rep.ok
         assert rep.psd_margin == pytest.approx(-0.1, abs=1e-12)
 
+    def test_primal_block_by_block(self):
+        # a block missing is flagged; real blocks are read as Hermitian
+        p = sdp.SdpProblem.make([2, 3], [((np.eye(2), None), 1.0)])
+        half = np.eye(2, dtype=complex) / 2
+        missing = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(half,))
+        assert not sdp.verify(missing, p).ok
+        real = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(half.real, np.eye(3)))
+        assert sdp.verify(real, p).ok
+
 
 class TestRoundTripInvariant:
     def test_random_feasible_outcomes_verify(self):
@@ -257,3 +266,42 @@ class TestValidation:
     def test_non_hermitian_coefficient(self):
         with pytest.raises(ValueError, match="Hermitian"):
             sdp.SdpProblem.make([2], [(([[1, 1], [0, 1]],), 1.0)])
+
+
+class TestCheck:
+    def test_first_answer_stops_the_solve(self):
+        # min X00 + X11 subject to X01 + X10 = 2: the check answers at its
+        # third iterate, after two completed iterations
+        p = sdp.SdpProblem.make([2], [((SIGMA_X,), 2.0)], objective=(np.eye(2),))
+        seen = []
+
+        def check(x, y):
+            seen.append((len(x), y.shape))
+            return "third" if len(seen) == 3 else None
+
+        out = sdp.solve(p, check=check)
+        assert out.status is sdp.SdpStatus.STOPPED
+        assert out.answer == "third"
+        assert out.iterations == 2
+        assert seen == [(1, (1,))] * 3
+
+
+class TestFailureExits:
+    E00 = np.diag([1.0, 0.0])
+    E11 = np.diag([0.0, 1.0])
+
+    def test_unbounded_objective_is_a_numerical_failure(self):
+        # minimise -X00 subject to X11 = 1: the iterates run off to infinity
+        p = sdp.SdpProblem.make([2], [((self.E11,), 1.0)], objective=(-self.E00,))
+        with np.errstate(all="ignore"):
+            out = sdp.solve(p)
+        assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
+        assert out.message == "iterates diverged"
+
+    def test_infeasible_objective_problem_runs_out_of_iterations(self):
+        # minimise tr X subject to X00 = -1: no PSD point, no divergence
+        p = sdp.SdpProblem.make([2], [((self.E00,), -1.0)], objective=(np.eye(2),))
+        out = sdp.solve(p)
+        assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
+        assert out.message == "max iterations reached"
+        assert out.iterations == sdp.MAX_ITER
