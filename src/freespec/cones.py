@@ -194,18 +194,23 @@ def is_simplex(cone: PolyhedralCone) -> bool:
     return cone.n_generators == cone.dim
 
 
+# the rays (+-1, -+1, 1), (+-1, +-1, 1) of the square cone, read-only; the
+# two diagonals are rows {0, 1} and {2, 3}: w_0 + w_1 = w_2 + w_3
+SQUARE_RAYS = np.array(
+    [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]
+)
+SQUARE_RAYS.flags.writeable = False
+
+
 def square_cone() -> PolyhedralCone:
-    """The cone over the square: generators (+-1, -+1, 1), unit (0, 0, 1).
+    """The cone over the square: generators `SQUARE_RAYS`, unit (0, 0, 1).
 
     Facet order: c - a, c + a, c - b, c + b as functionals of (a, b, c).
     """
-    generators = np.array(
-        [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]
-    )
     facets = np.array(
         [[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, 1.0, 1.0]]
     )
-    return PolyhedralCone(generators, np.array([0.0, 0.0, 1.0]), facets=facets)
+    return PolyhedralCone(SQUARE_RAYS, np.array([0.0, 0.0, 1.0]), facets=facets)
 
 
 def rays_equal(a: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> bool:

@@ -33,13 +33,13 @@ import numpy as np
 
 from . import _kernels, certificates, linalg, sdp
 from .cones import (
+    SQUARE_RAYS,
     PolyhedralCone,
     SimplexCone,
     best_sandwich_simplex,
     is_centrally_symmetric,
     is_simplex,
     rays_equal,
-    section_of,
     square_cone,
 )
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
@@ -309,75 +309,40 @@ def free_witness_square(alpha: float) -> FreeWitness:
     )
 
 
-def _cyclic_orders(k: int):
-    base = list(range(k))
-    for start in range(k):
-        yield [base[(start + i) % k] for i in range(k)]
-        yield [base[(start - i) % k] for i in range(k)]
-
-
-def _angular_order(cone: PolyhedralCone) -> list[int]:
-    """Indices of the generators in cyclic order around the section centre."""
-    n = cone.facets.mean(axis=0)
-    sec = section_of(cone, n)
-    centre = sec.vertices.mean(axis=0)
-    rel = sec.vertices - centre
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    return list(np.argsort(angles))
-
-
 def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
     """Linear map L in GL_3 carrying the square cone's rays onto the rays of
-    a quadrilateral cone (projective transform of the section squares)."""
+    a quadrilateral cone, diagonal onto diagonal; None for other sources.
+
+    The source rays satisfy one linear relation sum_k lam_k g_k = 0 with
+    lam_3 = -1.  For a quadrilateral its two positive and two negative
+    coefficients pick out the diagonals, as w_0 + w_1 = w_2 + w_3 does for
+    the square: L sends w_0, w_1 to |lam_p| g_p over the positive pair and
+    w_2 to |lam_q| g_q for the first of the negative pair, so w_3 lands on
+    |lam_q| g_q for the other.  L is scaled so that the mean facet of the
+    source is 1 at L e_3.
+    """
     if src.dim != 3 or src.n_generators != 4:
         return None
-    sq = square_cone()
-    sq_order = _angular_order(sq)
-    try:
-        src_order = _angular_order(src)
-    except ValueError:
+    g = src.generators
+    lam = np.append(np.linalg.solve(g[:3].T, g[3]), -1.0)
+    pos, neg = np.flatnonzero(lam > 0), np.flatnonzero(lam < 0)
+    if len(pos) != 2 or len(neg) != 2:
         return None
-    gens_sq = sq.generators
-    gens_src = src.generators
-    for order in _cyclic_orders(4):
-        pairs = [(gens_sq[sq_order[k]], gens_src[src_order[order[k]]]) for k in range(4)]
-        # unknowns: 9 entries of L plus 4 scales; rows L w - s g = 0
-        sys = np.zeros((12, 13))
-        for k, (w, g) in enumerate(pairs):
-            for row in range(3):
-                sys[3 * k + row, 3 * row : 3 * row + 3] = w
-                sys[3 * k + row, 9 + k] = -g[row]
-        _, sv, vt = np.linalg.svd(sys)
-        # 12 x 13 system: vt[-1] is the exact null direction; a tiny 12th
-        # singular value would mean the solution is not unique
-        if sv[-1] <= 1e-10 * sv[0]:
-            continue
-        sol = vt[-1]
-        scales = sol[9:]
-        if np.all(scales > 1e-9) or np.all(scales < -1e-9):
-            if scales[0] < 0:
-                sol = -sol
-            l = sol[:9].reshape(3, 3)
-            if abs(np.linalg.det(l)) > 1e-10:
-                # fix the ray-wise scale freedom: send the square's unit to
-                # the section height 1 of the source (mean-facet functional)
-                ell = src.facets.mean(axis=0)
-                h = float(ell @ (l @ sq.unit))
-                if h > 1e-12:
-                    return l / h
-    return None
+    rows = [*pos, neg[0]]
+    l = np.linalg.solve(SQUARE_RAYS[:3], np.abs(lam[rows, None]) * g[rows]).T
+    return l / float(src.facets.mean(axis=0) @ l[:, 2])
 
 
 def square_type_witness(src: PolyhedralCone) -> Optional[MatrixTuple]:
-    """Push the square's level-2 witness through a projective map onto a
-    quadrilateral source cone; None when the source is not of that type."""
+    """Push the square's level-2 witness through the linear map of
+    `_quad_map_from_square` onto a quadrilateral source cone; None when the
+    source is not a quadrilateral or the image fails the source check."""
     base = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
-    sq = square_cone()
     if (
         src.dim == 3
         and src.n_generators == 4
-        and rays_equal(src.generators, sq.generators)
-        and np.max(np.abs(src.unit / np.linalg.norm(src.unit) - sq.unit)) < 1e-12
+        and rays_equal(src.generators, SQUARE_RAYS)
+        and np.max(np.abs(src.unit / np.linalg.norm(src.unit) - [0.0, 0.0, 1.0])) < 1e-12
     ):
         return base
     l = _quad_map_from_square(src)
@@ -400,8 +365,12 @@ class VerdictConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class InclusionVerdict:
+    """``source`` is the pencil the relaxation decided: the source cone's
+    diagonal realization, which its certificate refers to."""
+
     scalar: ScalarInclusionResult
     relaxation: RelaxationResult
+    source: LinearPencil
     free_witness: Optional[FreeWitness] = None
 
     def __post_init__(self):
@@ -419,9 +388,10 @@ class InclusionVerdict:
 def check_inclusion(src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8) -> InclusionVerdict:
     """Scalar inclusion, then the matricial relaxation on the source's
     diagonal realization, then a constructive level-2 witness when the
-    source is of square type and the witness verifiably escapes the target."""
+    source is a quadrilateral and the witness verifiably escapes the target."""
     scal = scalar_inclusion(src, tgt, tol=tol)
-    relax = relaxation(diagonal_pencil(src), tgt, tol=tol)
+    diag = diagonal_pencil(src)
+    relax = relaxation(diag, tgt, tol=tol)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
         cand = square_type_witness(src)
@@ -434,7 +404,7 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8) -
                     source_margin=max_membership(src, cand).margin,
                     target_margin=tgt_res.margin,
                 )
-    return InclusionVerdict(scalar=scal, relaxation=relax, free_witness=witness)
+    return InclusionVerdict(scalar=scal, relaxation=relax, source=diag, free_witness=witness)
 
 
 # --------------------------------------------------------------------------
@@ -567,17 +537,17 @@ def random_max_tuple(
     ed[-1] = 1.0
     if np.max(np.abs(cone.unit - ed)) > 1e-12:
         raise ValueError("random_max_tuple requires the unit to be e_d")
-    head = [linalg.random_hermitian(rng, s) for _ in range(d - 1)]
-    t_req = 0.0
-    for k in range(cone.n_facets):
-        f = sum(cone.facets[k, i] * head[i].mat for i in range(d - 1))
-        lam = linalg.min_eigenvalue(f)
-        coef = cone.facets[k, -1]
-        if coef <= 1e-12:
-            raise ValueError("facet does not involve the unit coordinate")
-        t_req = max(t_req, -lam / coef)
+    head = np.array([linalg.random_hermitian(rng, s).mat for _ in range(d - 1)])
+    coef = cone.facets[:, -1]
+    if np.any(coef <= 1e-12):
+        raise ValueError("facet does not involve the unit coordinate")
+    # summed coordinate by coordinate, so each facet evaluation has the
+    # bits of the per-facet sum; one eigensolve for the (k, s, s) stack
+    f = sum(cone.facets[:, i, None, None] * head[i] for i in range(d - 1))
+    lam = _kernels.eigh_kernel(f)[0][:, 0]
+    t_req = max(0.0, float(np.max(-lam / coef)))
     t = t_req + 0.05 * float(rng.random())
-    return MatrixTuple(head + [t * np.eye(s)])
+    return MatrixTuple(np.concatenate([head, t * np.eye(s)[None]]))
 
 
 def _sampling_verification(cone, nu_general, nu_symmetric, samples, seed) -> dict:

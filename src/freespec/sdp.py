@@ -376,10 +376,13 @@ def _step_to_boundary(h: np.ndarray) -> float:
     return 1.0 / (-lam_min)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
     """Iterate on ``q`` until ``check(x, y)`` gives an answer other than
     None, the iterate converges or a failure stops it; ``iterations``
-    counts the completed iterations."""
+    counts the completed iterations.  Overflow is silent: the finiteness
+    tests on mu and the residuals and on the Schur system end a diverging
+    solve as "iterates diverged"."""
     ndim = sum(q.blocks)
     m = len(q.b)
     b = q.b

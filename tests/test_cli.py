@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import cli, cones, linalg, opsys, pencil, sampling, sdp
+from freespec import cli, cones, containment, linalg, opsys, pencil, sampling, sdp
 from freespec.containment import _choi_problem
 from freespec.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, parse_expression
 from freespec.linalg import SIGMA_X, SIGMA_Z
@@ -119,6 +119,25 @@ class TestCheckInclusion:
         assert doc["result"]["relaxation"]["status"] == "Infeasible"
         margin = doc["result"]["free_witness"]["target_margin"]
         assert margin == pytest.approx(1 - math.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize("dump, calls", [(False, 1), (True, 2)])
+    def test_diagonal_pencil_built_once(self, capsys, monkeypatch, tmp_path, dump, calls):
+        # the certificate refers to the pencil the relaxation decided; only
+        # --dump-sdp, written before the decision, builds its own
+        built = []
+        build = containment.diagonal_pencil
+
+        def counting(cone):
+            built.append(cone)
+            return build(cone)
+
+        monkeypatch.setattr(containment, "diagonal_pencil", counting)
+        argv = ["check-inclusion", "--src", "square", "--tgt", "calpha", "--alpha", "pi/4"]
+        if dump:
+            argv += ["--dump-sdp", str(tmp_path / "relax.sdp")]
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(built) == calls
 
 
 class TestComei:

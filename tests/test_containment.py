@@ -1,5 +1,6 @@
 """Inclusion pipeline: scalar test, relaxation, witnesses, scaling, demo."""
 
+import itertools
 import math
 
 import numpy as np
@@ -523,6 +524,32 @@ class TestFreeWitness:
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+SKEWED_QUAD = np.array(
+    [[2.0, -0.5, 1.0], [-1.0, 1.5, 1.0], [1.2, 1.0, 1.0], [-0.8, -1.0, 1.0]]
+)
+
+
+def _skewed_quad(order=range(4)):
+    return PolyhedralCone.from_generators(
+        SKEWED_QUAD[list(order)], unit=np.array([0.2, 0.3, 1.0])
+    )
+
+
+def _random_quadrilateral(rng):
+    """A convex quadrilateral cone: four points on an ellipse with angular
+    gaps in (0.3, pi - 0.2), lifted to height 1, each ray scaled at random,
+    in random order, with a random interior unit."""
+    while True:
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, 4))
+        gaps = np.diff(np.append(ang, ang[0] + 2.0 * math.pi))
+        if gaps.min() > 0.3 and gaps.max() < math.pi - 0.2:
+            break
+    pts = np.column_stack([np.cos(ang), np.sin(ang)]) @ rng.normal(size=(2, 2))
+    gens = np.column_stack([pts + rng.normal(size=2), np.ones(4)])
+    gens = (gens * rng.uniform(0.3, 3.0, 4)[:, None])[rng.permutation(4)]
+    return PolyhedralCone(gens, rng.uniform(0.2, 1.0, 4) @ gens)
+
+
 class TestSquareTypeWitness:
     def test_square_gets_canonical_tuple(self):
         w = square_type_witness(square_cone())
@@ -530,12 +557,7 @@ class TestSquareTypeWitness:
         assert np.array_equal(w.entries[1].mat, SIGMA_X.mat)
 
     def test_skewed_quadrilateral(self):
-        quad = PolyhedralCone.from_generators(
-            np.array(
-                [[2.0, -0.5, 1.0], [-1.0, 1.5, 1.0], [1.2, 1.0, 1.0], [-0.8, -1.0, 1.0]]
-            ),
-            unit=np.array([0.2, 0.3, 1.0]),
-        )
+        quad = _skewed_quad()
         w = square_type_witness(quad)
         assert w is not None
         assert max_membership(quad, w).classification is Classification.BOUNDARY
@@ -549,6 +571,49 @@ class TestSquareTypeWitness:
             unit=np.array([0.0, 0.0, 1.0]),
         )
         assert square_type_witness(tri) is None
+
+    def test_random_quadrilaterals(self):
+        from freespec.opsys import min_membership
+
+        rng = np.random.default_rng(19)
+        for _ in range(12):
+            quad = _random_quadrilateral(rng)
+            g = quad.generators / np.linalg.norm(quad.generators, axis=1)[:, None]
+            images = containment._quad_map_from_square(quad) @ cones.SQUARE_RAYS.T
+            # each square ray lands on a positive multiple of a distinct source ray
+            images /= np.linalg.norm(images, axis=0)
+            match = np.argmax(g @ images, axis=0)
+            assert sorted(match) == [0, 1, 2, 3]
+            assert np.max(np.abs(g[match] - images.T)) < 1e-12
+            w = square_type_witness(quad)
+            assert w is not None
+            assert max_membership(quad, w).classification is Classification.BOUNDARY
+            assert min_membership(quad, w).status is MinMembershipStatus.NOT_MEMBER
+
+    def test_generator_order_does_not_change_the_witness(self):
+        targets = [elliptic_cone_pencil(a) for a in (0.4, math.pi / 4, 1.2)]
+        want = None
+        for order in itertools.permutations(range(4)):
+            quad = _skewed_quad(order)
+            w = square_type_witness(quad)
+            got = (
+                [membership(t, w).margin for t in targets],
+                [check_inclusion(quad, t).free_witness is not None for t in targets],
+            )
+            if want is None:
+                want = got
+            assert np.max(np.abs(np.subtract(got[0], want[0]))) < 1e-12, order
+            assert got[1] == want[1], order
+
+    def test_builds_no_cone(self, monkeypatch):
+        sources = [square_cone(), _skewed_quad(), TestPentagonNonTightness._pentagon()]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("square_type_witness built a cone")
+
+        monkeypatch.setattr(PolyhedralCone, "__init__", forbidden)
+        found = [square_type_witness(src) is not None for src in sources]
+        assert found == [True, True, False]
 
 
 class TestCheckInclusion:
@@ -587,7 +652,8 @@ class TestCheckInclusion:
 class TestPentagonNonTightness:
     """A non-simplex source beyond the square family also shows the gap."""
 
-    def _pentagon(self):
+    @staticmethod
+    def _pentagon():
         pts = [
             [math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5), 1.0]
             for k in range(5)
@@ -730,6 +796,35 @@ class TestScaledMaxInMin:
             a = containment.random_max_tuple(sq, 2, rng)
             res = scaled_max_in_min(sq, 0.5, a)
             assert res.status is MinMembershipStatus.MEMBER
+
+
+def _random_max_tuple_per_facet(cone, s, rng):
+    """Reference for `containment.random_max_tuple`: one eigensolve per facet."""
+    d = cone.dim
+    head = [linalg.random_hermitian(rng, s) for _ in range(d - 1)]
+    t_req = 0.0
+    for k in range(cone.n_facets):
+        f = sum(cone.facets[k, i] * head[i].mat for i in range(d - 1))
+        t_req = max(t_req, -linalg.min_eigenvalue(f) / cone.facets[k, -1])
+    t = t_req + 0.05 * float(rng.random())
+    return MatrixTuple(head + [t * np.eye(s)])
+
+
+class TestRandomMaxTuple:
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8, "cube"])
+    def test_matches_the_per_facet_loop(self, k):
+        if k == "cube":  # three head coordinates, summed in order
+            gens = [[x, y, z, 1.0] for x in (-1, 1) for y in (-1, 0.5) for z in (-1, 2)]
+            cone = PolyhedralCone.from_generators(np.array(gens), unit=np.eye(4)[3])
+        else:
+            cone = TestScalingBound._polygon(k, rotation=0.1 * k)
+        for s in (2, 3):
+            got_rng, want_rng = np.random.default_rng(s), np.random.default_rng(s)
+            for _ in range(10):
+                got = containment.random_max_tuple(cone, s, got_rng)
+                want = _random_max_tuple_per_facet(cone, s, want_rng)
+                assert np.array_equal(got.stack, want.stack)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestScalingBound:

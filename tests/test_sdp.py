@@ -290,11 +290,12 @@ class TestFailureExits:
     E00 = np.diag([1.0, 0.0])
     E11 = np.diag([0.0, 1.0])
 
+    @pytest.mark.filterwarnings("error")
     def test_unbounded_objective_is_a_numerical_failure(self):
-        # minimise -X00 subject to X11 = 1: the iterates run off to infinity
+        # minimise -X00 subject to X11 = 1: the iterates run off to infinity,
+        # and the solve ends on its finiteness test without an overflow warning
         p = sdp.SdpProblem.make([2], [((self.E11,), 1.0)], objective=(-self.E00,))
-        with np.errstate(all="ignore"):
-            out = sdp.solve(p)
+        out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
         assert out.message == "iterates diverged"
 
