@@ -17,12 +17,14 @@ environment variable consulted is FREESPEC_LOG (logging verbosity).
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import logging
 import math
+import operator
 import os
+import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,120 +49,68 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# -- tiny expression parser for angles and ratios ---------------------------
-#
-# Grammar: expr := term (('+'|'-') term)*; term := factor (('*'|'/') factor)*;
-# factor := NUMBER | 'pi' | '-' factor | '(' expr ')'
+# -- angle and ratio expressions ---------------------------------------------
+
+_EXPRESSION_CHARS = frozenset("0123456789.eE+-*/()pi")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv}
 
 
 def parse_expression(text: str) -> float:
-    tokens = _tokenize(text)
-    pos = [0]
+    """The value of ``text``: numbers (zero-padded too), ``pi``, ``+ - * /``,
+    unary minus and parentheses, with Python's precedence and float
+    arithmetic."""
+    bad = [ch for ch in text if ch not in _EXPRESSION_CHARS and not ch.isspace()]
+    if bad:
+        raise CliError(f"bad character {bad[0]!r} in expression {text!r}")
+    # Python rejects indentation, line breaks and zero-padded integers
+    src = re.sub(r"(?<![\w.])0+([0-9]+)(?![\w.])", r"\1", " ".join(text.split()))
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def factor() -> float:
-        tok = take()
-        if tok is None:
-            raise CliError(f"unexpected end of expression in {text!r}")
-        if tok == "-":
-            return -factor()
-        if tok == "(":
-            val = expr()
-            if take() != ")":
-                raise CliError(f"missing ')' in {text!r}")
-            return val
-        if tok == "pi":
+    def value(node) -> float:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(src[node.col_offset:node.end_col_offset])
+        if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
-        try:
-            return float(tok)
-        except ValueError:
-            raise CliError(f"bad token {tok!r} in expression {text!r}") from None
-
-    def term() -> float:
-        val = factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = factor()
-            if op == "*":
-                val *= rhs
-            elif rhs == 0.0:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            lhs, rhs = value(node.left), value(node.right)
+            if isinstance(node.op, ast.Div) and rhs == 0.0:
                 raise CliError(f"division by zero in expression {text!r}")
-            else:
-                val /= rhs
-        return val
+            return _BINARY[type(node.op)](lhs, rhs)
+        raise CliError(f"unsupported term in expression {text!r}")
 
-    def expr() -> float:
-        val = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    out = expr()
-    if pos[0] != len(tokens):
-        raise CliError(f"trailing tokens in expression {text!r}")
-    return out
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()":
-            out.append(ch)
-            i += 1
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"):
-                if text[j] in "eE" and j + 1 < len(text) and text[j + 1] in "+-":
-                    j += 2
-                else:
-                    j += 1
-            if j == i:
-                raise CliError(f"bad character {ch!r} in expression {text!r}")
-            out.append(text[i:j])
-            i = j
-    return out
+    try:
+        return value(ast.parse(src, mode="eval").body)
+    except SyntaxError:
+        raise CliError(f"malformed expression {text!r}") from None
+    except (RecursionError, MemoryError):  # past the depth Python parses
+        raise CliError(f"expression too deeply nested: {text!r}") from None
 
 
 # -- input loading -----------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def _read(spec: str, parse):
+    """``parse`` of the JSON document in the file ``spec``; a ValueError it
+    raises (a cone's ConeConstructionError too) names the file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(spec) as fh:
+            doc = json.load(fh)
     except FileNotFoundError:
-        raise CliError(f"file not found: {path}")
+        raise CliError(f"file not found: {spec}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}")
+        raise CliError(f"{spec}: malformed JSON at line {exc.lineno} column {exc.colno}")
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        raise CliError(f"{spec}: {exc}")
 
 
 def load_cone_arg(spec: str) -> cones.PolyhedralCone:
     if spec == "square":
         return cones.square_cone()
-    doc = _load_json(spec)
-    try:
-        return cones.cone_from_json(doc)
-    except (ValueError, cones.ConeConstructionError) as exc:
-        raise CliError(f"{spec}: {exc}")
+    return _read(spec, cones.cone_from_json)
 
 
 def load_pencil_arg(spec: str, alpha: Optional[float]) -> pencil.LinearPencil:
@@ -174,45 +124,34 @@ def load_pencil_arg(spec: str, alpha: Optional[float]) -> pencil.LinearPencil:
         if alpha is None:
             raise CliError(f"target {spec!r} requires --alpha")
         return pencil.elliptic_cone_pencil(alpha)
-    doc = _load_json(spec)
-    try:
-        return pencil.pencil_from_json(doc)
-    except ValueError as exc:
-        raise CliError(f"{spec}: {exc}")
-
-
-def load_tuple_arg(spec: str) -> pencil.MatrixTuple:
-    doc = _load_json(spec)
-    try:
-        return pencil.tuple_from_json(doc)
-    except ValueError as exc:
-        raise CliError(f"{spec}: {exc}")
+    return _read(spec, pencil.pencil_from_json)
 
 
 def load_matrix_arg(spec: str) -> linalg.HermitianMatrix:
-    doc = _load_json(spec)
-    if isinstance(doc, dict) and "matrix" in doc:
-        doc = doc["matrix"]
-    try:
-        return linalg.matrix_from_json(doc)
-    except ValueError as exc:
-        raise CliError(f"{spec}: {exc}")
+    return _read(spec, lambda doc: linalg.matrix_from_json(
+        doc["matrix"] if isinstance(doc, dict) and "matrix" in doc else doc))
+
+
+def _components(doc) -> list:
+    if not (isinstance(doc, list) and len(doc) == 4):
+        raise ValueError("expected a JSON array of four matrices")
+    return [linalg.matrix_from_json(m) for m in doc]
+
+
+def _certificate(doc):
+    """The certificate of a full CLI output document, or the document."""
+    result = doc.get("result") if isinstance(doc, dict) else None
+    return result["certificate"] if isinstance(result, dict) and "certificate" in result else doc
 
 
 # -- reporting ----------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output: str
-    seed: int
-    tol: float
-
-
 class Report:
-    def __init__(self, config: RunConfig):
-        self.config = config
+    def __init__(self, command: str, output: str, seed: int):
+        self.command = command
+        self.output = output
+        self.seed = seed
         self.lines: list[str] = []
         self.data: dict = {}
         self.exit_code = EXIT_OK
@@ -224,11 +163,11 @@ class Report:
         self.data[key] = value
 
     def render(self) -> str:
-        if self.config.output == "json":
+        if self.output == "json":
             doc = {
                 "schema_version": SCHEMA_VERSION,
-                "command": self.config.command,
-                "seed": self.config.seed,
+                "command": self.command,
+                "seed": self.seed,
                 "result": self.data,
             }
             return json.dumps(doc, sort_keys=True, indent=1)
@@ -311,7 +250,7 @@ def _cmd_relaxation(args, rep: Report) -> None:
 
 def _cmd_min_membership(args, rep: Report) -> None:
     cone = load_cone_arg(args.cone)
-    query = load_tuple_arg(args.tuple)
+    query = _read(args.tuple, pencil.tuple_from_json)
     _dump(args, opsys.margin_sdp, cone.generators, query.stack, cone.facets.sum(axis=0))
     res = opsys.min_membership(cone, query, tol=args.tol)
     rep.put("status", res.status.value)
@@ -332,7 +271,7 @@ def _cmd_min_membership(args, rep: Report) -> None:
 
 def _cmd_max_membership(args, rep: Report) -> None:
     cone = load_cone_arg(args.cone)
-    query = load_tuple_arg(args.tuple)
+    query = _read(args.tuple, pencil.tuple_from_json)
     res = opsys.max_membership(cone, query, tol=args.tol)
     rep.put("classification", res.classification.value)
     rep.put("margin", res.margin)
@@ -344,10 +283,7 @@ def _cmd_max_membership(args, rep: Report) -> None:
 
 
 def _cmd_essential_boundary(args, rep: Report) -> None:
-    doc = _load_json(args.components)
-    if not (isinstance(doc, list) and len(doc) == 4):
-        raise CliError(f"{args.components}: expected a JSON array of four matrices")
-    comps = [linalg.matrix_from_json(m) for m in doc]
+    comps = _read(args.components, _components)
     _dump(args, opsys.essential_boundary_sdp, comps, args.epsilon)
     res = opsys.essential_boundary_square(comps, eps=args.epsilon, tol=args.tol)
     rep.put("status", res.status.value)
@@ -451,11 +387,7 @@ def _cmd_entangled_demo(args, rep: Report) -> None:
 
 
 def _cmd_verify(args, rep: Report) -> None:
-    doc = _load_json(args.certificate)
-    result = doc.get("result") if isinstance(doc, dict) else None
-    if isinstance(result, dict) and "certificate" in result:
-        doc = result["certificate"]
-    check = certificates.verify_certificate(doc)
+    check = certificates.verify_certificate(_read(args.certificate, _certificate))
     rep.put("kind", check.kind)
     rep.put("ok", check.ok)
     rep.put("residual", check.residual)
@@ -548,10 +480,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            command=args.command, output=args.output, seed=args.seed, tol=args.tol
-        )
-        rep = Report(config)
+        rep = Report(args.command, args.output, args.seed)
         args.fn(args, rep)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

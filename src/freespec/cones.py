@@ -213,7 +213,7 @@ def square_cone() -> PolyhedralCone:
     return PolyhedralCone(SQUARE_RAYS, np.array([0.0, 0.0, 1.0]), facets=facets)
 
 
-def rays_equal(a: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> bool:
+def rays_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Equality of two generator sets as sets of rays."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
@@ -225,7 +225,7 @@ def rays_equal(a: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> bool:
     for r in an:
         hit = None
         for j, q in enumerate(bn):
-            if j not in used and np.max(np.abs(r - q)) <= tol:
+            if j not in used and np.max(np.abs(r - q)) <= GEOM_TOL:
                 hit = j
                 break
         if hit is None:
@@ -308,12 +308,12 @@ def scaled_cone(cone: PolyhedralCone, nu: float, h_normal) -> PolyhedralCone:
     return PolyhedralCone(new_gens, cone.unit)
 
 
-def is_centrally_symmetric(cone: PolyhedralCone, h_normal, tol: float = GEOM_TOL) -> bool:
+def is_centrally_symmetric(cone: PolyhedralCone, h_normal) -> bool:
     """True iff the section vertex set is invariant under y -> -y about u."""
     sec = section_of(cone, h_normal)
     v = sec.vertices
     scale = 1.0 + float(np.max(np.abs(v)))
-    mirrored = np.abs(v[:, None] + v[None]).max(axis=2) <= tol * scale
+    mirrored = np.abs(v[:, None] + v[None]).max(axis=2) <= GEOM_TOL * scale
     return bool(mirrored.any(axis=1).all())
 
 

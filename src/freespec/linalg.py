@@ -171,10 +171,10 @@ def trace_inner(a, b) -> float:
     return float(np.real(np.trace(hb.conj().T @ ha)))
 
 
-def inv_sqrt_pd(a, min_eig: float = 1e-14) -> np.ndarray:
+def inv_sqrt_pd(a) -> np.ndarray:
     """Inverse Hermitian square root; requires positive definiteness."""
     dec = eigh(a)
-    if dec.eigenvalues[0] <= min_eig:
+    if dec.eigenvalues[0] <= 1e-14:
         raise ValueError(
             f"matrix is not positive definite (min eig {dec.eigenvalues[0]:.3e})"
         )
@@ -241,9 +241,9 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> He
     return HermitianMatrix(scale * (a + a.conj().T) / 2.0)
 
 
-def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianMatrix:
+def random_psd(rng: np.random.Generator, n: int) -> HermitianMatrix:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix(scale * (a @ a.conj().T) / n)
+    return HermitianMatrix((a @ a.conj().T) / n)
 
 
 # -- shared complex-matrix literal format -----------------------------------

@@ -571,12 +571,10 @@ def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) ->
 # --------------------------------------------------------------------------
 
 
-def effros_winkler_separation(
-    phi: SeparationFunctional, u, tol: float = 1e-10
-) -> LinearPencil:
+def effros_winkler_separation(phi: SeparationFunctional, u) -> LinearPencil:
     """Separating pencil M_i = T^(-1/2) N_i T^(-1/2) with T = sum_i u_i N_i.
 
-    Requires T positive definite (margin > tol).  The resulting pencil is
+    Requires T positive definite (margin > 1e-10).  The resulting pencil is
     unit-normalised and its free spectrahedron contains every tuple on
     which phi-type functionals of the source system are nonnegative, while
     any tuple with phi(A) < 0 lies strictly outside at its level.
@@ -586,7 +584,7 @@ def effros_winkler_separation(
     if len(u) != len(n):
         raise ValueError("unit length does not match the functional")
     t = sum(ui * m for ui, m in zip(u, n))
-    if linalg.min_eigenvalue(t) <= tol:
+    if linalg.min_eigenvalue(t) <= 1e-10:
         raise ValueError(
             "functional is not strictly positive at the unit (sum u_i N_i not PD)"
         )
@@ -748,7 +746,6 @@ def compression_obstruction_demo(
     angles: Sequence[float],
     trials: int = 10_000,
     seed: int = 0,
-    threshold: float = 1e-3,
 ) -> CompressionReport:
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -802,5 +799,5 @@ def compression_obstruction_demo(
         trials=trials,
         min_max_residual=min_max_residual,
         degenerate_trials=degenerate,
-        threshold=threshold,
+        threshold=1e-3,
     )

@@ -81,7 +81,7 @@ class MatrixTuple:
     def scaled_by(self, matrix: np.ndarray) -> "MatrixTuple":
         """Apply a linear coordinate change L: entries B_i = sum_j L_ij A_j."""
         l = np.asarray(matrix, dtype=float)
-        return MatrixTuple([sum(c * a for c, a in zip(row, self.stack)) for row in l])
+        return MatrixTuple(sum(l[:, j, None, None] * self.stack[j] for j in range(self.d)))
 
 
 class LinearPencil:

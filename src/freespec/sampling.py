@@ -11,10 +11,10 @@ from .cones import PolyhedralCone, SimplexCone
 from .pencil import LinearPencil, MatrixTuple
 
 
-def random_simplex_cone(rng: np.random.Generator, d: int, spread: float = 0.35) -> SimplexCone:
+def random_simplex_cone(rng: np.random.Generator, d: int) -> SimplexCone:
     """Random well-conditioned simplex cone with the default interior unit."""
     while True:
-        g = np.eye(d) + spread * rng.standard_normal((d, d))
+        g = np.eye(d) + 0.35 * rng.standard_normal((d, d))
         if abs(np.linalg.det(g)) > 0.2:
             try:
                 rows = g / np.linalg.norm(g, axis=1)[:, None]
@@ -32,7 +32,7 @@ def simplex_weights(cone: PolyhedralCone) -> np.ndarray:
 
 
 def random_target_for_simplex(
-    rng: np.random.Generator, cone: PolyhedralCone, t: int, floor: float = 0.05
+    rng: np.random.Generator, cone: PolyhedralCone, t: int
 ) -> LinearPencil:
     """Random unit-normalised pencil whose spectrahedron contains the simplex.
 
@@ -42,7 +42,7 @@ def random_target_for_simplex(
     """
     d = cone.dim
     theta = simplex_weights(cone)
-    qs = [linalg.random_psd(rng, t).mat + floor * np.eye(t) for _ in range(d)]
+    qs = [linalg.random_psd(rng, t).mat + 0.05 * np.eye(t) for _ in range(d)]
     total = sum(th * q for th, q in zip(theta, qs))
     ti = linalg.inv_sqrt_pd(total)
     qhat = [ti @ q @ ti for q in qs]
@@ -53,13 +53,11 @@ def random_target_for_simplex(
     return LinearPencil(mats, cone.unit)
 
 
-def random_min_member(
-    rng: np.random.Generator, cone: PolyhedralCone, s: int, scale: float = 1.0
-) -> MatrixTuple:
+def random_min_member(rng: np.random.Generator, cone: PolyhedralCone, s: int) -> MatrixTuple:
     """Random smallest-system member sum_k c_k (x) P_k with PSD weights."""
     entries = [np.zeros((s, s), dtype=np.complex128) for _ in range(cone.dim)]
     for g in cone.generators:
-        p = linalg.random_psd(rng, s, scale).mat
+        p = linalg.random_psd(rng, s).mat
         for i in range(cone.dim):
             entries[i] += g[i] * p
     return MatrixTuple(entries)

@@ -279,7 +279,7 @@ def _svec(a: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
-def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7):
+def _preprocess(p: SdpProblem):
     """The problem on its independent rows scaled to unit norm (a scaled
     row stays exactly Hermitian, so it is built unchecked), its row map
     ``(kept, scale)`` and the y of an inconsistent dependent row or None."""
@@ -302,7 +302,7 @@ def _preprocess(p: SdpProblem, consistency_tol: float = 1e-7):
         combo, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
         pred = combo.T @ b[kept]
         gaps = np.abs(pred - b[dropped])
-        bad = gaps > consistency_tol * (1.0 + np.abs(b[dropped]))
+        bad = gaps > 1e-7 * (1.0 + np.abs(b[dropped]))
         if np.any(bad):
             j = int(np.argmax(gaps))
             y = np.zeros(m)

@@ -51,6 +51,30 @@ class TestExpressionParser:
     def test_values(self, text, value):
         assert parse_expression(text) == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            (" \tpi/4\t ", math.pi / 4),
+            ("07/10", 7 / 10),
+            ("--1", 1.0),
+            ("1/-2", 1 / -2),
+            ("2*-pi", 2 * -math.pi),
+            ("1e-3*pi", 1e-3 * math.pi),
+            ("-0.0", -0.0),
+            ("1e400", math.inf),
+        ],
+    )
+    def test_values_are_python_floats(self, text, value):
+        got = parse_expression(text)
+        assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize(
+        "text", ["0x10", "1_0", "1j", "+1", "2**2", "2//2", "pi(1)", "tau", "1 2", "...", "", "1e"]
+    )
+    def test_rejected(self, text):
+        with pytest.raises(cli.CliError, match="expression"):
+            parse_expression(text)
+
     def test_bad_token(self):
         with pytest.raises(cli.CliError):
             parse_expression("pi/4; rm -rf")
@@ -190,6 +214,23 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and "division by zero" in err
+
+    @pytest.mark.parametrize(
+        "alpha",
+        ["(" * 3000 + "pi/4" + ")" * 3000, "-" * 3000 + "pi/4", "+".join(["pi"] * 3000)],
+        ids=["parentheses", "unary-minus", "flat-sum"],
+    )
+    def test_alpha_beyond_the_parser_depth(self, capsys, alpha):
+        code, _, err = run(capsys, "witness", "square", f"--alpha={alpha}")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bad_component_names_its_file(self, capsys, tmp_path):
+        path = tmp_path / "comps.json"
+        path.write_text(json.dumps([[[[1, 0], [2, 0]], [[0, 0], [1, 0]]]] * 4))
+        code, _, err = run(capsys, "essential-boundary", "--components", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {path}: ") and "not Hermitian" in err
 
     @pytest.mark.parametrize(
         "doc", [{"result": 5}, {"certificate": 5}, {"result": {"certificate": 5}}]

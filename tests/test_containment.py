@@ -376,6 +376,60 @@ class TestDiagonalRelaxation:
             assert max(shape[-1] for shape in shapes) <= 6
 
 
+def _inclusion_instances(rng, n):
+    """(cone, target) pairs shaped like the `inclusion` benchmark: simplex
+    cones with included targets, 4-8-gons with commuting targets, and the
+    square and 5-6-gons with elliptic targets; t runs over 2..6."""
+    out = []
+    for i in range(n):
+        family, j = i % 3, i // 3
+        t = 2 + j % 5
+        if family == 0:
+            cone = sampling.random_simplex_cone(rng, 2 + (j // 5) % 3)
+            tgt = sampling.random_target_for_simplex(rng, cone, t)
+        elif family == 1:
+            cone = _regular_polygon(4 + (j // 5) % 5, rng.uniform(0, 2 * math.pi))
+            tgt = sampling.random_commuting_target(rng, cone, t)
+        else:
+            k = 4 + j % 3
+            cone = square_cone() if k == 4 else _regular_polygon(k, rng.uniform(0, 2 * math.pi))
+            tgt = elliptic_cone_pencil(rng.uniform(0.2, math.pi / 2 - 0.2))
+        out.append((cone, tgt))
+    return out
+
+
+def _relaxation_status(src, tgt):
+    """The relaxation status of check_inclusion, its certificate verified."""
+    verdict = check_inclusion(src, tgt)
+    rel = verdict.relaxation
+    assert rel.status is not RelaxationStatus.UNKNOWN, rel.message
+    assert _relaxation_certificate_ok(verdict.source, tgt, rel)
+    return rel.status
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestInclusionSymmetries:
+    """The relaxation status is invariant under unitary conjugation of the
+    target and under reordering of the source generators."""
+
+    def test_conjugated_target(self):
+        rng = np.random.default_rng(330)
+        seen = set()
+        for src, tgt in _inclusion_instances(rng, 90):
+            rotated = _conjugated(tgt, sampling.random_unitary(rng, tgt.r))
+            want = _relaxation_status(src, tgt)
+            assert _relaxation_status(src, rotated) is want
+            seen.add(want)
+        assert seen == {RelaxationStatus.FEASIBLE, RelaxationStatus.INFEASIBLE}
+
+    def test_reordered_source_generators(self):
+        rng = np.random.default_rng(331)
+        for src, tgt in _inclusion_instances(rng, 90):
+            gens = src.generators[rng.permutation(src.n_generators)]
+            reordered = PolyhedralCone.from_generators(gens, unit=src.unit)
+            assert _relaxation_status(reordered, tgt) is _relaxation_status(src, tgt)
+
+
 def _cube():
     gens = np.array([[x, y, z, 1.0] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
     return PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 0.0, 1.0]))

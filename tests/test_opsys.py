@@ -439,6 +439,48 @@ class TestScaleInvariance:
                 assert _certificate_ok(cone, a, res), f"scale 1e{e}"
 
 
+def _membership_instances(rng, n):
+    """(cone, query) pairs shaped like the `membership` benchmark: simplex,
+    square and 5-8-gon cones, s = 2 and 3, members and random queries, one
+    query in five rescaled by 10^U(-6, 6)."""
+    out = []
+    for i in range(n):
+        shape, s, member = i % 3, 2 + (i // 3) % 2, (i // 6) % 2 == 0
+        if shape == 0:
+            cone = sampling.random_simplex_cone(rng, 2 + (i // 12) % 3)
+        elif shape == 1:
+            cone = cones.square_cone()
+        else:
+            cone = _polygon(5 + (i // 12) % 4, rng.uniform(0, 2 * math.pi))
+        if member:
+            a = sampling.random_min_member(rng, cone, s)
+        elif shape == 0:
+            a = MatrixTuple(tuple(linalg.random_hermitian(rng, s) for _ in range(cone.dim)))
+        else:
+            a = containment.random_max_tuple(cone, s, rng)
+        if i % 5 == 4:
+            a = _rescaled(a, 10.0 ** rng.uniform(-6.0, 6.0))
+        out.append((cone, a))
+    return out
+
+
+class TestConjugationInvariance:
+    def test_verdict_is_invariant_under_unitary_conjugation(self):
+        # U* A_i U is in the smallest system exactly when A is
+        rng = np.random.default_rng(320)
+        seen = set()
+        for cone, a in _membership_instances(rng, 120):
+            u = sampling.random_unitary(rng, a.level)
+            rotated = MatrixTuple(u.conj().T @ a.stack @ u)
+            want = min_membership(cone, a)
+            got = min_membership(cone, rotated)
+            assert want.status is not MinMembershipStatus.UNKNOWN, want.message
+            assert got.status is want.status, got.message
+            assert _certificate_ok(cone, a, want) and _certificate_ok(cone, rotated, got)
+            seen.add(want.status)
+        assert seen == {MinMembershipStatus.MEMBER, MinMembershipStatus.NOT_MEMBER}
+
+
 def _scaled_and_reordered(cone, rng):
     """The cone with its generators permuted and scaled by positive factors."""
     k = cone.n_generators
