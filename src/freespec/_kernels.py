@@ -1,6 +1,9 @@
-"""The numeric seams: every eigensolve in `linalg.eigh` and the SDP solver
-goes through `eigh_kernel`, and every round of the lambda2 bracket through
-`quartic_grid_scan`, so a profiler can wrap each in one place."""
+"""The numeric seams: every eigendecomposition in `linalg.eigh` and the SDP
+solver (the Nesterov-Todd scaling, the checks and `sdp.verify`) goes
+through `eigh_kernel`, and every round of the lambda2 bracket through
+`quartic_grid_scan`, so a profiler can wrap each in one place.  The SDP
+step lengths need eigenvalues only and call `np.linalg.eigvalsh`
+directly."""
 
 import numpy as np
 

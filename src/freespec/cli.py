@@ -92,15 +92,20 @@ def parse_expression(text: str) -> float:
 
 
 def _read(spec: str, parse):
-    """``parse`` of the JSON document in the file ``spec``; a ValueError it
-    raises (a cone's ConeConstructionError too) names the file."""
+    """``parse`` of the JSON document in the file ``spec``; a file that
+    cannot be read or decoded, and a ValueError ``parse`` raises (a cone's
+    ConeConstructionError too), become a CliError that names the file."""
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"file not found: {spec}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{spec}: malformed JSON at line {exc.lineno} column {exc.colno}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{spec}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except OSError as exc:
+        raise CliError(f"{spec}: cannot read: {exc.strerror or exc}")
     try:
         return parse(doc)
     except ValueError as exc:

@@ -214,24 +214,20 @@ def square_cone() -> PolyhedralCone:
 
 
 def rays_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equality of two generator sets as sets of rays."""
+    """Equality of two generator sets as sets of rays, counted with
+    multiplicity: two rays are equal when their unit vectors agree to
+    GEOM_TOL in every coordinate.  From one distance matrix over the unit
+    rows of both sets, every ray must lie as near to as many rays of a as
+    of b (its own row counts, so a zero row, which is near nothing, fails)."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     if a.shape != b.shape:
         return False
-    an = a / np.linalg.norm(a, axis=1)[:, None]
-    bn = b / np.linalg.norm(b, axis=1)[:, None]
-    used = set()
-    for r in an:
-        hit = None
-        for j, q in enumerate(bn):
-            if j not in used and np.max(np.abs(r - q)) <= GEOM_TOL:
-                hit = j
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True
+    rows = np.concatenate([a, b])
+    rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+    near = np.abs(rows[:, None, :] - rows).max(axis=2) <= GEOM_TOL
+    in_a = near[:, : len(a)].sum(axis=1)
+    return bool(in_a.all() and (in_a == near[:, len(a):].sum(axis=1)).all())
 
 
 # --------------------------------------------------------------------------

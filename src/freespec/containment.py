@@ -333,10 +333,9 @@ def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
     return l / float(src.facets.mean(axis=0) @ l[:, 2])
 
 
-def square_type_witness(src: PolyhedralCone) -> Optional[MatrixTuple]:
-    """Push the square's level-2 witness through the linear map of
-    `_quad_map_from_square` onto a quadrilateral source cone; None when the
-    source is not a quadrilateral or the image fails the source check."""
+def _square_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, float]]:
+    """`square_type_witness` with its margin in the source's largest
+    system, from the one `max_membership` call that checks it."""
     base = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
     if (
         src.dim == 3
@@ -344,14 +343,21 @@ def square_type_witness(src: PolyhedralCone) -> Optional[MatrixTuple]:
         and rays_equal(src.generators, SQUARE_RAYS)
         and np.max(np.abs(src.unit / np.linalg.norm(src.unit) - [0.0, 0.0, 1.0])) < 1e-12
     ):
-        return base
+        return base, max_membership(src, base).margin
     l = _quad_map_from_square(src)
     if l is None:
         return None
     cand = base.scaled_by(l)
-    if max_membership(src, cand, tol=1e-7).inside_or_boundary:
-        return cand
-    return None
+    res = max_membership(src, cand, tol=1e-7)
+    return (cand, res.margin) if res.inside_or_boundary else None
+
+
+def square_type_witness(src: PolyhedralCone) -> Optional[MatrixTuple]:
+    """Push the square's level-2 witness through the linear map of
+    `_quad_map_from_square` onto a quadrilateral source cone; None when the
+    source is not a quadrilateral or the image fails the source check."""
+    found = _square_witness(src)
+    return None if found is None else found[0]
 
 
 # --------------------------------------------------------------------------
@@ -394,14 +400,15 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8) -
     relax = relaxation(diag, tgt, tol=tol)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
-        cand = square_type_witness(src)
-        if cand is not None:
+        found = _square_witness(src)
+        if found is not None:
+            cand, src_margin = found
             tgt_res = membership(tgt, cand, tol=tol)
             if tgt_res.classification is Classification.OUTSIDE:
                 witness = FreeWitness(
                     tuple=cand,
                     level=cand.level,
-                    source_margin=max_membership(src, cand).margin,
+                    source_margin=src_margin,
                     target_margin=tgt_res.margin,
                 )
     return InclusionVerdict(scalar=scal, relaxation=relax, source=diag, free_witness=witness)

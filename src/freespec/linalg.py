@@ -185,7 +185,7 @@ def inv_sqrt_pd(a) -> np.ndarray:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2 of a matrix or of each matrix of a stack; exactly
     Hermitian, so `hermitian` returns it unchanged."""
-    return (a + np.swapaxes(a, -1, -2).conj()) / 2.0
+    return (a + a.swapaxes(-1, -2).conj()) / 2.0
 
 
 def diagonal_blocks(j: np.ndarray, r: int, t: int) -> Optional[np.ndarray]:

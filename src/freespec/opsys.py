@@ -266,7 +266,7 @@ def _margin_weights(gens, stack, certify, tol, split) -> GeneratorWeights:
         if y[0] >= -band:
             z = np.tensordot(y[1:].reshape(kernel.shape[1], -1), basis, axes=1)
             return member(p0 - np.tensordot(kernel, z, axes=1))
-        if np.vdot(p0, x).real < -band * np.trace(x, axis1=1, axis2=2).real.sum():
+        if np.vdot(p0, x).real < -band * x.trace(axis1=1, axis2=2).real.sum():
             return refute(x)
         return None
 

@@ -10,10 +10,13 @@ where <A, X> = tr(X* A) summed over blocks.  A problem stores its
 coefficients block by block: one (m, n_k, n_k) stack of the rows'
 coefficients on block k, zero where a row does not touch that block.  At
 construction it also groups its blocks of equal size: a group of k blocks
-of size n holds their rows as one (m, k, n, n) tensor and their objective
-as one (k, n, n) stack, zero for a feasibility problem.  The problem's one
-A(X), A*(y) and Schur complement work on these groups, with X and y as
-one (k, n, n) stack per group.
+of size n holds their rows as real (m, 2 k n^2) rows and as one complex
+(k, m n, n) stack, and their objective as one (k, n, n) stack, zero for a
+feasibility problem.  The problem's one A(X), A*(y) and Schur complement
+work on these groups, with X and S as one (k, n, n) stack per group: A(X)
+and A*(y) are one matrix product each per group (A*(y) on the real rows
+viewed as complex), and the Schur complement Re tr(A_i W A_j W) is
+Re tr(Z_i Z_j) with Z = A W, one product by W per group.
 
 The engine is a primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector, working on the complex
@@ -23,11 +26,18 @@ infeasible, from multiples of I, on the problem `_preprocess` reduces
 independent rows may instead come with an exactly feasible, strictly
 interior start (the margin SDP of `opsys.generator_weights`): it is
 checked once, the problem is solved as given, and every iterate stays
-feasible on both sides.  Each step of an iteration (the scaling
-eigendecompositions, the Schur complement, step lengths, corrector and
-update) runs once per size group; the dense Schur complement is solved by
-Cholesky.  A caller's check sees every iterate, and the first answer it
-gives stops the solve with status STOPPED and that answer.
+feasible on both sides.  An iteration, per size group: two `eigh` calls
+for the scaling G (W = G G*, G* S G = G^-1 X G^-* = diag(lam)), the Schur
+complement and its Cholesky factor (LAPACK dpotrf, solved by dpotrs with
+one refinement pass), then a predictor and a corrector direction.  Each
+direction is taken in the scaled space, where the predictor's dX is
+-diag(lam) - D and the corrector's U - D for D = G* dS G.  The
+predictor's two step lengths come from one `eigvalsh` of D / root
+(lambda_min(-I - D / root) = -1 - lambda_max), the corrector's from one
+`eigvalsh` of its two scaled directions stacked; only the corrector's dX
+is formed unscaled, for the update.  A caller's check sees every iterate, the group stack itself when
+there is one group, and the first answer it gives stops the solve with
+status STOPPED and that answer.
 
 A feasibility problem is the objective problem with C = 0, on the rows
 scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
@@ -49,7 +59,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import qr
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _kernels
 from . import linalg
@@ -160,27 +171,32 @@ class SdpProblem:
 
     def _group(self) -> None:
         """The blocks of each size as one group: ``groups`` their indices,
-        ``tens`` their rows as an (m, k, n, n) tensor, ``flat`` the same as
-        real (m, 2 k n^2) rows and ``cg`` the (k, n, n) objective."""
+        ``flat`` their rows as real (m, 2 k n^2) rows (`_flat`), ``tens``
+        the same rows block by block as a complex (k, m n, n) stack and
+        ``cg`` the (k, n, n) objective."""
         sizes, m = self.blocks, len(self.b)
         groups = [[k for k, n in enumerate(sizes) if n == size] for size in dict.fromkeys(sizes)]
         # a lone block is taken as a view: no copy of a large Choi stack
         tens = [
-            self.a[g[0]][:, None] if len(g) == 1 else np.stack([self.a[k] for k in g], axis=1)
+            self.a[g[0]][None] if len(g) == 1 else np.stack([self.a[k] for k in g])
             for g in groups
         ]
         c = self.c or [np.zeros((n, n), dtype=np.complex128) for n in sizes]
         self.__dict__.update(
-            groups=groups, tens=tens, cg=[np.stack([c[k] for k in g]) for g in groups],
-            flat=[_flat(t).reshape(m, 2 * math.prod(t.shape[1:])) for t in tens],
+            groups=groups, cg=[np.stack([c[k] for k in g]) for g in groups],
+            flat=[_flat(t.swapaxes(0, 1)).reshape(m, -1) for t in tens],
+            tens=[t.reshape(len(t), -1, t.shape[-1]) for t in tens],
         )
 
     def _stacks(self, blocks) -> list[np.ndarray]:
         """Matrices given block by block, as one stack per group."""
         return [np.stack([blocks[k] for k in g]) for g in self.groups]
 
-    def _split(self, stacks) -> list[np.ndarray]:
-        """One stack per group, as a list of matrices in block order."""
+    def _split(self, stacks):
+        """One stack per group as the matrices in block order: with one
+        group, its stack itself."""
+        if len(stacks) == 1:
+            return stacks[0]
         out = {k: stack[j] for g, stack in zip(self.groups, stacks) for j, k in enumerate(g)}
         return [out[k] for k in range(len(self.blocks))]
 
@@ -189,15 +205,22 @@ class SdpProblem:
         return sum(f @ _flat(xg).ravel() for f, xg in zip(self.flat, x))
 
     def _adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        """A*(y) = sum_i y_i A_i."""
-        return [np.tensordot(y, t, axes=1) for t in self.tens]
+        """A*(y) = sum_i y_i A_i: one matmul per group, on its rows viewed
+        as complex."""
+        return [(y @ f.view(np.complex128)).reshape(c.shape) for f, c in zip(self.flat, self.cg)]
 
     def _schur(self, w) -> np.ndarray:
-        """Re tr(A_i W A_j W), summed over blocks."""
+        """Re tr(A_i W A_j W) = Re tr(Z_i Z_j) with Z_i = A_i W, summed
+        over blocks: one product by W per group, then the real rows of Z
+        against those of conj(Z^T), one matrix product per block."""
         m = len(self.b)
-        out = sum(
-            f @ _flat(wg @ t @ wg).reshape(m, -1).T for f, t, wg in zip(self.flat, self.tens, w)
-        )
+
+        def group(t, wg):
+            z = (t @ wg).reshape((len(wg), m) + wg.shape[1:])
+            zt = np.ascontiguousarray(_ct(z)).view(np.float64).reshape(len(wg), m, -1)
+            return (z.view(np.float64).reshape(zt.shape) @ zt.swapaxes(1, 2)).sum(0)
+
+        out = sum(group(t, wg) for t, wg in zip(self.tens, w))
         return (out + out.T) / 2.0
 
     @staticmethod
@@ -345,6 +368,13 @@ class _IpmResult:
     answer: object = None
 
 
+def _frobenius(stacks) -> float:
+    """The largest Frobenius norm of a block of the stacks."""
+    return math.sqrt(max(
+        float(np.add.reduce((a.conj() * a).real, axis=(-2, -1)).max()) for a in stacks
+    ))
+
+
 def _floored(w: np.ndarray) -> np.ndarray:
     """Eigenvalue rows of a stack; a row whose smallest value is not
     positive is floored at 1e-14 * max(1, its largest)."""
@@ -355,25 +385,21 @@ def _floored(w: np.ndarray) -> np.ndarray:
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling of a stack of blocks: G and G^-1 with
-    W = G G* and G* S G = G^-1 X G^-* = diag(lam)."""
+    """Nesterov-Todd scaling of a stack of blocks: G with W = G G* and
+    G* S G = G^-1 X G^-* = diag(lam).  With X = U D U* and F = U D^(1/2),
+    F* S F = V diag(lam)^2 V* gives G = F V diag(lam)^(-1/2)."""
     wx, ux = _kernels.eigh_kernel(x)
-    wx = np.sqrt(_floored(wx))[:, None, :]
-    xh = (ux * wx) @ _ct(ux)
-    xhi = (ux / wx) @ _ct(ux)
-    wt, ut = _kernels.eigh_kernel(hermitian_part(xh @ s @ xh))
+    f = ux * np.sqrt(_floored(wx))[:, None, :]
+    wt, ut = _kernels.eigh_kernel(_ct(f) @ s @ f)  # reads the lower triangle only
     wt = _floored(wt)
-    g = (xh @ ut) * wt[:, None, :] ** -0.25
-    gi = wt[:, :, None] ** 0.25 * (_ct(ut) @ xhi)
-    return g, gi, np.sqrt(wt)
+    return (f @ ut) * wt[:, None, :] ** -0.25, np.sqrt(wt)
 
 
-def _step_to_boundary(h: np.ndarray) -> float:
-    """Max alpha with I + alpha*H >= 0 for every H of a stack."""
-    lam_min = float(_kernels.eigh_kernel(h)[0][:, 0].min())
-    if lam_min >= -1e-14:
-        return np.inf
-    return 1.0 / (-lam_min)
+def _cholesky(a: np.ndarray):
+    """The lower Cholesky factor of a, or None when a is not positive
+    definite."""
+    c, info = dpotrf(a, lower=1, clean=0)
+    return c if info == 0 else None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -388,7 +414,7 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
     b = q.b
 
     norm_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    norm_c = max([1.0] + [float(np.linalg.norm(ck)) for ck in q.c or ()])
+    norm_c = max(1.0, _frobenius(q.cg))
     if start is not None:  # checked once: one A(X), one eigvalsh per size group
         x = [xs.astype(np.complex128) for xs in q._stacks(start[0])]
         y = np.array(start[1], dtype=float)
@@ -400,28 +426,27 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
     else:
         eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
         eta_d = max(1.0, math.sqrt(ndim), norm_c)
-        units = [
-            np.broadcast_to(np.eye(t.shape[-1], dtype=np.complex128), t.shape[1:])
-            for t in q.tens
-        ]
+        units = [np.broadcast_to(np.eye(c.shape[-1], dtype=np.complex128), c.shape) for c in q.cg]
         x = [eta_p * u for u in units]
         s = [eta_d * u for u in units]
         y = np.zeros(m)
 
+    eyes = [np.eye(c.shape[-1]) for c in q.cg]
+    jitter_eye = np.eye(m)
     stall = 0
     prev_mu = np.inf
     msg = "max iterations reached"
 
     for done in range(MAX_ITER):
-        rp = b - q._apply(x)
-        aty = q._adjoint(y)
-        rd = [cg - sg - ag for cg, sg, ag in zip(q.cg, s, aty)]
+        ax = q._apply(x)
+        rp = b - ax
+        rd = [cg - sg - ag for cg, sg, ag in zip(q.cg, s, q._adjoint(y))]
         mu = _inner(x, s) / ndim
         pobj = _inner(q.cg, x)
         dobj = float(b @ y)
 
-        ep = float(np.max(np.abs(rp), initial=0.0)) / norm_b
-        ed = max(float(np.linalg.norm(r, axis=(-2, -1)).max()) for r in rd) / norm_c
+        ep = float(np.abs(rp).max(initial=0.0)) / norm_b
+        ed = _frobenius(rd) / norm_c
         eg = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         compl = mu * ndim / (1.0 + abs(pobj) + abs(dobj))
         logger.debug(
@@ -439,69 +464,74 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
         if ep <= tol and ed <= tol and min(eg, compl) <= tol:
             return _IpmResult(x, y, done)
 
-        gs, gis, lams = zip(*(_nt_scaling(xg, sg) for xg, sg in zip(x, s)))
+        gs, lams = zip(*(_nt_scaling(xg, sg) for xg, sg in zip(x, s)))
         roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
         wmats = [g @ _ct(g) for g in gs]
         schur = q._schur(wmats)
-        awrdw = q._apply([w @ r @ w for w, r in zip(wmats, rd)])
-        if not (np.isfinite(schur).all() and np.isfinite(awrdw).all()):
+        base = rp + q._apply([w @ r @ w for w, r in zip(wmats, rd)])
+        if not (np.isfinite(schur).all() and np.isfinite(base).all()):
             msg = "iterates diverged"
             break
-        jitter = 1e-13 * max(1.0, float(np.max(np.diag(schur))))
+        jitter = 1e-13 * max(1.0, float(schur.diagonal().max()))
         for _ in range(12):
-            try:
-                cf = cho_factor(schur + jitter * np.eye(m), lower=True)
+            cf = _cholesky(schur + jitter * jitter_eye)
+            if cf is not None:
                 break
-            except np.linalg.LinAlgError:
-                jitter *= 100.0
+            jitter *= 100.0
         else:
             msg = "Schur factorisation failed"
             break
 
-        def solve_dirs(rc):
-            rhs = rp - q._apply(rc) + awrdw
-            dy = cho_solve(cf, rhs)
-            dy = dy + cho_solve(cf, rhs - schur @ dy)  # one refinement pass
-            ds = [r - a for r, a in zip(rd, q._adjoint(dy))]
-            dx = [c - w @ d @ w for c, w, d in zip(rc, wmats, ds)]
-            return [hermitian_part(d) for d in dx], dy, [hermitian_part(d) for d in ds]
+        def direction(rhs):
+            """dy, and dS and its scaled G* dS G per group, for the Schur
+            right-hand side ``rhs``."""
+            dy = dpotrs(cf, rhs, lower=1)[0]
+            dy = dy + dpotrs(cf, rhs - schur @ dy, lower=1)[0]  # one refinement pass
+            ds = [hermitian_part(r - a) for r, a in zip(rd, q._adjoint(dy))]
+            return dy, ds, [_ct(g) @ d @ g for g, d in zip(gs, ds)]
 
-        def steplen(dx, ds):
-            dxs = [gi @ d @ _ct(gi) for gi, d in zip(gis, dx)]
-            dss = [_ct(g) @ d @ g for g, d in zip(gs, ds)]
-            ap = min(_step_to_boundary(d / root) for d, root in zip(dxs, roots))
-            ad = min(_step_to_boundary(d / root) for d, root in zip(dss, roots))
-            return ap, ad, dxs, dss
+        def steps(lows, frac):
+            """The primal and dual step lengths, ``frac`` of the way to the
+            boundary of the cone and at most 1, from the smallest eigenvalue
+            ``low`` of each scaled direction over root."""
+            return [min(1.0, frac * (1.0 / max(-low, 1e-14))) for low in lows]
 
-        # predictor
-        dxa, dya, dsa = solve_dirs([-xg for xg in x])
-        ap_a, ad_a, dxs_a, dss_a = steplen(dxa, dsa)
-        ap_a = min(1.0, 0.99 * ap_a)
-        ad_a = min(1.0, 0.99 * ad_a)
-        xa = [xg + ap_a * d for xg, d in zip(x, dxa)]
-        sa = [sg + ad_a * d for sg, d in zip(s, dsa)]
-        mu_aff = max(_inner(xa, sa) / ndim, 0.0)
-        sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
+        # predictor: R = -X, scaled to -diag(lam).  With D = G* dS G the
+        # scaled directions are -diag(lam) - D and D, so both step lengths
+        # come from the eigenvalues of D / root, and mu_aff from
+        # <(1 - a) diag(lam) - a D, diag(lam) + b D> for the steps a, b
+        dss = direction(base + ax)[2]
+        evs = [np.linalg.eigvalsh(d / root) for d, root in zip(dss, roots)]
+        top = max(e[:, -1].max() for e in evs)
+        ap_a, ad_a = steps((-1.0 - top, min(e[:, 0].min() for e in evs)), 0.99)
+        lam2 = sum(np.vdot(lam, lam) for lam in lams)
+        lam_d = sum(np.vdot(lam, d.diagonal(axis1=1, axis2=2).real) for lam, d in zip(lams, dss))
+        mu_aff = ((1.0 - ap_a) * lam2 + ((1.0 - ap_a) * ad_a - ap_a) * lam_d
+                  - ap_a * ad_a * _inner(dss, dss))
+        sigma = min(1.0, max(1e-8, (max(mu_aff / ndim, 0.0) / mu) ** 3))
 
-        # corrector
-        rc = []
-        for g, lam, dxs, dss in zip(gs, lams, dxs_a, dss_a):
-            eye = np.eye(lam.shape[-1])
-            tmat = sigma * mu * eye - lam[:, :, None] ** 2 * eye - (dxs @ dss + dss @ dxs) / 2.0
-            u = 2.0 * tmat / (lam[:, :, None] + lam[:, None, :])
-            rc.append(hermitian_part(g @ u @ _ct(g)))
+        # corrector: R = G U G*, with U = D + 2 (sigma mu I - diag(lam)^2 + D^2)
+        # / (lam_i + lam_j) its scaled form, so that its scaled directions
+        # are U - D' and D' for D' = G* dS' G
+        us, rc = [], []
+        for g, lam, d, eye in zip(gs, lams, dss, eyes):
+            tmat = (sigma * mu - lam**2)[:, :, None] * eye + d @ d
+            us.append(d + 2.0 * tmat / (lam[:, :, None] + lam[:, None, :]))
+            rc.append(hermitian_part(g @ us[-1] @ _ct(g)))
 
-        dx, dy, ds = solve_dirs(rc)
-        ap, ad, _, _ = steplen(dx, ds)
+        dy, ds, dss = direction(base - q._apply(rc))
         gamma = 0.99 if mu < 1e-6 else 0.98
-        ap = min(1.0, gamma * ap)
-        ad = min(1.0, gamma * ad)
+        lows = [
+            np.linalg.eigvalsh(np.stack([u - d, d]) / root)[:, :, 0].min(axis=1)
+            for u, d, root in zip(us, dss, roots)
+        ]
+        ap, ad = steps(np.min(lows, axis=0), gamma)
 
         if ap < 1e-10 and ad < 1e-10:
             msg = "step lengths vanished"
             break
 
-        x = [xg + ap * d for xg, d in zip(x, dx)]
+        x = [xg + ap * hermitian_part(c - w @ d @ w) for xg, c, w, d in zip(x, rc, wmats, ds)]
         y = y + ad * dy
         s = [sg + ad * d for sg, d in zip(s, ds)]
 
@@ -610,11 +640,13 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
     """
     scale = float(np.abs(q.b).max()) or 1.0
     q = SdpProblem._unchecked(q.blocks, q.a, q.b / scale, None)
-    gram = cho_factor(sum(f @ f.T for f in q.flat))
+    gram = _cholesky(sum(f @ f.T for f in q.flat))
+    if gram is None:
+        raise np.linalg.LinAlgError("Gram matrix of the independent rows not positive definite")
 
     def check(x, y):
         for _ in range(2):
-            z = cho_solve(gram, q.b - q._apply(x))
+            z = dpotrs(gram, q.b - q._apply(x), lower=1)[0]
             x = [xg + az for xg, az in zip(x, q._adjoint(z))]
         lam = [_kernels.eigh_kernel(xg)[0] for xg in x]
         if min(w[:, 0].min() for w in lam) >= -tol * max(np.abs(w).max() for w in lam):

@@ -242,6 +242,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
 
+    def test_verify_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {tmp_path}: cannot read") and "Traceback" not in err
+
+    def test_binary_file_names_itself(self, capsys, tmp_path):
+        path = tmp_path / "cone.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "scaling-bound", "--cone", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {path}: not UTF-8")
+
 
 class TestSeedReproducibility:
     def test_byte_identical_json(self, capsys):

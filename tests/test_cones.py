@@ -137,6 +137,40 @@ class TestVHConsistency:
                 assert np.sum(np.abs(vals[:, j]) <= 1e-7 * scale) >= d - 1
 
 
+class TestRaysEqual:
+    """Set equality of rays, up to positive scale and GEOM_TOL per
+    coordinate of the unit rays, counted with multiplicity."""
+
+    RAYS = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+
+    def test_permuted_and_rescaled(self):
+        rng = np.random.default_rng(23)
+        for perm in itertools.permutations(range(4)):
+            scales = rng.uniform(0.1, 10.0, 4)[:, None]
+            assert rays_equal(self.RAYS, self.RAYS[list(perm)] * scales)
+        assert not rays_equal(self.RAYS, self.RAYS[:3])
+
+    @pytest.mark.parametrize("factor, equal", [(0.9, True), (1.1, False)])
+    def test_perturbed_about_the_tolerance(self, factor, equal):
+        # the shift is orthogonal to the first ray, so its unit vector moves
+        # by factor * GEOM_TOL in one coordinate
+        moved = self.RAYS.copy()
+        moved[0, 0] = factor * cones.GEOM_TOL
+        assert rays_equal(self.RAYS, moved[::-1]) is equal
+        assert rays_equal(moved, self.RAYS) is equal
+
+    def test_repeated_ray(self):
+        r, q, p = self.RAYS[:3]
+        assert rays_equal(np.array([r, r, q]), np.array([q, 2.0 * r, r]))
+        assert not rays_equal(np.array([r, r, q]), np.array([r, q, q]))
+        assert not rays_equal(np.array([r, r, q]), np.array([r, q, p]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_zero_row_is_no_ray(self):
+        zero = np.zeros((1, 3))
+        assert not rays_equal(np.vstack([zero, self.RAYS]), np.vstack([zero, self.RAYS]))
+
+
 class TestScaledCone:
     def test_identity_scale(self):
         sq = square_cone()

@@ -659,6 +659,24 @@ class TestSquareTypeWitness:
             assert np.max(np.abs(np.subtract(got[0], want[0]))) < 1e-12, order
             assert got[1] == want[1], order
 
+    @pytest.mark.parametrize("source", [square_cone, _skewed_quad], ids=["square", "skewed"])
+    def test_source_margin_from_its_one_check(self, monkeypatch, source):
+        # check_inclusion evaluates the witness in the source's largest
+        # system once, and reports that margin bit for bit
+        src = source()
+        calls = []
+        real = containment.max_membership
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(containment, "max_membership", counting)
+        w = check_inclusion(src, elliptic_cone_pencil(math.pi / 4)).free_witness
+        assert w is not None
+        assert len(calls) == 1
+        assert w.source_margin == real(src, w.tuple).margin
+
     def test_builds_no_cone(self, monkeypatch):
         sources = [square_cone(), _skewed_quad(), TestPentagonNonTightness._pentagon()]
 

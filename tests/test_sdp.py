@@ -226,6 +226,56 @@ class TestMultiBlock:
         assert sdp.verify(out, p).ok
 
 
+class TestStartOnSeveralSizes:
+    """An objective problem on blocks (2, 3, 2), so two size groups, from
+    an exactly feasible, strictly interior start: X0 and S0 = C - A*(y0)
+    positive definite with b = A(X0)."""
+
+    BLOCKS = (2, 3, 2)
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(41)
+        blocks = TestStartOnSeveralSizes.BLOCKS
+        x0 = [linalg.random_psd(rng, n).mat + np.eye(n) for n in blocks]
+        s0 = [linalg.random_psd(rng, n).mat + np.eye(n) for n in blocks]
+        y0 = rng.standard_normal(6)
+        rows = [[linalg.random_hermitian(rng, n).mat for n in blocks] for _ in y0]
+        cons = [
+            (tuple(row), sum(np.vdot(a, x).real for a, x in zip(row, x0))) for row in rows
+        ]
+        c = tuple(s + sum(yi * row[k] for yi, row in zip(y0, rows)) for k, s in enumerate(s0))
+        return sdp.SdpProblem.make(blocks, cons, objective=c), (x0, y0)
+
+    @staticmethod
+    def _embedded(p):
+        """The same problem on one block, block diagonal."""
+        def diag(mats):
+            out = np.zeros((sum(p.blocks),) * 2, dtype=complex)
+            at = np.cumsum((0,) + p.blocks)
+            for k, mat in enumerate(mats):
+                out[at[k]:at[k + 1], at[k]:at[k + 1]] = mat
+            return out
+
+        cons = [((diag([ak[i] for ak in p.a]),), bi) for i, bi in enumerate(p.b)]
+        return sdp.SdpProblem.make([sum(p.blocks)], cons, objective=(diag(p.c),))
+
+    def test_optimal_from_the_start(self):
+        p, start = self._problem()
+        assert len(p.groups) == 2
+        out = sdp.solve(p, start=start)
+        assert out.status is sdp.SdpStatus.OPTIMAL
+        assert sdp.verify(out, p).ok
+
+        free = sdp.solve(p)
+        assert free.status is sdp.SdpStatus.OPTIMAL
+        assert out.objective_value == pytest.approx(free.objective_value, rel=1e-6)
+
+        one = sdp.solve(self._embedded(p))
+        assert one.status is sdp.SdpStatus.OPTIMAL
+        assert out.objective_value == pytest.approx(one.objective_value, rel=1e-6)
+
+
 class TestDumpRestore:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
