@@ -1,9 +1,9 @@
-"""The numeric seams: every eigendecomposition in `linalg.eigh` and the SDP
-solver (the Nesterov-Todd scaling, the checks and `sdp.verify`) goes
-through `eigh_kernel`, and every round of the lambda2 bracket through
-`quartic_grid_scan`, so a profiler can wrap each in one place.  The SDP
-step lengths need eigenvalues only and call `np.linalg.eigvalsh`
-directly."""
+"""The numeric seams: `linalg`, the Kraus operators and sampled tuples of
+`containment`, the lambda2 top vector, the SDP's Nesterov-Todd scaling
+and `sdp.verify`'s primal check call `eigh_kernel`, and every round of the
+lambda2 bracket `quartic_grid_scan`, so a profiler can wrap each in one
+place.  The SDP step lengths, the feasibility solve's check and a Farkas
+certificate's lambda_max need eigenvalues only: `np.linalg.eigvalsh`."""
 
 import numpy as np
 

@@ -5,9 +5,14 @@ document (matrices in the shared literal format).  Acceptance lives here
 only: one ``check_<kind>`` function per kind, on numpy arrays.  The
 producers (`opsys.generator_weights`, `opsys.essential_boundary_square`,
 `containment.relaxation`) run it on the arrays they emit and answer
-Unknown when it fails; `verify_certificate` parses a document, checks its
-shapes and runs it on the parsed arrays, which a JSON round trip restores
-exactly, so both see the same residual.  A residual must stay below
+Unknown when it fails; `verify_certificate` runs it on the arrays a
+document states (read by `cones.cone_arrays` and `pencil.stack_document`,
+with a check that a cone's generators span R^d), which a JSON round trip
+restores exactly, so both see the same residual.  It builds no cone or
+pencil, except the cones of a scaling sandwich: a cone's ``facets`` are
+ignored, so every listed generator counts, extreme or not, and a pencil's
+unit is not renormalised; max|sum_i u_i M_i - I| of each pencil is
+reported as ``unit_drift``.  A residual must stay below
 ``ACCEPT_RESIDUAL``; a separator also needs a positive margin and
 phi(A) < -``SEPARATOR_PHI_LIMIT``, and a Farkas certificate
 lambda_max <= ``sdp.FARKAS_TOL`` * gap with a gap above
@@ -17,22 +22,16 @@ limits are relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg, sdp
-from .cones import PolyhedralCone, SimplexCone, cone_from_json, cone_to_json, section_of
+from .cones import PolyhedralCone, SimplexCone, cone_arrays, cone_from_json, cone_to_json
+from .cones import section_of
 from .linalg import matrix_to_json, stack_from_json
-from .pencil import (
-    LinearPencil,
-    MatrixTuple,
-    pencil_from_json,
-    pencil_to_json,
-    tuple_from_json,
-    tuple_to_json,
-)
+from .pencil import LinearPencil, MatrixTuple, pencil_to_json, stack_document, tuple_to_json
 
 if TYPE_CHECKING:
     from .containment import RelaxationCertificate, RelaxationFarkas
@@ -191,7 +190,7 @@ def check_relaxation_infeasible(
     """Farkas matrices Y_i with gap = sum_i <Y_i, N_i> above
     FARKAS_GAP_LIMIT * sum_i |Y_i|_F |N_i|_F, so that it is not
     cancellation, and lambda_max(sum_i M_i^T (x) Y_i) <= FARKAS_TOL * gap;
-    the residual is max(lambda_max, 0) / gap."""
+    the residual is max(lambda_max, 0) / gap, with that size in the details."""
     r, t = src.shape[-1], tgt.shape[-1]
     gap = float(np.einsum("ixy,ixy->", y.conj(), tgt).real)
     size = float(np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(tgt, axis=(1, 2)))
@@ -199,7 +198,8 @@ def check_relaxation_infeasible(
     lam = float(_eigvalsh(big, r, t).max())
     ok = gap > FARKAS_GAP_LIMIT * size and lam <= sdp.FARKAS_TOL * gap
     residual = max(0.0, lam) / gap if gap > 0 else float("inf")
-    return CertificateCheck("relaxation_infeasible", ok, residual, {"gap": gap, "lambda_max": lam})
+    details = {"gap": gap, "size": size, "lambda_max": lam}
+    return CertificateCheck("relaxation_infeasible", ok, residual, details)
 
 
 def check_essential_boundary(comps: np.ndarray, n: np.ndarray, eps: float) -> CertificateCheck:
@@ -236,19 +236,22 @@ def check_scaling_sandwich(
 
 
 def verify_certificate(doc: dict) -> CertificateCheck:
-    """Parse a certificate document, check its shapes and run the
-    acceptance test of its kind; a malformed document raises a ValueError
-    that names the field."""
+    """Parse a certificate document (bare, or under "certificate" of a
+    document or of a full CLI output's "result"), check its shapes and run
+    the acceptance test of its kind; a malformed document raises a
+    ValueError that names the field."""
+    if isinstance(doc, dict) and isinstance(doc.get("result"), dict):
+        doc = doc["result"]
     if isinstance(doc, dict) and "certificate" in doc and "kind" not in doc:
         doc = doc["certificate"]
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
     kind = doc.get("kind")
     handlers = {
-        "relaxation_feasible": _verify_relaxation_feasible,
-        "relaxation_infeasible": _verify_relaxation_infeasible,
-        "min_membership_member": _verify_min_member,
-        "min_membership_separator": _verify_separator,
+        "relaxation_feasible": _verify_relaxation,
+        "relaxation_infeasible": _verify_relaxation,
+        "min_membership_member": _verify_membership,
+        "min_membership_separator": _verify_membership,
         "essential_boundary": _verify_essential_boundary,
         "scaling_sandwich": _verify_sandwich,
     }
@@ -275,48 +278,41 @@ def _stack(mats, count: int, size=None) -> np.ndarray:
     return stack_from_json(mats, size)
 
 
-def _cone_and_query(doc: dict) -> tuple[PolyhedralCone, np.ndarray]:
-    cone = _parsed(doc, "cone", cone_from_json)
-    query = _parsed(doc, "query", tuple_from_json)
-    if query.d != cone.dim:
-        raise ValueError(f"query: {query.d} entries for a cone of dimension {cone.dim}")
-    return cone, query.stack
-
-
-def _pencils(doc: dict) -> tuple[np.ndarray, np.ndarray]:
-    src = _parsed(doc, "src", pencil_from_json)
-    tgt = _parsed(doc, "tgt", pencil_from_json)
-    if tgt.d != src.d:
-        raise ValueError(f"tgt: {tgt.d} matrices for a source with {src.d}")
-    return src.stack, tgt.stack
-
-
-def _verify_relaxation_feasible(doc) -> CertificateCheck:
-    src, tgt = _pencils(doc)
+def _verify_relaxation(doc) -> CertificateCheck:
+    """Either relaxation kind, with max|sum_i u_i M_i - I| of each pencil."""
+    src, su = _parsed(doc, "src", lambda v: stack_document(v, "pencil"))
+    tgt, tu = _parsed(doc, "tgt", lambda v: stack_document(v, "pencil"))
+    if len(tgt) != len(src):
+        raise ValueError(f"tgt: {len(tgt)} matrices for a source with {len(src)}")
     r, t = src.shape[-1], tgt.shape[-1]
-    choi = _parsed(doc, "choi", lambda m: _stack([m], 1, r * t)[0])
-    kraus = _kraus_from_json(_parsed(doc, "kraus"))
-    if kraus and kraus[0].shape != (r, t):
-        raise ValueError(f"kraus: expected {r} x {t} operators, got {kraus[0].shape}")
-    return check_relaxation_feasible(src, tgt, choi, kraus)
+    if doc["kind"] == "relaxation_infeasible":
+        y = _parsed(doc, "y_matrices", lambda v: _stack(v, len(tgt), t))
+        check = check_relaxation_infeasible(src, tgt, y)
+    else:
+        choi = _parsed(doc, "choi", lambda m: _stack([m], 1, r * t)[0])
+        kraus = _kraus_from_json(_parsed(doc, "kraus"))
+        if kraus and kraus[0].shape != (r, t):
+            raise ValueError(f"kraus: expected {r} x {t} operators, got {kraus[0].shape}")
+        check = check_relaxation_feasible(src, tgt, choi, kraus)
+    drift = {k: float(np.abs(u @ m.reshape(len(u), -1) - np.eye(m.shape[-1]).ravel()).max())
+             for k, m, u in (("src", src, su), ("tgt", tgt, tu))}
+    return replace(check, details={**check.details, "unit_drift": drift})
 
 
-def _verify_relaxation_infeasible(doc) -> CertificateCheck:
-    src, tgt = _pencils(doc)
-    y = _parsed(doc, "y_matrices", lambda v: _stack(v, len(tgt), tgt.shape[-1]))
-    return check_relaxation_infeasible(src, tgt, y)
-
-
-def _verify_min_member(doc) -> CertificateCheck:
-    cone, query = _cone_and_query(doc)
-    weights = _parsed(doc, "weights", lambda v: _stack(v, cone.n_generators, query.shape[-1]))
-    return check_min_member(cone.generators, query, weights)
-
-
-def _verify_separator(doc) -> CertificateCheck:
-    cone, query = _cone_and_query(doc)
-    n = _parsed(doc, "n_matrices", lambda v: _stack(v, cone.dim, query.shape[-1]))
-    return check_separator(cone.generators, cone.unit, query, n)
+def _verify_membership(doc) -> CertificateCheck:
+    """Either smallest-system kind, on the cone's generators and unit."""
+    gens, unit = _parsed(doc, "cone", cone_arrays)
+    if np.linalg.matrix_rank(gens, tol=1e-10) < len(unit):
+        raise ValueError("cone: generators do not span R^d")
+    query = _parsed(doc, "query", lambda v: stack_document(v, "tuple")[0])
+    if len(query) != len(unit):
+        raise ValueError(f"query: {len(query)} entries for a cone of dimension {len(unit)}")
+    s = query.shape[-1]
+    if doc["kind"] == "min_membership_member":
+        weights = _parsed(doc, "weights", lambda v: _stack(v, len(gens), s))
+        return check_min_member(gens, query, weights)
+    n = _parsed(doc, "n_matrices", lambda v: _stack(v, len(unit), s))
+    return check_separator(gens, unit, query, n)
 
 
 def _verify_essential_boundary(doc) -> CertificateCheck:

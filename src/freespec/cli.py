@@ -143,12 +143,6 @@ def _components(doc) -> list:
     return [linalg.matrix_from_json(m) for m in doc]
 
 
-def _certificate(doc):
-    """The certificate of a full CLI output document, or the document."""
-    result = doc.get("result") if isinstance(doc, dict) else None
-    return result["certificate"] if isinstance(result, dict) and "certificate" in result else doc
-
-
 # -- reporting ----------------------------------------------------------------
 
 
@@ -392,7 +386,7 @@ def _cmd_entangled_demo(args, rep: Report) -> None:
 
 
 def _cmd_verify(args, rep: Report) -> None:
-    check = certificates.verify_certificate(_read(args.certificate, _certificate))
+    check = certificates.verify_certificate(_read(args.certificate, lambda doc: doc))
     rep.put("kind", check.kind)
     rep.put("ok", check.ok)
     rep.put("residual", check.residual)

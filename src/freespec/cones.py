@@ -462,7 +462,8 @@ def cone_to_json(cone: PolyhedralCone) -> dict:
     }
 
 
-def cone_from_json(obj: dict) -> PolyhedralCone:
+def cone_arrays(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The finite (m, d) generators and length-d unit of a cone document."""
     if not isinstance(obj, dict):
         raise ValueError("cone document must be a JSON object")
     for key in ("d", "unit", "generators"):
@@ -477,17 +478,19 @@ def cone_from_json(obj: dict) -> PolyhedralCone:
         raise ValueError(f"unit has length {unit.shape}, expected {d}")
     if gens.ndim != 2 or gens.shape[1] != d:
         raise ValueError("generators must be an array of length-d vectors")
+    if not (np.isfinite(unit).all() and np.isfinite(gens).all()):
+        raise ValueError("unit and generators must be finite")
+    return gens, unit
+
+
+def cone_from_json(obj: dict) -> PolyhedralCone:
+    gens, unit = cone_arrays(obj)
     facets = obj.get("facets")
     if facets is not None:
         facets = np.asarray(facets, dtype=float)
-        if facets.ndim != 2 or facets.shape[1] != d:
+        if facets.ndim != 2 or facets.shape[1] != len(unit):
             raise ValueError("facets must be an array of length-d vectors")
     return PolyhedralCone(gens, unit, facets=facets)
-
-
-def load_cone(path) -> PolyhedralCone:
-    with open(path) as fh:
-        return cone_from_json(json.load(fh))
 
 
 def save_cone(cone: PolyhedralCone, path) -> None:

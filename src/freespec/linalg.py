@@ -324,5 +324,7 @@ def _matrix_from_rows(obj) -> np.ndarray:
             if not (isinstance(ent, list) and len(ent) == 2):
                 raise ValueError(f"entry ({i},{j}): expected [re, im]")
             vals.append(complex(float(ent[0]), float(ent[1])))
+            if not np.isfinite(vals[-1]):
+                raise ValueError(f"entry ({i},{j}): not finite")
         rows.append(vals)
     return np.array(rows, dtype=np.complex128)

@@ -30,12 +30,21 @@ UNIT_DRIFT_TOL = 1e-8
 BOUNDARY_TOL = 1e-8
 
 
-def _stack(x, name: str, empty: str) -> np.ndarray:
-    """The checked read-only (d, n, n) stack of ``x``; d = 0 raises ``empty``."""
+# kind: (the key of its matrices in a document, the size key, the error for none)
+_FORMATS = {
+    "pencil": ("matrices", "r", "matrices: a pencil needs at least one matrix"),
+    "tuple": ("entries", "s", "entries: a tuple needs at least one entry"),
+}
+
+
+def _stack(x, kind: str) -> np.ndarray:
+    """The checked read-only (d, n, n) stack of the matrices of a ``kind``;
+    d = 0 is an error."""
+    field, _, empty = _FORMATS[kind]
     a = np.asarray(x, dtype=np.complex128)
     if a.shape[:1] == (0,):
         raise ValueError(empty)
-    return linalg.hermitian(a, 3, name)
+    return linalg.hermitian(a, 3, field)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -46,7 +55,7 @@ class MatrixTuple:
     stack: np.ndarray
 
     def __init__(self, entries):
-        stack = _stack(entries, "entries", "matrix tuple needs at least one entry")
+        stack = _stack(entries, "tuple")
         object.__setattr__(self, "stack", stack)
 
     @property
@@ -97,7 +106,7 @@ class LinearPencil:
     """
 
     def __init__(self, matrices, unit):
-        stack = _stack(matrices, "matrices", "matrices: a pencil needs at least one matrix")
+        stack = _stack(matrices, "pencil")
         u = np.asarray(unit, dtype=float)
         if len(stack) != len(u):
             raise ValueError("unit length must match the number of matrices")
@@ -233,7 +242,33 @@ def circular_cone_pencil() -> LinearPencil:
 #
 # Pencil: {"d": int, "r": int, "unit": [...], "matrices": [matrix, ...]}
 # Tuple:  {"d": int, "s": int, "entries": [matrix, ...]}
-# using the shared complex-matrix literal format from linalg.
+# using the shared complex-matrix literal format from linalg, both read by
+# `stack_document` into the arrays that the constructors and the
+# certificate checker take.
+
+
+def stack_document(obj, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checked (d, n, n) stack of a ``kind`` ("pencil" or "tuple")
+    document, and a pencil's finite length-d unit (None for a tuple)."""
+    field, size, empty = _FORMATS[kind]
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} document must be a JSON object")
+    for key in ("d", size, field) + (("unit",) if kind == "pencil" else ()):
+        if key not in obj:
+            raise ValueError(f"{kind} document missing field {key!r}")
+    stack = linalg.stack_from_json(obj[field])
+    if len(stack) != int(obj["d"]):
+        raise ValueError(f"number of {field} does not match d")
+    if not len(stack):
+        raise ValueError(empty)
+    if stack.shape[-1] != int(obj[size]):
+        raise ValueError(f"size of the {field} does not match {size}")
+    if kind == "tuple":
+        return stack, None
+    unit = np.asarray(obj["unit"], dtype=float)
+    if unit.shape != (len(stack),) or not np.isfinite(unit).all():
+        raise ValueError("unit must hold one finite number per matrix")
+    return stack, unit
 
 
 def pencil_to_json(p: LinearPencil) -> dict:
@@ -246,17 +281,7 @@ def pencil_to_json(p: LinearPencil) -> dict:
 
 
 def pencil_from_json(obj: dict) -> LinearPencil:
-    if not isinstance(obj, dict):
-        raise ValueError("pencil document must be a JSON object")
-    for key in ("d", "r", "unit", "matrices"):
-        if key not in obj:
-            raise ValueError(f"pencil document missing field {key!r}")
-    stack = linalg.stack_from_json(obj["matrices"])
-    if len(stack) != int(obj["d"]):
-        raise ValueError("matrix count does not match d")
-    if len(stack) and stack.shape[-1] != int(obj["r"]):
-        raise ValueError("matrix size does not match r")
-    return LinearPencil(stack, np.asarray(obj["unit"], dtype=float))
+    return LinearPencil(*stack_document(obj, "pencil"))
 
 
 def tuple_to_json(a: MatrixTuple) -> dict:
@@ -268,32 +293,12 @@ def tuple_to_json(a: MatrixTuple) -> dict:
 
 
 def tuple_from_json(obj: dict) -> MatrixTuple:
-    if not isinstance(obj, dict):
-        raise ValueError("tuple document must be a JSON object")
-    for key in ("d", "s", "entries"):
-        if key not in obj:
-            raise ValueError(f"tuple document missing field {key!r}")
-    stack = linalg.stack_from_json(obj["entries"])
-    if len(stack) != int(obj["d"]):
-        raise ValueError("entry count does not match d")
-    if len(stack) and stack.shape[-1] != int(obj["s"]):
-        raise ValueError("entry size does not match s")
-    return MatrixTuple(stack)
-
-
-def load_pencil(path) -> LinearPencil:
-    with open(path) as fh:
-        return pencil_from_json(json.load(fh))
+    return MatrixTuple(stack_document(obj, "tuple")[0])
 
 
 def save_pencil(p: LinearPencil, path) -> None:
     with open(path, "w") as fh:
         json.dump(pencil_to_json(p), fh, indent=1, sort_keys=True)
-
-
-def load_tuple(path) -> MatrixTuple:
-    with open(path) as fh:
-        return tuple_from_json(json.load(fh))
 
 
 def save_tuple(a: MatrixTuple, path) -> None:

@@ -555,7 +555,7 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
 
 def _lambda_max(p: SdpProblem, y: np.ndarray) -> float:
     """lambda_max(sum_i y_i A_i) over the blocks."""
-    return max(float(_kernels.eigh_kernel(h)[0][:, -1].max()) for h in p._adjoint(y))
+    return max(float(np.linalg.eigvalsh(h)[:, -1].max()) for h in p._adjoint(y))
 
 
 def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
@@ -648,7 +648,7 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
         for _ in range(2):
             z = dpotrs(gram, q.b - q._apply(x), lower=1)[0]
             x = [xg + az for xg, az in zip(x, q._adjoint(z))]
-        lam = [_kernels.eigh_kernel(xg)[0] for xg in x]
+        lam = [np.linalg.eigvalsh(xg) for xg in x]
         if min(w[:, 0].min() for w in lam) >= -tol * max(np.abs(w).max() for w in lam):
             primal = tuple(linalg.hermitian(scale * xb) for xb in q._split(x))
             return dict(status=SdpStatus.FEASIBLE, primal=primal)
@@ -669,7 +669,7 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
 
 def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
     """Independent re-check of an outcome against the problem data, with
-    eigenvalues from the LAPACK call of `_kernels.eigh_kernel`."""
+    the primal's eigenvalues from the LAPACK call of `_kernels.eigh_kernel`."""
     if outcome.status in (SdpStatus.FEASIBLE, SdpStatus.OPTIMAL):
         if outcome.primal is None or len(outcome.primal) != len(p.blocks):
             return SdpVerifyReport(ok=False, max_residual=np.inf, notes="primal blocks missing")

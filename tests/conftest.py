@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freespec import linalg, opsys, sdp
+from freespec import certificates, cones, linalg, opsys, pencil, sdp
 
 
 @pytest.fixture()
@@ -32,6 +32,31 @@ def hermitian_calls(monkeypatch):
 
     monkeypatch.setattr(linalg.HermitianMatrix, "__init__", counting)
     return calls
+
+
+@pytest.fixture()
+def verify_constructions(monkeypatch):
+    """The class names of the PolyhedralCone, LinearPencil and MatrixTuple
+    constructions made inside certificates.verify_certificate."""
+    built, inside = [], []
+    for cls in (cones.PolyhedralCone, pencil.LinearPencil, pencil.MatrixTuple):
+        def counting(self, *args, real=cls.__init__, name=cls.__name__, **kwargs):
+            if inside:
+                built.append(name)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    real_verify = certificates.verify_certificate
+
+    def verifying(doc):
+        inside.append(doc)
+        try:
+            return real_verify(doc)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(certificates, "verify_certificate", verifying)
+    return built
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,10 +78,58 @@ def test_cancelled_farkas_gap_is_rejected():
     doc = json.loads(path.read_text())
     check = certificates.verify_certificate(doc)
     assert not check.ok
+    assert 0 < check.details["gap"] < certificates.FARKAS_GAP_LIMIT * check.details["size"]
     y = np.array([linalg.matrix_from_json(m).mat for m in doc["y_matrices"]])
     n = pencil_from_json(doc["tgt"]).stack
     size = np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(n, axis=(1, 2))
-    assert 0 < check.details["gap"] < certificates.FARKAS_GAP_LIMIT * size
+    assert check.details["size"] == pytest.approx(size, rel=1e-12)
+
+
+def test_member_over_a_non_extreme_generator_is_checked_on_the_listed_generators():
+    # the unit (0, 0, 1) lies inside the square cone: a member document may
+    # list it as a fifth generator, and A = e_3 (x) I is sum_k c_k (x) P_k
+    # with P_5 = I and the other weights zero
+    square = cones.square_cone()
+    gens = np.vstack([square.generators, square.unit])
+    weights = np.zeros((5, 2, 2))
+    weights[4] = np.eye(2)
+    doc = certificates.min_member_cert(square, MatrixTuple.unit_tuple(square.unit, 2),
+                                       SimpleNamespace(weights=weights))
+    doc["cone"]["generators"] = gens.tolist()
+    check = _round_trip(doc)
+    assert check.ok and check.residual == 0.0
+    # the same A from P_1 = P_2 = -I/2 and P_5 = 2I: c_1 + c_2 = 2 e_3, so
+    # the identity holds exactly, but two weights are not PSD
+    weights[:2], weights[4] = -np.eye(2) / 2, 2 * np.eye(2)
+    doc["weights"] = linalg.matrix_to_json(weights)
+    check = _round_trip(doc)
+    assert not check.ok and check.residual == 0.5
+
+
+def test_relaxation_with_a_drifted_unit_is_checked_as_stated():
+    # the square's diagonal pencil into itself, Kraus operator I: with the
+    # target's unit off by 1e-10 the identity still holds as written, and
+    # verify reports the drift instead of renormalising the target
+    src = diagonal_pencil(cones.square_cone())
+    res = relaxation(src, src)
+    assert res.status is RelaxationStatus.FEASIBLE
+    doc = json.loads(json.dumps(certificates.relaxation_feasible_cert(src, src, res.certificate)))
+    doc["tgt"]["unit"][2] += 1e-10
+    check = certificates.verify_certificate(doc)
+    as_written = certificates.check_relaxation_feasible(
+        src.stack, src.stack, res.certificate.choi, res.certificate.kraus)
+    assert check.ok and check.residual == as_written.residual
+    assert check.details["unit_drift"]["src"] <= 1e-15
+    assert check.details["unit_drift"]["tgt"] == pytest.approx(1e-10, rel=1e-3)
+
+
+def test_a_non_finite_entry_is_rejected_by_name():
+    src = diagonal_pencil(cones.square_cone())
+    res = relaxation(src, src)
+    doc = json.loads(json.dumps(certificates.relaxation_feasible_cert(src, src, res.certificate)))
+    doc["tgt"]["matrices"][0][0][1][0] = float("inf")
+    with pytest.raises(ValueError, match=r"tgt: entry \(0,1\): not finite"):
+        certificates.verify_certificate(doc)
 
 
 def _rescaled(a, factor):
@@ -129,9 +178,10 @@ def test_apply_kraus_matches_the_sum():
 
 class TestValidateOnce:
     """The arrays a check accepted travel on as they are: deciding, building
-    the certificate and verifying it construct no HermitianMatrix."""
+    the certificate and verifying it construct no HermitianMatrix, and
+    verifying constructs no cone, pencil or tuple."""
 
-    def test_min_membership_round_trip(self, hermitian_calls):
+    def test_min_membership_round_trip(self, hermitian_calls, verify_constructions):
         from freespec.linalg import SIGMA_X, SIGMA_Z
 
         rng = np.random.default_rng(5)
@@ -150,9 +200,10 @@ class TestValidateOnce:
                 doc = certificates.separator_cert(cone, a, res.separator)
             assert certificates.verify_certificate(doc).ok
         assert hermitian_calls == []
+        assert verify_constructions == []
 
     @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
-    def test_inclusion_round_trip(self, hermitian_calls):
+    def test_inclusion_round_trip(self, hermitian_calls, verify_constructions):
         from freespec.containment import check_inclusion
         from freespec.pencil import elliptic_cone_pencil
 
@@ -173,6 +224,7 @@ class TestValidateOnce:
                 doc = certificates.relaxation_infeasible_cert(diagonal_pencil(src), tgt, rel.farkas)
             assert certificates.verify_certificate(doc).ok
         assert hermitian_calls == []
+        assert verify_constructions == []
 
     def test_results_are_read_only_arrays(self):
         from freespec.linalg import SIGMA_X, SIGMA_Z

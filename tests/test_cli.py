@@ -524,17 +524,17 @@ class TestOtherCommands:
             ("relaxation", "--src", "src.json", "--tgt", "tgt.json"),
         )
         # built from the files, as the CLI reads them back
-        loaded_cone = cones.load_cone(tmp_path / "simplex.json")
-        loaded_src = pencil.load_pencil(tmp_path / "src.json")
+        loaded_cone = cli.load_cone_arg(str(tmp_path / "simplex.json"))
+        loaded_src = cli.load_pencil_arg(str(tmp_path / "src.json"), None)
         expected = (
             _margin_problem(
                 loaded_cone.generators,
-                _stacked(pencil.load_tuple(tmp_path / "query.json").entries),
+                _stacked(cli._read(str(tmp_path / "query.json"), pencil.tuple_from_json).entries),
                 loaded_cone.facets.sum(axis=0),
             ),
             _margin_problem(
                 _facets(loaded_src),
-                _stacked(pencil.load_pencil(tmp_path / "tgt.json").matrices),
+                _stacked(cli.load_pencil_arg(str(tmp_path / "tgt.json"), None).matrices),
                 loaded_src.unit,
             ),
         )

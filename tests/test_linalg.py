@@ -293,6 +293,14 @@ class TestJsonLiteralsVectorised:
         with pytest.raises(ValueError, match=message):
             linalg.matrix_from_json(doc)
 
+    def test_non_finite_entries_are_named(self):
+        # JSON admits Infinity and NaN, and an infinite asymmetry passes the
+        # relative Hermitian test, so the parse itself rejects them
+        doc = [[[1.0, 0.0], [float("inf"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        for parse in (linalg.matrix_from_json, lambda m: linalg.stack_from_json([m])):
+            with pytest.raises(ValueError, match=r"entry \(0,1\): not finite"):
+                parse(doc)
+
     @pytest.mark.parametrize(
         "doc",
         [

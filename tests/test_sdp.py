@@ -156,21 +156,21 @@ class TestComplexEmbedding:
 
 class TestNativeHermitianBlocks:
     """The core works on each Hermitian block at its own size: no
-    eigendecomposition is larger than the largest block.  Blocks of equal
-    size are decomposed as one stack, so the size is the last axis."""
+    eigendecomposition or eigenvalue solve is larger than the largest
+    block.  Blocks of equal size are decomposed as one stack, so the size
+    is the last axis."""
 
     @pytest.fixture()
     def eigh_shapes(self, monkeypatch):
         from freespec import _kernels
 
         shapes = []
-        real = _kernels.eigh_kernel
+        for owner, name in ((_kernels, "eigh_kernel"), (np.linalg, "eigvalsh")):
+            def recording(a, real=getattr(owner, name)):
+                shapes.append(a.shape)
+                return real(a)
 
-        def recording(a):
-            shapes.append(a.shape)
-            return real(a)
-
-        monkeypatch.setattr(_kernels, "eigh_kernel", recording)
+            monkeypatch.setattr(owner, name, recording)
         return shapes
 
     def test_complex_single_block(self, eigh_shapes):
