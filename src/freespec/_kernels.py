@@ -1,9 +1,9 @@
-"""The numeric seams: `linalg`, the Kraus operators and sampled tuples of
-`containment`, the lambda2 top vector, the SDP's Nesterov-Todd scaling
-and `sdp.verify`'s primal check call `eigh_kernel`, and every round of the
-lambda2 bracket `quartic_grid_scan`, so a profiler can wrap each in one
-place.  The SDP step lengths, the feasibility solve's check and a Farkas
-certificate's lambda_max need eigenvalues only: `np.linalg.eigvalsh`."""
+"""The numeric seams, so a profiler can wrap each in one place: `linalg.eigh`
+and every eigenvalue that must keep its bits (pencil margins, lambda1, PSD
+checks, Kraus operators, sampled tuples, the NT scaling) come from
+`eigh_kernel` on a checked array, and every round of the lambda2 bracket
+from `quartic_grid_scan`.  Step lengths and Farkas checks, which need
+eigenvalues only, call `np.linalg.eigvalsh`."""
 
 import numpy as np
 

@@ -23,7 +23,7 @@ limits are relative.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -255,7 +255,7 @@ def verify_certificate(doc: dict) -> CertificateCheck:
         "essential_boundary": _verify_essential_boundary,
         "scaling_sandwich": _verify_sandwich,
     }
-    if kind not in handlers:
+    if not isinstance(kind, str) or kind not in handlers:
         raise ValueError(f"unknown certificate kind {kind!r}")
     return handlers[kind](doc)
 
@@ -318,11 +318,26 @@ def _verify_membership(doc) -> CertificateCheck:
 def _verify_essential_boundary(doc) -> CertificateCheck:
     comps = _parsed(doc, "components", lambda v: _stack(v, 4))
     n = _parsed(doc, "n_matrices", lambda v: _stack(v, 3, comps.shape[-1]))
-    return check_essential_boundary(comps, n, float(_parsed(doc, "eps")))
+    return check_essential_boundary(comps, n, _parsed(doc, "eps", _finite))
+
+
+def _finite(value, n: Optional[int] = None):
+    """The float of a finite JSON number, or with ``n`` the float array of a
+    list of n finite numbers."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = np.array(np.nan)
+    if x.shape != (() if n is None else (n,)) or not np.isfinite(x).all():
+        raise ValueError("expected a finite number" if n is None else f"expected {n} finite numbers")
+    return float(x) if n is None else x
 
 
 def _verify_sandwich(doc) -> CertificateCheck:
     cone = _parsed(doc, "cone", cone_from_json)
-    h_normal = np.asarray(_parsed(doc, "h_normal"), dtype=float)
+    nu = _parsed(doc, "nu", _finite)
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu: {nu!r} is not in (0, 1]")
+    h_normal = _parsed(doc, "h_normal", lambda v: _finite(v, cone.dim))
     simplex = _parsed(doc, "simplex_generators", lambda g: SimplexCone(g, cone.unit))
-    return check_scaling_sandwich(cone, float(_parsed(doc, "nu")), h_normal, simplex)
+    return check_scaling_sandwich(cone, nu, h_normal, simplex)

@@ -132,7 +132,7 @@ def load_pencil_arg(spec: str, alpha: Optional[float]) -> pencil.LinearPencil:
     return _read(spec, pencil.pencil_from_json)
 
 
-def load_matrix_arg(spec: str) -> linalg.HermitianMatrix:
+def load_matrix_arg(spec: str) -> np.ndarray:
     return _read(spec, lambda doc: linalg.matrix_from_json(
         doc["matrix"] if isinstance(doc, dict) and "matrix" in doc else doc))
 

@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
+
 GEOM_TOL = 1e-9
 
 
@@ -469,7 +471,7 @@ def cone_arrays(obj) -> tuple[np.ndarray, np.ndarray]:
     for key in ("d", "unit", "generators"):
         if key not in obj:
             raise ValueError(f"cone document missing field {key!r}")
-    d = int(obj["d"])
+    d = linalg.int_from_json(obj, "d")
     if d < 1:
         raise ValueError("d must be at least 1")
     unit = np.asarray(obj["unit"], dtype=float)

@@ -42,7 +42,7 @@ from .cones import (
     rays_equal,
     square_cone,
 )
-from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
+from .linalg import SIGMA_X, SIGMA_Z
 from .opsys import (
     MinMembershipStatus,
     generator_weights,
@@ -544,7 +544,7 @@ def random_max_tuple(
     ed[-1] = 1.0
     if np.max(np.abs(cone.unit - ed)) > 1e-12:
         raise ValueError("random_max_tuple requires the unit to be e_d")
-    head = np.array([linalg.random_hermitian(rng, s).mat for _ in range(d - 1)])
+    head = np.array([linalg.random_hermitian(rng, s) for _ in range(d - 1)])
     coef = cone.facets[:, -1]
     if np.any(coef <= 1e-12):
         raise ValueError("facet does not involve the unit coordinate")
@@ -578,7 +578,7 @@ def _sampling_verification(cone, nu_general, nu_symmetric, samples, seed) -> dic
 # --------------------------------------------------------------------------
 
 
-def partial_transpose(x, dims: tuple[int, int] = (2, 2), subsystem: int = 1) -> HermitianMatrix:
+def partial_transpose(x, dims: tuple[int, int] = (2, 2), subsystem: int = 1) -> np.ndarray:
     """Partial transpose of a bipartite matrix on the chosen factor."""
     a, b = dims
     m = np.asarray(x, dtype=np.complex128).reshape(a, b, a, b)
@@ -588,12 +588,12 @@ def partial_transpose(x, dims: tuple[int, int] = (2, 2), subsystem: int = 1) -> 
         m = m.transpose(0, 3, 2, 1)
     else:
         raise ValueError("subsystem must be 0 or 1")
-    return HermitianMatrix(m.reshape(a * b, a * b))
+    return linalg.hermitian(m.reshape(a * b, a * b))
 
 
 @dataclass(frozen=True)
 class EntangledExampleReport:
-    x: HermitianMatrix
+    x: np.ndarray
     blocks: np.ndarray  # read-only (4, 2, 2) stack
     identity_residual: float
     pt_min_eig: float
@@ -607,7 +607,7 @@ def ball_pencil() -> LinearPencil:
     sigma_z (x) x + sigma_x (x) y + [[0, i], [-i, 0]] (x) w + I (x) z."""
     third = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
     return LinearPencil(
-        [SIGMA_Z.mat, SIGMA_X.mat, third, np.eye(2)], np.array([0.0, 0.0, 0.0, 1.0])
+        [SIGMA_Z, SIGMA_X, third, np.eye(2)], np.array([0.0, 0.0, 0.0, 1.0])
     )
 
 
@@ -623,23 +623,17 @@ def entangled_example() -> EntangledExampleReport:
     eigenvalue, so X is entangled (the 2x2 partial-transpose test is exact)
     and no such realization exists.
     """
-    x = HermitianMatrix(np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]))
-    xm = x.mat
-    a_blk = xm[:2, :2]
-    b_blk = xm[:2, 2:]
-    c_blk = xm[2:, 2:]
+    x = linalg.hermitian(np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]))
+    a_blk, b_blk, c_blk = x[:2, :2], x[:2, 2:], x[2:, 2:]
     tup = MatrixTuple.of(
         a_blk - c_blk,
         b_blk + b_blk.conj().T,
         (b_blk - b_blk.conj().T) / 1.0j,
         a_blk + c_blk,
     )
-    lp = ball_pencil()
-    img = evaluate(lp, tup)
-    identity_residual = float(np.max(np.abs(img.mat - 2.0 * xm)))
-    pt = partial_transpose(xm)
-    pt_min = linalg.min_eigenvalue(pt)
-    pt_min_norm = pt_min / float(np.real(np.trace(xm)))
+    identity_residual = float(np.max(np.abs(evaluate(ball_pencil(), tup) - 2.0 * x)))
+    pt_min = float(_kernels.eigh_kernel(partial_transpose(x))[0][0])
+    pt_min_norm = pt_min / float(np.real(np.trace(x)))
     entangled = pt_min < -1e-12
     conclusion = (
         "the displayed PSD matrix is entangled (negative partial transpose), "

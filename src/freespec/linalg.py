@@ -1,21 +1,20 @@
-"""Dense complex Hermitian linear algebra kernel.
-
-Everything downstream (pencils, cones, membership oracles, the SDP solver)
-works with values from this module.  All operations are pure, inputs are
-treated as immutable, and tolerances are relative, scaled by
-``1 + ||A||_F`` unless stated otherwise.
+"""Dense complex Hermitian linear algebra on plain read-only ndarrays; every
+operation is pure, and tolerances are relative, scaled by ``1 + ||A||_F``
+unless stated otherwise.
 
 One rule makes a value Hermitian, `hermitian`: asymmetry at most 1e-12
-relative to 1 + ||A_k||_F for each matrix A_k of a matrix or a stack, then
-(A + A*)/2, read-only.  `HermitianMatrix` holds one matrix checked by it;
-the tuple and pencil types of `pencil`, `sdp.SdpProblem` and the
-certificate parser check their (k, n, n) stacks with it once, and the
-library passes the checked arrays on without wrapping them again.
+relative to 1 + ||A_k||_F for each matrix A_k of a matrix or a (k, n, n)
+stack, then (A + A*)/2, read-only.  The tuple and pencil types of
+`pencil`, `sdp.SdpProblem` and the certificate parser check their stacks
+with it once, and the library passes the checked arrays on; the Pauli
+matrices ``SIGMA_X/Y/Z`` are such arrays too.  `HermitianMatrix` is only
+the type of the items of `pencil.MatrixTuple.entries` and
+`pencil.LinearPencil.matrices`.  `eigh` is the one phase-normalised
+eigendecomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,16 +22,13 @@ import numpy as np
 from . import _kernels
 
 HERMITIAN_CONSTRUCTION_TOL = 1e-12
-PSD_DEFAULT_TOL = 1e-8
 
 
 def hermitian(x, ndim: int = 2, what: Optional[str] = None) -> np.ndarray:
     """The read-only (A + A*)/2 of a Hermitian matrix (``ndim`` 2) or of
     each matrix of a stack (``ndim`` 3), after checking that each A_k has
-    asymmetry at most 1e-12 (1 + ||A_k||_F).  A HermitianMatrix passes
-    through; ``what`` names the value in the errors."""
-    if isinstance(x, HermitianMatrix) and ndim == 2:
-        return x.mat
+    asymmetry at most 1e-12 (1 + ||A_k||_F); ``what`` names the value in
+    the errors."""
     a = np.asarray(x, dtype=np.complex128)
     head = "" if what is None else f"{what}: "
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
@@ -52,12 +48,7 @@ def hermitian(x, ndim: int = 2, what: Optional[str] = None) -> np.ndarray:
 
 
 class HermitianMatrix:
-    """A square complex matrix equal to its conjugate transpose.
-
-    Hermiticity is checked at construction by `hermitian` (relative
-    tolerance 1e-12), then enforced exactly by symmetrising ``(A + A*)/2``.
-    The stored array is read-only.
-    """
+    """One matrix checked by `hermitian`, as the read-only array ``mat``."""
 
     __slots__ = ("_mat",)
 
@@ -65,49 +56,16 @@ class HermitianMatrix:
         self._mat = hermitian(entries)
 
     @property
-    def dim(self) -> int:
-        return self._mat.shape[0]
-
-    @property
     def mat(self) -> np.ndarray:
-        """Read-only ndarray view of the entries."""
         return self._mat
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self._mat.astype(dtype)
-        return self._mat
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._mat))
-
-    @classmethod
-    def identity(cls, n: int) -> "HermitianMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "HermitianMatrix":
-        return cls(np.zeros((n, n)))
+        return self._mat if dtype is None else self._mat.astype(dtype)
 
 
-SIGMA_X = HermitianMatrix([[0, 1], [1, 0]])
-SIGMA_Y = HermitianMatrix([[0, -1j], [1j, 0]])
-SIGMA_Z = HermitianMatrix([[1, 0], [0, -1]])
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition A = U diag(w) U* with w sorted ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+SIGMA_X = hermitian([[0, 1], [1, 0]])
+SIGMA_Y = hermitian([[0, -1j], [1j, 0]])
+SIGMA_Z = hermitian([[1, 0], [0, -1]])
 
 
 def _normalize_phases(v: np.ndarray) -> np.ndarray:
@@ -122,64 +80,23 @@ def _normalize_phases(v: np.ndarray) -> np.ndarray:
     return v * phase
 
 
-def eigh(a) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Ordering is deterministic: eigenvalues ascending, each eigenvector
-    phase-normalised so that its first nonzero component is real positive.
-    """
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues w, ascending, and eigenvectors v of a Hermitian
+    matrix, with A = v diag(w) v*; each eigenvector is phase-normalised so
+    that its first significant component is real positive."""
     w, v = _kernels.eigh_kernel(hermitian(a))
     v = _normalize_phases(v)
     w.flags.writeable = False
     v.flags.writeable = False
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def eigvalsh(a) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix: the LAPACK call of
-    `eigh`, without the phase normalisation of its eigenvectors."""
-    return _kernels.eigh_kernel(hermitian(a))[0]
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(eigvalsh(a)[0])
-
-
-def max_eigenvalue(a) -> float:
-    return float(eigvalsh(a)[-1])
-
-
-def is_psd(a, tol: float = PSD_DEFAULT_TOL) -> bool:
-    """True iff min eig >= -tol * (1 + ||A||_F)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    h = hermitian(a)
-    return min_eigenvalue(h) >= -tol * (1.0 + float(np.linalg.norm(h)))
-
-
-def kron(a, b) -> HermitianMatrix:
-    """Kronecker product, A-index major block order."""
-    return HermitianMatrix(np.kron(hermitian(a), hermitian(b)))
-
-
-def trace_inner(a, b) -> float:
-    """Real inner product <A, B> = tr(B* A) of Hermitian matrices."""
-    ha, hb = hermitian(a), hermitian(b)
-    if len(ha) != len(hb):
-        raise ValueError(f"dimension mismatch: {len(ha)} vs {len(hb)}")
-    return float(np.real(np.trace(hb.conj().T @ ha)))
+    return w, v
 
 
 def inv_sqrt_pd(a) -> np.ndarray:
     """Inverse Hermitian square root; requires positive definiteness."""
-    dec = eigh(a)
-    if dec.eigenvalues[0] <= 1e-14:
-        raise ValueError(
-            f"matrix is not positive definite (min eig {dec.eigenvalues[0]:.3e})"
-        )
-    u = dec.eigenvectors
-    return (u / np.sqrt(dec.eigenvalues)) @ u.conj().T
+    w, u = eigh(a)
+    if w[0] <= 1e-14:
+        raise ValueError(f"matrix is not positive definite (min eig {w[0]:.3e})")
+    return (u / np.sqrt(w)) @ u.conj().T
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -236,20 +153,31 @@ def hermitian_basis(n: int) -> np.ndarray:
     return out
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianMatrix:
+def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix(scale * (a + a.conj().T) / 2.0)
+    return hermitian(scale * (a + a.conj().T) / 2.0)
 
 
-def random_psd(rng: np.random.Generator, n: int) -> HermitianMatrix:
+def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """a a* / n for a complex Gaussian a, made exactly Hermitian: the
+    product alone is not, bit for bit."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix((a @ a.conj().T) / n)
+    return hermitian((a @ a.conj().T) / n)
 
 
 # -- shared complex-matrix literal format -----------------------------------
 #
 # A complex matrix is serialised as a row-major array of rows, each entry a
 # 2-array [re, im].  This format is used by every JSON file in the repo.
+
+
+def int_from_json(obj: dict, key: str) -> int:
+    """``int(obj[key])`` of a document's size field, or a ValueError that
+    names the field."""
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be an integer") from None
 
 
 def matrix_to_json(a) -> list:
@@ -279,7 +207,7 @@ def _nonreal_diagonal(a: np.ndarray) -> np.ndarray:
     return np.abs(diag.imag) > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.abs(diag))
 
 
-def matrix_from_json(obj) -> HermitianMatrix:
+def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("matrix literal must be a non-empty array of rows")
     a = complex_from_pairs(obj, 2)
@@ -289,7 +217,7 @@ def matrix_from_json(obj) -> HermitianMatrix:
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"entry ({i},{i}): not Hermitian (non-real diagonal)")
-    return HermitianMatrix(a)
+    return hermitian(a)
 
 
 def stack_from_json(obj, size: Optional[int] = None) -> np.ndarray:
@@ -306,7 +234,7 @@ def stack_from_json(obj, size: Optional[int] = None) -> np.ndarray:
                 return hermitian(a, 3)
             except ValueError:
                 pass
-    mats = [matrix_from_json(m).mat for m in obj]
+    mats = [matrix_from_json(m) for m in obj]
     n = size or len(mats[0])
     if any(len(m) != n for m in mats):
         raise ValueError(f"expected {n} x {n} matrices")
@@ -321,9 +249,11 @@ def _matrix_from_rows(obj) -> np.ndarray:
             raise ValueError(f"row {i}: expected {len(obj)} entries")
         vals = []
         for j, ent in enumerate(row):
-            if not (isinstance(ent, list) and len(ent) == 2):
-                raise ValueError(f"entry ({i},{j}): expected [re, im]")
-            vals.append(complex(float(ent[0]), float(ent[1])))
+            try:
+                x, y = ent if isinstance(ent, list) else None
+                vals.append(complex(float(x), float(y)))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"entry ({i},{j}): expected [re, im]") from None
             if not np.isfinite(vals[-1]):
                 raise ValueError(f"entry ({i},{j}): not finite")
         rows.append(vals)

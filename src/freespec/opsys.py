@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels, certificates, linalg, sdp
 from .cones import SUBSET_BATCH, PolyhedralCone, _subsets
-from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
+from .linalg import SIGMA_X, SIGMA_Z
 from .pencil import (
     LinearPencil,
     MatrixTuple,
@@ -440,28 +440,27 @@ def circular_min_membership(a: MatrixTuple, tol: float = 1e-8) -> MembershipResu
 class PauliWitness:
     """Level-2 element of the square-cone smallest system with rank-one parts.
 
-    components = (A_1, A_2, A_3, A_4) are rank-one projections with
-    A_1 + A_2 = A_3 + A_4 = I; the tuple is sum_k v_k (x) A_k over the
-    square's generators v_k, giving (2 sin(a) sigma_x, 2 cos(a) sigma_z, 2 I).
+    components, the read-only (4, 2, 2) stack (A_1, A_2, A_3, A_4), are
+    rank-one projections with A_1 + A_2 = A_3 + A_4 = I; the tuple is
+    sum_k v_k (x) A_k over the square's generators v_k, giving
+    (2 sin(a) sigma_x, 2 cos(a) sigma_z, 2 I).
     """
 
     alpha: float
     tuple: MatrixTuple
-    components: tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix, HermitianMatrix]
+    components: np.ndarray
 
 
 def pauli_witness(alpha: float) -> PauliWitness:
     if not (0.0 < alpha < math.pi / 2.0):
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
     eye = np.eye(2)
-    sz, sx = SIGMA_Z.mat, SIGMA_X.mat
     c, s = math.cos(alpha), math.sin(alpha)
-    a1 = HermitianMatrix((eye - c * sz + s * sx) / 2.0)
-    a2 = HermitianMatrix((eye + c * sz - s * sx) / 2.0)
-    a3 = HermitianMatrix((eye + c * sz + s * sx) / 2.0)
-    a4 = HermitianMatrix((eye - c * sz - s * sx) / 2.0)
-    tup = MatrixTuple.of(2.0 * s * sx, 2.0 * c * sz, 2.0 * eye)
-    return PauliWitness(alpha=alpha, tuple=tup, components=(a1, a2, a3, a4))
+    # A_k = (I + a c sigma_z + b s sigma_x) / 2 with the signs (a, b) of each k
+    signs = ((-1, 1), (1, -1), (1, 1), (-1, -1))
+    comps = linalg.hermitian([(eye + a * c * SIGMA_Z + b * s * SIGMA_X) / 2.0 for a, b in signs], 3)
+    tup = MatrixTuple.of(2.0 * s * SIGMA_X, 2.0 * c * SIGMA_Z, 2.0 * eye)
+    return PauliWitness(alpha=alpha, tuple=tup, components=comps)
 
 
 # --------------------------------------------------------------------------
@@ -543,7 +542,7 @@ def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) ->
             raise ValueError(f"component {k} has size {len(c)}, expected {s}")
         if np.linalg.norm(c) <= 1e-12:
             raise ValueError(f"component {k} is zero; inputs must be nonzero")
-        if not linalg.is_psd(c, tol=1e-9):
+        if not _kernels.eigh_kernel(c)[0][0] >= -1e-9 * (1.0 + float(np.linalg.norm(c))):
             raise ValueError(f"component {k} is not positive semidefinite")
     comps = np.array(comps)
     if eps * s >= 1.0:
@@ -584,7 +583,7 @@ def effros_winkler_separation(phi: SeparationFunctional, u) -> LinearPencil:
     if len(u) != len(n):
         raise ValueError("unit length does not match the functional")
     t = sum(ui * m for ui, m in zip(u, n))
-    if linalg.min_eigenvalue(t) <= 1e-10:
+    if _kernels.eigh_kernel(linalg.hermitian(t))[0][0] <= 1e-10:
         raise ValueError(
             "functional is not strictly positive at the unit (sum u_i N_i not PD)"
         )
@@ -602,7 +601,7 @@ def lambda1_block(m, n) -> float:
     hm, hn = linalg.hermitian(m), linalg.hermitian(n)
     if hm.shape != hn.shape:
         raise ValueError("matrices must have the same size")
-    return linalg.max_eigenvalue(hn @ hn - hm)
+    return float(_kernels.eigh_kernel(linalg.hermitian(hn @ hn - hm))[0][-1])
 
 
 # Bisection stops once the bracket is this tight relative to the size of
@@ -762,8 +761,7 @@ def compression_obstruction_demo(
     for i, a in enumerate(angles):
         w = pauli_witness(a)
         for k, comp in enumerate(w.components):
-            dec = linalg.eigh(comp)
-            pvecs[i, k] = dec.eigenvectors[:, -1]
+            pvecs[i, k] = linalg.eigh(comp)[1][:, -1]
 
     rng = np.random.default_rng(seed)
     min_max_residual = math.inf

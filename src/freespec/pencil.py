@@ -6,10 +6,9 @@ spectrahedron consists of the Hermitian tuples A with
 sum_i M_i (x) A_i >= 0, where (x) is the Kronecker product.
 
 `MatrixTuple` and `LinearPencil` hold their matrices as one read-only
-(d, n, n) ``stack``, built from any array-like (a tuple of HermitianMatrix,
-a list of arrays or one array) and checked once by `linalg.hermitian`; the
-library reads the stacks only.  ``entries`` and ``matrices`` derive tuples
-of HermitianMatrix from them for callers that want one matrix at a time.
+(d, n, n) ``stack``, built from any array-like and checked once by
+`linalg.hermitian`; the library reads the stacks only.  ``entries`` and
+``matrices`` derive tuples of `linalg.HermitianMatrix` from them.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .cones import PolyhedralCone
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 
@@ -156,9 +155,9 @@ def _pencil_sum(p: LinearPencil, a: MatrixTuple) -> np.ndarray:
     return sum(np.kron(m, e) for m, e in zip(p.stack, a.stack))
 
 
-def evaluate(p: LinearPencil, a: MatrixTuple) -> HermitianMatrix:
-    """sum_i M_i (x) A_i, a Hermitian matrix of size r * s."""
-    return HermitianMatrix(_pencil_sum(p, a))
+def evaluate(p: LinearPencil, a: MatrixTuple) -> np.ndarray:
+    """sum_i M_i (x) A_i, a read-only Hermitian matrix of size r * s."""
+    return linalg.hermitian(_pencil_sum(p, a))
 
 
 class Classification(enum.Enum):
@@ -192,7 +191,7 @@ def membership(p: LinearPencil, a: MatrixTuple, tol: float = BOUNDARY_TOL) -> Me
     The margin is the smallest eigenvalue of the pencil evaluation; the
     boundary band is an absolute tolerance on it.
     """
-    margin = linalg.min_eigenvalue(_pencil_sum(p, a))
+    margin = float(_kernels.eigh_kernel(evaluate(p, a))[0][0])
     return MembershipResult(classification=classify_margin(margin, tol), margin=margin)
 
 
@@ -218,11 +217,7 @@ def elliptic_cone_pencil(alpha: float) -> LinearPencil:
     """
     if not (0.0 < alpha < math.pi / 2.0):
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
-    mats = [
-        math.sin(alpha) * SIGMA_Z.mat,
-        math.cos(alpha) * SIGMA_X.mat,
-        np.eye(2),
-    ]
+    mats = [math.sin(alpha) * SIGMA_Z, math.cos(alpha) * SIGMA_X, np.eye(2)]
     return LinearPencil(mats, np.array([0.0, 0.0, 1.0]))
 
 
@@ -233,7 +228,7 @@ def circular_cone_pencil() -> LinearPencil:
     so its level-s membership doubles as the minimal-system membership test
     for that (non-polyhedral) cone.
     """
-    return LinearPencil([SIGMA_Z.mat, SIGMA_X.mat, np.eye(2)], np.array([0.0, 0.0, 1.0]))
+    return LinearPencil([SIGMA_Z, SIGMA_X, np.eye(2)], np.array([0.0, 0.0, 1.0]))
 
 
 # --------------------------------------------------------------------------
@@ -257,11 +252,11 @@ def stack_document(obj, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
         if key not in obj:
             raise ValueError(f"{kind} document missing field {key!r}")
     stack = linalg.stack_from_json(obj[field])
-    if len(stack) != int(obj["d"]):
+    if len(stack) != linalg.int_from_json(obj, "d"):
         raise ValueError(f"number of {field} does not match d")
     if not len(stack):
         raise ValueError(empty)
-    if stack.shape[-1] != int(obj[size]):
+    if stack.shape[-1] != linalg.int_from_json(obj, size):
         raise ValueError(f"size of the {field} does not match {size}")
     if kind == "tuple":
         return stack, None

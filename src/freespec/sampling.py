@@ -42,7 +42,7 @@ def random_target_for_simplex(
     """
     d = cone.dim
     theta = simplex_weights(cone)
-    qs = [linalg.random_psd(rng, t).mat + 0.05 * np.eye(t) for _ in range(d)]
+    qs = [linalg.random_psd(rng, t) + 0.05 * np.eye(t) for _ in range(d)]
     total = sum(th * q for th, q in zip(theta, qs))
     ti = linalg.inv_sqrt_pd(total)
     qhat = [ti @ q @ ti for q in qs]
@@ -57,7 +57,7 @@ def random_min_member(rng: np.random.Generator, cone: PolyhedralCone, s: int) ->
     """Random smallest-system member sum_k c_k (x) P_k with PSD weights."""
     entries = [np.zeros((s, s), dtype=np.complex128) for _ in range(cone.dim)]
     for g in cone.generators:
-        p = linalg.random_psd(rng, s).mat
+        p = linalg.random_psd(rng, s)
         for i in range(cone.dim):
             entries[i] += g[i] * p
     return MatrixTuple(entries)

@@ -23,7 +23,7 @@ from freespec.containment import (
     scaling_bound,
 )
 from freespec.cones import find_sandwich_simplex, section_of, square_cone
-from freespec.linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
+from freespec.linalg import SIGMA_X, SIGMA_Z
 from freespec.opsys import (
     MinMembershipStatus,
     common_eigenvector_residual,
@@ -58,6 +58,11 @@ def criterion(name: str, budget_s: float):
     assert elapsed < budget_s, f"{name}: runtime {elapsed:.1f}s exceeds {budget_s}s"
 
 
+def trace_inner(a, b) -> float:
+    """<A, B> = Re tr(B* A)."""
+    return float(np.real(np.trace(b.conj().T @ a)))
+
+
 def sz_sx_i():
     return MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
 
@@ -89,9 +94,9 @@ def test_criterion_2_square_non_tightness():
             assert verdict.relaxation.status is RelaxationStatus.INFEASIBLE
             fk = verdict.relaxation.farkas
             assert fk.gap > 0 and fk.lambda_max <= 1e-7 * fk.gap  # verified Farkas
-            margin = linalg.min_eigenvalue(
+            margin = float(linalg.eigh(
                 evaluate(elliptic_cone_pencil(alpha), sz_sx_i())
-            )
+            )[0][0])
             exact = 1 - math.sin(alpha) - math.cos(alpha)
             assert abs(margin - exact) <= 1e-9
             assert margin == pytest.approx(approx_val, abs=5e-6)
@@ -136,8 +141,8 @@ def test_criterion_5_positivity_thresholds():
         for k in range(1000):
             if k % 10 == 0:
                 u = sampling.random_unitary(rng, 2)
-                m = HermitianMatrix(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
-                n = HermitianMatrix(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
+                m = linalg.hermitian(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
+                n = linalg.hermitian(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
             else:
                 m = linalg.random_hermitian(rng, 2)
                 n = linalg.random_hermitian(rng, 2)
@@ -207,8 +212,8 @@ def test_criterion_9_separating_pencils():
             u = sampling.random_unitary(rng, 2)
             gamma = 0.9 + 0.1 * rng.random()
             cand = MatrixTuple.of(
-                gamma * (u.conj().T @ SIGMA_Z.mat @ u),
-                gamma * (u.conj().T @ SIGMA_X.mat @ u),
+                gamma * (u.conj().T @ SIGMA_Z @ u),
+                gamma * (u.conj().T @ SIGMA_X @ u),
                 np.eye(2),
             )
             res = min_membership(sq, cand)
@@ -224,7 +229,7 @@ def test_criterion_9_separating_pencils():
             for s in (1, 2):
                 for _ in range(100):
                     member = sampling.random_min_member(rng, sq, s)
-                    scale = 1 + max(e.norm() for e in member.entries)
+                    scale = 1 + max(np.linalg.norm(e.mat) for e in member.entries)
                     assert membership(q, member).margin >= -1e-8 * scale
 
 
@@ -245,7 +250,7 @@ def test_criterion_10_sdp_self_test():
                 cons = [
                     (
                         tuple(amats[i]),
-                        sum(linalg.trace_inner(x0[b], amats[i][b]) for b in range(nb)),
+                        sum(trace_inner(x0[b], amats[i][b]) for b in range(nb)),
                     )
                     for i in range(m)
                 ]
@@ -257,10 +262,10 @@ def test_criterion_10_sdp_self_test():
             elif kind == 1:  # infeasible with planted Farkas certificate
                 y = rng.standard_normal(m)
                 y[-1] = 1.0
-                s0 = [linalg.random_psd(rng, n).mat + 0.1 * np.eye(n) for n in blocks]
+                s0 = [linalg.random_psd(rng, n) + 0.1 * np.eye(n) for n in blocks]
                 for b in range(nb):
-                    acc = sum(y[i] * amats[i][b].mat for i in range(m - 1))
-                    amats[m - 1][b] = HermitianMatrix(-(s0[b] + acc))
+                    acc = sum(y[i] * amats[i][b] for i in range(m - 1))
+                    amats[m - 1][b] = linalg.hermitian(-(s0[b] + acc))
                 bvec = rng.standard_normal(m)
                 bvec[-1] = 1.0 - bvec[: m - 1] @ y[: m - 1]
                 cons = [(tuple(amats[i]), float(bvec[i])) for i in range(m)]
@@ -271,41 +276,41 @@ def test_criterion_10_sdp_self_test():
             else:  # optimization with known complementary optimum
                 xs, ss = [], []
                 for n in blocks:
-                    w, u = np.linalg.eigh(linalg.random_hermitian(rng, n).mat)
+                    w, u = np.linalg.eigh(linalg.random_hermitian(rng, n))
                     kk = max(1, n // 2)
                     xs.append(
-                        HermitianMatrix(
+                        linalg.hermitian(
                             (u[:, :kk] * np.abs(rng.standard_normal(kk)))
                             @ u[:, :kk].conj().T
                         )
                     )
                     if kk < n:
                         ss.append(
-                            HermitianMatrix(
+                            linalg.hermitian(
                                 (u[:, kk:] * np.abs(rng.standard_normal(n - kk)))
                                 @ u[:, kk:].conj().T
                             )
                         )
                     else:
-                        ss.append(HermitianMatrix(np.zeros((n, n))))
+                        ss.append(linalg.hermitian(np.zeros((n, n))))
                 y0 = rng.standard_normal(m)
                 cons = [
                     (
                         tuple(amats[i]),
-                        sum(linalg.trace_inner(xs[b], amats[i][b]) for b in range(nb)),
+                        sum(trace_inner(xs[b], amats[i][b]) for b in range(nb)),
                     )
                     for i in range(m)
                 ]
                 cobj = tuple(
-                    HermitianMatrix(
-                        sum(y0[i] * amats[i][b].mat for i in range(m)) + ss[b].mat
+                    linalg.hermitian(
+                        sum(y0[i] * amats[i][b] for i in range(m)) + ss[b]
                     )
                     for b in range(nb)
                 )
                 p = sdp.SdpProblem.make(blocks, cons, objective=cobj)
                 out = sdp.solve(p)
                 assert out.status is sdp.SdpStatus.OPTIMAL, f"instance {k}: {out.message}"
-                expected = sum(linalg.trace_inner(xs[b], cobj[b]) for b in range(nb))
+                expected = sum(trace_inner(xs[b], cobj[b]) for b in range(nb))
                 assert out.objective_value == pytest.approx(
                     expected, abs=1e-5 * (1 + abs(expected))
                 )

@@ -79,7 +79,7 @@ def test_cancelled_farkas_gap_is_rejected():
     check = certificates.verify_certificate(doc)
     assert not check.ok
     assert 0 < check.details["gap"] < certificates.FARKAS_GAP_LIMIT * check.details["size"]
-    y = np.array([linalg.matrix_from_json(m).mat for m in doc["y_matrices"]])
+    y = np.array([linalg.matrix_from_json(m) for m in doc["y_matrices"]])
     n = pencil_from_json(doc["tgt"]).stack
     size = np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(n, axis=(1, 2))
     assert check.details["size"] == pytest.approx(size, rel=1e-12)
@@ -168,10 +168,37 @@ def test_essential_boundary_functional_passes_verify():
     assert check.ok and check.details["margin"] == res.functional.margin
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("nu", float("nan")),
+        ("nu", float("inf")),
+        ("nu", 0.0),
+        ("nu", -0.25),
+        ("nu", 1.5),
+        ("h_normal", [0.0, float("nan"), 1.0]),
+        ("h_normal", [0.0, 0.0, float("inf")]),
+        ("h_normal", [0.0, 1.0]),
+    ],
+)
+def test_sandwich_with_a_bad_nu_or_normal_is_rejected(field, value):
+    # nu = 0 is a sandwich of nothing, and a NaN nu or normal would drop out
+    # of every comparison of the check: each is an input error, not VALID
+    from freespec.containment import scaling_bound
+
+    cone = cones.square_cone()
+    rep = scaling_bound(cone, [0.0, 0.0, 1.0])
+    doc = certificates.sandwich_cert(cone, rep.certified_nu, [0.0, 0.0, 1.0], rep.certificate)
+    assert _round_trip(doc).ok
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        _round_trip(doc)
+
+
 def test_apply_kraus_matches_the_sum():
     rng = np.random.default_rng(3)
     kraus = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
-    x = np.array([linalg.random_hermitian(rng, 4).mat for _ in range(2)])
+    x = np.array([linalg.random_hermitian(rng, 4) for _ in range(2)])
     want = [sum(v.conj().T @ xi @ v for v in kraus) for xi in x]
     assert np.allclose(certificates.apply_kraus(kraus, x), want, atol=1e-12)
 

@@ -371,6 +371,44 @@ class TestVerifyShapes:
         assert err.startswith("error: ") and field in err, err
         assert "Traceback" not in out + err
 
+    SOURCES = {
+        "separator": ("min-membership", "--cone", "square", "--tuple", "szsxi.json"),
+        "relaxation": ("relaxation", "--src", "square-diag", "--tgt", "calpha", "--alpha", "pi/4"),
+        "essential": ("essential-boundary", "--components", "comps.json"),
+    }
+
+    @pytest.mark.parametrize(
+        "source,path,value,field",
+        [
+            ("separator", ("cone", "d"), None, "cone: d must be an integer"),
+            ("separator", ("cone", "d"), [3], "cone: d must be an integer"),
+            ("separator", ("cone", "d"), math.inf, "cone: d must be an integer"),
+            ("relaxation", ("src", "d"), None, "src: d must be an integer"),
+            ("relaxation", ("src", "d"), [3], "src: d must be an integer"),
+            ("relaxation", ("tgt", "d"), math.inf, "tgt: d must be an integer"),
+            ("relaxation", ("tgt", "r"), None, "tgt: r must be an integer"),
+            ("separator", ("kind",), ["min_membership_separator"], "unknown certificate kind"),
+            ("separator", ("kind",), {"kind": "scaling_sandwich"}, "unknown certificate kind"),
+            ("separator", ("query", "entries", 0, 0, 1, 0), [0.0, 0.0],
+             "query: entry (0,1): expected [re, im]"),
+            ("separator", ("query", "entries", 0, 0, 1, 0), None,
+             "query: entry (0,1): expected [re, im]"),
+            ("essential", ("eps",), None, "eps: expected a finite number"),
+            ("essential", ("eps",), [1e-6], "eps: expected a finite number"),
+        ],
+        ids=["cone-d-null", "cone-d-list", "cone-d-infinity", "src-d-null", "src-d-list",
+             "tgt-d-infinity", "tgt-r-null", "kind-list", "kind-object", "entry-list",
+             "entry-null", "eps-null", "eps-list"],
+    )
+    def test_a_field_of_the_wrong_type(self, capsys, tmp_path, fixtures, source, path, value, field):
+        argv = [str(fixtures / a) if a.endswith(".json") else a for a in self.SOURCES[source]]
+        cert = self._certificate(capsys, *argv)
+        parent = cert
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        self._rejects(capsys, tmp_path, cert, field)
+
     def test_member_query_shorter_than_the_cone(self, capsys, tmp_path, fixtures):
         pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
         cert = self._certificate(

@@ -22,7 +22,7 @@ from freespec.containment import (
     square_type_witness,
 )
 from freespec.cones import PolyhedralCone, find_sandwich_simplex, is_simplex, square_cone
-from freespec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianMatrix
+from freespec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from freespec.opsys import MinMembershipStatus, max_membership
 from freespec.pencil import (
     Classification,
@@ -34,6 +34,10 @@ from freespec.pencil import (
     evaluate,
     membership,
 )
+
+
+def min_eigenvalue(a) -> float:
+    return float(linalg.eigh(a)[0][0])
 
 
 def sz_sx_i():
@@ -68,7 +72,7 @@ class TestScalarInclusion:
             cone = _regular_polygon(k)
             for tgt in (elliptic_cone_pencil(0.7), _random_target(rng, cone, 3, spread=0.5)):
                 ref = [
-                    linalg.min_eigenvalue(sum(g[i] * tgt.matrices[i].mat for i in range(3)))
+                    min_eigenvalue(sum(g[i] * tgt.matrices[i].mat for i in range(3)))
                     for g in cone.generators
                 ]
                 res = scalar_inclusion(cone, tgt)
@@ -127,15 +131,15 @@ class TestRelaxation:
         kraus = res.certificate.kraus
         for _ in range(50):
             a = sampling.random_min_member(rng, cone, 2)
-            src_eval = evaluate(src, a).mat
+            src_eval = evaluate(src, a)
             lifted = sum(
                 np.kron(v, np.eye(2)).conj().T @ src_eval @ np.kron(v, np.eye(2))
                 for v in kraus
             )
-            direct = evaluate(tgt, a).mat
+            direct = evaluate(tgt, a)
             assert np.max(np.abs(lifted - direct)) < 1e-7 * (1 + np.max(np.abs(direct)))
             res_m = membership(tgt, a, tol=1e-9)
-            scale = 1 + max(e.norm() for e in a.entries)
+            scale = 1 + max(np.linalg.norm(e.mat) for e in a.entries)
             assert res_m.margin >= -1e-8 * scale
 
     def test_dimension_mismatch(self):
@@ -147,7 +151,7 @@ def _target_from_values(cone, values):
     """Pencil whose value at generator k is a positive multiple of values[k],
     normalised at the unit (sum_k theta_k values[k] must be PD)."""
     theta = sampling.simplex_weights(cone)
-    ti = linalg.inv_sqrt_pd(HermitianMatrix(sum(th * q for th, q in zip(theta, values))))
+    ti = linalg.inv_sqrt_pd(linalg.hermitian(sum(th * q for th, q in zip(theta, values))))
     qhat = [ti @ q @ ti for q in values]
     lam = np.linalg.inv(cone.generators.T)
     mats = [sum(lam[k, i] * qhat[k] for k in range(cone.dim)) for i in range(cone.dim)]
@@ -156,7 +160,7 @@ def _target_from_values(cone, values):
 
 def _indefinite_target(rng, cone, t):
     theta = sampling.simplex_weights(cone)
-    hs = [linalg.random_hermitian(rng, t).mat for _ in range(cone.dim)]
+    hs = [linalg.random_hermitian(rng, t) for _ in range(cone.dim)]
     total = sum(th * h for th, h in zip(theta, hs))
     shift = (1.0 + np.linalg.norm(total, 2)) / theta.sum()
     return _target_from_values(cone, [h + shift * np.eye(t) for h in hs])
@@ -200,7 +204,7 @@ class TestSimplexRelaxation:
         tgt = sampling.random_target_for_simplex(rng, cone, 3)
         assert relaxation(src, tgt).status is RelaxationStatus.FEASIBLE
         assert check_inclusion(cone, tgt).relaxation.status is RelaxationStatus.FEASIBLE
-        values = [linalg.random_psd(rng, 3).mat + np.eye(3) for _ in range(3)]
+        values = [linalg.random_psd(rng, 3) + np.eye(3) for _ in range(3)]
         values[1] = np.diag([-0.05, 1.0, 1.0])
         bad = _target_from_values(cone, values)
         res = relaxation(src, bad)
@@ -213,7 +217,7 @@ class TestSimplexRelaxation:
         rng = np.random.default_rng(76)
         cone = sampling.random_simplex_cone(rng, 3)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        values = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2).mat for _ in range(2)]
+        values = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2) for _ in range(2)]
         src, tgt = diagonal_pencil(cone), _target_from_values(cone, values)
         res = relaxation(src, tgt)
         assert solve_calls == []
@@ -270,7 +274,7 @@ def _random_target(rng, cone, t, spread):
     """u/|u|^2 (x) I plus random Hermitian matrices with sum_i u_i H_i = 0: a
     target that contains the cone or not, depending on the spread."""
     w = cone.unit / float(cone.unit @ cone.unit)
-    hs = np.array([linalg.random_hermitian(rng, t, spread).mat for _ in range(cone.dim)])
+    hs = np.array([linalg.random_hermitian(rng, t, spread) for _ in range(cone.dim)])
     hs -= np.multiply.outer(w, np.tensordot(cone.unit, hs, axes=1))
     return LinearPencil(list(np.multiply.outer(w, np.eye(t)) + hs), cone.unit)
 
@@ -512,7 +516,7 @@ class TestCommutingRelaxation:
         rotated = _regular_polygon(5, 0.3 + math.pi / 5)
         tgt = _conjugated(_facet_target(rotated, [0, 1, 2]), sampling.random_unitary(rng, 3))
         # the unit is e_3, so bumping N_1 and N_2 keeps the pencil unital
-        bumps = [1e-4 * linalg.random_hermitian(rng, 3).mat for _ in range(2)] + [0.0]
+        bumps = [1e-4 * linalg.random_hermitian(rng, 3) for _ in range(2)] + [0.0]
         bumped = LinearPencil([m.mat + b for m, b in zip(tgt.matrices, bumps)], tgt.unit)
         src = diagonal_pencil(cone)
         res = relaxation(src, bumped)
@@ -572,7 +576,7 @@ class TestFreeWitness:
         # the two Kronecker terms commute; eigenvalues are 1 +- sin +- cos
         alpha = 0.9
         ev = evaluate(elliptic_cone_pencil(alpha), sz_sx_i())
-        got = np.sort(linalg.eigh(ev).eigenvalues)
+        got = np.sort(linalg.eigh(ev)[0])
         s, c = math.sin(alpha), math.cos(alpha)
         want = np.sort([1 + s + c, 1 + s - c, 1 - s + c, 1 - s - c])
         assert np.max(np.abs(got - want)) < 1e-12
@@ -607,8 +611,8 @@ def _random_quadrilateral(rng):
 class TestSquareTypeWitness:
     def test_square_gets_canonical_tuple(self):
         w = square_type_witness(square_cone())
-        assert np.array_equal(w.entries[0].mat, SIGMA_Z.mat)
-        assert np.array_equal(w.entries[1].mat, SIGMA_X.mat)
+        assert np.array_equal(w.entries[0].mat, SIGMA_Z)
+        assert np.array_equal(w.entries[1].mat, SIGMA_X)
 
     def test_skewed_quadrilateral(self):
         quad = _skewed_quad()
@@ -766,7 +770,7 @@ class TestPentagonNonTightness:
             assert membership(q, a).margin < -1e-9
             for _ in range(25):
                 member = sampling.random_min_member(rng, pent, 2)
-                scale = 1 + max(e.norm() for e in member.entries)
+                scale = 1 + max(np.linalg.norm(e.mat) for e in member.entries)
                 assert membership(q, member).margin >= -1e-8 * scale
             if found >= 3:
                 break
@@ -814,7 +818,7 @@ class TestScaledMaxInMin:
 
     def test_closed_form_decomposition_oracle(self):
         # explicit weights for (sz/2, sx/2, I): P3 = I/4 + (sz+sx)/8 etc.
-        sz, sx, eye = SIGMA_Z.mat, SIGMA_X.mat, np.eye(2)
+        sz, sx, eye = SIGMA_Z, SIGMA_X, np.eye(2)
         p = [
             eye / 4 + (sz - sx) / 8,
             eye / 4 - (sz - sx) / 8,
@@ -842,7 +846,7 @@ class TestScaledMaxInMin:
             assert res.status is MinMembershipStatus.MEMBER
 
     def test_rejects_outside_tuple(self):
-        bad = MatrixTuple.of(3 * SIGMA_Z.mat, np.zeros((2, 2)), np.eye(2))
+        bad = MatrixTuple.of(3 * SIGMA_Z, np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ValueError, match="outside"):
             scaled_max_in_min(square_cone(), 0.5, bad)
 
@@ -876,8 +880,8 @@ def _random_max_tuple_per_facet(cone, s, rng):
     head = [linalg.random_hermitian(rng, s) for _ in range(d - 1)]
     t_req = 0.0
     for k in range(cone.n_facets):
-        f = sum(cone.facets[k, i] * head[i].mat for i in range(d - 1))
-        t_req = max(t_req, -linalg.min_eigenvalue(f) / cone.facets[k, -1])
+        f = sum(cone.facets[k, i] * head[i] for i in range(d - 1))
+        t_req = max(t_req, -min_eigenvalue(f) / cone.facets[k, -1])
     t = t_req + 0.05 * float(rng.random())
     return MatrixTuple(head + [t * np.eye(s)])
 
@@ -957,9 +961,9 @@ class TestEntangledExample:
 
     def test_blocks_are_paulis(self):
         rep = entangled_example()
-        assert np.array_equal(rep.blocks[0], SIGMA_Z.mat)
-        assert np.array_equal(rep.blocks[1], SIGMA_X.mat)
-        assert np.array_equal(rep.blocks[2], SIGMA_Y.mat)
+        assert np.array_equal(rep.blocks[0], SIGMA_Z)
+        assert np.array_equal(rep.blocks[1], SIGMA_X)
+        assert np.array_equal(rep.blocks[2], SIGMA_Y)
         assert np.array_equal(rep.blocks[3], np.eye(2))
 
     def test_partial_transpose_eigenvalue(self):
@@ -978,7 +982,7 @@ class TestEntangledExample:
         # oracle: explicit index permutation on a numbered 4x4 matrix
         m = np.arange(16, dtype=float).reshape(4, 4)
         m = (m + m.T) / 2
-        got = partial_transpose(m, (2, 2), subsystem=1).mat
+        got = partial_transpose(m, (2, 2), subsystem=1)
         want = np.zeros((4, 4))
         for i1 in range(2):
             for j1 in range(2):
@@ -990,7 +994,7 @@ class TestEntangledExample:
     def test_separable_state_stays_psd(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
-            p = linalg.random_psd(rng, 2).mat
-            q = linalg.random_psd(rng, 2).mat
+            p = linalg.random_psd(rng, 2)
+            q = linalg.random_psd(rng, 2)
             sep = np.kron(p, q) + np.kron(q, p)
-            assert linalg.min_eigenvalue(partial_transpose(sep)) >= -1e-10
+            assert min_eigenvalue(partial_transpose(sep)) >= -1e-10

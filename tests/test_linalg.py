@@ -1,4 +1,5 @@
-"""Hermitian kernel operations: construction, eigh, psd tests, kron, inner."""
+"""Hermitian kernel operations: construction, eigh, the eigenvalue callers
+of eigh_kernel and the JSON matrix literals."""
 
 import json
 import math
@@ -6,18 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from freespec import certificates, linalg
-from freespec.linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    HermitianMatrix,
-    eigh,
-    is_psd,
-    kron,
-    min_eigenvalue,
-    trace_inner,
-)
+from freespec import _kernels, certificates, linalg, opsys, pencil
+from freespec.linalg import SIGMA_X, SIGMA_Z, HermitianMatrix, eigh
+
+
+def min_eigenvalue(a) -> float:
+    return float(eigh(a)[0][0])
 
 
 class TestHermitianMatrix:
@@ -42,32 +37,31 @@ class TestHermitianMatrix:
 
 class TestEigh:
     def test_sigma_z_diagonal(self):
-        dec = eigh(SIGMA_Z)
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
+        w, _ = eigh(SIGMA_Z)
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_identity(self):
-        dec = eigh(HermitianMatrix.identity(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
+        w, _ = eigh(np.eye(2))
+        assert np.allclose(w, [1.0, 1.0])
 
     def test_sigma_x_characteristic(self):
         # oracle: roots of the characteristic polynomial lambda^2 - 1
-        dec = eigh(SIGMA_X)
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        w, _ = eigh(SIGMA_X)
+        assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         for n in range(2, 17):
             a = linalg.random_hermitian(rng, n)
-            dec = eigh(a)
-            scale = 1 + a.norm()
-            assert np.max(np.abs(dec.reconstruct() - a.mat)) <= 1e-9 * scale
-            u = dec.eigenvectors
+            w, u = eigh(a)
+            scale = 1 + np.linalg.norm(a)
+            assert np.max(np.abs((u * w) @ u.conj().T - a)) <= 1e-9 * scale
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-9
 
     def test_ascending_order(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            w = eigh(linalg.random_hermitian(rng, 6)).eigenvalues
+            w, _ = eigh(linalg.random_hermitian(rng, 6))
             assert np.all(np.diff(w) >= -1e-14)
 
     def test_phase_normalization(self):
@@ -75,9 +69,9 @@ class TestEigh:
         inputs = [linalg.random_hermitian(rng, 5) for _ in range(20)]
         # eigenvectors of the sigma_x block have exactly zero leading entries
         inputs.append(np.block([[np.diag([1.0, 2.0]), np.zeros((2, 2))],
-                                [np.zeros((2, 2)), SIGMA_X.mat]]))
+                                [np.zeros((2, 2)), SIGMA_X]]))
         for a in inputs:
-            v = eigh(a).eigenvectors
+            _, v = eigh(a)
             for j in range(v.shape[1]):
                 col = v[:, j]
                 k = np.argmax(np.abs(col) > 1e-10 * np.abs(col).max())
@@ -93,8 +87,8 @@ class TestMinEigenvalue:
         # oracle: brute-force 4x4 eigendecomposition; the two Kronecker
         # terms commute so eigenvalues are 1 +- sin +- cos
         a = (
-            math.sin(math.pi / 4) * np.kron(SIGMA_Z.mat, SIGMA_Z.mat)
-            + math.cos(math.pi / 4) * np.kron(SIGMA_X.mat, SIGMA_X.mat)
+            math.sin(math.pi / 4) * np.kron(SIGMA_Z, SIGMA_Z)
+            + math.cos(math.pi / 4) * np.kron(SIGMA_X, SIGMA_X)
             + np.eye(4)
         )
         brute = np.linalg.eigvalsh(a).min()
@@ -109,97 +103,29 @@ class TestMinEigenvalue:
         for _ in range(50):
             a = linalg.random_hermitian(rng, 4)
             b = linalg.random_hermitian(rng, 4)
-            lhs = min_eigenvalue(HermitianMatrix(a.mat + b.mat))
+            lhs = min_eigenvalue(a + b)
             assert lhs >= min_eigenvalue(a) + min_eigenvalue(b) - 1e-9
 
-    def test_eigenvalue_helpers_keep_the_bits_of_eigh(self):
-        # the helpers skip eigh's eigenvector phases, not its LAPACK call
+    def test_eigenvalue_callers_keep_the_bits_of_eigh_kernel(self):
+        # the library's eigenvalue-only callers make the LAPACK call of
+        # eigh on the checked array, so they keep its bits
         rng = np.random.default_rng(4)
         for n in range(1, 7):
             for _ in range(20):
-                a = linalg.random_hermitian(rng, n)
-                ref = eigh(a).eigenvalues
-                assert np.array_equal(linalg.eigvalsh(a), ref)
-                assert min_eigenvalue(a) == ref[0]
-                assert linalg.max_eigenvalue(a.mat) == ref[-1]
+                m, q = linalg.random_hermitian(rng, n), linalg.random_hermitian(rng, n)
+                top = _kernels.eigh_kernel(linalg.hermitian(q @ q - m))[0][-1]
+                assert opsys.lambda1_block(m, q) == top
 
+                p = pencil.LinearPencil([SIGMA_Z, SIGMA_X, np.eye(2)], [0.0, 0.0, 1.0])
+                a = pencil.MatrixTuple([m, q, np.eye(n)])
+                low = _kernels.eigh_kernel(linalg.hermitian(
+                    np.kron(SIGMA_Z, m) + np.kron(SIGMA_X, q) + np.kron(np.eye(2), np.eye(n))))[0][0]
+                assert pencil.membership(p, a).margin == low
 
-class TestIsPsd:
-    def test_identity(self):
-        assert is_psd(np.eye(2), tol=1e-8)
-
-    def test_sigma_z(self):
-        assert not is_psd(SIGMA_Z, tol=1e-8)
-
-    def test_zero_tol_zero_matrix(self):
-        assert is_psd(np.zeros((2, 2)), tol=0.0)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_psd(np.eye(2), tol=-1.0)
-
-
-class TestKron:
-    def test_sigma_z_squared(self):
-        assert np.allclose(kron(SIGMA_Z, SIGMA_Z).mat, np.diag([1, -1, -1, 1]))
-
-    def test_identity_block(self):
-        b = linalg.random_hermitian(np.random.default_rng(4), 3)
-        k = kron(HermitianMatrix.identity(2), b).mat
-        assert np.allclose(k[:3, :3], b.mat)
-        assert np.allclose(k[3:, 3:], b.mat)
-        assert np.allclose(k[:3, 3:], 0)
-
-    def test_sigma_x_kron_identity(self):
-        expected = np.array(
-            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float
-        )
-        assert np.allclose(kron(SIGMA_X, HermitianMatrix.identity(2)).mat, expected)
-
-    def test_eigenvalue_products(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            a = linalg.random_hermitian(rng, 3)
-            b = linalg.random_hermitian(rng, 2)
-            got = np.sort(eigh(kron(a, b)).eigenvalues)
-            ea = eigh(a).eigenvalues
-            eb = eigh(b).eigenvalues
-            want = np.sort(np.outer(ea, eb).ravel())
-            assert np.max(np.abs(got - want)) <= 1e-9 * (1 + np.max(np.abs(want)))
-
-
-class TestTraceInner:
-    def test_sigma_z_self(self):
-        assert trace_inner(SIGMA_Z, SIGMA_Z) == pytest.approx(2.0)
-
-    def test_orthogonal_paulis(self):
-        assert trace_inner(SIGMA_Z, SIGMA_X) == pytest.approx(0.0)
-        assert trace_inner(SIGMA_Z, SIGMA_Y) == pytest.approx(0.0)
-
-    def test_against_identity_is_trace(self):
-        rng = np.random.default_rng(6)
-        a = linalg.random_hermitian(rng, 4)
-        assert trace_inner(HermitianMatrix.identity(4), a) == pytest.approx(
-            float(np.real(np.trace(a.mat)))
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            trace_inner(SIGMA_Z, HermitianMatrix.identity(3))
-
-    def test_symmetric_bilinear_positive(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = linalg.random_hermitian(rng, 3)
-            b = linalg.random_hermitian(rng, 3)
-            c = linalg.random_hermitian(rng, 3)
-            s, t = rng.standard_normal(2)
-            assert trace_inner(a, b) == pytest.approx(trace_inner(b, a), abs=1e-12)
-            lhs = trace_inner(HermitianMatrix(s * a.mat + t * b.mat), c)
-            assert lhs == pytest.approx(
-                s * trace_inner(a, c) + t * trace_inner(b, c), abs=1e-9
-            )
-            assert trace_inner(a, a) > 0 or a.norm() == 0
+                pd = linalg.random_psd(rng, n) + np.eye(n)
+                w, v = _kernels.eigh_kernel(linalg.hermitian(pd))
+                u = linalg._normalize_phases(v)
+                assert np.array_equal(linalg.inv_sqrt_pd(pd), (u / np.sqrt(w)) @ u.conj().T)
 
 
 class TestMatrixJson:
@@ -208,7 +134,7 @@ class TestMatrixJson:
         a = linalg.random_hermitian(rng, 3)
         doc = linalg.matrix_to_json(a)
         b = linalg.matrix_from_json(doc)
-        assert np.array_equal(a.mat, b.mat)
+        assert np.array_equal(a, b)
 
     def test_non_real_diagonal_rejected(self):
         doc = [[[1.0, 0.1], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -231,7 +157,7 @@ def _old_matrix_from_json(obj):
 
 def _signed_zero_matrix(rng, n):
     """A Hermitian matrix with -0.0 and +0.0 parts, tiny and huge entries."""
-    a = linalg.random_hermitian(rng, n).mat * 10.0 ** rng.integers(-150, 150, (n, n))
+    a = linalg.random_hermitian(rng, n) * 10.0 ** rng.integers(-150, 150, (n, n))
     a = np.array((a + a.conj().T) / 2.0)
     a[0, 0] = complex(-0.0, 0.0)
     if n > 1:
@@ -266,7 +192,7 @@ class TestJsonLiteralsVectorised:
         rng = np.random.default_rng(13)
         for n in (1, 2, 4):
             doc = _old_matrix_to_json(_signed_zero_matrix(rng, n))
-            got = linalg.matrix_from_json(doc).mat
+            got = linalg.matrix_from_json(doc)
             want = _old_matrix_from_json(doc).mat
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         kraus = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))

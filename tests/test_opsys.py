@@ -29,6 +29,10 @@ from freespec.pencil import (
 )
 
 
+def min_eigenvalue(a) -> float:
+    return float(linalg.eigh(a)[0][0])
+
+
 def sz_sx_i():
     return MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
 
@@ -41,7 +45,7 @@ class TestMaxMembership:
 
     def test_doubled_outside(self):
         res = max_membership(
-            cones.square_cone(), MatrixTuple.of(2 * SIGMA_Z.mat, np.zeros((2, 2)), np.eye(2))
+            cones.square_cone(), MatrixTuple.of(2 * SIGMA_Z, np.zeros((2, 2)), np.eye(2))
         )
         assert res.classification is Classification.OUTSIDE
         assert res.margin == pytest.approx(-1.0, abs=1e-12)
@@ -61,7 +65,7 @@ class TestMaxMembership:
             for s in (1, 2, 3):
                 a = MatrixTuple(tuple(linalg.random_hermitian(rng, s) for _ in range(cone.dim)))
                 ref = [
-                    linalg.min_eigenvalue(sum(f[i] * a.entries[i].mat for i in range(cone.dim)))
+                    min_eigenvalue(sum(f[i] * a.entries[i].mat for i in range(cone.dim)))
                     for f in cone.facets
                 ]
                 res = max_membership(cone, a)
@@ -83,7 +87,7 @@ class TestMinMembership:
         assert res.status is MinMembershipStatus.MEMBER
         assert res.certificate.residual < 1e-6
         for w in res.certificate.weights:
-            assert linalg.min_eigenvalue(w) >= -1e-7
+            assert min_eigenvalue(w) >= -1e-7
 
     def test_pauli_pair_not_member(self):
         sq = cones.square_cone()
@@ -118,7 +122,7 @@ class TestMinMembership:
                 for _ in range(25):
                     member = sampling.random_min_member(rng, cone, s)
                     res = max_membership(cone, member, tol=1e-9)
-                    assert res.margin >= -1e-9 * (1 + max(e.norm() for e in member.entries))
+                    assert res.margin >= -1e-9 * (1 + max(np.linalg.norm(e.mat) for e in member.entries))
 
 
 class TestSimplexCollapse:
@@ -212,7 +216,7 @@ class TestSimplexClosedForm:
         rng = np.random.default_rng(56)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         rank_one = sampling.random_simplex_cone(rng, 3)
-        weights = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2).mat for _ in range(2)]
+        weights = [np.outer(w, w.conj())] + [linalg.random_psd(rng, 2) for _ in range(2)]
         cases = [
             # orthant: the weights are the entries, so lambda_min is exactly 0
             (
@@ -223,7 +227,7 @@ class TestSimplexClosedForm:
                 rank_one,
                 MatrixTuple(
                     tuple(
-                        HermitianMatrix(sum(g[i] * p for g, p in zip(rank_one.generators, weights)))
+                        linalg.hermitian(sum(g[i] * p for g, p in zip(rank_one.generators, weights)))
                         for i in range(3)
                     )
                 ),
@@ -377,7 +381,7 @@ class TestCommutingStacks:
         cone = _polygon(6)
         a = _commuting_tuple(_outside_rows(rng, cone, 3), sampling.random_unitary(rng, 3))
         bumped = MatrixTuple(
-            tuple(HermitianMatrix(e.mat + 1e-4 * linalg.random_hermitian(rng, 3).mat)
+            tuple(linalg.hermitian(e.mat + 1e-4 * linalg.random_hermitian(rng, 3))
                   for e in a.entries)
         )
         res = min_membership(cone, bumped)
@@ -397,7 +401,7 @@ class TestCommutingStacks:
         assert np.allclose(ell[order], rows[np.lexsort(rows.T)], atol=1e-12)
         assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
         # sigma_z and sigma_x share no eigenbasis
-        assert linalg.joint_eigenbasis(np.array([SIGMA_Z.mat, SIGMA_X.mat]))[2] > 0.1
+        assert linalg.joint_eigenbasis(np.array([SIGMA_Z, SIGMA_X]))[2] > 0.1
 
 
 class TestMemberWeights:
@@ -578,27 +582,27 @@ class TestMarginNewtonSteps:
 class TestPauliWitness:
     def test_alpha_quarter_formula(self):
         w = pauli_witness(math.pi / 4)
-        expected = (np.eye(2) - (math.sqrt(2) / 2) * SIGMA_Z.mat + (math.sqrt(2) / 2) * SIGMA_X.mat) / 2
-        assert np.allclose(w.components[0].mat, expected)
+        expected = (np.eye(2) - (math.sqrt(2) / 2) * SIGMA_Z + (math.sqrt(2) / 2) * SIGMA_X) / 2
+        assert np.allclose(w.components[0], expected)
 
     def test_pair_sums_identity(self):
         for alpha in (0.2, 0.9, 1.3):
             w = pauli_witness(alpha)
-            a1, a2, a3, a4 = (c.mat for c in w.components)
+            a1, a2, a3, a4 = w.components
             assert np.allclose(a1 + a2, np.eye(2), atol=1e-14)
             assert np.allclose(a3 + a4, np.eye(2), atol=1e-14)
 
     def test_orthogonal_projections(self):
         w = pauli_witness(0.7)
-        a1, a2, a3, a4 = (c.mat for c in w.components)
+        a1, a2, a3, a4 = w.components
         assert np.max(np.abs(a1 @ a2)) < 1e-14
         assert np.max(np.abs(a3 @ a4)) < 1e-14
 
     def test_idempotent_trace_one(self):
         for alpha in np.linspace(0.1, 1.4, 7):
             for c in pauli_witness(alpha).components:
-                assert np.max(np.abs(c.mat @ c.mat - c.mat)) < 1e-9
-                assert np.trace(c.mat).real == pytest.approx(1.0, abs=1e-12)
+                assert np.max(np.abs(c @ c - c)) < 1e-9
+                assert np.trace(c).real == pytest.approx(1.0, abs=1e-12)
 
     def test_range(self):
         with pytest.raises(ValueError):
@@ -630,7 +634,7 @@ class TestEssentialBoundary:
             want = essential_boundary_square(comps).status
             assert want is not EssentialBoundaryStatus.UNKNOWN
             for e in range(-8, 9, 2):
-                scaled = [HermitianMatrix(10.0**e * c.mat) for c in comps]
+                scaled = [linalg.hermitian(10.0**e * c) for c in comps]
                 res = essential_boundary_square(scaled)
                 assert res.status is want, f"scale 1e{e}: {res.message}"
                 if res.status is EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY:
@@ -671,12 +675,12 @@ class TestEffrosWinkler:
     def test_fixed_point_on_normalized_pencil(self):
         p = elliptic_cone_pencil(0.6)
         phi = opsys.SeparationFunctional(
-            matrices=tuple(HermitianMatrix(np.conj(m.mat)) for m in p.matrices),
+            matrices=tuple(linalg.hermitian(np.conj(m.mat)) for m in p.matrices),
             margin=1.0,
         )
         q = effros_winkler_separation(phi, p.unit)
         for a, b in zip(q.matrices, phi.matrices):
-            assert np.max(np.abs(a.mat - b.mat)) < 1e-12
+            assert np.max(np.abs(a.mat - b)) < 1e-12
 
     def test_separates_query_and_contains_members(self):
         sq = cones.square_cone()
@@ -692,12 +696,12 @@ class TestEffrosWinkler:
             for _ in range(100):
                 member = sampling.random_min_member(rng, sq, s)
                 res_m = membership(q, member, tol=1e-9)
-                scale = 1 + max(e.norm() for e in member.entries)
+                scale = 1 + max(np.linalg.norm(e.mat) for e in member.entries)
                 assert res_m.margin >= -1e-8 * scale
 
     def test_singular_unit_matrix_rejected(self):
         phi = opsys.SeparationFunctional(
-            matrices=(SIGMA_Z, SIGMA_X, HermitianMatrix(np.diag([1.0, 0.0]))),
+            matrices=(SIGMA_Z, SIGMA_X, linalg.hermitian(np.diag([1.0, 0.0]))),
             margin=0.0,
         )
         with pytest.raises(ValueError, match="positive"):
@@ -724,9 +728,9 @@ class TestLambda1:
             n = linalg.random_hermitian(rng, 3)
 
             def block_psd(lam):
-                top = np.hstack([m.mat + lam * np.eye(3), n.mat])
-                bot = np.hstack([n.mat, np.eye(3)])
-                return linalg.min_eigenvalue(HermitianMatrix(np.vstack([top, bot]))) >= -1e-12
+                top = np.hstack([m + lam * np.eye(3), n])
+                bot = np.hstack([n, np.eye(3)])
+                return min_eigenvalue(linalg.hermitian(np.vstack([top, bot]))) >= -1e-12
 
             lo, hi = -50.0, 50.0
             for _ in range(60):
@@ -760,8 +764,8 @@ class TestLambda2:
         # the quartic evaluated directly at the returned argmax matches
         res = lambda2_products(SIGMA_X, SIGMA_Z)
         v = res.argmax
-        qn = float(np.real(v.conj() @ SIGMA_Z.mat @ v))
-        qm = float(np.real(v.conj() @ SIGMA_X.mat @ v))
+        qn = float(np.real(v.conj() @ SIGMA_Z @ v))
+        qm = float(np.real(v.conj() @ SIGMA_X @ v))
         assert qn * qn - qm == pytest.approx(res.value, abs=1e-12)
 
     def test_inequality_thousand_pairs(self):
@@ -771,8 +775,8 @@ class TestLambda2:
             if k % 10 == 0:
                 # commuting pair: equality case with a common eigenvector
                 u = sampling.random_unitary(rng, 2)
-                m = HermitianMatrix(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
-                n = HermitianMatrix(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
+                m = linalg.hermitian(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
+                n = linalg.hermitian(u @ np.diag(rng.standard_normal(2)) @ u.conj().T)
             else:
                 m = linalg.random_hermitian(rng, 2)
                 n = linalg.random_hermitian(rng, 2)
@@ -790,8 +794,8 @@ class TestLambda2:
         for k in range(1000):
             if k % 10 == 0:
                 u = sampling.random_unitary(rng, 3)
-                m = HermitianMatrix(u @ np.diag(rng.standard_normal(3)) @ u.conj().T)
-                n = HermitianMatrix(u @ np.diag(rng.standard_normal(3)) @ u.conj().T)
+                m = linalg.hermitian(u @ np.diag(rng.standard_normal(3)) @ u.conj().T)
+                n = linalg.hermitian(u @ np.diag(rng.standard_normal(3)) @ u.conj().T)
             else:
                 m = linalg.random_hermitian(rng, 3)
                 n = linalg.random_hermitian(rng, 3)
@@ -811,7 +815,7 @@ class TestLambda2:
             n = linalg.random_hermitian(rng, s)
             res = lambda2_products(m, n)
             assert np.linalg.norm(res.argmax) == pytest.approx(1.0, abs=1e-12)
-            assert res.value == opsys._quartic(m.mat, n.mat, res.argmax)
+            assert res.value == opsys._quartic(m, n, res.argmax)
             assert 0.0 <= res.upper - res.value <= 1e-9 * max(1.0, abs(res.value))
 
     @pytest.mark.parametrize("s", [2, 3, 5])
@@ -821,8 +825,8 @@ class TestLambda2:
             m = linalg.random_hermitian(rng, s)
             n = linalg.random_hermitian(rng, s)
             v = random_unit_vectors(rng, s, 10_000)
-            qn = np.einsum("ki,ij,kj->k", v.conj(), n.mat, v).real
-            qm = np.einsum("ki,ij,kj->k", v.conj(), m.mat, v).real
+            qn = np.einsum("ki,ij,kj->k", v.conj(), n, v).real
+            qm = np.einsum("ki,ij,kj->k", v.conj(), m, v).real
             assert (qn * qn - qm).max() <= lambda2_products(m, n).upper
 
     @pytest.mark.parametrize("s", [2, 3, 5])
@@ -833,7 +837,7 @@ class TestLambda2:
             n = linalg.random_hermitian(rng, s)
             u = sampling.random_unitary(rng, s)
             res = lambda2_products(m, n)
-            conj = lambda2_products(u.conj().T @ m.mat @ u, u.conj().T @ n.mat @ u)
+            conj = lambda2_products(u.conj().T @ m @ u, u.conj().T @ n @ u)
             scale = 1e-9 * max(1.0, abs(res.value))
             assert conj.value == pytest.approx(res.value, abs=scale)
             assert conj.upper == pytest.approx(res.upper, abs=scale)
@@ -846,7 +850,7 @@ class TestLambda2:
             m = linalg.random_hermitian(rng, s)
             n = linalg.random_hermitian(rng, s)
             res = lambda2_products(m, n)
-            scaled = lambda2_products(c * c * m.mat, c * n.mat)
+            scaled = lambda2_products(c * c * m, c * n)
             tol = 1e-9 * c * c * max(1.0, abs(res.value))
             assert scaled.value == pytest.approx(c * c * res.value, abs=tol)
             assert scaled.upper == pytest.approx(c * c * res.upper, abs=tol)
@@ -860,7 +864,7 @@ class TestLambda2:
             res = lambda2_products(m, 0.7 * np.eye(s))
             assert res.upper == res.value
             # N = alpha*I: the maximum is alpha^2 - lambda_min(M)
-            assert res.value == pytest.approx(0.49 - linalg.eigvalsh(m)[0], abs=1e-12)
+            assert res.value == pytest.approx(0.49 - linalg.eigh(m)[0][0], abs=1e-12)
 
 
 class TestCompressionDemo:

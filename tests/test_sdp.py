@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from freespec import linalg, sdp
-from freespec.linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
+from freespec.linalg import SIGMA_X, SIGMA_Z
+
+
+def trace_inner(a, b) -> float:
+    """<A, B> = Re tr(B* A)."""
+    return float(np.real(np.trace(b.conj().T @ a)))
 
 
 def feasibility(blocks, constraints):
@@ -41,16 +46,16 @@ class TestSolveExamples:
         assert out.status is sdp.SdpStatus.FEASIBLE
         x = out.primal[0]
         assert np.trace(x).real == pytest.approx(1.0, abs=1e-7)
-        assert abs(np.trace(SIGMA_Z.mat @ x)) < 1e-7
+        assert abs(np.trace(SIGMA_Z @ x)) < 1e-7
         # the maximally mixed point is among valid answers
-        assert linalg.min_eigenvalue(out.primal[0]) > -1e-9
+        assert linalg.eigh(out.primal[0])[0][0] > -1e-9
 
 
 class TestVerify:
     def test_exact_primal_zero_residual(self):
         p = feasibility([2], [((np.eye(2),), 1.0)])
         out = sdp.SdpOutcome(
-            status=sdp.SdpStatus.FEASIBLE, primal=(HermitianMatrix(np.eye(2) / 2),)
+            status=sdp.SdpStatus.FEASIBLE, primal=(linalg.hermitian(np.eye(2) / 2),)
         )
         rep = sdp.verify(out, p)
         assert rep.ok
@@ -66,7 +71,7 @@ class TestVerify:
 
     def test_tampered_primal_flagged(self):
         p = feasibility([2], [(([[1, 0], [0, 0]],), 0.9)])
-        bad = HermitianMatrix(np.diag([0.9, -0.1]))
+        bad = linalg.hermitian(np.diag([0.9, -0.1]))
         out = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(bad,))
         rep = sdp.verify(out, p)
         assert not rep.ok
@@ -91,7 +96,7 @@ class TestRoundTripInvariant:
             m = int(rng.integers(1, min(8, n * n)))
             amats = [linalg.random_hermitian(rng, n) for _ in range(m)]
             x0 = linalg.random_psd(rng, n)
-            cons = [((a,), linalg.trace_inner(x0, a)) for a in amats]
+            cons = [((a,), trace_inner(x0, a)) for a in amats]
             p = feasibility(blocks, cons)
             out = sdp.solve(p)
             assert out.status is sdp.SdpStatus.FEASIBLE
@@ -107,16 +112,16 @@ class TestDualityGap:
             n, m = 4, 5
             amats = [linalg.random_hermitian(rng, n) for _ in range(m)]
             # primal-dual pair with complementary optimum
-            w, u = np.linalg.eigh(linalg.random_hermitian(rng, n).mat)
-            x0 = HermitianMatrix((u[:, :2] * np.abs(rng.standard_normal(2))) @ u[:, :2].conj().T)
-            s0 = HermitianMatrix((u[:, 2:] * np.abs(rng.standard_normal(2))) @ u[:, 2:].conj().T)
+            w, u = np.linalg.eigh(linalg.random_hermitian(rng, n))
+            x0 = linalg.hermitian((u[:, :2] * np.abs(rng.standard_normal(2))) @ u[:, :2].conj().T)
+            s0 = linalg.hermitian((u[:, 2:] * np.abs(rng.standard_normal(2))) @ u[:, 2:].conj().T)
             y0 = rng.standard_normal(m)
-            c = HermitianMatrix(sum(yi * a.mat for yi, a in zip(y0, amats)) + s0.mat)
-            cons = [((a,), linalg.trace_inner(x0, a)) for a in amats]
+            c = linalg.hermitian(sum(yi * a for yi, a in zip(y0, amats)) + s0)
+            cons = [((a,), trace_inner(x0, a)) for a in amats]
             p = sdp.SdpProblem.make([n], cons, objective=(c,))
             out = sdp.solve(p)
             assert out.status is sdp.SdpStatus.OPTIMAL
-            expected = linalg.trace_inner(x0, c)
+            expected = trace_inner(x0, c)
             assert out.objective_value == pytest.approx(expected, abs=1e-6 * (1 + abs(expected)))
             # primal-dual duality gap at the returned multipliers
             dual_obj = float(out.y @ p.b)
@@ -134,18 +139,18 @@ class TestComplexEmbedding:
             x0 = linalg.random_psd(rng, n)
             s0 = linalg.random_psd(rng, n)
             y0 = rng.standard_normal(m)
-            c = HermitianMatrix(sum(yi * a.mat for yi, a in zip(y0, amats)) + s0.mat)
-            cons = [((a,), linalg.trace_inner(x0, a)) for a in amats]
+            c = linalg.hermitian(sum(yi * a for yi, a in zip(y0, amats)) + s0)
+            cons = [((a,), trace_inner(x0, a)) for a in amats]
             p = sdp.SdpProblem.make([n], cons, objective=(c,))
             out = sdp.solve(p)
             assert out.status is sdp.SdpStatus.OPTIMAL
 
             def emb(h):
                 return np.block(
-                    [[h.mat.real, -h.mat.imag], [h.mat.imag, h.mat.real]]
+                    [[h.real, -h.imag], [h.imag, h.real]]
                 )
 
-            cons2 = [((emb(a),), 2.0 * linalg.trace_inner(x0, a)) for a in amats]
+            cons2 = [((emb(a),), 2.0 * trace_inner(x0, a)) for a in amats]
             p2 = sdp.SdpProblem.make([2 * n], cons2, objective=(emb(c),))
             out2 = sdp.solve(p2)
             assert out2.status is sdp.SdpStatus.OPTIMAL
@@ -177,9 +182,9 @@ class TestNativeHermitianBlocks:
         rng = np.random.default_rng(16)
         n = 3
         amats = [linalg.random_hermitian(rng, n) for _ in range(4)]
-        assert any(np.abs(a.mat.imag).max() > 0.1 for a in amats)
+        assert any(np.abs(a.imag).max() > 0.1 for a in amats)
         x0 = linalg.random_psd(rng, n)
-        p = feasibility([n], [((a,), linalg.trace_inner(x0, a)) for a in amats])
+        p = feasibility([n], [((a,), trace_inner(x0, a)) for a in amats])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
         assert eigh_shapes
@@ -237,10 +242,10 @@ class TestStartOnSeveralSizes:
     def _problem():
         rng = np.random.default_rng(41)
         blocks = TestStartOnSeveralSizes.BLOCKS
-        x0 = [linalg.random_psd(rng, n).mat + np.eye(n) for n in blocks]
-        s0 = [linalg.random_psd(rng, n).mat + np.eye(n) for n in blocks]
+        x0 = [linalg.random_psd(rng, n) + np.eye(n) for n in blocks]
+        s0 = [linalg.random_psd(rng, n) + np.eye(n) for n in blocks]
         y0 = rng.standard_normal(6)
-        rows = [[linalg.random_hermitian(rng, n).mat for n in blocks] for _ in y0]
+        rows = [[linalg.random_hermitian(rng, n) for n in blocks] for _ in y0]
         cons = [
             (tuple(row), sum(np.vdot(a, x).real for a, x in zip(row, x0))) for row in rows
         ]
