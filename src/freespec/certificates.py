@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg, sdp
 from .cones import PolyhedralCone, SimplexCone, cone_arrays, cone_from_json, cone_to_json
 from .cones import section_of
-from .linalg import matrix_to_json, stack_from_json
+from .linalg import finite_from_json, matrix_to_json, stack_from_json
 from .pencil import LinearPencil, MatrixTuple, pencil_to_json, stack_document, tuple_to_json
 
 if TYPE_CHECKING:
@@ -339,5 +339,7 @@ def _verify_sandwich(doc) -> CertificateCheck:
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu: {nu!r} is not in (0, 1]")
     h_normal = _parsed(doc, "h_normal", lambda v: _finite(v, cone.dim))
-    simplex = _parsed(doc, "simplex_generators", lambda g: SimplexCone(g, cone.unit))
+    simplex = _parsed(
+        doc, "simplex_generators", lambda g: SimplexCone(finite_from_json(g), cone.unit)
+    )
     return check_scaling_sandwich(cone, nu, h_normal, simplex)

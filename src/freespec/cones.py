@@ -474,14 +474,12 @@ def cone_arrays(obj) -> tuple[np.ndarray, np.ndarray]:
     d = linalg.int_from_json(obj, "d")
     if d < 1:
         raise ValueError("d must be at least 1")
-    unit = np.asarray(obj["unit"], dtype=float)
-    gens = np.asarray(obj["generators"], dtype=float)
+    unit = linalg.finite_from_json(obj["unit"], "unit")
+    gens = linalg.finite_from_json(obj["generators"], "generators")
     if unit.shape != (d,):
         raise ValueError(f"unit has length {unit.shape}, expected {d}")
     if gens.ndim != 2 or gens.shape[1] != d:
         raise ValueError("generators must be an array of length-d vectors")
-    if not (np.isfinite(unit).all() and np.isfinite(gens).all()):
-        raise ValueError("unit and generators must be finite")
     return gens, unit
 
 
@@ -489,7 +487,7 @@ def cone_from_json(obj: dict) -> PolyhedralCone:
     gens, unit = cone_arrays(obj)
     facets = obj.get("facets")
     if facets is not None:
-        facets = np.asarray(facets, dtype=float)
+        facets = linalg.finite_from_json(facets, "facets")
         if facets.ndim != 2 or facets.shape[1] != len(unit):
             raise ValueError("facets must be an array of length-d vectors")
     return PolyhedralCone(gens, unit, facets=facets)

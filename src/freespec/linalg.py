@@ -180,6 +180,19 @@ def int_from_json(obj: dict, key: str) -> int:
         raise ValueError(f"{key} must be an integer") from None
 
 
+def finite_from_json(value, what: Optional[str] = None) -> np.ndarray:
+    """The float array of a document's numbers, or a ValueError (headed by
+    ``what``) when an entry is not a finite number: an object, a list where
+    a number belongs, null, NaN or Infinity."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = np.array(np.nan)
+    if not np.isfinite(x).all():
+        raise ValueError(("" if what is None else f"{what}: ") + "expected finite numbers")
+    return x
+
+
 def matrix_to_json(a) -> list:
     """The literal of a Hermitian matrix, or the list of literals of each
     matrix of a (k, n, n) stack."""

@@ -502,7 +502,8 @@ def essential_boundary_square(
     The No answer is always backed by a verified infeasibility certificate,
     and an InEssentialBoundary functional passes its certificate check.
     """
-    outcome = sdp.solve(essential_boundary_sdp(components, eps), tol=tol)
+    comps = _components(components)
+    outcome = sdp.solve(_boundary_problem(comps, eps), tol=tol)
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         p1, p2, p3, p4, z0 = outcome.primal
         m3 = z0 + eps * np.eye(len(z0))
@@ -511,7 +512,6 @@ def essential_boundary_square(
         m1 = (smat + dmat) / 2.0
         m2 = (smat - dmat) / 2.0
         n = linalg.hermitian_part(np.conj([m1, m2, m3]))
-        comps = np.array([linalg.hermitian(c) for c in components])
         check = certificates.check_essential_boundary(comps, n, eps)
         if not check.ok:
             return EssentialBoundaryResult(
@@ -530,9 +530,9 @@ def essential_boundary_square(
     )
 
 
-def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) -> sdp.SdpProblem:
-    """The feasibility SDP of `essential_boundary_square`, in the blocks
-    P_1..P_4 and Z_0, after the checks of its four nonzero PSD components."""
+def _components(components: Sequence) -> np.ndarray:
+    """The four nonzero PSD components of `essential_boundary_square`,
+    checked and symmetrised, as one (4, s, s) stack."""
     if len(components) != 4:
         raise ValueError("expected exactly four components")
     comps = [linalg.hermitian(c) for c in components]
@@ -544,7 +544,18 @@ def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) ->
             raise ValueError(f"component {k} is zero; inputs must be nonzero")
         if not _kernels.eigh_kernel(c)[0][0] >= -1e-9 * (1.0 + float(np.linalg.norm(c))):
             raise ValueError(f"component {k} is not positive semidefinite")
-    comps = np.array(comps)
+    return np.array(comps)
+
+
+def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) -> sdp.SdpProblem:
+    """The feasibility SDP of `essential_boundary_square`, in the blocks
+    P_1..P_4 and Z_0, after the checks of its four nonzero PSD components."""
+    return _boundary_problem(_components(components), eps)
+
+
+def _boundary_problem(comps: np.ndarray, eps: float) -> sdp.SdpProblem:
+    """`essential_boundary_sdp` of the checked stack of `_components`."""
+    s = comps.shape[-1]
     if eps * s >= 1.0:
         raise ValueError("strictness eps too large for the trace normalisation")
 
@@ -562,7 +573,7 @@ def essential_boundary_sdp(components: Sequence, eps: float = STRICTNESS_EPS) ->
         coeffs[k, 2 * nb + 1 + k] = comps[k]
     pair_rhs = 2.0 * eps * np.trace(basis, axis1=1, axis2=2).real
     rhs = np.concatenate([pair_rhs, pair_rhs, [1.0 - eps * s], np.zeros(4)])
-    return sdp.SdpProblem((s,) * 5, tuple(coeffs), rhs)
+    return sdp.SdpProblem((s,) * 5, coeffs, rhs)
 
 
 # --------------------------------------------------------------------------

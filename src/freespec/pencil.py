@@ -260,8 +260,8 @@ def stack_document(obj, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError(f"size of the {field} does not match {size}")
     if kind == "tuple":
         return stack, None
-    unit = np.asarray(obj["unit"], dtype=float)
-    if unit.shape != (len(stack),) or not np.isfinite(unit).all():
+    unit = linalg.finite_from_json(obj["unit"], "unit")
+    if unit.shape != (len(stack),):
         raise ValueError("unit must hold one finite number per matrix")
     return stack, unit
 

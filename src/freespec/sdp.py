@@ -4,19 +4,18 @@ Primal form:
 
     minimise   <C, X>        (or pure feasibility when no objective given)
     subject to <A_i, X> = b_i   for i = 1..m,
-               X = diag(X_1, ..., X_B)  with each block Hermitian PSD,
+               X = diag(X_1, ..., X_k)  with each block Hermitian PSD,
 
-where <A, X> = tr(X* A) summed over blocks.  A problem stores its
-coefficients block by block: one (m, n_k, n_k) stack of the rows'
-coefficients on block k, zero where a row does not touch that block.  At
-construction it also groups its blocks of equal size: a group of k blocks
-of size n holds their rows as real (m, 2 k n^2) rows and as one complex
-(k, m n, n) stack, and their objective as one (k, n, n) stack, zero for a
-feasibility problem.  The problem's one A(X), A*(y) and Schur complement
-work on these groups, with X and S as one (k, n, n) stack per group: A(X)
-and A*(y) are one matrix product each per group (A*(y) on the real rows
-viewed as complex), and the Schur complement Re tr(A_i W A_j W) is
-Re tr(Z_i Z_j) with Z = A W, one product by W per group.
+where <A, X> = tr(X* A) summed over blocks.  The k blocks have one size n
+(the margin SDP has one per generator, the Choi SDP one, the essential-
+boundary SDP five); blocks of different sizes are rejected.  A problem
+holds its coefficients as one complex (k, m, n, n) array, zero where a row
+does not touch a block, laid out once as real (m, 2 k n^2) rows and as a
+complex (k, m n, n) view, and its objective as one (k, n, n) stack, zero
+for a feasibility problem.  The solver runs on one (k, n, n) stack per
+variable: A(X) and A*(y) are one matrix product each (A*(y) on the real
+rows viewed as complex), and the Schur complement Re tr(A_i W A_j W) is
+Re tr(Z_i Z_j) with Z = A W, one product by W.
 
 The engine is a primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector, working on the complex
@@ -26,18 +25,18 @@ infeasible, from multiples of I, on the problem `_preprocess` reduces
 independent rows may instead come with an exactly feasible, strictly
 interior start (the margin SDP of `opsys.generator_weights`): it is
 checked once, the problem is solved as given, and every iterate stays
-feasible on both sides.  An iteration, per size group: two `eigh` calls
-for the scaling G (W = G G*, G* S G = G^-1 X G^-* = diag(lam)), the Schur
-complement and its Cholesky factor (LAPACK dpotrf, solved by dpotrs with
-one refinement pass), then a predictor and a corrector direction.  Each
-direction is taken in the scaled space, where the predictor's dX is
--diag(lam) - D and the corrector's U - D for D = G* dS G.  The
-predictor's two step lengths come from one `eigvalsh` of D / root
-(lambda_min(-I - D / root) = -1 - lambda_max), the corrector's from one
-`eigvalsh` of its two scaled directions stacked; only the corrector's dX
-is formed unscaled, for the update.  A caller's check sees every iterate, the group stack itself when
-there is one group, and the first answer it gives stops the solve with
-status STOPPED and that answer.
+feasible on both sides.  An iteration: two `eigh` calls for the scaling
+G (W = G G*, G* S G = G^-1 X G^-* = diag(lam)), the Schur complement and
+its Cholesky factor (LAPACK dpotrf, solved by dpotrs with one refinement
+pass), then a predictor and a corrector direction.  Each direction is
+taken in the scaled space, where the predictor's dX is -diag(lam) - D and
+the corrector's U - D for D = G* dS G.  The predictor's two step lengths
+come from one `eigvalsh` of D / root (lambda_min(-I - D / root) = -1 -
+lambda_max), the corrector's from one `eigvalsh` of its two scaled
+directions stacked; only the corrector's dX is formed unscaled, for the
+update.  A caller's check sees every iterate, the (k, n, n) stack of the
+primal blocks, and the first answer it gives stops the solve with status
+STOPPED and that answer.
 
 A feasibility problem is the objective problem with C = 0, on the rows
 scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
@@ -108,146 +107,119 @@ def _shaped(x, shape: tuple[int, ...], what: str) -> np.ndarray:
     return linalg.hermitian(x, len(shape), what)
 
 
-def _inner(xs, ys) -> float:
-    """<X, Y> = Re tr(Y* X), summed over stacks."""
-    return float(sum(np.vdot(y, x).real for x, y in zip(xs, ys)))
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """<X, Y> = Re tr(Y* X), summed over the blocks of a stack."""
+    return float(np.vdot(y, x).real)
+
+
+def _size(blocks) -> tuple[tuple[int, ...], int]:
+    """The block sizes as ints and their one size; a ValueError names the
+    sizes when they differ."""
+    blocks = tuple(int(n) for n in blocks)
+    if any(n < 1 for n in blocks):
+        raise ValueError("block dimensions must be positive")
+    if len(set(blocks)) != 1:
+        raise ValueError(f"expected blocks of one size, got sizes {blocks}")
+    return blocks, blocks[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Equality rows <A_i, X> = b_i over Hermitian PSD blocks.
+    """Equality rows <A_i, X> = b_i over k Hermitian PSD blocks of one size n.
 
-    ``a[k]`` is the read-only complex (m, n_k, n_k) stack of the rows'
-    coefficients on block k, zero where a row does not touch the block;
-    ``b`` holds the m right-hand sides and ``c``, when given, the objective
-    block by block.  Each stack is checked Hermitian and symmetrised once,
-    at construction, and the blocks are then grouped by size (`_group`).
+    ``a`` is the read-only complex (k, m, n, n) array of the rows'
+    coefficients, ``a[j]`` block j's stack, zero where a row does not touch
+    the block; ``b`` holds the m right-hand sides and ``c``, when given, the
+    objective block by block.  The coefficients and the objective are
+    checked Hermitian and symmetrised once, at construction, and then laid
+    out for the solver (`_layout`).
     """
 
     blocks: tuple[int, ...]
-    a: tuple[np.ndarray, ...]
+    a: np.ndarray
     b: np.ndarray
     c: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
-        blocks = tuple(int(n) for n in self.blocks)
-        if any(n < 1 for n in blocks):
-            raise ValueError("block dimensions must be positive")
-        if len(self.a) != len(blocks):
-            raise ValueError(f"expected {len(blocks)} coefficient stacks, got {len(self.a)}")
+        blocks, n = _size(self.blocks)
         b = np.array(self.b, dtype=float)
         if b.ndim != 1:
             raise ValueError("right-hand sides must form a vector")
-        b.flags.writeable = False
-        a = tuple(
-            _shaped(ak, (len(b), n, n), f"block {k} coefficients")
-            for k, (ak, n) in enumerate(zip(self.a, blocks))
-        )
-        c = self.c
-        if c is not None:
-            if len(c) != len(blocks):
-                raise ValueError(f"expected {len(blocks)} objective blocks, got {len(c)}")
-            c = tuple(
-                _shaped(ck, (n, n), f"objective block {k}")
-                for k, (ck, n) in enumerate(zip(c, blocks))
-            )
-        for name, value in (("blocks", blocks), ("a", a), ("b", b), ("c", c)):
-            object.__setattr__(self, name, value)
-        self._group()
+        a = _shaped(self.a, (len(blocks), len(b), n, n), "coefficients")
+        c = None if self.c is None else _shaped(self.c, (len(blocks), n, n), "objective")
+        self.__dict__.update(blocks=blocks, b=b)
+        self._layout(a, c)
 
     @classmethod
     def _unchecked(cls, blocks, a, b, c) -> "SdpProblem":
-        """The problem of a builder whose stacks are exactly Hermitian by
-        construction, as given: no check, no copy; made read-only."""
+        """The problem of a builder whose (k, m, n, n) coefficients and
+        (k, n, n) objective are exactly Hermitian by construction, as
+        given: no check, no copy."""
         p = object.__new__(cls)
-        p.__dict__.update(
-            blocks=tuple(blocks), a=tuple(a), b=np.asarray(b, float),
-            c=None if c is None else tuple(c),
-        )
-        for arr in (p.b, *p.a, *(p.c or ())):
-            arr.flags.writeable = False
-        p._group()
+        p.__dict__.update(blocks=tuple(blocks), b=np.asarray(b, float))
+        p._layout(a, c)
         return p
 
-    def _group(self) -> None:
-        """The blocks of each size as one group: ``groups`` their indices,
-        ``flat`` their rows as real (m, 2 k n^2) rows (`_flat`), ``tens``
-        the same rows block by block as a complex (k, m n, n) stack and
-        ``cg`` the (k, n, n) objective."""
-        sizes, m = self.blocks, len(self.b)
-        groups = [[k for k, n in enumerate(sizes) if n == size] for size in dict.fromkeys(sizes)]
-        # a lone block is taken as a view: no copy of a large Choi stack
-        tens = [
-            self.a[g[0]][None] if len(g) == 1 else np.stack([self.a[k] for k in g])
-            for g in groups
-        ]
-        c = self.c or [np.zeros((n, n), dtype=np.complex128) for n in sizes]
+    def _layout(self, a: np.ndarray, c: Optional[np.ndarray]) -> None:
+        """``a`` and the objective stack ``c`` (None for none), read-only,
+        with the layouts of the solver: ``flat`` the rows as real
+        (m, 2 k n^2) rows (`_flat`), ``tens`` the complex (k, m n, n) view
+        of ``a`` and ``cg`` the (k, n, n) objective, zero for a feasibility
+        problem."""
+        k, m, n = a.shape[:3]
+        cg = np.zeros((k, n, n), dtype=np.complex128) if c is None else c
+        for arr in (self.b, a, cg):
+            arr.flags.writeable = False
         self.__dict__.update(
-            groups=groups, cg=[np.stack([c[k] for k in g]) for g in groups],
-            flat=[_flat(t.swapaxes(0, 1)).reshape(m, -1) for t in tens],
-            tens=[t.reshape(len(t), -1, t.shape[-1]) for t in tens],
+            a=a, c=None if c is None else tuple(c), cg=cg,
+            flat=_flat(a.swapaxes(0, 1)).reshape(m, 2 * k * n * n),
+            tens=a.reshape(k, m * n, n),
         )
 
-    def _stacks(self, blocks) -> list[np.ndarray]:
-        """Matrices given block by block, as one stack per group."""
-        return [np.stack([blocks[k] for k in g]) for g in self.groups]
-
-    def _split(self, stacks):
-        """One stack per group as the matrices in block order: with one
-        group, its stack itself."""
-        if len(stacks) == 1:
-            return stacks[0]
-        out = {k: stack[j] for g, stack in zip(self.groups, stacks) for j, k in enumerate(g)}
-        return [out[k] for k in range(len(self.blocks))]
-
-    def _apply(self, x) -> np.ndarray:
+    def _apply(self, x: np.ndarray) -> np.ndarray:
         """A(X): Re tr(A_i X), summed over blocks."""
-        return sum(f @ _flat(xg).ravel() for f, xg in zip(self.flat, x))
+        return self.flat @ _flat(x).ravel()
 
-    def _adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        """A*(y) = sum_i y_i A_i: one matmul per group, on its rows viewed
-        as complex."""
-        return [(y @ f.view(np.complex128)).reshape(c.shape) for f, c in zip(self.flat, self.cg)]
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A*(y) = sum_i y_i A_i: one matmul, on the rows viewed as complex."""
+        return (y @ self.flat.view(np.complex128)).reshape(self.cg.shape)
 
-    def _schur(self, w) -> np.ndarray:
+    def _schur(self, w: np.ndarray) -> np.ndarray:
         """Re tr(A_i W A_j W) = Re tr(Z_i Z_j) with Z_i = A_i W, summed
-        over blocks: one product by W per group, then the real rows of Z
-        against those of conj(Z^T), one matrix product per block."""
-        m = len(self.b)
-
-        def group(t, wg):
-            z = (t @ wg).reshape((len(wg), m) + wg.shape[1:])
-            zt = np.ascontiguousarray(_ct(z)).view(np.float64).reshape(len(wg), m, -1)
-            return (z.view(np.float64).reshape(zt.shape) @ zt.swapaxes(1, 2)).sum(0)
-
-        out = sum(group(t, wg) for t, wg in zip(self.tens, w))
+        over blocks: one product by W, then the real rows of Z against
+        those of conj(Z^T), one matrix product per block."""
+        k, m = len(w), len(self.b)
+        z = (self.tens @ w).reshape((k, m) + w.shape[1:])
+        zt = np.ascontiguousarray(_ct(z)).view(np.float64).reshape(k, m, -1)
+        out = (z.view(np.float64).reshape(zt.shape) @ zt.swapaxes(1, 2)).sum(0)
         return (out + out.T) / 2.0
 
     @staticmethod
     def make(blocks: Sequence[int], constraints, objective=None) -> "SdpProblem":
         """A problem from rows ``(coeffs, rhs)``, with one array-like per
         block in ``coeffs`` (and in ``objective``) and None for a zero block."""
-        blocks = tuple(int(n) for n in blocks)
+        blocks, n = _size(blocks)
         rows = list(constraints)
-        a = [np.zeros((len(rows), n, n), dtype=np.complex128) for n in blocks]
+        a = np.zeros((len(blocks), len(rows), n, n), dtype=np.complex128)
         for i, (coeffs, _) in enumerate(rows):
-            for k, coeff in enumerate(_row(blocks, coeffs, f"constraint {i}")):
-                a[k][i] = coeff
+            a[:, i] = _row(blocks, coeffs, f"constraint {i}")
         c = None if objective is None else _row(blocks, objective, "objective")
-        return SdpProblem(blocks, tuple(a), [float(rhs) for _, rhs in rows], c)
+        return SdpProblem(blocks, a, [float(rhs) for _, rhs in rows], c)
 
 
-def _row(blocks: tuple[int, ...], coeffs, what: str) -> tuple[np.ndarray, ...]:
-    """One coefficient per block as an array, None read as a zero block."""
+def _row(blocks: tuple[int, ...], coeffs, what: str) -> np.ndarray:
+    """One coefficient per block as one (k, n, n) stack, None read as a
+    zero block."""
     if len(coeffs) != len(blocks):
         raise ValueError(f"{what}: expected {len(blocks)} coefficient blocks")
-    out = []
-    for k, (coeff, n) in enumerate(zip(coeffs, blocks)):
+    n = blocks[0]
+    out = np.zeros((len(blocks), n, n), dtype=np.complex128)
+    for k, coeff in enumerate(coeffs):
         arr = np.zeros((n, n)) if coeff is None else np.asarray(coeff, dtype=np.complex128)
         if arr.shape != (n, n):
             raise ValueError(f"{what}: block {k} has dim {arr.shape}, expected {n}")
-        out.append(arr)
-    return tuple(out)
+        out[k] = arr
+    return out
 
 
 @dataclass(frozen=True)
@@ -309,7 +281,7 @@ def _preprocess(p: SdpProblem):
     m = len(p.b)
     if m == 0:
         raise ValueError("problem has no constraints")
-    rows = np.concatenate([_svec(ak) for ak in p.a], axis=1)
+    rows = np.concatenate(_svec(p.a), axis=1)
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
     rows = rows / scale[:, None]
     b = p.b / scale
@@ -335,8 +307,8 @@ def _preprocess(p: SdpProblem):
                 y = -y
             conflict_y = y / scale  # back to original row scaling
 
-    a = [ak[kept] / scale[kept, None, None] for ak in p.a]
-    q = SdpProblem._unchecked(p.blocks, a, b[kept], p.c)
+    a = p.a[:, kept] / scale[kept, None, None]
+    q = SdpProblem._unchecked(p.blocks, a, b[kept], None if p.c is None else p.cg)
     return q, (kept, scale[kept]), conflict_y
 
 
@@ -352,27 +324,25 @@ def _expand_y(rows, y: np.ndarray, m: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Interior-point core (complex Hermitian blocks, one pass per size group)
+# Interior-point core (complex Hermitian blocks, one (k, n, n) stack each)
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class _IpmResult:
-    """The last iterate, one stack per size group, and why it stopped:
-    the check's ``answer``, a failure ``message`` or neither (converged)."""
+    """The last iterate and why it stopped: the check's ``answer``, a
+    failure ``message`` or neither (converged)."""
 
-    x: list[np.ndarray]
+    x: np.ndarray
     y: np.ndarray
     iterations: int
     message: str = ""
     answer: object = None
 
 
-def _frobenius(stacks) -> float:
-    """The largest Frobenius norm of a block of the stacks."""
-    return math.sqrt(max(
-        float(np.add.reduce((a.conj() * a).real, axis=(-2, -1)).max()) for a in stacks
-    ))
+def _frobenius(a: np.ndarray) -> float:
+    """The largest Frobenius norm of a block of the stack."""
+    return math.sqrt(float(np.add.reduce((a.conj() * a).real, axis=(-2, -1)).max()))
 
 
 def _floored(w: np.ndarray) -> np.ndarray:
@@ -410,29 +380,26 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
     tests on mu and the residuals and on the Schur system end a diverging
     solve as "iterates diverged"."""
     ndim = sum(q.blocks)
-    m = len(q.b)
     b = q.b
 
     norm_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     norm_c = max(1.0, _frobenius(q.cg))
-    if start is not None:  # checked once: one A(X), one eigvalsh per size group
-        x = [xs.astype(np.complex128) for xs in q._stacks(start[0])]
+    if start is not None:  # checked once: one A(X), one eigvalsh
+        x = np.array(start[0], dtype=np.complex128)
         y = np.array(start[1], dtype=float)
-        s = [cg - ag for cg, ag in zip(q.cg, q._adjoint(y))]
+        s = q.cg - q._adjoint(y)
         gap = float(np.abs(b - q._apply(x)).max()) / norm_b
-        low = min(np.linalg.eigvalsh(np.concatenate(xs))[:, 0].min() for xs in zip(x, s))
+        low = np.linalg.eigvalsh(np.concatenate((x, s)))[:, 0].min()
         if gap > START_TOL or not low > 0:
             raise ValueError(f"start not feasible and interior: gap {gap:.2e}, min eig {low:.2e}")
     else:
         eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
         eta_d = max(1.0, math.sqrt(ndim), norm_c)
-        units = [np.broadcast_to(np.eye(c.shape[-1], dtype=np.complex128), c.shape) for c in q.cg]
-        x = [eta_p * u for u in units]
-        s = [eta_d * u for u in units]
-        y = np.zeros(m)
+        unit = np.broadcast_to(np.eye(q.cg.shape[-1], dtype=np.complex128), q.cg.shape)
+        x, s, y = eta_p * unit, eta_d * unit, np.zeros(len(b))
 
-    eyes = [np.eye(c.shape[-1]) for c in q.cg]
-    jitter_eye = np.eye(m)
+    eye = np.eye(q.cg.shape[-1])
+    jitter_eye = np.eye(len(b))
     stall = 0
     prev_mu = np.inf
     msg = "max iterations reached"
@@ -440,7 +407,7 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
     for done in range(MAX_ITER):
         ax = q._apply(x)
         rp = b - ax
-        rd = [cg - sg - ag for cg, sg, ag in zip(q.cg, s, q._adjoint(y))]
+        rd = q.cg - s - q._adjoint(y)
         mu = _inner(x, s) / ndim
         pobj = _inner(q.cg, x)
         dobj = float(b @ y)
@@ -464,11 +431,11 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
         if ep <= tol and ed <= tol and min(eg, compl) <= tol:
             return _IpmResult(x, y, done)
 
-        gs, lams = zip(*(_nt_scaling(xg, sg) for xg, sg in zip(x, s)))
-        roots = [np.sqrt(lam[:, :, None] * lam[:, None, :]) for lam in lams]
-        wmats = [g @ _ct(g) for g in gs]
-        schur = q._schur(wmats)
-        base = rp + q._apply([w @ r @ w for w, r in zip(wmats, rd)])
+        g, lam = _nt_scaling(x, s)
+        root = np.sqrt(lam[:, :, None] * lam[:, None, :])
+        wmat = g @ _ct(g)
+        schur = q._schur(wmat)
+        base = rp + q._apply(wmat @ rd @ wmat)
         if not (np.isfinite(schur).all() and np.isfinite(base).all()):
             msg = "iterates diverged"
             break
@@ -483,12 +450,12 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
             break
 
         def direction(rhs):
-            """dy, and dS and its scaled G* dS G per group, for the Schur
-            right-hand side ``rhs``."""
+            """dy, dS and its scaled G* dS G for the Schur right-hand side
+            ``rhs``."""
             dy = dpotrs(cf, rhs, lower=1)[0]
             dy = dy + dpotrs(cf, rhs - schur @ dy, lower=1)[0]  # one refinement pass
-            ds = [hermitian_part(r - a) for r, a in zip(rd, q._adjoint(dy))]
-            return dy, ds, [_ct(g) @ d @ g for g, d in zip(gs, ds)]
+            ds = hermitian_part(rd - q._adjoint(dy))
+            return dy, ds, _ct(g) @ ds @ g
 
         def steps(lows, frac):
             """The primal and dual step lengths, ``frac`` of the way to the
@@ -500,40 +467,32 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
         # scaled directions are -diag(lam) - D and D, so both step lengths
         # come from the eigenvalues of D / root, and mu_aff from
         # <(1 - a) diag(lam) - a D, diag(lam) + b D> for the steps a, b
-        dss = direction(base + ax)[2]
-        evs = [np.linalg.eigvalsh(d / root) for d, root in zip(dss, roots)]
-        top = max(e[:, -1].max() for e in evs)
-        ap_a, ad_a = steps((-1.0 - top, min(e[:, 0].min() for e in evs)), 0.99)
-        lam2 = sum(np.vdot(lam, lam) for lam in lams)
-        lam_d = sum(np.vdot(lam, d.diagonal(axis1=1, axis2=2).real) for lam, d in zip(lams, dss))
-        mu_aff = ((1.0 - ap_a) * lam2 + ((1.0 - ap_a) * ad_a - ap_a) * lam_d
-                  - ap_a * ad_a * _inner(dss, dss))
+        d = direction(base + ax)[2]
+        ev = np.linalg.eigvalsh(d / root)
+        ap_a, ad_a = steps((-1.0 - ev[:, -1].max(), ev[:, 0].min()), 0.99)
+        lam_d = np.vdot(lam, d.diagonal(axis1=1, axis2=2).real)
+        mu_aff = ((1.0 - ap_a) * np.vdot(lam, lam) + ((1.0 - ap_a) * ad_a - ap_a) * lam_d
+                  - ap_a * ad_a * _inner(d, d))
         sigma = min(1.0, max(1e-8, (max(mu_aff / ndim, 0.0) / mu) ** 3))
 
         # corrector: R = G U G*, with U = D + 2 (sigma mu I - diag(lam)^2 + D^2)
         # / (lam_i + lam_j) its scaled form, so that its scaled directions
         # are U - D' and D' for D' = G* dS' G
-        us, rc = [], []
-        for g, lam, d, eye in zip(gs, lams, dss, eyes):
-            tmat = (sigma * mu - lam**2)[:, :, None] * eye + d @ d
-            us.append(d + 2.0 * tmat / (lam[:, :, None] + lam[:, None, :]))
-            rc.append(hermitian_part(g @ us[-1] @ _ct(g)))
+        tmat = (sigma * mu - lam**2)[:, :, None] * eye + d @ d
+        u = d + 2.0 * tmat / (lam[:, :, None] + lam[:, None, :])
+        rc = hermitian_part(g @ u @ _ct(g))
 
-        dy, ds, dss = direction(base - q._apply(rc))
+        dy, ds, d = direction(base - q._apply(rc))
         gamma = 0.99 if mu < 1e-6 else 0.98
-        lows = [
-            np.linalg.eigvalsh(np.stack([u - d, d]) / root)[:, :, 0].min(axis=1)
-            for u, d, root in zip(us, dss, roots)
-        ]
-        ap, ad = steps(np.min(lows, axis=0), gamma)
+        ap, ad = steps(np.linalg.eigvalsh(np.stack([u - d, d]) / root)[:, :, 0].min(axis=1), gamma)
 
         if ap < 1e-10 and ad < 1e-10:
             msg = "step lengths vanished"
             break
 
-        x = [xg + ap * hermitian_part(c - w @ d @ w) for xg, c, w, d in zip(x, rc, wmats, ds)]
+        x = x + ap * hermitian_part(rc - wmat @ ds @ wmat)
         y = y + ad * dy
-        s = [sg + ad * d for sg, d in zip(s, ds)]
+        s = s + ad * ds
 
         if mu > 0.9 * prev_mu and ep < 1e-12 and ed < 1e-12:
             stall += 1
@@ -555,7 +514,7 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
 
 def _lambda_max(p: SdpProblem, y: np.ndarray) -> float:
     """lambda_max(sum_i y_i A_i) over the blocks."""
-    return max(float(np.linalg.eigvalsh(h)[:, -1].max()) for h in p._adjoint(y))
+    return float(np.linalg.eigvalsh(p._adjoint(y))[:, -1].max())
 
 
 def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
@@ -566,18 +525,17 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
     lam_max = _lambda_max(p, y)
     if lam_max > FARKAS_TOL:
         return None
-    yv = np.asarray(y, dtype=float)
-    yv.flags.writeable = False
-    return FarkasCertificate(y=yv, gap=1.0, lambda_max=lam_max)
+    y.flags.writeable = False
+    return FarkasCertificate(y=y, gap=1.0, lambda_max=lam_max)
 
 
 def solve(p: SdpProblem, tol: float = DEFAULT_TOL, check=None, start=None) -> SdpOutcome:
     """Solve a feasibility or linear-objective SDP.
 
-    ``check``, for an objective problem only, sees every iterate (the list
-    of primal blocks, and y in the problem's row order); the first answer
-    other than None that it returns stops the solve with status STOPPED
-    and that answer in ``answer``.
+    ``check``, for an objective problem only, sees every iterate (the
+    (k, n, n) stack of the primal blocks, and y in the problem's row
+    order); the first answer other than None that it returns stops the
+    solve with status STOPPED and that answer in ``answer``.
 
     ``start``, for an objective problem with independent rows, is a
     strictly interior point (X, y) with A(X) = b to START_TOL and
@@ -607,16 +565,14 @@ def _solve_optimization(
     p: SdpProblem, q: SdpProblem, rows, tol: float, check=None, start=None
 ) -> SdpOutcome:
     """``q``, reduced from ``p`` with the row map ``rows``, by the IPM."""
-    hook = None if check is None else (
-        lambda x, y: check(q._split(x), _expand_y(rows, y, len(p.b)))
-    )
+    hook = None if check is None else lambda x, y: check(x, _expand_y(rows, y, len(p.b)))
     res = _ipm(q, tol, hook, start)
     if res.answer is not None:
         return SdpOutcome(status=SdpStatus.STOPPED, iterations=res.iterations, answer=res.answer)
     if not res.message:
         return SdpOutcome(
             status=SdpStatus.OPTIMAL,
-            primal=tuple(linalg.hermitian(xb) for xb in q._split(res.x)),
+            primal=tuple(linalg.hermitian(res.x, 3)),
             objective_value=_inner(q.cg, res.x),
             y=_expand_y(rows, res.y, len(p.b)),
             iterations=res.iterations,
@@ -640,17 +596,17 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
     """
     scale = float(np.abs(q.b).max()) or 1.0
     q = SdpProblem._unchecked(q.blocks, q.a, q.b / scale, None)
-    gram = _cholesky(sum(f @ f.T for f in q.flat))
+    gram = _cholesky(q.flat @ q.flat.T)
     if gram is None:
         raise np.linalg.LinAlgError("Gram matrix of the independent rows not positive definite")
 
     def check(x, y):
         for _ in range(2):
             z = dpotrs(gram, q.b - q._apply(x), lower=1)[0]
-            x = [xg + az for xg, az in zip(x, q._adjoint(z))]
-        lam = [np.linalg.eigvalsh(xg) for xg in x]
-        if min(w[:, 0].min() for w in lam) >= -tol * max(np.abs(w).max() for w in lam):
-            primal = tuple(linalg.hermitian(scale * xb) for xb in q._split(x))
+            x = x + q._adjoint(z)
+        lam = np.linalg.eigvalsh(x)
+        if lam[:, 0].min() >= -tol * np.abs(lam).max():
+            primal = tuple(linalg.hermitian(scale * x, 3))
             return dict(status=SdpStatus.FEASIBLE, primal=primal)
         cert = _farkas_from_y(p, _expand_y(rows, y, len(p.b)))
         if cert is not None and cert.lambda_max <= 0.1 * FARKAS_TOL:
@@ -673,8 +629,8 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
     if outcome.status in (SdpStatus.FEASIBLE, SdpStatus.OPTIMAL):
         if outcome.primal is None or len(outcome.primal) != len(p.blocks):
             return SdpVerifyReport(ok=False, max_residual=np.inf, notes="primal blocks missing")
-        x = [linalg.hermitian(xs, 3, "primal") for xs in p._stacks(outcome.primal)]
-        psd_margin = min(float(_kernels.eigh_kernel(xs)[0][:, 0].min()) for xs in x)
+        x = linalg.hermitian(outcome.primal, 3, "primal")
+        psd_margin = float(_kernels.eigh_kernel(x)[0][:, 0].min())
         gaps = np.abs(p._apply(x) - p.b)
         max_res = float(np.max(gaps, initial=0.0))
         scale = 1.0 + max(float(np.linalg.norm(xb)) for xb in outcome.primal)
@@ -719,25 +675,20 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
 
 
 def dump_problem(p: SdpProblem, path) -> None:
-    lines = ["* freespec SDP dump (complex SDPA-sparse-like format)"]
-    lines.append(str(len(p.b)))
-    lines.append(str(len(p.blocks)))
-    lines.append(" ".join(str(n) for n in p.blocks))
+    lines = ["* freespec SDP dump (complex SDPA-sparse-like format)", str(len(p.b)),
+             str(len(p.blocks)), " ".join(str(n) for n in p.blocks)]
     lines.append(" ".join(repr(float(v)) for v in p.b))
 
     def emit(matno, mats):
         for bno, mat in enumerate(mats):
             for i, j in zip(*np.nonzero(np.triu(mat))):
-                v = mat[i, j]
-                lines.append(
-                    f"{matno} {bno + 1} {i + 1} {j + 1} "
-                    f"{float(v.real)!r} {float(v.imag)!r}"
-                )
+                re, im = float(mat[i, j].real), float(mat[i, j].imag)
+                lines.append(f"{matno} {bno + 1} {i + 1} {j + 1} {re!r} {im!r}")
 
     if p.c is not None:
         emit(0, p.c)
     for k in range(len(p.b)):
-        emit(k + 1, [ak[k] for ak in p.a])
+        emit(k + 1, p.a[:, k])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -747,22 +698,22 @@ def load_problem(path) -> SdpProblem:
         raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("*")]
     m = int(raw[0])
     nblocks = int(raw[1])
-    blocks = tuple(int(t) for t in raw[2].split())
+    blocks, n = _size(raw[2].split())
     if len(blocks) != nblocks:
         raise ValueError("block count mismatch in dump")
     rhs = [float(t) for t in raw[3].split()]
     if len(rhs) != m:
         raise ValueError("rhs length mismatch in dump")
-    a = [np.zeros((m, n, n), dtype=np.complex128) for n in blocks]
-    c = [np.zeros((n, n), dtype=np.complex128) for n in blocks]
+    a = np.zeros((nblocks, m, n, n), dtype=np.complex128)
+    c = np.zeros((nblocks, n, n), dtype=np.complex128)
     has_obj = False
     for ln in raw[4:]:
         toks = ln.split()
         matno, blk, i, j = (int(t) for t in toks[:4])
         v = complex(float(toks[4]), float(toks[5]))
         has_obj = has_obj or matno == 0
-        mat = c[blk - 1] if matno == 0 else a[blk - 1][matno - 1]
+        mat = c[blk - 1] if matno == 0 else a[blk - 1, matno - 1]
         mat[i - 1, j - 1] += v
         if i != j:
             mat[j - 1, i - 1] += v.conjugate()
-    return SdpProblem(blocks, tuple(a), rhs, tuple(c) if has_obj else None)
+    return SdpProblem(blocks, a, rhs, c if has_obj else None)

@@ -239,7 +239,7 @@ def test_criterion_10_sdp_self_test():
         for k in range(100):
             kind = k % 3
             nb = int(rng.integers(1, 3))
-            blocks = [int(rng.integers(2, 9)) for _ in range(nb)]
+            blocks = [int(rng.integers(2, 9))] * nb  # one size for the instance's blocks
             dim = sum(n * n for n in blocks)
             m = int(rng.integers(2, min(60, dim)))
             amats = [

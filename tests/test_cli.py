@@ -375,7 +375,19 @@ class TestVerifyShapes:
         "separator": ("min-membership", "--cone", "square", "--tuple", "szsxi.json"),
         "relaxation": ("relaxation", "--src", "square-diag", "--tgt", "calpha", "--alpha", "pi/4"),
         "essential": ("essential-boundary", "--components", "comps.json"),
+        "sandwich": ("scaling-bound", "--cone", "square"),
     }
+
+    def _mutated(self, capsys, tmp_path, fixtures, source, path, value, field):
+        """The certificate of ``source`` with ``value`` at ``path`` is
+        rejected with ``field`` in the error."""
+        argv = [str(fixtures / a) if a.endswith(".json") else a for a in self.SOURCES[source]]
+        cert = self._certificate(capsys, *argv)
+        parent = cert
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        self._rejects(capsys, tmp_path, cert, field)
 
     @pytest.mark.parametrize(
         "source,path,value,field",
@@ -401,13 +413,33 @@ class TestVerifyShapes:
              "entry-null", "eps-null", "eps-list"],
     )
     def test_a_field_of_the_wrong_type(self, capsys, tmp_path, fixtures, source, path, value, field):
-        argv = [str(fixtures / a) if a.endswith(".json") else a for a in self.SOURCES[source]]
-        cert = self._certificate(capsys, *argv)
-        parent = cert
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        self._rejects(capsys, tmp_path, cert, field)
+        self._mutated(capsys, tmp_path, fixtures, source, path, value, field)
+
+    @pytest.mark.parametrize(
+        "source,path,value,field",
+        [
+            ("separator", ("cone", "unit", 0), {}, "cone: unit: expected finite numbers"),
+            ("separator", ("cone", "unit", 2), None, "cone: unit: expected finite numbers"),
+            ("separator", ("cone", "generators", 1, 0), [0.5],
+             "cone: generators: expected finite numbers"),
+            ("separator", ("cone", "generators", 0, 2), {"x": 1},
+             "cone: generators: expected finite numbers"),
+            ("relaxation", ("src", "unit", 0), {}, "src: unit: expected finite numbers"),
+            ("sandwich", ("cone", "unit", 0), [], "cone: unit: expected finite numbers"),
+            ("sandwich", ("cone", "facets", 0, 1), {}, "cone: facets: expected finite numbers"),
+            ("sandwich", ("simplex_generators", 0, 0), {},
+             "simplex_generators: expected finite numbers"),
+            ("sandwich", ("simplex_generators", 1), None,
+             "simplex_generators: expected finite numbers"),
+        ],
+        ids=["cone-unit-object", "cone-unit-null", "generator-list", "generator-object",
+             "pencil-unit-object", "sandwich-unit-list", "facet-object", "simplex-object",
+             "simplex-null"],
+    )
+    def test_a_number_field_holding_no_number(
+        self, capsys, tmp_path, fixtures, source, path, value, field
+    ):
+        self._mutated(capsys, tmp_path, fixtures, source, path, value, field)
 
     def test_member_query_shorter_than_the_cone(self, capsys, tmp_path, fixtures):
         pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")

@@ -79,11 +79,11 @@ class TestVerify:
 
     def test_primal_block_by_block(self):
         # a block missing is flagged; real blocks are read as Hermitian
-        p = sdp.SdpProblem.make([2, 3], [((np.eye(2), None), 1.0)])
+        p = sdp.SdpProblem.make([2, 2], [((np.eye(2), None), 1.0)])
         half = np.eye(2, dtype=complex) / 2
         missing = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(half,))
         assert not sdp.verify(missing, p).ok
-        real = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(half.real, np.eye(3)))
+        real = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(half.real, np.eye(2)))
         assert sdp.verify(real, p).ok
 
 
@@ -223,7 +223,7 @@ class TestMultiBlock:
     def test_blocks_with_gaps(self):
         # second block unconstrained; coefficient None marks a zero block
         p = sdp.SdpProblem.make(
-            [2, 3],
+            [2, 2],
             [((np.eye(2), None), 1.0), ((SIGMA_X, None), 1.0)],
         )
         out = sdp.solve(p)
@@ -232,11 +232,12 @@ class TestMultiBlock:
 
 
 class TestStartOnSeveralSizes:
-    """An objective problem on blocks (2, 3, 2), so two size groups, from
-    an exactly feasible, strictly interior start: X0 and S0 = C - A*(y0)
-    positive definite with b = A(X0)."""
+    """An objective problem on three blocks of size 2 from an exactly
+    feasible, strictly interior start (X0 and S0 = C - A*(y0) positive
+    definite with b = A(X0)), against the same problem solved freely and
+    as one block of size 6."""
 
-    BLOCKS = (2, 3, 2)
+    BLOCKS = (2, 2, 2)
 
     @staticmethod
     def _problem():
@@ -267,7 +268,6 @@ class TestStartOnSeveralSizes:
 
     def test_optimal_from_the_start(self):
         p, start = self._problem()
-        assert len(p.groups) == 2
         out = sdp.solve(p, start=start)
         assert out.status is sdp.SdpStatus.OPTIMAL
         assert sdp.verify(out, p).ok
@@ -285,9 +285,9 @@ class TestDumpRestore:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         amats = [linalg.random_hermitian(rng, 3) for _ in range(3)]
-        obj = linalg.random_hermitian(rng, 2)
+        obj = linalg.random_hermitian(rng, 3)
         p = sdp.SdpProblem.make(
-            [3, 2],
+            [3, 3],
             [((a, None), float(rng.standard_normal())) for a in amats],
             objective=(None, obj),
         )
@@ -321,6 +321,31 @@ class TestValidation:
     def test_non_hermitian_coefficient(self):
         with pytest.raises(ValueError, match="Hermitian"):
             sdp.SdpProblem.make([2], [(([[1, 1], [0, 1]],), 1.0)])
+
+    def test_blocks_of_different_sizes(self, tmp_path):
+        # every block has one size: the constructor, make and a dump's
+        # reader reject blocks of sizes 2 and 3 and name the sizes
+        with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
+            sdp.SdpProblem((2, 3), np.zeros((2, 1, 2, 2)), [1.0])
+        with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
+            sdp.SdpProblem.make([2, 3], [((np.eye(2), None), 1.0)])
+        path = tmp_path / "mixed.sdpa"
+        path.write_text("1\n2\n2 3\n1.0\n1 1 1 1 1.0 0.0\n1 2 1 1 1.0 0.0\n")
+        with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
+            sdp.load_problem(path)
+
+
+class TestFloored:
+    def test_a_row_with_a_non_positive_eigenvalue_is_floored(self):
+        # ascending eigenvalue rows: a row whose smallest value is not
+        # positive is floored at 1e-14 max(1, its largest), in place; a
+        # positive row is left as it is
+        w = np.array([[-1.0, 2.0, 5.0], [0.0, 0.25, 0.5], [-0.0, 0.0, 0.0], [1e-20, 1.0, 3.0]])
+        out = sdp._floored(w)
+        assert out is w
+        assert np.array_equal(out, [
+            [5e-14, 2.0, 5.0], [1e-14, 0.25, 0.5], [1e-14, 1e-14, 1e-14], [1e-20, 1.0, 3.0],
+        ])
 
 
 class TestCheck:
