@@ -8,9 +8,10 @@ producers (`opsys.generator_weights`, `opsys.essential_boundary_square`,
 Unknown when it fails; `verify_certificate` runs it on the arrays a
 document states (read by `cones.cone_arrays` and `pencil.stack_document`,
 with a check that a cone's generators span R^d), which a JSON round trip
-restores exactly, so both see the same residual.  It builds no cone or
-pencil, except the cones of a scaling sandwich: a cone's ``facets`` are
-ignored, so every listed generator counts, extreme or not, and a pencil's
+restores exactly, so both see the same residual.  No kind reads a cone's
+``facets``: it builds no cone or pencil, except a scaling sandwich's cones
+from their generators and unit (a simplex's facets in closed form), so
+elsewhere every listed generator counts, extreme or not, and a pencil's
 unit is not renormalised; max|sum_i u_i M_i - I| of each pencil is
 reported as ``unit_drift``.  A residual must stay below
 ``ACCEPT_RESIDUAL``; a separator also needs a positive margin and
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import linalg, sdp
-from .cones import PolyhedralCone, SimplexCone, cone_arrays, cone_from_json, cone_to_json
+from .cones import PolyhedralCone, SimplexCone, cone_arrays, cone_to_json
 from .cones import section_of
 from .linalg import finite_from_json, matrix_to_json, stack_from_json
 from .pencil import LinearPencil, MatrixTuple, pencil_to_json, stack_document, tuple_to_json
@@ -333,13 +334,22 @@ def _finite(value, n: Optional[int] = None):
     return float(x) if n is None else x
 
 
+def _simplex_cone(gens: np.ndarray, unit: np.ndarray) -> SimplexCone:
+    """The simplex cone on ``gens``, with the facets inv(gens)^T checked as
+    listed ones are when gens is square and invertible."""
+    try:
+        return SimplexCone(gens, unit, facets=np.linalg.inv(gens).T)
+    except np.linalg.LinAlgError:
+        return SimplexCone(gens, unit)
+
+
 def _verify_sandwich(doc) -> CertificateCheck:
-    cone = _parsed(doc, "cone", cone_from_json)
+    cone = _parsed(doc, "cone", lambda v: PolyhedralCone(*cone_arrays(v)))
     nu = _parsed(doc, "nu", _finite)
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu: {nu!r} is not in (0, 1]")
     h_normal = _parsed(doc, "h_normal", lambda v: _finite(v, cone.dim))
     simplex = _parsed(
-        doc, "simplex_generators", lambda g: SimplexCone(finite_from_json(g), cone.unit)
+        doc, "simplex_generators", lambda g: _simplex_cone(finite_from_json(g), cone.unit)
     )
     return check_scaling_sandwich(cone, nu, h_normal, simplex)

@@ -12,6 +12,8 @@ Exit codes: 0 for a definitive answer, 2 for Unknown/NumericalFailure,
 versioned JSON document with --output json; with a fixed --seed the JSON
 output is byte-identical across runs on the same platform.  The only
 environment variable consulted is FREESPEC_LOG (logging verbosity).
+There is no tolerance option: the decision bands are the constants
+pencil.BOUNDARY_TOL (absolute, on eigenvalues) and sdp.TOL (relative).
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _cmd_check_inclusion(args, rep: Report) -> None:
     tgt = load_pencil_arg(args.tgt, alpha)
     if args.dump_sdp:
         _dump(args, containment.relaxation_sdp, containment.diagonal_pencil(src), tgt)
-    verdict = containment.check_inclusion(src, tgt, tol=args.tol)
+    verdict = containment.check_inclusion(src, tgt)
     scal = verdict.scalar
     rel = verdict.relaxation
     rep.put("scalar", {
@@ -239,7 +241,7 @@ def _cmd_relaxation(args, rep: Report) -> None:
     src = load_pencil_arg(args.src, alpha)
     tgt = load_pencil_arg(args.tgt, alpha)
     _dump(args, containment.relaxation_sdp, src, tgt)
-    rel = containment.relaxation(src, tgt, tol=args.tol)
+    rel = containment.relaxation(src, tgt)
     rep.put("status", rel.status.value)
     rep.say(f"relaxation: {rel.status.value}")
     _report_relaxation(rep, src, tgt, rel)
@@ -251,7 +253,7 @@ def _cmd_min_membership(args, rep: Report) -> None:
     cone = load_cone_arg(args.cone)
     query = _read(args.tuple, pencil.tuple_from_json)
     _dump(args, opsys.margin_sdp, cone.generators, query.stack, cone.facets.sum(axis=0))
-    res = opsys.min_membership(cone, query, tol=args.tol)
+    res = opsys.min_membership(cone, query)
     rep.put("status", res.status.value)
     rep.say(f"smallest-system membership: {res.status.value}")
     if res.status is opsys.MinMembershipStatus.MEMBER:
@@ -271,7 +273,7 @@ def _cmd_min_membership(args, rep: Report) -> None:
 def _cmd_max_membership(args, rep: Report) -> None:
     cone = load_cone_arg(args.cone)
     query = _read(args.tuple, pencil.tuple_from_json)
-    res = opsys.max_membership(cone, query, tol=args.tol)
+    res = opsys.max_membership(cone, query)
     rep.put("classification", res.classification.value)
     rep.put("margin", res.margin)
     rep.put("worst_facet", res.worst_facet)
@@ -284,7 +286,7 @@ def _cmd_max_membership(args, rep: Report) -> None:
 def _cmd_essential_boundary(args, rep: Report) -> None:
     comps = _read(args.components, _components)
     _dump(args, opsys.essential_boundary_sdp, comps, args.epsilon)
-    res = opsys.essential_boundary_square(comps, eps=args.epsilon, tol=args.tol)
+    res = opsys.essential_boundary_square(comps, eps=args.epsilon)
     rep.put("status", res.status.value)
     rep.say(f"essential boundary: {res.status.value}")
     if res.status is opsys.EssentialBoundaryStatus.IN_ESSENTIAL_BOUNDARY:
@@ -406,14 +408,12 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"freespec {__version__}")
     p.add_argument("--output", choices=("human", "json"), default="human")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
     sub = p.add_subparsers(dest="command", required=True)
 
     # the global flags are also accepted after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("human", "json"), default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, parents=[common], **kwargs)

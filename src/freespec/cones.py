@@ -484,12 +484,15 @@ def cone_arrays(obj) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cone_from_json(obj: dict) -> PolyhedralCone:
+    """The cone of a document; listed ``facets``, kept in their order, must
+    be all the facets of the cone the generators span (`rays_equal`)."""
     gens, unit = cone_arrays(obj)
-    facets = obj.get("facets")
-    if facets is not None:
-        facets = linalg.finite_from_json(facets, "facets")
-        if facets.ndim != 2 or facets.shape[1] != len(unit):
-            raise ValueError("facets must be an array of length-d vectors")
+    cone = PolyhedralCone(gens, unit)
+    if obj.get("facets") is None:
+        return cone
+    facets = linalg.finite_from_json(obj["facets"], "facets")
+    if not rays_equal(facets, cone.facets):
+        raise ValueError("facets: not all the facets of the cone the generators span")
     return PolyhedralCone(gens, unit, facets=facets)
 
 

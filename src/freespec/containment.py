@@ -51,6 +51,7 @@ from .opsys import (
     min_membership,
 )
 from .pencil import (
+    BOUNDARY_TOL,
     Classification,
     LinearPencil,
     MatrixTuple,
@@ -76,19 +77,17 @@ class ScalarInclusionResult:
     witness_margin: Optional[float] = None
 
 
-def scalar_inclusion(
-    src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8
-) -> ScalarInclusionResult:
+def scalar_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> ScalarInclusionResult:
     """Level-1 inclusion of a polyhedral cone in a pencil's spectrahedron.
 
     Decidable by generator checks: the cone is included iff every extreme
-    ray evaluates to a PSD matrix (margin >= -tol).
+    ray evaluates to a PSD matrix (margin >= -BOUNDARY_TOL).
     """
     if src.dim != tgt.d:
         raise ValueError(f"cone dimension {src.dim} != pencil variables {tgt.d}")
     margins = np.linalg.eigvalsh(np.tensordot(src.generators, tgt.stack, axes=1))[:, 0]
     worst = int(np.argmin(margins))
-    if margins[worst] < -tol:
+    if margins[worst] < -BOUNDARY_TOL:
         return ScalarInclusionResult(
             holds=False,
             margins=margins,
@@ -205,9 +204,9 @@ def _relaxation_result(
     return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
 
 
-def _sdp_relaxation(src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8) -> RelaxationResult:
+def _sdp_relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
     """The Choi-matrix SDP, for any source pencil."""
-    outcome = sdp.solve(_choi_problem(src, tgt), tol=tol)
+    outcome = sdp.solve(_choi_problem(src, tgt))
     choi = farkas = None
     message = outcome.message
     if outcome.status is sdp.SdpStatus.FEASIBLE:
@@ -243,7 +242,7 @@ def relaxation_sdp(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
     return margin_sdp(facets, tgt.stack, src.unit)
 
 
-def relaxation(src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8) -> RelaxationResult:
+def relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
     """Matricial strengthening of the inclusion problem.
 
     Searches for a completely positive map with sum_j V_j* M_i V_j = N_i;
@@ -262,10 +261,9 @@ def relaxation(src: LinearPencil, tgt: LinearPencil, tol: float = 1e-8) -> Relax
     _same_variables(src, tgt)
     facets = _diagonal_facets(src)
     if facets is None:
-        return _sdp_relaxation(src, tgt, tol=tol)
+        return _sdp_relaxation(src, tgt)
     dec = generator_weights(
-        facets, tgt.stack, lambda y: _relaxation_farkas(src.stack, tgt.stack, y),
-        src.unit, tol=tol,
+        facets, tgt.stack, lambda y: _relaxation_farkas(src.stack, tgt.stack, y), src.unit
     )
     choi = None
     if dec.weights is not None:
@@ -391,19 +389,19 @@ class InclusionVerdict:
             raise VerdictConsistencyError("free witness exists despite feasible relaxation")
 
 
-def check_inclusion(src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8) -> InclusionVerdict:
+def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
     """Scalar inclusion, then the matricial relaxation on the source's
     diagonal realization, then a constructive level-2 witness when the
     source is a quadrilateral and the witness verifiably escapes the target."""
-    scal = scalar_inclusion(src, tgt, tol=tol)
+    scal = scalar_inclusion(src, tgt)
     diag = diagonal_pencil(src)
-    relax = relaxation(diag, tgt, tol=tol)
+    relax = relaxation(diag, tgt)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
         found = _square_witness(src)
         if found is not None:
             cand, src_margin = found
-            tgt_res = membership(tgt, cand, tol=tol)
+            tgt_res = membership(tgt, cand)
             if tgt_res.classification is Classification.OUTSIDE:
                 witness = FreeWitness(
                     tuple=cand,
@@ -427,9 +425,7 @@ class CommutingTargetReport:
     relaxation: RelaxationResult
 
 
-def commuting_target_tightness(
-    src: PolyhedralCone, tgt: LinearPencil, tol: float = 1e-8
-) -> CommutingTargetReport:
+def commuting_target_tightness(src: PolyhedralCone, tgt: LinearPencil) -> CommutingTargetReport:
     """For pairwise commuting targets containing the cone at scalar level,
     the relaxation must be feasible (the target spectrahedron is then a
     polyhedron, realized diagonally).  Raises on non-commuting targets.
@@ -442,8 +438,8 @@ def commuting_target_tightness(
     if max_comm >= 1e-9:
         raise ValueError(f"target matrices do not commute (||[N_i,N_j]|| = {max_comm:.3e})")
     max_off = linalg.joint_eigenbasis(stack)[2]
-    scal = scalar_inclusion(src, tgt, tol=tol)
-    relax = relaxation(diagonal_pencil(src), tgt, tol=tol)
+    scal = scalar_inclusion(src, tgt)
+    relax = relaxation(diagonal_pencil(src), tgt)
     return CommutingTargetReport(
         max_commutator=max_comm,
         max_offdiagonal=max_off,
@@ -463,9 +459,7 @@ def scaled_tuple(a: MatrixTuple, nu: float) -> MatrixTuple:
     return MatrixTuple(np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
 
 
-def scaled_max_in_min(
-    cone: PolyhedralCone, nu: float, a: MatrixTuple, tol: float = 1e-8
-):
+def scaled_max_in_min(cone: PolyhedralCone, nu: float, a: MatrixTuple):
     """Test whether the nu-scaled tuple enters the smallest system.
 
     Requires coordinates arranged so the unit is e_d and the section
@@ -479,12 +473,12 @@ def scaled_max_in_min(
     ed[-1] = 1.0
     if np.max(np.abs(cone.unit - ed)) > 1e-12:
         raise ValueError("coordinate convention requires the unit to be e_d")
-    source = max_membership(cone, a, tol=tol)
+    source = max_membership(cone, a)
     if source.classification is Classification.OUTSIDE:
         raise ValueError(
             f"tuple is outside the largest system (margin {source.margin:.3e})"
         )
-    return min_membership(cone, scaled_tuple(a, nu), tol=tol)
+    return min_membership(cone, scaled_tuple(a, nu))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from . import _kernels, certificates, linalg, sdp
 from .cones import SUBSET_BATCH, PolyhedralCone, _subsets
 from .linalg import SIGMA_X, SIGMA_Z
 from .pencil import (
+    BOUNDARY_TOL,
     LinearPencil,
     MatrixTuple,
     MembershipResult,
@@ -59,12 +60,12 @@ STRICTNESS_EPS = 1e-6
 
 
 def max_membership(
-    cone: PolyhedralCone, a: MatrixTuple, tol: float = 1e-8
+    cone: PolyhedralCone, a: MatrixTuple, tol: float = BOUNDARY_TOL
 ) -> MembershipResult:
     """Membership of a tuple in the largest system of the cone.
 
     Classification is by the smallest eigenvalue over all facet evaluations
-    (ell_k (x) id)(A); the worst facet index is reported.
+    (ell_k (x) id)(A), ``tol`` its absolute band; the worst facet is reported.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
@@ -224,17 +225,17 @@ def margin_sdp(gens: np.ndarray, stack: np.ndarray, h: np.ndarray) -> sdp.SdpPro
     return _margin_problem(p0, kernel)[0]
 
 
-def _margin_weights(gens, stack, certify, tol, split) -> GeneratorWeights:
+def _margin_weights(gens, stack, certify, split) -> GeneratorWeights:
     """The margin decision of `generator_weights` on an `_affine_split`."""
     rows, scale, pinv_t, kernel, p0 = split
     if len(gens) - kernel.shape[1] < gens.shape[1]:
         r = stack / scale - np.tensordot((gens / rows[:, None]).T, p0, axes=1)
-        if np.abs(r).max() > tol:
+        if np.abs(r).max() > sdp.TOL:
             return _refutation(certify, r / np.vdot(r, stack).real) or GeneratorWeights(
                 message="unreachable part: Farkas certificate rejected by its check"
             )
     lam, vecs = np.linalg.eigh(p0)
-    band = tol * float(np.abs(lam).max())
+    band = sdp.TOL * float(np.abs(lam).max())
 
     def member(w):
         """The weights of G for the split's weights ``w``, if they pass."""
@@ -271,7 +272,7 @@ def _margin_weights(gens, stack, certify, tol, split) -> GeneratorWeights:
         return None
 
     problem, start = _margin_problem(p0, kernel)
-    outcome = sdp.solve(problem, tol=tol, check=check, start=start)
+    outcome = sdp.solve(problem, check=check, start=start)
     return outcome.answer or GeneratorWeights(
         message=f"margin SDP: {outcome.message or 'no certificate passed'}"
     )
@@ -316,7 +317,7 @@ def _cone_lp(gens: np.ndarray, points: np.ndarray):
     return mins[rows, at], weights, normals
 
 
-def _commuting_weights(gens, stack, tol, certify) -> Optional[GeneratorWeights]:
+def _commuting_weights(gens, stack, certify) -> Optional[GeneratorWeights]:
     """Weights or Farkas matrices for a commuting stack, or None.
 
     In a joint eigenbasis u_j the A_i are diagonal with values ell_j, and
@@ -326,13 +327,13 @@ def _commuting_weights(gens, stack, tol, certify) -> Optional[GeneratorWeights]:
     (c_k . y <= 0, ell_j . y = 1), then Y_i = y_i u_j u_j*.
     """
     u, ell, offdiagonal = linalg.joint_eigenbasis(stack)
-    if offdiagonal > tol * float(np.abs(stack).max()):
+    if offdiagonal > sdp.TOL * float(np.abs(stack).max()):
         return None
     scored = _cone_lp(gens, ell)
     if scored is None:
         return None
     low, w, normals = scored
-    band = tol * float(np.abs(w).max())
+    band = sdp.TOL * float(np.abs(w).max())
     if low.min() >= -band:
         p = np.einsum("xj,jk,yj->kxy", u, np.maximum(w, 0.0), u.conj())
         return _checked_weights(gens, stack, linalg.hermitian_part(p))
@@ -343,13 +344,7 @@ def _commuting_weights(gens, stack, tol, certify) -> Optional[GeneratorWeights]:
     return _refutation(certify, y)
 
 
-def generator_weights(
-    gens: np.ndarray,
-    stack: np.ndarray,
-    certify,
-    h: np.ndarray,
-    tol: float = 1e-8,
-) -> GeneratorWeights:
+def generator_weights(gens: np.ndarray, stack: np.ndarray, certify, h) -> GeneratorWeights:
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
     c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
 
@@ -359,14 +354,14 @@ def generator_weights(
     when that fails its check.  An answer that fails is Unknown.
 
     For m > d with at most SUBSET_BATCH d-subsets of generators, a stack
-    that commutes (every U* A_i U diagonal within tol * max|A| in the basis
-    of `linalg.joint_eigenbasis`) is decided per joint eigenvector
+    that commutes (every U* A_i U diagonal within sdp.TOL * max|A| in the
+    basis of `linalg.joint_eigenbasis`) is decided per joint eigenvector
     (`_commuting_weights`).  Everything else is decided by the sign of the
     margin max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) over the affine
     set of weights (`_affine_split`, A normalised by max|A|, on the rows
     c_k / (c_k . h) when G h > 0 is not constant).  A part R = A - G^T P0
     that no weights reach is refuted by Y = R / <R, A>.  P0 with
-    lambda_min >= -band = -tol * max|lambda(P0)| is a Member.  With no
+    lambda_min >= -band = -sdp.TOL * max|lambda(P0)| is a Member.  With no
     free part (G of full row rank, e.g. a simplex) X = vv* on the worst
     block of P0 decides in closed form.  Otherwise `_margin_problem` runs
     from its exactly feasible start, and each iterate is judged on two
@@ -378,10 +373,10 @@ def generator_weights(
     """
     m, d = gens.shape
     if m > d and math.comb(m, d) <= SUBSET_BATCH:
-        dec = _commuting_weights(gens, stack, tol, certify)
+        dec = _commuting_weights(gens, stack, certify)
         if dec is not None:
             return dec
-    return _margin_weights(gens, stack, certify, tol, _affine_split(gens, stack, h))
+    return _margin_weights(gens, stack, certify, _affine_split(gens, stack, h))
 
 
 def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
@@ -397,11 +392,7 @@ def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
     return MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=dec.message)
 
 
-def min_membership(
-    cone: PolyhedralCone,
-    a: MatrixTuple,
-    tol: float = 1e-8,
-) -> MinMembershipResult:
+def min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
     """Membership of a tuple in the smallest system of a polyhedral cone.
 
     Decides A = sum_k c_k (x) P_k over PSD weights P_k on the generators
@@ -416,19 +407,18 @@ def min_membership(
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
     stack = a.stack
     dec = generator_weights(
-        cone.generators, stack, lambda y: _separator(cone, stack, y),
-        cone.facets.sum(axis=0), tol=tol,
+        cone.generators, stack, lambda y: _separator(cone, stack, y), cone.facets.sum(axis=0)
     )
     return _membership_result(dec)
 
 
-def circular_min_membership(a: MatrixTuple, tol: float = 1e-8) -> MembershipResult:
+def circular_min_membership(a: MatrixTuple) -> MembershipResult:
     """Smallest-system membership for the circular cone a^2+b^2 <= c^2.
 
     The 2 x 2 pencil (sigma_z, sigma_x, I) realizes that system, so pencil
     membership is the exact test; no generator SDP is involved.
     """
-    return membership(circular_cone_pencil(), a, tol=tol)
+    return membership(circular_cone_pencil(), a)
 
 
 # --------------------------------------------------------------------------
@@ -482,9 +472,7 @@ class EssentialBoundaryResult:
 
 
 def essential_boundary_square(
-    components: Sequence,
-    eps: float = STRICTNESS_EPS,
-    tol: float = 1e-8,
+    components: Sequence, eps: float = STRICTNESS_EPS
 ) -> EssentialBoundaryResult:
     """Essential-boundary test for sum_k v_k (x) A_k over the square cone.
 
@@ -497,13 +485,13 @@ def essential_boundary_square(
     P_3 = M_3 + S, P_4 = M_3 - S and Z_0 = M_3 - eps*I.
 
     Like any numerical feasibility test this decides up to the solver
-    tolerance: component configurations whose exact system is infeasible
-    but lies within ~1e-8 of a feasible one can classify either way.
+    tolerance `sdp.TOL`: component configurations whose exact system is
+    infeasible but within ~1e-8 of a feasible one can classify either way.
     The No answer is always backed by a verified infeasibility certificate,
     and an InEssentialBoundary functional passes its certificate check.
     """
     comps = _components(components)
-    outcome = sdp.solve(_boundary_problem(comps, eps), tol=tol)
+    outcome = sdp.solve(_boundary_problem(comps, eps))
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         p1, p2, p3, p4, z0 = outcome.primal
         m3 = z0 + eps * np.eye(len(z0))

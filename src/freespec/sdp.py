@@ -19,9 +19,10 @@ Re tr(Z_i Z_j) with Z = A W, one product by W.
 
 The engine is a primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector, working on the complex
-Hermitian blocks as given, for at most MAX_ITER iterations.  It starts
-infeasible, from multiples of I, on the problem `_preprocess` reduces
-(rows scaled, dependent ones dropped).  An objective problem with
+Hermitian blocks as given, for at most MAX_ITER iterations, until the
+relative residuals and gap (or complementarity) are at most TOL.  It
+starts infeasible, from multiples of I, on the problem `_preprocess`
+reduces (rows scaled, dependent ones dropped).  An objective problem with
 independent rows may instead come with an exactly feasible, strictly
 interior start (the margin SDP of `opsys.generator_weights`): it is
 checked once, the problem is solved as given, and every iterate stays
@@ -41,9 +42,9 @@ STOPPED and that answer.
 A feasibility problem is the objective problem with C = 0, on the rows
 scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
 is checked: X projected onto A(X) = b is Feasible when it is PSD up to
-tol times its largest eigenvalue, and y is Infeasible when it verifies as
-a Farkas certificate: sum_i y_i A_i negative semidefinite (to a strict
-tolerance) together with b.y > 0.  Without either the status is
+TOL times its largest eigenvalue, and y is Infeasible when it verifies as
+a Farkas certificate: sum_i y_i A_i negative semidefinite (to
+0.1 * FARKAS_TOL) together with b.y > 0.  Without either the status is
 NumericalFailure.  Its callers are the Choi-matrix relaxation of a
 non-diagonal source, `opsys.essential_boundary_square` and problems
 loaded from a dump.
@@ -67,7 +68,7 @@ from .linalg import hermitian_part
 
 logger = logging.getLogger("freespec.sdp")
 
-DEFAULT_TOL = 1e-8
+TOL = 1e-8
 MAX_ITER = 100
 FARKAS_TOL = 1e-7
 START_TOL = 1e-12
@@ -227,8 +228,8 @@ class FarkasCertificate:
     """Multipliers proving the equality system has no PSD solution.
 
     Normalised so that ``gap = sum_i y_i b_i = 1``; validity requires
-    ``lambda_max(sum_i y_i A_i) <= tol`` for a strict tolerance, which
-    bounds the trace of any hypothetical feasible point below ``1/tol``.
+    ``lambda_max(sum_i y_i A_i) <= FARKAS_TOL``, which bounds the trace
+    of any hypothetical feasible point below ``1/FARKAS_TOL``.
     """
 
     y: np.ndarray
@@ -373,7 +374,7 @@ def _cholesky(a: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
+def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
     """Iterate on ``q`` until ``check(x, y)`` gives an answer other than
     None, the iterate converges or a failure stops it; ``iterations``
     counts the completed iterations.  Overflow is silent: the finiteness
@@ -428,7 +429,7 @@ def _ipm(q: SdpProblem, tol: float, check=None, start=None) -> _IpmResult:
             if answer is not None:
                 return _IpmResult(x, y, done, answer=answer)
 
-        if ep <= tol and ed <= tol and min(eg, compl) <= tol:
+        if ep <= TOL and ed <= TOL and min(eg, compl) <= TOL:
             return _IpmResult(x, y, done)
 
         g, lam = _nt_scaling(x, s)
@@ -529,7 +530,7 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
     return FarkasCertificate(y=y, gap=1.0, lambda_max=lam_max)
 
 
-def solve(p: SdpProblem, tol: float = DEFAULT_TOL, check=None, start=None) -> SdpOutcome:
+def solve(p: SdpProblem, check=None, start=None) -> SdpOutcome:
     """Solve a feasibility or linear-objective SDP.
 
     ``check``, for an objective problem only, sees every iterate (the
@@ -545,7 +546,7 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL, check=None, start=None) -> Sd
     if start is not None:
         if p.c is None:
             raise ValueError("a start is for a problem with an objective")
-        return _solve_optimization(p, p, None, tol, check, start)
+        return _solve_optimization(p, p, None, check, start)
     q, rows, conflict_y = _preprocess(p)
     if conflict_y is not None:
         # sum_i y_i A_i = 0 with y.b > 0: a Farkas certificate, unless the
@@ -557,16 +558,14 @@ def solve(p: SdpProblem, tol: float = DEFAULT_TOL, check=None, start=None) -> Sd
             )
         return SdpOutcome(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
     if p.c is None:
-        return _solve_feasibility(p, q, rows, tol)
-    return _solve_optimization(p, q, rows, tol, check)
+        return _solve_feasibility(p, q, rows)
+    return _solve_optimization(p, q, rows, check)
 
 
-def _solve_optimization(
-    p: SdpProblem, q: SdpProblem, rows, tol: float, check=None, start=None
-) -> SdpOutcome:
+def _solve_optimization(p: SdpProblem, q: SdpProblem, rows, check=None, start=None) -> SdpOutcome:
     """``q``, reduced from ``p`` with the row map ``rows``, by the IPM."""
     hook = None if check is None else lambda x, y: check(x, _expand_y(rows, y, len(p.b)))
-    res = _ipm(q, tol, hook, start)
+    res = _ipm(q, hook, start)
     if res.answer is not None:
         return SdpOutcome(status=SdpStatus.STOPPED, iterations=res.iterations, answer=res.answer)
     if not res.message:
@@ -582,7 +581,7 @@ def _solve_optimization(
     )
 
 
-def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOutcome:
+def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows) -> SdpOutcome:
     """The objective problem with C = 0 on the rows of ``q`` (reduced from
     ``p`` with the row map ``rows``) scaled to max|b| = 1.
 
@@ -590,7 +589,7 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
     relative-interior feasible point when there is one, while y tends to a
     Farkas ray when there is none.  Each iterate, the converged one too: X,
     projected twice onto A(X) = b through one Cholesky factor of the Gram
-    matrix A A*, is Feasible when lambda_min >= -tol * max|lambda| over the
+    matrix A A*, is Feasible when lambda_min >= -TOL * max|lambda| over the
     blocks; y is Infeasible when its Farkas certificate has lambda_max <=
     0.1 * FARKAS_TOL.  Without an answer the status is NumericalFailure.
     """
@@ -605,7 +604,7 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
             z = dpotrs(gram, q.b - q._apply(x), lower=1)[0]
             x = x + q._adjoint(z)
         lam = np.linalg.eigvalsh(x)
-        if lam[:, 0].min() >= -tol * np.abs(lam).max():
+        if lam[:, 0].min() >= -TOL * np.abs(lam).max():
             primal = tuple(linalg.hermitian(scale * x, 3))
             return dict(status=SdpStatus.FEASIBLE, primal=primal)
         cert = _farkas_from_y(p, _expand_y(rows, y, len(p.b)))
@@ -613,7 +612,7 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows, tol: float) -> SdpOut
             return dict(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
         return None
 
-    res = _ipm(q, tol, check)
+    res = _ipm(q, check)
     if res.answer is not None:
         return SdpOutcome(**res.answer, iterations=res.iterations)
     return SdpOutcome(
@@ -627,8 +626,9 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
     """Independent re-check of an outcome against the problem data, with
     the primal's eigenvalues from the LAPACK call of `_kernels.eigh_kernel`."""
     if outcome.status in (SdpStatus.FEASIBLE, SdpStatus.OPTIMAL):
-        if outcome.primal is None or len(outcome.primal) != len(p.blocks):
-            return SdpVerifyReport(ok=False, max_residual=np.inf, notes="primal blocks missing")
+        shapes = [np.shape(xb) for xb in outcome.primal or ()]
+        if shapes != [p.cg.shape[1:]] * len(p.blocks):
+            return SdpVerifyReport(ok=False, max_residual=np.inf, notes="primal blocks misshapen")
         x = linalg.hermitian(outcome.primal, 3, "primal")
         psd_margin = float(_kernels.eigh_kernel(x)[0][:, 0].min())
         gaps = np.abs(p._apply(x) - p.b)
@@ -671,7 +671,7 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
 #     <matno> <blk> <i> <j> <re> <im>     one line per upper-triangle entry
 #
 # matno 0 is the objective, 1..m the constraints; indices are 1-based and
-# only nonzero entries with i <= j appear.
+# only nonzero entries with i <= j appear.  A reader error names the line.
 
 
 def dump_problem(p: SdpProblem, path) -> None:
@@ -695,21 +695,25 @@ def dump_problem(p: SdpProblem, path) -> None:
 
 def load_problem(path) -> SdpProblem:
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("*")]
-    m = int(raw[0])
-    nblocks = int(raw[1])
-    blocks, n = _size(raw[2].split())
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("*")]
+    m = int(lines[0][1])
+    nblocks = int(lines[1][1])
+    blocks, n = _size(lines[2][1].split())
     if len(blocks) != nblocks:
         raise ValueError("block count mismatch in dump")
-    rhs = [float(t) for t in raw[3].split()]
+    rhs = [float(t) for t in lines[3][1].split()]
     if len(rhs) != m:
         raise ValueError("rhs length mismatch in dump")
     a = np.zeros((nblocks, m, n, n), dtype=np.complex128)
     c = np.zeros((nblocks, n, n), dtype=np.complex128)
     has_obj = False
-    for ln in raw[4:]:
+    for no, ln in lines[4:]:
         toks = ln.split()
-        matno, blk, i, j = (int(t) for t in toks[:4])
+        matno, blk, i, j = (int(t) for t in toks[:4]) if len(toks) == 6 else (-1,) * 4
+        if not (0 <= matno <= m and 1 <= blk <= nblocks and 1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"line {no}: expected 'matno block i j re im' with matno in "
+                             f"0..{m}, block in 1..{nblocks} and i, j in 1..{n}")
         v = complex(float(toks[4]), float(toks[5]))
         has_obj = has_obj or matno == 0
         mat = c[blk - 1] if matno == 0 else a[blk - 1, matno - 1]

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,27 @@ def exact_margin_start():
         return rows
 
     return check
+
+
+@pytest.fixture()
+def octahedron_without_a_facet():
+    """The document of the cone over the octahedron in d = 4 (rays
+    (+-e_i, 1), unit e_4) listing 7 of its 8 facets: the one dropped,
+    (-1, -1, -1, 1), cuts off (0.6, 0.6, 0.6, 1).  Each vertex lies on 4
+    facets, so every listed facet is still supported and every generator
+    extreme."""
+    rays = np.hstack([np.kron(np.eye(3), [[1.0], [-1.0]]), np.ones((6, 1))])
+    signs = list(itertools.product([-1.0, 1.0], repeat=3))[1:]
+    return {"d": 4, "unit": [0.0, 0.0, 0.0, 1.0], "generators": rays.tolist(),
+            "facets": [[*s, 1.0] for s in signs]}
+
+
+@pytest.fixture()
+def forged_sandwich(octahedron_without_a_facet):
+    """A sandwich with nu = 0.1 over `octahedron_without_a_facet` by the
+    simplex through (0.6, 0.6, 0.6, 1) and the points -0.9 e_i + e_4: it
+    holds for the listed facets, but the simplex leaves the cone."""
+    simplex = [[0.6, 0.6, 0.6, 1.0], [-0.9, 0.0, 0.0, 1.0], [0.0, -0.9, 0.0, 1.0],
+               [0.0, 0.0, -0.9, 1.0]]
+    return {"schema_version": 1, "kind": "scaling_sandwich", "cone": octahedron_without_a_facet,
+            "nu": 0.1, "h_normal": [0.0, 0.0, 0.0, 1.0], "simplex_generators": simplex}

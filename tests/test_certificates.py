@@ -195,6 +195,31 @@ def test_sandwich_with_a_bad_nu_or_normal_is_rejected(field, value):
         _round_trip(doc)
 
 
+def test_a_sandwich_is_checked_on_the_cone_its_generators_span(forged_sandwich):
+    # trusted, the facet list missing (-1, -1, -1, 1) would hold the
+    # simplex, which leaves the cone at (0.6, 0.6, 0.6, 1), and the forged
+    # sandwich would pass with residual 0; the listed facets are not read
+    doc = forged_sandwich
+    check = _round_trip(doc)
+    assert not check.ok
+    assert check.residual == pytest.approx(0.8, abs=1e-12)
+    del doc["cone"]["facets"]
+    assert _round_trip(doc) == check
+
+
+def test_a_singular_simplex_is_an_input_error():
+    from freespec.containment import scaling_bound
+
+    cone = cones.square_cone()
+    rep = scaling_bound(cone, [0.0, 0.0, 1.0])
+    doc = certificates.sandwich_cert(cone, rep.certified_nu, [0.0, 0.0, 1.0], rep.certificate)
+    g = np.array(doc["simplex_generators"])
+    doc["simplex_generators"][2] = (g[0] + g[1]).tolist()
+    with pytest.raises(ValueError, match="^simplex_generators: generators do not span") as exc:
+        _round_trip(doc)
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
 def test_apply_kraus_matches_the_sum():
     rng = np.random.default_rng(3)
     kraus = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))

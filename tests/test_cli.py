@@ -109,6 +109,37 @@ class TestParseInputs:
         with pytest.raises(cli.CliError, match="not found"):
             cli.load_cone_arg("/nonexistent/cone.json")
 
+    def test_a_facet_holding_no_number(self, fixtures, tmp_path):
+        doc = json.load(open(fixtures / "square.json"))
+        doc["facets"][0][1] = {}
+        bad = tmp_path / "bad_cone.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(cli.CliError, match="facets: expected finite numbers"):
+            cli.load_cone_arg(str(bad))
+
+    def test_an_incomplete_facet_list(self, capsys, tmp_path, octahedron_without_a_facet):
+        # every listed facet is valid and supported and every generator is
+        # extreme; trusted, the list would put (0.6, 0.6, 0.6, 1) Inside
+        doc = octahedron_without_a_facet
+        path = tmp_path / "oct7.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "pt.json").write_text(json.dumps(
+            {"d": 4, "s": 1, "entries": [[[[x, 0]]] for x in (0.6, 0.6, 0.6, 1.0)]}))
+        code, out, err = run(capsys, "max-membership", "--cone", str(path),
+                             "--tuple", str(tmp_path / "pt.json"))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "facets" in err, err
+        assert "Traceback" not in err
+        with pytest.raises(ValueError, match="facets"):
+            cones.cone_from_json(doc)
+        del doc["facets"]
+        assert cones.cone_from_json(doc).n_facets == 8
+
+    def test_a_complete_facet_list_keeps_its_order(self):
+        doc = cones.cone_to_json(cones.square_cone())
+        doc["facets"] = doc["facets"][::-1]
+        assert np.array_equal(cones.cone_from_json(doc).facets, cones.square_cone().facets[::-1])
+
 
 class TestCheckInclusion:
     def test_square_to_calpha(self, capsys, fixtures):
@@ -207,6 +238,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "scaling-bound", "--cone", str(bad))
         assert code == EXIT_USAGE
         assert "malformed JSON" in err
+
+    @pytest.mark.parametrize("before", [True, False], ids=["global", "subcommand"])
+    def test_no_tolerance_option(self, capsys, fixtures, before):
+        # the decision bands are constants: --tol is a usage error in
+        # either place
+        argv = ["min-membership", "--cone", "square", "--tuple", str(fixtures / "szsxi.json")]
+        argv = ["--tol", "1e-8", *argv] if before else [*argv, "--tol", "1e-8"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_division_by_zero_in_alpha(self, capsys):
         code, _, err = run(
@@ -426,20 +467,26 @@ class TestVerifyShapes:
              "cone: generators: expected finite numbers"),
             ("relaxation", ("src", "unit", 0), {}, "src: unit: expected finite numbers"),
             ("sandwich", ("cone", "unit", 0), [], "cone: unit: expected finite numbers"),
-            ("sandwich", ("cone", "facets", 0, 1), {}, "cone: facets: expected finite numbers"),
             ("sandwich", ("simplex_generators", 0, 0), {},
              "simplex_generators: expected finite numbers"),
             ("sandwich", ("simplex_generators", 1), None,
              "simplex_generators: expected finite numbers"),
         ],
         ids=["cone-unit-object", "cone-unit-null", "generator-list", "generator-object",
-             "pencil-unit-object", "sandwich-unit-list", "facet-object", "simplex-object",
+             "pencil-unit-object", "sandwich-unit-list", "simplex-object",
              "simplex-null"],
     )
     def test_a_number_field_holding_no_number(
         self, capsys, tmp_path, fixtures, source, path, value, field
     ):
         self._mutated(capsys, tmp_path, fixtures, source, path, value, field)
+
+    def test_a_sandwich_over_an_incomplete_facet_list(self, capsys, tmp_path, forged_sandwich):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(forged_sandwich))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == EXIT_UNKNOWN
+        assert out.splitlines()[-1] == "INVALID"
 
     def test_member_query_shorter_than_the_cone(self, capsys, tmp_path, fixtures):
         pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")

@@ -1,5 +1,7 @@
 """SDP solver: examples, verification, embedding, dump/restore."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ class TestVerify:
         rep = sdp.verify(out, p)
         assert not rep.ok
         assert rep.psd_margin == pytest.approx(-0.1, abs=1e-12)
+
+    def test_primal_block_of_the_wrong_size(self):
+        p = feasibility([2], [((np.eye(2),), 1.0)])
+        out = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(np.eye(3),))
+        rep = sdp.verify(out, p)
+        assert not rep.ok and rep.max_residual == np.inf
+        assert rep.notes == "primal blocks misshapen"
 
     def test_primal_block_by_block(self):
         # a block missing is flagged; real blocks are read as Hermitian
@@ -332,6 +341,25 @@ class TestValidation:
         path = tmp_path / "mixed.sdpa"
         path.write_text("1\n2\n2 3\n1.0\n1 1 1 1 1.0 0.0\n1 2 1 1 1.0 0.0\n")
         with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
+            sdp.load_problem(path)
+
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["1 0 1 1 1.0 0.0", "1 2 1 1 1.0 0.0", "1 1 3 1 1.0 0.0", "1 1 1 0 1.0 0.0",
+         "2 1 1 1 1.0 0.0", "-1 1 1 1 1.0 0.0", "1 1 1 1 1.0", "1 1 1 1 1.0 0.0 0.0"],
+        ids=["block-zero", "block-past", "row-past", "column-zero", "matno-past",
+             "matno-negative", "five-fields", "seven-fields"],
+    )
+    def test_dump_entry_out_of_range(self, tmp_path, entry):
+        # an index 0 would wrap to the last block or entry and one past the
+        # end would end in an IndexError; each names its line, counted in
+        # the file with the comment line
+        path = tmp_path / "bad.sdpa"
+        path.write_text(f"* comment\n1\n1\n2\n1.0\n{entry}\n")
+        want = ("line 6: expected 'matno block i j re im' with matno in 0..1, block in 1..1 "
+                "and i, j in 1..2")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             sdp.load_problem(path)
 
 
