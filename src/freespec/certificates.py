@@ -13,11 +13,11 @@ restores exactly, so both see the same residual.  No kind reads a cone's
 from their generators and unit (a simplex's facets in closed form), so
 elsewhere every listed generator counts, extreme or not, and a pencil's
 unit is not renormalised; max|sum_i u_i M_i - I| of each pencil is
-reported as ``unit_drift``.  A residual must stay below
-``ACCEPT_RESIDUAL``; a separator also needs a positive margin and
-phi(A) < -``SEPARATOR_PHI_LIMIT``, and a Farkas certificate
-lambda_max <= ``sdp.FARKAS_TOL`` * gap with a gap above
-``FARKAS_GAP_LIMIT`` times the size of its terms.  Only the last two
+reported as ``unit_drift``.  A residual keeps a NaN term (`_worst`) and
+must stay below ``ACCEPT_RESIDUAL``, so it is finite; a separator also
+needs a positive margin and phi(A) < -``SEPARATOR_PHI_LIMIT``, and a
+Farkas certificate lambda_max <= ``sdp.FARKAS_TOL`` * gap with a gap
+above ``FARKAS_GAP_LIMIT`` times the size of its terms.  Only the last two
 limits are relative.
 """
 
@@ -146,12 +146,17 @@ def _eigvalsh(j: np.ndarray, r: int, t: int) -> np.ndarray:
     return np.linalg.eigvalsh(j if blocks is None else blocks)
 
 
+def _worst(*terms: float) -> float:
+    """max(0, *terms), NaN when a term is NaN (which max drops unless first)."""
+    return np.nan if np.isnan(terms).any() else max(0.0, *terms)
+
+
 def check_min_member(gens: np.ndarray, stack: np.ndarray, weights: np.ndarray) -> CertificateCheck:
     """PSD weights P_k with sum_k c_k[i] P_k = A_i, for the generators c_k
     as the rows of ``gens``: residual max(-lambda_min(P_k), reconstruction
     error), at least 0."""
     recon = float(np.max(np.abs(np.tensordot(gens.T, weights, axes=1) - stack)))
-    residual = max(recon, -float(np.linalg.eigvalsh(weights)[:, 0].min()), 0.0)
+    residual = _worst(recon, -float(np.linalg.eigvalsh(weights)[:, 0].min()))
     return CertificateCheck("min_membership_member", residual < ACCEPT_RESIDUAL, residual, {})
 
 
@@ -163,7 +168,7 @@ def check_separator(
     a positive margin lambda_min(sum_i u_i N_i) and phi(A) below
     -SEPARATOR_PHI_LIMIT."""
     lows = np.linalg.eigvalsh(np.tensordot(np.vstack([gens, unit]), n, axes=1))[:, 0]
-    worst, margin = max(0.0, -float(lows[:-1].min())), float(lows[-1])
+    worst, margin = _worst(-float(lows[:-1].min())), float(lows[-1])
     phi_query = phi(n, stack)
     ok = worst < ACCEPT_RESIDUAL and margin > 0 and phi_query < -SEPARATOR_PHI_LIMIT
     details = {"margin": margin, "phi_query": phi_query}
@@ -180,7 +185,7 @@ def check_relaxation_feasible(
     psd_margin = float(_eigvalsh(choi, r, t).min())
     v = np.asarray(kraus, dtype=np.complex128).reshape(-1, r, t)
     recon = float(np.max(np.abs(apply_kraus(v, src) - tgt)))
-    residual = max(0.0, -psd_margin, recon)
+    residual = _worst(-psd_margin, recon)
     details = {"choi_min_eig": psd_margin, "kraus_count": len(v)}
     return CertificateCheck("relaxation_feasible", residual < ACCEPT_RESIDUAL, residual, details)
 
@@ -198,7 +203,7 @@ def check_relaxation_infeasible(
     big = np.einsum("iba,ixy->axby", src, y).reshape(r * t, r * t)
     lam = float(_eigvalsh(big, r, t).max())
     ok = gap > FARKAS_GAP_LIMIT * size and lam <= sdp.FARKAS_TOL * gap
-    residual = max(0.0, lam) / gap if gap > 0 else float("inf")
+    residual = _worst(lam) / gap if gap > 0 else float("inf")
     details = {"gap": gap, "size": size, "lambda_max": lam}
     return CertificateCheck("relaxation_infeasible", ok, residual, details)
 
@@ -214,7 +219,7 @@ def check_essential_boundary(comps: np.ndarray, n: np.ndarray, eps: float) -> Ce
     lows = np.linalg.eigvalsh(np.concatenate([p, m3[None]]))[:, 0]
     orth = np.abs(np.einsum("kxy,kyx->k", p, comps).real)
     trace_err = abs(float(np.trace(m3).real) - 1.0)
-    residual = max(0.0, -float(lows[:4].min()), trace_err, float(orth.max()))
+    residual = _worst(-float(lows[:4].min()), trace_err, float(orth.max()))
     margin = float(lows[4])
     ok = residual < ACCEPT_RESIDUAL and margin >= eps - ACCEPT_RESIDUAL
     details = {"margin": margin, "orthogonality": orth.tolist()}
@@ -229,7 +234,7 @@ def check_scaling_sandwich(
     sec, sec_s = section_of(cone, h_normal), section_of(simplex, h_normal)
     inside = 1.0 + sec_s.vertices @ sec.facet_rows.T
     around = 1.0 + (nu * sec.vertices) @ sec_s.facet_rows.T
-    residual = max(0.0, -float(inside.min()), -float(around.min()))
+    residual = _worst(-float(inside.min()), -float(around.min()))
     return CertificateCheck("scaling_sandwich", residual < ACCEPT_RESIDUAL, residual, {"nu": nu})
 
 

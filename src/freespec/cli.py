@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import logging
 import math
@@ -403,20 +404,22 @@ def _cmd_verify(args, rep: Report) -> None:
 # -- argument parsing ----------------------------------------------------------
 
 
+# the global flags, which are also accepted after the subcommand
+_GLOBAL_FLAGS = _Parser(prog="freespec", add_help=False)
+_GLOBAL_FLAGS.add_argument("--output", choices=("human", "json"), default=argparse.SUPPRESS)
+_GLOBAL_FLAGS.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="freespec", description=__doc__)
     p.add_argument("--version", action="version", version=f"freespec {__version__}")
     p.add_argument("--output", choices=("human", "json"), default="human")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = p.add_subparsers(dest="command", required=True)
-
-    # the global flags are also accepted after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("human", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.commands = sub.choices  # the subcommand names, for _parse_args
 
     def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, parents=[common], **kwargs)
+        sp = sub.add_parser(name, parents=[_GLOBAL_FLAGS], **kwargs)
         sp.set_defaults(fn=fn)
         return sp
 
@@ -473,12 +476,25 @@ def build_parser() -> _Parser:
     return p
 
 
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, naming the unknown flags before the
+    subcommand: argparse reads the value of one as the subcommand."""
+    try:
+        return parser.parse_args(argv)
+    except CliError:
+        head = itertools.takewhile(lambda arg: arg not in parser.commands, argv)
+        unknown = _GLOBAL_FLAGS.parse_known_args(list(head))[1]
+        if unknown and unknown[0].startswith("-"):
+            raise CliError(f"unrecognized arguments: {' '.join(unknown)}") from None
+        raise
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     level = os.environ.get("FREESPEC_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         rep = Report(args.command, args.output, args.seed)
         args.fn(args, rep)
     except (CliError, ValueError) as exc:

@@ -145,7 +145,7 @@ def _choi_problem(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
     mt = np.swapaxes(src.stack, 1, 2)
     coeffs = mt[:, None, :, None, :, None] * basis[None, :, None, :, None, :]
     rhs = np.einsum("bij,dji->db", basis, tgt.stack).real.ravel()
-    return sdp.SdpProblem((r * t,), coeffs.reshape(1, -1, r * t, r * t), rhs)
+    return sdp.SdpProblem(coeffs.reshape(1, -1, r * t, r * t), rhs)
 
 
 def kraus_from_choi(choi, r: int, t: int) -> tuple[np.ndarray, ...]:

@@ -212,7 +212,7 @@ def _margin_problem(p0: np.ndarray, kernel: np.ndarray):
     coeffs = np.concatenate([np.broadcast_to(np.eye(s), (m, 1, s, s)), free], axis=1)
     c = linalg.hermitian_part(p0)
     y = np.r_[np.linalg.eigvalsh(c)[:, 0].min() - 1.0, np.zeros(free.shape[1])]
-    problem = sdp.SdpProblem._unchecked((s,) * m, coeffs, np.r_[1.0, np.zeros(len(y) - 1)], c)
+    problem = sdp.SdpProblem._unchecked(coeffs, np.r_[1.0, np.zeros(len(y) - 1)], c)
     return problem, (np.broadcast_to(np.eye(s) / (m * s), (m, s, s)), y)
 
 
@@ -561,7 +561,7 @@ def _boundary_problem(comps: np.ndarray, eps: float) -> sdp.SdpProblem:
         coeffs[k, 2 * nb + 1 + k] = comps[k]
     pair_rhs = 2.0 * eps * np.trace(basis, axis1=1, axis2=2).real
     rhs = np.concatenate([pair_rhs, pair_rhs, [1.0 - eps * s], np.zeros(4)])
-    return sdp.SdpProblem((s,) * 5, coeffs, rhs)
+    return sdp.SdpProblem(coeffs, rhs)
 
 
 # --------------------------------------------------------------------------

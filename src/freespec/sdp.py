@@ -8,11 +8,12 @@ Primal form:
 
 where <A, X> = tr(X* A) summed over blocks.  The k blocks have one size n
 (the margin SDP has one per generator, the Choi SDP one, the essential-
-boundary SDP five); blocks of different sizes are rejected.  A problem
-holds its coefficients as one complex (k, m, n, n) array, zero where a row
-does not touch a block, laid out once as real (m, 2 k n^2) rows and as a
-complex (k, m n, n) view, and its objective as one (k, n, n) stack, zero
-for a feasibility problem.  The solver runs on one (k, n, n) stack per
+boundary SDP five), read from the shape of the complex (k, m, n, n) array
+of coefficients that a problem is built from, zero where a row does not
+touch a block; only a dump's header and `SdpProblem.make` state sizes.
+The array is laid out once as real (m, 2 k n^2) rows and as a complex
+(k, m n, n) view, and the objective as one (k, n, n) stack, zero for a
+feasibility problem.  The solver runs on one (k, n, n) stack per
 variable: A(X) and A*(y) are one matrix product each (A*(y) on the real
 rows viewed as complex), and the Schur complement Re tr(A_i W A_j W) is
 Re tr(Z_i Z_j) with Z = A W, one product by W.
@@ -56,7 +57,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import qr
@@ -113,69 +114,53 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.vdot(y, x).real)
 
 
-def _size(blocks) -> tuple[tuple[int, ...], int]:
-    """The block sizes as ints and their one size; a ValueError names the
-    sizes when they differ."""
-    blocks = tuple(int(n) for n in blocks)
-    if any(n < 1 for n in blocks):
-        raise ValueError("block dimensions must be positive")
-    if len(set(blocks)) != 1:
-        raise ValueError(f"expected blocks of one size, got sizes {blocks}")
-    return blocks, blocks[0]
-
-
-@dataclass(frozen=True, eq=False)
 class SdpProblem:
     """Equality rows <A_i, X> = b_i over k Hermitian PSD blocks of one size n.
 
-    ``a`` is the read-only complex (k, m, n, n) array of the rows'
-    coefficients, ``a[j]`` block j's stack, zero where a row does not touch
-    the block; ``b`` holds the m right-hand sides and ``c``, when given, the
-    objective block by block.  The coefficients and the objective are
-    checked Hermitian and symmetrised once, at construction, and then laid
-    out for the solver (`_layout`).
+    ``a`` is the complex (k, m, n, n) array of the rows' coefficients,
+    ``a[j]`` block j's stack, zero where a row does not touch the block, k
+    and n read from its shape; ``b`` holds the m right-hand sides and
+    ``c``, when given, the (k, n, n) objective.  Both stacks are checked
+    Hermitian and symmetrised once, here, and laid out read-only for the
+    solver (`_layout`); `make` builds the same arrays from rows.
     """
 
-    blocks: tuple[int, ...]
-    a: np.ndarray
-    b: np.ndarray
-    c: Optional[tuple[np.ndarray, ...]] = None
-
-    def __post_init__(self):
-        blocks, n = _size(self.blocks)
-        b = np.array(self.b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("right-hand sides must form a vector")
-        a = _shaped(self.a, (len(blocks), len(b), n, n), "coefficients")
-        c = None if self.c is None else _shaped(self.c, (len(blocks), n, n), "objective")
-        self.__dict__.update(blocks=blocks, b=b)
-        self._layout(a, c)
+    def __init__(self, a, b, c=None):
+        a, b = np.asarray(a, dtype=np.complex128), np.array(b, dtype=float)
+        k, n = (len(a), a.shape[-1]) if a.ndim == 4 else (0, 0)
+        if b.ndim != 1 or a.shape != (k, len(b), n, n) or not k * n:
+            raise ValueError(f"coefficients and right-hand sides: shapes {a.shape} and "
+                             f"{b.shape}, expected (k, m, n, n) with k, n positive and (m,)")
+        a = linalg.hermitian(a, 4, "coefficients")
+        self._layout(a, b, None if c is None else _shaped(c, (k, n, n), "objective"))
 
     @classmethod
-    def _unchecked(cls, blocks, a, b, c) -> "SdpProblem":
+    def _unchecked(cls, a, b, c) -> "SdpProblem":
         """The problem of a builder whose (k, m, n, n) coefficients and
         (k, n, n) objective are exactly Hermitian by construction, as
         given: no check, no copy."""
         p = object.__new__(cls)
-        p.__dict__.update(blocks=tuple(blocks), b=np.asarray(b, float))
-        p._layout(a, c)
+        p._layout(a, np.asarray(b, float), c)
         return p
 
-    def _layout(self, a: np.ndarray, c: Optional[np.ndarray]) -> None:
-        """``a`` and the objective stack ``c`` (None for none), read-only,
-        with the layouts of the solver: ``flat`` the rows as real
-        (m, 2 k n^2) rows (`_flat`), ``tens`` the complex (k, m n, n) view
-        of ``a`` and ``cg`` the (k, n, n) objective, zero for a feasibility
-        problem."""
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """The k block sizes, each n."""
+        return (self.a.shape[-1],) * len(self.a)
+
+    def _layout(self, a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray]) -> None:
+        """``a``, ``b`` and the objective stack ``c`` (None for none),
+        read-only, with the layouts of the solver: ``flat`` the rows as
+        real (m, 2 k n^2) rows (`_flat`), ``tens`` the complex (k, m n, n)
+        view of ``a`` and ``cg`` the (k, n, n) objective, zero for a
+        feasibility problem."""
         k, m, n = a.shape[:3]
         cg = np.zeros((k, n, n), dtype=np.complex128) if c is None else c
-        for arr in (self.b, a, cg):
+        for arr in (b, a, cg):
             arr.flags.writeable = False
-        self.__dict__.update(
-            a=a, c=None if c is None else tuple(c), cg=cg,
-            flat=_flat(a.swapaxes(0, 1)).reshape(m, 2 * k * n * n),
-            tens=a.reshape(k, m * n, n),
-        )
+        self.a, self.b, self.c, self.cg = a, b, None if c is None else tuple(c), cg
+        self.flat = _flat(a.swapaxes(0, 1)).reshape(m, 2 * k * n * n)
+        self.tens = a.reshape(k, m * n, n)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """A(X): Re tr(A_i X), summed over blocks."""
@@ -196,31 +181,24 @@ class SdpProblem:
         return (out + out.T) / 2.0
 
     @staticmethod
-    def make(blocks: Sequence[int], constraints, objective=None) -> "SdpProblem":
-        """A problem from rows ``(coeffs, rhs)``, with one array-like per
-        block in ``coeffs`` (and in ``objective``) and None for a zero block."""
-        blocks, n = _size(blocks)
-        rows = list(constraints)
-        a = np.zeros((len(blocks), len(rows), n, n), dtype=np.complex128)
+    def make(blocks, constraints, objective=None) -> "SdpProblem":
+        """The problem of rows ``(coeffs, rhs)`` over blocks of the sizes
+        ``blocks``, all equal, with one array-like per block in ``coeffs``
+        (and in ``objective``) and None for a zero block.  No library code
+        builds a problem this way; perfbench's ``sdp.make`` spans wrap it."""
+        blocks, rows = tuple(int(s) for s in blocks), list(constraints)
+        if min(blocks, default=0) < 1 or len(set(blocks)) != 1:
+            raise ValueError(f"expected blocks of one size, got sizes {blocks}")
+        shape = (len(blocks),) + (blocks[0],) * 2
+
+        def stack(coeffs, what: str) -> np.ndarray:
+            return _shaped([np.zeros(shape[1:]) if x is None else x for x in coeffs], shape, what)
+
+        a = np.zeros((shape[0], len(rows)) + shape[1:], dtype=np.complex128)
         for i, (coeffs, _) in enumerate(rows):
-            a[:, i] = _row(blocks, coeffs, f"constraint {i}")
-        c = None if objective is None else _row(blocks, objective, "objective")
-        return SdpProblem(blocks, a, [float(rhs) for _, rhs in rows], c)
-
-
-def _row(blocks: tuple[int, ...], coeffs, what: str) -> np.ndarray:
-    """One coefficient per block as one (k, n, n) stack, None read as a
-    zero block."""
-    if len(coeffs) != len(blocks):
-        raise ValueError(f"{what}: expected {len(blocks)} coefficient blocks")
-    n = blocks[0]
-    out = np.zeros((len(blocks), n, n), dtype=np.complex128)
-    for k, coeff in enumerate(coeffs):
-        arr = np.zeros((n, n)) if coeff is None else np.asarray(coeff, dtype=np.complex128)
-        if arr.shape != (n, n):
-            raise ValueError(f"{what}: block {k} has dim {arr.shape}, expected {n}")
-        out[k] = arr
-    return out
+            a[:, i] = stack(coeffs, f"constraint {i}")
+        c = None if objective is None else stack(objective, "objective")
+        return SdpProblem._unchecked(a, [float(rhs) for _, rhs in rows], c)
 
 
 @dataclass(frozen=True)
@@ -309,7 +287,7 @@ def _preprocess(p: SdpProblem):
             conflict_y = y / scale  # back to original row scaling
 
     a = p.a[:, kept] / scale[kept, None, None]
-    q = SdpProblem._unchecked(p.blocks, a, b[kept], None if p.c is None else p.cg)
+    q = SdpProblem._unchecked(a, b[kept], None if p.c is None else p.cg)
     return q, (kept, scale[kept]), conflict_y
 
 
@@ -594,7 +572,7 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows) -> SdpOutcome:
     0.1 * FARKAS_TOL.  Without an answer the status is NumericalFailure.
     """
     scale = float(np.abs(q.b).max()) or 1.0
-    q = SdpProblem._unchecked(q.blocks, q.a, q.b / scale, None)
+    q = SdpProblem._unchecked(q.a, q.b / scale, None)
     gram = _cholesky(q.flat @ q.flat.T)
     if gram is None:
         raise np.linalg.LinAlgError("Gram matrix of the independent rows not positive definite")
@@ -693,31 +671,49 @@ def dump_problem(p: SdpProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header(line, kind, count: int, what: str, least=-math.inf) -> list:
+    """The ``count`` tokens of a numbered header line read by ``kind``,
+    none below ``least``; a ValueError names the line and ``what``."""
+    no, toks = line
+    try:
+        vals = [kind(t) for t in toks]
+    except ValueError:
+        vals = None
+    if vals is None or len(vals) != count or any(v < least for v in vals):
+        raise ValueError(f"line {no}: expected {what}")
+    return vals
+
+
 def load_problem(path) -> SdpProblem:
+    """The problem of a dump, whose header states positive block sizes, all
+    equal; a ValueError names the line at fault or the missing header line."""
     with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.startswith("*")]
-    m = int(lines[0][1])
-    nblocks = int(lines[1][1])
-    blocks, n = _size(lines[2][1].split())
-    if len(blocks) != nblocks:
-        raise ValueError("block count mismatch in dump")
-    rhs = [float(t) for t in lines[3][1].split()]
-    if len(rhs) != m:
-        raise ValueError("rhs length mismatch in dump")
-    a = np.zeros((nblocks, m, n, n), dtype=np.complex128)
-    c = np.zeros((nblocks, n, n), dtype=np.complex128)
+    if len(lines) < 4:
+        raise ValueError(f"missing header line {len(lines) + 1} of 4")
+    (m,) = _header(lines[0], int, 1, "m, one integer >= 0", 0)
+    (k,) = _header(lines[1], int, 1, "the block count, one integer >= 1", 1)
+    sizes = tuple(_header(lines[2], int, k, f"the block sizes, {k} positive integers", 1))
+    if len(set(sizes)) != 1:
+        raise ValueError(f"expected blocks of one size, got sizes {sizes}")
+    n = sizes[0]
+    rhs = _header(lines[3], float, m, f"the right-hand sides, {m} numbers")
+    coeffs = np.zeros((k, m + 1, n, n), dtype=np.complex128)  # matno 0: the objective
     has_obj = False
-    for no, ln in lines[4:]:
-        toks = ln.split()
-        matno, blk, i, j = (int(t) for t in toks[:4]) if len(toks) == 6 else (-1,) * 4
-        if not (0 <= matno <= m and 1 <= blk <= nblocks and 1 <= i <= n and 1 <= j <= n):
+    for no, toks in lines[4:]:
+        try:  # four integers and two floats
+            *index, re, im = toks
+            matno, blk, i, j = map(int, index)
+            v = complex(float(re), float(im))
+        except ValueError:
+            matno = -1
+        if not (0 <= matno <= m and 1 <= blk <= k and 1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"line {no}: expected 'matno block i j re im' with matno in "
-                             f"0..{m}, block in 1..{nblocks} and i, j in 1..{n}")
-        v = complex(float(toks[4]), float(toks[5]))
+                             f"0..{m}, block in 1..{k} and i, j in 1..{n}")
         has_obj = has_obj or matno == 0
-        mat = c[blk - 1] if matno == 0 else a[blk - 1, matno - 1]
+        mat = coeffs[blk - 1, matno]
         mat[i - 1, j - 1] += v
         if i != j:
             mat[j - 1, i - 1] += v.conjugate()
-    return SdpProblem(blocks, a, rhs, c if has_obj else None)
+    return SdpProblem(coeffs[:, 1:], rhs, coeffs[:, 0] if has_obj else None)

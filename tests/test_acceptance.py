@@ -247,14 +247,8 @@ def test_criterion_10_sdp_self_test():
             ]
             if kind == 0:  # feasible by construction
                 x0 = [linalg.random_psd(rng, n) for n in blocks]
-                cons = [
-                    (
-                        tuple(amats[i]),
-                        sum(trace_inner(x0[b], amats[i][b]) for b in range(nb)),
-                    )
-                    for i in range(m)
-                ]
-                p = sdp.SdpProblem.make(blocks, cons)
+                rhs = [sum(trace_inner(x0[b], amats[i][b]) for b in range(nb)) for i in range(m)]
+                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), rhs)
                 out = sdp.solve(p)
                 assert out.status is sdp.SdpStatus.FEASIBLE, f"instance {k}: {out.message}"
                 rep = sdp.verify(out, p)
@@ -268,8 +262,7 @@ def test_criterion_10_sdp_self_test():
                     amats[m - 1][b] = linalg.hermitian(-(s0[b] + acc))
                 bvec = rng.standard_normal(m)
                 bvec[-1] = 1.0 - bvec[: m - 1] @ y[: m - 1]
-                cons = [(tuple(amats[i]), float(bvec[i])) for i in range(m)]
-                p = sdp.SdpProblem.make(blocks, cons)
+                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), bvec)
                 out = sdp.solve(p)
                 assert out.status is sdp.SdpStatus.INFEASIBLE, f"instance {k}: {out.message}"
                 assert sdp.verify(out, p).ok
@@ -294,20 +287,14 @@ def test_criterion_10_sdp_self_test():
                     else:
                         ss.append(linalg.hermitian(np.zeros((n, n))))
                 y0 = rng.standard_normal(m)
-                cons = [
-                    (
-                        tuple(amats[i]),
-                        sum(trace_inner(xs[b], amats[i][b]) for b in range(nb)),
-                    )
-                    for i in range(m)
-                ]
+                rhs = [sum(trace_inner(xs[b], amats[i][b]) for b in range(nb)) for i in range(m)]
                 cobj = tuple(
                     linalg.hermitian(
                         sum(y0[i] * amats[i][b] for i in range(m)) + ss[b]
                     )
                     for b in range(nb)
                 )
-                p = sdp.SdpProblem.make(blocks, cons, objective=cobj)
+                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), rhs, cobj)
                 out = sdp.solve(p)
                 assert out.status is sdp.SdpStatus.OPTIMAL, f"instance {k}: {out.message}"
                 expected = sum(trace_inner(xs[b], cobj[b]) for b in range(nb))

@@ -132,6 +132,79 @@ def test_a_non_finite_entry_is_rejected_by_name():
         certificates.verify_certificate(doc)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_source_entry_is_rejected():
+    # an entry of 1e308 in the source overflows the Kraus image to NaN; the
+    # reconstruction error is NaN and must not be dropped as residual 0
+    src = diagonal_pencil(cones.square_cone())
+    res = relaxation(src, src)
+    doc = json.loads(json.dumps(certificates.relaxation_feasible_cert(src, src, res.certificate)))
+    assert certificates.verify_certificate(doc).ok
+    doc["src"]["matrices"][0][0][0] = [1e308, 0]
+    check = certificates.verify_certificate(doc)
+    assert not check.ok and math.isnan(check.residual)
+
+
+def _with_nan(a, index):
+    """A copy of ``a`` with NaN at ``index``."""
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    a[index] = np.nan
+    return a
+
+
+def _nan_cases():
+    """For each check_<kind>: the check, its arguments on a certificate
+    that passes, and which argument gets a NaN at which index so that it
+    reaches a term of the residual."""
+    from freespec.containment import scaling_bound
+    from freespec.opsys import essential_boundary_square, pauli_witness
+    from freespec.pencil import elliptic_cone_pencil
+
+    eye2 = np.eye(2)
+    square = diagonal_pencil(cones.square_cone())
+    feasible = relaxation(square, square).certificate
+    elliptic = elliptic_cone_pencil(0.7)
+    farkas = relaxation(square, elliptic).farkas
+    comps = np.array(pauli_witness(0.7).components)
+    functional = essential_boundary_square(comps).functional
+    cone = cones.square_cone()
+    sandwich = scaling_bound(cone, [0.0, 0.0, 1.0])
+    sandwich_args = (cone, sandwich.certified_nu, np.array([0.0, 0.0, 1.0]), sandwich.certificate)
+    return {
+        "member": (certificates.check_min_member,
+                   (np.eye(2), np.array([eye2, eye2]), np.array([eye2, eye2])), (1, (1, 0, 0))),
+        "separator": (certificates.check_separator,
+                      (np.eye(2), np.ones(2), -np.array([eye2, eye2]), np.array([eye2, eye2])),
+                      (0, (0, 0))),
+        "relaxation-feasible": (certificates.check_relaxation_feasible,
+                                (square.stack, square.stack, feasible.choi, feasible.kraus),
+                                (0, (0, 0, 0))),
+        "relaxation-infeasible": (certificates.check_relaxation_infeasible,
+                                  (square.stack, elliptic.stack, farkas.y_matrices),
+                                  (0, (0, 0, 0))),
+        "essential-boundary": (certificates.check_essential_boundary,
+                               (comps, functional.matrices, 1e-6), (0, (0, 0, 0))),
+        "sandwich": (certificates.check_scaling_sandwich, sandwich_args, (1, ())),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["member", "separator", "relaxation-feasible", "relaxation-infeasible",
+             "essential-boundary", "sandwich"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_term_makes_the_residual_nan(kind):
+    # Python's max keeps the first of two values that do not compare, so it
+    # dropped a NaN term anywhere but first; the residual keeps it now, and
+    # a NaN residual is never accepted
+    check, args, (arg, index) = _nan_cases()[kind]
+    assert check(*args).ok
+    args = list(args)
+    args[arg] = _with_nan(args[arg], index)
+    result = check(*args)
+    assert not result.ok and math.isnan(result.residual)
+
+
 def _rescaled(a, factor):
     return MatrixTuple(tuple(HermitianMatrix(factor * e.mat) for e in a.entries))
 

@@ -249,6 +249,33 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--tol", "1e-8", "relaxation", "--src", "square-diag", "--tgt", "calpha"],
+          "--tol 1e-8"),
+         (["--frobnicate", "3", "verify", "x"], "--frobnicate 3"),
+         (["--output", "json", "--frobnicate", "verify", "x"], "--frobnicate")],
+        ids=["tol", "frobnicate", "after-a-known-flag"],
+    )
+    def test_unknown_global_flag_is_named(self, capsys, argv, flag):
+        # argparse reads the value of an unknown flag before the subcommand
+        # as the subcommand; the error names the flag instead
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: unrecognized arguments: {flag}\n"
+
+    @pytest.mark.parametrize("before", [True, False], ids=["global", "subcommand"])
+    def test_known_global_flags_in_either_place(self, capsys, before):
+        flags = ["--output", "json", "--seed", "3"]
+        argv = [*flags, "entangled-demo"] if before else ["entangled-demo", *flags]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and json.loads(out)["seed"] == 3
+
+    def test_an_unknown_subcommand_is_still_named(self, capsys):
+        code, _, err = run(capsys, "--seed", "3", "frob")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: argument command: invalid choice: 'frob'")
+
     def test_division_by_zero_in_alpha(self, capsys):
         code, _, err = run(
             capsys, "check-inclusion", "--src", "square", "--tgt", "calpha", "--alpha", "1/0"

@@ -171,7 +171,7 @@ def _reference_status(cone, a):
     basis = linalg.hermitian_basis(s)
     coeffs = np.multiply.outer(cone.generators, basis).reshape(m, -1, s, s)
     rhs = np.einsum("aij,dji->da", basis, stack).real.ravel()
-    outcome = sdp.solve(sdp.SdpProblem((s,) * m, tuple(coeffs), rhs))
+    outcome = sdp.solve(sdp.SdpProblem(coeffs, rhs))
     return {
         sdp.SdpStatus.FEASIBLE: MinMembershipStatus.MEMBER,
         sdp.SdpStatus.INFEASIBLE: MinMembershipStatus.NOT_MEMBER,

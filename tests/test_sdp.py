@@ -14,36 +14,29 @@ def trace_inner(a, b) -> float:
     return float(np.real(np.trace(b.conj().T @ a)))
 
 
-def feasibility(blocks, constraints):
-    return sdp.SdpProblem.make(blocks, constraints)
-
-
 class TestSolveExamples:
     def test_minimize_spectral_bound(self):
         # min t s.t. t*I - sigma_x >= 0, in standard primal form via
         # X = t*I - sigma_x: optimum t = lambda_max(sigma_x) = 1
-        p = sdp.SdpProblem.make(
-            [2],
-            [
-                (([[1, 0], [0, -1]],), 0.0),     # X00 = X11
-                (([[0, 1], [1, 0]],), -2.0),     # 2 Re X01 = -2
-                (([[0, 1j], [-1j, 0]],), 0.0),   # 2 Im X01 = 0
-            ],
-            objective=([[1, 0], [0, 0]],),
-        )
+        rows = [
+            [[1, 0], [0, -1]],     # X00 = X11
+            [[0, 1], [1, 0]],      # 2 Re X01 = -2
+            [[0, 1j], [-1j, 0]],   # 2 Im X01 = 0
+        ]
+        p = sdp.SdpProblem([rows], [0.0, -2.0, 0.0], [[[1, 0], [0, 0]]])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.OPTIMAL
         assert out.objective_value == pytest.approx(1.0, abs=1e-7)
 
     def test_infeasible_expectation(self):
-        p = feasibility([2], [((np.eye(2),), 1.0), ((SIGMA_Z,), 2.0)])
+        p = sdp.SdpProblem([[np.eye(2), SIGMA_Z]], [1.0, 2.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.INFEASIBLE
         assert out.dual_certificate is not None
         assert sdp.verify(out, p).ok
 
     def test_feasible_expectation(self):
-        p = feasibility([2], [((np.eye(2),), 1.0), ((SIGMA_Z,), 0.0)])
+        p = sdp.SdpProblem([[np.eye(2), SIGMA_Z]], [1.0, 0.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
         x = out.primal[0]
@@ -55,7 +48,7 @@ class TestSolveExamples:
 
 class TestVerify:
     def test_exact_primal_zero_residual(self):
-        p = feasibility([2], [((np.eye(2),), 1.0)])
+        p = sdp.SdpProblem([[np.eye(2)]], [1.0])
         out = sdp.SdpOutcome(
             status=sdp.SdpStatus.FEASIBLE, primal=(linalg.hermitian(np.eye(2) / 2),)
         )
@@ -64,7 +57,7 @@ class TestVerify:
         assert rep.max_residual == pytest.approx(0.0, abs=1e-15)
 
     def test_infeasible_certificate_validates(self):
-        p = feasibility([2], [((np.eye(2),), 1.0), ((SIGMA_Z,), 2.0)])
+        p = sdp.SdpProblem([[np.eye(2), SIGMA_Z]], [1.0, 2.0])
         out = sdp.solve(p)
         rep = sdp.verify(out, p)
         assert rep.ok
@@ -72,7 +65,7 @@ class TestVerify:
         assert rep.farkas_lambda_max <= 1e-7 * rep.farkas_gap
 
     def test_tampered_primal_flagged(self):
-        p = feasibility([2], [(([[1, 0], [0, 0]],), 0.9)])
+        p = sdp.SdpProblem([[[[1, 0], [0, 0]]]], [0.9])
         bad = linalg.hermitian(np.diag([0.9, -0.1]))
         out = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(bad,))
         rep = sdp.verify(out, p)
@@ -80,7 +73,7 @@ class TestVerify:
         assert rep.psd_margin == pytest.approx(-0.1, abs=1e-12)
 
     def test_primal_block_of_the_wrong_size(self):
-        p = feasibility([2], [((np.eye(2),), 1.0)])
+        p = sdp.SdpProblem([[np.eye(2)]], [1.0])
         out = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(np.eye(3),))
         rep = sdp.verify(out, p)
         assert not rep.ok and rep.max_residual == np.inf
@@ -88,7 +81,7 @@ class TestVerify:
 
     def test_primal_block_by_block(self):
         # a block missing is flagged; real blocks are read as Hermitian
-        p = sdp.SdpProblem.make([2, 2], [((np.eye(2), None), 1.0)])
+        p = sdp.SdpProblem([[np.eye(2)], [np.zeros((2, 2))]], [1.0])
         half = np.eye(2, dtype=complex) / 2
         missing = sdp.SdpOutcome(status=sdp.SdpStatus.FEASIBLE, primal=(half,))
         assert not sdp.verify(missing, p).ok
@@ -100,13 +93,11 @@ class TestRoundTripInvariant:
     def test_random_feasible_outcomes_verify(self):
         rng = np.random.default_rng(12)
         for _ in range(15):
-            blocks = [int(rng.integers(2, 6))]
-            n = blocks[0]
+            n = int(rng.integers(2, 6))
             m = int(rng.integers(1, min(8, n * n)))
             amats = [linalg.random_hermitian(rng, n) for _ in range(m)]
             x0 = linalg.random_psd(rng, n)
-            cons = [((a,), trace_inner(x0, a)) for a in amats]
-            p = feasibility(blocks, cons)
+            p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats])
             out = sdp.solve(p)
             assert out.status is sdp.SdpStatus.FEASIBLE
             rep = sdp.verify(out, p)
@@ -126,8 +117,7 @@ class TestDualityGap:
             s0 = linalg.hermitian((u[:, 2:] * np.abs(rng.standard_normal(2))) @ u[:, 2:].conj().T)
             y0 = rng.standard_normal(m)
             c = linalg.hermitian(sum(yi * a for yi, a in zip(y0, amats)) + s0)
-            cons = [((a,), trace_inner(x0, a)) for a in amats]
-            p = sdp.SdpProblem.make([n], cons, objective=(c,))
+            p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats], [c])
             out = sdp.solve(p)
             assert out.status is sdp.SdpStatus.OPTIMAL
             expected = trace_inner(x0, c)
@@ -149,8 +139,7 @@ class TestComplexEmbedding:
             s0 = linalg.random_psd(rng, n)
             y0 = rng.standard_normal(m)
             c = linalg.hermitian(sum(yi * a for yi, a in zip(y0, amats)) + s0)
-            cons = [((a,), trace_inner(x0, a)) for a in amats]
-            p = sdp.SdpProblem.make([n], cons, objective=(c,))
+            p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats], [c])
             out = sdp.solve(p)
             assert out.status is sdp.SdpStatus.OPTIMAL
 
@@ -159,8 +148,9 @@ class TestComplexEmbedding:
                     [[h.real, -h.imag], [h.imag, h.real]]
                 )
 
-            cons2 = [((emb(a),), 2.0 * trace_inner(x0, a)) for a in amats]
-            p2 = sdp.SdpProblem.make([2 * n], cons2, objective=(emb(c),))
+            p2 = sdp.SdpProblem(
+                [[emb(a) for a in amats]], [2.0 * trace_inner(x0, a) for a in amats], [emb(c)]
+            )
             out2 = sdp.solve(p2)
             assert out2.status is sdp.SdpStatus.OPTIMAL
             assert out2.objective_value / 2.0 == pytest.approx(
@@ -193,7 +183,7 @@ class TestNativeHermitianBlocks:
         amats = [linalg.random_hermitian(rng, n) for _ in range(4)]
         assert any(np.abs(a.imag).max() > 0.1 for a in amats)
         x0 = linalg.random_psd(rng, n)
-        p = feasibility([n], [((a,), trace_inner(x0, a)) for a in amats])
+        p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
         assert eigh_shapes
@@ -214,30 +204,33 @@ class TestInconsistentConstraints:
     def test_conflicting_dependent_rows_infeasible_with_certificate(self):
         # duplicated row with different rhs: linear inconsistency doubles as
         # a Farkas certificate
-        p = feasibility([2], [((np.eye(2),), 1.0), ((np.eye(2),), 2.0)])
+        p = sdp.SdpProblem([[np.eye(2), np.eye(2)]], [1.0, 2.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.INFEASIBLE
         assert sdp.verify(out, p).ok
 
     def test_consistent_dependent_rows_ok(self):
-        p = feasibility(
-            [2],
-            [((np.eye(2),), 1.0), ((2 * np.eye(2),), 2.0), ((SIGMA_Z,), 0.0)],
-        )
+        p = sdp.SdpProblem([[np.eye(2), 2 * np.eye(2), SIGMA_Z]], [1.0, 2.0, 0.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
 
 
 class TestMultiBlock:
     def test_blocks_with_gaps(self):
-        # second block unconstrained; coefficient None marks a zero block
-        p = sdp.SdpProblem.make(
-            [2, 2],
-            [((np.eye(2), None), 1.0), ((SIGMA_X, None), 1.0)],
-        )
+        # second block unconstrained: its coefficients are zero
+        p = sdp.SdpProblem([[np.eye(2), SIGMA_X], np.zeros((2, 2, 2))], [1.0, 1.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
         assert sdp.verify(out, p).ok
+
+
+    def test_blocks_are_read_from_the_coefficients(self):
+        # k and n come from the shape of the coefficients; blocks is derived
+        # and cannot be set
+        p = sdp.SdpProblem(np.zeros((3, 1, 2, 2)), [0.0])
+        assert p.blocks == (2, 2, 2)
+        with pytest.raises(AttributeError):
+            p.blocks = (3,)
 
 
 class TestStartOnSeveralSizes:
@@ -256,11 +249,9 @@ class TestStartOnSeveralSizes:
         s0 = [linalg.random_psd(rng, n) + np.eye(n) for n in blocks]
         y0 = rng.standard_normal(6)
         rows = [[linalg.random_hermitian(rng, n) for n in blocks] for _ in y0]
-        cons = [
-            (tuple(row), sum(np.vdot(a, x).real for a, x in zip(row, x0))) for row in rows
-        ]
-        c = tuple(s + sum(yi * row[k] for yi, row in zip(y0, rows)) for k, s in enumerate(s0))
-        return sdp.SdpProblem.make(blocks, cons, objective=c), (x0, y0)
+        b = [sum(np.vdot(a, x).real for a, x in zip(row, x0)) for row in rows]
+        c = [s + sum(yi * row[k] for yi, row in zip(y0, rows)) for k, s in enumerate(s0)]
+        return sdp.SdpProblem(np.swapaxes(rows, 0, 1), b, c), (x0, y0)
 
     @staticmethod
     def _embedded(p):
@@ -272,8 +263,8 @@ class TestStartOnSeveralSizes:
                 out[at[k]:at[k + 1], at[k]:at[k + 1]] = mat
             return out
 
-        cons = [((diag([ak[i] for ak in p.a]),), bi) for i, bi in enumerate(p.b)]
-        return sdp.SdpProblem.make([sum(p.blocks)], cons, objective=(diag(p.c),))
+        rows = [diag([ak[i] for ak in p.a]) for i in range(len(p.b))]
+        return sdp.SdpProblem([rows], p.b, [diag(p.c)])
 
     def test_optimal_from_the_start(self):
         p, start = self._problem()
@@ -295,11 +286,8 @@ class TestDumpRestore:
         rng = np.random.default_rng(15)
         amats = [linalg.random_hermitian(rng, 3) for _ in range(3)]
         obj = linalg.random_hermitian(rng, 3)
-        p = sdp.SdpProblem.make(
-            [3, 3],
-            [((a, None), float(rng.standard_normal())) for a in amats],
-            objective=(None, obj),
-        )
+        rhs = [float(rng.standard_normal()) for _ in amats]
+        p = sdp.SdpProblem([amats, np.zeros((3, 3, 3))], rhs, [np.zeros((3, 3)), obj])
         path = tmp_path / "problem.sdpa"
         sdp.dump_problem(p, path)
         q = sdp.load_problem(path)
@@ -311,7 +299,7 @@ class TestDumpRestore:
         assert not q.c[0].any()
 
     def test_feasibility_dump_no_objective(self, tmp_path):
-        p = feasibility([2], [((np.eye(2),), 1.0)])
+        p = sdp.SdpProblem([[np.eye(2)]], [1.0])
         path = tmp_path / "feas.sdpa"
         sdp.dump_problem(p, path)
         q = sdp.load_problem(path)
@@ -320,24 +308,44 @@ class TestDumpRestore:
 
 class TestValidation:
     def test_block_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            sdp.SdpProblem.make([3], [((np.eye(2),), 1.0)])
+        # a 2 x 2 coefficient against a 3 x 3 objective, and a block that
+        # is not square
+        want = r"^objective: shape \(1, 3, 3\), expected \(1, 2, 2\)$"
+        with pytest.raises(ValueError, match=want):
+            sdp.SdpProblem([[np.eye(2)]], [1.0], [np.eye(3)])
+        want = r"^coefficients and right-hand sides: shapes \(1, 1, 2, 3\) and \(1,\), expected"
+        with pytest.raises(ValueError, match=want):
+            sdp.SdpProblem(np.zeros((1, 1, 2, 3)), [1.0])
 
     def test_positive_blocks(self):
-        with pytest.raises(ValueError, match="positive"):
-            sdp.SdpProblem.make([0], [])
+        # blocks of size 0, and no block
+        want = r"^coefficients and right-hand sides: shapes \({}\) and \({}\), expected .* positive"
+        with pytest.raises(ValueError, match=want.format("1, 0, 0, 0", "0,")):
+            sdp.SdpProblem(np.zeros((1, 0, 0, 0)), [])
+        with pytest.raises(ValueError, match=want.format("0, 1, 2, 2", "1,")):
+            sdp.SdpProblem(np.zeros((0, 1, 2, 2)), [1.0])
+
+    def test_not_four_dimensional(self):
+        # k and n are read from the shape of the coefficients, so one stack
+        # without its block axis is rejected, not read as k = 1
+        want = (r"^coefficients and right-hand sides: shapes \(1, 2, 2\) and \(1,\), "
+                r"expected \(k, m, n, n\) with k, n positive and \(m,\)$")
+        with pytest.raises(ValueError, match=want):
+            sdp.SdpProblem([np.eye(2)], [1.0])
+
+    def test_rows_and_right_hand_sides(self):
+        # two rows, one right-hand side
+        want = r"^coefficients and right-hand sides: shapes \(1, 2, 2, 2\) and \(1,\), expected"
+        with pytest.raises(ValueError, match=want):
+            sdp.SdpProblem([[np.eye(2), SIGMA_Z]], [1.0])
 
     def test_non_hermitian_coefficient(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            sdp.SdpProblem.make([2], [(([[1, 1], [0, 1]],), 1.0)])
+            sdp.SdpProblem([[[[1, 1], [0, 1]]]], [1.0])
 
     def test_blocks_of_different_sizes(self, tmp_path):
-        # every block has one size: the constructor, make and a dump's
-        # reader reject blocks of sizes 2 and 3 and name the sizes
-        with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
-            sdp.SdpProblem((2, 3), np.zeros((2, 1, 2, 2)), [1.0])
-        with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
-            sdp.SdpProblem.make([2, 3], [((np.eye(2), None), 1.0)])
+        # a dump's header is the one place where block sizes are stated, so
+        # its reader is the one that rejects sizes 2 and 3 and names them
         path = tmp_path / "mixed.sdpa"
         path.write_text("1\n2\n2 3\n1.0\n1 1 1 1 1.0 0.0\n1 2 1 1 1.0 0.0\n")
         with pytest.raises(ValueError, match=r"sizes \(2, 3\)"):
@@ -362,6 +370,70 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             sdp.load_problem(path)
 
+    @pytest.mark.parametrize(
+        "entry", ["1 1 1.5 1 1.0 0.0", "1 1 1 1 x 0.0", "1 1 1 1 1.0 nan0"],
+        ids=["index-not-integer", "value-not-number", "imaginary-not-number"],
+    )
+    def test_dump_entry_unreadable(self, tmp_path, entry):
+        # an entry that does not read as four integers and two floats is
+        # named by its line like one out of range
+        path = tmp_path / "bad.sdpa"
+        path.write_text(f"* comment\n1\n1\n2\n1.0\n{entry}\n")
+        want = ("line 6: expected 'matno block i j re im' with matno in 0..1, block in 1..1 "
+                "and i, j in 1..2")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            sdp.load_problem(path)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("", "missing header line 1 of 4"),
+            ("* only a comment\n1\n1\n", "missing header line 3 of 4"),
+            ("1.5\n1\n2\n1.0\n", "line 1: expected m, one integer >= 0"),
+            ("-1\n1\n2\n1.0\n", "line 1: expected m, one integer >= 0"),
+            ("1\n1 1\n2\n1.0\n", "line 2: expected the block count, one integer >= 1"),
+            ("1\n0\n2\n1.0\n", "line 2: expected the block count, one integer >= 1"),
+            ("1\n2\n2\n1.0\n", "line 3: expected the block sizes, 2 positive integers"),
+            ("1\n1\n0\n1.0\n", "line 3: expected the block sizes, 1 positive integers"),
+            ("1\n1\n2.0\n1.0\n", "line 3: expected the block sizes, 1 positive integers"),
+            ("1\n1\n2\n1.0 2.0\n", "line 4: expected the right-hand sides, 1 numbers"),
+            ("1\n1\n2\nx\n", "line 4: expected the right-hand sides, 1 numbers"),
+        ],
+        ids=["empty", "two-lines", "m-not-integer", "m-negative", "count-two-tokens",
+             "count-zero", "sizes-too-few", "size-zero", "size-not-integer",
+             "rhs-too-many", "rhs-not-number"],
+    )
+    def test_dump_header_errors(self, tmp_path, text, want):
+        # a header line that does not read, or is missing, is named
+        path = tmp_path / "bad.sdpa"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            sdp.load_problem(path)
+
+
+class TestMake:
+    def test_rows_give_the_arrays_of_the_constructor(self):
+        # the row-list builder reads None as a zero block
+        rows = [([np.eye(2), None], 1.0), ([SIGMA_X, SIGMA_Z], 0.5)]
+        p = sdp.SdpProblem.make([2, 2], rows, [None, np.eye(2)])
+        z = np.zeros((2, 2))
+        q = sdp.SdpProblem([[np.eye(2), SIGMA_X], [z, SIGMA_Z]], [1.0, 0.5], [z, np.eye(2)])
+        assert p.blocks == q.blocks == (2, 2)
+        for x, y in [(p.a, q.a), (p.b, q.b), (p.cg, q.cg)]:
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "blocks, coeffs, want",
+        [([2, 3], [np.eye(2), np.eye(3)], r"^expected blocks of one size, got sizes \(2, 3\)$"),
+         ([0], [np.zeros((0, 0))], r"^expected blocks of one size, got sizes \(0,\)$"),
+         ([2], [np.eye(2), np.eye(2)], r"^constraint 0: shape \(2, 2, 2\), expected \(1, 2, 2\)$"),
+         ([3], [np.eye(2)], r"^constraint 0: shape \(1, 2, 2\), expected \(1, 3, 3\)$")],
+        ids=["sizes-differ", "size-zero", "too-many-blocks", "block-too-small"],
+    )
+    def test_rejects_rows_that_do_not_fit(self, blocks, coeffs, want):
+        with pytest.raises(ValueError, match=want):
+            sdp.SdpProblem.make(blocks, [(coeffs, 1.0)])
+
 
 class TestFloored:
     def test_a_row_with_a_non_positive_eigenvalue_is_floored(self):
@@ -380,7 +452,7 @@ class TestCheck:
     def test_first_answer_stops_the_solve(self):
         # min X00 + X11 subject to X01 + X10 = 2: the check answers at its
         # third iterate, after two completed iterations
-        p = sdp.SdpProblem.make([2], [((SIGMA_X,), 2.0)], objective=(np.eye(2),))
+        p = sdp.SdpProblem([[SIGMA_X]], [2.0], [np.eye(2)])
         seen = []
 
         def check(x, y):
@@ -402,14 +474,14 @@ class TestFailureExits:
     def test_unbounded_objective_is_a_numerical_failure(self):
         # minimise -X00 subject to X11 = 1: the iterates run off to infinity,
         # and the solve ends on its finiteness test without an overflow warning
-        p = sdp.SdpProblem.make([2], [((self.E11,), 1.0)], objective=(-self.E00,))
+        p = sdp.SdpProblem([[self.E11]], [1.0], [-self.E00])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
         assert out.message == "iterates diverged"
 
     def test_infeasible_objective_problem_runs_out_of_iterations(self):
         # minimise tr X subject to X00 = -1: no PSD point, no divergence
-        p = sdp.SdpProblem.make([2], [((self.E00,), -1.0)], objective=(np.eye(2),))
+        p = sdp.SdpProblem([[self.E00]], [-1.0], [np.eye(2)])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
         assert out.message == "max iterations reached"
