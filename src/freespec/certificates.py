@@ -9,11 +9,11 @@ Unknown when it fails; `verify_certificate` runs it on the arrays a
 document states (read by `cones.cone_arrays` and `pencil.stack_document`,
 with a check that a cone's generators span R^d), which a JSON round trip
 restores exactly, so both see the same residual.  No kind reads a cone's
-``facets``: it builds no cone or pencil, except a scaling sandwich's cones
-from their generators and unit (a simplex's facets in closed form), so
-elsewhere every listed generator counts, extreme or not, and a pencil's
-unit is not renormalised; max|sum_i u_i M_i - I| of each pencil is
-reported as ``unit_drift``.  A residual keeps a NaN term (`_worst`) and
+``facets`` or builds a cone or pencil: a scaling sandwich's facets come
+from its generators and unit by `cones.cone_facets` (a simplex's in
+closed form), so every listed generator counts, extreme or not, and a
+pencil's unit is not renormalised; max|sum_i u_i M_i - I| of each pencil
+is reported as ``unit_drift``.  A residual keeps a NaN term (`_worst`) and
 must stay below ``ACCEPT_RESIDUAL``, so it is finite; a separator also
 needs a positive margin and phi(A) < -``SEPARATOR_PHI_LIMIT``, and a
 Farkas certificate lambda_max <= ``sdp.FARKAS_TOL`` * gap with a gap
@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import linalg, sdp
-from .cones import PolyhedralCone, SimplexCone, cone_arrays, cone_to_json
-from .cones import section_of
+from .cones import ConeConstructionError, PolyhedralCone, cone_arrays, cone_facets, cone_to_json
+from .cones import section_rows
 from .linalg import finite_from_json, matrix_to_json, stack_from_json
 from .pencil import LinearPencil, MatrixTuple, pencil_to_json, stack_document, tuple_to_json
 
@@ -227,13 +227,22 @@ def check_essential_boundary(comps: np.ndarray, n: np.ndarray, eps: float) -> Ce
 
 
 def check_scaling_sandwich(
-    cone: PolyhedralCone, nu: float, h_normal: np.ndarray, simplex: SimplexCone
+    gens: np.ndarray, unit: np.ndarray, nu: float, h_normal: np.ndarray, simplex: np.ndarray
 ) -> CertificateCheck:
-    """A simplex S with nu*C ⊆ S ⊆ C on the sections about the unit: every
-    vertex of one section satisfies every facet row of the other."""
-    sec, sec_s = section_of(cone, h_normal), section_of(simplex, h_normal)
-    inside = 1.0 + sec_s.vertices @ sec.facet_rows.T
-    around = 1.0 + (nu * sec.vertices) @ sec_s.facet_rows.T
+    """A simplex S with nu*C ⊆ S ⊆ C on the sections about the unit, C and
+    S the cones on the rows of ``gens`` and ``simplex`` with facets from
+    `cone_facets`: every vertex of one section satisfies every facet row of
+    the other.  A unit not strictly inside C or S is a ValueError that
+    names the document field."""
+    rows = []
+    for name, g in (("cone", gens), ("simplex_generators", simplex)):
+        try:
+            rows.append(section_rows(g, unit, cone_facets(g, unit), h_normal)[2:])
+        except ConeConstructionError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    (verts, facet_rows), (verts_s, facet_rows_s) = rows
+    inside = 1.0 + verts_s @ facet_rows.T
+    around = 1.0 + (nu * verts) @ facet_rows_s.T
     residual = _worst(-float(inside.min()), -float(around.min()))
     return CertificateCheck("scaling_sandwich", residual < ACCEPT_RESIDUAL, residual, {"nu": nu})
 
@@ -305,11 +314,16 @@ def _verify_relaxation(doc) -> CertificateCheck:
     return replace(check, details={**check.details, "unit_drift": drift})
 
 
+def _spanning(gens: np.ndarray, unit: np.ndarray):
+    """``gens`` and ``unit``, the rows of ``gens`` spanning R^d."""
+    if np.linalg.matrix_rank(gens, tol=1e-10) < len(unit):
+        raise ValueError("generators do not span R^d")
+    return gens, unit
+
+
 def _verify_membership(doc) -> CertificateCheck:
     """Either smallest-system kind, on the cone's generators and unit."""
-    gens, unit = _parsed(doc, "cone", cone_arrays)
-    if np.linalg.matrix_rank(gens, tol=1e-10) < len(unit):
-        raise ValueError("cone: generators do not span R^d")
+    gens, unit = _parsed(doc, "cone", lambda v: _spanning(*cone_arrays(v)))
     query = _parsed(doc, "query", lambda v: stack_document(v, "tuple")[0])
     if len(query) != len(unit):
         raise ValueError(f"query: {len(query)} entries for a cone of dimension {len(unit)}")
@@ -339,22 +353,18 @@ def _finite(value, n: Optional[int] = None):
     return float(x) if n is None else x
 
 
-def _simplex_cone(gens: np.ndarray, unit: np.ndarray) -> SimplexCone:
-    """The simplex cone on ``gens``, with the facets inv(gens)^T checked as
-    listed ones are when gens is square and invertible."""
-    try:
-        return SimplexCone(gens, unit, facets=np.linalg.inv(gens).T)
-    except np.linalg.LinAlgError:
-        return SimplexCone(gens, unit)
+def _simplex(gens: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """``gens``, d rows of length d that span R^d."""
+    if gens.shape != (len(unit),) * 2:
+        raise ValueError(f"expected {len(unit)} generators of length {len(unit)}, got {gens.shape}")
+    return _spanning(gens, unit)[0]
 
 
 def _verify_sandwich(doc) -> CertificateCheck:
-    cone = _parsed(doc, "cone", lambda v: PolyhedralCone(*cone_arrays(v)))
+    gens, unit = _parsed(doc, "cone", lambda v: _spanning(*cone_arrays(v)))
     nu = _parsed(doc, "nu", _finite)
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu: {nu!r} is not in (0, 1]")
-    h_normal = _parsed(doc, "h_normal", lambda v: _finite(v, cone.dim))
-    simplex = _parsed(
-        doc, "simplex_generators", lambda g: _simplex_cone(finite_from_json(g), cone.unit)
-    )
-    return check_scaling_sandwich(cone, nu, h_normal, simplex)
+    h_normal = _parsed(doc, "h_normal", lambda v: _finite(v, len(unit)))
+    simplex = _parsed(doc, "simplex_generators", lambda g: _simplex(finite_from_json(g), unit))
+    return check_scaling_sandwich(gens, unit, nu, h_normal, simplex)

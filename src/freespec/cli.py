@@ -451,7 +451,7 @@ def build_parser() -> _Parser:
              help="essential-boundary test over the square cone")
     sp.add_argument("--components", required=True,
                     help="JSON file with an array of four PSD matrices")
-    sp.add_argument("--epsilon", type=float, default=1e-6)
+    sp.add_argument("--epsilon", type=float, default=opsys.STRICTNESS_EPS)
     sp.add_argument("--dump-sdp")
 
     sp = add("scaling-bound", _cmd_scaling_bound, help="scaling factors and certificates")

@@ -3,10 +3,12 @@
 Cones are stored with both descriptions; constructors accept either and
 complete the other from the null vectors of every (d-1)-subset of the
 given rows, all found by one batched SVD (`_subsets`), which is entirely
-adequate at the scales handled here (d <= 6, <= 16 generators).  The
-checks that every facet is supported and every generator is extreme are
-likewise one stacked rank each, over the rows masked by the tight set.
-Facet functionals are normalised so that ell(u) = 1 for the order unit u.
+adequate at the scales handled here (d <= 6, <= 16 generators); a
+simplex's facets are the rows of inv(G)^T.  Every facet comes from
+`cone_facets`, must exceed GEOM_TOL at the order unit u and is scaled so
+that ell(u) = 1.  The checks that every facet is supported and every
+generator is extreme are one stacked rank each, over the rows masked by
+the tight set.
 """
 
 from __future__ import annotations
@@ -55,6 +57,26 @@ def _tight_rank(rows: np.ndarray, tight: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_rank(rows * tight[:, :, None], tol=1e-10)
 
 
+def cone_facets(gens: np.ndarray, unit: np.ndarray, facets=None) -> np.ndarray:
+    """The facets of the cone on the rows of ``gens``, scaled so that
+    ell(u) = 1: ``facets`` as listed (``gens`` unread); else inv(gens)^T for
+    d generators, facet k omitting generator d-1-k as `_supporting_normals`
+    orders them; else the deduplicated supporting normals."""
+    d = unit.shape[0]
+    if facets is not None:
+        f = np.atleast_2d(np.asarray(facets, dtype=float))
+    elif len(gens) == d:
+        f = np.linalg.inv(gens).T[::-1]
+    else:
+        f = _dedupe_rows(_supporting_normals(gens))
+        if not len(f):
+            raise ConeConstructionError("no facets found; cone is degenerate")
+    fu = f @ unit
+    if np.any(fu <= GEOM_TOL):
+        raise ConeConstructionError("unit is not strictly interior (ell(u) <= 0)")
+    return f / fu[:, None]
+
+
 class PolyhedralCone:
     """A full-dimensional salient polyhedral cone with interior order unit.
 
@@ -82,36 +104,16 @@ class PolyhedralCone:
             i, j = pairs[0]
             raise ConeConstructionError(f"generators {i} and {j} are repeated rays")
 
-        if facets is None:
-            f = self._facets_from_generators(g, u)
-        else:
-            f = np.atleast_2d(np.asarray(facets, dtype=float))
-            fu = f @ u
-            if np.any(fu <= GEOM_TOL):
-                raise ConeConstructionError("unit is not strictly interior (ell(u) <= 0)")
-            f = f / fu[:, None]
 
         self.dim = d
         self.generators = g
-        self.facets = f
+        self.facets = cone_facets(g, u, facets)
         self.unit = u
         for a in (self.generators, self.facets, self.unit):
             a.flags.writeable = False
         self._validate()
 
     # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _facets_from_generators(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cands = _supporting_normals(g)
-        if not len(cands):
-            raise ConeConstructionError("no facets found; cone is degenerate")
-        cands = _dedupe_rows(cands)
-        fu = cands @ u
-        if np.any(np.abs(fu) <= GEOM_TOL):
-            raise ConeConstructionError("unit lies on the boundary of the cone")
-        cands = cands * np.sign(fu)[:, None]
-        return cands / (cands @ u)[:, None]
 
     @classmethod
     def from_generators(cls, generators, unit=None, facets=None) -> "PolyhedralCone":
@@ -123,13 +125,9 @@ class PolyhedralCone:
 
     @classmethod
     def from_facets(cls, facets, unit) -> "PolyhedralCone":
-        f = np.atleast_2d(np.asarray(facets, dtype=float))
         u = np.asarray(unit, dtype=float)
+        f = cone_facets(None, u, facets)
         d = f.shape[1]
-        fu = f @ u
-        if np.any(fu <= GEOM_TOL):
-            raise ConeConstructionError("unit is not strictly interior to the facet system")
-        f = f / fu[:, None]
         rays = _supporting_normals(f)
         if not len(rays):
             raise ConeConstructionError("no extreme rays found; facet system degenerate")
@@ -276,24 +274,26 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def section_of(cone: PolyhedralCone, h_normal) -> Section:
+def section_rows(gens: np.ndarray, unit: np.ndarray, facets: np.ndarray, h_normal):
+    """The normal, basis, vertices and facet rows of the `Section` of the
+    cone with generator rows ``gens``, ``unit`` and facet rows ``facets``."""
     n = np.asarray(h_normal, dtype=float)
-    nu = float(n @ cone.unit)
+    nu = float(n @ unit)
     if abs(nu) <= GEOM_TOL:
         raise ValueError("hyperplane normal is orthogonal to the unit")
     n = n / nu
-    gv = cone.generators @ n
+    gv = gens @ n
     if np.any(gv <= GEOM_TOL):
         raise ValueError(
             "section is unbounded: the hyperplane meets the cone away from 0"
         )
-    pts = cone.generators / gv[:, None]
     basis = _hyperplane_basis(n)
-    vertices = (pts - cone.unit) @ basis
-    facet_rows = cone.facets @ basis
-    return Section(
-        cone=cone, normal=n, basis=basis, vertices=vertices, facet_rows=facet_rows
-    )
+    vertices = (gens / gv[:, None] - unit) @ basis
+    return n, basis, vertices, facets @ basis
+
+
+def section_of(cone: PolyhedralCone, h_normal) -> Section:
+    return Section(cone, *section_rows(cone.generators, cone.unit, cone.facets, h_normal))
 
 
 def scaled_cone(cone: PolyhedralCone, nu: float, h_normal) -> PolyhedralCone:

@@ -128,9 +128,9 @@ class SdpProblem:
     def __init__(self, a, b, c=None):
         a, b = np.asarray(a, dtype=np.complex128), np.array(b, dtype=float)
         k, n = (len(a), a.shape[-1]) if a.ndim == 4 else (0, 0)
-        if b.ndim != 1 or a.shape != (k, len(b), n, n) or not k * n:
+        if b.ndim != 1 or a.shape != (k, len(b), n, n) or not k * len(b) * n:
             raise ValueError(f"coefficients and right-hand sides: shapes {a.shape} and "
-                             f"{b.shape}, expected (k, m, n, n) with k, n positive and (m,)")
+                             f"{b.shape}, expected (k, m, n, n) with k, m, n positive and (m,)")
         a = linalg.hermitian(a, 4, "coefficients")
         self._layout(a, b, None if c is None else _shaped(c, (k, n, n), "objective"))
 
@@ -198,7 +198,7 @@ class SdpProblem:
         for i, (coeffs, _) in enumerate(rows):
             a[:, i] = stack(coeffs, f"constraint {i}")
         c = None if objective is None else stack(objective, "objective")
-        return SdpProblem._unchecked(a, [float(rhs) for _, rhs in rows], c)
+        return SdpProblem(a, [float(rhs) for _, rhs in rows], c)
 
 
 @dataclass(frozen=True)
@@ -243,32 +243,20 @@ class SdpVerifyReport:
 # --------------------------------------------------------------------------
 
 
-def _svec(a: np.ndarray) -> np.ndarray:
-    """Real isometric vectorisation of each Hermitian matrix of a stack:
-    the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
-    triangle."""
-    j, k = np.triu_indices(a.shape[-1], k=1)
-    upper = math.sqrt(2.0) * a[..., j, k]
-    diag = np.diagonal(a, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
 def _preprocess(p: SdpProblem):
-    """The problem on its independent rows scaled to unit norm (a scaled
-    row stays exactly Hermitian, so it is built unchecked), its row map
-    ``(kept, scale)`` and the y of an inconsistent dependent row or None."""
+    """The problem on its independent rows ``p.flat`` (real, so dot products
+    are Re tr(A_i A_j*)) scaled to unit norm (a scaled row stays exactly
+    Hermitian, so it is built unchecked), its row map ``(kept, scale)`` and
+    the y of an inconsistent dependent row or None."""
     m = len(p.b)
-    if m == 0:
-        raise ValueError("problem has no constraints")
-    rows = np.concatenate(_svec(p.a), axis=1)
-    scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
-    rows = rows / scale[:, None]
+    scale = np.maximum(np.linalg.norm(p.flat, axis=1), 1e-12)
+    rows = p.flat / scale[:, None]
     b = p.b / scale
 
     # rank-revealing QR on the transposed row matrix
     _, r, piv = qr(rows.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0]))) if diag.size else 0
+    rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0])))
     kept = np.sort(piv[:rank])
     dropped = np.setdiff1d(np.arange(m), kept)
     conflict_y = None
@@ -692,7 +680,7 @@ def load_problem(path) -> SdpProblem:
                  if ln.strip() and not ln.startswith("*")]
     if len(lines) < 4:
         raise ValueError(f"missing header line {len(lines) + 1} of 4")
-    (m,) = _header(lines[0], int, 1, "m, one integer >= 0", 0)
+    (m,) = _header(lines[0], int, 1, "m, one integer >= 1", 1)
     (k,) = _header(lines[1], int, 1, "the block count, one integer >= 1", 1)
     sizes = tuple(_header(lines[2], int, k, f"the block sizes, {k} positive integers", 1))
     if len(set(sizes)) != 1:

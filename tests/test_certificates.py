@@ -169,7 +169,8 @@ def _nan_cases():
     functional = essential_boundary_square(comps).functional
     cone = cones.square_cone()
     sandwich = scaling_bound(cone, [0.0, 0.0, 1.0])
-    sandwich_args = (cone, sandwich.certified_nu, np.array([0.0, 0.0, 1.0]), sandwich.certificate)
+    sandwich_args = (cone.generators, cone.unit, sandwich.certified_nu, np.array([0.0, 0.0, 1.0]),
+                     sandwich.certificate.generators)
     return {
         "member": (certificates.check_min_member,
                    (np.eye(2), np.array([eye2, eye2]), np.array([eye2, eye2])), (1, (1, 0, 0))),
@@ -184,7 +185,7 @@ def _nan_cases():
                                   (0, (0, 0, 0))),
         "essential-boundary": (certificates.check_essential_boundary,
                                (comps, functional.matrices, 1e-6), (0, (0, 0, 0))),
-        "sandwich": (certificates.check_scaling_sandwich, sandwich_args, (1, ())),
+        "sandwich": (certificates.check_scaling_sandwich, sandwich_args, (2, ())),
     }
 
 
@@ -241,6 +242,14 @@ def test_essential_boundary_functional_passes_verify():
     assert check.ok and check.details["margin"] == res.functional.margin
 
 
+def _square_sandwich():
+    from freespec.containment import scaling_bound
+
+    cone = cones.square_cone()
+    rep = scaling_bound(cone, [0.0, 0.0, 1.0])
+    return certificates.sandwich_cert(cone, rep.certified_nu, [0.0, 0.0, 1.0], rep.certificate)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -257,11 +266,7 @@ def test_essential_boundary_functional_passes_verify():
 def test_sandwich_with_a_bad_nu_or_normal_is_rejected(field, value):
     # nu = 0 is a sandwich of nothing, and a NaN nu or normal would drop out
     # of every comparison of the check: each is an input error, not VALID
-    from freespec.containment import scaling_bound
-
-    cone = cones.square_cone()
-    rep = scaling_bound(cone, [0.0, 0.0, 1.0])
-    doc = certificates.sandwich_cert(cone, rep.certified_nu, [0.0, 0.0, 1.0], rep.certificate)
+    doc = _square_sandwich()
     assert _round_trip(doc).ok
     doc[field] = value
     with pytest.raises(ValueError, match=f"^{field}: "):
@@ -281,16 +286,53 @@ def test_a_sandwich_is_checked_on_the_cone_its_generators_span(forged_sandwich):
 
 
 def test_a_singular_simplex_is_an_input_error():
-    from freespec.containment import scaling_bound
-
-    cone = cones.square_cone()
-    rep = scaling_bound(cone, [0.0, 0.0, 1.0])
-    doc = certificates.sandwich_cert(cone, rep.certified_nu, [0.0, 0.0, 1.0], rep.certificate)
+    doc = _square_sandwich()
     g = np.array(doc["simplex_generators"])
     doc["simplex_generators"][2] = (g[0] + g[1]).tolist()
     with pytest.raises(ValueError, match="^simplex_generators: generators do not span") as exc:
         _round_trip(doc)
     assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize(
+    "path,value,want",
+    [
+        (("cone", "unit"), [2.0, 0.0, 1.0], "cone: unit is not strictly interior"),
+        (("cone", "unit"), [1.0, 0.0, 1.0], "cone: unit is not strictly interior"),
+        (("simplex_generators",), [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.0]],
+         "simplex_generators: unit is not strictly interior"),
+        (("simplex_generators",), [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]],
+         r"simplex_generators: expected 3 generators of length 3, got \(2, 3\)"),
+        (("simplex_generators",), [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 1.0],
+                                   [0.0, 0.0, 1.0]],
+         r"simplex_generators: expected 3 generators of length 3, got \(4, 3\)"),
+    ],
+    ids=["unit-outside-the-cone", "unit-on-the-cone-boundary", "unit-outside-the-simplex",
+         "two-simplex-generators", "four-simplex-generators"],
+)
+def test_a_forged_sandwich_names_its_field(path, value, want):
+    # the sandwich statement needs the unit strictly inside C and S and a
+    # simplex of d spanning generators (a singular one: the test above);
+    # each is checked on the arrays and named, never a LinAlgError
+    doc = _square_sandwich()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{want}") as exc:
+        _round_trip(doc)
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def test_a_sandwich_over_a_non_extreme_generator_is_checked_on_the_listed_generators():
+    # the square's sandwich over its rays, 2 times ray 0 and the unit: the
+    # cone they span is the square's, so the sandwich holds as it does
+    # over the four rays alone
+    doc = _square_sandwich()
+    plain = _round_trip(doc)
+    gens = doc["cone"]["generators"]
+    doc["cone"]["generators"] = gens + [[2 * x for x in gens[0]], [0.0, 0.0, 1.0]]
+    assert plain.ok and _round_trip(doc) == plain
 
 
 def test_apply_kraus_matches_the_sum():
@@ -349,6 +391,17 @@ class TestValidateOnce:
                 doc = certificates.relaxation_infeasible_cert(diagonal_pencil(src), tgt, rel.farkas)
             assert certificates.verify_certificate(doc).ok
         assert hermitian_calls == []
+        assert verify_constructions == []
+
+    def test_scaling_round_trip(self, verify_constructions):
+        from freespec.containment import scaling_bound
+
+        shapes = [cones.square_cone(), _regular_polygon(5), _regular_polygon(6),
+                  sampling.random_simplex_cone(np.random.default_rng(8), 3)]
+        for cone in shapes:
+            rep = scaling_bound(cone, cone.unit)
+            doc = certificates.sandwich_cert(cone, rep.certified_nu, cone.unit, rep.certificate)
+            assert _round_trip(doc).ok
         assert verify_constructions == []
 
     def test_results_are_read_only_arrays(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import cones
+from freespec import cones, sampling
 from freespec.cones import (
     ConeConstructionError,
     PolyhedralCone,
@@ -108,6 +108,13 @@ class TestConstruction:
         gens = np.vstack([square_cone().generators, [0.0, 0.0, 1.0]])
         with pytest.raises(ConeConstructionError, match="extreme"):
             PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 1.0]))
+
+    def test_simplex_facets_in_closed_form(self):
+        rng = np.random.default_rng(62)
+        for d in range(2, 7):
+            g = sampling.random_simplex_cone(rng, d).generators
+            u = g.sum(axis=0)
+            assert SimplexCone(g, u).facets.tobytes() == cones.cone_facets(g, u).tobytes()
 
     def test_simplex_cone_requires_d_generators(self):
         with pytest.raises(ConeConstructionError, match="simplex"):
@@ -420,7 +427,7 @@ def _polygon(k, rotation):
 
 class TestBatchedEnumeration:
     """Facets and rays from the batched SVDs, bit for bit those of the
-    per-subset loop."""
+    per-subset loop; a simplex's facets in closed form."""
 
     def test_facets_of_polygons_and_simplices(self):
         rng = np.random.default_rng(61)
@@ -437,7 +444,13 @@ class TestBatchedEnumeration:
             except ConeConstructionError:
                 continue
             built += 1
-            assert cone.facets.tobytes() == _reference_facets(g, u).tobytes()
+            if len(g) > g.shape[1]:
+                assert cone.facets.tobytes() == _reference_facets(g, u).tobytes()
+                continue
+            # inv(G)^T, facet k omitting generator d-1-k as the loop lists them
+            closed = np.linalg.inv(g).T[::-1]
+            assert cone.facets.tobytes() == (closed / (closed @ u)[:, None]).tobytes()
+            assert np.allclose(cone.facets, _reference_facets(g, u), rtol=1e-9, atol=1e-12)
         assert built >= 60
 
     def test_rays_of_the_cube_and_scaled_cones(self):
@@ -463,7 +476,7 @@ class TestBatchedEnumeration:
                                     facets=np.vstack([square_cone().facets, [[0.3, 0.2, 1.0]]])),
              "facet 4 is not supported by d-1 generators"),
             (lambda: PolyhedralCone(np.eye(2), np.array([1.0, -0.5])),
-             "generator violates a facet by 2.000e+00"),
+             "unit is not strictly interior (ell(u) <= 0)"),
             (lambda: PolyhedralCone.from_generators(
                 np.array([[1.0, 0, 1], [2.0, 0, 2], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]),
                 unit=np.array([0.0, 0.0, 1.0])),

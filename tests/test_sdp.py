@@ -318,18 +318,23 @@ class TestValidation:
             sdp.SdpProblem(np.zeros((1, 1, 2, 3)), [1.0])
 
     def test_positive_blocks(self):
-        # blocks of size 0, and no block
+        # blocks of size 0, no block, and no row (which `solve` could not
+        # take and a dump could not restore)
         want = r"^coefficients and right-hand sides: shapes \({}\) and \({}\), expected .* positive"
         with pytest.raises(ValueError, match=want.format("1, 0, 0, 0", "0,")):
             sdp.SdpProblem(np.zeros((1, 0, 0, 0)), [])
         with pytest.raises(ValueError, match=want.format("0, 1, 2, 2", "1,")):
             sdp.SdpProblem(np.zeros((0, 1, 2, 2)), [1.0])
+        with pytest.raises(ValueError, match=want.format("1, 0, 2, 2", "0,")):
+            sdp.SdpProblem(np.zeros((1, 0, 2, 2)), [], np.eye(2)[None])
+        with pytest.raises(ValueError, match=want.format("1, 0, 2, 2", "0,")):
+            sdp.SdpProblem.make([2], [])
 
     def test_not_four_dimensional(self):
         # k and n are read from the shape of the coefficients, so one stack
         # without its block axis is rejected, not read as k = 1
         want = (r"^coefficients and right-hand sides: shapes \(1, 2, 2\) and \(1,\), "
-                r"expected \(k, m, n, n\) with k, n positive and \(m,\)$")
+                r"expected \(k, m, n, n\) with k, m, n positive and \(m,\)$")
         with pytest.raises(ValueError, match=want):
             sdp.SdpProblem([np.eye(2)], [1.0])
 
@@ -389,8 +394,9 @@ class TestValidation:
         [
             ("", "missing header line 1 of 4"),
             ("* only a comment\n1\n1\n", "missing header line 3 of 4"),
-            ("1.5\n1\n2\n1.0\n", "line 1: expected m, one integer >= 0"),
-            ("-1\n1\n2\n1.0\n", "line 1: expected m, one integer >= 0"),
+            ("1.5\n1\n2\n1.0\n", "line 1: expected m, one integer >= 1"),
+            ("-1\n1\n2\n1.0\n", "line 1: expected m, one integer >= 1"),
+            ("0\n1\n2\n1.0\n", "line 1: expected m, one integer >= 1"),
             ("1\n1 1\n2\n1.0\n", "line 2: expected the block count, one integer >= 1"),
             ("1\n0\n2\n1.0\n", "line 2: expected the block count, one integer >= 1"),
             ("1\n2\n2\n1.0\n", "line 3: expected the block sizes, 2 positive integers"),
@@ -399,7 +405,7 @@ class TestValidation:
             ("1\n1\n2\n1.0 2.0\n", "line 4: expected the right-hand sides, 1 numbers"),
             ("1\n1\n2\nx\n", "line 4: expected the right-hand sides, 1 numbers"),
         ],
-        ids=["empty", "two-lines", "m-not-integer", "m-negative", "count-two-tokens",
+        ids=["empty", "two-lines", "m-not-integer", "m-negative", "m-zero", "count-two-tokens",
              "count-zero", "sizes-too-few", "size-zero", "size-not-integer",
              "rhs-too-many", "rhs-not-number"],
     )
