@@ -3,9 +3,9 @@
 Every certificate-producing operation can emit a self-contained JSON
 document (matrices in the shared literal format).  Acceptance lives here
 only: one ``check_<kind>`` function per kind, on numpy arrays.  The
-producers (`opsys.generator_weights`, `opsys.essential_boundary_square`,
-`containment.relaxation`) run it on the arrays they emit and answer
-Unknown when it fails; `verify_certificate` runs it on the arrays a
+producers (`opsys.min_membership`, `opsys.essential_boundary_square`,
+`containment.relaxation`) run it once per answer, on the arrays they emit,
+and answer Unknown when it fails; `verify_certificate` runs it on the arrays a
 document states (read by `cones.cone_arrays` and `pencil.stack_document`,
 with a check that a cone's generators span R^d), which a JSON round trip
 restores exactly, so both see the same residual.  No kind reads a cone's
@@ -232,14 +232,15 @@ def check_scaling_sandwich(
     """A simplex S with nu*C ⊆ S ⊆ C on the sections about the unit, C and
     S the cones on the rows of ``gens`` and ``simplex`` with facets from
     `cone_facets`: every vertex of one section satisfies every facet row of
-    the other.  A unit not strictly inside C or S is a ValueError that
-    names the document field."""
+    the other.  A unit not strictly inside C or S, or a normal that gives
+    no bounded section, is a ValueError that names the document field."""
     rows = []
     for name, g in (("cone", gens), ("simplex_generators", simplex)):
         try:
             rows.append(section_rows(g, unit, cone_facets(g, unit), h_normal)[2:])
-        except ConeConstructionError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        except ValueError as exc:
+            field = name if isinstance(exc, ConeConstructionError) else "h_normal"
+            raise ValueError(f"{field}: {exc}") from None
     (verts, facet_rows), (verts_s, facet_rows_s) = rows
     inside = 1.0 + verts_s @ facet_rows.T
     around = 1.0 + (nu * verts) @ facet_rows_s.T

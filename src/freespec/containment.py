@@ -10,9 +10,10 @@ a polyhedral cone, the map is fixed by its PSD values Q_k = Phi(E_kk), so
 the strengthening is smallest-system membership of the target over the
 cone spanned by the rows of F, decided by `opsys.generator_weights` (the
 margin SDP, with r blocks of size t instead of one Choi block of size
-r*t); other sources solve the Choi feasibility SDP.  For a
-simplex source F is invertible, the decision is in closed form and the
-strengthening is tight; when rank F < d, a target with a part outside the
+r*t); other sources solve the Choi feasibility SDP.  Both paths make
+their answers with `_feasible` and `_infeasible`, which run the check of
+`freespec verify`.  For a simplex source F is invertible, the decision is
+in closed form and the strengthening is tight; when rank F < d, a target with a part outside the
 range of F^T is refuted by that part alone.  For a commuting target it
 is tight too, and decided in closed form per joint eigenvector: the target
 spectrahedron is then a polyhedron.  For non-simplex polyhedral sources and
@@ -166,57 +167,42 @@ def kraus_from_choi(choi, r: int, t: int) -> tuple[np.ndarray, ...]:
     return tuple(np.sqrt(lam[keep])[:, None, None] * np.conj(vecs[keep]))
 
 
-def _relaxation_farkas(
-    src: np.ndarray, tgt: np.ndarray, y: np.ndarray
-) -> Optional[RelaxationFarkas]:
-    """The Farkas certificate of matrices ``y`` for the stacked source and
-    target, or None when it fails `certificates.check_relaxation_infeasible`."""
+def _feasible(src: LinearPencil, tgt: LinearPencil, choi) -> Optional[RelaxationResult]:
+    """Feasible with the Choi matrix ``choi``, made read-only, and its Kraus
+    form, or None when they fail `certificates.check_relaxation_feasible`."""
+    choi.flags.writeable = False
+    kraus = kraus_from_choi(choi, src.r, tgt.r)
+    check = certificates.check_relaxation_feasible(src.stack, tgt.stack, choi, kraus)
+    if not check.ok:
+        return None
+    cert = RelaxationCertificate(choi=choi, kraus=kraus, residual=check.residual)
+    return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
+
+
+def _infeasible(src: LinearPencil, tgt: LinearPencil, y) -> Optional[RelaxationResult]:
+    """Infeasible with the Farkas matrices ``y``, made exactly Hermitian,
+    or None when they fail `certificates.check_relaxation_infeasible`."""
     y = linalg.hermitian_part(y)
-    check = certificates.check_relaxation_infeasible(src, tgt, y)
+    check = certificates.check_relaxation_infeasible(src.stack, tgt.stack, y)
     if not check.ok:
         return None
     y.flags.writeable = False
-    return RelaxationFarkas(
-        y_matrices=y,
-        gap=check.details["gap"],
-        lambda_max=check.details["lambda_max"],
-    )
-
-
-def _relaxation_result(
-    src: LinearPencil, tgt: LinearPencil, choi=None, farkas=None, message: str = ""
-) -> RelaxationResult:
-    """Feasible with the Kraus form of ``choi`` when it passes
-    `certificates.check_relaxation_feasible`, Infeasible with the checked
-    ``farkas``, or Unknown with ``message``."""
-    if choi is not None:
-        kraus = kraus_from_choi(choi, src.r, tgt.r)
-        check = certificates.check_relaxation_feasible(src.stack, tgt.stack, choi, kraus)
-        if not check.ok:
-            return RelaxationResult(
-                status=RelaxationStatus.UNKNOWN,
-                message=f"Kraus certificate residual {check.residual:.3e} too large",
-            )
-        cert = RelaxationCertificate(choi=choi, kraus=kraus, residual=check.residual)
-        return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
-    if farkas is not None:
-        return RelaxationResult(status=RelaxationStatus.INFEASIBLE, farkas=farkas)
-    return RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
+    farkas = RelaxationFarkas(y, check.details["gap"], check.details["lambda_max"])
+    return RelaxationResult(status=RelaxationStatus.INFEASIBLE, farkas=farkas)
 
 
 def _sdp_relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
     """The Choi-matrix SDP, for any source pencil."""
     outcome = sdp.solve(_choi_problem(src, tgt))
-    choi = farkas = None
-    message = outcome.message
+    answer, message = None, outcome.message
     if outcome.status is sdp.SdpStatus.FEASIBLE:
-        choi = outcome.primal[0]
+        answer = _feasible(src, tgt, outcome.primal[0])
+        message = "Kraus certificate rejected by its check"
     elif outcome.status is sdp.SdpStatus.INFEASIBLE:
         y = outcome.dual_certificate.y.reshape(src.d, -1)
-        ymats = np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1)
-        farkas = _relaxation_farkas(src.stack, tgt.stack, ymats)
+        answer = _infeasible(src, tgt, np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1))
         message = "Farkas certificate rejected by its check"
-    return _relaxation_result(src, tgt, choi, farkas, message)
+    return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
 
 
 def _diagonal_facets(src: LinearPencil) -> Optional[np.ndarray]:
@@ -255,22 +241,22 @@ def relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
     a commuting target; by the margin SDP otherwise) with Choi matrix
     blockdiag(Q_k).  Any other source is decided by the feasibility SDP in
     the Choi variable J >= 0 of size r*t with d * t^2 real constraints.
-    Either answer has passed the check of `freespec verify`;
+    Either answer has passed the check of `freespec verify`, once;
     `relaxation_sdp` builds the SDP of the path taken.
     """
     _same_variables(src, tgt)
     facets = _diagonal_facets(src)
     if facets is None:
         return _sdp_relaxation(src, tgt)
-    dec = generator_weights(
-        facets, tgt.stack, lambda y: _relaxation_farkas(src.stack, tgt.stack, y), src.unit
+
+    def member(q):
+        choi = np.einsum("jk,jxy->jxky", np.eye(src.r), q).reshape(src.r * tgt.r, -1)
+        return _feasible(src, tgt, linalg.hermitian_part(choi))
+
+    answer, why = generator_weights(
+        facets, tgt.stack, src.unit, member, lambda y: _infeasible(src, tgt, y)
     )
-    choi = None
-    if dec.weights is not None:
-        choi = np.einsum("jk,jxy->jxky", np.eye(src.r), dec.weights)
-        choi = linalg.hermitian_part(choi.reshape(src.r * tgt.r, -1))
-        choi.flags.writeable = False
-    return _relaxation_result(src, tgt, choi, dec.farkas, dec.message)
+    return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=why)
 
 
 # --------------------------------------------------------------------------

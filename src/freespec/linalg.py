@@ -15,6 +15,7 @@ eigendecomposition.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Optional
 
 import numpy as np
@@ -22,27 +23,38 @@ import numpy as np
 from . import _kernels
 
 HERMITIAN_CONSTRUCTION_TOL = 1e-12
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 def hermitian(x, ndim: int = 2, what: Optional[str] = None) -> np.ndarray:
     """The read-only (A + A*)/2 of a Hermitian matrix (``ndim`` 2) or of
     each matrix of a stack (``ndim`` 3), after checking that each A_k has
     asymmetry at most 1e-12 (1 + ||A_k||_F); ``what`` names the value in
-    the errors."""
+    the errors.  Finite entries give finite results, however large."""
     a = np.asarray(x, dtype=np.complex128)
     head = "" if what is None else f"{what}: "
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{head}expected a square matrix, got shape {a.shape}")
     ah = np.swapaxes(a, -1, -2).conj()
-    asym = np.abs(a - ah)
+    # a sum of two entries overflows only above half the largest double
+    big = np.abs(a).max(initial=0.0) > _HALF_MAX
+    with np.errstate(over="ignore", invalid="ignore") if big else contextlib.nullcontext():
+        asym = np.abs(a - ah)
+        out = a + ah
+        out /= 2.0
     # 1 + ||A_k||_F >= 1, so only an asymmetry above the bare tolerance can fail
     if asym.max(initial=0.0) > HERMITIAN_CONSTRUCTION_TOL:
         drift = asym.max(axis=(-2, -1))
-        if np.any(drift > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))):
+        # in units of c_k = max(1, max|A_k|), where ||A_k||_F cannot overflow
+        c = np.abs(a).max(axis=(-2, -1), initial=1.0)
+        size = 1.0 / c + np.linalg.norm(a / c[..., None, None], axis=(-2, -1))
+        if np.any(drift / c > HERMITIAN_CONSTRUCTION_TOL * size):
             head = head or "matrix is "
             raise ValueError(f"{head}not Hermitian (asymmetry {float(drift.max()):.3e})")
-    out = a + ah
-    out /= 2.0
+    if big:
+        # halving first where a + a* overflowed changes no other entry
+        bad = ~np.isfinite(out)
+        out[bad] = a[bad] / 2.0 + ah[bad] / 2.0
     out.flags.writeable = False
     return out
 

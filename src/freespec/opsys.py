@@ -11,8 +11,9 @@ operator systems extend C to matrix levels:
 
 The smallest-system test is one decision over the generator weights
 (`generator_weights`, which also decides the matricial relaxation from a
-diagonal source): every solution of A = sum_k c_k (x) P_k is the min-norm
-one P0 plus a free part in ker G^T, and A is a member iff the margin
+diagonal source; each caller makes and checks its own answers): every
+solution of A = sum_k c_k (x) P_k is the min-norm one P0 plus a free part
+in ker G^T, and A is a member iff the margin
 max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) is nonnegative, an SDP
 with an objective, solved from an exactly feasible start.  Its refutation
 converts into a separating functional phi(B) = sum_i tr(conj(N_i) B_i)
@@ -126,8 +127,8 @@ class MinMembershipResult:
 
 def _separator(
     cone: PolyhedralCone, stack: np.ndarray, y: np.ndarray
-) -> Optional[SeparationFunctional]:
-    """The separator N = -conj(Y) of Farkas matrices Y, plus
+) -> Optional[MinMembershipResult]:
+    """NotMember with the separator N = -conj(Y) of Farkas matrices Y, plus
     SEPARATOR_SHIFT * max|N| times the facet mean (normalised at the unit,
     so strictly positive on the cone) when the margin lambda_min of
     sum_i u_i N_i is below that.  None unless Y refutes A over the
@@ -148,36 +149,15 @@ def _separator(
     if not check.ok:
         return None
     n.flags.writeable = False
-    return SeparationFunctional(matrices=n, margin=check.details["margin"])
+    sep = SeparationFunctional(matrices=n, margin=check.details["margin"])
+    return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=sep)
 
 
-@dataclass(frozen=True)
-class GeneratorWeights:
-    """PSD ``weights`` P_k, an (m, s, s) stack, with the ``residual`` of
-    `certificates.check_min_member`; or ``farkas``, the certificate the
-    caller's ``certify`` made of Farkas matrices Y_i (a (d, s, s) stack
-    with sum_i c_k[i] Y_i <= 0 for every k and sum_i <Y_i, A_i> = 1); or
-    neither, with a ``message``."""
-
-    weights: Optional[np.ndarray] = None
-    residual: float = 0.0
-    farkas: object = None
-    message: str = ""
-
-
-def _checked_weights(gens, stack, p) -> Optional[GeneratorWeights]:
-    """The weights ``p``, made exactly Hermitian and read-only, when they
-    pass `certificates.check_min_member`."""
+def _offer(member, p):
+    """``member`` of the weights ``p``, made exactly Hermitian, read-only."""
     p = linalg.hermitian_part(p)
     p.flags.writeable = False
-    check = certificates.check_min_member(gens, stack, p)
-    return GeneratorWeights(weights=p, residual=check.residual) if check.ok else None
-
-
-def _refutation(certify, y) -> Optional[GeneratorWeights]:
-    """What ``certify`` makes of the Farkas matrices ``y``, unless None."""
-    farkas = certify(y)
-    return None if farkas is None else GeneratorWeights(farkas=farkas)
+    return member(p)
 
 
 def _affine_split(gens: np.ndarray, stack: np.ndarray, h: np.ndarray):
@@ -225,57 +205,53 @@ def margin_sdp(gens: np.ndarray, stack: np.ndarray, h: np.ndarray) -> sdp.SdpPro
     return _margin_problem(p0, kernel)[0]
 
 
-def _margin_weights(gens, stack, certify, split) -> GeneratorWeights:
+def _margin_weights(gens, stack, member, refute, split):
     """The margin decision of `generator_weights` on an `_affine_split`."""
     rows, scale, pinv_t, kernel, p0 = split
     if len(gens) - kernel.shape[1] < gens.shape[1]:
         r = stack / scale - np.tensordot((gens / rows[:, None]).T, p0, axes=1)
         if np.abs(r).max() > sdp.TOL:
-            return _refutation(certify, r / np.vdot(r, stack).real) or GeneratorWeights(
-                message="unreachable part: Farkas certificate rejected by its check"
-            )
+            return refute(r / np.vdot(r, stack).real), "unreachable part: no certificate passed"
     lam, vecs = np.linalg.eigh(p0)
     band = sdp.TOL * float(np.abs(lam).max())
 
-    def member(w):
-        """The weights of G for the split's weights ``w``, if they pass."""
-        return _checked_weights(gens, stack, scale * w / rows[:, None, None])
+    def weights(w):
+        """The answer for the weights of G for the split's weights ``w``."""
+        return _offer(member, scale * w / rows[:, None, None])
 
-    def refute(x):
-        """Y = -N / |<N, A>| from primal blocks X, outside the band."""
+    def farkas(x):
+        """The answer for Y = -N / |<N, A>| from primal blocks X, if out of band."""
         n = np.tensordot(pinv_t.T, x, axes=1)
         phi = np.vdot(n, stack).real
         if phi >= -band * scale * np.trace(x, axis1=1, axis2=2).real.sum():
             return None
-        return _refutation(certify, -n / abs(phi))
+        return refute(-n / abs(phi))
 
-    dec = member(p0) if lam[:, 0].min() >= -band else None
-    if dec is not None:
-        return dec
+    answer = weights(p0) if lam[:, 0].min() >= -band else None
+    if answer is not None:
+        return answer, ""
     if kernel.shape[1] == 0:
         j = int(lam[:, 0].argmin())
         x = np.zeros_like(p0)
         x[j] = np.outer(vecs[j, :, 0], vecs[j, :, 0].conj())
-        return refute(x) or GeneratorWeights(message="closed form: no certificate passed")
+        return farkas(x), "closed form: no certificate passed"
 
     basis = linalg.hermitian_basis(p0.shape[-1])
 
     def check(x, y):
         """With both sides feasible, y_0 <= margin <= sum_k tr(P0_k X_k):
-        an answer is built and checked once either bound leaves the band."""
+        an answer is made once either bound leaves the band."""
         x = np.asarray(x)
         if y[0] >= -band:
             z = np.tensordot(y[1:].reshape(kernel.shape[1], -1), basis, axes=1)
-            return member(p0 - np.tensordot(kernel, z, axes=1))
+            return weights(p0 - np.tensordot(kernel, z, axes=1))
         if np.vdot(p0, x).real < -band * x.trace(axis1=1, axis2=2).real.sum():
-            return refute(x)
+            return farkas(x)
         return None
 
     problem, start = _margin_problem(p0, kernel)
     outcome = sdp.solve(problem, check=check, start=start)
-    return outcome.answer or GeneratorWeights(
-        message=f"margin SDP: {outcome.message or 'no certificate passed'}"
-    )
+    return outcome.answer, f"margin SDP: {outcome.message or 'no certificate passed'}"
 
 
 def _cone_lp(gens: np.ndarray, points: np.ndarray):
@@ -317,8 +293,8 @@ def _cone_lp(gens: np.ndarray, points: np.ndarray):
     return mins[rows, at], weights, normals
 
 
-def _commuting_weights(gens, stack, certify) -> Optional[GeneratorWeights]:
-    """Weights or Farkas matrices for a commuting stack, or None.
+def _commuting_weights(gens, stack, member, refute):
+    """The answer for a commuting stack, or None.
 
     In a joint eigenbasis u_j the A_i are diagonal with values ell_j, and
     A = sum_k c_k (x) P_k with P_k = sum_j W[j,k] u_j u_j* whenever
@@ -336,22 +312,24 @@ def _commuting_weights(gens, stack, certify) -> Optional[GeneratorWeights]:
     band = sdp.TOL * float(np.abs(w).max())
     if low.min() >= -band:
         p = np.einsum("xj,jk,yj->kxy", u, np.maximum(w, 0.0), u.conj())
-        return _checked_weights(gens, stack, linalg.hermitian_part(p))
+        return _offer(member, p)
     j = int(low.argmin())
     if np.isnan(normals[j, 0]):
         return None
-    y = np.multiply.outer(normals[j], np.outer(u[:, j], u[:, j].conj()))
-    return _refutation(certify, y)
+    return refute(np.multiply.outer(normals[j], np.outer(u[:, j], u[:, j].conj())))
 
 
-def generator_weights(gens: np.ndarray, stack: np.ndarray, certify, h) -> GeneratorWeights:
+def generator_weights(gens: np.ndarray, stack: np.ndarray, h: np.ndarray, member, refute):
     """Decide A = sum_k c_k (x) P_k over PSD weights P_k, for the generators
     c_k as the rows of ``gens`` (m x d) and the (d, s, s) ``stack`` of A_i.
 
-    Every answer passes its certificate check first: weights
-    `certificates.check_min_member`, Farkas matrices Y the caller's
-    ``certify``, which returns the caller's certificate made of Y, or None
-    when that fails its check.  An answer that fails is Unknown.
+    The caller makes the answers: ``member(P)`` of exactly Hermitian,
+    read-only weights, ``refute(Y)`` of Farkas matrices Y_i (a (d, s, s)
+    stack with sum_i c_k[i] Y_i <= 0 for every k and sum_i <Y_i, A_i> = 1).
+    Each runs the check `freespec verify` runs on its answer's document and
+    returns the answer, or None when that check fails.  Returns
+    (answer, why): the first answer a maker accepted, or None with ``why``
+    no maker accepted one.
 
     For m > d with at most SUBSET_BATCH d-subsets of generators, a stack
     that commutes (every U* A_i U diagonal within sdp.TOL * max|A| in the
@@ -361,35 +339,22 @@ def generator_weights(gens: np.ndarray, stack: np.ndarray, certify, h) -> Genera
     set of weights (`_affine_split`, A normalised by max|A|, on the rows
     c_k / (c_k . h) when G h > 0 is not constant).  A part R = A - G^T P0
     that no weights reach is refuted by Y = R / <R, A>.  P0 with
-    lambda_min >= -band = -sdp.TOL * max|lambda(P0)| is a Member.  With no
-    free part (G of full row rank, e.g. a simplex) X = vv* on the worst
-    block of P0 decides in closed form.  Otherwise `_margin_problem` runs
-    from its exactly feasible start, and each iterate is judged on two
-    scalars: y_0 >= -band offers the dual weights P0 + KZ >= y_0 I as a
-    Member, and sum_k tr(P0_k X_k) < -band tr X refutes A by
+    lambda_min >= -band = -sdp.TOL * max|lambda(P0)| is offered as a
+    Member.  With no free part (G of full row rank, e.g. a simplex)
+    X = vv* on the worst block of P0 decides in closed form.  Otherwise
+    `_margin_problem` runs from its exactly feasible start, and each
+    iterate is judged on two scalars: y_0 >= -band offers the dual weights
+    P0 + KZ >= y_0 I, and sum_k tr(P0_k X_k) < -band tr X offers
     Y = -N / |<N, A>| with N = pinv(G) X, since sum_i c_k[i] N_i = X_k.
-    The SDP stops at the first answer that passes its check; `margin_sdp`
-    builds it on its own.
+    The SDP stops at the first answer a maker accepts; `margin_sdp` builds
+    it on its own.
     """
     m, d = gens.shape
     if m > d and math.comb(m, d) <= SUBSET_BATCH:
-        dec = _commuting_weights(gens, stack, certify)
-        if dec is not None:
-            return dec
-    return _margin_weights(gens, stack, certify, _affine_split(gens, stack, h))
-
-
-def _membership_result(dec: GeneratorWeights) -> MinMembershipResult:
-    """Member with the weights, NotMember with the separator that
-    `_separator` made of the Farkas matrices, or Unknown."""
-    if dec.weights is not None:
-        return MinMembershipResult(
-            status=MinMembershipStatus.MEMBER,
-            certificate=MinMembershipCertificate(weights=dec.weights, residual=dec.residual),
-        )
-    if dec.farkas is not None:
-        return MinMembershipResult(status=MinMembershipStatus.NOT_MEMBER, separator=dec.farkas)
-    return MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=dec.message)
+        answer = _commuting_weights(gens, stack, member, refute)
+        if answer is not None:
+            return answer, ""
+    return _margin_weights(gens, stack, member, refute, _affine_split(gens, stack, h))
 
 
 def min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
@@ -398,18 +363,24 @@ def min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
     Decides A = sum_k c_k (x) P_k over PSD weights P_k on the generators
     c_k (`generator_weights`: in closed form for a simplex cone, for PSD
     min-norm weights and, per joint eigenvector, for a commuting tuple; by
-    the margin SDP otherwise).  A Member outcome carries the
-    weights; a NotMember outcome carries a separating functional,
-    nonnegative on the system and negative on the query.  Both have passed
-    the check of `freespec verify`.
+    the margin SDP otherwise).  A Member outcome carries the weights; a
+    NotMember outcome carries a separating functional, nonnegative on the
+    system and negative on the query (`_separator`).  Each has passed the
+    check of `freespec verify`, once.
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    stack = a.stack
-    dec = generator_weights(
-        cone.generators, stack, lambda y: _separator(cone, stack, y), cone.facets.sum(axis=0)
+    gens, stack = cone.generators, a.stack
+
+    def member(p):
+        check = certificates.check_min_member(gens, stack, p)
+        cert = MinMembershipCertificate(p, check.residual)
+        return MinMembershipResult(MinMembershipStatus.MEMBER, cert) if check.ok else None
+
+    answer, why = generator_weights(
+        gens, stack, cone.facets.sum(axis=0), member, lambda y: _separator(cone, stack, y)
     )
-    return _membership_result(dec)
+    return answer or MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=why)
 
 
 def circular_min_membership(a: MatrixTuple) -> MembershipResult:

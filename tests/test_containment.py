@@ -352,6 +352,29 @@ class TestDiagonalRelaxation:
             assert res.status is relaxation(src, tgt).status
             assert _relaxation_certificate_ok(rotated, tgt, res)
 
+    def test_feasible_weights_are_checked_once_as_a_choi_matrix(self, monkeypatch, solve_calls):
+        # on every path of a diagonal source a Feasible answer is checked by
+        # check_relaxation_feasible alone, the check of its document
+        def forbidden(*args):
+            raise AssertionError("check_min_member run on a relaxation")
+
+        monkeypatch.setattr(certificates, "check_min_member", forbidden)
+        rng = np.random.default_rng(140)
+        simplex = sampling.random_simplex_cone(rng, 3)
+        octagon = _regular_polygon(8)
+        cases = (
+            (simplex, sampling.random_target_for_simplex(rng, simplex, 3), 0),
+            (octagon, sampling.random_commuting_target(rng, octagon, 3), 0),
+            (octagon, _random_target(rng, octagon, 3, spread=0.2), 1),
+        )
+        for cone, tgt, solves in cases:
+            src = diagonal_pencil(cone)
+            before = len(solve_calls)
+            res = relaxation(src, tgt)
+            assert res.status is RelaxationStatus.FEASIBLE
+            assert len(solve_calls) - before == solves
+            assert _relaxation_certificate_ok(src, tgt, res)
+
     def test_no_choi_block_on_a_diagonal_source(self, monkeypatch):
         from freespec import _kernels
 

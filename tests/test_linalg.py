@@ -25,6 +25,24 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix([[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("x", [1e160, 1.5e308])
+    def test_rejects_an_asymmetry_past_the_overflow_of_the_norm(self, x):
+        # ||A||_F overflows from about 1.3e154 and A - A* from about 9e307;
+        # neither may make the tolerance inf, which accepted A as zero
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianMatrix([[0, x], [-x, 0]])
+
+    def test_a_huge_entry_changes_no_other_bit(self):
+        # A + A* overflows at (0, 0) only: (A + A*)/2 is finite there, and
+        # every other entry keeps the bits of the plain formula
+        a = np.array([[1.5e308, 3e-310 + 1j], [3e-310 - 1j, -0.0]])
+        small = a.copy()
+        small[0, 0] = 1.0
+        h, ref = linalg.hermitian(a), linalg.hermitian(small)
+        assert h[0, 0] == 1.5e308
+        rest = ([0, 1, 1], [1, 0, 1])
+        assert h[rest].tobytes() == ref[rest].tobytes()
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             HermitianMatrix(np.zeros((2, 3)))
