@@ -16,9 +16,11 @@ pencil's unit is not renormalised; max|sum_i u_i M_i - I| of each pencil
 is reported as ``unit_drift``.  A residual keeps a NaN term (`_worst`) and
 must stay below ``ACCEPT_RESIDUAL``, so it is finite; a separator also
 needs a positive margin and phi(A) < -``SEPARATOR_PHI_LIMIT``, and a
-Farkas certificate lambda_max <= ``sdp.FARKAS_TOL`` * gap with a gap
-above ``FARKAS_GAP_LIMIT`` times the size of its terms.  Only the last two
-limits are relative.
+Farkas certificate lambda_max <= ``FARKAS_TOL`` * gap with a gap above
+``FARKAS_GAP_LIMIT`` times the size of its terms.  Only the last two
+limits are relative.  All four come from `tolerances`, the solver's
+``FARKAS_TOL`` too, so the checker imports none of `sdp`, `opsys` and
+`containment`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import linalg, sdp
+from . import linalg, tolerances
 from .cones import ConeConstructionError, PolyhedralCone, cone_arrays, cone_facets, cone_to_json
-from .cones import section_rows
+from .cones import section_rows, spanning
 from .linalg import finite_from_json, matrix_to_json, stack_from_json
 from .pencil import LinearPencil, MatrixTuple, pencil_to_json, stack_document, tuple_to_json
 
@@ -39,9 +41,6 @@ if TYPE_CHECKING:
     from .opsys import MinMembershipCertificate, SeparationFunctional
 
 SCHEMA_VERSION = 1
-ACCEPT_RESIDUAL = 1e-6
-SEPARATOR_PHI_LIMIT = 1e-7
-FARKAS_GAP_LIMIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def check_min_member(gens: np.ndarray, stack: np.ndarray, weights: np.ndarray) -
     error), at least 0."""
     recon = float(np.max(np.abs(np.tensordot(gens.T, weights, axes=1) - stack)))
     residual = _worst(recon, -float(np.linalg.eigvalsh(weights)[:, 0].min()))
-    return CertificateCheck("min_membership_member", residual < ACCEPT_RESIDUAL, residual, {})
+    ok = residual < tolerances.ACCEPT_RESIDUAL
+    return CertificateCheck("min_membership_member", ok, residual, {})
 
 
 def check_separator(
@@ -170,7 +170,8 @@ def check_separator(
     lows = np.linalg.eigvalsh(np.tensordot(np.vstack([gens, unit]), n, axes=1))[:, 0]
     worst, margin = _worst(-float(lows[:-1].min())), float(lows[-1])
     phi_query = phi(n, stack)
-    ok = worst < ACCEPT_RESIDUAL and margin > 0 and phi_query < -SEPARATOR_PHI_LIMIT
+    ok = (worst < tolerances.ACCEPT_RESIDUAL and margin > 0
+          and phi_query < -tolerances.SEPARATOR_PHI_LIMIT)
     details = {"margin": margin, "phi_query": phi_query}
     return CertificateCheck("min_membership_separator", ok, worst, details)
 
@@ -187,7 +188,8 @@ def check_relaxation_feasible(
     recon = float(np.max(np.abs(apply_kraus(v, src) - tgt)))
     residual = _worst(-psd_margin, recon)
     details = {"choi_min_eig": psd_margin, "kraus_count": len(v)}
-    return CertificateCheck("relaxation_feasible", residual < ACCEPT_RESIDUAL, residual, details)
+    ok = residual < tolerances.ACCEPT_RESIDUAL
+    return CertificateCheck("relaxation_feasible", ok, residual, details)
 
 
 def check_relaxation_infeasible(
@@ -202,7 +204,7 @@ def check_relaxation_infeasible(
     size = float(np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(tgt, axis=(1, 2)))
     big = np.einsum("iba,ixy->axby", src, y).reshape(r * t, r * t)
     lam = float(_eigvalsh(big, r, t).max())
-    ok = gap > FARKAS_GAP_LIMIT * size and lam <= sdp.FARKAS_TOL * gap
+    ok = gap > tolerances.FARKAS_GAP_LIMIT * size and lam <= tolerances.FARKAS_TOL * gap
     residual = _worst(lam) / gap if gap > 0 else float("inf")
     details = {"gap": gap, "size": size, "lambda_max": lam}
     return CertificateCheck("relaxation_infeasible", ok, residual, details)
@@ -221,7 +223,7 @@ def check_essential_boundary(comps: np.ndarray, n: np.ndarray, eps: float) -> Ce
     trace_err = abs(float(np.trace(m3).real) - 1.0)
     residual = _worst(-float(lows[:4].min()), trace_err, float(orth.max()))
     margin = float(lows[4])
-    ok = residual < ACCEPT_RESIDUAL and margin >= eps - ACCEPT_RESIDUAL
+    ok = residual < tolerances.ACCEPT_RESIDUAL and margin >= eps - tolerances.ACCEPT_RESIDUAL
     details = {"margin": margin, "orthogonality": orth.tolist()}
     return CertificateCheck("essential_boundary", ok, residual, details)
 
@@ -245,7 +247,8 @@ def check_scaling_sandwich(
     inside = 1.0 + verts_s @ facet_rows.T
     around = 1.0 + (nu * verts) @ facet_rows_s.T
     residual = _worst(-float(inside.min()), -float(around.min()))
-    return CertificateCheck("scaling_sandwich", residual < ACCEPT_RESIDUAL, residual, {"nu": nu})
+    ok = residual < tolerances.ACCEPT_RESIDUAL
+    return CertificateCheck("scaling_sandwich", ok, residual, {"nu": nu})
 
 
 # -- validation of documents -------------------------------------------------
@@ -315,16 +318,16 @@ def _verify_relaxation(doc) -> CertificateCheck:
     return replace(check, details={**check.details, "unit_drift": drift})
 
 
-def _spanning(gens: np.ndarray, unit: np.ndarray):
-    """``gens`` and ``unit``, the rows of ``gens`` spanning R^d."""
-    if np.linalg.matrix_rank(gens, tol=1e-10) < len(unit):
-        raise ValueError("generators do not span R^d")
-    return gens, unit
+def _spanning_cone(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The generators and unit of a cone document (`cone_arrays`), the
+    generators spanning R^d (`spanning`)."""
+    gens, unit = cone_arrays(obj)
+    return spanning(gens, len(unit)), unit
 
 
 def _verify_membership(doc) -> CertificateCheck:
     """Either smallest-system kind, on the cone's generators and unit."""
-    gens, unit = _parsed(doc, "cone", lambda v: _spanning(*cone_arrays(v)))
+    gens, unit = _parsed(doc, "cone", _spanning_cone)
     query = _parsed(doc, "query", lambda v: stack_document(v, "tuple")[0])
     if len(query) != len(unit):
         raise ValueError(f"query: {len(query)} entries for a cone of dimension {len(unit)}")
@@ -358,11 +361,11 @@ def _simplex(gens: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """``gens``, d rows of length d that span R^d."""
     if gens.shape != (len(unit),) * 2:
         raise ValueError(f"expected {len(unit)} generators of length {len(unit)}, got {gens.shape}")
-    return _spanning(gens, unit)[0]
+    return spanning(gens, len(unit))
 
 
 def _verify_sandwich(doc) -> CertificateCheck:
-    gens, unit = _parsed(doc, "cone", lambda v: _spanning(*cone_arrays(v)))
+    gens, unit = _parsed(doc, "cone", _spanning_cone)
     nu = _parsed(doc, "nu", _finite)
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu: {nu!r} is not in (0, 1]")

@@ -12,8 +12,9 @@ Exit codes: 0 for a definitive answer, 2 for Unknown/NumericalFailure,
 versioned JSON document with --output json; with a fixed --seed the JSON
 output is byte-identical across runs on the same platform.  The only
 environment variable consulted is FREESPEC_LOG (logging verbosity).
-There is no tolerance option: the decision bands are the constants
-pencil.BOUNDARY_TOL (absolute, on eigenvalues) and sdp.TOL (relative).
+There is no tolerance option: every decision band is a constant of
+freespec.tolerances, among them BOUNDARY_TOL (absolute, on eigenvalues)
+and TOL (relative).
 """
 
 from __future__ import annotations

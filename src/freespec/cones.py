@@ -8,7 +8,9 @@ simplex's facets are the rows of inv(G)^T.  Every facet comes from
 `cone_facets`, must exceed GEOM_TOL at the order unit u and is scaled so
 that ell(u) = 1.  The checks that every facet is supported and every
 generator is extreme are one stacked rank each, over the rows masked by
-the tight set.
+the tight set.  `spanning` is the one test that generators span R^d, for
+cones and for the certificates of `certificates`.  The bands (GEOM_TOL,
+RANK_TOL, INCIDENCE_TOL, ...) are constants of `tolerances`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
-
-GEOM_TOL = 1e-9
+from . import linalg, tolerances
 
 
 class ConeConstructionError(ValueError):
@@ -38,14 +38,14 @@ def _supporting_normals(rows: np.ndarray) -> np.ndarray:
     d = rows.shape[1]
     _, sv, vt = np.linalg.svd(rows[_subsets(len(rows), d - 1)], full_matrices=True)
     top = np.maximum(1.0, sv[:, :1]) if d > 1 else 1.0
-    n = vt[np.sum(sv > GEOM_TOL * top, axis=1) == d - 1, -1]
+    n = vt[np.sum(sv > tolerances.GEOM_TOL * top, axis=1) == d - 1, -1]
     vals = n @ rows.T
-    tol = GEOM_TOL * max(1.0, float(np.max(np.abs(rows))))
+    tol = tolerances.GEOM_TOL * max(1.0, float(np.max(np.abs(rows))))
     side = np.where(vals.min(axis=1) >= -tol, 1.0, np.where(vals.max(axis=1) <= tol, -1.0, 0.0))
     return n[side != 0] * side[side != 0, None]
 
 
-def _dedupe_rows(rows: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _dedupe_rows(rows: np.ndarray, tol: float = tolerances.DUPLICATE_TOL) -> np.ndarray:
     """The rows not within ``tol`` (max-abs) of an earlier row."""
     close = np.abs(rows[:, None] - rows[None]).max(axis=2) <= tol
     return rows[~np.triu(close, 1).any(axis=0)]
@@ -54,7 +54,14 @@ def _dedupe_rows(rows: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def _tight_rank(rows: np.ndarray, tight: np.ndarray) -> np.ndarray:
     """rank(rows[tight[j]]) for each mask row j, as the rank of ``rows``
     with the other rows zeroed."""
-    return np.linalg.matrix_rank(rows * tight[:, :, None], tol=1e-10)
+    return np.linalg.matrix_rank(rows * tight[:, :, None], tol=tolerances.RANK_TOL)
+
+
+def spanning(gens: np.ndarray, d: int) -> np.ndarray:
+    """``gens``, after checking that its rows span R^d."""
+    if np.linalg.matrix_rank(gens, tol=tolerances.RANK_TOL) < d:
+        raise ConeConstructionError("generators do not span R^d")
+    return gens
 
 
 def cone_facets(gens: np.ndarray, unit: np.ndarray, facets=None) -> np.ndarray:
@@ -72,7 +79,7 @@ def cone_facets(gens: np.ndarray, unit: np.ndarray, facets=None) -> np.ndarray:
         if not len(f):
             raise ConeConstructionError("no facets found; cone is degenerate")
     fu = f @ unit
-    if np.any(fu <= GEOM_TOL):
+    if np.any(fu <= tolerances.GEOM_TOL):
         raise ConeConstructionError("unit is not strictly interior (ell(u) <= 0)")
     return f / fu[:, None]
 
@@ -95,10 +102,9 @@ class PolyhedralCone:
             raise ConeConstructionError(f"unit has shape {u.shape}, expected ({d},)")
         if g.shape[0] < d:
             raise ConeConstructionError("need at least d generators for a full-dimensional cone")
-        if np.linalg.matrix_rank(g, tol=1e-10) < d:
-            raise ConeConstructionError("generators do not span R^d")
+        spanning(g, d)
         norm_g = g / np.linalg.norm(g, axis=1)[:, None]
-        repeated = np.abs(norm_g[:, None] - norm_g[None]).max(axis=2) <= 1e-9
+        repeated = np.abs(norm_g[:, None] - norm_g[None]).max(axis=2) <= tolerances.GEOM_TOL
         pairs = np.argwhere(np.triu(repeated, 1))
         if len(pairs):
             i, j = pairs[0]
@@ -132,9 +138,9 @@ class PolyhedralCone:
         if not len(rays):
             raise ConeConstructionError("no extreme rays found; facet system degenerate")
         norms = np.sqrt(np.vecdot(rays, rays))
-        rays = rays[norms > GEOM_TOL] / norms[norms > GEOM_TOL, None]
+        rays = rays[norms > tolerances.GEOM_TOL] / norms[norms > tolerances.GEOM_TOL, None]
         # keep only extreme rays: tight facets must have rank d-1
-        extreme = _tight_rank(f, np.abs(rays @ f.T) <= 1e-8) == d - 1
+        extreme = _tight_rank(f, np.abs(rays @ f.T) <= tolerances.INCIDENCE_TOL) == d - 1
         return cls(_dedupe_rows(rays[extreme]), u, facets=f)
 
     # -- validation ----------------------------------------------------------
@@ -143,15 +149,15 @@ class PolyhedralCone:
         g, f, d = self.generators, self.facets, self.dim
         scale = max(1.0, float(np.max(np.abs(g))))
         vals = g @ f.T  # (m, k)
-        if float(vals.min()) < -1e-8 * scale:
+        if float(vals.min()) < -tolerances.INCIDENCE_TOL * scale:
             raise ConeConstructionError(
                 f"generator violates a facet by {-float(vals.min()):.3e}"
             )
-        if np.linalg.matrix_rank(f, tol=1e-10) < d:
+        if np.linalg.matrix_rank(f, tol=tolerances.RANK_TOL) < d:
             raise ConeConstructionError("cone is not salient (facets do not span)")
-        if np.all(vals <= 1e-8 * scale, axis=1).any():
+        if np.all(vals <= tolerances.INCIDENCE_TOL * scale, axis=1).any():
             raise ConeConstructionError("cone is not salient (contains a line)")
-        tight = np.abs(vals) <= 1e-7 * scale
+        tight = np.abs(vals) <= tolerances.SUPPORT_TOL * scale
         bad = np.flatnonzero(_tight_rank(g, tight.T) < d - 1)
         if len(bad):
             raise ConeConstructionError(f"facet {bad[0]} is not supported by d-1 generators")
@@ -225,7 +231,7 @@ def rays_equal(a: np.ndarray, b: np.ndarray) -> bool:
         return False
     rows = np.concatenate([a, b])
     rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-    near = np.abs(rows[:, None, :] - rows).max(axis=2) <= GEOM_TOL
+    near = np.abs(rows[:, None, :] - rows).max(axis=2) <= tolerances.GEOM_TOL
     in_a = near[:, : len(a)].sum(axis=1)
     return bool(in_a.all() and (in_a == near[:, len(a):].sum(axis=1)).all())
 
@@ -267,7 +273,7 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
         for b in basis:
             v = v - (b @ v) * b
         nv = np.linalg.norm(v)
-        if nv > 1e-9:
+        if nv > tolerances.GEOM_TOL:
             basis.append(v / nv)
         if len(basis) == d - 1:
             break
@@ -279,11 +285,11 @@ def section_rows(gens: np.ndarray, unit: np.ndarray, facets: np.ndarray, h_norma
     cone with generator rows ``gens``, ``unit`` and facet rows ``facets``."""
     n = np.asarray(h_normal, dtype=float)
     nu = float(n @ unit)
-    if abs(nu) <= GEOM_TOL:
+    if abs(nu) <= tolerances.GEOM_TOL:
         raise ValueError("hyperplane normal is orthogonal to the unit")
     n = n / nu
     gv = gens @ n
-    if np.any(gv <= GEOM_TOL):
+    if np.any(gv <= tolerances.GEOM_TOL):
         raise ValueError(
             "section is unbounded: the hyperplane meets the cone away from 0"
         )
@@ -311,7 +317,7 @@ def is_centrally_symmetric(cone: PolyhedralCone, h_normal) -> bool:
     sec = section_of(cone, h_normal)
     v = sec.vertices
     scale = 1.0 + float(np.max(np.abs(v)))
-    mirrored = np.abs(v[:, None] + v[None]).max(axis=2) <= GEOM_TOL * scale
+    mirrored = np.abs(v[:, None] + v[None]).max(axis=2) <= tolerances.GEOM_TOL * scale
     return bool(mirrored.any(axis=1).all())
 
 
@@ -354,7 +360,7 @@ def max_volume_inscribed_simplex(cone: PolyhedralCone, h_normal) -> MaxVolumeSim
     subsets = _subsets(len(verts), cone.dim)
     vols = _simplex_volumes(verts[subsets])
     k = int(np.argmax(vols >= vols.max() - 1e-15))  # first maximum up to rounding
-    if vols[k] <= GEOM_TOL:
+    if vols[k] <= tolerances.GEOM_TOL:
         raise ValueError("section vertices are affinely degenerate")
     pts = verts[subsets[k]]
     bary = pts.mean(axis=0)
@@ -378,12 +384,12 @@ def _sandwich_candidates(sec: Section) -> np.ndarray:
     pool = [verts]
     scale = 1.0 + float(np.max(np.abs(verts)))
     for row in sec.facet_rows:
-        tight = verts[np.abs(1.0 + verts @ row) <= 1e-8 * scale]
+        tight = verts[np.abs(1.0 + verts @ row) <= tolerances.INCIDENCE_TOL * scale]
         if len(tight):
             pool.append(tight.mean(axis=0, keepdims=True))
     pairs = _subsets(len(verts), 2)
     pool += [(verts[pairs[:, 0]] + verts[pairs[:, 1]]) / 2.0, verts.mean(axis=0, keepdims=True)]
-    return _dedupe_rows(np.concatenate(pool), tol=1e-9)
+    return _dedupe_rows(np.concatenate(pool), tol=tolerances.GEOM_TOL)
 
 
 def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
@@ -398,7 +404,7 @@ def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
     """
     vols = _simplex_volumes(pts)
     nus = np.zeros(len(pts))
-    ok = vols > GEOM_TOL
+    ok = vols > tolerances.GEOM_TOL
     live = pts[ok]
     g = np.linalg.inv(np.concatenate([live, np.ones(live.shape[:2] + (1,))], axis=2))
     c = g[:, -1, :]
@@ -406,7 +412,7 @@ def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
     nus[ok] = np.min(c / np.maximum(push, c), axis=1)
     nus = np.clip(nus, 0.0, 1.0)
     # only S = C (a simplex cone) reaches 1; do not let rounding hide it
-    nus[nus >= 1.0 - 1e-12] = 1.0
+    nus[nus >= 1.0 - tolerances.NU_TIE_TOL] = 1.0
     return nus, vols
 
 
@@ -430,7 +436,7 @@ def best_sandwich_simplex(
     best = float(nus.max())
     if best <= 0.0:
         return 0.0, None
-    k = int(np.argmax(np.where(nus >= best - 1e-12, vols, 0.0)))
+    k = int(np.argmax(np.where(nus >= best - tolerances.NU_TIE_TOL, vols, 0.0)))
     rays = np.array([sec.to_ambient(y) for y in pool[subsets[k]]])
     return float(nus[k]), SimplexCone(rays, cone.unit)
 
@@ -441,12 +447,12 @@ def find_sandwich_simplex(
     """A simplex cone S with nu*C ⊆ S ⊆ C (sections about u), or None.
 
     Returns best_sandwich_simplex's simplex when its factor reaches nu; the
-    slack of 1e-9 absorbs rounding only.
+    slack of GEOM_TOL absorbs rounding only.
     """
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
     best_nu, simplex = best_sandwich_simplex(cone, h_normal)
-    return simplex if best_nu >= nu - 1e-9 else None
+    return simplex if best_nu >= nu - tolerances.GEOM_TOL else None
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels, certificates, linalg, sdp
+from . import _kernels, certificates, linalg, sdp, tolerances
 from .cones import (
     SQUARE_RAYS,
     PolyhedralCone,
@@ -52,7 +52,6 @@ from .opsys import (
     min_membership,
 )
 from .pencil import (
-    BOUNDARY_TOL,
     Classification,
     LinearPencil,
     MatrixTuple,
@@ -61,8 +60,6 @@ from .pencil import (
     evaluate,
     membership,
 )
-
-KRAUS_EIG_CUTOFF = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +85,7 @@ def scalar_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> ScalarInclusionR
         raise ValueError(f"cone dimension {src.dim} != pencil variables {tgt.d}")
     margins = np.linalg.eigvalsh(np.tensordot(src.generators, tgt.stack, axes=1))[:, 0]
     worst = int(np.argmin(margins))
-    if margins[worst] < -BOUNDARY_TOL:
+    if margins[worst] < -tolerances.BOUNDARY_TOL:
         return ScalarInclusionResult(
             holds=False,
             margins=margins,
@@ -162,7 +159,7 @@ def kraus_from_choi(choi, r: int, t: int) -> tuple[np.ndarray, ...]:
     lam, w = _kernels.eigh_kernel(blocks)
     vecs = np.einsum("kl,kxn->knlx", np.eye(len(blocks)), w).reshape(-1, r, t)
     lam = lam.ravel()
-    cutoff = KRAUS_EIG_CUTOFF * max(float(np.sum(lam)), 1e-30)
+    cutoff = tolerances.KRAUS_EIG_CUTOFF * max(float(np.sum(lam)), 1e-30)  # 1e-30: division guard
     keep = lam > cutoff
     return tuple(np.sqrt(lam[keep])[:, None, None] * np.conj(vecs[keep]))
 
@@ -325,14 +322,15 @@ def _square_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, float]]:
         src.dim == 3
         and src.n_generators == 4
         and rays_equal(src.generators, SQUARE_RAYS)
-        and np.max(np.abs(src.unit / np.linalg.norm(src.unit) - [0.0, 0.0, 1.0])) < 1e-12
+        and np.max(np.abs(src.unit / np.linalg.norm(src.unit) - [0.0, 0.0, 1.0]))
+        < tolerances.UNIT_AXIS_TOL
     ):
         return base, max_membership(src, base).margin
     l = _quad_map_from_square(src)
     if l is None:
         return None
     cand = base.scaled_by(l)
-    res = max_membership(src, cand, tol=1e-7)
+    res = max_membership(src, cand, tol=tolerances.WITNESS_TOL)
     return (cand, res.margin) if res.inside_or_boundary else None
 
 
@@ -421,7 +419,7 @@ def commuting_target_tightness(src: PolyhedralCone, tgt: LinearPencil) -> Commut
     prods = stack @ stack[:, None]
     comm = np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
     max_comm = float(comm.max())
-    if max_comm >= 1e-9:
+    if max_comm >= tolerances.COMMUTATOR_TOL:
         raise ValueError(f"target matrices do not commute (||[N_i,N_j]|| = {max_comm:.3e})")
     max_off = linalg.joint_eigenbasis(stack)[2]
     scal = scalar_inclusion(src, tgt)
@@ -445,6 +443,15 @@ def scaled_tuple(a: MatrixTuple, nu: float) -> MatrixTuple:
     return MatrixTuple(np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
 
 
+def _require_unit_ed(cone: PolyhedralCone, who: str) -> None:
+    """A ValueError, headed by ``who``, unless the unit of ``cone`` is e_d
+    to UNIT_AXIS_TOL."""
+    ed = np.zeros(cone.dim)
+    ed[-1] = 1.0
+    if np.max(np.abs(cone.unit - ed)) > tolerances.UNIT_AXIS_TOL:
+        raise ValueError(f"{who} requires the unit to be e_d")
+
+
 def scaled_max_in_min(cone: PolyhedralCone, nu: float, a: MatrixTuple):
     """Test whether the nu-scaled tuple enters the smallest system.
 
@@ -455,10 +462,7 @@ def scaled_max_in_min(cone: PolyhedralCone, nu: float, a: MatrixTuple):
     """
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
-    ed = np.zeros(cone.dim)
-    ed[-1] = 1.0
-    if np.max(np.abs(cone.unit - ed)) > 1e-12:
-        raise ValueError("coordinate convention requires the unit to be e_d")
+    _require_unit_ed(cone, "coordinate convention")
     source = max_membership(cone, a)
     if source.classification is Classification.OUTSIDE:
         raise ValueError(
@@ -520,13 +524,10 @@ def random_max_tuple(
     enough that every facet evaluation is PSD (with a small random slack).
     Requires the unit to be e_d."""
     d = cone.dim
-    ed = np.zeros(d)
-    ed[-1] = 1.0
-    if np.max(np.abs(cone.unit - ed)) > 1e-12:
-        raise ValueError("random_max_tuple requires the unit to be e_d")
+    _require_unit_ed(cone, "random_max_tuple")
     head = np.array([linalg.random_hermitian(rng, s) for _ in range(d - 1)])
     coef = cone.facets[:, -1]
-    if np.any(coef <= 1e-12):
+    if np.any(coef <= 1e-12):  # not a band: guards the division by coef, near 1 for u = e_d
         raise ValueError("facet does not involve the unit coordinate")
     # summed coordinate by coordinate, so each facet evaluation has the
     # bits of the per-facet sum; one eigensolve for the (k, s, s) stack
@@ -614,7 +615,7 @@ def entangled_example() -> EntangledExampleReport:
     identity_residual = float(np.max(np.abs(evaluate(ball_pencil(), tup) - 2.0 * x)))
     pt_min = float(_kernels.eigh_kernel(partial_transpose(x))[0][0])
     pt_min_norm = pt_min / float(np.real(np.trace(x)))
-    entangled = pt_min < -1e-12
+    entangled = pt_min < -tolerances.PT_NEGATIVITY_TOL
     conclusion = (
         "the displayed PSD matrix is entangled (negative partial transpose), "
         "so the four-variable ball-cone pencil is not a minimal-system realization"

@@ -2,15 +2,16 @@
 operation is pure, and tolerances are relative, scaled by ``1 + ||A||_F``
 unless stated otherwise.
 
-One rule makes a value Hermitian, `hermitian`: asymmetry at most 1e-12
-relative to 1 + ||A_k||_F for each matrix A_k of a matrix or a (k, n, n)
-stack, then (A + A*)/2, read-only.  The tuple and pencil types of
-`pencil`, `sdp.SdpProblem` and the certificate parser check their stacks
-with it once, and the library passes the checked arrays on; the Pauli
-matrices ``SIGMA_X/Y/Z`` are such arrays too.  `HermitianMatrix` is only
-the type of the items of `pencil.MatrixTuple.entries` and
-`pencil.LinearPencil.matrices`.  `eigh` is the one phase-normalised
-eigendecomposition.
+One rule makes a value Hermitian, `hermitian`: asymmetry at most
+`tolerances.HERMITIAN_CONSTRUCTION_TOL` relative to 1 + ||A_k||_F for each
+matrix A_k of a matrix or a (k, n, n) stack, then (A + A*)/2, read-only;
+an error names the first matrix that fails and its own asymmetry.  The
+tuple and pencil types of `pencil`, `sdp.SdpProblem` and the certificate
+parser check their stacks with it once, and the library passes the
+checked arrays on; the Pauli matrices ``SIGMA_X/Y/Z`` are such arrays
+too.  `HermitianMatrix` is only the type of the items of
+`pencil.MatrixTuple.entries` and `pencil.LinearPencil.matrices`.  `eigh`
+is the one phase-normalised eigendecomposition.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, tolerances
 
-HERMITIAN_CONSTRUCTION_TOL = 1e-12
 _HALF_MAX = np.finfo(float).max / 2.0
 
 
 def hermitian(x, ndim: int = 2, what: Optional[str] = None) -> np.ndarray:
     """The read-only (A + A*)/2 of a Hermitian matrix (``ndim`` 2) or of
     each matrix of a stack (``ndim`` 3), after checking that each A_k has
-    asymmetry at most 1e-12 (1 + ||A_k||_F); ``what`` names the value in
-    the errors.  Finite entries give finite results, however large."""
+    asymmetry at most HERMITIAN_CONSTRUCTION_TOL (1 + ||A_k||_F); ``what``
+    names the value in the errors, which name the first matrix of a stack
+    that fails.  Finite entries give finite results, however large."""
     a = np.asarray(x, dtype=np.complex128)
     head = "" if what is None else f"{what}: "
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
@@ -43,14 +44,17 @@ def hermitian(x, ndim: int = 2, what: Optional[str] = None) -> np.ndarray:
         out = a + ah
         out /= 2.0
     # 1 + ||A_k||_F >= 1, so only an asymmetry above the bare tolerance can fail
-    if asym.max(initial=0.0) > HERMITIAN_CONSTRUCTION_TOL:
+    if asym.max(initial=0.0) > tolerances.HERMITIAN_CONSTRUCTION_TOL:
         drift = asym.max(axis=(-2, -1))
         # in units of c_k = max(1, max|A_k|), where ||A_k||_F cannot overflow
         c = np.abs(a).max(axis=(-2, -1), initial=1.0)
         size = 1.0 / c + np.linalg.norm(a / c[..., None, None], axis=(-2, -1))
-        if np.any(drift / c > HERMITIAN_CONSTRUCTION_TOL * size):
-            head = head or "matrix is "
-            raise ValueError(f"{head}not Hermitian (asymmetry {float(drift.max()):.3e})")
+        bad = drift / c > tolerances.HERMITIAN_CONSTRUCTION_TOL * size
+        if np.any(bad):
+            if ndim > 2:
+                k = tuple(int(i) for i in np.argwhere(bad)[0])
+                head, drift = f"{head}matrix {k[0] if ndim == 3 else k} is ", drift[k]
+            raise ValueError(f"{head or 'matrix is '}not Hermitian (asymmetry {float(drift):.3e})")
     if big:
         # halving first where a + a* overflowed changes no other entry
         bad = ~np.isfinite(out)
@@ -84,7 +88,7 @@ def _normalize_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant entry is real positive."""
     mags = np.abs(v)
     colmax = mags.max(axis=0)
-    thresh = 1e-10 * np.where(colmax > 0, colmax, 1.0)
+    thresh = 1e-10 * np.where(colmax > 0, colmax, 1.0)  # not a band: fixes the phase convention
     first = np.argmax(mags > thresh, axis=0)
     pivot = v[first, np.arange(v.shape[1])]
     size = np.abs(pivot)
@@ -106,7 +110,7 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
 def inv_sqrt_pd(a) -> np.ndarray:
     """Inverse Hermitian square root; requires positive definiteness."""
     w, u = eigh(a)
-    if w[0] <= 1e-14:
+    if w[0] <= tolerances.PD_FLOOR:
         raise ValueError(f"matrix is not positive definite (min eig {w[0]:.3e})")
     return (u / np.sqrt(w)) @ u.conj().T
 
@@ -227,9 +231,9 @@ def complex_from_pairs(obj, ndim: int):
 
 def _nonreal_diagonal(a: np.ndarray) -> np.ndarray:
     """The diagonal entries of a matrix (or stack) whose imaginary part
-    exceeds 1e-12 (1 + |a_ii|)."""
+    exceeds HERMITIAN_CONSTRUCTION_TOL (1 + |a_ii|)."""
     diag = np.diagonal(a, axis1=-2, axis2=-1)
-    return np.abs(diag.imag) > HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.abs(diag))
+    return np.abs(diag.imag) > tolerances.HERMITIAN_CONSTRUCTION_TOL * (1.0 + np.abs(diag))
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -38,11 +38,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, certificates, linalg, sdp
+from . import _kernels, certificates, linalg, sdp, tolerances
 from .cones import SUBSET_BATCH, PolyhedralCone, _subsets
 from .linalg import SIGMA_X, SIGMA_Z
 from .pencil import (
-    BOUNDARY_TOL,
     LinearPencil,
     MatrixTuple,
     MembershipResult,
@@ -51,8 +50,7 @@ from .pencil import (
     membership,
 )
 
-SEPARATOR_SHIFT = 1e-8
-STRICTNESS_EPS = 1e-6
+STRICTNESS_EPS = 1e-6  # not a band: the default eps of the essential-boundary problem
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +59,7 @@ STRICTNESS_EPS = 1e-6
 
 
 def max_membership(
-    cone: PolyhedralCone, a: MatrixTuple, tol: float = BOUNDARY_TOL
+    cone: PolyhedralCone, a: MatrixTuple, tol: float = tolerances.BOUNDARY_TOL
 ) -> MembershipResult:
     """Membership of a tuple in the largest system of the cone.
 
@@ -140,7 +138,7 @@ def _separator(
         return None
     n = linalg.hermitian_part(-np.conj(y))
     check = certificates.check_separator(gens, unit, stack, n)
-    tiny = SEPARATOR_SHIFT * float(np.abs(n).max())
+    tiny = tolerances.SEPARATOR_SHIFT * float(np.abs(n).max())
     if check.details["margin"] < tiny:
         f = cone.facets.mean(axis=0)
         shift = tiny * (f / float(f @ unit))
@@ -166,11 +164,11 @@ def _affine_split(gens: np.ndarray, stack: np.ndarray, h: np.ndarray):
     min-norm weights P0 = pinv(G^T) A / scale and K an orthonormal basis
     (m x f) of ker G^T.  Returns (rows, scale, pinv(G^T), K, P0) with
     scale = max|A| (1 for A = 0).  Where rows = G h > 0 is not constant to
-    START_TOL, G is first rescaled to c_k / rows_k (else rows = 1), so that
-    K^T 1 = 0."""
+    CONSTANT_ROWS_TOL, G is first rescaled to c_k / rows_k (else rows = 1),
+    so that K^T 1 = 0."""
     m, d = gens.shape
     rows = gens @ h
-    rows = rows if np.ptp(rows) > sdp.START_TOL * rows.max() else np.ones(m)
+    rows = rows if np.ptp(rows) > tolerances.CONSTANT_ROWS_TOL * rows.max() else np.ones(m)
     u, sv, vt = np.linalg.svd(gens / rows[:, None])
     rank = int(np.sum(sv > sv.max(initial=0.0) * max(m, d) * np.finfo(float).eps))
     pinv_t = (u[:, :rank] / sv[:rank]) @ vt[:rank]
@@ -210,10 +208,10 @@ def _margin_weights(gens, stack, member, refute, split):
     rows, scale, pinv_t, kernel, p0 = split
     if len(gens) - kernel.shape[1] < gens.shape[1]:
         r = stack / scale - np.tensordot((gens / rows[:, None]).T, p0, axes=1)
-        if np.abs(r).max() > sdp.TOL:
+        if np.abs(r).max() > tolerances.TOL:
             return refute(r / np.vdot(r, stack).real), "unreachable part: no certificate passed"
     lam, vecs = np.linalg.eigh(p0)
-    band = sdp.TOL * float(np.abs(lam).max())
+    band = tolerances.TOL * float(np.abs(lam).max())
 
     def weights(w):
         """The answer for the weights of G for the split's weights ``w``."""
@@ -273,7 +271,7 @@ def _cone_lp(gens: np.ndarray, points: np.ndarray):
     sub = _subsets(m, d)
     g = gens[sub]
     hadamard = np.prod(np.linalg.norm(g, axis=2), axis=1)
-    live = np.abs(np.linalg.det(g)) > 1e-12 * hadamard
+    live = np.abs(np.linalg.det(g)) > tolerances.SUBSET_SINGULAR_TOL * hadamard
     if not live.any():
         return None
     sub, ginv = sub[live], np.linalg.inv(g[live])
@@ -285,7 +283,7 @@ def _cone_lp(gens: np.ndarray, points: np.ndarray):
     # column q as a normal: max_k c_k . y = min_k (gens @ G_S^(-1))[k, q] / w_q
     floor = (gens @ ginv).min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (w < 0) & (floor / w <= sdp.FARKAS_TOL)
+        ok = (w < 0) & (floor / w <= tolerances.FARKAS_TOL)
         size = np.where(ok, np.linalg.norm(ginv, axis=1) / np.abs(w), np.inf).reshape(s, -1)
         b, q = np.divmod(size.argmin(axis=1), d)
         normals = ginv[b, :, q] / w[rows, b, q][:, None]
@@ -303,13 +301,13 @@ def _commuting_weights(gens, stack, member, refute):
     (c_k . y <= 0, ell_j . y = 1), then Y_i = y_i u_j u_j*.
     """
     u, ell, offdiagonal = linalg.joint_eigenbasis(stack)
-    if offdiagonal > sdp.TOL * float(np.abs(stack).max()):
+    if offdiagonal > tolerances.TOL * float(np.abs(stack).max()):
         return None
     scored = _cone_lp(gens, ell)
     if scored is None:
         return None
     low, w, normals = scored
-    band = sdp.TOL * float(np.abs(w).max())
+    band = tolerances.TOL * float(np.abs(w).max())
     if low.min() >= -band:
         p = np.einsum("xj,jk,yj->kxy", u, np.maximum(w, 0.0), u.conj())
         return _offer(member, p)
@@ -332,14 +330,14 @@ def generator_weights(gens: np.ndarray, stack: np.ndarray, h: np.ndarray, member
     no maker accepted one.
 
     For m > d with at most SUBSET_BATCH d-subsets of generators, a stack
-    that commutes (every U* A_i U diagonal within sdp.TOL * max|A| in the
-    basis of `linalg.joint_eigenbasis`) is decided per joint eigenvector
+    that commutes (every U* A_i U diagonal within TOL * max|A| in the basis
+    of `linalg.joint_eigenbasis`) is decided per joint eigenvector
     (`_commuting_weights`).  Everything else is decided by the sign of the
     margin max_Z min_k lambda_min(P0_k + sum_j K[k,j] Z_j) over the affine
     set of weights (`_affine_split`, A normalised by max|A|, on the rows
     c_k / (c_k . h) when G h > 0 is not constant).  A part R = A - G^T P0
     that no weights reach is refuted by Y = R / <R, A>.  P0 with
-    lambda_min >= -band = -sdp.TOL * max|lambda(P0)| is offered as a
+    lambda_min >= -band = -TOL * max|lambda(P0)| is offered as a
     Member.  With no free part (G of full row rank, e.g. a simplex)
     X = vv* on the worst block of P0 decides in closed form.  Otherwise
     `_margin_problem` runs from its exactly feasible start, and each
@@ -456,8 +454,9 @@ def essential_boundary_square(
     P_3 = M_3 + S, P_4 = M_3 - S and Z_0 = M_3 - eps*I.
 
     Like any numerical feasibility test this decides up to the solver
-    tolerance `sdp.TOL`: component configurations whose exact system is
-    infeasible but within ~1e-8 of a feasible one can classify either way.
+    tolerance `tolerances.TOL`: component configurations whose exact
+    system is infeasible but within ~TOL of a feasible one can classify
+    either way.
     The No answer is always backed by a verified infeasibility certificate,
     and an InEssentialBoundary functional passes its certificate check.
     """
@@ -499,9 +498,10 @@ def _components(components: Sequence) -> np.ndarray:
     for k, c in enumerate(comps):
         if len(c) != s:
             raise ValueError(f"component {k} has size {len(c)}, expected {s}")
-        if np.linalg.norm(c) <= 1e-12:
+        if np.linalg.norm(c) <= tolerances.ZERO_COMPONENT_TOL:
             raise ValueError(f"component {k} is zero; inputs must be nonzero")
-        if not _kernels.eigh_kernel(c)[0][0] >= -1e-9 * (1.0 + float(np.linalg.norm(c))):
+        band = tolerances.COMPONENT_PSD_TOL * (1.0 + float(np.linalg.norm(c)))
+        if not _kernels.eigh_kernel(c)[0][0] >= -band:
             raise ValueError(f"component {k} is not positive semidefinite")
     return np.array(comps)
 
@@ -543,17 +543,18 @@ def _boundary_problem(comps: np.ndarray, eps: float) -> sdp.SdpProblem:
 def effros_winkler_separation(phi: SeparationFunctional, u) -> LinearPencil:
     """Separating pencil M_i = T^(-1/2) N_i T^(-1/2) with T = sum_i u_i N_i.
 
-    Requires T positive definite (margin > 1e-10).  The resulting pencil is
-    unit-normalised and its free spectrahedron contains every tuple on
-    which phi-type functionals of the source system are nonnegative, while
-    any tuple with phi(A) < 0 lies strictly outside at its level.
+    Requires T positive definite (margin > FUNCTIONAL_MARGIN_TOL).  The
+    resulting pencil is unit-normalised and its free spectrahedron contains
+    every tuple on which phi-type functionals of the source system are
+    nonnegative, while any tuple with phi(A) < 0 lies strictly outside at
+    its level.
     """
     u = np.asarray(u, dtype=float)
     n = np.asarray(phi.matrices)
     if len(u) != len(n):
         raise ValueError("unit length does not match the functional")
     t = sum(ui * m for ui, m in zip(u, n))
-    if _kernels.eigh_kernel(linalg.hermitian(t))[0][0] <= 1e-10:
+    if _kernels.eigh_kernel(linalg.hermitian(t))[0][0] <= tolerances.FUNCTIONAL_MARGIN_TOL:
         raise ValueError(
             "functional is not strictly positive at the unit (sum u_i N_i not PD)"
         )
@@ -574,10 +575,6 @@ def lambda1_block(m, n) -> float:
     return float(_kernels.eigh_kernel(linalg.hermitian(hn @ hn - hm))[0][-1])
 
 
-# Bisection stops once the bracket is this tight relative to the size of
-# (M, N), ||N||^2 + ||M||_F, which bounds |value|; never below the rounding
-# margin, where splitting can no longer tighten it.
-LAMBDA2_REL_TOL = 1e-12
 _LAMBDA2_MAX_ROUNDS = 200
 
 
@@ -637,7 +634,9 @@ def lambda2_products(m, n) -> Lambda2Result:
     # multiple of dim*eps times that
     scale = max(abs(lo), abs(hi)) ** 2 + float(np.linalg.norm(mmat))
     margin = 12.0 * len(mmat) * np.finfo(float).eps * scale
-    tol = max(LAMBDA2_REL_TOL * scale, margin)
+    # bisection stops at a bracket this tight, never below the rounding
+    # margin, where splitting can no longer tighten it
+    tol = max(tolerances.LAMBDA2_REL_TOL * scale, margin)
     t = np.array([lo, hi])
     gt = _kernels.quartic_grid_scan(mmat, nmat, t)
     ft = gt - t * t
@@ -750,10 +749,11 @@ def compression_obstruction_demo(
                 vs[0, i] = q[:, :2]
         x = np.einsum("tirc,ikc->tikr", vs, pvecs)
         norms = np.linalg.norm(x, axis=3)
-        degenerate += int(np.sum(np.any(norms < 1e-9, axis=(1, 2))))
+        degenerate += int(np.sum(np.any(norms < tolerances.DEGENERATE_NORM_TOL, axis=(1, 2))))
         for pair in ((0, 1), (2, 3)):
             g = np.abs(np.einsum("tir,tjr->tij", np.conj(x[:, :, pair[0]]), x[:, :, pair[1]]))
-            den = norms[:, :, pair[0]][:, :, None] * norms[:, :, pair[1]][:, None, :] + 1e-30
+            den = norms[:, :, pair[0]][:, :, None] * norms[:, :, pair[1]][:, None, :]
+            den = den + 1e-30  # division guard, not a band
             resid = (g / den).reshape(t, -1).max(axis=1)
             min_max_residual = min(min_max_residual, float(resid.min()))
         done += t
@@ -767,5 +767,5 @@ def compression_obstruction_demo(
         trials=trials,
         min_max_residual=min_max_residual,
         degenerate_trials=degenerate,
-        threshold=1e-3,
+        threshold=tolerances.COMPRESSION_RESIDUAL_LIMIT,
     )

@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, linalg
+from . import _kernels, linalg, tolerances
 from .cones import PolyhedralCone
 from .linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
-
-UNIT_DRIFT_TOL = 1e-8
-BOUNDARY_TOL = 1e-8
 
 
 # kind: (the key of its matrices in a document, the size key, the error for none)
@@ -96,8 +93,8 @@ class LinearPencil:
     """d Hermitian r x r matrices with order unit normalisation, held as the
     read-only (d, r, r) ``stack``.
 
-    A unit drift up to 1e-8 is corrected by congruence with T^(-1/2) where
-    T = sum_i u_i M_i; larger drift is rejected.  A drift within the
+    A unit drift up to UNIT_DRIFT_TOL is corrected by congruence with
+    T^(-1/2) where T = sum_i u_i M_i; larger drift is rejected.  A drift within the
     rounding level of that sum is left alone, so a pencil rebuilt from its
     own matrices (a JSON round trip) is unchanged.  Linear dependence of the
     matrices is reported as a warning (the level-1 cone is then not
@@ -113,7 +110,7 @@ class LinearPencil:
         # summed in this order, T decides bit for bit whether T^(-1/2) applies
         t = sum(ui * m for ui, m in zip(u, stack))
         drift = float(np.max(np.abs(t - np.eye(r))))
-        if drift > UNIT_DRIFT_TOL:
+        if drift > tolerances.UNIT_DRIFT_TOL:
             raise ValueError(
                 f"order unit violated: ||sum_i u_i M_i - I|| = {drift:.3e}"
             )
@@ -123,7 +120,8 @@ class LinearPencil:
             stack = linalg.hermitian(ti @ stack @ ti, 3)
 
         # the rank over R of the matrices as vectors of (Re, Im) pairs
-        if np.linalg.matrix_rank(stack.reshape(d, -1).view(np.float64), tol=1e-10) < d:
+        rows = stack.reshape(d, -1).view(np.float64)
+        if np.linalg.matrix_rank(rows, tol=tolerances.RANK_TOL) < d:
             warnings.warn(
                 "pencil matrices are linearly dependent; the level-1 cone is not salient",
                 stacklevel=2,
@@ -185,7 +183,9 @@ def classify_margin(margin: float, tol: float) -> Classification:
     return Classification.BOUNDARY
 
 
-def membership(p: LinearPencil, a: MatrixTuple, tol: float = BOUNDARY_TOL) -> MembershipResult:
+def membership(
+    p: LinearPencil, a: MatrixTuple, tol: float = tolerances.BOUNDARY_TOL
+) -> MembershipResult:
     """Classify a tuple against the pencil's level-s spectrahedron.
 
     The margin is the smallest eigenvalue of the pencil evaluation; the

@@ -74,7 +74,7 @@ def random_commuting_target(
     k = cone.n_facets
     rows = []
     for _ in range(t):
-        w = rng.random(k) + 1e-3
+        w = rng.random(k) + 1e-3  # not a band: keeps every sampled weight positive
         ell = w @ cone.facets
         rows.append(ell / float(ell @ cone.unit))
     mats = [np.diag([rows[j][i] for j in range(t)]) for i in range(cone.dim)]

@@ -49,6 +49,11 @@ a Farkas certificate: sum_i y_i A_i negative semidefinite (to
 NumericalFailure.  Its callers are the Choi-matrix relaxation of a
 non-diagonal source, `opsys.essential_boundary_square` and problems
 loaded from a dump.
+
+The bands (TOL, FARKAS_TOL, START_TOL, the row-rank and row-conflict
+tests of `_preprocess` and the primal test of `verify`) are constants of
+`tolerances`; the numbers written out in `_ipm` are its parameters and
+safeguards, which end a solve or keep it finite but decide no answer.
 """
 
 from __future__ import annotations
@@ -63,16 +68,12 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from . import _kernels
-from . import linalg
+from . import _kernels, linalg, tolerances
 from .linalg import hermitian_part
 
 logger = logging.getLogger("freespec.sdp")
 
-TOL = 1e-8
 MAX_ITER = 100
-FARKAS_TOL = 1e-7
-START_TOL = 1e-12
 
 
 class SdpStatus(enum.Enum):
@@ -249,14 +250,14 @@ def _preprocess(p: SdpProblem):
     Hermitian, so it is built unchecked), its row map ``(kept, scale)`` and
     the y of an inconsistent dependent row or None."""
     m = len(p.b)
-    scale = np.maximum(np.linalg.norm(p.flat, axis=1), 1e-12)
+    scale = np.maximum(np.linalg.norm(p.flat, axis=1), 1e-12)  # division guard for a zero row
     rows = p.flat / scale[:, None]
     b = p.b / scale
 
     # rank-revealing QR on the transposed row matrix
     _, r, piv = qr(rows.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > max(1e-12, 1e-10 * diag[0])))
+    rank = int(np.sum(diag > max(tolerances.ROW_RANK_FLOOR, tolerances.ROW_RANK_TOL * diag[0])))
     kept = np.sort(piv[:rank])
     dropped = np.setdiff1d(np.arange(m), kept)
     conflict_y = None
@@ -264,7 +265,7 @@ def _preprocess(p: SdpProblem):
         combo, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
         pred = combo.T @ b[kept]
         gaps = np.abs(pred - b[dropped])
-        bad = gaps > 1e-7 * (1.0 + np.abs(b[dropped]))
+        bad = gaps > tolerances.ROW_CONFLICT_TOL * (1.0 + np.abs(b[dropped]))
         if np.any(bad):
             j = int(np.argmax(gaps))
             y = np.zeros(m)
@@ -317,7 +318,7 @@ def _floored(w: np.ndarray) -> np.ndarray:
     positive is floored at 1e-14 * max(1, its largest)."""
     lost = w[:, 0] <= 0
     if lost.any():
-        w[lost] = np.maximum(w[lost], 1e-14 * np.maximum(1.0, w[lost, -1:]))
+        w[lost] = np.maximum(w[lost], 1e-14 * np.maximum(1.0, w[lost, -1:]))  # IPM safeguard: finite scaling
     return w
 
 
@@ -357,7 +358,7 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
         s = q.cg - q._adjoint(y)
         gap = float(np.abs(b - q._apply(x)).max()) / norm_b
         low = np.linalg.eigvalsh(np.concatenate((x, s)))[:, 0].min()
-        if gap > START_TOL or not low > 0:
+        if gap > tolerances.START_TOL or not low > 0:
             raise ValueError(f"start not feasible and interior: gap {gap:.2e}, min eig {low:.2e}")
     else:
         eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
@@ -395,7 +396,7 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
             if answer is not None:
                 return _IpmResult(x, y, done, answer=answer)
 
-        if ep <= TOL and ed <= TOL and min(eg, compl) <= TOL:
+        if ep <= tolerances.TOL and ed <= tolerances.TOL and min(eg, compl) <= tolerances.TOL:
             return _IpmResult(x, y, done)
 
         g, lam = _nt_scaling(x, s)
@@ -406,7 +407,7 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
         if not (np.isfinite(schur).all() and np.isfinite(base).all()):
             msg = "iterates diverged"
             break
-        jitter = 1e-13 * max(1.0, float(schur.diagonal().max()))
+        jitter = 1e-13 * max(1.0, float(schur.diagonal().max()))  # IPM parameter: Schur regularisation
         for _ in range(12):
             cf = _cholesky(schur + jitter * jitter_eye)
             if cf is not None:
@@ -428,7 +429,7 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
             """The primal and dual step lengths, ``frac`` of the way to the
             boundary of the cone and at most 1, from the smallest eigenvalue
             ``low`` of each scaled direction over root."""
-            return [min(1.0, frac * (1.0 / max(-low, 1e-14))) for low in lows]
+            return [min(1.0, frac * (1.0 / max(-low, 1e-14))) for low in lows]  # division guard
 
         # predictor: R = -X, scaled to -diag(lam).  With D = G* dS G the
         # scaled directions are -diag(lam) - D and D, so both step lengths
@@ -440,7 +441,7 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
         lam_d = np.vdot(lam, d.diagonal(axis1=1, axis2=2).real)
         mu_aff = ((1.0 - ap_a) * np.vdot(lam, lam) + ((1.0 - ap_a) * ad_a - ap_a) * lam_d
                   - ap_a * ad_a * _inner(d, d))
-        sigma = min(1.0, max(1e-8, (max(mu_aff / ndim, 0.0) / mu) ** 3))
+        sigma = min(1.0, max(1e-8, (max(mu_aff / ndim, 0.0) / mu) ** 3))  # IPM parameter: least centring
 
         # corrector: R = G U G*, with U = D + 2 (sigma mu I - diag(lam)^2 + D^2)
         # / (lam_i + lam_j) its scaled form, so that its scaled directions
@@ -450,10 +451,10 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
         rc = hermitian_part(g @ u @ _ct(g))
 
         dy, ds, d = direction(base - q._apply(rc))
-        gamma = 0.99 if mu < 1e-6 else 0.98
+        gamma = 0.99 if mu < 1e-6 else 0.98  # IPM parameter: step fractions
         ap, ad = steps(np.linalg.eigvalsh(np.stack([u - d, d]) / root)[:, :, 0].min(axis=1), gamma)
 
-        if ap < 1e-10 and ad < 1e-10:
+        if ap < 1e-10 and ad < 1e-10:  # IPM parameter: a stuck solve answers nothing
             msg = "step lengths vanished"
             break
 
@@ -461,7 +462,7 @@ def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
         y = y + ad * dy
         s = s + ad * ds
 
-        if mu > 0.9 * prev_mu and ep < 1e-12 and ed < 1e-12:
+        if mu > 0.9 * prev_mu and ep < 1e-12 and ed < 1e-12:  # IPM parameter: stall test
             stall += 1
             if stall > 15:
                 msg = "progress stalled"
@@ -490,7 +491,7 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
         return None
     y = y / gap
     lam_max = _lambda_max(p, y)
-    if lam_max > FARKAS_TOL:
+    if lam_max > tolerances.FARKAS_TOL:
         return None
     y.flags.writeable = False
     return FarkasCertificate(y=y, gap=1.0, lambda_max=lam_max)
@@ -570,11 +571,11 @@ def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows) -> SdpOutcome:
             z = dpotrs(gram, q.b - q._apply(x), lower=1)[0]
             x = x + q._adjoint(z)
         lam = np.linalg.eigvalsh(x)
-        if lam[:, 0].min() >= -TOL * np.abs(lam).max():
+        if lam[:, 0].min() >= -tolerances.TOL * np.abs(lam).max():
             primal = tuple(linalg.hermitian(scale * x, 3))
             return dict(status=SdpStatus.FEASIBLE, primal=primal)
         cert = _farkas_from_y(p, _expand_y(rows, y, len(p.b)))
-        if cert is not None and cert.lambda_max <= 0.1 * FARKAS_TOL:
+        if cert is not None and cert.lambda_max <= 0.1 * tolerances.FARKAS_TOL:
             return dict(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
         return None
 
@@ -600,7 +601,8 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
         gaps = np.abs(p._apply(x) - p.b)
         max_res = float(np.max(gaps, initial=0.0))
         scale = 1.0 + max(float(np.linalg.norm(xb)) for xb in outcome.primal)
-        ok = psd_margin >= -1e-7 * scale and max_res <= 1e-6
+        ok = (psd_margin >= -tolerances.PRIMAL_PSD_TOL * scale
+              and max_res <= tolerances.ACCEPT_RESIDUAL)
         return SdpVerifyReport(
             ok=ok,
             max_residual=max(max_res, max(0.0, -psd_margin)),
@@ -614,7 +616,7 @@ def verify(outcome: SdpOutcome, p: SdpProblem) -> SdpVerifyReport:
             return SdpVerifyReport(ok=False, max_residual=np.inf, notes="missing certificate")
         gap = float(cert.y @ p.b)
         lam_max = _lambda_max(p, cert.y)
-        ok = gap > 0.0 and lam_max <= FARKAS_TOL * gap
+        ok = gap > 0.0 and lam_max <= tolerances.FARKAS_TOL * gap
         return SdpVerifyReport(
             ok=ok,
             max_residual=max(0.0, lam_max) / gap if gap > 0 else np.inf,

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from freespec import certificates, cones, linalg, sampling
+from freespec import certificates, cones, linalg, sampling, tolerances
 from freespec.containment import RelaxationStatus, relaxation
 from freespec.linalg import HermitianMatrix
 from freespec.opsys import MinMembershipStatus, min_membership
@@ -79,7 +79,7 @@ def test_cancelled_farkas_gap_is_rejected():
     doc = json.loads(path.read_text())
     check = certificates.verify_certificate(doc)
     assert not check.ok
-    assert 0 < check.details["gap"] < certificates.FARKAS_GAP_LIMIT * check.details["size"]
+    assert 0 < check.details["gap"] < tolerances.FARKAS_GAP_LIMIT * check.details["size"]
     y = np.array([linalg.matrix_from_json(m) for m in doc["y_matrices"]])
     n = pencil_from_json(doc["tgt"]).stack
     size = np.linalg.norm(y, axis=(1, 2)) @ np.linalg.norm(n, axis=(1, 2))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import cones, sampling
+from freespec import cones, sampling, tolerances
 from freespec.cones import (
     ConeConstructionError,
     PolyhedralCone,
@@ -162,7 +162,7 @@ class TestRaysEqual:
         # the shift is orthogonal to the first ray, so its unit vector moves
         # by factor * GEOM_TOL in one coordinate
         moved = self.RAYS.copy()
-        moved[0, 0] = factor * cones.GEOM_TOL
+        moved[0, 0] = factor * tolerances.GEOM_TOL
         assert rays_equal(self.RAYS, moved[::-1]) is equal
         assert rays_equal(moved, self.RAYS) is equal
 
@@ -367,7 +367,7 @@ class TestJson:
 def _reference_null_vector(rows):
     d = rows.shape[1]
     _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > cones.GEOM_TOL * max(1.0, sv[0] if len(sv) else 1.0)))
+    rank = int(np.sum(sv > tolerances.GEOM_TOL * max(1.0, sv[0] if len(sv) else 1.0)))
     return vt[-1] if rank == d - 1 else None
 
 
@@ -388,9 +388,9 @@ def _reference_facets(g, u):
         if n is None:
             continue
         vals = g @ n
-        if float(vals.min()) >= -cones.GEOM_TOL * scale:
+        if float(vals.min()) >= -tolerances.GEOM_TOL * scale:
             cands.append(n)
-        elif float(vals.max()) <= cones.GEOM_TOL * scale:
+        elif float(vals.max()) <= tolerances.GEOM_TOL * scale:
             cands.append(-n)
     cands = _reference_dedupe(cands)
     cands = cands * np.sign(cands @ u)[:, None]
@@ -407,11 +407,11 @@ def _reference_rays(f, u):
         if r is None:
             continue
         vals = f @ r
-        if np.all(vals >= -cones.GEOM_TOL * scale):
+        if np.all(vals >= -tolerances.GEOM_TOL * scale):
             rays.append(r)
-        elif np.all(-vals >= -cones.GEOM_TOL * scale):
+        elif np.all(-vals >= -tolerances.GEOM_TOL * scale):
             rays.append(-r)
-    rays = [r / np.linalg.norm(r) for r in rays if np.linalg.norm(r) > cones.GEOM_TOL]
+    rays = [r / np.linalg.norm(r) for r in rays if np.linalg.norm(r) > tolerances.GEOM_TOL]
     kept = []
     for r in rays:
         tight = f[np.abs(f @ r) <= 1e-8]

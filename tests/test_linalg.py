@@ -43,6 +43,15 @@ class TestHermitianMatrix:
         rest = ([0, 1, 1], [1, 0, 1])
         assert h[rest].tobytes() == ref[rest].tobytes()
 
+    def test_error_names_the_first_failing_matrix_and_its_asymmetry(self):
+        # matrix 0 fails (tolerance ~2.4e-12); matrix 1 drifts by 1e-3 but
+        # passes its tolerance of ~1e-2, so the error must not quote it
+        stack = [[[0, 1], [1 + 1e-9, 0]], [[1e10, 1], [1.001, 0]]]
+        with pytest.raises(ValueError) as exc:
+            linalg.hermitian(stack, 3, "entries")
+        assert str(exc.value) == "entries: matrix 0 is not Hermitian (asymmetry 1.000e-09)"
+        linalg.hermitian(stack[1:], 3)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             HermitianMatrix(np.zeros((2, 3)))
