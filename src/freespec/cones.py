@@ -45,10 +45,15 @@ def _supporting_normals(rows: np.ndarray) -> np.ndarray:
     return n[side != 0] * side[side != 0, None]
 
 
-def _dedupe_rows(rows: np.ndarray, tol: float = tolerances.DUPLICATE_TOL) -> np.ndarray:
-    """The rows not within ``tol`` (max-abs) of an earlier row."""
+def _distinct(rows: np.ndarray, tol: float = tolerances.DUPLICATE_TOL) -> np.ndarray:
+    """Mask of the rows not within ``tol`` (max-abs) of an earlier row."""
     close = np.abs(rows[:, None] - rows[None]).max(axis=2) <= tol
-    return rows[~np.triu(close, 1).any(axis=0)]
+    return ~np.triu(close, 1).any(axis=0)
+
+
+def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows not within DUPLICATE_TOL (max-abs) of an earlier row."""
+    return rows[_distinct(rows)]
 
 
 def _tight_rank(rows: np.ndarray, tight: np.ndarray) -> np.ndarray:
@@ -375,21 +380,28 @@ def max_volume_inscribed_simplex(cone: PolyhedralCone, h_normal) -> MaxVolumeSim
     )
 
 
-def _sandwich_candidates(sec: Section) -> np.ndarray:
+def _sandwich_candidates(sec: Section) -> tuple[np.ndarray, np.ndarray]:
     """Candidate simplex vertex pool: section vertices, facet barycenters,
-    pairwise midpoints and the centre.  Every pool point is a convex
-    combination of section vertices, so every pool simplex lies in C; the
-    pool only affects how large a factor the search can certify."""
+    pairwise midpoints and the centre, with duplicates to GEOM_TOL dropped;
+    and beside it the mixing rows, one per pool point p: p is the convex
+    combination mix[p] @ sec.vertices, mix[p] >= 0 summing to 1.  So every
+    pool simplex lies in C, and the pool only affects how large a factor
+    the search can certify."""
     verts = sec.vertices
-    pool = [verts]
+    eye = np.eye(len(verts))
+    pool, mix = [verts], [eye]
     scale = 1.0 + float(np.max(np.abs(verts)))
     for row in sec.facet_rows:
-        tight = verts[np.abs(1.0 + verts @ row) <= tolerances.INCIDENCE_TOL * scale]
-        if len(tight):
-            pool.append(tight.mean(axis=0, keepdims=True))
+        tight = np.abs(1.0 + verts @ row) <= tolerances.INCIDENCE_TOL * scale
+        if tight.any():
+            pool.append(verts[tight].mean(axis=0, keepdims=True))
+            mix.append(tight[None] / tight.sum())
     pairs = _subsets(len(verts), 2)
     pool += [(verts[pairs[:, 0]] + verts[pairs[:, 1]]) / 2.0, verts.mean(axis=0, keepdims=True)]
-    return _dedupe_rows(np.concatenate(pool), tol=tolerances.GEOM_TOL)
+    mix += [(eye[pairs[:, 0]] + eye[pairs[:, 1]]) / 2.0, np.full((1, len(verts)), 1.0 / len(verts))]
+    pool = np.concatenate(pool)
+    keep = _distinct(pool, tol=tolerances.GEOM_TOL)
+    return pool[keep], np.concatenate(mix)[keep]
 
 
 def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
@@ -418,27 +430,32 @@ def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
 
 def best_sandwich_simplex(
     cone: PolyhedralCone, h_normal
-) -> tuple[float, Optional[SimplexCone]]:
+) -> tuple[float, Optional[SimplexCone], Optional[np.ndarray]]:
     """The pool simplex S ⊆ C admitting the largest factor nu*(S) with
-    nu*C ⊆ S (sections about u), and that factor.
+    nu*C ⊆ S (sections about u), that factor, and the nonnegative (d, m)
+    combination L of the cone's generators G with S's rays equal to L @ G
+    up to rounding.
 
     Every d-subset of the candidate pool is scored in closed form by
     _sandwich_factors, in batches that bound the memory; ties in nu* go to
-    the larger simplex.  Returns (0.0, None) when no pool simplex contains
-    u in its interior.
+    the larger simplex.  A ray of S is the ambient point of a pool point,
+    sum_j mix_j g_j / (g_j . n) for its mixing row (`_sandwich_candidates`)
+    and the section normal n, so L is the mixing rows over G @ n.  Returns
+    (0.0, None, None) when no pool simplex contains u in its interior.
     """
     sec = section_of(cone, h_normal)
-    pool = _sandwich_candidates(sec)
+    pool, mix = _sandwich_candidates(sec)
     subsets = _subsets(len(pool), cone.dim)
     batches = np.array_split(subsets, 1 + len(subsets) // SUBSET_BATCH)
     scored = [_sandwich_factors(pool[b], sec.vertices) for b in batches]
     nus, vols = map(np.concatenate, zip(*scored))
     best = float(nus.max())
     if best <= 0.0:
-        return 0.0, None
+        return 0.0, None, None
     k = int(np.argmax(np.where(nus >= best - tolerances.NU_TIE_TOL, vols, 0.0)))
     rays = np.array([sec.to_ambient(y) for y in pool[subsets[k]]])
-    return float(nus[k]), SimplexCone(rays, cone.unit)
+    combination = mix[subsets[k]] / (cone.generators @ sec.normal)
+    return float(nus[k]), SimplexCone(rays, cone.unit), combination
 
 
 def find_sandwich_simplex(
@@ -451,7 +468,7 @@ def find_sandwich_simplex(
     """
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
-    best_nu, simplex = best_sandwich_simplex(cone, h_normal)
+    best_nu, simplex, _ = best_sandwich_simplex(cone, h_normal)
     return simplex if best_nu >= nu - tolerances.GEOM_TOL else None
 
 

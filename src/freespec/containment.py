@@ -55,6 +55,7 @@ from .pencil import (
     Classification,
     LinearPencil,
     MatrixTuple,
+    classify_margin,
     diagonal_pencil,
     elliptic_cone_pencil,
     evaluate,
@@ -463,12 +464,15 @@ def scaled_max_in_min(cone: PolyhedralCone, nu: float, a: MatrixTuple):
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
     _require_unit_ed(cone, "coordinate convention")
-    source = max_membership(cone, a)
-    if source.classification is Classification.OUTSIDE:
-        raise ValueError(
-            f"tuple is outside the largest system (margin {source.margin:.3e})"
-        )
+    _require_in_max(max_membership(cone, a).margin)
     return min_membership(cone, scaled_tuple(a, nu))
+
+
+def _require_in_max(margin: float) -> None:
+    """A ValueError unless the largest-system ``margin`` of a tuple
+    classifies Inside or Boundary at BOUNDARY_TOL."""
+    if classify_margin(margin, tolerances.BOUNDARY_TOL) is Classification.OUTSIDE:
+        raise ValueError(f"tuple is outside the largest system (margin {margin:.3e})")
 
 
 @dataclass(frozen=True)
@@ -495,17 +499,30 @@ def scaling_bound(
     exact best factor nu with nu*C ⊆ S ⊆ C over the sandwich-simplex
     candidate pool (best_sandwich_simplex, in closed form: no bisection and
     no resolution), and certificate is that simplex S.  It is 1 for a
-    simplex cone, sound, and may fall short of the theoretical bounds,
-    which can instead be spot-checked by level-2 sampling through
-    scaled_max_in_min when the unit is e_d.
+    simplex cone, sound, and may fall short of the theoretical bounds.
+
+    ``verify_samples`` > 0 spot-checks both bounds on that many level-2
+    tuples each (`random_max_tuple`, from ``seed``), which needs the unit to
+    be e_d; the samples of a factor are decided as one stack through S
+    (`_sampling_verification`).  A negative ``verify_samples`` is a
+    ValueError, and so is a unit other than e_d when sampling, both raised
+    before the sandwich search.
     """
+    if verify_samples < 0:
+        raise ValueError(
+            f"the number of level-2 samples must be nonnegative, got {verify_samples}"
+        )
+    if verify_samples > 0:
+        _require_unit_ed(cone, "level-2 sampling")
     d = cone.dim
     nu_general = 1.0 / (d + 1)
     nu_symmetric = 1.0 / (d - 1) if is_centrally_symmetric(cone, h_normal) else None
-    report_nu, cert = best_sandwich_simplex(cone, h_normal)
+    report_nu, cert, combination = best_sandwich_simplex(cone, h_normal)
     sampling = None
     if verify_samples > 0:
-        sampling = _sampling_verification(cone, nu_general, nu_symmetric, verify_samples, seed)
+        sampling = _sampling_verification(
+            cone, combination, (nu_general, nu_symmetric), verify_samples, seed
+        )
     return ScalingReport(
         nu_general=nu_general,
         nu_symmetric=nu_symmetric,
@@ -538,18 +555,43 @@ def random_max_tuple(
     return MatrixTuple(np.concatenate([head, t * np.eye(s)[None]]))
 
 
-def _sampling_verification(cone, nu_general, nu_symmetric, samples, seed) -> dict:
+def _sampling_verification(cone, combination, factors, samples, seed) -> dict:
+    """Members among ``samples`` level-2 tuples per factor nu of
+    ``factors`` = (nu_general, nu_symmetric), the latter None to skip.
+
+    The tuples A of a factor are drawn first, in one RNG stream from
+    ``seed``, and must lie in the largest system (`_require_in_max`, as in
+    `scaled_max_in_min`).  Each scaled tuple B is then decided through the
+    sandwich simplex S with rays R = L @ G, L = ``combination``: its
+    weights on S are P = R^(-T) B, PSD exactly when B is in max(S) = min(S),
+    and W = L^T P are weights on C's generators G, PSD whenever P is.  Both
+    maps are one (d, m) matrix, R^(-1) L, applied to the whole stack.  A
+    sample counts as Member when W passes `certificates.check_min_member`;
+    the others, and every sample when there is no S, go to
+    `scaled_max_in_min`.
+    """
     rng = np.random.default_rng(seed)
+    gens = cone.generators
+    if combination is not None:
+        to_weights = np.linalg.solve(combination @ gens, combination)
     out = {}
-    for label, nu in (("nu_general", nu_general), ("nu_symmetric", nu_symmetric)):
+    for label, nu in zip(("nu_general", "nu_symmetric"), factors):
         if nu is None:
             continue
-        good = 0
-        for _ in range(samples):
-            a = random_max_tuple(cone, 2, rng)
-            res = scaled_max_in_min(cone, nu, a)
-            if res.status is MinMembershipStatus.MEMBER:
-                good += 1
+        draws = [random_max_tuple(cone, 2, rng) for _ in range(samples)]
+        a = np.array([t.stack for t in draws])
+        margins = np.linalg.eigvalsh(np.einsum("ki,nixy->nkxy", cone.facets, a))[..., 0]
+        for margin in margins.min(axis=1):
+            _require_in_max(float(margin))
+        b = np.concatenate([nu * a[:, :-1], a[:, -1:]], axis=1)
+        closed = [False] * samples
+        if combination is not None:
+            w = np.einsum("ij,nixy->njxy", to_weights, b)
+            closed = [certificates.check_min_member(gens, bn, wn).ok for bn, wn in zip(b, w)]
+        good = sum(
+            ok or scaled_max_in_min(cone, nu, t).status is MinMembershipStatus.MEMBER
+            for ok, t in zip(closed, draws)
+        )
         out[label] = {"nu": nu, "samples": samples, "members": good}
     return out
 

@@ -222,6 +222,27 @@ class TestScalingBound:
         assert "nu_general = 0.25" in out
         assert "nu_symmetric = 0.5" in out
 
+    def test_negative_samples_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "scaling-bound", "--cone", "square", "--samples", "-3")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: the number of level-2 samples must be nonnegative, got -3\n"
+
+    def test_sampling_needs_the_unit_e_d(self, capsys, tmp_path):
+        path = tmp_path / "tilted.json"
+        cones.save_cone(cones.PolyhedralCone(cones.SQUARE_RAYS, [0.0, 0.1, 1.0]), path)
+        assert run(capsys, "scaling-bound", "--cone", str(path))[0] == EXIT_OK
+        code, out, err = run(capsys, "scaling-bound", "--cone", str(path), "--samples", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: level-2 sampling requires the unit to be e_d\n"
+
+    def test_samples_all_members_on_the_square(self, capsys):
+        code, out, _ = run(capsys, "scaling-bound", "--cone", "square", "--samples", "20",
+                           "--output", "json")
+        assert code == EXIT_OK
+        sampling = json.loads(out)["result"]["sampling"]
+        for label in ("nu_general", "nu_symmetric"):
+            assert sampling[label]["members"] == sampling[label]["samples"] == 20
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

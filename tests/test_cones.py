@@ -311,7 +311,7 @@ class TestSandwichSimplex:
         # reference: every pool triangle, its edges' half-planes by hand
         cone = make()
         sec = section_of(cone, H)
-        pool = cones._sandwich_candidates(sec)
+        pool, _ = cones._sandwich_candidates(sec)
         best = 0.0
         for tri in itertools.combinations(pool, 3):
             if abs(np.linalg.det(np.array([tri[1] - tri[0], tri[2] - tri[0]]))) <= 1e-9:
@@ -325,7 +325,7 @@ class TestSandwichSimplex:
                     if n @ z < 0:
                         nu = min(nu, max(0.0, -(n @ a)) / -(n @ z))
             best = max(best, nu)
-        got, simplex = cones.best_sandwich_simplex(cone, H)
+        got, simplex, _ = cones.best_sandwich_simplex(cone, H)
         assert got == pytest.approx(best, abs=1e-12)
         self._check_certificate(cone, got, simplex)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import certificates, cones, containment, linalg, sampling
+from freespec import certificates, cones, containment, linalg, sampling, tolerances
 from freespec.containment import (
     RelaxationStatus,
     ball_pencil,
@@ -975,6 +975,127 @@ class TestScalingBound:
         nu = rep.certified_nu
         assert find_sandwich_simplex(cone, nu, normal) is not None
         assert find_sandwich_simplex(cone, min(1.0, nu + 1e-6), normal) is None
+
+    def test_negative_samples_rejected_before_the_search(self, monkeypatch):
+        monkeypatch.setattr(containment, "best_sandwich_simplex", _no_search)
+        with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
+            scaling_bound(square_cone(), [0, 0, 1], verify_samples=-3)
+
+    def test_sampling_unit_checked_before_the_search(self, monkeypatch):
+        cone = PolyhedralCone(cones.SQUARE_RAYS, np.array([0.0, 0.1, 1.0]))
+        assert scaling_bound(cone, cone.facets.mean(axis=0)).certificate is not None
+        monkeypatch.setattr(containment, "best_sandwich_simplex", _no_search)
+        with pytest.raises(ValueError, match="^level-2 sampling requires the unit to be e_d$"):
+            scaling_bound(cone, cone.facets.mean(axis=0), verify_samples=2)
+
+
+def _no_search(cone, h_normal):
+    raise AssertionError("the sandwich search ran")
+
+
+def _triangle():
+    # rays of unequal height above the section, so L is not the mixing alone
+    return PolyhedralCone.from_generators(
+        np.array([[2.0, 0.0, 2.0], [-1.0, -1.0, 1.0], [0.0, 3.0, 3.0]]),
+        unit=np.array([0.0, 0.0, 1.0]),
+    )
+
+
+def _uneven_pentagon():
+    cone = _regular_polygon(5)
+    rays = cone.generators * np.arange(1.0, 6.0)[:, None]
+    return PolyhedralCone.from_generators(rays, unit=cone.unit)
+
+
+class TestSandwichSampling:
+    """The stacked decision of `_sampling_verification` through the
+    sandwich simplex, against one `scaled_max_in_min` per sample over the
+    same draws."""
+
+    SAMPLES = 12
+    SEED = 29
+    H = [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "make, nu, falls_back",
+        [
+            (square_cone, 0.25, False),
+            (square_cone, 0.5, True),  # above the square's nu* = 1/3
+            (_uneven_pentagon, 0.25, False),
+            (lambda: _regular_polygon(6), 0.25, False),
+            (lambda: _regular_polygon(6), 0.5, False),  # nu* = 1/2 up to rounding
+            (_triangle, 0.25, False),
+        ],
+        ids=["square-1/4", "square-1/2", "pentagon-1/4", "hexagon-1/4", "hexagon-1/2",
+             "simplex-1/4"],
+    )
+    def test_matches_per_sample_decisions(self, monkeypatch, make, nu, falls_back):
+        cone = make()
+        _, simplex, combination = cones.best_sandwich_simplex(cone, self.H)
+        assert np.all(combination >= 0.0)
+        rays = combination @ cone.generators
+        assert np.max(np.abs(rays - simplex.generators)) <= tolerances.GEOM_TOL
+
+        rng = np.random.default_rng(self.SEED)
+        want = sum(
+            scaled_max_in_min(cone, nu, containment.random_max_tuple(cone, 2, rng)).status
+            is MinMembershipStatus.MEMBER
+            for _ in range(self.SAMPLES)
+        )
+
+        # checks made outside the fallback are the closed-form ones
+        closed, fallback, in_fallback = [], [], [False]
+        check_min_member = certificates.check_min_member
+        per_sample = containment.scaled_max_in_min
+
+        def check(gens, stack, weights):
+            res = check_min_member(gens, stack, weights)
+            if not in_fallback[0]:
+                closed.append(res.ok)
+            return res
+
+        def decide(cone, nu, a):
+            in_fallback[0] = True
+            res = per_sample(cone, nu, a)
+            in_fallback[0] = False
+            fallback.append(res.status is MinMembershipStatus.MEMBER)
+            return res
+
+        monkeypatch.setattr(certificates, "check_min_member", check)
+        monkeypatch.setattr(containment, "scaled_max_in_min", decide)
+        got = containment._sampling_verification(
+            cone, combination, (nu, None), self.SAMPLES, self.SEED
+        )["nu_general"]
+        assert got == {"nu": nu, "samples": self.SAMPLES, "members": want}
+        assert len(closed) == self.SAMPLES
+        assert len(fallback) == closed.count(False)
+        assert want == closed.count(True) + fallback.count(True)
+        assert bool(fallback) is falls_back
+
+    @pytest.mark.parametrize("make", [square_cone, _uneven_pentagon, _triangle])
+    def test_mixing_rows_are_convex(self, make):
+        sec = cones.section_of(make(), self.H)
+        pool, mix = cones._sandwich_candidates(sec)
+        assert mix.shape == (len(pool), len(sec.vertices))
+        assert np.all(mix >= 0.0)
+        assert np.max(np.abs(mix.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(mix @ sec.vertices - pool)) <= tolerances.GEOM_TOL
+
+    def test_no_simplex_decides_every_sample_per_tuple(self):
+        sq, rng = square_cone(), np.random.default_rng(self.SEED)
+        want = sum(
+            scaled_max_in_min(sq, 0.25, containment.random_max_tuple(sq, 2, rng)).status
+            is MinMembershipStatus.MEMBER
+            for _ in range(3)
+        )
+        got = containment._sampling_verification(sq, None, (0.25, None), 3, self.SEED)
+        assert got["nu_general"]["members"] == want == 3
+
+    def test_outside_draw_is_rejected(self, monkeypatch):
+        outside = MatrixTuple.of(3 * SIGMA_Z, np.zeros((2, 2)), np.eye(2))
+        monkeypatch.setattr(containment, "random_max_tuple", lambda cone, s, rng: outside)
+        with pytest.raises(ValueError, match="outside the largest system"):
+            containment._sampling_verification(square_cone(), None, (0.25, None), 2, 0)
 
 
 class TestEntangledExample:
