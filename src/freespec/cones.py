@@ -16,7 +16,6 @@ RANK_TOL, INCIDENCE_TOL, ...) are constants of `tolerances`.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -180,9 +179,6 @@ class PolyhedralCone:
     def n_facets(self) -> int:
         return self.facets.shape[0]
 
-    def facet_values(self, x) -> np.ndarray:
-        return self.facets @ np.asarray(x, dtype=float)
-
     def __repr__(self) -> str:
         return (
             f"PolyhedralCone(dim={self.dim}, generators={self.n_generators}, "
@@ -307,16 +303,6 @@ def section_of(cone: PolyhedralCone, h_normal) -> Section:
     return Section(cone, *section_rows(cone.generators, cone.unit, cone.facets, h_normal))
 
 
-def scaled_cone(cone: PolyhedralCone, nu: float, h_normal) -> PolyhedralCone:
-    """Shrink the section C ∩ (u + H) by factor nu about u and re-cone."""
-    if not (0.0 < nu <= 1.0):
-        raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
-    sec = section_of(cone, h_normal)
-    pts = cone.generators / (cone.generators @ sec.normal)[:, None]
-    new_gens = cone.unit + nu * (pts - cone.unit)
-    return PolyhedralCone(new_gens, cone.unit)
-
-
 def is_centrally_symmetric(cone: PolyhedralCone, h_normal) -> bool:
     """True iff the section vertex set is invariant under y -> -y about u."""
     sec = section_of(cone, h_normal)
@@ -342,42 +328,6 @@ def _subsets(n: int, d: int) -> np.ndarray:
     """All d-subsets of range(n), one per row, in lexicographic order."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), d))
     return np.fromiter(flat, dtype=np.intp).reshape(math.comb(n, d), d)
-
-
-@dataclass(frozen=True)
-class MaxVolumeSimplex:
-    simplex: SimplexCone
-    vertex_indices: tuple[int, ...]
-    volume: float
-    section_barycenter: np.ndarray
-    barycenter: np.ndarray  # ambient point on u + H
-
-
-def max_volume_inscribed_simplex(cone: PolyhedralCone, h_normal) -> MaxVolumeSimplex:
-    """Largest-volume simplex with vertices at section vertices.
-
-    Exhaustive over vertex subsets; a maximum-volume inscribed simplex in a
-    polytope can always be chosen with vertices at polytope vertices, so the
-    search is exact for the section polytope.
-    """
-    sec = section_of(cone, h_normal)
-    verts = sec.vertices
-    subsets = _subsets(len(verts), cone.dim)
-    vols = _simplex_volumes(verts[subsets])
-    k = int(np.argmax(vols >= vols.max() - 1e-15))  # first maximum up to rounding
-    if vols[k] <= tolerances.GEOM_TOL:
-        raise ValueError("section vertices are affinely degenerate")
-    pts = verts[subsets[k]]
-    bary = pts.mean(axis=0)
-    rays = np.array([sec.to_ambient(y) for y in pts])
-    simplex = SimplexCone(rays, sec.to_ambient(bary))
-    return MaxVolumeSimplex(
-        simplex=simplex,
-        vertex_indices=tuple(int(i) for i in subsets[k]),
-        volume=float(vols[k]),
-        section_barycenter=bary,
-        barycenter=sec.to_ambient(bary),
-    )
 
 
 def _sandwich_candidates(sec: Section) -> tuple[np.ndarray, np.ndarray]:
@@ -517,8 +467,3 @@ def cone_from_json(obj: dict) -> PolyhedralCone:
     if not rays_equal(facets, cone.facets):
         raise ValueError("facets: not all the facets of the cone the generators span")
     return PolyhedralCone(gens, unit, facets=facets)
-
-
-def save_cone(cone: PolyhedralCone, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cone_to_json(cone), fh, indent=1, sort_keys=True)

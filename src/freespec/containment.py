@@ -315,9 +315,12 @@ def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
     return l / float(src.facets.mean(axis=0) @ l[:, 2])
 
 
-def _square_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, float]]:
-    """`square_type_witness` with its margin in the source's largest
-    system, from the one `max_membership` call that checks it."""
+def square_type_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, float]]:
+    """Push the square's level-2 witness through the linear map of
+    `_quad_map_from_square` onto a quadrilateral source cone: the witness
+    and its margin in the source's largest system, from the one
+    `max_membership` call that checks it; None when the source is not a
+    quadrilateral or the image fails that check."""
     base = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
     if (
         src.dim == 3
@@ -333,14 +336,6 @@ def _square_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, float]]:
     cand = base.scaled_by(l)
     res = max_membership(src, cand, tol=tolerances.WITNESS_TOL)
     return (cand, res.margin) if res.inside_or_boundary else None
-
-
-def square_type_witness(src: PolyhedralCone) -> Optional[MatrixTuple]:
-    """Push the square's level-2 witness through the linear map of
-    `_quad_map_from_square` onto a quadrilateral source cone; None when the
-    source is not a quadrilateral or the image fails the source check."""
-    found = _square_witness(src)
-    return None if found is None else found[0]
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +378,7 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
     relax = relaxation(diag, tgt)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
-        found = _square_witness(src)
+        found = square_type_witness(src)
         if found is not None:
             cand, src_margin = found
             tgt_res = membership(tgt, cand)
@@ -395,42 +390,6 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
                     target_margin=tgt_res.margin,
                 )
     return InclusionVerdict(scalar=scal, relaxation=relax, source=diag, free_witness=witness)
-
-
-# --------------------------------------------------------------------------
-# Commuting targets: the strengthening is tight
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CommutingTargetReport:
-    max_commutator: float
-    max_offdiagonal: float  # after joint diagonalisation
-    scalar: ScalarInclusionResult
-    relaxation: RelaxationResult
-
-
-def commuting_target_tightness(src: PolyhedralCone, tgt: LinearPencil) -> CommutingTargetReport:
-    """For pairwise commuting targets containing the cone at scalar level,
-    the relaxation must be feasible (the target spectrahedron is then a
-    polyhedron, realized diagonally).  Raises on non-commuting targets.
-    ``max_offdiagonal`` is measured in `linalg.joint_eigenbasis`, the basis
-    in which `opsys.generator_weights` decides commuting targets."""
-    stack = tgt.stack
-    prods = stack @ stack[:, None]
-    comm = np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
-    max_comm = float(comm.max())
-    if max_comm >= tolerances.COMMUTATOR_TOL:
-        raise ValueError(f"target matrices do not commute (||[N_i,N_j]|| = {max_comm:.3e})")
-    max_off = linalg.joint_eigenbasis(stack)[2]
-    scal = scalar_inclusion(src, tgt)
-    relax = relaxation(diagonal_pencil(src), tgt)
-    return CommutingTargetReport(
-        max_commutator=max_comm,
-        max_offdiagonal=max_off,
-        scalar=scal,
-        relaxation=relax,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -45,9 +45,7 @@ from .pencil import (
     LinearPencil,
     MatrixTuple,
     MembershipResult,
-    circular_cone_pencil,
     classify_margin,
-    membership,
 )
 
 STRICTNESS_EPS = 1e-6  # not a band: the default eps of the essential-boundary problem
@@ -381,15 +379,6 @@ def min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
     return answer or MinMembershipResult(status=MinMembershipStatus.UNKNOWN, message=why)
 
 
-def circular_min_membership(a: MatrixTuple) -> MembershipResult:
-    """Smallest-system membership for the circular cone a^2+b^2 <= c^2.
-
-    The 2 x 2 pencil (sigma_z, sigma_x, I) realizes that system, so pencil
-    membership is the exact test; no generator SDP is involved.
-    """
-    return membership(circular_cone_pencil(), a)
-
-
 # --------------------------------------------------------------------------
 # Rank-one projection witnesses over the square cone
 # --------------------------------------------------------------------------
@@ -677,95 +666,3 @@ def common_eigenvector_residual(m, n, v: np.ndarray) -> tuple[float, float]:
     rm = hm @ v - (v.conj() @ hm @ v) * v
     rn = hn @ v - (v.conj() @ hn @ v) * v
     return float(np.linalg.norm(rm)), float(np.linalg.norm(rn))
-
-
-# --------------------------------------------------------------------------
-# Witness-compression obstruction harness
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    """Numerical evidence that rank-one witnesses at distinct angles cannot
-    be compressed into the essential boundary at level r.
-
-    The orthogonality constraints require 2r pairwise orthogonal nonzero
-    vectors in C^r; random (and isometry-structured) attempts never push
-    the worst pairing residual below the threshold.
-    """
-
-    r: int
-    angles: tuple[float, ...]
-    required_orthogonal_columns: int
-    space_dimension: int
-    dimension_obstruction: bool
-    trials: int
-    min_max_residual: float
-    degenerate_trials: int
-    threshold: float
-
-    @property
-    def obstruction_confirmed(self) -> bool:
-        return self.dimension_obstruction and self.min_max_residual >= self.threshold
-
-
-def compression_obstruction_demo(
-    r: int,
-    angles: Sequence[float],
-    trials: int = 10_000,
-    seed: int = 0,
-) -> CompressionReport:
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    angles = tuple(float(a) for a in angles)
-    if len(angles) != r:
-        raise ValueError("need exactly r angles")
-    if any(not (0.0 < a < math.pi / 2.0) for a in angles):
-        raise ValueError("angles must lie in (0, pi/2)")
-    if len(set(angles)) != r:
-        raise ValueError("angles must be distinct")
-
-    # rank-one directions of the four projections per angle
-    pvecs = np.zeros((r, 4, 2), dtype=np.complex128)
-    for i, a in enumerate(angles):
-        w = pauli_witness(a)
-        for k, comp in enumerate(w.components):
-            pvecs[i, k] = linalg.eigh(comp)[1][:, -1]
-
-    rng = np.random.default_rng(seed)
-    min_max_residual = math.inf
-    degenerate = 0
-    batch = 500
-    done = 0
-    while done < trials:
-        t = min(batch, trials - done)
-        vs = rng.standard_normal((t, r, r, 2)) + 1j * rng.standard_normal((t, r, r, 2))
-        if done == 0:
-            # structured attempts: stacked isometries
-            for i in range(r):
-                q, _ = np.linalg.qr(
-                    rng.standard_normal((r, 2)) + 1j * rng.standard_normal((r, 2))
-                )
-                vs[0, i] = q[:, :2]
-        x = np.einsum("tirc,ikc->tikr", vs, pvecs)
-        norms = np.linalg.norm(x, axis=3)
-        degenerate += int(np.sum(np.any(norms < tolerances.DEGENERATE_NORM_TOL, axis=(1, 2))))
-        for pair in ((0, 1), (2, 3)):
-            g = np.abs(np.einsum("tir,tjr->tij", np.conj(x[:, :, pair[0]]), x[:, :, pair[1]]))
-            den = norms[:, :, pair[0]][:, :, None] * norms[:, :, pair[1]][:, None, :]
-            den = den + 1e-30  # division guard, not a band
-            resid = (g / den).reshape(t, -1).max(axis=1)
-            min_max_residual = min(min_max_residual, float(resid.min()))
-        done += t
-
-    return CompressionReport(
-        r=r,
-        angles=angles,
-        required_orthogonal_columns=2 * r,
-        space_dimension=r,
-        dimension_obstruction=2 * r > r,
-        trials=trials,
-        min_max_residual=min_max_residual,
-        degenerate_trials=degenerate,
-        threshold=tolerances.COMPRESSION_RESIDUAL_LIMIT,
-    )

@@ -14,7 +14,6 @@ sum_i M_i (x) A_i >= 0, where (x) is the Kronecker product.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -72,16 +71,6 @@ class MatrixTuple:
     @staticmethod
     def of(*entries) -> "MatrixTuple":
         return MatrixTuple(entries)
-
-    @staticmethod
-    def from_vector(x) -> "MatrixTuple":
-        """Embed a scalar point of R^d as a level-1 tuple."""
-        return MatrixTuple(np.asarray(x, dtype=float)[:, None, None])
-
-    @staticmethod
-    def unit_tuple(u, s: int) -> "MatrixTuple":
-        """The tuple u (x) I_s."""
-        return MatrixTuple(np.asarray(u, dtype=float)[:, None, None] * np.eye(s))
 
     def scaled_by(self, matrix: np.ndarray) -> "MatrixTuple":
         """Apply a linear coordinate change L: entries B_i = sum_j L_ij A_j."""
@@ -289,13 +278,3 @@ def tuple_to_json(a: MatrixTuple) -> dict:
 
 def tuple_from_json(obj: dict) -> MatrixTuple:
     return MatrixTuple(stack_document(obj, "tuple")[0])
-
-
-def save_pencil(p: LinearPencil, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(pencil_to_json(p), fh, indent=1, sort_keys=True)
-
-
-def save_tuple(a: MatrixTuple, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(tuple_to_json(a), fh, indent=1, sort_keys=True)

@@ -68,10 +68,6 @@ COMPONENT_PSD_TOL = 1e-9
 FUNCTIONAL_MARGIN_TOL = 1e-10
 # relative to ||N||^2 + ||M||_F, which bounds |lambda2|: the width of the final bracket
 LAMBDA2_REL_TOL = 1e-12
-# absolute: a vector norm below it makes a compression trial degenerate
-DEGENERATE_NORM_TOL = 1e-9
-# absolute, on |<x, y>| / (|x| |y|): a least worst pairing this large confirms the obstruction
-COMPRESSION_RESIDUAL_LIMIT = 1e-3
 
 # -- containment ---------------------------------------------------------------
 
@@ -81,8 +77,6 @@ KRAUS_EIG_CUTOFF = 1e-9
 UNIT_AXIS_TOL = 1e-12
 # absolute, on eigenvalues: the largest-system band of a pushed square-type witness
 WITNESS_TOL = 1e-7
-# absolute, on max ||N_i N_j - N_j N_i||_F: the target matrices commute
-COMMUTATOR_TOL = 1e-9
 # absolute, on eigenvalues: a partial transpose this negative makes a state entangled
 PT_NEGATIVITY_TOL = 1e-12
 

@@ -1,11 +1,48 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and data builders shared by the test modules."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from freespec import certificates, cones, linalg, opsys, pencil, sdp
+
+
+def point_tuple(x) -> pencil.MatrixTuple:
+    """Embed a scalar point of R^d as a level-1 tuple."""
+    return pencil.MatrixTuple(np.asarray(x, dtype=float)[:, None, None])
+
+
+def unit_tuple(u, s: int) -> pencil.MatrixTuple:
+    """The tuple u (x) I_s."""
+    return pencil.MatrixTuple(np.asarray(u, dtype=float)[:, None, None] * np.eye(s))
+
+
+def scaled_cone(cone: cones.PolyhedralCone, nu: float, h_normal) -> cones.PolyhedralCone:
+    """Shrink the section C ∩ (u + H) by factor nu about u and re-cone."""
+    if not (0.0 < nu <= 1.0):
+        raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
+    sec = cones.section_of(cone, h_normal)
+    pts = cone.generators / (cone.generators @ sec.normal)[:, None]
+    return cones.PolyhedralCone(cone.unit + nu * (pts - cone.unit), cone.unit)
+
+
+def _save(doc: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def save_cone(cone: cones.PolyhedralCone, path) -> None:
+    _save(cones.cone_to_json(cone), path)
+
+
+def save_pencil(p: pencil.LinearPencil, path) -> None:
+    _save(pencil.pencil_to_json(p), path)
+
+
+def save_tuple(a: pencil.MatrixTuple, path) -> None:
+    _save(pencil.tuple_to_json(a), path)
 
 
 @pytest.fixture()

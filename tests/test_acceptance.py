@@ -186,8 +186,14 @@ def test_criterion_7_commuting_targets():
         rng = np.random.default_rng(107)
         sq = square_cone()
         src = diagonal_pencil(sq)
-        for k in range(50):
-            tgt = sampling.random_commuting_target(rng, sq, int(rng.integers(2, 5)))
+        targets = [sampling.random_commuting_target(rng, sq, int(rng.integers(2, 5)))
+                   for _ in range(50)]
+        # the regular octagon of inradius 2 about the square, and the square itself
+        r = 2.0 / math.cos(math.pi / 8)
+        octagon = [[r * math.cos(t), r * math.sin(t), 1.0]
+                   for t in math.pi / 8 * np.arange(1, 16, 2)]
+        targets += [diagonal_pencil(cones.PolyhedralCone(octagon, [0.0, 0.0, 1.0])), src]
+        for k, tgt in enumerate(targets):
             assert containment.scalar_inclusion(sq, tgt).holds
             res = relaxation(src, tgt)
             assert res.status is RelaxationStatus.FEASIBLE, f"instance {k}"

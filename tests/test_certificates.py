@@ -22,6 +22,8 @@ from freespec.linalg import HermitianMatrix
 from freespec.opsys import MinMembershipStatus, min_membership
 from freespec.pencil import LinearPencil, MatrixTuple, diagonal_pencil, pencil_from_json
 
+from conftest import unit_tuple
+
 
 def _round_trip(doc):
     return certificates.verify_certificate(json.loads(json.dumps(doc)))
@@ -94,7 +96,7 @@ def test_member_over_a_non_extreme_generator_is_checked_on_the_listed_generators
     gens = np.vstack([square.generators, square.unit])
     weights = np.zeros((5, 2, 2))
     weights[4] = np.eye(2)
-    doc = certificates.min_member_cert(square, MatrixTuple.unit_tuple(square.unit, 2),
+    doc = certificates.min_member_cert(square, unit_tuple(square.unit, 2),
                                        SimpleNamespace(weights=weights))
     doc["cone"]["generators"] = gens.tolist()
     check = _round_trip(doc)

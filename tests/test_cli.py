@@ -12,12 +12,14 @@ from freespec.containment import _choi_problem
 from freespec.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, parse_expression
 from freespec.linalg import SIGMA_X, SIGMA_Z
 
+from conftest import save_cone, save_pencil, save_tuple
+
 
 @pytest.fixture()
 def fixtures(tmp_path):
-    cones.save_cone(cones.square_cone(), tmp_path / "square.json")
-    pencil.save_pencil(pencil.elliptic_cone_pencil(math.pi / 4), tmp_path / "calpha.json")
-    pencil.save_tuple(
+    save_cone(cones.square_cone(), tmp_path / "square.json")
+    save_pencil(pencil.elliptic_cone_pencil(math.pi / 4), tmp_path / "calpha.json")
+    save_tuple(
         pencil.MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2)), tmp_path / "szsxi.json"
     )
     (tmp_path / "sx.json").write_text(json.dumps(linalg.matrix_to_json(SIGMA_X)))
@@ -229,7 +231,7 @@ class TestScalingBound:
 
     def test_sampling_needs_the_unit_e_d(self, capsys, tmp_path):
         path = tmp_path / "tilted.json"
-        cones.save_cone(cones.PolyhedralCone(cones.SQUARE_RAYS, [0.0, 0.1, 1.0]), path)
+        save_cone(cones.PolyhedralCone(cones.SQUARE_RAYS, [0.0, 0.1, 1.0]), path)
         assert run(capsys, "scaling-bound", "--cone", str(path))[0] == EXIT_OK
         code, out, err = run(capsys, "scaling-bound", "--cone", str(path), "--samples", "2")
         assert code == EXIT_USAGE and out == ""
@@ -392,7 +394,7 @@ class TestCertificateRoundTrips:
         pw_path = fixtures / "pauli_tuple.json"
         from freespec.opsys import pauli_witness
 
-        pencil.save_tuple(pauli_witness(math.pi / 4).tuple, pw_path)
+        save_tuple(pauli_witness(math.pi / 4).tuple, pw_path)
         _, out, _ = run(
             capsys, "min-membership", "--cone", "square", "--tuple", str(pw_path),
             "--output", "json",
@@ -537,7 +539,7 @@ class TestVerifyShapes:
         assert out.splitlines()[-1] == "INVALID"
 
     def test_member_query_shorter_than_the_cone(self, capsys, tmp_path, fixtures):
-        pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
+        save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
         cert = self._certificate(
             capsys, "min-membership", "--cone", "square", "--tuple",
             str(fixtures / "pw.json"),
@@ -547,7 +549,7 @@ class TestVerifyShapes:
         self._rejects(capsys, tmp_path, cert, "query: 2 entries")
 
     def test_member_weight_of_the_wrong_size(self, capsys, tmp_path, fixtures):
-        pencil.save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
+        save_tuple(opsys.pauli_witness(math.pi / 4).tuple, fixtures / "pw.json")
         cert = self._certificate(
             capsys, "min-membership", "--cone", "square", "--tuple",
             str(fixtures / "pw.json"),
@@ -680,10 +682,10 @@ class TestOtherCommands:
         cone = sampling.random_simplex_cone(rng, 3)
         query = sampling.random_min_member(rng, cone, 2)
         src, tgt = pencil.diagonal_pencil(cone), sampling.random_target_for_simplex(rng, cone, 2)
-        cones.save_cone(cone, tmp_path / "simplex.json")
-        pencil.save_tuple(query, tmp_path / "query.json")
-        pencil.save_pencil(src, tmp_path / "src.json")
-        pencil.save_pencil(tgt, tmp_path / "tgt.json")
+        save_cone(cone, tmp_path / "simplex.json")
+        save_tuple(query, tmp_path / "query.json")
+        save_pencil(src, tmp_path / "src.json")
+        save_pencil(tgt, tmp_path / "tgt.json")
         runs = (
             ("min-membership", "--cone", "simplex.json", "--tuple", "query.json"),
             ("relaxation", "--src", "src.json", "--tgt", "tgt.json"),
@@ -722,8 +724,8 @@ class TestOtherCommands:
             cone = sampling.random_simplex_cone(rng, 2 + k % 3)
             src = pencil.diagonal_pencil(cone)
             tgt = sampling.random_target_for_simplex(rng, cone, 2 + k)
-            pencil.save_pencil(src, tmp_path / "src.json")
-            pencil.save_pencil(tgt, tmp_path / "tgt.json")
+            save_pencil(src, tmp_path / "src.json")
+            save_pencil(tgt, tmp_path / "tgt.json")
             dump, ref = tmp_path / "cli.sdpa", tmp_path / "ref.sdpa"
             code, _, _ = run(
                 capsys, "relaxation", "--src", str(tmp_path / "src.json"),

@@ -16,12 +16,12 @@ from freespec.cones import (
     find_sandwich_simplex,
     is_centrally_symmetric,
     is_simplex,
-    max_volume_inscribed_simplex,
     rays_equal,
-    scaled_cone,
     section_of,
     square_cone,
 )
+
+from conftest import scaled_cone
 
 H = [0.0, 0.0, 1.0]
 
@@ -192,7 +192,7 @@ class TestScaledCone:
         sq = square_cone()
         sc = scaled_cone(sq, 1.0 / 3.0, H)
         for g in sc.generators:
-            assert np.min(sq.facet_values(g)) >= 2.0 / 3.0 - 1e-12
+            assert np.min(sq.facets @ g) >= 2.0 / 3.0 - 1e-12
 
     def test_composition(self):
         sq = square_cone()
@@ -205,7 +205,7 @@ class TestScaledCone:
         small = scaled_cone(sq, 0.3, H)
         big = scaled_cone(sq, 0.6, H)
         for g in small.generators:
-            assert np.min(big.facet_values(g)) >= -1e-9
+            assert np.min(big.facets @ g) >= -1e-9
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -228,55 +228,6 @@ class TestCentralSymmetry:
 
     def test_hexagon(self):
         assert is_centrally_symmetric(hexagon_cone(), H)
-
-
-class TestMaxVolumeSimplex:
-    def test_square_section(self):
-        res = max_volume_inscribed_simplex(square_cone(), H)
-        assert res.volume == pytest.approx(2.0, abs=1e-12)
-
-    def test_triangle_is_itself(self):
-        tri = triangle_cone()
-        res = max_volume_inscribed_simplex(tri, H)
-        assert rays_equal(res.simplex.generators, tri.generators)
-
-    def test_hexagon_alternating(self):
-        # brute-force oracle over all vertex triples (shoelace area)
-        res = max_volume_inscribed_simplex(hexagon_cone(), H)
-        sec = section_of(hexagon_cone(), H)
-        best = 0.0
-        for subset in itertools.combinations(range(6), 3):
-            pts = sec.vertices[list(subset)]
-            area = abs(np.linalg.det(pts[1:] - pts[0])) / 2.0
-            best = max(best, area)
-        assert res.volume == pytest.approx(best, abs=1e-12)
-        assert best == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, abs=1e-12)
-        assert tuple(sorted(res.vertex_indices)) in ((0, 2, 4), (1, 3, 5))
-
-    @pytest.mark.parametrize(
-        "verts, volume",
-        [
-            # regular octahedron: a tetrahedron on four of its vertices
-            (np.vstack([np.eye(3), -np.eye(3)]), 1.0 / 3.0),
-            # cube: a regular tetrahedron on alternate corners
-            (np.array(list(itertools.product((-1.0, 1.0), repeat=3))), 8.0 / 3.0),
-        ],
-    )
-    def test_three_dimensional_sections(self, verts, volume):
-        # brute-force oracle over all vertex 4-subsets of a d = 4 cone
-        gens = np.column_stack([verts, np.ones(len(verts))])
-        cone = PolyhedralCone.from_generators(gens, unit=np.array([0.0, 0.0, 0.0, 1.0]))
-        h4 = [0.0, 0.0, 0.0, 1.0]
-        res = max_volume_inscribed_simplex(cone, h4)
-        sec = section_of(cone, h4)
-        best = 0.0
-        for subset in itertools.combinations(range(len(verts)), 4):
-            pts = sec.vertices[list(subset)]
-            best = max(best, abs(np.linalg.det(pts[1:] - pts[0])) / 6.0)
-        assert res.volume == pytest.approx(best, abs=1e-12)
-        assert best == pytest.approx(volume, abs=1e-12)
-        pts = sec.vertices[list(res.vertex_indices)]
-        assert abs(np.linalg.det(pts[1:] - pts[0])) / 6.0 == pytest.approx(best, abs=1e-12)
 
 
 class TestSandwichSimplex:

@@ -11,7 +11,6 @@ from freespec.containment import (
     RelaxationStatus,
     ball_pencil,
     check_inclusion,
-    commuting_target_tightness,
     entangled_example,
     free_witness_square,
     partial_transpose,
@@ -34,6 +33,8 @@ from freespec.pencil import (
     evaluate,
     membership,
 )
+
+from conftest import unit_tuple
 
 
 def min_eigenvalue(a) -> float:
@@ -548,16 +549,6 @@ class TestCommutingRelaxation:
         assert _relaxation_certificate_ok(src, bumped, res)
         assert res.status is containment._sdp_relaxation(src, bumped).status
 
-    def test_tightness_report_uses_the_joint_eigenbasis(self):
-        rng = np.random.default_rng(131)
-        sq = square_cone()
-        tgt = _conjugated(sampling.random_commuting_target(rng, sq, 4),
-                          sampling.random_unitary(rng, 4))
-        rep = commuting_target_tightness(sq, tgt)
-        assert rep.max_commutator < 1e-12
-        assert rep.max_offdiagonal < 1e-12
-        assert rep.relaxation.status is RelaxationStatus.FEASIBLE
-
 
 @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
 class TestChoiScaleInvariance:
@@ -633,14 +624,13 @@ def _random_quadrilateral(rng):
 
 class TestSquareTypeWitness:
     def test_square_gets_canonical_tuple(self):
-        w = square_type_witness(square_cone())
+        w, _ = square_type_witness(square_cone())
         assert np.array_equal(w.entries[0].mat, SIGMA_Z)
         assert np.array_equal(w.entries[1].mat, SIGMA_X)
 
     def test_skewed_quadrilateral(self):
         quad = _skewed_quad()
-        w = square_type_witness(quad)
-        assert w is not None
+        w, _ = square_type_witness(quad)
         assert max_membership(quad, w).classification is Classification.BOUNDARY
         from freespec.opsys import min_membership
 
@@ -666,8 +656,7 @@ class TestSquareTypeWitness:
             match = np.argmax(g @ images, axis=0)
             assert sorted(match) == [0, 1, 2, 3]
             assert np.max(np.abs(g[match] - images.T)) < 1e-12
-            w = square_type_witness(quad)
-            assert w is not None
+            w, _ = square_type_witness(quad)
             assert max_membership(quad, w).classification is Classification.BOUNDARY
             assert min_membership(quad, w).status is MinMembershipStatus.NOT_MEMBER
 
@@ -676,7 +665,7 @@ class TestSquareTypeWitness:
         want = None
         for order in itertools.permutations(range(4)):
             quad = _skewed_quad(order)
-            w = square_type_witness(quad)
+            w, _ = square_type_witness(quad)
             got = (
                 [membership(t, w).margin for t in targets],
                 [check_inclusion(quad, t).free_witness is not None for t in targets],
@@ -800,40 +789,6 @@ class TestPentagonNonTightness:
         assert found >= 3
 
 
-def octagon_cone():
-    facets = []
-    for k in range(8):
-        th = math.pi * k / 4
-        facets.append([math.cos(th) / 2.0, math.sin(th) / 2.0, 1.0])
-    return PolyhedralCone.from_facets(np.array(facets), unit=np.array([0.0, 0.0, 1.0]))
-
-
-class TestCommutingTargets:
-    def test_octagon_target(self):
-        rep = commuting_target_tightness(square_cone(), diagonal_pencil(octagon_cone()))
-        assert rep.scalar.holds
-        assert rep.relaxation.status is RelaxationStatus.FEASIBLE
-        assert rep.max_offdiagonal < 1e-9
-
-    def test_self_target(self):
-        sq = square_cone()
-        rep = commuting_target_tightness(sq, diagonal_pencil(sq))
-        assert rep.relaxation.status is RelaxationStatus.FEASIBLE
-
-    def test_non_commuting_rejected(self):
-        with pytest.raises(ValueError, match="commute"):
-            commuting_target_tightness(square_cone(), elliptic_cone_pencil(math.pi / 4))
-
-    def test_random_diagonal_targets(self):
-        rng = np.random.default_rng(64)
-        sq = square_cone()
-        for _ in range(5):
-            tgt = sampling.random_commuting_target(rng, sq, int(rng.integers(2, 5)))
-            rep = commuting_target_tightness(sq, tgt)
-            assert rep.scalar.holds
-            assert rep.relaxation.status is RelaxationStatus.FEASIBLE
-
-
 class TestScaledMaxInMin:
     def test_half_scale_member(self):
         res = scaled_max_in_min(square_cone(), 0.5, sz_sx_i())
@@ -865,7 +820,7 @@ class TestScaledMaxInMin:
     def test_unit_tuple_member_any_scale(self):
         sq = square_cone()
         for nu in (0.1, 0.5, 1.0):
-            res = scaled_max_in_min(sq, nu, MatrixTuple.unit_tuple(sq.unit, 2))
+            res = scaled_max_in_min(sq, nu, unit_tuple(sq.unit, 2))
             assert res.status is MinMembershipStatus.MEMBER
 
     def test_rejects_outside_tuple(self):

@@ -11,7 +11,6 @@ from freespec.opsys import (
     EssentialBoundaryStatus,
     MinMembershipStatus,
     common_eigenvector_residual,
-    compression_obstruction_demo,
     effros_winkler_separation,
     essential_boundary_square,
     lambda1_block,
@@ -27,6 +26,8 @@ from freespec.pencil import (
     elliptic_cone_pencil,
     membership,
 )
+
+from conftest import unit_tuple
 
 
 def min_eigenvalue(a) -> float:
@@ -54,7 +55,7 @@ class TestMaxMembership:
     def test_unit_tuple_inside(self):
         sq = cones.square_cone()
         for s in (1, 2, 3):
-            res = max_membership(sq, MatrixTuple.unit_tuple(sq.unit, s))
+            res = max_membership(sq, unit_tuple(sq.unit, s))
             assert res.classification is Classification.INSIDE
             assert res.margin == pytest.approx(1.0, abs=1e-12)
 
@@ -649,28 +650,6 @@ class TestEssentialBoundary:
         assert phi_val == pytest.approx(0.0, abs=1e-6)
 
 
-class TestCircularMinMembership:
-    def test_level1_matches_cone(self):
-        from freespec.opsys import circular_min_membership
-
-        for pt, cls in (
-            ((0.6, 0.8, 1.0), Classification.BOUNDARY),
-            ((0.0, 0.0, 1.0), Classification.INSIDE),
-            ((1.0, 1.0, 1.0), Classification.OUTSIDE),
-        ):
-            res = circular_min_membership(MatrixTuple.from_vector(pt))
-            assert res.classification is cls
-
-    def test_level2_pauli_pair_outside(self):
-        # brute oracle: the commuting Kronecker terms give eigenvalues
-        # 1 + (+-1 +- 1), so the minimum is -1
-        from freespec.opsys import circular_min_membership
-
-        res = circular_min_membership(sz_sx_i())
-        assert res.classification is Classification.OUTSIDE
-        assert res.margin == pytest.approx(-1.0, abs=1e-9)
-
-
 class TestEffrosWinkler:
     def test_fixed_point_on_normalized_pencil(self):
         p = elliptic_cone_pencil(0.6)
@@ -865,29 +844,3 @@ class TestLambda2:
             assert res.upper == res.value
             # N = alpha*I: the maximum is alpha^2 - lambda_min(M)
             assert res.value == pytest.approx(0.49 - linalg.eigh(m)[0][0], abs=1e-12)
-
-
-class TestCompressionDemo:
-    def test_r1_dimension_count(self):
-        rep = compression_obstruction_demo(1, (math.pi / 4,), trials=100)
-        assert rep.required_orthogonal_columns == 2
-        assert rep.space_dimension == 1
-        assert rep.dimension_obstruction
-
-    def test_r2_obstruction(self):
-        rep = compression_obstruction_demo(2, (math.pi / 6, math.pi / 3), trials=100)
-        assert rep.required_orthogonal_columns == 4
-        assert rep.dimension_obstruction
-
-    def test_monte_carlo_never_orthogonal(self):
-        rep = compression_obstruction_demo(
-            2, (math.pi / 6, math.pi / 3), trials=10_000, seed=3
-        )
-        assert rep.min_max_residual >= 1e-3
-        assert rep.obstruction_confirmed
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            compression_obstruction_demo(2, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            compression_obstruction_demo(2, (0.5,))

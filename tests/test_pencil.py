@@ -18,6 +18,8 @@ from freespec.pencil import (
     membership,
 )
 
+from conftest import point_tuple, unit_tuple
+
 
 def sz_sx_i():
     return MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
@@ -64,7 +66,7 @@ class TestEvaluate:
 
     def test_unit_gives_identity(self):
         for p in (elliptic_cone_pencil(0.7), circular_cone_pencil()):
-            ev = evaluate(p, MatrixTuple.from_vector(p.unit))
+            ev = evaluate(p, point_tuple(p.unit))
             assert np.allclose(ev, np.eye(p.r))
 
     def test_elliptic_at_pauli_tuple(self):
@@ -78,7 +80,7 @@ class TestEvaluate:
 
 class TestMembership:
     def test_boundary_vertex(self):
-        res = membership(elliptic_cone_pencil(math.pi / 4), MatrixTuple.from_vector([1, -1, 1]))
+        res = membership(elliptic_cone_pencil(math.pi / 4), point_tuple([1, -1, 1]))
         assert res.classification is Classification.BOUNDARY
         assert res.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -89,7 +91,7 @@ class TestMembership:
 
     def test_unit_inside_margin_one(self):
         p = elliptic_cone_pencil(1.0)
-        res = membership(p, MatrixTuple.from_vector(p.unit))
+        res = membership(p, point_tuple(p.unit))
         assert res.classification is Classification.INSIDE
         assert res.margin == pytest.approx(1.0, abs=1e-12)
 
@@ -124,8 +126,8 @@ class TestDiagonalPencil:
         agree = 0
         for _ in range(1000):
             x = rng.standard_normal(3)
-            inside_facets = bool(np.all(sq.facet_values(x) >= 0))
-            res = membership(dp, MatrixTuple.from_vector(x), tol=0.0)
+            inside_facets = bool(np.all(sq.facets @ x >= 0))
+            res = membership(dp, point_tuple(x), tol=0.0)
             inside_pencil = res.classification is not Classification.OUTSIDE
             assert inside_facets == inside_pencil
             agree += 1
@@ -142,11 +144,11 @@ class TestElliptic:
         for alpha in (0.2, 0.7, math.pi / 4, 1.4):
             p = elliptic_cone_pencil(alpha)
             for g in sq.generators:
-                res = membership(p, MatrixTuple.from_vector(g))
+                res = membership(p, point_tuple(g))
                 assert res.classification is Classification.BOUNDARY
 
     def test_small_alpha_strip(self):
-        res = membership(elliptic_cone_pencil(0.05), MatrixTuple.from_vector([1.9, 0, 1]))
+        res = membership(elliptic_cone_pencil(0.05), point_tuple([1.9, 0, 1]))
         assert res.classification is Classification.INSIDE
 
     def test_range_check(self):
@@ -157,17 +159,22 @@ class TestElliptic:
 
 class TestCircular:
     def test_boundary_point(self):
-        res = membership(circular_cone_pencil(), MatrixTuple.from_vector([0.6, 0.8, 1.0]))
+        res = membership(circular_cone_pencil(), point_tuple([0.6, 0.8, 1.0]))
         assert res.classification is Classification.BOUNDARY
 
     def test_unit_inside(self):
-        res = membership(circular_cone_pencil(), MatrixTuple.from_vector([0, 0, 1]))
+        res = membership(circular_cone_pencil(), point_tuple([0, 0, 1]))
         assert res.classification is Classification.INSIDE
         assert res.margin == pytest.approx(1.0)
 
     def test_outside(self):
-        res = membership(circular_cone_pencil(), MatrixTuple.from_vector([1, 1, 1]))
+        res = membership(circular_cone_pencil(), point_tuple([1, 1, 1]))
         assert res.classification is Classification.OUTSIDE
+        # level 2: the commuting Kronecker terms of (sigma_z, sigma_x, I)
+        # give eigenvalues 1 + (+-1 +- 1), so the margin is -1
+        res = membership(circular_cone_pencil(), sz_sx_i())
+        assert res.classification is Classification.OUTSIDE
+        assert res.margin == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestOperatorSystemClosure:
@@ -217,7 +224,7 @@ class TestOperatorSystemClosure:
     def test_unit_tuple_inside_all_levels(self):
         for p in (elliptic_cone_pencil(0.4), circular_cone_pencil()):
             for s in (1, 2, 3, 4):
-                res = membership(p, MatrixTuple.unit_tuple(p.unit, s))
+                res = membership(p, unit_tuple(p.unit, s))
                 assert res.classification is Classification.INSIDE
                 assert res.margin == pytest.approx(1.0, abs=1e-12)
 
