@@ -110,11 +110,12 @@ def essential_boundary_cert(
     )
 
 
-def sandwich_cert(cone: PolyhedralCone, nu: float, h_normal, simplex) -> dict:
+def sandwich_cert(cone: PolyhedralCone, nu: float, h_normal, rays: np.ndarray) -> dict:
+    """The document of a sandwich simplex with the (d, d) ``rays``."""
     return _document(
         "scaling_sandwich", cone=cone_to_json(cone), nu=nu,
         h_normal=list(map(float, h_normal)),
-        simplex_generators=np.asarray(simplex.generators).tolist(),
+        simplex_generators=np.asarray(rays).tolist(),
     )
 
 
@@ -239,10 +240,10 @@ def check_scaling_sandwich(
     rows = []
     for name, g in (("cone", gens), ("simplex_generators", simplex)):
         try:
-            rows.append(section_rows(g, unit, cone_facets(g, unit), h_normal)[2:])
-        except ValueError as exc:
-            field = name if isinstance(exc, ConeConstructionError) else "h_normal"
-            raise ValueError(f"{field}: {exc}") from None
+            facets = cone_facets(g, unit)
+        except ConeConstructionError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        rows.append(section_rows(g, unit, facets, h_normal)[2:])
     (verts, facet_rows), (verts_s, facet_rows_s) = rows
     inside = 1.0 + verts_s @ facet_rows.T
     around = 1.0 + (nu * verts) @ facet_rows_s.T

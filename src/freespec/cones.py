@@ -9,7 +9,8 @@ simplex's facets are the rows of inv(G)^T.  Every facet comes from
 that ell(u) = 1.  The checks that every facet is supported and every
 generator is extreme are one stacked rank each, over the rows masked by
 the tight set.  `spanning` is the one test that generators span R^d, for
-cones and for the certificates of `certificates`.  The bands (GEOM_TOL,
+cones, for the rays of a sandwich simplex and for the certificates of
+`certificates`.  The bands (GEOM_TOL,
 RANK_TOL, INCIDENCE_TOL, ...) are constants of `tolerances`.
 """
 
@@ -283,16 +284,20 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
 
 def section_rows(gens: np.ndarray, unit: np.ndarray, facets: np.ndarray, h_normal):
     """The normal, basis, vertices and facet rows of the `Section` of the
-    cone with generator rows ``gens``, ``unit`` and facet rows ``facets``."""
+    cone with generator rows ``gens``, ``unit`` and facet rows ``facets``.
+    A normal that is not d finite numbers, misses the unit or gives an
+    unbounded section is a ValueError headed "h_normal: "."""
     n = np.asarray(h_normal, dtype=float)
+    if n.shape != unit.shape or not np.isfinite(n).all():
+        raise ValueError(f"h_normal: expected {len(unit)} finite numbers")
     nu = float(n @ unit)
     if abs(nu) <= tolerances.GEOM_TOL:
-        raise ValueError("hyperplane normal is orthogonal to the unit")
+        raise ValueError("h_normal: hyperplane normal is orthogonal to the unit")
     n = n / nu
     gv = gens @ n
     if np.any(gv <= tolerances.GEOM_TOL):
         raise ValueError(
-            "section is unbounded: the hyperplane meets the cone away from 0"
+            "h_normal: section is unbounded: the hyperplane meets the cone away from 0"
         )
     basis = _hyperplane_basis(n)
     vertices = (gens / gv[:, None] - unit) @ basis
@@ -303,9 +308,8 @@ def section_of(cone: PolyhedralCone, h_normal) -> Section:
     return Section(cone, *section_rows(cone.generators, cone.unit, cone.facets, h_normal))
 
 
-def is_centrally_symmetric(cone: PolyhedralCone, h_normal) -> bool:
+def is_centrally_symmetric(sec: Section) -> bool:
     """True iff the section vertex set is invariant under y -> -y about u."""
-    sec = section_of(cone, h_normal)
     v = sec.vertices
     scale = 1.0 + float(np.max(np.abs(v)))
     mirrored = np.abs(v[:, None] + v[None]).max(axis=2) <= tolerances.GEOM_TOL * scale
@@ -370,7 +374,9 @@ def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
     live = pts[ok]
     g = np.linalg.inv(np.concatenate([live, np.ones(live.shape[:2] + (1,))], axis=2))
     c = g[:, -1, :]
-    push = np.max(-(verts @ g[:, :-1, :]), axis=1)
+    # max_z(-z @ G[:-1]) as an exact fold over the vertices: numpy's
+    # reduction over the short middle axis is several times slower
+    push = -np.minimum.reduce(list(np.swapaxes(verts @ g[:, :-1, :], 0, 1)))
     nus[ok] = np.min(c / np.maximum(push, c), axis=1)
     nus = np.clip(nus, 0.0, 1.0)
     # only S = C (a simplex cone) reaches 1; do not let rounding hide it
@@ -378,22 +384,23 @@ def _sandwich_factors(pts: np.ndarray, verts: np.ndarray):
     return nus, vols
 
 
-def best_sandwich_simplex(
-    cone: PolyhedralCone, h_normal
-) -> tuple[float, Optional[SimplexCone], Optional[np.ndarray]]:
+def best_sandwich_simplex(sec: Section) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """The pool simplex S ⊆ C admitting the largest factor nu*(S) with
-    nu*C ⊆ S (sections about u), that factor, and the nonnegative (d, m)
-    combination L of the cone's generators G with S's rays equal to L @ G
-    up to rounding.
+    nu*C ⊆ S on the section ``sec`` about u: that factor, the (d, d) rays
+    of S (read-only), and the nonnegative (d, m) combination L of the
+    cone's generators G with the rays equal to L @ G up to rounding.
 
     Every d-subset of the candidate pool is scored in closed form by
     _sandwich_factors, in batches that bound the memory; ties in nu* go to
     the larger simplex.  A ray of S is the ambient point of a pool point,
     sum_j mix_j g_j / (g_j . n) for its mixing row (`_sandwich_candidates`)
-    and the section normal n, so L is the mixing rows over G @ n.  Returns
-    (0.0, None, None) when no pool simplex contains u in its interior.
+    and the section normal n, so L is the mixing rows over G @ n.  The
+    rays are checked before they are returned: they span R^d (`spanning`)
+    and u is strictly inside S (`cone_facets`, in closed form), else a
+    ConeConstructionError.  Returns (0.0, None, None) when no pool simplex
+    contains u in its interior.
     """
-    sec = section_of(cone, h_normal)
+    cone = sec.cone
     pool, mix = _sandwich_candidates(sec)
     subsets = _subsets(len(pool), cone.dim)
     batches = np.array_split(subsets, 1 + len(subsets) // SUBSET_BATCH)
@@ -404,8 +411,10 @@ def best_sandwich_simplex(
         return 0.0, None, None
     k = int(np.argmax(np.where(nus >= best - tolerances.NU_TIE_TOL, vols, 0.0)))
     rays = np.array([sec.to_ambient(y) for y in pool[subsets[k]]])
+    cone_facets(spanning(rays, cone.dim), cone.unit)
+    rays.flags.writeable = False
     combination = mix[subsets[k]] / (cone.generators @ sec.normal)
-    return float(nus[k]), SimplexCone(rays, cone.unit), combination
+    return float(nus[k]), rays, combination
 
 
 def find_sandwich_simplex(
@@ -413,13 +422,15 @@ def find_sandwich_simplex(
 ) -> Optional[SimplexCone]:
     """A simplex cone S with nu*C ⊆ S ⊆ C (sections about u), or None.
 
-    Returns best_sandwich_simplex's simplex when its factor reaches nu; the
-    slack of GEOM_TOL absorbs rounding only.
+    Returns the simplex cone on best_sandwich_simplex's rays when its
+    factor reaches nu; the slack of GEOM_TOL absorbs rounding only.
     """
     if not (0.0 < nu <= 1.0):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
-    best_nu, simplex, _ = best_sandwich_simplex(cone, h_normal)
-    return simplex if best_nu >= nu - tolerances.GEOM_TOL else None
+    best_nu, rays, _ = best_sandwich_simplex(section_of(cone, h_normal))
+    if rays is None or best_nu < nu - tolerances.GEOM_TOL:
+        return None
+    return SimplexCone(rays, cone.unit)
 
 
 # --------------------------------------------------------------------------

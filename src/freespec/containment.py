@@ -36,16 +36,17 @@ from . import _kernels, certificates, linalg, sdp, tolerances
 from .cones import (
     SQUARE_RAYS,
     PolyhedralCone,
-    SimplexCone,
     best_sandwich_simplex,
     is_centrally_symmetric,
     is_simplex,
     rays_equal,
+    section_of,
     square_cone,
 )
 from .linalg import SIGMA_X, SIGMA_Z
 from .opsys import (
     MinMembershipStatus,
+    _min_membership,
     generator_weights,
     margin_sdp,
     max_membership,
@@ -436,10 +437,13 @@ def _require_in_max(margin: float) -> None:
 
 @dataclass(frozen=True)
 class ScalingReport:
+    """``certificate`` is the read-only (d, d) array of the rays of the
+    sandwich simplex, None when there is none."""
+
     nu_general: float
     nu_symmetric: Optional[float]
     certified_nu: float
-    certificate: Optional[SimplexCone]
+    certificate: Optional[np.ndarray]
     sampling: Optional[dict] = None
 
 
@@ -457,15 +461,20 @@ def scaling_bound(
     the section is centrally symmetric about the unit.  certified_nu is the
     exact best factor nu with nu*C ⊆ S ⊆ C over the sandwich-simplex
     candidate pool (best_sandwich_simplex, in closed form: no bisection and
-    no resolution), and certificate is that simplex S.  It is 1 for a
-    simplex cone, sound, and may fall short of the theoretical bounds.
+    no resolution), and certificate is the (d, d) array of the rays of S.
+    It is 1 for a simplex cone, sound, and may fall short of the
+    theoretical bounds.  The section about u, computed once from
+    ``h_normal``, serves both the symmetry test and the search; a normal
+    that is not d finite numbers, or gives no bounded section, is a
+    ValueError headed "h_normal: ".  Only arrays are built: no cone,
+    pencil or tuple.
 
     ``verify_samples`` > 0 spot-checks both bounds on that many level-2
-    tuples each (`random_max_tuple`, from ``seed``), which needs the unit to
-    be e_d; the samples of a factor are decided as one stack through S
-    (`_sampling_verification`).  A negative ``verify_samples`` is a
-    ValueError, and so is a unit other than e_d when sampling, both raised
-    before the sandwich search.
+    tuples each (`_sampling_verification`, from ``seed``), which needs the
+    unit to be e_d; the samples of a factor are drawn and decided as one
+    stack through S.  A negative ``verify_samples`` is a ValueError, and so
+    is a unit other than e_d when sampling, both raised before the sandwich
+    search.
     """
     if verify_samples < 0:
         raise ValueError(
@@ -474,9 +483,10 @@ def scaling_bound(
     if verify_samples > 0:
         _require_unit_ed(cone, "level-2 sampling")
     d = cone.dim
+    sec = section_of(cone, h_normal)
     nu_general = 1.0 / (d + 1)
-    nu_symmetric = 1.0 / (d - 1) if is_centrally_symmetric(cone, h_normal) else None
-    report_nu, cert, combination = best_sandwich_simplex(cone, h_normal)
+    nu_symmetric = 1.0 / (d - 1) if is_centrally_symmetric(sec) else None
+    report_nu, rays, combination = best_sandwich_simplex(sec)
     sampling = None
     if verify_samples > 0:
         sampling = _sampling_verification(
@@ -486,48 +496,66 @@ def scaling_bound(
         nu_general=nu_general,
         nu_symmetric=nu_symmetric,
         certified_nu=report_nu,
-        certificate=cert,
+        certificate=rays,
         sampling=sampling,
     )
+
+
+def _max_stacks(cone: PolyhedralCone, s: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` random level-s members of the cone's largest system, as
+    one (count, d, s, s) stack; `random_max_tuple` draws one.
+
+    Each tuple takes one standard_normal((d - 1, 2, s, s)) and then one
+    random() from ``rng``: Hermitian A_i = (Z + Z*)/2 for Z = X + iY, the
+    bits of `linalg.random_hermitian`, and A_d = t*I with t just large
+    enough that every facet evaluation is PSD, plus 0.05 times the uniform
+    draw.  The draws come first, so one eigensolve covers every facet
+    evaluation of every tuple.  Requires the unit to be e_d."""
+    d = cone.dim
+    _require_unit_ed(cone, "random_max_tuple")
+    coef = cone.facets[:, -1]
+    if np.any(coef <= 1e-12):  # not a band: guards the division by coef, near 1 for u = e_d
+        raise ValueError("facet does not involve the unit coordinate")
+    normals, uniforms = zip(*[(rng.standard_normal((d - 1, 2, s, s)), rng.random())
+                              for _ in range(count)])
+    z = np.array(normals)
+    a = z[:, :, 0] + 1j * z[:, :, 1]
+    head = (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
+    # summed coordinate by coordinate, so each facet evaluation has the
+    # bits of the per-facet sum
+    f = sum(cone.facets[:, i, None, None] * head[:, i, None] for i in range(d - 1))
+    lam = _kernels.eigh_kernel(f)[0][..., 0]
+    t = np.maximum(0.0, np.max(-lam / coef, axis=1)) + 0.05 * np.array(uniforms)
+    return np.concatenate([head, t[:, None, None, None] * np.eye(s)], axis=1)
 
 
 def random_max_tuple(
     cone: PolyhedralCone, s: int, rng: np.random.Generator
 ) -> MatrixTuple:
-    """Random level-s member of the cone's largest system.
+    """Random level-s member of the cone's largest system (`_max_stacks`).
 
     Draws Hermitian A_1..A_{d-1} and sets A_d = t*I with t just large
     enough that every facet evaluation is PSD (with a small random slack).
     Requires the unit to be e_d."""
-    d = cone.dim
-    _require_unit_ed(cone, "random_max_tuple")
-    head = np.array([linalg.random_hermitian(rng, s) for _ in range(d - 1)])
-    coef = cone.facets[:, -1]
-    if np.any(coef <= 1e-12):  # not a band: guards the division by coef, near 1 for u = e_d
-        raise ValueError("facet does not involve the unit coordinate")
-    # summed coordinate by coordinate, so each facet evaluation has the
-    # bits of the per-facet sum; one eigensolve for the (k, s, s) stack
-    f = sum(cone.facets[:, i, None, None] * head[i] for i in range(d - 1))
-    lam = _kernels.eigh_kernel(f)[0][:, 0]
-    t_req = max(0.0, float(np.max(-lam / coef)))
-    t = t_req + 0.05 * float(rng.random())
-    return MatrixTuple(np.concatenate([head, t * np.eye(s)[None]]))
+    return MatrixTuple(_max_stacks(cone, s, rng, 1)[0])
 
 
 def _sampling_verification(cone, combination, factors, samples, seed) -> dict:
     """Members among ``samples`` level-2 tuples per factor nu of
     ``factors`` = (nu_general, nu_symmetric), the latter None to skip.
 
-    The tuples A of a factor are drawn first, in one RNG stream from
-    ``seed``, and must lie in the largest system (`_require_in_max`, as in
-    `scaled_max_in_min`).  Each scaled tuple B is then decided through the
-    sandwich simplex S with rays R = L @ G, L = ``combination``: its
-    weights on S are P = R^(-T) B, PSD exactly when B is in max(S) = min(S),
-    and W = L^T P are weights on C's generators G, PSD whenever P is.  Both
-    maps are one (d, m) matrix, R^(-1) L, applied to the whole stack.  A
-    sample counts as Member when W passes `certificates.check_min_member`;
-    the others, and every sample when there is no S, go to
-    `scaled_max_in_min`.
+    The tuples A of a factor are drawn first as one stack (`_max_stacks`,
+    the bits and RNG order of as many `random_max_tuple` calls), in one
+    RNG stream from ``seed``, and must lie in the largest system
+    (`_require_in_max`, as in `scaled_max_in_min`).  Each scaled tuple B is
+    then decided through the sandwich simplex S with rays R = L @ G,
+    L = ``combination``: its weights on S are P = R^(-T) B, PSD exactly
+    when B is in max(S) = min(S), and W = L^T P are weights on C's
+    generators G, PSD whenever P is.  Both maps are one (d, m) matrix,
+    R^(-1) L, applied to the whole stack.  A sample counts as Member when
+    W passes `certificates.check_min_member`; the others, and every sample
+    when there is no S, are decided by `opsys._min_membership` on their
+    stacks, as `scaled_max_in_min` decides a tuple.
     """
     rng = np.random.default_rng(seed)
     gens = cone.generators
@@ -537,8 +565,7 @@ def _sampling_verification(cone, combination, factors, samples, seed) -> dict:
     for label, nu in zip(("nu_general", "nu_symmetric"), factors):
         if nu is None:
             continue
-        draws = [random_max_tuple(cone, 2, rng) for _ in range(samples)]
-        a = np.array([t.stack for t in draws])
+        a = _max_stacks(cone, 2, rng, samples)
         margins = np.linalg.eigvalsh(np.einsum("ki,nixy->nkxy", cone.facets, a))[..., 0]
         for margin in margins.min(axis=1):
             _require_in_max(float(margin))
@@ -548,8 +575,8 @@ def _sampling_verification(cone, combination, factors, samples, seed) -> dict:
             w = np.einsum("ij,nixy->njxy", to_weights, b)
             closed = [certificates.check_min_member(gens, bn, wn).ok for bn, wn in zip(b, w)]
         good = sum(
-            ok or scaled_max_in_min(cone, nu, t).status is MinMembershipStatus.MEMBER
-            for ok, t in zip(closed, draws)
+            ok or _min_membership(cone, bn).status is MinMembershipStatus.MEMBER
+            for ok, bn in zip(closed, b)
         )
         out[label] = {"nu": nu, "samples": samples, "members": good}
     return out

@@ -366,7 +366,13 @@ def min_membership(cone: PolyhedralCone, a: MatrixTuple) -> MinMembershipResult:
     """
     if cone.dim != a.d:
         raise ValueError(f"cone has dimension {cone.dim}, tuple has {a.d}")
-    gens, stack = cone.generators, a.stack
+    return _min_membership(cone, a.stack)
+
+
+def _min_membership(cone: PolyhedralCone, stack: np.ndarray) -> MinMembershipResult:
+    """`min_membership` of the tuple with the Hermitian (d, s, s) ``stack``,
+    which the caller has checked."""
+    gens = cone.generators
 
     def member(p):
         check = certificates.check_min_member(gens, stack, p)

@@ -175,7 +175,7 @@ def _nan_cases():
     cone = cones.square_cone()
     sandwich = scaling_bound(cone, [0.0, 0.0, 1.0])
     sandwich_args = (cone.generators, cone.unit, sandwich.certified_nu, np.array([0.0, 0.0, 1.0]),
-                     sandwich.certificate.generators)
+                     sandwich.certificate)
     return {
         "member": (certificates.check_min_member,
                    (np.eye(2), np.array([eye2, eye2]), np.array([eye2, eye2])), (1, (1, 0, 0))),

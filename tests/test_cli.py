@@ -237,6 +237,12 @@ class TestScalingBound:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: level-2 sampling requires the unit to be e_d\n"
 
+    @pytest.mark.parametrize("normal", ["0,0", "nan,0,1", "inf,0,1"])
+    def test_a_normal_of_other_than_d_finite_numbers_is_an_input_error(self, capsys, normal):
+        code, out, err = run(capsys, "scaling-bound", "--cone", "square", f"--normal={normal}")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: h_normal: expected 3 finite numbers\n"
+
     def test_samples_all_members_on_the_square(self, capsys):
         code, out, _ = run(capsys, "scaling-bound", "--cone", "square", "--samples", "20",
                            "--output", "json")

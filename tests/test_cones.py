@@ -221,13 +221,13 @@ class TestScaledCone:
 
 class TestCentralSymmetry:
     def test_square(self):
-        assert is_centrally_symmetric(square_cone(), H)
+        assert is_centrally_symmetric(section_of(square_cone(), H))
 
     def test_triangle(self):
-        assert not is_centrally_symmetric(triangle_cone(), H)
+        assert not is_centrally_symmetric(section_of(triangle_cone(), H))
 
     def test_hexagon(self):
-        assert is_centrally_symmetric(hexagon_cone(), H)
+        assert is_centrally_symmetric(section_of(hexagon_cone(), H))
 
 
 class TestSandwichSimplex:
@@ -276,9 +276,25 @@ class TestSandwichSimplex:
                     if n @ z < 0:
                         nu = min(nu, max(0.0, -(n @ a)) / -(n @ z))
             best = max(best, nu)
-        got, simplex, _ = cones.best_sandwich_simplex(cone, H)
+        got, rays, _ = cones.best_sandwich_simplex(sec)
         assert got == pytest.approx(best, abs=1e-12)
-        self._check_certificate(cone, got, simplex)
+        self._check_certificate(cone, got, cones.SimplexCone(rays, cone.unit))
+
+    @pytest.mark.parametrize(
+        "make",
+        [square_cone, pentagon_cone, hexagon_cone,
+         lambda: sampling.random_simplex_cone(np.random.default_rng(17), 3)],
+        ids=["square", "pentagon", "hexagon", "random-simplex"],
+    )
+    def test_best_simplex_matches_the_strided_reduction_bitwise(self, make):
+        # the fold over the vertices in _sandwich_factors changes no bit
+        cone = make()
+        normal = cone.facets.mean(axis=0)
+        nu, rays, combination = cones.best_sandwich_simplex(section_of(cone, normal))
+        want_nu, want_rays, want_combination = _reference_best_sandwich(cone, normal)
+        assert nu == want_nu
+        assert np.array_equal(rays, want_rays) and not rays.flags.writeable
+        assert np.array_equal(combination, want_combination)
 
     @staticmethod
     def _check_certificate(cone, nu, simplex):
@@ -288,6 +304,27 @@ class TestSandwichSimplex:
             assert np.min(1.0 + sec_c.facet_rows @ v) >= -1e-9
         for v in nu * sec_c.vertices:
             assert np.min(1.0 + sec_s.facet_rows @ v) >= -1e-9
+
+
+def _reference_best_sandwich(cone, h_normal):
+    """best_sandwich_simplex with push = max_z(-z @ G[:-1]) taken by one
+    strided max over the vertex axis, all pool subsets in one batch."""
+    sec = section_of(cone, h_normal)
+    pool, mix = cones._sandwich_candidates(sec)
+    subsets = cones._subsets(len(pool), cone.dim)
+    pts = pool[subsets]
+    vols = cones._simplex_volumes(pts)
+    nus = np.zeros(len(pts))
+    ok = vols > tolerances.GEOM_TOL
+    g = np.linalg.inv(np.concatenate([pts[ok], np.ones((ok.sum(), cone.dim, 1))], axis=2))
+    c = g[:, -1, :]
+    push = np.max(-(sec.vertices @ g[:, :-1, :]), axis=1)
+    nus[ok] = np.min(c / np.maximum(push, c), axis=1)
+    nus = np.clip(nus, 0.0, 1.0)
+    nus[nus >= 1.0 - tolerances.NU_TIE_TOL] = 1.0
+    k = int(np.argmax(np.where(nus >= nus.max() - tolerances.NU_TIE_TOL, vols, 0.0)))
+    rays = np.array([sec.to_ambient(y) for y in pool[subsets[k]]])
+    return float(nus[k]), rays, mix[subsets[k]] / (cone.generators @ sec.normal)
 
 
 class TestJson:

@@ -881,6 +881,24 @@ class TestRandomMaxTuple:
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+class TestMaxStacks:
+    """The (count, d, s, s) draws of `_sampling_verification`."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6, "cube"])
+    def test_equal_random_max_tuple_bitwise(self, k):
+        if k == "cube":
+            gens = [[x, y, z, 1.0] for x in (-1, 1) for y in (-1, 0.5) for z in (-1, 2)]
+            cone = PolyhedralCone.from_generators(np.array(gens), unit=np.eye(4)[3])
+        else:
+            cone = TestScalingBound._polygon(k, rotation=0.1 * k)
+        for s in (2, 3):
+            got_rng, want_rng = np.random.default_rng(s), np.random.default_rng(s)
+            got = containment._max_stacks(cone, s, got_rng, 10)
+            want = [containment.random_max_tuple(cone, s, want_rng).stack for _ in range(10)]
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestScalingBound:
     def test_square(self):
         rep = scaling_bound(square_cone(), [0, 0, 1])
@@ -931,6 +949,18 @@ class TestScalingBound:
         assert find_sandwich_simplex(cone, nu, normal) is not None
         assert find_sandwich_simplex(cone, min(1.0, nu + 1e-6), normal) is None
 
+    @pytest.mark.parametrize(
+        "normal", [[0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [[0.0, 0.0, 1.0]]]
+    )
+    def test_a_normal_of_other_than_d_finite_numbers_is_an_input_error(self, normal):
+        with pytest.raises(ValueError, match="^h_normal: expected 3 finite numbers$"):
+            scaling_bound(square_cone(), normal)
+
+    @pytest.mark.parametrize("normal", [[1.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
+    def test_a_normal_with_no_bounded_section_names_h_normal(self, normal):
+        with pytest.raises(ValueError, match="^h_normal: "):
+            scaling_bound(square_cone(), normal)
+
     def test_negative_samples_rejected_before_the_search(self, monkeypatch):
         monkeypatch.setattr(containment, "best_sandwich_simplex", _no_search)
         with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
@@ -944,7 +974,40 @@ class TestScalingBound:
             scaling_bound(cone, cone.facets.mean(axis=0), verify_samples=2)
 
 
-def _no_search(cone, h_normal):
+class TestScalingBoundBuildsNoObjects:
+    """`scaling_bound` works on arrays from the section to the sampled
+    stacks: like `verify` (`TestValidateOnce`), it constructs no cone,
+    simplex cone, pencil or tuple."""
+
+    def test_polygons_with_samples(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        shapes = [TestScalingBound._polygon(k, float(rng.uniform(0.0, 2.0 * math.pi)))
+                  for k in (4, 5, 6)]
+        built = []
+        for cls in (PolyhedralCone, cones.SimplexCone, LinearPencil, MatrixTuple):
+            def counting(self, *args, real=cls.__init__, name=cls.__name__, **kwargs):
+                built.append(name)
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        fallbacks = []
+        decide = containment._min_membership
+
+        def fallback(cone, stack):
+            fallbacks.append(cone.n_generators)
+            return decide(cone, stack)
+
+        monkeypatch.setattr(containment, "_min_membership", fallback)
+        for cone in shapes:
+            rep = scaling_bound(cone, cone.facets.mean(axis=0), verify_samples=2)
+            assert rep.certificate is not None
+            assert all(v["members"] == 2 for v in rep.sampling.values())
+        assert built == []
+        # the square's samples at nu_symmetric = 1/2 > nu* = 1/3 fall back
+        assert 4 in fallbacks
+
+
+def _no_search(sec):
     raise AssertionError("the sandwich search ran")
 
 
@@ -986,10 +1049,10 @@ class TestSandwichSampling:
     )
     def test_matches_per_sample_decisions(self, monkeypatch, make, nu, falls_back):
         cone = make()
-        _, simplex, combination = cones.best_sandwich_simplex(cone, self.H)
+        _, simplex, combination = cones.best_sandwich_simplex(cones.section_of(cone, self.H))
         assert np.all(combination >= 0.0)
         rays = combination @ cone.generators
-        assert np.max(np.abs(rays - simplex.generators)) <= tolerances.GEOM_TOL
+        assert np.max(np.abs(rays - simplex)) <= tolerances.GEOM_TOL
 
         rng = np.random.default_rng(self.SEED)
         want = sum(
@@ -1001,7 +1064,7 @@ class TestSandwichSampling:
         # checks made outside the fallback are the closed-form ones
         closed, fallback, in_fallback = [], [], [False]
         check_min_member = certificates.check_min_member
-        per_sample = containment.scaled_max_in_min
+        per_sample = containment._min_membership
 
         def check(gens, stack, weights):
             res = check_min_member(gens, stack, weights)
@@ -1009,15 +1072,15 @@ class TestSandwichSampling:
                 closed.append(res.ok)
             return res
 
-        def decide(cone, nu, a):
+        def decide(cone, stack):
             in_fallback[0] = True
-            res = per_sample(cone, nu, a)
+            res = per_sample(cone, stack)
             in_fallback[0] = False
             fallback.append(res.status is MinMembershipStatus.MEMBER)
             return res
 
         monkeypatch.setattr(certificates, "check_min_member", check)
-        monkeypatch.setattr(containment, "scaled_max_in_min", decide)
+        monkeypatch.setattr(containment, "_min_membership", decide)
         got = containment._sampling_verification(
             cone, combination, (nu, None), self.SAMPLES, self.SEED
         )["nu_general"]
@@ -1048,7 +1111,9 @@ class TestSandwichSampling:
 
     def test_outside_draw_is_rejected(self, monkeypatch):
         outside = MatrixTuple.of(3 * SIGMA_Z, np.zeros((2, 2)), np.eye(2))
-        monkeypatch.setattr(containment, "random_max_tuple", lambda cone, s, rng: outside)
+        monkeypatch.setattr(
+            containment, "_max_stacks", lambda cone, s, rng, count: np.array([outside.stack] * count)
+        )
         with pytest.raises(ValueError, match="outside the largest system"):
             containment._sampling_verification(square_cone(), None, (0.25, None), 2, 0)
 
