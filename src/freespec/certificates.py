@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg, tolerances
 from .cones import ConeConstructionError, PolyhedralCone, cone_arrays, cone_facets, cone_to_json
-from .cones import section_rows, spanning
+from .cones import section_frame, section_rows, spanning
 from .linalg import finite_from_json, matrix_to_json, stack_from_json
 from .pencil import LinearPencil, MatrixTuple, pencil_to_json, stack_document, tuple_to_json
 
@@ -237,14 +237,19 @@ def check_scaling_sandwich(
     `cone_facets`: every vertex of one section satisfies every facet row of
     the other.  A unit not strictly inside C or S, or a normal that gives
     no bounded section, is a ValueError that names the document field."""
-    rows = []
-    for name, g in (("cone", gens), ("simplex_generators", simplex)):
+
+    def facets_of(name: str, g: np.ndarray) -> np.ndarray:
         try:
-            facets = cone_facets(g, unit)
+            return cone_facets(g, unit)
         except ConeConstructionError as exc:
             raise ValueError(f"{name}: {exc}") from None
-        rows.append(section_rows(g, unit, facets, h_normal)[2:])
-    (verts, facet_rows), (verts_s, facet_rows_s) = rows
+
+    facets = facets_of("cone", gens)
+    # one normal and basis for both sections
+    frame = section_frame(unit, h_normal)
+    verts, facet_rows = section_rows(gens, unit, facets, *frame)
+    facets_s = facets_of("simplex_generators", simplex)
+    verts_s, facet_rows_s = section_rows(simplex, unit, facets_s, *frame)
     inside = 1.0 + verts_s @ facet_rows.T
     around = 1.0 + (nu * verts) @ facet_rows_s.T
     residual = _worst(-float(inside.min()), -float(around.min()))

@@ -16,6 +16,7 @@ RANK_TOL, INCIDENCE_TOL, ...) are constants of `tolerances`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -282,11 +283,10 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def section_rows(gens: np.ndarray, unit: np.ndarray, facets: np.ndarray, h_normal):
-    """The normal, basis, vertices and facet rows of the `Section` of the
-    cone with generator rows ``gens``, ``unit`` and facet rows ``facets``.
-    A normal that is not d finite numbers, misses the unit or gives an
-    unbounded section is a ValueError headed "h_normal: "."""
+def section_frame(unit: np.ndarray, h_normal) -> tuple[np.ndarray, np.ndarray]:
+    """The normal of a section about ``unit``, scaled so <normal, u> = 1,
+    and the orthonormal basis of its hyperplane.  A normal that is not d
+    finite numbers or misses the unit is a ValueError headed "h_normal: "."""
     n = np.asarray(h_normal, dtype=float)
     if n.shape != unit.shape or not np.isfinite(n).all():
         raise ValueError(f"h_normal: expected {len(unit)} finite numbers")
@@ -294,18 +294,26 @@ def section_rows(gens: np.ndarray, unit: np.ndarray, facets: np.ndarray, h_norma
     if abs(nu) <= tolerances.GEOM_TOL:
         raise ValueError("h_normal: hyperplane normal is orthogonal to the unit")
     n = n / nu
-    gv = gens @ n
+    return n, _hyperplane_basis(n)
+
+
+def section_rows(gens: np.ndarray, unit: np.ndarray, facets: np.ndarray, normal, basis):
+    """The vertices and facet rows of the `Section` of the cone with
+    generator rows ``gens``, ``unit`` and facet rows ``facets``, in the
+    `section_frame` (``normal``, ``basis``).  A normal that gives an
+    unbounded section is a ValueError headed "h_normal: "."""
+    gv = gens @ normal
     if np.any(gv <= tolerances.GEOM_TOL):
         raise ValueError(
             "h_normal: section is unbounded: the hyperplane meets the cone away from 0"
         )
-    basis = _hyperplane_basis(n)
     vertices = (gens / gv[:, None] - unit) @ basis
-    return n, basis, vertices, facets @ basis
+    return vertices, facets @ basis
 
 
 def section_of(cone: PolyhedralCone, h_normal) -> Section:
-    return Section(cone, *section_rows(cone.generators, cone.unit, cone.facets, h_normal))
+    frame = section_frame(cone.unit, h_normal)
+    return Section(cone, *frame, *section_rows(cone.generators, cone.unit, cone.facets, *frame))
 
 
 def is_centrally_symmetric(sec: Section) -> bool:
@@ -328,10 +336,14 @@ def _simplex_volumes(pts: np.ndarray) -> np.ndarray:
 SUBSET_BATCH = 8192
 
 
+@functools.lru_cache(maxsize=128)
 def _subsets(n: int, d: int) -> np.ndarray:
-    """All d-subsets of range(n), one per row, in lexicographic order."""
+    """All d-subsets of range(n), one per row, in lexicographic order;
+    built once per (n, d) and read-only, since every caller shares it."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), d))
-    return np.fromiter(flat, dtype=np.intp).reshape(math.comb(n, d), d)
+    table = np.fromiter(flat, dtype=np.intp).reshape(math.comb(n, d), d)
+    table.flags.writeable = False
+    return table
 
 
 def _sandwich_candidates(sec: Section) -> tuple[np.ndarray, np.ndarray]:

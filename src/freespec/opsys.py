@@ -562,12 +562,24 @@ def effros_winkler_separation(phi: SeparationFunctional, u) -> LinearPencil:
 # --------------------------------------------------------------------------
 
 
+def _hermitian_pair(m, n) -> tuple[np.ndarray, np.ndarray]:
+    """The checked Hermitian M and N of a threshold problem; an entry that
+    is not finite, or two sizes, is a ValueError (naming M or N)."""
+    pair = []
+    for x, name in ((m, "M"), (n, "N")):
+        a = np.asarray(x, dtype=np.complex128)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name}: expected finite entries")
+        pair.append(linalg.hermitian(a))
+    if pair[0].shape != pair[1].shape:
+        raise ValueError("matrices must have the same size")
+    return pair[0], pair[1]
+
+
 def lambda1_block(m, n) -> float:
     """Smallest lam with [[M + lam*I, N], [N, I]] >= 0, as max_v (v*N^2v - v*Mv)."""
-    hm, hn = linalg.hermitian(m), linalg.hermitian(n)
-    if hm.shape != hn.shape:
-        raise ValueError("matrices must have the same size")
-    return float(_kernels.eigh_kernel(linalg.hermitian(hn @ hn - hm))[0][-1])
+    hm, hn = _hermitian_pair(m, n)
+    return float(_kernels.eigh_kernel(linalg.hermitian_part(hn @ hn - hm))[0][-1])
 
 
 _LAMBDA2_MAX_ROUNDS = 200
@@ -589,10 +601,14 @@ def _quartic(mmat: np.ndarray, nmat: np.ndarray, v: np.ndarray) -> float:
     return qn * qn - qm
 
 
-def _chord_bounds(a, b, ga, gb) -> np.ndarray:
-    """max over t in [a, b] of chord_g(t) - t^2, per interval."""
+def _chord_bound(a: float, b: float, ga: float, gb: float) -> float:
+    """max over t in [a, b] of chord_g(t) - t^2."""
     slope = (gb - ga) / (b - a)
-    t = np.clip(slope / 2.0, a, b)
+    # clamp slope/2 to [a, b] as np.clip does: a bound wins a tie, so a
+    # signed zero keeps its bits
+    t = slope / 2.0
+    t = t if t > a else a
+    t = t if t < b else b
     return ga + slope * (t - a) - t * t
 
 
@@ -604,15 +620,16 @@ def lambda2_products(m, n) -> Lambda2Result:
     g(t) = lambda_max(2tN - M) is convex.  On an interval the chord of g
     lies above g, so chord - t^2, a concave quadratic, bounds f there in
     closed form.  Intervals whose bound beats the best f found so far are
-    bisected, with one batched eigvalsh (`_kernels.quartic_grid_scan`) per
-    round.  Every top eigenvector v of 2tN - M has quartic
-    (v*Nv - t)^2 + f(t) >= f(t), and the fixed point t <- v*Nv never
-    lowers it.  ``upper`` is the bracket's top widened by the eigvalsh
-    backward error.
+    bisected.  The intervals (a, b, g(a), g(b)) and their bounds are kept
+    as Python floats, so the only array work of a round is one batched
+    eigvalsh (`_kernels.quartic_grid_scan`) on its midpoints: the left
+    halves of the live intervals, in order, then the right halves.  Every
+    top eigenvector v of 2tN - M has quartic (v*Nv - t)^2 + f(t) >= f(t),
+    and the fixed point t <- v*Nv never lowers it.  ``upper`` is the
+    bracket's top widened by the eigvalsh backward error.  An entry of M
+    or N that is not finite is a ValueError.
     """
-    mmat, nmat = linalg.hermitian(m), linalg.hermitian(n)
-    if mmat.shape != nmat.shape:
-        raise ValueError("matrices must have the same size")
+    mmat, nmat = _hermitian_pair(m, n)
 
     def top_vector(t: float) -> np.ndarray:
         return _kernels.eigh_kernel(2.0 * t * nmat - mmat)[1][:, -1]
@@ -632,26 +649,26 @@ def lambda2_products(m, n) -> Lambda2Result:
     # bisection stops at a bracket this tight, never below the rounding
     # margin, where splitting can no longer tighten it
     tol = max(tolerances.LAMBDA2_REL_TOL * scale, margin)
-    t = np.array([lo, hi])
-    gt = _kernels.quartic_grid_scan(mmat, nmat, t)
-    ft = gt - t * t
-    lower, best_t = float(ft.max()), float(t[ft.argmax()])
-    a, b, ga, gb = t[:1], t[1:], gt[:1], gt[1:]
+    glo, ghi = _kernels.quartic_grid_scan(mmat, nmat, np.array([lo, hi])).tolist()
+    # a tie goes to the first point, here and in every round, as argmax's
+    lower, best_t = glo - lo * lo, lo
+    if ghi - hi * hi > lower:
+        lower, best_t = ghi - hi * hi, hi
+    intervals = [(lo, hi, glo, ghi)]
     for _ in range(_LAMBDA2_MAX_ROUNDS):
-        bounds = _chord_bounds(a, b, ga, gb)
-        top = max(float(bounds.max()), lower)
+        bounds = [_chord_bound(*iv) for iv in intervals]
+        top = max(max(bounds), lower)
         if top - lower <= tol:
             break
-        live = bounds > lower
-        a, b, ga, gb = a[live], b[live], ga[live], gb[live]
-        mid = (a + b) / 2.0
-        gm = _kernels.quartic_grid_scan(mmat, nmat, mid)
-        fm = gm - mid * mid
-        k = int(fm.argmax())
-        if fm[k] > lower:
-            lower, best_t = float(fm[k]), float(mid[k])
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
+        intervals = [iv for iv, bound in zip(intervals, bounds) if bound > lower]
+        mids = [(a + b) / 2.0 for a, b, _, _ in intervals]
+        gm = _kernels.quartic_grid_scan(mmat, nmat, np.array(mids)).tolist()
+        for t, g in zip(mids, gm):
+            if g - t * t > lower:
+                lower, best_t = g - t * t, t
+        intervals = [(a, t, ga, g) for (a, _, ga, _), t, g in zip(intervals, mids, gm)] + [
+            (t, b, g, gb) for (_, b, _, gb), t, g in zip(intervals, mids, gm)
+        ]
 
     v = top_vector(best_t)
     value = _quartic(mmat, nmat, v)

@@ -343,6 +343,19 @@ def test_a_sandwich_over_a_non_extreme_generator_is_checked_on_the_listed_genera
     assert plain.ok and _round_trip(doc) == plain
 
 
+def test_a_sandwich_verify_builds_one_section_frame(monkeypatch):
+    # the normal and its Gram-Schmidt basis serve the sections of both C
+    # and S; the residual keeps the bits of one section per side
+    doc = _square_sandwich()
+    want = _round_trip(doc)
+    calls = []
+    basis = cones._hyperplane_basis
+    monkeypatch.setattr(cones, "_hyperplane_basis", lambda n: calls.append(n) or basis(n))
+    got = _round_trip(doc)
+    assert len(calls) == 1
+    assert got.ok and got == want
+
+
 def test_apply_kraus_matches_the_sum():
     rng = np.random.default_rng(3)
     kraus = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))

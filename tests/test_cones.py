@@ -230,6 +230,17 @@ class TestCentralSymmetry:
         assert is_centrally_symmetric(section_of(hexagon_cone(), H))
 
 
+def test_subsets_table_is_built_once_and_read_only():
+    # every caller shares the table of (n, d), so none may write into it
+    cones._subsets.cache_clear()
+    table = cones._subsets(6, 3)
+    assert cones._subsets(6, 3) is table
+    assert not table.flags.writeable
+    assert table.tolist() == [list(c) for c in itertools.combinations(range(6), 3)]
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
 class TestSandwichSimplex:
     def test_square_one_third(self):
         sq = square_cone()

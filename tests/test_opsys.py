@@ -1,11 +1,12 @@
 """Operator-system oracles: membership, witnesses, separation, thresholds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from freespec import certificates, cones, containment, linalg, opsys, sampling, sdp
+from freespec import _kernels, certificates, cones, containment, linalg, opsys, sampling, sdp, tolerances
 from freespec.linalg import SIGMA_X, SIGMA_Z, HermitianMatrix
 from freespec.opsys import (
     EssentialBoundaryStatus,
@@ -844,3 +845,126 @@ class TestLambda2:
             assert res.upper == res.value
             # N = alpha*I: the maximum is alpha^2 - lambda_min(M)
             assert res.value == pytest.approx(0.49 - linalg.eigh(m)[0][0], abs=1e-12)
+
+
+def _reference_lambda2(m, n) -> opsys.Lambda2Result:
+    """`lambda2_products` with its bracket kept in arrays: the chord bounds
+    of all intervals at once, np.clip, boolean masks, argmax and four
+    concatenations per round.  The float bookkeeping must reproduce it bit
+    for bit."""
+    mmat, nmat = linalg.hermitian(m), linalg.hermitian(n)
+
+    def top_vector(t):
+        return _kernels.eigh_kernel(2.0 * t * nmat - mmat)[1][:, -1]
+
+    def chord_bounds(a, b, ga, gb):
+        slope = (gb - ga) / (b - a)
+        t = np.clip(slope / 2.0, a, b)
+        return ga + slope * (t - a) - t * t
+
+    n_eigs = np.linalg.eigvalsh(nmat)
+    lo, hi = float(n_eigs[0]), float(n_eigs[-1])
+    if lo == hi:
+        v = top_vector(lo)
+        value = opsys._quartic(mmat, nmat, v)
+        return opsys.Lambda2Result(value=value, upper=value, argmax=v)
+    scale = max(abs(lo), abs(hi)) ** 2 + float(np.linalg.norm(mmat))
+    margin = 12.0 * len(mmat) * np.finfo(float).eps * scale
+    tol = max(tolerances.LAMBDA2_REL_TOL * scale, margin)
+    t = np.array([lo, hi])
+    gt = _kernels.quartic_grid_scan(mmat, nmat, t)
+    ft = gt - t * t
+    lower, best_t = float(ft.max()), float(t[ft.argmax()])
+    a, b, ga, gb = t[:1], t[1:], gt[:1], gt[1:]
+    for _ in range(opsys._LAMBDA2_MAX_ROUNDS):
+        bounds = chord_bounds(a, b, ga, gb)
+        top = max(float(bounds.max()), lower)
+        if top - lower <= tol:
+            break
+        live = bounds > lower
+        a, b, ga, gb = a[live], b[live], ga[live], gb[live]
+        mid = (a + b) / 2.0
+        gm = _kernels.quartic_grid_scan(mmat, nmat, mid)
+        fm = gm - mid * mid
+        k = int(fm.argmax())
+        if fm[k] > lower:
+            lower, best_t = float(fm[k]), float(mid[k])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
+    v = top_vector(best_t)
+    value = opsys._quartic(mmat, nmat, v)
+    for _ in range(opsys._LAMBDA2_MAX_ROUNDS):
+        w = top_vector(float(np.real(v.conj() @ nmat @ v)))
+        q = opsys._quartic(mmat, nmat, w)
+        if q <= value:
+            break
+        v, value = w, q
+    return opsys.Lambda2Result(value=value, upper=top + margin, argmax=v)
+
+
+def _threshold_pairs(s, rng):
+    """Random pairs at three scales, commuting pairs and N = alpha*I."""
+    pairs = [(c * c * linalg.random_hermitian(rng, s), c * linalg.random_hermitian(rng, s))
+             for c in (1e-3, 1.0, 1.0, 1.0, 1e3) for _ in range(4)]
+    for _ in range(5):
+        u = sampling.random_unitary(rng, s)
+        m, n = (u @ np.diag(rng.standard_normal(s)) @ u.conj().T for _ in range(2))
+        pairs.append((m, n))
+    pairs.append((linalg.random_hermitian(rng, s), 0.7 * np.eye(s)))
+    return pairs
+
+
+class TestLambda2Bookkeeping:
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_float_bracket_equals_the_array_bracket_bitwise(self, monkeypatch, s):
+        # same midpoints in the same batches, so every eigvalsh keeps its
+        # bits, and value, upper and argmax keep theirs
+        grids, scan = [], _kernels.quartic_grid_scan
+
+        def recording(m, n, t):
+            grids.append(np.array(t))
+            return scan(m, n, t)
+
+        monkeypatch.setattr(_kernels, "quartic_grid_scan", recording)
+        rng = np.random.default_rng(70 + s)
+        pairs = _threshold_pairs(s, rng)
+        if s == 2:
+            pairs.append((SIGMA_X, SIGMA_Z))
+        for m, n in pairs:
+            grids.clear()
+            got = lambda2_products(m, n)
+            got_grids = list(grids)
+            grids.clear()
+            want = _reference_lambda2(m, n)
+            assert len(got_grids) == len(grids)
+            for g, w in zip(got_grids, grids):
+                assert g.tobytes() == w.tobytes()
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert np.float64(got.upper).tobytes() == np.float64(want.upper).tobytes()
+            assert got.argmax.tobytes() == want.argmax.tobytes()
+
+
+class TestThresholdInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                             ids=["nan", "inf", "-inf", "inf-imaginary"])
+    @pytest.mark.parametrize("which", ["M", "N"])
+    @pytest.mark.parametrize("threshold", [lambda1_block, lambda2_products],
+                             ids=["lambda1", "lambda2"])
+    def test_a_non_finite_entry_is_named_before_any_eigensolve(
+        self, monkeypatch, threshold, which, bad
+    ):
+        # lambda1 returned 0.0 on such an input and lambda2 raised numpy's
+        # "argmax of an empty sequence"; an inf also warned in linalg
+        def forbidden(*args):
+            raise AssertionError("eigensolve on a non-finite input")
+
+        monkeypatch.setattr(_kernels, "eigh_kernel", forbidden)
+        monkeypatch.setattr(_kernels, "quartic_grid_scan", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        broken = np.array(SIGMA_Z)
+        broken[0, 1] = broken[1, 0] = bad
+        m, n = (broken, SIGMA_X) if which == "M" else (SIGMA_X, broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{which}: expected finite entries"):
+                threshold(m, n)
