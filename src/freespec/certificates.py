@@ -26,7 +26,7 @@ limits are relative.  All four come from `tolerances`, the solver's
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -348,19 +348,8 @@ def _verify_membership(doc) -> CertificateCheck:
 def _verify_essential_boundary(doc) -> CertificateCheck:
     comps = _parsed(doc, "components", lambda v: _stack(v, 4))
     n = _parsed(doc, "n_matrices", lambda v: _stack(v, 3, comps.shape[-1]))
-    return check_essential_boundary(comps, n, _parsed(doc, "eps", _finite))
-
-
-def _finite(value, n: Optional[int] = None):
-    """The float of a finite JSON number, or with ``n`` the float array of a
-    list of n finite numbers."""
-    try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        x = np.array(np.nan)
-    if x.shape != (() if n is None else (n,)) or not np.isfinite(x).all():
-        raise ValueError("expected a finite number" if n is None else f"expected {n} finite numbers")
-    return float(x) if n is None else x
+    eps = _parsed(doc, "eps", lambda v: float(finite_from_json(v, shape=())))
+    return check_essential_boundary(comps, n, eps)
 
 
 def _simplex(gens: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -372,9 +361,9 @@ def _simplex(gens: np.ndarray, unit: np.ndarray) -> np.ndarray:
 
 def _verify_sandwich(doc) -> CertificateCheck:
     gens, unit = _parsed(doc, "cone", _spanning_cone)
-    nu = _parsed(doc, "nu", _finite)
+    nu = _parsed(doc, "nu", lambda v: float(finite_from_json(v, shape=())))
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu: {nu!r} is not in (0, 1]")
-    h_normal = _parsed(doc, "h_normal", lambda v: _finite(v, len(unit)))
+    h_normal = _parsed(doc, "h_normal", lambda v: finite_from_json(v, shape=(len(unit),)))
     simplex = _parsed(doc, "simplex_generators", lambda g: _simplex(finite_from_json(g), unit))
     return check_scaling_sandwich(gens, unit, nu, h_normal, simplex)

@@ -211,8 +211,8 @@ def _cmd_check_inclusion(args, rep: Report) -> None:
     src = load_cone_arg(args.src)
     alpha = parse_expression(args.alpha) if args.alpha else None
     tgt = load_pencil_arg(args.tgt, alpha)
-    if args.dump_sdp:
-        _dump(args, containment.relaxation_sdp, containment.diagonal_pencil(src), tgt)
+    diag = pencil.diagonal_pencil(src)
+    _dump(args, containment.relaxation_sdp, diag, tgt)
     verdict = containment.check_inclusion(src, tgt)
     scal = verdict.scalar
     rel = verdict.relaxation
@@ -226,7 +226,7 @@ def _cmd_check_inclusion(args, rep: Report) -> None:
     if not scal.holds:
         rep.say(f"  violating ray {scal.witness_ray} margin {scal.witness_margin:.6e}")
     rep.say(f"matricial relaxation: {rel.status.value}")
-    _report_relaxation(rep, verdict.source, tgt, rel)
+    _report_relaxation(rep, diag, tgt, rel)
     if verdict.free_witness is not None:
         fw = verdict.free_witness
         rep.put("free_witness", {

@@ -287,9 +287,7 @@ def section_frame(unit: np.ndarray, h_normal) -> tuple[np.ndarray, np.ndarray]:
     """The normal of a section about ``unit``, scaled so <normal, u> = 1,
     and the orthonormal basis of its hyperplane.  A normal that is not d
     finite numbers or misses the unit is a ValueError headed "h_normal: "."""
-    n = np.asarray(h_normal, dtype=float)
-    if n.shape != unit.shape or not np.isfinite(n).all():
-        raise ValueError(f"h_normal: expected {len(unit)} finite numbers")
+    n = linalg.finite_from_json(h_normal, "h_normal", unit.shape)
     nu = float(n @ unit)
     if abs(nu) <= tolerances.GEOM_TOL:
         raise ValueError("h_normal: hyperplane normal is orthogonal to the unit")

@@ -50,14 +50,12 @@ from .opsys import (
     generator_weights,
     margin_sdp,
     max_membership,
-    min_membership,
 )
 from .pencil import (
     Classification,
     LinearPencil,
     MatrixTuple,
     classify_margin,
-    diagonal_pencil,
     elliptic_cone_pencil,
     evaluate,
     membership,
@@ -137,14 +135,14 @@ class RelaxationResult:
     message: str = ""
 
 
-def _choi_problem(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
+def _choi_problem(src: np.ndarray, tgt: np.ndarray) -> sdp.SdpProblem:
     """Rows tr(F_beta N_i) = tr((M_i^T (x) F_beta) J), one per variable i
     and Hermitian basis element F_beta; the one block is the Choi matrix J."""
-    r, t = src.r, tgt.r
+    r, t = src.shape[-1], tgt.shape[-1]
     basis = linalg.hermitian_basis(t)
-    mt = np.swapaxes(src.stack, 1, 2)
+    mt = np.swapaxes(src, 1, 2)
     coeffs = mt[:, None, :, None, :, None] * basis[None, :, None, :, None, :]
-    rhs = np.einsum("bij,dji->db", basis, tgt.stack).real.ravel()
+    rhs = np.einsum("bij,dji->db", basis, tgt).real.ravel()
     return sdp.SdpProblem(coeffs.reshape(1, -1, r * t, r * t), rhs)
 
 
@@ -166,23 +164,23 @@ def kraus_from_choi(choi, r: int, t: int) -> tuple[np.ndarray, ...]:
     return tuple(np.sqrt(lam[keep])[:, None, None] * np.conj(vecs[keep]))
 
 
-def _feasible(src: LinearPencil, tgt: LinearPencil, choi) -> Optional[RelaxationResult]:
+def _feasible(src: np.ndarray, tgt: np.ndarray, choi) -> Optional[RelaxationResult]:
     """Feasible with the Choi matrix ``choi``, made read-only, and its Kraus
     form, or None when they fail `certificates.check_relaxation_feasible`."""
     choi.flags.writeable = False
-    kraus = kraus_from_choi(choi, src.r, tgt.r)
-    check = certificates.check_relaxation_feasible(src.stack, tgt.stack, choi, kraus)
+    kraus = kraus_from_choi(choi, src.shape[-1], tgt.shape[-1])
+    check = certificates.check_relaxation_feasible(src, tgt, choi, kraus)
     if not check.ok:
         return None
     cert = RelaxationCertificate(choi=choi, kraus=kraus, residual=check.residual)
     return RelaxationResult(status=RelaxationStatus.FEASIBLE, certificate=cert)
 
 
-def _infeasible(src: LinearPencil, tgt: LinearPencil, y) -> Optional[RelaxationResult]:
+def _infeasible(src: np.ndarray, tgt: np.ndarray, y) -> Optional[RelaxationResult]:
     """Infeasible with the Farkas matrices ``y``, made exactly Hermitian,
     or None when they fail `certificates.check_relaxation_infeasible`."""
     y = linalg.hermitian_part(y)
-    check = certificates.check_relaxation_infeasible(src.stack, tgt.stack, y)
+    check = certificates.check_relaxation_infeasible(src, tgt, y)
     if not check.ok:
         return None
     y.flags.writeable = False
@@ -190,18 +188,31 @@ def _infeasible(src: LinearPencil, tgt: LinearPencil, y) -> Optional[RelaxationR
     return RelaxationResult(status=RelaxationStatus.INFEASIBLE, farkas=farkas)
 
 
-def _sdp_relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
-    """The Choi-matrix SDP, for any source pencil."""
+def _sdp_relaxation(src: np.ndarray, tgt: np.ndarray) -> RelaxationResult:
+    """The Choi-matrix SDP, for any source stack."""
     outcome = sdp.solve(_choi_problem(src, tgt))
     answer, message = None, outcome.message
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         answer = _feasible(src, tgt, outcome.primal[0])
         message = "Kraus certificate rejected by its check"
     elif outcome.status is sdp.SdpStatus.INFEASIBLE:
-        y = outcome.dual_certificate.y.reshape(src.d, -1)
-        answer = _infeasible(src, tgt, np.tensordot(y, linalg.hermitian_basis(tgt.r), axes=1))
+        y = outcome.dual_certificate.y.reshape(len(src), -1)
+        answer = _infeasible(src, tgt, np.tensordot(y, linalg.hermitian_basis(tgt.shape[-1]), axes=1))
         message = "Farkas certificate rejected by its check"
     return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
+
+
+def _facet_relaxation(src: np.ndarray, facets: np.ndarray, unit, tgt: np.ndarray) -> RelaxationResult:
+    """`relaxation` from the diagonal source stack M_i = diag(F[:, i]) of
+    the facet rows F (k x d), with ``unit``, to the target stack."""
+    k, t = len(facets), tgt.shape[-1]
+
+    def member(q):
+        choi = np.einsum("jk,jxy->jxky", np.eye(k), q).reshape(k * t, -1)
+        return _feasible(src, tgt, linalg.hermitian_part(choi))
+
+    answer, why = generator_weights(facets, tgt, unit, member, lambda y: _infeasible(src, tgt, y))
+    return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=why)
 
 
 def _diagonal_facets(src: LinearPencil) -> Optional[np.ndarray]:
@@ -223,7 +234,7 @@ def relaxation_sdp(src: LinearPencil, tgt: LinearPencil) -> sdp.SdpProblem:
     _same_variables(src, tgt)
     facets = _diagonal_facets(src)
     if facets is None:
-        return _choi_problem(src, tgt)
+        return _choi_problem(src.stack, tgt.stack)
     return margin_sdp(facets, tgt.stack, src.unit)
 
 
@@ -246,16 +257,8 @@ def relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
     _same_variables(src, tgt)
     facets = _diagonal_facets(src)
     if facets is None:
-        return _sdp_relaxation(src, tgt)
-
-    def member(q):
-        choi = np.einsum("jk,jxy->jxky", np.eye(src.r), q).reshape(src.r * tgt.r, -1)
-        return _feasible(src, tgt, linalg.hermitian_part(choi))
-
-    answer, why = generator_weights(
-        facets, tgt.stack, src.unit, member, lambda y: _infeasible(src, tgt, y)
-    )
-    return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=why)
+        return _sdp_relaxation(src.stack, tgt.stack)
+    return _facet_relaxation(src.stack, facets, src.unit, tgt.stack)
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +277,11 @@ class FreeWitness:
     target_margin: float
 
 
+# the square's level-2 witness (sigma_z, sigma_x, I), read-only
+_SQUARE_WITNESS = np.array([SIGMA_Z, SIGMA_X, np.eye(2)], dtype=np.complex128)
+_SQUARE_WITNESS.flags.writeable = False
+
+
 def free_witness_square(alpha: float) -> FreeWitness:
     """The anticommuting pair witness (sigma_z, sigma_x, I) for the square.
 
@@ -284,12 +292,9 @@ def free_witness_square(alpha: float) -> FreeWitness:
     """
     if not (0.0 < alpha < math.pi / 2.0):
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
-    a = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
-    src_margin = max_membership(square_cone(), a).margin
+    a, src_margin = square_type_witness(square_cone())
     tgt_margin = membership(elliptic_cone_pencil(alpha), a).margin
-    return FreeWitness(
-        tuple=a, level=2, source_margin=src_margin, target_margin=tgt_margin
-    )
+    return FreeWitness(tuple=a, level=2, source_margin=src_margin, target_margin=tgt_margin)
 
 
 def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
@@ -319,10 +324,9 @@ def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
 def square_type_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, float]]:
     """Push the square's level-2 witness through the linear map of
     `_quad_map_from_square` onto a quadrilateral source cone: the witness
-    and its margin in the source's largest system, from the one
-    `max_membership` call that checks it; None when the source is not a
-    quadrilateral or the image fails that check."""
-    base = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
+    B_i = sum_j L_ij A_j and its margin in the source's largest system,
+    from the one `max_membership` call that checks it; None, with no tuple
+    built, when the source is not a quadrilateral or the image fails that check."""
     if (
         src.dim == 3
         and src.n_generators == 4
@@ -330,11 +334,12 @@ def square_type_witness(src: PolyhedralCone) -> Optional[tuple[MatrixTuple, floa
         and np.max(np.abs(src.unit / np.linalg.norm(src.unit) - [0.0, 0.0, 1.0]))
         < tolerances.UNIT_AXIS_TOL
     ):
+        base = MatrixTuple(_SQUARE_WITNESS)
         return base, max_membership(src, base).margin
     l = _quad_map_from_square(src)
     if l is None:
         return None
-    cand = base.scaled_by(l)
+    cand = MatrixTuple(sum(l[:, j, None, None] * _SQUARE_WITNESS[j] for j in range(3)))
     res = max_membership(src, cand, tol=tolerances.WITNESS_TOL)
     return (cand, res.margin) if res.inside_or_boundary else None
 
@@ -350,12 +355,11 @@ class VerdictConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class InclusionVerdict:
-    """``source`` is the pencil the relaxation decided: the source cone's
-    diagonal realization, which its certificate refers to."""
+    """The relaxation certificate refers to the source cone's diagonal
+    realization, `pencil.diagonal_pencil(src)`."""
 
     scalar: ScalarInclusionResult
     relaxation: RelaxationResult
-    source: LinearPencil
     free_witness: Optional[FreeWitness] = None
 
     def __post_init__(self):
@@ -373,10 +377,13 @@ class InclusionVerdict:
 def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
     """Scalar inclusion, then the matricial relaxation on the source's
     diagonal realization, then a constructive level-2 witness when the
-    source is a quadrilateral and the witness verifiably escapes the target."""
+    source is a quadrilateral and the witness verifiably escapes the target.
+    No cone or pencil is built: the realization's stack is an array."""
     scal = scalar_inclusion(src, tgt)
-    diag = diagonal_pencil(src)
-    relax = relaxation(diag, tgt)
+    k = src.n_facets
+    diag = np.zeros((src.dim, k, k), dtype=np.complex128)
+    diag[:, np.arange(k), np.arange(k)] = src.facets.T
+    relax = _facet_relaxation(diag, src.facets, src.unit, tgt.stack)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
         found = square_type_witness(src)
@@ -384,24 +391,13 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
             cand, src_margin = found
             tgt_res = membership(tgt, cand)
             if tgt_res.classification is Classification.OUTSIDE:
-                witness = FreeWitness(
-                    tuple=cand,
-                    level=cand.level,
-                    source_margin=src_margin,
-                    target_margin=tgt_res.margin,
-                )
-    return InclusionVerdict(scalar=scal, relaxation=relax, source=diag, free_witness=witness)
+                witness = FreeWitness(cand, cand.level, src_margin, tgt_res.margin)
+    return InclusionVerdict(scalar=scal, relaxation=relax, free_witness=witness)
 
 
 # --------------------------------------------------------------------------
 # Scaled inclusion of the largest system in the smallest
 # --------------------------------------------------------------------------
-
-
-def scaled_tuple(a: MatrixTuple, nu: float) -> MatrixTuple:
-    """(nu*A_1, ..., nu*A_{d-1}, A_d): scaling about the unit e_d along the
-    coordinate hyperplane spanned by e_1..e_{d-1}."""
-    return MatrixTuple(np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
 
 
 def _require_unit_ed(cone: PolyhedralCone, who: str) -> None:
@@ -425,7 +421,7 @@ def scaled_max_in_min(cone: PolyhedralCone, nu: float, a: MatrixTuple):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
     _require_unit_ed(cone, "coordinate convention")
     _require_in_max(max_membership(cone, a).margin)
-    return min_membership(cone, scaled_tuple(a, nu))
+    return _min_membership(cone, np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
 
 
 def _require_in_max(margin: float) -> None:

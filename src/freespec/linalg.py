@@ -196,16 +196,19 @@ def int_from_json(obj: dict, key: str) -> int:
         raise ValueError(f"{key} must be an integer") from None
 
 
-def finite_from_json(value, what: Optional[str] = None) -> np.ndarray:
+def finite_from_json(value, what: Optional[str] = None, shape: Optional[tuple] = None) -> np.ndarray:
     """The float array of a document's numbers, or a ValueError (headed by
     ``what``) when an entry is not a finite number: an object, a list where
-    a number belongs, null, NaN or Infinity."""
+    a number belongs, null, NaN or Infinity; with ``shape``, () for one
+    number or (n,) for a list of n, also when the array has another shape."""
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         x = np.array(np.nan)
-    if not np.isfinite(x).all():
-        raise ValueError(("" if what is None else f"{what}: ") + "expected finite numbers")
+    if not np.isfinite(x).all() or shape not in (None, x.shape):
+        want = ("finite numbers" if shape is None else "a finite number" if shape == ()
+                else f"{shape[0]} finite numbers")
+        raise ValueError(("" if what is None else f"{what}: ") + "expected " + want)
     return x
 
 

@@ -562,24 +562,40 @@ def effros_winkler_separation(phi: SeparationFunctional, u) -> LinearPencil:
 # --------------------------------------------------------------------------
 
 
-def _hermitian_pair(m, n) -> tuple[np.ndarray, np.ndarray]:
-    """The checked Hermitian M and N of a threshold problem; an entry that
-    is not finite, or two sizes, is a ValueError (naming M or N)."""
+def _hermitian_pair(m, n) -> tuple[np.ndarray, np.ndarray, int]:
+    """The checked Hermitian M / s^2 and N / s of a threshold problem and k,
+    for s = 2^k: k = 0 unless max|N| or sqrt(max|M|) reaches 2^256, else the
+    least k that brings both below 1, so that no square overflows and
+    lam(M, N) = s^2 lam(M / s^2, N / s) exactly, for both thresholds.  An
+    entry that is not finite, or two sizes, is a ValueError (naming M or N)."""
     pair = []
     for x, name in ((m, "M"), (n, "N")):
         a = np.asarray(x, dtype=np.complex128)
         if not np.isfinite(a).all():
             raise ValueError(f"{name}: expected finite entries")
         pair.append(linalg.hermitian(a))
-    if pair[0].shape != pair[1].shape:
+    hm, hn = pair
+    if hm.shape != hn.shape:
         raise ValueError("matrices must have the same size")
-    return pair[0], pair[1]
+    k = math.frexp(max(float(np.abs(hn).max()), math.sqrt(float(np.abs(hm).max()))))[1]
+    if k <= 256:  # not a band: far below where a square can overflow
+        return hm, hn, 0
+    inv = math.ldexp(1.0, -k)
+    return hm * inv * inv, hn * inv, k
+
+
+def _unscaled(x: float, k: int) -> float:
+    """s^2 x for s = 2^k, exactly; a ValueError beyond the float range."""
+    try:
+        return math.ldexp(x, 2 * k)
+    except OverflowError:
+        raise ValueError(f"threshold {x!r} * 2^{2 * k} is beyond the float range") from None
 
 
 def lambda1_block(m, n) -> float:
     """Smallest lam with [[M + lam*I, N], [N, I]] >= 0, as max_v (v*N^2v - v*Mv)."""
-    hm, hn = _hermitian_pair(m, n)
-    return float(_kernels.eigh_kernel(linalg.hermitian_part(hn @ hn - hm))[0][-1])
+    hm, hn, k = _hermitian_pair(m, n)
+    return _unscaled(float(_kernels.eigh_kernel(linalg.hermitian_part(hn @ hn - hm))[0][-1]), k)
 
 
 _LAMBDA2_MAX_ROUNDS = 200
@@ -627,9 +643,10 @@ def lambda2_products(m, n) -> Lambda2Result:
     top eigenvector v of 2tN - M has quartic (v*Nv - t)^2 + f(t) >= f(t),
     and the fixed point t <- v*Nv never lowers it.  ``upper`` is the
     bracket's top widened by the eigvalsh backward error.  An entry of M
-    or N that is not finite is a ValueError.
+    or N that is not finite is a ValueError, and so is an answer beyond
+    the float range (the pair is rescaled by `_hermitian_pair`).
     """
-    mmat, nmat = _hermitian_pair(m, n)
+    mmat, nmat, k = _hermitian_pair(m, n)
 
     def top_vector(t: float) -> np.ndarray:
         return _kernels.eigh_kernel(2.0 * t * nmat - mmat)[1][:, -1]
@@ -639,7 +656,7 @@ def lambda2_products(m, n) -> Lambda2Result:
     if lo == hi:
         # N = lo*I: f(lo) is the maximum and any top eigenvector attains it
         v = top_vector(lo)
-        value = _quartic(mmat, nmat, v)
+        value = _unscaled(_quartic(mmat, nmat, v), k)
         return Lambda2Result(value=value, upper=value, argmax=v)
 
     # ||2tN - M|| <= 2*scale on the interval, and eigvalsh errs by a small
@@ -678,7 +695,7 @@ def lambda2_products(m, n) -> Lambda2Result:
         if q <= value:
             break
         v, value = w, q
-    return Lambda2Result(value=value, upper=top + margin, argmax=v)
+    return Lambda2Result(value=_unscaled(value, k), upper=_unscaled(top + margin, k), argmax=v)
 
 
 def common_eigenvector_residual(m, n, v: np.ndarray) -> tuple[float, float]:

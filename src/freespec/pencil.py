@@ -72,11 +72,6 @@ class MatrixTuple:
     def of(*entries) -> "MatrixTuple":
         return MatrixTuple(entries)
 
-    def scaled_by(self, matrix: np.ndarray) -> "MatrixTuple":
-        """Apply a linear coordinate change L: entries B_i = sum_j L_ij A_j."""
-        l = np.asarray(matrix, dtype=float)
-        return MatrixTuple(sum(l[:, j, None, None] * self.stack[j] for j in range(self.d)))
-
 
 class LinearPencil:
     """d Hermitian r x r matrices with order unit normalisation, held as the

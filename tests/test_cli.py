@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import cli, cones, containment, linalg, opsys, pencil, sampling, sdp
+from freespec import cli, cones, linalg, opsys, pencil, sampling, sdp
 from freespec.containment import _choi_problem
 from freespec.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, parse_expression
 from freespec.linalg import SIGMA_X, SIGMA_Z
@@ -177,24 +177,24 @@ class TestCheckInclusion:
         margin = doc["result"]["free_witness"]["target_margin"]
         assert margin == pytest.approx(1 - math.sqrt(2), abs=1e-9)
 
-    @pytest.mark.parametrize("dump, calls", [(False, 1), (True, 2)])
-    def test_diagonal_pencil_built_once(self, capsys, monkeypatch, tmp_path, dump, calls):
-        # the certificate refers to the pencil the relaxation decided; only
-        # --dump-sdp, written before the decision, builds its own
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_diagonal_pencil_built_once(self, capsys, monkeypatch, tmp_path, dump):
+        # check_inclusion decides on the cone's facets and builds no pencil;
+        # the one the dump and the certificate state is built once
         built = []
-        build = containment.diagonal_pencil
+        build = pencil.diagonal_pencil
 
         def counting(cone):
             built.append(cone)
             return build(cone)
 
-        monkeypatch.setattr(containment, "diagonal_pencil", counting)
+        monkeypatch.setattr(pencil, "diagonal_pencil", counting)
         argv = ["check-inclusion", "--src", "square", "--tgt", "calpha", "--alpha", "pi/4"]
         if dump:
             argv += ["--dump-sdp", str(tmp_path / "relax.sdp")]
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert len(built) == calls
+        assert len(built) == 1
 
 
 class TestComei:
@@ -677,7 +677,7 @@ class TestOtherCommands:
         )
         assert code == EXIT_OK
         tgt = pencil.elliptic_cone_pencil(math.pi / 3)
-        sdp.dump_problem(_choi_problem(tgt, tgt), ref)
+        sdp.dump_problem(_choi_problem(tgt.stack, tgt.stack), ref)
         assert sdp.load_problem(dump).blocks == (4,)  # Choi variable of size r*t = 2*2
         assert dump.read_bytes() == ref.read_bytes()
 

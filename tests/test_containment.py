@@ -187,7 +187,7 @@ class TestSimplexRelaxation:
             included = sampling.random_target_for_simplex(rng, cone, t)
             for tgt in (included, _indefinite_target(rng, cone, t)):
                 fast = relaxation(src, tgt)
-                ref = containment._sdp_relaxation(src, tgt)
+                ref = containment._sdp_relaxation(src.stack, tgt.stack)
                 assert fast.status in definitive
                 assert _relaxation_certificate_ok(src, tgt, fast)
                 if ref.status in definitive:
@@ -224,7 +224,7 @@ class TestSimplexRelaxation:
         assert solve_calls == []
         assert res.status is RelaxationStatus.FEASIBLE
         assert _relaxation_certificate_ok(src, tgt, res)
-        assert res.status is containment._sdp_relaxation(src, tgt).status
+        assert res.status is containment._sdp_relaxation(src.stack, tgt.stack).status
 
     def test_non_simplex_source_uses_the_sdp(self, solve_calls):
         res = relaxation(diagonal_pencil(square_cone()), elliptic_cone_pencil(math.pi / 4))
@@ -251,7 +251,7 @@ class TestRankDeficientDiagonalSource:
         res = relaxation(src, tgt)
         assert res.status is want
         assert _relaxation_certificate_ok(src, tgt, res)
-        assert containment._sdp_relaxation(src, tgt).status is want
+        assert containment._sdp_relaxation(src.stack, tgt.stack).status is want
         if want is RelaxationStatus.INFEASIBLE:
             assert res.farkas.gap == pytest.approx(1.0, abs=1e-12)
 
@@ -332,7 +332,7 @@ class TestDiagonalRelaxation:
         statuses = set()
         for tgt in _diagonal_targets(rng, cone):
             res = relaxation(src, tgt)
-            ref = containment._sdp_relaxation(src, tgt)
+            ref = containment._sdp_relaxation(src.stack, tgt.stack)
             assert res.status in definitive, res.message
             assert _relaxation_certificate_ok(src, tgt, res)
             if ref.status in definitive:
@@ -431,7 +431,7 @@ def _relaxation_status(src, tgt):
     verdict = check_inclusion(src, tgt)
     rel = verdict.relaxation
     assert rel.status is not RelaxationStatus.UNKNOWN, rel.message
-    assert _relaxation_certificate_ok(verdict.source, tgt, rel)
+    assert _relaxation_certificate_ok(diagonal_pencil(src), tgt, rel)
     return rel.status
 
 
@@ -525,7 +525,7 @@ class TestCommutingRelaxation:
                     assert _relaxation_certificate_ok(src, tgt, res)
                     # at 1e6 the Choi SDP can answer Unknown on a boundary
                     # target: its Farkas witness fails the checker
-                    ref = containment._sdp_relaxation(src, tgt)
+                    ref = containment._sdp_relaxation(src.stack, tgt.stack)
                     if ref.status in definitive:
                         assert _relaxation_certificate_ok(src, tgt, ref)
                         assert res.status is ref.status, f"scale 1e{e}"
@@ -547,7 +547,7 @@ class TestCommutingRelaxation:
         assert len(solve_calls) == 1
         assert res.status is RelaxationStatus.INFEASIBLE
         assert _relaxation_certificate_ok(src, bumped, res)
-        assert res.status is containment._sdp_relaxation(src, bumped).status
+        assert res.status is containment._sdp_relaxation(src.stack, bumped.stack).status
 
 
 @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
@@ -693,6 +693,20 @@ class TestSquareTypeWitness:
         assert len(calls) == 1
         assert w.source_margin == real(src, w.tuple).margin
 
+    def test_quadrilateral_witness_is_the_per_entry_sum(self):
+        # B_i = sum_j L_ij A_j, the bits of one Python sum per entry over
+        # the square's witness as a checked tuple
+        base = sz_sx_i().stack
+        rng = np.random.default_rng(52)
+        quads = [_skewed_quad()] + [_random_quadrilateral(rng) for _ in range(20)]
+        for quad in quads:
+            l = containment._quad_map_from_square(quad)
+            want = MatrixTuple([sum(c * m for c, m in zip(row, base)) for row in l])
+            w, _ = square_type_witness(quad)
+            assert w.stack.tobytes() == want.stack.tobytes()
+        w, _ = square_type_witness(square_cone())
+        assert w.stack.tobytes() == base.tobytes()
+
     def test_builds_no_cone(self, monkeypatch):
         sources = [square_cone(), _skewed_quad(), TestPentagonNonTightness._pentagon()]
 
@@ -735,6 +749,66 @@ class TestCheckInclusion:
             v = check_inclusion(square_cone(), elliptic_cone_pencil(alpha))
             if v.free_witness is not None:
                 assert v.relaxation.status is not RelaxationStatus.FEASIBLE
+
+
+class TestCheckInclusionBuildsNoObjects:
+    """`check_inclusion` decides a cone source on its facets: like
+    `scaling_bound` (`TestScalingBoundBuildsNoObjects`), it constructs no
+    cone, simplex cone or pencil, and at most one tuple, the level-2
+    candidate, which only a square or quadrilateral source reaches."""
+
+    @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+    def test_sources_against_elliptic_and_commuting_targets(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        simplex = sampling.random_simplex_cone(rng, 3)
+        octagon = _regular_polygon(8)
+        cases = [
+            (simplex, elliptic_cone_pencil(0.7), False),
+            (octagon, sampling.random_commuting_target(rng, octagon, 3), False),
+            (square_cone(), elliptic_cone_pencil(math.pi / 4), True),
+            (_skewed_quad(), elliptic_cone_pencil(math.pi / 4), True),
+            (TestPentagonNonTightness._pentagon(), elliptic_cone_pencil(1.0), False),
+            (_regular_polygon(6), elliptic_cone_pencil(1.0), False),
+        ]
+        built = []
+        for cls in (PolyhedralCone, cones.SimplexCone, LinearPencil, MatrixTuple):
+            def counting(self, *args, real=cls.__init__, name=cls.__name__, **kwargs):
+                built.append(name)
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        statuses = []
+        for src, tgt, witness in cases:
+            built.clear()
+            v = check_inclusion(src, tgt)
+            statuses.append(v.relaxation.status)
+            assert (v.free_witness is not None) is witness
+            assert built == ["MatrixTuple"] * witness
+        # the pentagon and the hexagon are refuted, so the witness search ran
+        assert statuses[1:] == [RelaxationStatus.FEASIBLE] + [RelaxationStatus.INFEASIBLE] * 4
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+def test_check_inclusion_decides_as_the_diagonal_pencil_bitwise():
+    # check_inclusion decides on the cone's facets and an array it builds;
+    # relaxation reads both back from the pencil: the answers agree bit for bit
+    rng = np.random.default_rng(44)
+    statuses = set()
+    for src, tgt in _inclusion_instances(rng, 45):
+        want = relaxation(diagonal_pencil(src), tgt)
+        got = check_inclusion(src, tgt).relaxation
+        statuses.add(got.status)
+        assert (got.status, got.message) == (want.status, want.message)
+        if got.status is RelaxationStatus.FEASIBLE:
+            assert got.certificate.choi.tobytes() == want.certificate.choi.tobytes()
+            assert [v.tobytes() for v in got.certificate.kraus] == [
+                v.tobytes() for v in want.certificate.kraus]
+            assert got.certificate.residual == want.certificate.residual
+        if got.status is RelaxationStatus.INFEASIBLE:
+            assert got.farkas.y_matrices.tobytes() == want.farkas.y_matrices.tobytes()
+            assert (got.farkas.gap, got.farkas.lambda_max) == (
+                want.farkas.gap, want.farkas.lambda_max)
+    assert statuses == {RelaxationStatus.FEASIBLE, RelaxationStatus.INFEASIBLE}
 
 
 class TestPentagonNonTightness:

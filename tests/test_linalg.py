@@ -173,6 +173,29 @@ class TestMatrixJson:
             linalg.matrix_from_json([[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
 
 
+@pytest.mark.parametrize(
+    "value, shape, message",
+    [
+        ([1.0, 2.0], None, None),
+        (0.5, (), None),
+        ([0.0, 1.0, 2.0], (3,), None),
+        ([1.0, math.nan], None, "x: expected finite numbers"),
+        ([0.5], (), "x: expected a finite number"),
+        (None, (), "x: expected a finite number"),
+        ([1.0, 2.0], (3,), "x: expected 3 finite numbers"),
+        ({}, (3,), "x: expected 3 finite numbers"),
+        ([1.0, math.inf, 2.0], (3,), "x: expected 3 finite numbers"),
+    ],
+)
+def test_finite_from_json_with_a_shape(value, shape, message):
+    if message is None:
+        x = linalg.finite_from_json(value, "x", shape)
+        assert x.tobytes() == np.asarray(value, dtype=float).tobytes()
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            linalg.finite_from_json(value, "x", shape)
+
+
 def _old_matrix_to_json(m):
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 

@@ -968,3 +968,31 @@ class TestThresholdInputs:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{which}: expected finite entries"):
                 threshold(m, n)
+
+    @pytest.mark.parametrize("e", [300, 500])
+    def test_a_large_pair_gives_the_scaled_bits(self, e):
+        # lam(c^2 M, c N) = c^2 lam(M, N); past 2^256 the pair is divided
+        # by a power of two, so no square overflows and the bits are exact
+        rng = np.random.default_rng(61)
+        c = 2.0**e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (2, 3, 4):
+                m, n = linalg.random_hermitian(rng, s), linalg.random_hermitian(rng, s)
+                assert lambda1_block(c * c * m, c * n) == c * c * lambda1_block(m, n)
+                big, small = lambda2_products(c * c * m, c * n), lambda2_products(m, n)
+                assert (big.value, big.upper) == (c * c * small.value, c * c * small.upper)
+                assert big.argmax.tobytes() == small.argmax.tobytes()
+
+    def test_scaled_pauli_pairs_stay_finite_or_raise(self):
+        # lambda1(c sx, c sz) = c^2 + c was 1.414e160 at c = 1e160, and
+        # lambda2(1e200 sx, 1e100 sz) had upper = inf, both with warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = lambda2_products(1e200 * SIGMA_X, 1e100 * SIGMA_Z)
+            assert r.value == pytest.approx(1.25e200, rel=1e-12)
+            assert r.value <= r.upper <= r.value * (1 + 1e-9)
+            assert lambda1_block(1e150 * SIGMA_X, 1e150 * SIGMA_Z) == pytest.approx(1e300, rel=1e-12)
+            for threshold in (lambda1_block, lambda2_products):
+                with pytest.raises(ValueError, match="beyond the float range"):
+                    threshold(1e160 * SIGMA_X, 1e160 * SIGMA_Z)

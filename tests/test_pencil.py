@@ -294,18 +294,6 @@ class TestStacks:
                     assert not value.stack.flags.writeable
                     assert value.stack.tobytes() == want.tobytes()
 
-    def test_scaled_by_matches_the_per_entry_sum(self):
-        rng = np.random.default_rng(52)
-        for d, s in ((1, 2), (3, 2), (4, 3)):
-            for _ in range(20):
-                a = MatrixTuple(self._nearly_hermitian(rng, d, s))
-                l = rng.standard_normal((d, d))
-                l[rng.random((d, d)) < 0.3] = 0.0
-                l[0, -1] = -0.0
-                # the reference: B_i = sum_j L_ij A_j as one Python sum per entry
-                want = MatrixTuple([sum(c * m for c, m in zip(row, a.stack)) for row in l])
-                assert a.scaled_by(l).stack.tobytes() == want.stack.tobytes()
-
     def test_derived_matrices_match_the_stack(self):
         p = elliptic_cone_pencil(0.4)
         a = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
