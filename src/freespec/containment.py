@@ -50,11 +50,13 @@ from .opsys import (
     generator_weights,
     margin_sdp,
     max_membership,
+    min_membership,
 )
 from .pencil import (
     Classification,
     LinearPencil,
     MatrixTuple,
+    _diagonal_stack,
     classify_margin,
     elliptic_cone_pencil,
     evaluate,
@@ -202,9 +204,10 @@ def _sdp_relaxation(src: np.ndarray, tgt: np.ndarray) -> RelaxationResult:
     return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)
 
 
-def _facet_relaxation(src: np.ndarray, facets: np.ndarray, unit, tgt: np.ndarray) -> RelaxationResult:
-    """`relaxation` from the diagonal source stack M_i = diag(F[:, i]) of
-    the facet rows F (k x d), with ``unit``, to the target stack."""
+def _facet_relaxation(facets: np.ndarray, unit, tgt: np.ndarray) -> RelaxationResult:
+    """`relaxation` from the diagonal source M_i = diag(F[:, i]) of the
+    facet rows F (k x d), with ``unit``, to the target stack."""
+    src = _diagonal_stack(facets)
     k, t = len(facets), tgt.shape[-1]
 
     def member(q):
@@ -258,7 +261,7 @@ def relaxation(src: LinearPencil, tgt: LinearPencil) -> RelaxationResult:
     facets = _diagonal_facets(src)
     if facets is None:
         return _sdp_relaxation(src.stack, tgt.stack)
-    return _facet_relaxation(src.stack, facets, src.unit, tgt.stack)
+    return _facet_relaxation(facets, src.unit, tgt.stack)
 
 
 # --------------------------------------------------------------------------
@@ -292,9 +295,12 @@ def free_witness_square(alpha: float) -> FreeWitness:
     """
     if not (0.0 < alpha < math.pi / 2.0):
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
-    a, src_margin = square_type_witness(square_cone())
+    a = MatrixTuple.of(SIGMA_Z, SIGMA_X, np.eye(2))
+    src_margin = max_membership(square_cone(), a).margin
     tgt_margin = membership(elliptic_cone_pencil(alpha), a).margin
-    return FreeWitness(tuple=a, level=2, source_margin=src_margin, target_margin=tgt_margin)
+    return FreeWitness(
+        tuple=a, level=2, source_margin=src_margin, target_margin=tgt_margin
+    )
 
 
 def _quad_map_from_square(src: PolyhedralCone) -> Optional[np.ndarray]:
@@ -380,10 +386,7 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
     source is a quadrilateral and the witness verifiably escapes the target.
     No cone or pencil is built: the realization's stack is an array."""
     scal = scalar_inclusion(src, tgt)
-    k = src.n_facets
-    diag = np.zeros((src.dim, k, k), dtype=np.complex128)
-    diag[:, np.arange(k), np.arange(k)] = src.facets.T
-    relax = _facet_relaxation(diag, src.facets, src.unit, tgt.stack)
+    relax = _facet_relaxation(src.facets, src.unit, tgt.stack)
     witness = None
     if relax.status is not RelaxationStatus.FEASIBLE and not is_simplex(src):
         found = square_type_witness(src)
@@ -391,13 +394,24 @@ def check_inclusion(src: PolyhedralCone, tgt: LinearPencil) -> InclusionVerdict:
             cand, src_margin = found
             tgt_res = membership(tgt, cand)
             if tgt_res.classification is Classification.OUTSIDE:
-                witness = FreeWitness(cand, cand.level, src_margin, tgt_res.margin)
+                witness = FreeWitness(
+                    tuple=cand,
+                    level=cand.level,
+                    source_margin=src_margin,
+                    target_margin=tgt_res.margin,
+                )
     return InclusionVerdict(scalar=scal, relaxation=relax, free_witness=witness)
 
 
 # --------------------------------------------------------------------------
 # Scaled inclusion of the largest system in the smallest
 # --------------------------------------------------------------------------
+
+
+def scaled_tuple(a: MatrixTuple, nu: float) -> MatrixTuple:
+    """(nu*A_1, ..., nu*A_{d-1}, A_d): scaling about the unit e_d along the
+    coordinate hyperplane spanned by e_1..e_{d-1}."""
+    return MatrixTuple(np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
 
 
 def _require_unit_ed(cone: PolyhedralCone, who: str) -> None:
@@ -421,7 +435,7 @@ def scaled_max_in_min(cone: PolyhedralCone, nu: float, a: MatrixTuple):
         raise ValueError(f"scaling factor must be in (0, 1], got {nu}")
     _require_unit_ed(cone, "coordinate convention")
     _require_in_max(max_membership(cone, a).margin)
-    return _min_membership(cone, np.concatenate([nu * a.stack[:-1], a.stack[-1:]]))
+    return min_membership(cone, scaled_tuple(a, nu))
 
 
 def _require_in_max(margin: float) -> None:

@@ -571,13 +571,14 @@ def _hermitian_pair(m, n) -> tuple[np.ndarray, np.ndarray, int]:
     pair = []
     for x, name in ((m, "M"), (n, "N")):
         a = np.asarray(x, dtype=np.complex128)
-        if not np.isfinite(a).all():
+        size = float(np.abs(a).max(initial=0.0))  # finite iff every entry is
+        if not math.isfinite(size):
             raise ValueError(f"{name}: expected finite entries")
-        pair.append(linalg.hermitian(a))
-    hm, hn = pair
+        pair.append((linalg.hermitian(a), size))
+    (hm, size_m), (hn, size_n) = pair
     if hm.shape != hn.shape:
         raise ValueError("matrices must have the same size")
-    k = math.frexp(max(float(np.abs(hn).max()), math.sqrt(float(np.abs(hm).max()))))[1]
+    k = math.frexp(max(size_n, math.sqrt(size_m)))[1]
     if k <= 256:  # not a band: far below where a square can overflow
         return hm, hn, 0
     inv = math.ldexp(1.0, -k)

@@ -186,10 +186,16 @@ def diagonal_pencil(cone: PolyhedralCone) -> LinearPencil:
     M_i = diag(ell_1(e_i), ..., ell_k(e_i)); level-s membership of the
     resulting pencil is exactly facet-wise positivity (ell_k (x) id)(A) >= 0.
     """
-    k = cone.n_facets
-    stack = np.zeros((cone.dim, k, k))
-    stack[:, np.arange(k), np.arange(k)] = cone.facets.T
-    return LinearPencil(stack, cone.unit)
+    return LinearPencil(_diagonal_stack(cone.facets), cone.unit)
+
+
+def _diagonal_stack(facets: np.ndarray) -> np.ndarray:
+    """The (d, k, k) complex stack M_i = diag(F[:, i]) of the facet rows
+    F (k x d): the stack of `diagonal_pencil`."""
+    k, d = facets.shape
+    stack = np.zeros((d, k, k), dtype=np.complex128)
+    stack[:, np.arange(k), np.arange(k)] = facets.T
+    return stack
 
 
 def elliptic_cone_pencil(alpha: float) -> LinearPencil:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import certificates, cones, containment, linalg, sampling, tolerances
+from freespec import certificates, cones, containment, linalg, pencil, sampling, tolerances
 from freespec.containment import (
     RelaxationStatus,
     ball_pencil,
@@ -790,12 +790,15 @@ class TestCheckInclusionBuildsNoObjects:
 
 @pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
 def test_check_inclusion_decides_as_the_diagonal_pencil_bitwise():
-    # check_inclusion decides on the cone's facets and an array it builds;
-    # relaxation reads both back from the pencil: the answers agree bit for bit
+    # check_inclusion decides on the cone's facets; relaxation reads them
+    # back from the pencil, whose stack, the one its certificate refers to,
+    # is the array the core builds: the answers agree bit for bit
     rng = np.random.default_rng(44)
     statuses = set()
     for src, tgt in _inclusion_instances(rng, 45):
-        want = relaxation(diagonal_pencil(src), tgt)
+        diag = diagonal_pencil(src)
+        assert diag.stack.tobytes() == pencil._diagonal_stack(src.facets).tobytes()
+        want = relaxation(diag, tgt)
         got = check_inclusion(src, tgt).relaxation
         statuses.add(got.status)
         assert (got.status, got.message) == (want.status, want.message)
