@@ -191,14 +191,29 @@ def _infeasible(src: np.ndarray, tgt: np.ndarray, y) -> Optional[RelaxationResul
 
 
 def _sdp_relaxation(src: np.ndarray, tgt: np.ndarray) -> RelaxationResult:
-    """The Choi-matrix SDP, for any source stack."""
-    outcome = sdp.solve(_choi_problem(src, tgt))
+    """The Choi-matrix SDP, for any source stack.
+
+    The SDP is solved on the source matrices that `linalg.dependencies`
+    keeps.  A dropped M_j gives a dependency
+    sum_i c_i M_i = 0; when the target breaks it, W = sum_i c_i N_i != 0,
+    Y_i = c_i W / |W|^2 is a Farkas certificate in closed form
+    (sum_i M_i^T (x) Y_i = 0 and sum_i <Y_i, N_i> = 1).  Either answer is
+    checked against the full stacks."""
+    kept, deps = linalg.dependencies(src.reshape(len(src), -1).view(np.float64))
+    for c in deps:
+        w = np.tensordot(c, tgt, axes=1)
+        gap = float(np.vdot(w, w).real)
+        answer = _infeasible(src, tgt, np.multiply.outer(c / gap, w)) if gap > 0 else None
+        if answer is not None:
+            return answer
+    outcome = sdp.solve(_choi_problem(src[kept], tgt[kept]))
     answer, message = None, outcome.message
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         answer = _feasible(src, tgt, outcome.primal[0])
         message = "Kraus certificate rejected by its check"
     elif outcome.status is sdp.SdpStatus.INFEASIBLE:
-        y = outcome.dual_certificate.y.reshape(len(src), -1)
+        y = np.zeros((len(src), tgt.shape[-1] ** 2))
+        y[kept] = outcome.dual_certificate.y.reshape(len(kept), -1)
         answer = _infeasible(src, tgt, np.tensordot(y, linalg.hermitian_basis(tgt.shape[-1]), axes=1))
         message = "Farkas certificate rejected by its check"
     return answer or RelaxationResult(status=RelaxationStatus.UNKNOWN, message=message)

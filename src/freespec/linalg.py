@@ -17,6 +17,7 @@ is the one phase-normalised eigendecomposition.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Optional
 
 import numpy as np
@@ -151,8 +152,10 @@ def joint_eigenbasis(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return u, ell, float(np.abs(rot).max())
 
 
+@functools.lru_cache(maxsize=32)
 def hermitian_basis(n: int) -> np.ndarray:
-    """Real basis of the n x n Hermitian matrices, as an (n^2, n, n) stack.
+    """Real basis of the n x n Hermitian matrices, as a read-only (n^2, n, n)
+    stack, built once per n on first use.
 
     Diagonal units E_jj first, then for each pair j < k the real part unit
     E_jk + E_kj and the imaginary part unit i(E_jk - E_kj).  The traces
@@ -166,7 +169,26 @@ def hermitian_basis(n: int) -> np.ndarray:
     out[re, j, k] = out[re, k, j] = 1.0
     out[re + 1, j, k] = 1.0j
     out[re + 1, k, j] = -1.0j
+    out.flags.writeable = False
     return out
+
+
+def dependencies(rows: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """The real ``rows`` kept in order while they stay independent (the
+    rows scaled to unit norm have no singular value at most RANK_TOL), and
+    for each row j dropped the coefficients c, one per row, of
+    sum_i c_i rows_i = 0 with c_j = -1."""
+    unit = rows / np.maximum(np.linalg.norm(rows, axis=1), np.finfo(float).tiny)[:, None]
+    kept, deps = [], []
+    for j in range(len(rows)):
+        if np.linalg.matrix_rank(unit[kept + [j]], tol=tolerances.RANK_TOL) > len(kept):
+            kept.append(j)
+            continue
+        c = np.zeros(len(rows))
+        c[kept] = np.linalg.lstsq(rows[kept].T, rows[j], rcond=None)[0]
+        c[j] = -1.0
+        deps.append(c)
+    return kept, deps
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -452,11 +452,21 @@ def essential_boundary_square(
     tolerance `tolerances.TOL`: component configurations whose exact
     system is infeasible but within ~TOL of a feasible one can classify
     either way.
-    The No answer is always backed by a verified infeasibility certificate,
-    and an InEssentialBoundary functional passes its certificate check.
+    Rows that `linalg.dependencies` drops are left out of the solve; one
+    whose dependency the right-hand sides break is a Farkas certificate by
+    itself.  The No answer is always backed by a verified infeasibility
+    certificate, and an InEssentialBoundary functional passes its
+    certificate check.
     """
     comps = _components(components)
-    outcome = sdp.solve(_boundary_problem(comps, eps))
+    problem = _boundary_problem(comps, eps)
+    kept, deps = linalg.dependencies(problem.flat)
+    for c in deps:  # y = +-c: sum_i y_i A_i = 0, a Farkas certificate when y.b > 0
+        if sdp._farkas_from_y(problem, c if c @ problem.b > 0 else -c) is not None:
+            return EssentialBoundaryResult(status=EssentialBoundaryStatus.NO)
+    if deps:
+        problem = sdp.SdpProblem._unchecked(problem.a[:, kept], problem.b[kept], None)
+    outcome = sdp.solve(problem)
     if outcome.status is sdp.SdpStatus.FEASIBLE:
         p1, p2, p3, p4, z0 = outcome.primal
         m3 = z0 + eps * np.eye(len(z0))

@@ -21,13 +21,11 @@ Re tr(Z_i Z_j) with Z = A W, one product by W.
 The engine is a primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector, working on the complex
 Hermitian blocks as given, for at most MAX_ITER iterations, until the
-relative residuals and gap (or complementarity) are at most TOL.  It
-starts infeasible, from multiples of I, on the problem `_preprocess`
-reduces (rows scaled, dependent ones dropped).  An objective problem with
-independent rows may instead come with an exactly feasible, strictly
-interior start (the margin SDP of `opsys.generator_weights`): it is
-checked once, the problem is solved as given, and every iterate stays
-feasible on both sides.  An iteration: two `eigh` calls for the scaling
+relative residuals and gap (or complementarity) are at most TOL.  It has
+one mode: it starts from an exactly feasible, strictly interior point,
+checked once, and every iterate stays feasible on both sides.  An
+objective problem comes with that start (the margin SDP of
+`opsys.generator_weights`).  An iteration: two `eigh` calls for the scaling
 G (W = G G*, G* S G = G^-1 X G^-* = diag(lam)), the Schur complement and
 its Cholesky factor (LAPACK dpotrf, solved by dpotrs with one refinement
 pass), then a predictor and a corrector direction.  Each direction is
@@ -40,20 +38,24 @@ update.  A caller's check sees every iterate, the (k, n, n) stack of the
 primal blocks, and the first answer it gives stops the solve with status
 STOPPED and that answer.
 
-A feasibility problem is the objective problem with C = 0, on the rows
-scaled to max|b| = 1 so that the solve is scale-invariant.  Each iterate
-is checked: X projected onto A(X) = b is Feasible when it is PSD up to
-TOL times its largest eigenvalue, and y is Infeasible when it verifies as
-a Farkas certificate: sum_i y_i A_i negative semidefinite (to
-0.1 * FARKAS_TOL) together with b.y > 0.  Without either the status is
-NumericalFailure.  Its callers are the Choi-matrix relaxation of a
-non-diagonal source, `opsys.essential_boundary_square` and problems
-loaded from a dump.
+A feasibility problem is solved as the objective problem of `_embedding`,
+built from its rows alone, started like the margin SDP, with two scalar
+tests per iterate: it maximises the least eigenvalue t of X over
+A(X) = b, offers X as Feasible once t is at least -TOL, and y as a Farkas
+certificate (sum_i y_i A_i negative semidefinite to 0.1 * FARKAS_TOL
+together with b.y > 0), checked on the problem as given, once the dual
+bound on t is below -TOL.  Without either the status is NumericalFailure.
+The rows must be independent and hold I in their span, which both
+callers' rows do: the unit of the source gives sum_i u_i M_i^T (x) I = I
+for the Choi-matrix relaxation of a non-diagonal source, and the pair and
+trace rows give I for `opsys.essential_boundary_square`; each caller
+drops dependent rows first.  A problem loaded from a dump that fails
+either is a ValueError.
 
-The bands (TOL, FARKAS_TOL, START_TOL, the row-rank and row-conflict
-tests of `_preprocess` and the primal test of `verify`) are constants of
-`tolerances`; the numbers written out in `_ipm` are its parameters and
-safeguards, which end a solve or keep it finite but decide no answer.
+The bands (TOL, FARKAS_TOL, START_TOL and the primal test of `verify`)
+are constants of `tolerances`; the numbers written out in `_ipm` are its
+parameters and safeguards, which end a solve or keep it finite but decide
+no answer.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _kernels, linalg, tolerances
@@ -82,10 +83,6 @@ class SdpStatus(enum.Enum):
     OPTIMAL = "Optimal"
     STOPPED = "Stopped"
     NUMERICAL_FAILURE = "NumericalFailure"
-
-
-class InconsistentConstraintsError(ValueError):
-    """Linearly dependent constraint rows with conflicting right-hand sides."""
 
 
 def _flat(t: np.ndarray) -> np.ndarray:
@@ -240,58 +237,6 @@ class SdpVerifyReport:
 
 
 # --------------------------------------------------------------------------
-# Constraint preprocessing (row scaling + rank reduction)
-# --------------------------------------------------------------------------
-
-
-def _preprocess(p: SdpProblem):
-    """The problem on its independent rows ``p.flat`` (real, so dot products
-    are Re tr(A_i A_j*)) scaled to unit norm (a scaled row stays exactly
-    Hermitian, so it is built unchecked), its row map ``(kept, scale)`` and
-    the y of an inconsistent dependent row or None."""
-    m = len(p.b)
-    scale = np.maximum(np.linalg.norm(p.flat, axis=1), 1e-12)  # division guard for a zero row
-    rows = p.flat / scale[:, None]
-    b = p.b / scale
-
-    # rank-revealing QR on the transposed row matrix
-    _, r, piv = qr(rows.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > max(tolerances.ROW_RANK_FLOOR, tolerances.ROW_RANK_TOL * diag[0])))
-    kept = np.sort(piv[:rank])
-    dropped = np.setdiff1d(np.arange(m), kept)
-    conflict_y = None
-    if dropped.size:
-        combo, *_ = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)
-        pred = combo.T @ b[kept]
-        gaps = np.abs(pred - b[dropped])
-        bad = gaps > tolerances.ROW_CONFLICT_TOL * (1.0 + np.abs(b[dropped]))
-        if np.any(bad):
-            j = int(np.argmax(gaps))
-            y = np.zeros(m)
-            y[dropped[j]] = -1.0
-            y[kept] += combo[:, j]
-            if float(y @ b) < 0.0:
-                y = -y
-            conflict_y = y / scale  # back to original row scaling
-
-    a = p.a[:, kept] / scale[kept, None, None]
-    q = SdpProblem._unchecked(a, b[kept], None if p.c is None else p.cg)
-    return q, (kept, scale[kept]), conflict_y
-
-
-def _expand_y(rows, y: np.ndarray, m: int) -> np.ndarray:
-    """Multipliers of the reduced rows in the problem's row order; y
-    itself for the identity map ``rows`` None."""
-    if rows is None:
-        return y
-    kept, scale = rows
-    out = np.zeros(m)
-    out[kept] = y / scale
-    return out
-
-
-# --------------------------------------------------------------------------
 # Interior-point core (complex Hermitian blocks, one (k, n, n) stack each)
 # --------------------------------------------------------------------------
 
@@ -341,30 +286,25 @@ def _cholesky(a: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ipm(q: SdpProblem, check=None, start=None) -> _IpmResult:
-    """Iterate on ``q`` until ``check(x, y)`` gives an answer other than
-    None, the iterate converges or a failure stops it; ``iterations``
-    counts the completed iterations.  Overflow is silent: the finiteness
-    tests on mu and the residuals and on the Schur system end a diverging
-    solve as "iterates diverged"."""
+def _ipm(q: SdpProblem, check, start) -> _IpmResult:
+    """Iterate on ``q`` from the exactly feasible, strictly interior
+    ``start`` (X, y), checked once, until ``check(x, y)`` gives an answer
+    other than None, the iterate converges or a failure stops it;
+    ``iterations`` counts the completed iterations.  Overflow is silent:
+    the finiteness tests on mu and the residuals and on the Schur system
+    end a diverging solve as "iterates diverged"."""
     ndim = sum(q.blocks)
     b = q.b
 
     norm_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     norm_c = max(1.0, _frobenius(q.cg))
-    if start is not None:  # checked once: one A(X), one eigvalsh
-        x = np.array(start[0], dtype=np.complex128)
-        y = np.array(start[1], dtype=float)
-        s = q.cg - q._adjoint(y)
-        gap = float(np.abs(b - q._apply(x)).max()) / norm_b
-        low = np.linalg.eigvalsh(np.concatenate((x, s)))[:, 0].min()
-        if gap > tolerances.START_TOL or not low > 0:
-            raise ValueError(f"start not feasible and interior: gap {gap:.2e}, min eig {low:.2e}")
-    else:
-        eta_p = 10.0 * max(1.0, math.sqrt(ndim), norm_b)
-        eta_d = max(1.0, math.sqrt(ndim), norm_c)
-        unit = np.broadcast_to(np.eye(q.cg.shape[-1], dtype=np.complex128), q.cg.shape)
-        x, s, y = eta_p * unit, eta_d * unit, np.zeros(len(b))
+    x = np.array(start[0], dtype=np.complex128)
+    y = np.array(start[1], dtype=float)
+    s = q.cg - q._adjoint(y)
+    gap = float(np.abs(b - q._apply(x)).max()) / norm_b
+    low = np.linalg.eigvalsh(np.concatenate((x, s)))[:, 0].min()
+    if gap > tolerances.START_TOL or not low > 0:
+        raise ValueError(f"start not feasible and interior: gap {gap:.2e}, min eig {low:.2e}")
 
     eye = np.eye(q.cg.shape[-1])
     jitter_eye = np.eye(len(b))
@@ -497,95 +437,107 @@ def _farkas_from_y(p: SdpProblem, y: np.ndarray) -> Optional[FarkasCertificate]:
     return FarkasCertificate(y=y, gap=1.0, lambda_max=lam_max)
 
 
+def _embedding(p: SdpProblem):
+    """The objective problem, its exact start and its check that decide the
+    feasibility problem ``p``.
+
+    On the rows of ``p`` scaled to unit norm, with one Cholesky factor of
+    their Gram matrix: X_ls is the least-norm solution of A(X) = b, and w
+    solves A*(w) = I.  b is divided by max|lambda(X_ls)| (by 1 for
+    X_ls = 0), so that the solve is scale-invariant, and
+    t0 = lambda_min(X_ls) - 2.  The problem maximises tau = tr(T) / n over
+    the blocks X' >= 0 and one more n x n block T >= 0 subject to
+    A(X') + tau A(I) = b - t0 A(I): X = X' + (t0 + tau) I solves A(X) = b,
+    and tau is bounded since tr X = w.b.  Its start X' = X_ls - (t0 + 1) I,
+    T = I, y = -(2 / N) w for N = k n is exactly feasible and strictly
+    interior: X' >= I, and C - A*(y) is 2 I / N on the blocks of ``p`` and
+    I / n on T.  An iterate with t0 + tau >= -TOL offers X as Feasible,
+    which it is when lambda_min(X) >= -TOL max|lambda(X)|; one whose dual
+    bound t0 - b.y on t0 + tau is below -TOL offers y, on the rows of
+    ``p``, to `_farkas_from_y`, Infeasible when lambda_max <= 0.1 *
+    FARKAS_TOL.  A ValueError names dependent rows or a row span that holds
+    no identity.
+    """
+    k, n = len(p.a), p.a.shape[-1]
+    norms = np.maximum(np.linalg.norm(p.flat, axis=1), np.finfo(float).tiny)  # a zero row stays 0
+    rows = p.flat / norms[:, None]
+    gram = _cholesky(rows @ rows.T)
+    if gram is None:
+        raise ValueError("the constraint rows are linearly dependent")
+
+    def least_norm(v):
+        """z = G^-1 v and A*(z), on the scaled rows."""
+        z = dpotrs(gram, v, lower=1)[0]
+        return z, hermitian_part((z @ rows.view(np.complex128)).reshape(k, n, n))
+
+    eye = np.eye(n)
+    ai = np.trace(p.a, axis1=2, axis2=3).real.sum(0) / norms  # A(I)
+    w, unit = least_norm(ai)
+    miss = float(np.abs(unit - eye).max())
+    if not miss <= tolerances.START_TOL:
+        raise ValueError(f"the span of the constraint rows holds no identity (off by {miss:.2e})")
+    _, x_ls = least_norm(p.b / norms)
+    lam = np.linalg.eigvalsh(x_ls)
+    scale = float(np.abs(lam).max()) or 1.0
+    t0 = float(lam[:, 0].min()) / scale - 2.0
+    coeffs = np.concatenate([p.a / norms[:, None, None], (ai / n)[None, :, None, None] * eye])
+    c = np.zeros((k + 1, n, n), dtype=np.complex128)
+    c[k] = -eye / n
+    q = SdpProblem._unchecked(coeffs, p.b / norms / scale - t0 * ai, c)
+    start = (np.concatenate([x_ls / scale - (t0 + 1.0) * eye, eye[None]]), -(2.0 / (k * n)) * w)
+
+    def check(x, y):
+        t = t0 + float(np.trace(x[k]).real) / n
+        if t >= -tolerances.TOL:
+            x = scale * (x[:k] + t * eye)
+            ev = np.linalg.eigvalsh(x)
+            if ev[:, 0].min() >= -tolerances.TOL * np.abs(ev).max():
+                return dict(status=SdpStatus.FEASIBLE, primal=tuple(linalg.hermitian(x, 3)))
+        if t0 - float(q.b @ y) < -tolerances.TOL:
+            cert = _farkas_from_y(p, y / norms)
+            if cert is not None and cert.lambda_max <= 0.1 * tolerances.FARKAS_TOL:
+                return dict(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
+        return None
+
+    return q, start, check
+
+
 def solve(p: SdpProblem, check=None, start=None) -> SdpOutcome:
     """Solve a feasibility or linear-objective SDP.
 
-    ``check``, for an objective problem only, sees every iterate (the
-    (k, n, n) stack of the primal blocks, and y in the problem's row
-    order); the first answer other than None that it returns stops the
-    solve with status STOPPED and that answer in ``answer``.
+    An objective problem needs ``start``, a strictly interior point (X, y)
+    with A(X) = b to START_TOL and C - A*(y) > 0 (ValueError otherwise);
+    every iterate is then feasible on both sides.  ``check`` sees every
+    iterate (the (k, n, n) stack of the primal blocks, and y); the first
+    answer other than None that it returns stops the solve with status
+    STOPPED and that answer in ``answer``.
 
-    ``start``, for an objective problem with independent rows, is a
-    strictly interior point (X, y) with A(X) = b to START_TOL and
-    C - A*(y) > 0 (ValueError otherwise).  The problem is then solved as
-    given, not preprocessed, and every iterate is feasible on both sides.
+    A feasibility problem takes neither: it is decided as Feasible or
+    Infeasible by the objective problem of `_embedding`, whose rows must
+    be independent and hold the identity in their span (ValueError
+    otherwise), and is NumericalFailure without an answer.
     """
-    if start is not None:
-        if p.c is None:
-            raise ValueError("a start is for a problem with an objective")
-        return _solve_optimization(p, p, None, check, start)
-    q, rows, conflict_y = _preprocess(p)
-    if conflict_y is not None:
-        # sum_i y_i A_i = 0 with y.b > 0: a Farkas certificate, unless the
-        # numerics are pathological
-        cert = _farkas_from_y(p, conflict_y)
-        if cert is None:
-            raise InconsistentConstraintsError(
-                "dependent constraint rows have conflicting right-hand sides"
-            )
-        return SdpOutcome(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
+    q = p
     if p.c is None:
-        return _solve_feasibility(p, q, rows)
-    return _solve_optimization(p, q, rows, check)
-
-
-def _solve_optimization(p: SdpProblem, q: SdpProblem, rows, check=None, start=None) -> SdpOutcome:
-    """``q``, reduced from ``p`` with the row map ``rows``, by the IPM."""
-    hook = None if check is None else lambda x, y: check(x, _expand_y(rows, y, len(p.b)))
-    res = _ipm(q, hook, start)
+        if start is not None or check is not None:
+            raise ValueError("a start or a check is for a problem with an objective")
+        q, start, check = _embedding(p)
+    elif start is None:
+        raise ValueError("a problem with an objective needs a start")
+    res = _ipm(q, check, start)
     if res.answer is not None:
+        if p.c is None:
+            return SdpOutcome(**res.answer, iterations=res.iterations)
         return SdpOutcome(status=SdpStatus.STOPPED, iterations=res.iterations, answer=res.answer)
-    if not res.message:
-        return SdpOutcome(
-            status=SdpStatus.OPTIMAL,
-            primal=tuple(linalg.hermitian(res.x, 3)),
-            objective_value=_inner(q.cg, res.x),
-            y=_expand_y(rows, res.y, len(p.b)),
-            iterations=res.iterations,
-        )
+    if res.message or p.c is None:
+        return SdpOutcome(status=SdpStatus.NUMERICAL_FAILURE, iterations=res.iterations,
+                          message=res.message or "converged with no certificate")
     return SdpOutcome(
-        status=SdpStatus.NUMERICAL_FAILURE, iterations=res.iterations, message=res.message
-    )
-
-
-def _solve_feasibility(p: SdpProblem, q: SdpProblem, rows) -> SdpOutcome:
-    """The objective problem with C = 0 on the rows of ``q`` (reduced from
-    ``p`` with the row map ``rows``) scaled to max|b| = 1.
-
-    The infeasible-start iterates are strictly PD and tend to a
-    relative-interior feasible point when there is one, while y tends to a
-    Farkas ray when there is none.  Each iterate, the converged one too: X,
-    projected twice onto A(X) = b through one Cholesky factor of the Gram
-    matrix A A*, is Feasible when lambda_min >= -TOL * max|lambda| over the
-    blocks; y is Infeasible when its Farkas certificate has lambda_max <=
-    0.1 * FARKAS_TOL.  Without an answer the status is NumericalFailure.
-    """
-    scale = float(np.abs(q.b).max()) or 1.0
-    q = SdpProblem._unchecked(q.a, q.b / scale, None)
-    gram = _cholesky(q.flat @ q.flat.T)
-    if gram is None:
-        raise np.linalg.LinAlgError("Gram matrix of the independent rows not positive definite")
-
-    def check(x, y):
-        for _ in range(2):
-            z = dpotrs(gram, q.b - q._apply(x), lower=1)[0]
-            x = x + q._adjoint(z)
-        lam = np.linalg.eigvalsh(x)
-        if lam[:, 0].min() >= -tolerances.TOL * np.abs(lam).max():
-            primal = tuple(linalg.hermitian(scale * x, 3))
-            return dict(status=SdpStatus.FEASIBLE, primal=primal)
-        cert = _farkas_from_y(p, _expand_y(rows, y, len(p.b)))
-        if cert is not None and cert.lambda_max <= 0.1 * tolerances.FARKAS_TOL:
-            return dict(status=SdpStatus.INFEASIBLE, dual_certificate=cert)
-        return None
-
-    res = _ipm(q, check)
-    if res.answer is not None:
-        return SdpOutcome(**res.answer, iterations=res.iterations)
-    return SdpOutcome(
-        status=SdpStatus.NUMERICAL_FAILURE,
+        status=SdpStatus.OPTIMAL,
+        primal=tuple(linalg.hermitian(res.x, 3)),
+        objective_value=_inner(p.cg, res.x),
+        y=res.y,
         iterations=res.iterations,
-        message=res.message or "converged with no certificate",
     )
 
 

@@ -15,7 +15,7 @@ why.  This module imports nothing, so the independent checker
 HERMITIAN_CONSTRUCTION_TOL = 1e-12
 # absolute: max|sum_i u_i M_i - I| of a pencil, corrected up to it, rejected above
 UNIT_DRIFT_TOL = 1e-8
-# absolute: the singular values `np.linalg.matrix_rank` counts (spans, tight sets, pencils)
+# absolute: the singular values `np.linalg.matrix_rank` counts (spans, tight sets, pencils, unit rows)
 RANK_TOL = 1e-10
 # absolute: the least eigenvalue `linalg.inv_sqrt_pd` takes as positive
 PD_FLOOR = 1e-14
@@ -39,14 +39,8 @@ NU_TIE_TOL = 1e-12
 TOL = 1e-8
 # relative to the gap b.y: lambda_max(sum_i y_i A_i) of a Farkas certificate
 FARKAS_TOL = 1e-7
-# relative to max(1, max|b|): the residual of a given interior start
+# relative to max(1, max|b|): the residual of an interior start; absolute: the miss of A*(w) = I
 START_TOL = 1e-12
-# relative to the largest |R_ii| of the pivoted QR of the unit rows: a dependent row
-ROW_RANK_TOL = 1e-10
-# absolute: the floor of the ROW_RANK_TOL test on |R_ii|
-ROW_RANK_FLOOR = 1e-12
-# relative to 1 + |b_i|: a dependent row's right-hand side this far off is a conflict
-ROW_CONFLICT_TOL = 1e-7
 # relative to 1 + max_k ||X_k||_F: the most negative eigenvalue `sdp.verify` accepts
 PRIMAL_PSD_TOL = 1e-7
 

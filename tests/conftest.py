@@ -45,6 +45,34 @@ def save_tuple(a: pencil.MatrixTuple, path) -> None:
     _save(pencil.tuple_to_json(a), path)
 
 
+def planted_optimum(rng: np.random.Generator, n: int, k: int, m: int):
+    """An objective problem over k blocks of size n with m rows, its optimal
+    value and an exactly feasible, strictly interior start (X, y).
+
+    In each block X0 = U diag(a, 0) U* and S0 = U diag(0, c) U*, with a and
+    c positive, are complementary; P projects onto the range of X0 and
+    P' = I - P.  The m - 1 random rows are made orthogonal to P' and the
+    last row is P, so that b = A(X0) = A(X0 + P'); with C = A*(y0) + S0, X0
+    is optimal with value <C, X0>, and the start is (X0 + P', y0 - e_m),
+    where C - A*(y) = S0 + P."""
+    x0, s0, proj = (np.zeros((k, n, n), dtype=complex) for _ in range(3))
+    r = max(1, n // 2)
+    for j in range(k):
+        u = np.linalg.eigh(linalg.random_hermitian(rng, n))[1]
+        x0[j] = (u[:, :r] * np.abs(rng.standard_normal(r))) @ u[:, :r].conj().T
+        s0[j] = (u[:, r:] * np.abs(rng.standard_normal(n - r))) @ u[:, r:].conj().T
+        proj[j] = u[:, :r] @ u[:, :r].conj().T
+    x0, s0, proj = (linalg.hermitian(t, 3) for t in (x0, s0, proj))
+    rest = np.eye(n) - proj
+    rows = np.array([[linalg.random_hermitian(rng, n) for _ in range(k)] for _ in range(m - 1)])
+    along = np.einsum("ikab,kab->i", rows, rest.conj()).real / np.vdot(rest, rest).real
+    a = np.concatenate([rows - along[:, None, None, None] * rest, proj[None]]).swapaxes(0, 1)
+    y0 = rng.standard_normal(m)
+    c = np.einsum("i,kiab->kab", y0, a) + s0
+    p = sdp.SdpProblem(a, np.einsum("kiab,kba->i", a, x0).real, c)
+    return p, float(np.vdot(x0, p.cg).real), (x0 + rest, y0 - np.eye(m)[-1])
+
+
 @pytest.fixture()
 def solve_calls(monkeypatch):
     """Count calls of sdp.solve, which the oracles reach as a module attribute."""

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import planted_optimum
 from freespec import cones, containment, linalg, opsys, sampling, sdp
 from freespec.containment import (
     RelaxationStatus,
@@ -245,67 +246,39 @@ def test_criterion_10_sdp_self_test():
         for k in range(100):
             kind = k % 3
             nb = int(rng.integers(1, 3))
-            blocks = [int(rng.integers(2, 9))] * nb  # one size for the instance's blocks
-            dim = sum(n * n for n in blocks)
-            m = int(rng.integers(2, min(60, dim)))
-            amats = [
-                [linalg.random_hermitian(rng, n) for n in blocks] for _ in range(m)
-            ]
-            if kind == 0:  # feasible by construction
-                x0 = [linalg.random_psd(rng, n) for n in blocks]
-                rhs = [sum(trace_inner(x0[b], amats[i][b]) for b in range(nb)) for i in range(m)]
-                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), rhs)
-                out = sdp.solve(p)
-                assert out.status is sdp.SdpStatus.FEASIBLE, f"instance {k}: {out.message}"
-                rep = sdp.verify(out, p)
-                assert rep.ok and rep.max_residual < 1e-6
-            elif kind == 1:  # infeasible with planted Farkas certificate
-                y = rng.standard_normal(m)
-                y[-1] = 1.0
-                s0 = [linalg.random_psd(rng, n) + 0.1 * np.eye(n) for n in blocks]
-                for b in range(nb):
-                    acc = sum(y[i] * amats[i][b] for i in range(m - 1))
-                    amats[m - 1][b] = linalg.hermitian(-(s0[b] + acc))
-                bvec = rng.standard_normal(m)
-                bvec[-1] = 1.0 - bvec[: m - 1] @ y[: m - 1]
-                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), bvec)
-                out = sdp.solve(p)
-                assert out.status is sdp.SdpStatus.INFEASIBLE, f"instance {k}: {out.message}"
-                assert sdp.verify(out, p).ok
-            else:  # optimization with known complementary optimum
-                xs, ss = [], []
-                for n in blocks:
-                    w, u = np.linalg.eigh(linalg.random_hermitian(rng, n))
-                    kk = max(1, n // 2)
-                    xs.append(
-                        linalg.hermitian(
-                            (u[:, :kk] * np.abs(rng.standard_normal(kk)))
-                            @ u[:, :kk].conj().T
-                        )
-                    )
-                    if kk < n:
-                        ss.append(
-                            linalg.hermitian(
-                                (u[:, kk:] * np.abs(rng.standard_normal(n - kk)))
-                                @ u[:, kk:].conj().T
-                            )
-                        )
-                    else:
-                        ss.append(linalg.hermitian(np.zeros((n, n))))
-                y0 = rng.standard_normal(m)
-                rhs = [sum(trace_inner(xs[b], amats[i][b]) for b in range(nb)) for i in range(m)]
-                cobj = tuple(
-                    linalg.hermitian(
-                        sum(y0[i] * amats[i][b] for i in range(m)) + ss[b]
-                    )
-                    for b in range(nb)
-                )
-                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), rhs, cobj)
-                out = sdp.solve(p)
+            n = int(rng.integers(2, 9))  # one size for the instance's blocks
+            m = int(rng.integers(2, min(60, nb * n * n)))
+            if kind == 2:  # optimization with known complementary optimum
+                p, expected, start = planted_optimum(rng, n, nb, m)
+                out = sdp.solve(p, start=start)
                 assert out.status is sdp.SdpStatus.OPTIMAL, f"instance {k}: {out.message}"
-                expected = sum(trace_inner(xs[b], cobj[b]) for b in range(nb))
                 assert out.objective_value == pytest.approx(
                     expected, abs=1e-5 * (1 + abs(expected))
                 )
                 rep = sdp.verify(out, p)
                 assert rep.ok and rep.max_residual < 1e-6
+                continue
+            # a trace row last puts I in the span of the rows
+            amats = np.array([[linalg.random_hermitian(rng, n) for _ in range(nb)]
+                              for _ in range(m)] + [[np.eye(n)] * nb])
+            if kind == 0:  # feasible by construction
+                x0 = [linalg.random_psd(rng, n) for _ in range(nb)]
+                rhs = [sum(trace_inner(x0[b], a[b]) for b in range(nb)) for a in amats]
+                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), rhs)
+                out = sdp.solve(p)
+                assert out.status is sdp.SdpStatus.FEASIBLE, f"instance {k}: {out.message}"
+                rep = sdp.verify(out, p)
+                assert rep.ok and rep.max_residual < 1e-6
+            else:  # infeasible with planted Farkas certificate, 0 on the trace row
+                y = rng.standard_normal(m)
+                y[-1] = 1.0
+                s0 = [linalg.random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(nb)]
+                for b in range(nb):
+                    acc = sum(y[i] * amats[i][b] for i in range(m - 1))
+                    amats[m - 1][b] = linalg.hermitian(-(s0[b] + acc))
+                bvec = rng.standard_normal(m + 1)
+                bvec[m - 1] = 1.0 - bvec[: m - 1] @ y[: m - 1]
+                p = sdp.SdpProblem(np.swapaxes(amats, 0, 1), bvec)
+                out = sdp.solve(p)
+                assert out.status is sdp.SdpStatus.INFEASIBLE, f"instance {k}: {out.message}"
+                assert sdp.verify(out, p).ok

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from freespec import certificates, cones, containment, linalg, pencil, sampling, tolerances
+from freespec import certificates, cones, containment, linalg, pencil, sampling, sdp, tolerances
 from freespec.containment import (
     RelaxationStatus,
     ball_pencil,
@@ -573,6 +573,54 @@ class TestChoiScaleInvariance:
                 res = relaxation(rotated, tgt)
                 assert res.status is want, f"t={tgt.r} scale 1e{e}: {res.message}"
                 assert _relaxation_certificate_ok(rotated, tgt, res), f"scale 1e{e}"
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestChoiBoundaryTargets:
+    """A facet target on the boundary of the feasible set: the Choi SDP
+    takes the same steps at every scale of the target and answers
+    Feasible with J scaled by it.  The solve amplifies the rounding of
+    10^e N near the boundary, to about 1e-9 of |J|."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_the_solve_is_scale_invariant(self, k):
+        rng = np.random.default_rng(150 + k)
+        cone = _regular_polygon(k)
+        src = _conjugated(diagonal_pencil(cone), sampling.random_unitary(rng, k)).stack
+        tgt = _facet_target(cone, [0, 2]).stack
+        ref = sdp.solve(containment._choi_problem(src, tgt))
+        assert ref.status is sdp.SdpStatus.FEASIBLE
+        for e in range(-8, 9):
+            out = sdp.solve(containment._choi_problem(src, 10.0**e * tgt))
+            assert out.status is ref.status and out.iterations == ref.iterations, f"scale 1e{e}"
+            gap = np.linalg.norm(out.primal[0] / 10.0**e - ref.primal[0])
+            assert gap <= 1e-8 * np.linalg.norm(ref.primal[0]), f"scale 1e{e}"
+
+
+@pytest.mark.filterwarnings("ignore:pencil matrices are linearly dependent")
+class TestDependentChoiSource:
+    """A non-diagonal source with a repeated matrix: a target that breaks
+    the repetition is Infeasible in closed form, one that keeps it is
+    decided on the independent matrices, and both certificates verify."""
+
+    def test_repeated_matrix(self, solve_calls):
+        rng = np.random.default_rng(160)
+        base = _conjugated(diagonal_pencil(square_cone()), sampling.random_unitary(rng, 4))
+        src = LinearPencil([*base.stack, base.stack[2]], np.r_[base.unit, 0.0])
+        tgt = sampling.random_commuting_target(rng, square_cone(), 2)
+        unit = np.r_[tgt.unit, 0.0]
+        kept = LinearPencil([*tgt.stack, tgt.stack[2]], unit)
+        res = relaxation(src, kept)
+        assert res.status is relaxation(base, tgt).status is RelaxationStatus.FEASIBLE
+        assert _relaxation_certificate_ok(src, kept, res)
+        assert len(solve_calls) == 2
+
+        broken = LinearPencil([*tgt.stack, tgt.stack[2] + 0.1 * SIGMA_Z], unit)
+        res = relaxation(src, broken)
+        assert res.status is RelaxationStatus.INFEASIBLE
+        assert res.farkas.gap == pytest.approx(1.0, abs=1e-12)
+        assert _relaxation_certificate_ok(src, broken, res)
+        assert len(solve_calls) == 2
 
 
 class TestFreeWitness:

@@ -255,10 +255,12 @@ class TestSimplexClosedForm:
 
 class TestNoPhaseOne:
     def test_membership_and_diagonal_relaxations_skip_phase_one(self, monkeypatch):
+        # the margin SDP brings its own start: the embedding of a
+        # feasibility problem is never built
         def forbidden(*args):
-            raise AssertionError("phase-I reached")
+            raise AssertionError("feasibility embedding reached")
 
-        monkeypatch.setattr(sdp, "_solve_feasibility", forbidden)
+        monkeypatch.setattr(sdp, "_embedding", forbidden)
         rng = np.random.default_rng(59)
         sq = cones.square_cone()
         for cone in (sq, _polygon(6), sampling.random_simplex_cone(rng, 3)):
@@ -558,8 +560,7 @@ class TestMarginStart:
 
 class TestMarginNewtonSteps:
     def test_mean_steps_per_margin_solve(self, monkeypatch):
-        # the step count is deterministic; an infeasible start takes about
-        # 4.5 steps per solve on this set
+        # the step count is deterministic
         steps = []
         real = sdp.solve
 

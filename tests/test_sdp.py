@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import planted_optimum
 from freespec import linalg, sdp
 from freespec.linalg import SIGMA_X, SIGMA_Z
 
@@ -17,14 +18,15 @@ def trace_inner(a, b) -> float:
 class TestSolveExamples:
     def test_minimize_spectral_bound(self):
         # min t s.t. t*I - sigma_x >= 0, in standard primal form via
-        # X = t*I - sigma_x: optimum t = lambda_max(sigma_x) = 1
+        # X = t*I - sigma_x: optimum t = lambda_max(sigma_x) = 1, from the
+        # start X = 2 I - sigma_x, y = (1/2, 0, 0) with C - A*(y) = I / 2
         rows = [
             [[1, 0], [0, -1]],     # X00 = X11
             [[0, 1], [1, 0]],      # 2 Re X01 = -2
             [[0, 1j], [-1j, 0]],   # 2 Im X01 = 0
         ]
         p = sdp.SdpProblem([rows], [0.0, -2.0, 0.0], [[[1, 0], [0, 0]]])
-        out = sdp.solve(p)
+        out = sdp.solve(p, start=([2 * np.eye(2) - SIGMA_X], [0.5, 0.0, 0.0]))
         assert out.status is sdp.SdpStatus.OPTIMAL
         assert out.objective_value == pytest.approx(1.0, abs=1e-7)
 
@@ -95,7 +97,8 @@ class TestRoundTripInvariant:
         for _ in range(15):
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, min(8, n * n)))
-            amats = [linalg.random_hermitian(rng, n) for _ in range(m)]
+            # a trace row puts I in the span of the rows
+            amats = [linalg.random_hermitian(rng, n) for _ in range(m)] + [np.eye(n)]
             x0 = linalg.random_psd(rng, n)
             p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats])
             out = sdp.solve(p)
@@ -107,20 +110,12 @@ class TestRoundTripInvariant:
 
 class TestDualityGap:
     def test_optimal_gap_small(self):
+        # a primal-dual pair with complementary optimum, from a planted start
         rng = np.random.default_rng(13)
         for _ in range(10):
-            n, m = 4, 5
-            amats = [linalg.random_hermitian(rng, n) for _ in range(m)]
-            # primal-dual pair with complementary optimum
-            w, u = np.linalg.eigh(linalg.random_hermitian(rng, n))
-            x0 = linalg.hermitian((u[:, :2] * np.abs(rng.standard_normal(2))) @ u[:, :2].conj().T)
-            s0 = linalg.hermitian((u[:, 2:] * np.abs(rng.standard_normal(2))) @ u[:, 2:].conj().T)
-            y0 = rng.standard_normal(m)
-            c = linalg.hermitian(sum(yi * a for yi, a in zip(y0, amats)) + s0)
-            p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats], [c])
-            out = sdp.solve(p)
+            p, expected, start = planted_optimum(rng, 4, 1, 5)
+            out = sdp.solve(p, start=start)
             assert out.status is sdp.SdpStatus.OPTIMAL
-            expected = trace_inner(x0, c)
             assert out.objective_value == pytest.approx(expected, abs=1e-6 * (1 + abs(expected)))
             # primal-dual duality gap at the returned multipliers
             dual_obj = float(out.y @ p.b)
@@ -130,28 +125,20 @@ class TestDualityGap:
 class TestComplexEmbedding:
     def test_real_doubling_preserves_objective(self):
         # solving the explicitly doubled real problem gives exactly twice
-        # the complex objective value (inner products double)
+        # the complex objective value (inner products double), from the
+        # doubled start
         rng = np.random.default_rng(14)
+
+        def emb(h):
+            return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
         for trial in range(10):
-            n, m = 3, 4
-            amats = [linalg.random_hermitian(rng, n) for _ in range(m)]
-            x0 = linalg.random_psd(rng, n)
-            s0 = linalg.random_psd(rng, n)
-            y0 = rng.standard_normal(m)
-            c = linalg.hermitian(sum(yi * a for yi, a in zip(y0, amats)) + s0)
-            p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats], [c])
-            out = sdp.solve(p)
+            p, _, (x, y) = planted_optimum(rng, 3, 1, 4)
+            out = sdp.solve(p, start=(x, y))
             assert out.status is sdp.SdpStatus.OPTIMAL
 
-            def emb(h):
-                return np.block(
-                    [[h.real, -h.imag], [h.imag, h.real]]
-                )
-
-            p2 = sdp.SdpProblem(
-                [[emb(a) for a in amats]], [2.0 * trace_inner(x0, a) for a in amats], [emb(c)]
-            )
-            out2 = sdp.solve(p2)
+            p2 = sdp.SdpProblem([[emb(a) for a in p.a[0]]], 2.0 * p.b, [emb(p.cg[0])])
+            out2 = sdp.solve(p2, start=([emb(x[0])], y))
             assert out2.status is sdp.SdpStatus.OPTIMAL
             assert out2.objective_value / 2.0 == pytest.approx(
                 out.objective_value, abs=1e-6 * (1 + abs(out.objective_value))
@@ -180,7 +167,7 @@ class TestNativeHermitianBlocks:
     def test_complex_single_block(self, eigh_shapes):
         rng = np.random.default_rng(16)
         n = 3
-        amats = [linalg.random_hermitian(rng, n) for _ in range(4)]
+        amats = [linalg.random_hermitian(rng, n) for _ in range(4)] + [np.eye(n)]
         assert any(np.abs(a.imag).max() > 0.1 for a in amats)
         x0 = linalg.random_psd(rng, n)
         p = sdp.SdpProblem([amats], [trace_inner(x0, a) for a in amats])
@@ -200,29 +187,15 @@ class TestNativeHermitianBlocks:
         assert max(shape[-1] for shape in eigh_shapes) <= 3
 
 
-class TestInconsistentConstraints:
-    def test_conflicting_dependent_rows_infeasible_with_certificate(self):
-        # duplicated row with different rhs: linear inconsistency doubles as
-        # a Farkas certificate
-        p = sdp.SdpProblem([[np.eye(2), np.eye(2)]], [1.0, 2.0])
-        out = sdp.solve(p)
-        assert out.status is sdp.SdpStatus.INFEASIBLE
-        assert sdp.verify(out, p).ok
-
-    def test_consistent_dependent_rows_ok(self):
-        p = sdp.SdpProblem([[np.eye(2), 2 * np.eye(2), SIGMA_Z]], [1.0, 2.0, 0.0])
-        out = sdp.solve(p)
-        assert out.status is sdp.SdpStatus.FEASIBLE
-
-
 class TestMultiBlock:
     def test_blocks_with_gaps(self):
-        # second block unconstrained: its coefficients are zero
-        p = sdp.SdpProblem([[np.eye(2), SIGMA_X], np.zeros((2, 2, 2))], [1.0, 1.0])
+        # each row touches one block, the other's coefficients are zero;
+        # the first block's point is on the boundary, (I + sigma_x) / 2
+        z = np.zeros((2, 2))
+        p = sdp.SdpProblem([[np.eye(2), SIGMA_X, z], [z, z, np.eye(2)]], [1.0, 1.0, 2.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.FEASIBLE
         assert sdp.verify(out, p).ok
-
 
     def test_blocks_are_read_from_the_coefficients(self):
         # k and n come from the shape of the coefficients; blocks is derived
@@ -236,8 +209,8 @@ class TestMultiBlock:
 class TestStartOnSeveralSizes:
     """An objective problem on three blocks of size 2 from an exactly
     feasible, strictly interior start (X0 and S0 = C - A*(y0) positive
-    definite with b = A(X0)), against the same problem solved freely and
-    as one block of size 6."""
+    definite with b = A(X0)), against the same problem as one block of
+    size 6 from the same start."""
 
     BLOCKS = (2, 2, 2)
 
@@ -254,17 +227,13 @@ class TestStartOnSeveralSizes:
         return sdp.SdpProblem(np.swapaxes(rows, 0, 1), b, c), (x0, y0)
 
     @staticmethod
-    def _embedded(p):
-        """The same problem on one block, block diagonal."""
-        def diag(mats):
-            out = np.zeros((sum(p.blocks),) * 2, dtype=complex)
-            at = np.cumsum((0,) + p.blocks)
-            for k, mat in enumerate(mats):
-                out[at[k]:at[k + 1], at[k]:at[k + 1]] = mat
-            return out
-
-        rows = [diag([ak[i] for ak in p.a]) for i in range(len(p.b))]
-        return sdp.SdpProblem([rows], p.b, [diag(p.c)])
+    def _diag(mats):
+        """Square matrices as one block diagonal matrix."""
+        at = np.cumsum([0] + [len(mat) for mat in mats])
+        out = np.zeros((at[-1],) * 2, dtype=complex)
+        for k, mat in enumerate(mats):
+            out[at[k]:at[k + 1], at[k]:at[k + 1]] = mat
+        return out
 
     def test_optimal_from_the_start(self):
         p, start = self._problem()
@@ -272,11 +241,9 @@ class TestStartOnSeveralSizes:
         assert out.status is sdp.SdpStatus.OPTIMAL
         assert sdp.verify(out, p).ok
 
-        free = sdp.solve(p)
-        assert free.status is sdp.SdpStatus.OPTIMAL
-        assert out.objective_value == pytest.approx(free.objective_value, rel=1e-6)
-
-        one = sdp.solve(self._embedded(p))
+        rows = [self._diag([ak[i] for ak in p.a]) for i in range(len(p.b))]
+        one = sdp.SdpProblem([rows], p.b, [self._diag(p.c)])
+        one = sdp.solve(one, start=([self._diag(start[0])], start[1]))
         assert one.status is sdp.SdpStatus.OPTIMAL
         assert out.objective_value == pytest.approx(one.objective_value, rel=1e-6)
 
@@ -456,8 +423,9 @@ class TestFloored:
 
 class TestCheck:
     def test_first_answer_stops_the_solve(self):
-        # min X00 + X11 subject to X01 + X10 = 2: the check answers at its
-        # third iterate, after two completed iterations
+        # min X00 + X11 subject to X01 + X10 = 2, from X = 2 I + sigma_x
+        # and y = 0: the check answers at its third iterate, after two
+        # completed iterations
         p = sdp.SdpProblem([[SIGMA_X]], [2.0], [np.eye(2)])
         seen = []
 
@@ -465,7 +433,7 @@ class TestCheck:
             seen.append((len(x), y.shape))
             return "third" if len(seen) == 3 else None
 
-        out = sdp.solve(p, check=check)
+        out = sdp.solve(p, check=check, start=([2 * np.eye(2) + SIGMA_X], [0.0]))
         assert out.status is sdp.SdpStatus.STOPPED
         assert out.answer == "third"
         assert out.iterations == 2
@@ -473,22 +441,47 @@ class TestCheck:
 
 
 class TestFailureExits:
-    E00 = np.diag([1.0, 0.0])
-    E11 = np.diag([0.0, 1.0])
-
-    @pytest.mark.filterwarnings("error")
-    def test_unbounded_objective_is_a_numerical_failure(self):
-        # minimise -X00 subject to X11 = 1: the iterates run off to infinity,
-        # and the solve ends on its finiteness test without an overflow warning
-        p = sdp.SdpProblem([[self.E11]], [1.0], [-self.E00])
-        out = sdp.solve(p)
-        assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
-        assert out.message == "iterates diverged"
-
-    def test_infeasible_objective_problem_runs_out_of_iterations(self):
-        # minimise tr X subject to X00 = -1: no PSD point, no divergence
-        p = sdp.SdpProblem([[self.E00]], [-1.0], [np.eye(2)])
+    def test_a_solve_out_of_iterations_is_a_numerical_failure(self, monkeypatch):
+        # the feasible point of the boundary example is not reached in one
+        # iteration
+        monkeypatch.setattr(sdp, "MAX_ITER", 1)
+        p = sdp.SdpProblem([[np.eye(2), SIGMA_X]], [1.0, 1.0])
         out = sdp.solve(p)
         assert out.status is sdp.SdpStatus.NUMERICAL_FAILURE
         assert out.message == "max iterations reached"
-        assert out.iterations == sdp.MAX_ITER
+        assert out.iterations == 1
+
+
+class TestOneMode:
+    """Every solve starts exactly feasible and strictly interior: an
+    objective problem needs its start, and a feasibility problem is
+    embedded, which needs independent rows with I in their span."""
+
+    def test_an_objective_problem_needs_a_start(self):
+        p = sdp.SdpProblem([[SIGMA_X]], [2.0], [np.eye(2)])
+        with pytest.raises(ValueError, match="^a problem with an objective needs a start$"):
+            sdp.solve(p)
+
+    def test_a_feasibility_problem_takes_no_start_or_check(self):
+        p = sdp.SdpProblem([[np.eye(2)]], [1.0])
+        want = "^a start or a check is for a problem with an objective$"
+        with pytest.raises(ValueError, match=want):
+            sdp.solve(p, start=([np.eye(2) / 2], [0.0]))
+        with pytest.raises(ValueError, match=want):
+            sdp.solve(p, check=lambda x, y: None)
+
+    @pytest.mark.parametrize("rhs, entries, want", [
+        # rows tr X = 1 and 2 tr X = 2
+        ("1.0 2.0", ["1 1 1 1 1.0 0.0", "1 1 2 2 1.0 0.0", "2 1 1 1 2.0 0.0", "2 1 2 2 2.0 0.0"],
+         "the constraint rows are linearly dependent"),
+        # rows X00 = 1 and 2 Re X01 = 0
+        ("1.0 0.0", ["1 1 1 1 1.0 0.0", "2 1 1 2 1.0 0.0"],
+         r"the span of the constraint rows holds no identity \(off by 1.00e\+00\)"),
+    ], ids=["dependent", "no-identity"])
+    def test_a_loaded_feasibility_dump_the_embedding_rejects(self, tmp_path, rhs, entries, want):
+        path = tmp_path / "feas.sdpa"
+        path.write_text("\n".join(["2", "1", "2", rhs] + entries) + "\n")
+        p = sdp.load_problem(path)
+        assert p.c is None
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            sdp.solve(p)
