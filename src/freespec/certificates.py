@@ -271,6 +271,8 @@ def verify_certificate(doc: dict) -> CertificateCheck:
         doc = doc["certificate"]
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")
+    if "kind" not in doc and "status" in doc:
+        raise ValueError(f"the document holds no certificate (status {doc['status']!r})")
     kind = doc.get("kind")
     handlers = {
         "relaxation_feasible": _verify_relaxation,

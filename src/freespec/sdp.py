@@ -27,16 +27,16 @@ checked once, and every iterate stays feasible on both sides.  An
 objective problem comes with that start (the margin SDP of
 `opsys.generator_weights`).  An iteration: two `eigh` calls for the scaling
 G (W = G G*, G* S G = G^-1 X G^-* = diag(lam)), the Schur complement and
-its Cholesky factor (LAPACK dpotrf, solved by dpotrs with one refinement
-pass), then a predictor and a corrector direction.  Each direction is
-taken in the scaled space, where the predictor's dX is -diag(lam) - D and
-the corrector's U - D for D = G* dS G.  The predictor's two step lengths
-come from one `eigvalsh` of D / root (lambda_min(-I - D / root) = -1 -
-lambda_max), the corrector's from one `eigvalsh` of its two scaled
-directions stacked; only the corrector's dX is formed unscaled, for the
-update.  A caller's check sees every iterate, the (k, n, n) stack of the
-primal blocks, and the first answer it gives stops the solve with status
-STOPPED and that answer.
+the inverse of its Cholesky factor (`_inverse_factor`, solved by `_solve`
+with one refinement pass), then a predictor and a corrector direction.
+Each direction is taken in the scaled space, where the predictor's dX is
+-diag(lam) - D and the corrector's U - D for D = G* dS G.  The predictor's
+two step lengths come from one `eigvalsh` of D / root
+(lambda_min(-I - D / root) = -1 - lambda_max), the corrector's from one
+`eigvalsh` of its two scaled directions stacked; only the corrector's dX
+is formed unscaled, for the update.  A caller's check sees every
+iterate, the (k, n, n) stack of the primal blocks, and the first answer it
+gives stops the solve with status STOPPED and that answer.
 
 A feasibility problem is solved as the objective problem of `_embedding`,
 built from its rows alone, started like the margin SDP, with two scalar
@@ -67,7 +67,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _kernels, linalg, tolerances
 from .linalg import hermitian_part
@@ -278,11 +277,23 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return (f @ ut) * wt[:, None, :] ** -0.25, np.sqrt(wt)
 
 
-def _cholesky(a: np.ndarray):
-    """The lower Cholesky factor of a, or None when a is not positive
-    definite."""
-    c, info = dpotrf(a, lower=1, clean=0)
-    return c if info == 0 else None
+def _inverse_factor(a: np.ndarray):
+    """L^-1 for the lower Cholesky factor L of a, or None when a is not
+    positive definite.  numpy has no triangular solve: `np.linalg.solve`
+    would redo an LU factorisation for every right-hand side, while L^-1,
+    formed once per factorisation, makes each solve with a (`_solve`) two
+    matrix-vector products."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _solve(li: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a^-1 v from the inverse factor ``li`` of a, with one refinement
+    pass."""
+    z = li.T @ (li @ v)
+    return z + li.T @ (li @ (v - a @ z))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -349,8 +360,8 @@ def _ipm(q: SdpProblem, check, start) -> _IpmResult:
             break
         jitter = 1e-13 * max(1.0, float(schur.diagonal().max()))  # IPM parameter: Schur regularisation
         for _ in range(12):
-            cf = _cholesky(schur + jitter * jitter_eye)
-            if cf is not None:
+            li = _inverse_factor(schur + jitter * jitter_eye)
+            if li is not None:
                 break
             jitter *= 100.0
         else:
@@ -360,8 +371,7 @@ def _ipm(q: SdpProblem, check, start) -> _IpmResult:
         def direction(rhs):
             """dy, dS and its scaled G* dS G for the Schur right-hand side
             ``rhs``."""
-            dy = dpotrs(cf, rhs, lower=1)[0]
-            dy = dy + dpotrs(cf, rhs - schur @ dy, lower=1)[0]  # one refinement pass
+            dy = _solve(li, schur, rhs)
             ds = hermitian_part(rd - q._adjoint(dy))
             return dy, ds, _ct(g) @ ds @ g
 
@@ -461,13 +471,14 @@ def _embedding(p: SdpProblem):
     k, n = len(p.a), p.a.shape[-1]
     norms = np.maximum(np.linalg.norm(p.flat, axis=1), np.finfo(float).tiny)  # a zero row stays 0
     rows = p.flat / norms[:, None]
-    gram = _cholesky(rows @ rows.T)
-    if gram is None:
+    gram = rows @ rows.T
+    li = _inverse_factor(gram)
+    if li is None:
         raise ValueError("the constraint rows are linearly dependent")
 
     def least_norm(v):
         """z = G^-1 v and A*(z), on the scaled rows."""
-        z = dpotrs(gram, v, lower=1)[0]
+        z = _solve(li, gram, v)
         return z, hermitian_part((z @ rows.view(np.complex128)).reshape(k, n, n))
 
     eye = np.eye(n)

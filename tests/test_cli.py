@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -338,6 +342,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", str(path))
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
+
+    def test_verify_a_document_with_no_certificate(self, capsys, tmp_path):
+        # components (I, I, I/2, 3I/2): the answer No carries no certificate
+        comps = tmp_path / "comps.json"
+        comps.write_text(json.dumps([linalg.matrix_to_json(c * np.eye(2)) for c in (1, 1, 0.5, 1.5)]))
+        _, out, _ = run(capsys, "essential-boundary", "--components", str(comps), "--output", "json")
+        assert json.loads(out)["result"]["status"] == "No"
+        path = tmp_path / "no.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert err == "error: the document holds no certificate (status 'No')\n"
+        assert "Traceback" not in out + err
 
     def test_verify_a_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path))
@@ -817,3 +834,37 @@ class TestDumpFormatPinned:
         run(capsys, command, *argv, "--dump-sdp", str(dump))
         data = dump.read_bytes() if command == "essential-boundary" else _rounded(dump)
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[command]
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from freespec import cli
+codes = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    with open(f"out{i}.json", "w") as fh, contextlib.redirect_stdout(fh):
+        codes.append(cli.main([*argv, "--output", "json"]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["verify", f"out{i}.json"]))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+"""
+
+
+def test_the_sdps_answer_and_verify_without_scipy(fixtures):
+    # numpy is the only numeric dependency: the Choi feasibility SDP, the
+    # margin SDP of a square Member and the essential-boundary SDP run with
+    # scipy unimportable, and each certificate verifies.  The Member has the
+    # rank-one weights of (1, 0), (0, 1), (1, 1) and (1, -1) on the square's
+    # generators; its min-norm weights are not PSD, so the SDP decides it
+    member = pencil.MatrixTuple.of(SIGMA_Z + 2 * SIGMA_X, 2 * SIGMA_X - SIGMA_Z, 3 * np.eye(2))
+    save_tuple(member, fixtures / "member.json")
+    runs = [
+        ["relaxation", "--src", "circular", "--tgt", "calpha", "--alpha", "pi/4"],
+        ["min-membership", "--cone", "square", "--tuple", "member.json"],
+        ["essential-boundary", "--components", "comps.json"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)], cwd=fixtures,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"codes": [EXIT_OK] * 6, "scipy": []}

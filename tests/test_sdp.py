@@ -421,6 +421,27 @@ class TestFloored:
         ])
 
 
+class TestInverseFactor:
+    """The factor of the Schur complement and of `_embedding`'s Gram
+    matrix: None when the matrix is not positive definite, which the Schur
+    jitter loop and the dependent-rows error read, else a refined solve."""
+
+    def test_none_on_an_indefinite_matrix(self):
+        assert sdp._inverse_factor(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+
+    def test_none_on_the_gram_matrix_of_two_equal_rows(self):
+        rows = np.array([[1.0, 1.0, 1.0, 1.0]] * 2)
+        assert sdp._inverse_factor(rows @ rows.T) is None
+
+    def test_the_refined_solve_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((16, 16))
+        a = b @ b.T + np.eye(16)
+        v = rng.standard_normal(16)
+        li = sdp._inverse_factor(a)
+        np.testing.assert_allclose(sdp._solve(li, a, v), np.linalg.solve(a, v), rtol=0, atol=1e-12)
+
+
 class TestCheck:
     def test_first_answer_stops_the_solve(self):
         # min X00 + X11 subject to X01 + X10 = 2, from X = 2 I + sigma_x
